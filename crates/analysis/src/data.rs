@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 use wmtree_browser::VisitResult;
-use wmtree_crawler::CrawlDb;
+use wmtree_crawler::{CrawlDb, HashedVisit, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_net::cookie::{CookieId, SecurityAttributes};
 use wmtree_tree::{build_tree, visit_hash, DepTree, TreeCache, TreeConfig};
@@ -87,26 +87,14 @@ pub struct ExperimentData {
 impl ExperimentData {
     /// Build the analysis input from a crawl database: apply the
     /// all-profiles vetting rule, construct every tree, and collect
-    /// cookie observations. Sequential; see
-    /// [`from_db_parallel`](Self::from_db_parallel).
+    /// cookie observations. Tree builds fan out over `workers` scoped
+    /// threads, deduplicated through an ephemeral in-run memo (content
+    /// hashes the database already knows — bundle replays know them
+    /// all, live crawls none). Results are identical for any worker
+    /// count.
     ///
     /// `site_meta` optionally maps a site to `(rank, bucket label)` for
     /// the popularity analysis.
-    pub fn from_db(
-        db: &CrawlDb,
-        profile_names: Vec<String>,
-        filter_list: Option<&FilterList>,
-        tree_config: &TreeConfig,
-        site_meta: &BTreeMap<String, (u32, String)>,
-    ) -> ExperimentData {
-        Self::from_db_parallel(db, profile_names, filter_list, tree_config, site_meta, 1)
-    }
-
-    /// [`from_db`](Self::from_db) with the tree builds fanned out over
-    /// `workers` scoped threads, deduplicated through an ephemeral
-    /// in-run memo (content hashes the database already knows — bundle
-    /// replays know them all, live crawls none). Results are identical
-    /// for any worker count.
     pub fn from_db_parallel(
         db: &CrawlDb,
         profile_names: Vec<String>,
@@ -115,8 +103,8 @@ impl ExperimentData {
         site_meta: &BTreeMap<String, (u32, String)>,
         workers: usize,
     ) -> ExperimentData {
-        Self::from_db_cached(
-            db,
+        Self::from_vetted(
+            &db.vetted_pages_hashed(),
             profile_names,
             filter_list,
             tree_config,
@@ -126,19 +114,22 @@ impl ExperimentData {
         )
     }
 
-    /// [`from_db_parallel`](Self::from_db_parallel) consulting a
-    /// [`TreeCache`]: visits whose content hash is already memoized
-    /// skip `build_tree` entirely, and freshly built trees are inserted
-    /// for the next run. With `cache: None`, an ephemeral in-memory
-    /// memo still deduplicates identical visits *within* the run.
+    /// [`from_db_parallel`](Self::from_db_parallel) over pages already
+    /// vetted — any subset of a database's
+    /// [`vetted_pages_hashed`](CrawlDb::vetted_pages_hashed), in its
+    /// order — consulting a [`TreeCache`]: visits whose content hash is
+    /// already memoized skip `build_tree` entirely, and freshly built
+    /// trees are inserted for the next run. With `cache: None`, an
+    /// ephemeral in-memory memo still deduplicates identical visits
+    /// *within* the run.
     ///
     /// The pipeline is phased so its observable effects are
     /// worker-count invariant (DESIGN.md §9): parallel phases do pure
     /// slot-per-item work (hashing, building, assembling); all cache
     /// lookups, hit/miss accounting, and disk appends happen in
     /// sequential phases in canonical page order.
-    pub fn from_db_cached(
-        db: &CrawlDb,
+    pub fn from_vetted(
+        vetted: &[(&PageKey, Vec<HashedVisit<'_>>)],
         profile_names: Vec<String>,
         filter_list: Option<&FilterList>,
         tree_config: &TreeConfig,
@@ -146,12 +137,11 @@ impl ExperimentData {
         workers: usize,
         cache: Option<&TreeCache>,
     ) -> ExperimentData {
-        let vetted = db.vetted_pages_hashed();
         // Intern each site's strings once, up front, so workers share
         // one `Arc` per site instead of cloning per page.
         type InternedSite = (Arc<str>, Option<(u32, Arc<str>)>);
         let mut interned: BTreeMap<&str, InternedSite> = BTreeMap::new();
-        for (page, _) in &vetted {
+        for (page, _) in vetted {
             interned.entry(page.site.as_str()).or_insert_with(|| {
                 let meta = site_meta
                     .get(&page.site)
@@ -165,7 +155,7 @@ impl ExperimentData {
         // the fan-out engages at smaller scales and no worker gets
         // stuck behind a chunk of heavyweight pages.
         let mut jobs: Vec<(usize, &VisitResult, Option<u64>)> =
-            Vec::with_capacity(vetted.len() * db.n_profiles().max(1));
+            Vec::with_capacity(vetted.len() * profile_names.len().max(1));
         for (pi, (_, visits)) in vetted.iter().enumerate() {
             for (v, h) in visits {
                 jobs.push((pi, v, *h));
@@ -250,7 +240,7 @@ impl ExperimentData {
         // metadata, and the pre-warmed per-page index.
         let mut page_inputs = Vec::with_capacity(vetted.len());
         let mut offset = 0usize;
-        for (page, visits) in &vetted {
+        for (page, visits) in vetted {
             page_inputs.push((page, visits, offset));
             offset += visits.len();
         }
@@ -348,12 +338,13 @@ pub(crate) mod testutil {
                 .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
                 .collect();
             let _ = RankBucket::Top5k; // keep the import honest
-            ExperimentData::from_db(
+            ExperimentData::from_db_parallel(
                 &db,
                 names,
                 Some(tracking_list()),
                 &wmtree_tree::TreeConfig::default(),
                 &site_meta,
+                1,
             )
         })
     }
@@ -481,10 +472,11 @@ mod tests {
             .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
             .collect();
         let cache = TreeCache::in_memory(0);
+        let vetted = db.vetted_pages_hashed();
         for pass in 0..2 {
             for workers in [1usize, 2, 8] {
-                let cached = ExperimentData::from_db_cached(
-                    &db,
+                let cached = ExperimentData::from_vetted(
+                    &vetted,
                     names.clone(),
                     Some(wmtree_filterlist::embedded::tracking_list()),
                     &wmtree_tree::TreeConfig::default(),

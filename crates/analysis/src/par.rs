@@ -10,21 +10,21 @@
 
 /// Minimum items per worker before fan-out engages. Below this, thread
 /// spawn/join and cross-core cache traffic cost more than the chunks
-/// save: BENCH_4.json measured w=8 *slower* than w=1 at Small scale
-/// (~550 ms vs ~506 ms over ~700 pages), so small inputs cap the
+/// save: an uncapped 8-worker fan-out over a Small-scale run's ~700
+/// pages measured slower than one worker, so small inputs cap the
 /// effective worker count until each worker has at least this many
 /// items to amortize the coordination. Results are unaffected — the
 /// slot-per-item merge is identical for every worker count.
 pub const MIN_ITEMS_PER_WORKER: usize = 256;
 
 /// Per-worker item floor for the tree-build stage, which fans out at
-/// **per-visit** granularity (pages × profiles items). BENCH_5.json
-/// showed the per-page fan-out plateauing (Medium w=8 ≈ w=1): with one
-/// chunk per worker, a handful of heavyweight pages serializes a whole
-/// chunk behind one worker, and the 256-page floor kept Medium-scale
-/// runs at 2–3 effective workers. Per-visit items are ~`n_profiles`×
-/// more numerous and far more uniform (one tree each), so a lower
-/// floor amortizes spawn/join while chunks stay balanced.
+/// **per-visit** granularity (pages × profiles items). A per-page
+/// fan-out plateaued (8 workers no faster than 1 at Medium scale):
+/// with one chunk per worker, a handful of heavyweight pages serializes
+/// a whole chunk behind one worker, and the 256-page floor kept
+/// Medium-scale runs at 2–3 effective workers. Per-visit items are
+/// ~`n_profiles`× more numerous and far more uniform (one tree each),
+/// so a lower floor amortizes spawn/join while chunks stay balanced.
 pub const MIN_VISITS_PER_WORKER: usize = 64;
 
 /// Map `f` over `items`, fanning out over up to `workers` scoped

@@ -15,10 +15,6 @@
 //! repro --bundle DIR --max-sites 10  # stop (resumably) after 10 sites
 //! repro --from-bundle DIR    # skip crawling; analyze a recorded bundle
 //! repro --workers 8          # post-crawl pipeline fan-out width
-//! repro --bench-stages FILE  # measure stage wall times, write BENCH JSON
-//! repro --bench-stages FILE --scale small,medium  # one run entry per scale
-//! repro --bench-replay FILE  # cold vs warm cached replay arms, write BENCH JSON
-//! repro --bench-replay FILE --scale small,medium  # one run entry per scale
 //! repro --shards 5 --shard-dir DIR          # plan + crawl all shards + merge
 //! repro --shards 5 --shard-dir DIR --plan-only   # write SHARDS.json only
 //! repro --shard-dir DIR --shard-id 2        # crawl (or resume) one shard
@@ -36,21 +32,36 @@
 //!
 //! Unless `--no-telemetry` is given, every run ends with a telemetry
 //! summary on stderr, and `--telemetry DIR` (or `--csv DIR`) writes the
-//! machine-readable manifest next to the exported tables.
+//! machine-readable manifest next to the exported tables. A numeric
+//! flag whose value is not a number exits 2 naming the flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use wmtree::{Experiment, ExperimentConfig, Report, Scale};
 
+/// The value following `flag` in `args`, if any.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// The number following `flag` in `args`, if any. A value that is not
+/// a number exits 2 with a message naming the flag.
+fn parse_n(args: &[String], flag: &str) -> Option<usize> {
+    flag_value(args, flag).map(|raw| {
+        raw.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("[repro] {flag} must be a number, got {raw:?}");
+            std::process::exit(2);
+        })
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let get = |flag: &str| flag_value(&args, flag);
 
     // `repro serve` hands the process over to the measurement service.
     if args.first().map(String::as_str) == Some("serve") {
@@ -67,8 +78,7 @@ fn main() {
              [--bundle DIR [--resume] [--max-sites N]] [--from-bundle DIR] \
              [--shards N --shard-dir DIR [--plan-only]] \
              [--shard-dir DIR --shard-id K [--max-sites N]] [--merge-shards DIR] \
-             [--workers N] [--bench-stages FILE [--scale s1,s2]] \
-             [--bench-replay FILE [--scale s1,s2]] [--list-bundles DIR]\n\n\
+             [--workers N] [--list-bundles DIR]\n\n\
              repro serve --root DIR [--addr HOST:PORT] [--http-workers N] \
              [--job-workers N] [--cache N] [--batch-sites N]"
         );
@@ -82,32 +92,6 @@ fn main() {
     // Fig. 6 (Appendix D) is a worked example, not a crawl artifact.
     if get("--fig").as_deref() == Some("6") {
         print_appendix_d();
-        return;
-    }
-
-    // The bench flags accept a comma-separated scale list (e.g.
-    // `--scale small,medium`) and measure every scale into one file;
-    // everything else takes a single scale.
-    let parse_scales = || -> Vec<Scale> {
-        match get("--scale") {
-            Some(names) => names
-                .split(',')
-                .map(|name| {
-                    Scale::parse(name).unwrap_or_else(|e| {
-                        eprintln!("[repro] {e}");
-                        std::process::exit(2);
-                    })
-                })
-                .collect(),
-            None => vec![Scale::Small],
-        }
-    };
-    if let Some(path) = get("--bench-stages") {
-        bench_stages(&parse_scales(), &path);
-        return;
-    }
-    if let Some(path) = get("--bench-replay") {
-        bench_replay(&parse_scales(), &path);
         return;
     }
 
@@ -148,7 +132,7 @@ fn main() {
         }),
         None => Scale::Small,
     };
-    let workers = get("--workers").and_then(|s| s.parse::<usize>().ok());
+    let workers = parse_n(&args, "--workers");
     let config = |scale: Scale| {
         let mut cfg = ExperimentConfig::at_scale(scale);
         if let Some(w) = workers {
@@ -160,17 +144,13 @@ fn main() {
     // One-shard crawl: `--shard-dir DIR --shard-id K`. Crawls (or
     // resumes) that shard's bundle and exits — the report comes later,
     // from `--merge-shards`.
-    if let Some(id) = get("--shard-id") {
+    if let Some(id) = parse_n(&args, "--shard-id") {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shard-id needs --shard-dir DIR (where SHARDS.json lives)");
             std::process::exit(2);
         });
-        let id: usize = id.parse().unwrap_or_else(|_| {
-            eprintln!("[repro] --shard-id must be a shard number");
-            std::process::exit(2);
-        });
         let plan_dir = std::path::Path::new(&dir);
-        let max_sites = get("--max-sites").and_then(|s| s.parse::<usize>().ok());
+        let max_sites = parse_n(&args, "--max-sites");
         eprintln!("[repro] crawling shard {id} of plan {dir} at {scale:?} scale...");
         let exp = Experiment::new(config(scale));
         match wmtree_shard::crawl_shard(&exp, plan_dir, id, max_sites) {
@@ -199,13 +179,9 @@ fn main() {
     // the streaming merge (and the normal report path) once every
     // shard is crawled.
     let mut merge_dir = get("--merge-shards");
-    if let Some(n) = get("--shards") {
+    if let Some(n) = parse_n(&args, "--shards") {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shards needs --shard-dir DIR");
-            std::process::exit(2);
-        });
-        let n: usize = n.parse().unwrap_or_else(|_| {
-            eprintln!("[repro] --shards must be a shard count");
             std::process::exit(2);
         });
         let plan_dir = std::path::Path::new(&dir);
@@ -290,7 +266,7 @@ fn main() {
             eprintln!("[repro] {dir} already holds a bundle; pass --resume to continue it");
             std::process::exit(2);
         }
-        let max_sites = get("--max-sites").and_then(|s| s.parse::<usize>().ok());
+        let max_sites = parse_n(&args, "--max-sites");
         eprintln!(
             "[repro] running the five-profile experiment at {scale:?} scale into bundle {dir}..."
         );
@@ -434,333 +410,27 @@ fn main() {
     print!("{}", report.render());
 }
 
-/// `--bench-stages FILE`: measure the post-crawl pipeline (tree
-/// building + analyses) at 1 and 8 workers for each requested scale
-/// and write one machine-readable file with a `runs` array. The Small
-/// run additionally carries a comparison against the pre-optimization
-/// sequential baseline (the same baseline `BENCH_4.json` was measured
-/// against, so the files are directly comparable).
-fn bench_stages(scales: &[Scale], path: &str) {
-    // Stage wall times measured at the commit before the parallel
-    // post-crawl pipeline, the shared per-page index, and the filter
-    // candidate index landed (same host, Small scale, sequential
-    // pipeline).
-    const BASELINE_BUILD_TREES_MS: f64 = 3281.13;
-    const BASELINE_ANALYZE_MS: f64 = 231.72;
-    let baseline_combined = BASELINE_BUILD_TREES_MS + BASELINE_ANALYZE_MS;
-
-    // One crawl per scale feeds every arm; the measured region is
-    // exactly the post-crawl pipeline (the `build_trees` and `analyze`
-    // stages of a run). Arms are interleaved across repetitions and the
-    // minimum per stage is kept — shared hosts throttle sustained load,
-    // and the minimum is the robust estimator of true stage cost.
-    const WORKER_ARMS: [usize; 2] = [1, 8];
-    const REPS: usize = 3;
-
-    use std::collections::BTreeMap;
-    use std::time::Instant;
-    use wmtree::analysis::node_similarity::analyze_all;
-    use wmtree::analysis::ExperimentData;
-    use wmtree::crawler::{Commander, CrawlOptions};
-    use wmtree::filterlist::embedded::tracking_list;
-    use wmtree::webgen::WebUniverse;
-
-    let mut run_objects: Vec<String> = Vec::new();
-    for &scale in scales {
-        let cfg = ExperimentConfig::at_scale(scale);
-        eprintln!("[repro] bench-stages: one crawl at {scale:?} scale...");
-        let universe = WebUniverse::generate(cfg.universe);
-        let db = Commander::new(
-            &universe,
-            cfg.profiles.clone(),
-            CrawlOptions {
-                max_pages_per_site: cfg.max_pages_per_site,
-                workers: cfg.workers,
-                experiment_seed: cfg.experiment_seed,
-                reliable: cfg.reliable,
-                stateful: false,
-            },
-        )
-        .run();
-        let site_meta: BTreeMap<String, (u32, String)> = universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        let names: Vec<String> = cfg.profiles.iter().map(|p| p.name.clone()).collect();
-        let filter = cfg.use_filter_list.then(tracking_list);
-
-        let mut best = [[f64::INFINITY; 2]; WORKER_ARMS.len()];
-        for _rep in 0..REPS {
-            for (ai, &workers) in WORKER_ARMS.iter().enumerate() {
-                let t = Instant::now();
-                let data = ExperimentData::from_db_parallel(
-                    &db,
-                    names.clone(),
-                    filter,
-                    &cfg.tree,
-                    &site_meta,
-                    workers,
-                );
-                let build = t.elapsed().as_secs_f64() * 1e3;
-                let t = Instant::now();
-                let sims = analyze_all(&data);
-                let analyze = t.elapsed().as_secs_f64() * 1e3;
-                std::hint::black_box(&sims);
-                best[ai][0] = best[ai][0].min(build);
-                best[ai][1] = best[ai][1].min(analyze);
-            }
-        }
-        let mut arms: Vec<(usize, f64, f64)> = Vec::new();
-        for (ai, &workers) in WORKER_ARMS.iter().enumerate() {
-            let (build, analyze) = (best[ai][0], best[ai][1]);
-            eprintln!(
-                "[repro]   {workers} workers: build_trees {build:.2} ms + analyze {analyze:.2} ms \
-                 = {:.2} ms (min of {REPS})",
-                build + analyze
-            );
-            arms.push((workers, build, analyze));
-        }
-        let arm_objects: Vec<String> = arms
-            .iter()
-            .map(|(workers, build, analyze)| {
-                format!(
-                    "        {{\n          \"workers\": {workers},\n          \
-                     \"build_trees_ms\": {build:.2},\n          \
-                     \"analyze_ms\": {analyze:.2},\n          \"combined_ms\": {:.2}\n        }}",
-                    build + analyze
-                )
-            })
-            .collect();
-
-        // The pre-PR sequential baseline was measured at Small, so the
-        // cross-version speedup is only meaningful for the Small run;
-        // other scales report their arms alone (the w=8/w=1 ratio is
-        // the within-version signal there).
-        let baseline_block = if scale == Scale::Small {
-            let (_, build, analyze) = *arms.last().expect("two arms measured");
-            let speedup = baseline_combined / (build + analyze);
-            eprintln!("[repro]   speedup vs sequential Small baseline: {speedup:.2}x");
-            format!(
-                ",\n      \"baseline\": {{\n        \"note\": \"sequential pipeline before the \
-                 parallel post-crawl PR (same host, same universe)\",\n        \
-                 \"build_trees_ms\": {BASELINE_BUILD_TREES_MS},\n        \
-                 \"analyze_ms\": {BASELINE_ANALYZE_MS},\n        \
-                 \"combined_ms\": {baseline_combined:.2}\n      }},\n      \
-                 \"speedup_vs_baseline\": {speedup:.2}"
-            )
-        } else {
-            String::new()
-        };
-        run_objects.push(format!(
-            "    {{\n      \"scale\": \"{scale:?}\",\n      \"arms\": [\n{}\n      ]{}\n    }}",
-            arm_objects.join(",\n"),
-            baseline_block
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"post_crawl_pipeline_stages\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-        run_objects.join(",\n"),
-    );
-    std::fs::write(path, &json).expect("write bench-stages JSON");
-    eprintln!("[repro] wrote {path}");
-}
-
-/// `--bench-replay FILE`: measure the cached bundle-replay path. One
-/// recorded bundle per scale feeds four arms — **cold** (cache removed
-/// first), **warm_memory** (same in-process cache again),
-/// **warm_disk** (a fresh cache handle over the committed TREECACHE,
-/// i.e. a restarted process), and **incremental** (a delta bundle with
-/// exactly one perturbed visit, replayed against the first bundle's
-/// cache — only that visit's site may rebuild). Arms are interleaved
-/// across repetitions and the minimum per stage is kept, as in
-/// [`bench_stages`]. The headline number per scale is
-/// `warm_build_speedup`: cold over warm-disk `build_trees` wall.
-fn bench_replay(scales: &[Scale], path: &str) {
-    use wmtree::bundle::BundleMeta;
-    use wmtree::crawler::{read_bundle, write_bundle, Commander, CrawlDb, CrawlOptions};
-    use wmtree::tree::cache::CACHE_DIR_NAME;
-    use wmtree::webgen::WebUniverse;
-    use wmtree::AnalysisCache;
-
-    const REPS: usize = 3;
-    const ARM_NAMES: [&str; 4] = ["cold", "warm_memory", "warm_disk", "incremental"];
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut run_objects: Vec<String> = Vec::new();
-    for &scale in scales {
-        let cfg = ExperimentConfig::at_scale(scale);
-        let exp = Experiment::new(cfg.clone());
-        let tag = format!("{scale:?}").to_lowercase();
-        let dir = std::env::temp_dir().join(format!("wmtree-bench-replay-{tag}"));
-        let delta_dir = std::env::temp_dir().join(format!("wmtree-bench-replay-{tag}-delta"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&delta_dir);
-
-        // Record the bundle once; only the replay arms are measured.
-        eprintln!("[repro] bench-replay: recording a {scale:?} bundle...");
-        let universe = WebUniverse::generate(cfg.universe);
-        let db = Commander::new(
-            &universe,
-            cfg.profiles.clone(),
-            CrawlOptions {
-                max_pages_per_site: cfg.max_pages_per_site,
-                workers: cfg.workers,
-                experiment_seed: cfg.experiment_seed,
-                reliable: cfg.reliable,
-                stateful: false,
-            },
-        )
-        .run();
-        let meta = || BundleMeta {
-            n_profiles: cfg.profiles.len(),
-            profiles: cfg.profiles.iter().map(|p| p.name.clone()).collect(),
-            experiment_seed: cfg.experiment_seed,
-        };
-        write_bundle(&db, &dir, meta()).expect("write bench bundle");
-
-        // The delta bundle: identical except one visit's virtual
-        // duration is bumped, so exactly one site's delta key changes.
-        let full = read_bundle(&dir).expect("re-read bench bundle");
-        let target_site = full.pages().next().expect("bundle has pages").site.clone();
-        let mut delta = CrawlDb::new(full.n_profiles());
-        let mut perturbed = false;
-        for page in full.pages() {
-            for profile in 0..full.n_profiles() {
-                if let Some(v) = full.visit_any(page, profile) {
-                    let mut v = v.clone();
-                    if !perturbed && page.site == target_site {
-                        v.duration_ms += 1;
-                        perturbed = true;
-                    }
-                    delta.insert(page.clone(), profile, v);
-                }
-            }
-        }
-        write_bundle(&delta, &delta_dir, meta()).expect("write delta bundle");
-
-        let cache_dir = dir.join(CACHE_DIR_NAME);
-        let mut best = [[f64::INFINITY; 3]; ARM_NAMES.len()];
-        let mut counts = [(0usize, 0usize, 0usize); ARM_NAMES.len()];
-        for _rep in 0..REPS {
-            let _ = std::fs::remove_dir_all(&cache_dir);
-            let mut record = |ai: usize, r: &wmtree::IncrementalReplay| {
-                best[ai][0] = best[ai][0].min(r.build_wall.as_secs_f64() * 1e3);
-                best[ai][1] = best[ai][1].min(r.analyze_wall.as_secs_f64() * 1e3);
-                best[ai][2] = best[ai][2].min(r.fold_wall.as_secs_f64() * 1e3);
-                counts[ai] = (r.sites_rebuilt, r.sites_reused, r.sites_total);
-            };
-
-            let cache = AnalysisCache::open(&cache_dir, &cfg);
-            let cold = exp
-                .replay_from_bundle_cached(&dir, &cache)
-                .expect("cold replay");
-            assert_eq!(cold.sites_reused, 0, "cold arm must start empty");
-            record(0, &cold);
-
-            let warm_mem = exp
-                .replay_from_bundle_cached(&dir, &cache)
-                .expect("warm in-process replay");
-            record(1, &warm_mem);
-
-            let disk_cache = AnalysisCache::open(&cache_dir, &cfg);
-            let warm_disk = exp
-                .replay_from_bundle_cached(&dir, &disk_cache)
-                .expect("warm disk replay");
-            assert_eq!(
-                warm_disk.sites_rebuilt, 0,
-                "committed cache must cover every site"
-            );
-            record(2, &warm_disk);
-
-            let incr_cache = AnalysisCache::open(&cache_dir, &cfg);
-            let incr = exp
-                .replay_from_bundle_cached(&delta_dir, &incr_cache)
-                .expect("incremental replay");
-            assert_eq!(
-                incr.sites_rebuilt, 1,
-                "a one-visit delta must rebuild exactly its own site"
-            );
-            record(3, &incr);
-        }
-
-        let arm_objects: Vec<String> = ARM_NAMES
-            .iter()
-            .enumerate()
-            .map(|(ai, name)| {
-                let (rebuilt, reused, total) = counts[ai];
-                eprintln!(
-                    "[repro]   {name:<12} build_trees {:.2} ms, analyze {:.2} ms, fold {:.2} ms \
-                     ({rebuilt} rebuilt / {reused} reused of {total} sites, min of {REPS})",
-                    best[ai][0], best[ai][1], best[ai][2]
-                );
-                format!(
-                    "        {{\n          \"arm\": \"{name}\",\n          \
-                     \"build_trees_ms\": {:.2},\n          \"analyze_ms\": {:.2},\n          \
-                     \"fold_ms\": {:.2},\n          \"sites_rebuilt\": {rebuilt},\n          \
-                     \"sites_reused\": {reused},\n          \"sites_total\": {total}\n        }}",
-                    best[ai][0], best[ai][1], best[ai][2]
-                )
-            })
-            .collect();
-        let speedup = best[0][0] / best[2][0].max(0.001);
-        eprintln!("[repro]   warm-disk build_trees speedup over cold: {speedup:.2}x");
-        run_objects.push(format!(
-            "    {{\n      \"scale\": \"{scale:?}\",\n      \"arms\": [\n{}\n      ],\n      \
-             \"warm_build_speedup\": {speedup:.2}\n    }}",
-            arm_objects.join(",\n")
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&delta_dir);
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"replay_cache\",\n  \"host_parallelism\": {host_parallelism},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        run_objects.join(",\n"),
-    );
-    std::fs::write(path, &json).expect("write bench-replay JSON");
-    eprintln!("[repro] wrote {path}");
-}
-
 /// `repro serve`: run the measurement service until it drains (a
 /// client `POST /shutdown`, or the process is signalled).
 fn serve(args: &[String]) {
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let parse_n = |flag: &str| -> Option<usize> {
-        get(flag).map(|raw| {
-            raw.parse::<usize>().unwrap_or_else(|_| {
-                eprintln!("[repro] {flag} must be a number, got {raw:?}");
-                std::process::exit(2);
-            })
-        })
-    };
-    let root = get("--root").unwrap_or_else(|| {
+    let root = flag_value(args, "--root").unwrap_or_else(|| {
         eprintln!("[repro] serve needs --root DIR (the job store root)");
         std::process::exit(2);
     });
     let mut config = wmtree_server::ServerConfig::new(&root);
-    if let Some(addr) = get("--addr") {
+    if let Some(addr) = flag_value(args, "--addr") {
         config.addr = addr;
     }
-    if let Some(n) = parse_n("--http-workers") {
+    if let Some(n) = parse_n(args, "--http-workers") {
         config.http_workers = n;
     }
-    if let Some(n) = parse_n("--job-workers") {
+    if let Some(n) = parse_n(args, "--job-workers") {
         config.job_workers = n;
     }
-    if let Some(n) = parse_n("--cache") {
+    if let Some(n) = parse_n(args, "--cache") {
         config.cache_capacity = n;
     }
-    if let Some(n) = parse_n("--batch-sites") {
+    if let Some(n) = parse_n(args, "--batch-sites") {
         config.batch_sites = n;
     }
     let handle = wmtree_server::Server::start(config).unwrap_or_else(|e| {

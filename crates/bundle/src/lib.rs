@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod atomic;
 pub mod error;
 pub mod hash;
 pub mod manifest;
@@ -38,6 +39,7 @@ pub mod store;
 pub mod verify;
 pub mod writer;
 
+pub use atomic::atomic_replace;
 pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};

@@ -125,16 +125,15 @@ impl Manifest {
         Ok(manifest)
     }
 
-    /// Atomically (re)write the manifest: serialize to a temp file in
-    /// the same directory, then rename over [`MANIFEST_FILE`].
+    /// Atomically (re)write [`MANIFEST_FILE`] ([`atomic_replace`]).
+    ///
+    /// [`atomic_replace`]: crate::atomic_replace
     pub fn store(&self, dir: &Path) -> Result<(), BundleError> {
-        let tmp = dir.join(".MANIFEST.json.tmp");
         let body = serde_json::to_string(self)
             .map_err(|e| BundleError::json("serializing manifest", e))?;
-        std::fs::write(&tmp, format!("{body}\n")).map_err(|e| BundleError::io(&tmp, e))?;
         let path = dir.join(MANIFEST_FILE);
-        std::fs::rename(&tmp, &path).map_err(|e| BundleError::io(&path, e))?;
-        Ok(())
+        crate::atomic_replace(&path, format!("{body}\n").as_bytes())
+            .map_err(|e| BundleError::io(&path, e))
     }
 
     /// Reject a resume/replay under different experiment parameters.

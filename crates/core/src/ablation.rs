@@ -12,11 +12,11 @@
 
 use crate::{Experiment, ExperimentConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use wmtree_analysis::node_similarity::analyze_all;
 use wmtree_analysis::ExperimentData;
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, Profile};
 use wmtree_filterlist::embedded::tracking_list;
+use wmtree_filterlist::FilterList;
 use wmtree_stats::jaccard::jaccard;
 use wmtree_tree::{CallStackMode, TreeConfig};
 
@@ -29,41 +29,28 @@ pub struct AblationOutcome {
     pub arms: Vec<(String, f64)>,
 }
 
-fn crawl(config: &ExperimentConfig) -> (CrawlDb, Vec<Profile>, BTreeMap<String, (u32, String)>) {
+fn crawl(config: &ExperimentConfig) -> (Experiment, CrawlDb) {
     let experiment = Experiment::new(config.clone());
-    let commander = Commander::new(
-        experiment.universe(),
-        config.profiles.clone(),
-        CrawlOptions {
-            max_pages_per_site: config.max_pages_per_site,
-            workers: config.workers,
-            experiment_seed: config.experiment_seed,
-            reliable: config.reliable,
-            stateful: false,
-        },
-    );
-    let db = commander.run();
-    let meta = experiment
-        .universe()
-        .sites()
-        .iter()
-        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-        .collect();
-    (db, config.profiles.clone(), meta)
+    let db = experiment.commander().run();
+    (experiment, db)
 }
 
-fn data_with_tree_config(
+/// Vetted pages with trees built under `tree`, classifying tracking
+/// with `filter`.
+fn data_with(
+    experiment: &Experiment,
     db: &CrawlDb,
-    profiles: &[Profile],
-    meta: &BTreeMap<String, (u32, String)>,
+    filter: &FilterList,
     tree: &TreeConfig,
 ) -> ExperimentData {
-    ExperimentData::from_db(
+    let inputs = experiment.analysis_inputs();
+    ExperimentData::from_db_parallel(
         db,
-        profiles.iter().map(|p| p.name.clone()).collect(),
-        Some(tracking_list()),
+        inputs.names,
+        Some(filter),
         tree,
-        meta,
+        &inputs.site_meta,
+        experiment.config().workers,
     )
 }
 
@@ -100,12 +87,12 @@ fn distinct_nodes(data: &ExperimentData) -> f64 {
 /// space and deflate similarity ("will (unrealistically) increase the
 /// observed differences").
 pub fn url_normalization(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let on = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
-    let off = data_with_tree_config(
+    let (exp, db) = crawl(config);
+    let on = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
+    let off = data_with(
+        &exp,
         &db,
-        &profiles,
-        &meta,
+        tracking_list(),
         &TreeConfig {
             normalize_urls: false,
             ..TreeConfig::default()
@@ -128,12 +115,12 @@ pub fn url_normalization(config: &ExperimentConfig) -> AblationOutcome {
 
 /// §3.2 ablation: latest-entry vs. full-stack-walk call-stack parents.
 pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let latest = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
-    let walk = data_with_tree_config(
+    let (exp, db) = crawl(config);
+    let latest = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
+    let walk = data_with(
+        &exp,
         &db,
-        &profiles,
-        &meta,
+        tracking_list(),
         &TreeConfig {
             call_stack_mode: CallStackMode::FullWalk,
             ..TreeConfig::default()
@@ -151,7 +138,7 @@ pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
 /// §3.2 ablation: the all-profiles vetting rule vs. at-least-k. Relaxed
 /// vetting keeps more pages but compares incomplete profile sets.
 pub fn vetting(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, _profiles, _meta) = crawl(config);
+    let (_, db) = crawl(config);
     let k_all = db.vetted_pages().len() as f64;
     let arms = (1..=db.n_profiles())
         .map(|k| (format!("k≥{k}"), db.vetted_pages_k(k).len() as f64))
@@ -170,8 +157,8 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
     let mut without = config.clone();
     without.profiles = vec![Profile::new("Without", 95, false, true)];
     let nodes = |cfg: &ExperimentConfig| {
-        let (db, profiles, meta) = crawl(cfg);
-        let data = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+        let (exp, db) = crawl(cfg);
+        let data = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
         data.pages
             .iter()
             .flat_map(|p| &p.trees)
@@ -193,15 +180,9 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
 /// studies down.
 pub fn filter_lists(config: &ExperimentConfig) -> AblationOutcome {
     use wmtree_filterlist::embedded;
-    let (db, profiles, meta) = crawl(config);
-    let share = |list: &'static wmtree_filterlist::FilterList| -> f64 {
-        let data = ExperimentData::from_db(
-            &db,
-            profiles.iter().map(|p| p.name.clone()).collect(),
-            Some(list),
-            &TreeConfig::default(),
-            &meta,
-        );
+    let (exp, db) = crawl(config);
+    let share = |list: &FilterList| -> f64 {
+        let data = data_with(&exp, &db, list, &TreeConfig::default());
         let mut tracking = 0usize;
         let mut total = 0usize;
         for page in &data.pages {
@@ -245,11 +226,8 @@ pub fn statefulness(config: &ExperimentConfig) -> AblationOutcome {
             experiment.universe(),
             config.profiles.clone(),
             CrawlOptions {
-                max_pages_per_site: config.max_pages_per_site,
-                workers: config.workers,
-                experiment_seed: config.experiment_seed,
-                reliable: config.reliable,
                 stateful,
+                ..experiment.crawl_options()
             },
         );
         let db = commander.run();
@@ -277,8 +255,8 @@ pub fn statefulness(config: &ExperimentConfig) -> AblationOutcome {
 /// edit-distance-style metric (rejected because it hides *where* trees
 /// differ). We compute both between Sim1 and Sim2 trees.
 pub fn tree_metric(config: &ExperimentConfig) -> AblationOutcome {
-    let (db, profiles, meta) = crawl(config);
-    let data = data_with_tree_config(&db, &profiles, &meta, &TreeConfig::default());
+    let (exp, db) = crawl(config);
+    let data = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
     let a = data.profile_index("Sim1").unwrap_or(0);
     let b = data.profile_index("Sim2").unwrap_or(1);
     let mut node_set = Vec::new();

@@ -2,15 +2,16 @@
 //! similarities.
 
 use crate::config::ExperimentConfig;
-use crate::incremental::{AnalysisCache, IncrementalReplay};
+use crate::incremental::{accumulate_cached, AnalysisCache, IncrementalReplay};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
-use wmtree_analysis::node_similarity::{analyze_all, PageNodeSimilarities};
-use wmtree_analysis::ExperimentData;
+use wmtree_analysis::node_similarity::PageNodeSimilarities;
+use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialAccumulators, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
 use wmtree_filterlist::embedded::tracking_list;
+use wmtree_filterlist::FilterList;
 use wmtree_telemetry::{
     ManifestProfile, MetricValue, ProgressTracker, RunManifest, Snapshot, Stopwatch,
 };
@@ -35,6 +36,32 @@ pub struct ExperimentResults {
     /// progress, and the metrics recorded between run start and end
     /// (snapshot diff, so concurrent history does not leak in).
     pub manifest: RunManifest,
+}
+
+impl ExperimentResults {
+    /// The results a finished fold yields, with the run's manifest.
+    pub fn from_merged(merged: MergedAnalysis, manifest: RunManifest) -> ExperimentResults {
+        ExperimentResults {
+            data: merged.data,
+            sims: merged.sims,
+            profile_stats: merged.profile_stats,
+            pages_discovered: merged.digest.pages_discovered,
+            successful_visits: merged.digest.successful_visits,
+            vetted_sites: merged.digest.vetted_sites,
+            manifest,
+        }
+    }
+}
+
+/// What the post-crawl pipeline takes from an experiment besides the
+/// crawl database.
+pub(crate) struct AnalysisInputs {
+    /// Profile names, in slot order.
+    pub(crate) names: Vec<String>,
+    /// The tracking filter list, when the configuration uses one.
+    pub(crate) filter: Option<&'static FilterList>,
+    /// Site → `(rank, bucket label)` over the whole universe.
+    pub(crate) site_meta: BTreeMap<String, (u32, String)>,
 }
 
 /// A configured experiment.
@@ -76,16 +103,16 @@ impl Experiment {
     /// the way.
     pub fn run(&self) -> ExperimentResults {
         let _run_span = wmtree_telemetry::span("experiment.run");
-        let metrics_before = wmtree_telemetry::global().snapshot();
-        let mut sw = Stopwatch::start();
-        let mut manifest = self.base_manifest();
-
-        let progress =
-            ProgressTracker::new(self.universe.sites().len(), self.config.workers.max(1));
+        let mut fold = self.fold();
+        let progress = self.progress();
         let db = self.commander().run_with_progress(&progress);
-        manifest.push_stage("crawl", sw.lap("crawl"));
-
-        self.finish(db, manifest, sw, Some(&progress), &metrics_before)
+        fold.lap("crawl");
+        fold.add(db, None)
+            .and_then(|()| fold.finish(Some(&progress)))
+            .map(|run| run.results)
+            // One crawl database holds each page once, under one
+            // profile roster, so its fold has nothing to conflict on.
+            .expect("one crawl database folds cleanly") // wmtree-lint: allow(WM0105)
     }
 
     /// [`run`](Experiment::run), but crawling *resumably* into the
@@ -101,25 +128,25 @@ impl Experiment {
         max_sites: Option<usize>,
     ) -> Result<BundleRun, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.run_to_bundle");
-        let metrics_before = wmtree_telemetry::global().snapshot();
-        let mut sw = Stopwatch::start();
-        let mut manifest = self.base_manifest();
-
-        let progress =
-            ProgressTracker::new(self.universe.sites().len(), self.config.workers.max(1));
+        let mut fold = self.fold();
+        let progress = self.progress();
         let outcome = self
             .commander()
             .run_resumable_with_progress(dir, max_sites, &progress)?;
-        manifest.push_stage("crawl", sw.lap("crawl"));
+        fold.lap("crawl");
 
         match outcome {
             ResumableOutcome::Complete {
                 db,
                 manifest: bundle,
-            } => Ok(BundleRun::Complete {
-                results: Box::new(self.finish(db, manifest, sw, Some(&progress), &metrics_before)),
-                bundle,
-            }),
+            } => {
+                fold.add(db, None).map_err(cache_fault)?;
+                let run = fold.finish(Some(&progress)).map_err(cache_fault)?;
+                Ok(BundleRun::Complete {
+                    results: Box::new(run.results),
+                    bundle,
+                })
+            }
             ResumableOutcome::Partial {
                 sites_done,
                 sites_total,
@@ -133,11 +160,13 @@ impl Experiment {
     }
 
     /// Crawl only the contiguous site window `[lo, hi)` — one shard of
-    /// a sharded run — resumably into the bundle at `dir`. Unlike
+    /// a sharded run, or `[0, sites)` for a whole-universe crawl —
+    /// resumably into the bundle at `dir`. Unlike
     /// [`run_to_bundle`](Experiment::run_to_bundle), no analyses run
     /// here: sharded runs analyze by streaming merge (`wmtree-shard`)
     /// once every shard bundle is complete, so peak memory stays one
-    /// shard. `max_sites` caps how many sites this invocation crawls
+    /// shard, and a server job is analysed by its first replay.
+    /// `max_sites` caps how many sites this invocation crawls
     /// (interrupt + resume works exactly as for whole-universe
     /// bundles).
     pub fn crawl_window_to_bundle(
@@ -159,17 +188,7 @@ impl Experiment {
     /// analyses on it. The results — and any report/CSV rendered from
     /// them — are identical to a crawl-then-analyze run.
     pub fn replay_from_bundle(&self, dir: &Path) -> Result<ExperimentResults, BundleError> {
-        let _run_span = wmtree_telemetry::span("experiment.replay");
-        let metrics_before = wmtree_telemetry::global().snapshot();
-        let mut sw = Stopwatch::start();
-        let mut manifest = self.base_manifest();
-
-        let bundle = Manifest::load(dir)?;
-        bundle.check_meta(&self.commander().bundle_meta())?;
-        let db = wmtree_crawler::read_bundle(dir)?;
-        manifest.push_stage("read_bundle", sw.lap("read_bundle"));
-
-        Ok(self.finish(db, manifest, sw, None, &metrics_before))
+        self.replay(dir, None).map(|replay| replay.results)
     }
 
     /// [`replay_from_bundle`](Experiment::replay_from_bundle) through
@@ -185,101 +204,29 @@ impl Experiment {
         dir: &Path,
         cache: &AnalysisCache,
     ) -> Result<IncrementalReplay, BundleError> {
-        let _run_span = wmtree_telemetry::span("experiment.replay_cached");
-        let metrics_before = wmtree_telemetry::global().snapshot();
-        let mut sw = Stopwatch::start();
-        let mut manifest = self.base_manifest();
+        self.replay(dir, Some(cache))
+    }
 
-        let bundle = Manifest::load(dir)?;
-        bundle.check_meta(&self.commander().bundle_meta())?;
+    /// Both bundle replays: read the bundle, then fold it through
+    /// `cache` when one is given.
+    fn replay(
+        &self,
+        dir: &Path,
+        cache: Option<&AnalysisCache>,
+    ) -> Result<IncrementalReplay, BundleError> {
+        let _run_span = wmtree_telemetry::span("experiment.replay");
+        let mut fold = self.fold();
+        Manifest::load(dir)?.check_meta(&self.commander().bundle_meta())?;
         let db = wmtree_crawler::read_bundle(dir)?;
-        manifest.push_stage("read_bundle", sw.lap("read_bundle"));
-
-        let site_meta: BTreeMap<String, (u32, String)> = self
-            .universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        let names: Vec<String> = self
-            .config
-            .profiles
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let filter = if self.config.use_filter_list {
-            Some(tracking_list())
-        } else {
-            None
-        };
-        // A single database cannot contain duplicate pages or a
-        // foreign roster; a failure here means the cache fed back
-        // inconsistent state, which discards like corruption.
-        let cache_fault = |e: wmtree_analysis::PartialMergeError| BundleError::ManifestMismatch {
-            segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
-            detail: e.to_string(),
-        };
-        let acc = {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
-            crate::incremental::accumulate_cached(
-                &db,
-                &names,
-                filter,
-                &self.config.tree,
-                &site_meta,
-                self.config.workers,
-                cache,
-            )
-            .map_err(cache_fault)?
-        };
-        if cache.commit().is_err() {
-            wmtree_telemetry::counter!("tree.cache.disk.error").inc();
-        }
-        sw.lap("accumulate");
-        let merged = acc.acc.finish(self.config.workers).map_err(cache_fault)?;
-        let fold_wall = acc.fold_wall + sw.lap("finish_fold");
-        manifest.push_stage("build_trees", acc.build_wall);
-        manifest.push_stage("analyze", acc.analyze_wall);
-        manifest.push_stage("fold_sites", fold_wall);
-        manifest.metrics = wmtree_telemetry::global().snapshot().since(&metrics_before);
-        manifest.timings = wmtree_telemetry::global().timings().snapshot();
-        Ok(IncrementalReplay {
-            results: ExperimentResults {
-                data: merged.data,
-                sims: merged.sims,
-                profile_stats: merged.profile_stats,
-                pages_discovered: merged.digest.pages_discovered,
-                successful_visits: merged.digest.successful_visits,
-                vetted_sites: merged.digest.vetted_sites,
-                manifest,
-            },
-            sites_total: acc.sites_total,
-            sites_rebuilt: acc.sites_rebuilt,
-            sites_reused: acc.sites_reused,
-            build_wall: acc.build_wall,
-            analyze_wall: acc.analyze_wall,
-            fold_wall,
-        })
+        fold.lap("read_bundle");
+        fold.add(db, cache).map_err(cache_fault)?;
+        fold.finish(None).map_err(cache_fault)
     }
 
-    /// The commander this configuration describes.
-    fn commander(&self) -> Commander<'_> {
-        Commander::new(
-            &self.universe,
-            self.config.profiles.clone(),
-            CrawlOptions {
-                max_pages_per_site: self.config.max_pages_per_site,
-                workers: self.config.workers,
-                experiment_seed: self.config.experiment_seed,
-                reliable: self.config.reliable,
-                stateful: false,
-            },
-        )
-    }
-
-    /// A run manifest primed with the experiment identity, profile
-    /// roster, and the `generate` stage.
-    fn base_manifest(&self) -> RunManifest {
+    /// Start a run's [`Fold`]: the metric baseline, the stage clock, and
+    /// a manifest primed with the experiment identity, profile roster
+    /// and the `generate` stage.
+    pub fn fold(&self) -> Fold<'_> {
         let mut manifest = RunManifest::new(
             self.config.experiment_seed,
             format!(
@@ -302,53 +249,170 @@ impl Experiment {
             })
             .collect();
         manifest.push_stage("generate", self.gen_wall);
-        manifest
+        let inputs = self.analysis_inputs();
+        Fold {
+            exp: self,
+            metrics_before: wmtree_telemetry::global().snapshot(),
+            sw: Stopwatch::start(),
+            manifest,
+            acc: PartialAccumulators::empty(inputs.names.clone()),
+            inputs,
+            source: None,
+            build_wall: Duration::ZERO,
+            analyze_wall: Duration::ZERO,
+            sites_total: 0,
+            sites_rebuilt: 0,
+            sites_reused: 0,
+        }
     }
 
-    /// The post-crawl pipeline shared by every mode: vetting + tree
-    /// building, per-node analyses, and manifest assembly. `progress`
-    /// is absent when no crawl happened (bundle replay).
-    fn finish(
-        &self,
-        db: CrawlDb,
-        mut manifest: RunManifest,
-        mut sw: Stopwatch,
-        progress: Option<&ProgressTracker>,
-        metrics_before: &Snapshot,
-    ) -> ExperimentResults {
-        let site_meta: BTreeMap<String, (u32, String)> = self
-            .universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        let names = self
-            .config
-            .profiles
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
-        let filter = if self.config.use_filter_list {
-            Some(tracking_list())
-        } else {
-            None
-        };
-        let data = {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
-            ExperimentData::from_db_parallel(
-                &db,
-                names,
-                filter,
-                &self.config.tree,
-                &site_meta,
-                self.config.workers,
-            )
-        };
-        manifest.push_stage("build_trees", sw.lap("build_trees"));
-        let sims = analyze_all(&data);
-        manifest.push_stage("analyze", sw.lap("analyze"));
+    /// What the post-crawl pipeline takes from this experiment besides
+    /// the crawl database.
+    pub(crate) fn analysis_inputs(&self) -> AnalysisInputs {
+        AnalysisInputs {
+            names: self
+                .config
+                .profiles
+                .iter()
+                .map(|p| p.name.clone())
+                .collect(),
+            filter: self.config.use_filter_list.then(tracking_list),
+            site_meta: self
+                .universe
+                .sites()
+                .iter()
+                .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
+                .collect(),
+        }
+    }
 
-        manifest.metrics = wmtree_telemetry::global().snapshot().since(metrics_before);
+    /// The crawl options this configuration describes.
+    pub(crate) fn crawl_options(&self) -> CrawlOptions {
+        CrawlOptions {
+            max_pages_per_site: self.config.max_pages_per_site,
+            workers: self.config.workers,
+            experiment_seed: self.config.experiment_seed,
+            reliable: self.config.reliable,
+            stateful: false,
+        }
+    }
+
+    /// The commander this configuration describes, for callers that
+    /// want the raw crawl database (then [`fold`](Experiment::fold) it).
+    pub fn commander(&self) -> Commander<'_> {
+        Commander::new(
+            &self.universe,
+            self.config.profiles.clone(),
+            self.crawl_options(),
+        )
+    }
+
+    /// A progress tracker for a crawl of the whole universe.
+    fn progress(&self) -> ProgressTracker {
+        ProgressTracker::new(self.universe.sites().len(), self.config.workers.max(1))
+    }
+}
+
+/// A single database cannot contain duplicate pages or a foreign
+/// roster, so a fold that fails on one means a cache fed back
+/// inconsistent state — reported like cache corruption.
+fn cache_fault(e: PartialMergeError) -> BundleError {
+    BundleError::ManifestMismatch {
+        segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
+        detail: e.to_string(),
+    }
+}
+
+/// One run on its way from crawl databases to [`ExperimentResults`] —
+/// the only way there. [`Experiment::fold`] starts it; every database
+/// the run crawls or reads is folded in by [`Fold::add`], through an
+/// optional [`AnalysisCache`]; [`Fold::finish`] restores the canonical
+/// page order, fills the manifest and assembles the results. `run`,
+/// `run_to_bundle`, both bundle replays and the shard merge all go
+/// through it, so their outputs agree byte for byte by construction.
+///
+/// Stages: `generate`, then the stage that produced the databases
+/// (`crawl` or `read_bundle`, summed over databases), then
+/// `build_trees` and `analyze` (which includes the fold).
+pub struct Fold<'e> {
+    exp: &'e Experiment,
+    inputs: AnalysisInputs,
+    metrics_before: Snapshot,
+    sw: Stopwatch,
+    manifest: RunManifest,
+    acc: PartialAccumulators,
+    /// The stage that produced the databases, and its summed wall time.
+    source: Option<(&'static str, Duration)>,
+    build_wall: Duration,
+    analyze_wall: Duration,
+    sites_total: usize,
+    sites_rebuilt: usize,
+    sites_reused: usize,
+}
+
+impl Fold<'_> {
+    /// Close the stage that produced the next database — `crawl` or
+    /// `read_bundle`. A run that reads several databases (the shard
+    /// merge) sums their wall time under the first stage name.
+    pub fn lap(&mut self, stage: &'static str) {
+        let wall = self.sw.lap(stage);
+        self.source.get_or_insert((stage, Duration::ZERO)).1 += wall;
+    }
+
+    /// Fold one crawl database in — through `cache` when given, which
+    /// is committed before returning — and drop it: vetting, trees,
+    /// analyses and crawl accounting of every site the cache does not
+    /// already hold ([`accumulate_cached`]).
+    pub fn add(
+        &mut self,
+        db: CrawlDb,
+        cache: Option<&AnalysisCache>,
+    ) -> Result<(), PartialMergeError> {
+        let config = &self.exp.config;
+        let fold = {
+            let _span = wmtree_telemetry::span("experiment.build_trees");
+            accumulate_cached(
+                &db,
+                &self.inputs.names,
+                self.inputs.filter,
+                &config.tree,
+                &self.inputs.site_meta,
+                config.workers,
+                cache,
+            )?
+        };
+        drop(db);
+        if cache.is_some_and(|cache| cache.commit().is_err()) {
+            wmtree_telemetry::counter!("tree.cache.disk.error").inc();
+        }
+        self.acc.merge(fold.acc)?;
+        self.sites_total += fold.sites_total;
+        self.sites_rebuilt += fold.sites_rebuilt;
+        self.sites_reused += fold.sites_reused;
+        self.build_wall += fold.build_wall;
+        self.analyze_wall += self.sw.lap("fold").saturating_sub(fold.build_wall);
+        Ok(())
+    }
+
+    /// Finish the run: restore the canonical `(site, url)` page order,
+    /// record the stages and the metric diff (plus the crawl progress,
+    /// when a crawl ran), and assemble the results.
+    pub fn finish(
+        mut self,
+        progress: Option<&ProgressTracker>,
+    ) -> Result<IncrementalReplay, PartialMergeError> {
+        let merged = self.acc.finish(self.exp.config.workers)?;
+        self.analyze_wall += self.sw.lap("finish");
+        let mut manifest = self.manifest;
+        if let Some((stage, wall)) = self.source {
+            manifest.push_stage(stage, wall);
+        }
+        manifest.push_stage("build_trees", self.build_wall);
+        manifest.push_stage("analyze", self.analyze_wall);
+
+        manifest.metrics = wmtree_telemetry::global()
+            .snapshot()
+            .since(&self.metrics_before);
         if let Some(progress) = progress {
             let mut progress_snap = progress.snapshot();
             // Stalls are sampled deep inside the network model where the
@@ -362,15 +426,12 @@ impl Experiment {
         }
         manifest.timings = wmtree_telemetry::global().timings().snapshot();
 
-        ExperimentResults {
-            profile_stats: db.profile_stats(),
-            pages_discovered: db.page_count(),
-            successful_visits: db.total_successful_visits(),
-            vetted_sites: db.vetted_sites().len(),
-            sims,
-            data,
-            manifest,
-        }
+        Ok(IncrementalReplay {
+            results: ExperimentResults::from_merged(merged, manifest),
+            sites_total: self.sites_total,
+            sites_rebuilt: self.sites_rebuilt,
+            sites_reused: self.sites_reused,
+        })
     }
 }
 

@@ -28,7 +28,7 @@
 //! byte-identical reports (proven by `tests/treecache_identity.rs`).
 
 use crate::config::ExperimentConfig;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -221,43 +221,44 @@ fn site_stats(db: &CrawlDb, pages: &[&PageKey]) -> (Vec<ProfileStats>, usize) {
 }
 
 /// Outcome of [`accumulate_cached`]: every site's accumulator — cached
-/// or freshly rebuilt — merged but **not yet finished**, plus the
-/// incremental accounting and per-phase wall times the bench harness
-/// and replay manifest report. Callers folding a single database call
-/// [`PartialAccumulators::finish`] directly; the shard merge folds
-/// several of these across bundles first and finishes once.
+/// or freshly rebuilt — merged but **not yet finished**, plus how much
+/// of the work the cache absorbed. [`crate::Fold`] folds one of these
+/// per crawl database and finishes once.
 pub struct CachedAccumulation {
     /// The merged (un-finished) accumulators over every site.
     pub acc: PartialAccumulators,
     /// Sites in the database.
     pub sites_total: usize,
-    /// Sites whose delta key missed the cache and were rebuilt.
+    /// Sites rebuilt from their visits (every site, without a cache).
     pub sites_rebuilt: usize,
     /// Sites folded from cached accumulators.
     pub sites_reused: usize,
-    /// Wall time of the build stage: delta-key hashing over every
-    /// site, plus tree building for the rebuilt ones.
+    /// Wall time of the build stage: delta-key hashing over every site
+    /// plus tree building for the rebuilt ones. Everything else the
+    /// fold does — cache lookups, analyses, per-site folding — is
+    /// analysis time.
     pub build_wall: Duration,
-    /// Wall time of the per-page analyses over rebuilt sites.
-    pub analyze_wall: Duration,
-    /// Wall time of the fold: cached-accumulator reconstruction plus
-    /// the per-site fold and merge of rebuilt sites.
-    pub fold_wall: Duration,
 }
 
-/// The cached post-crawl pipeline: resolve each site against the
-/// cache, rebuild only the changed ones (their trees still memoized
-/// per visit), and fold every site's accumulator — cached or fresh —
-/// into one mergeable [`PartialAccumulators`].
-pub fn accumulate_cached(
+/// The post-crawl pipeline over one crawl database, folded site by
+/// site: vetting, trees, per-node analyses and exact per-site crawl
+/// accounting, merged into one [`PartialAccumulators`].
+///
+/// With a cache, each site's delta key is looked up first and a hit
+/// folds the cached accumulator without building a tree; only missed
+/// sites are rebuilt (their trees still memoized per visit) and cached
+/// for next time. Without one, no key is computed, no lookup made, and
+/// every site is rebuilt.
+pub fn accumulate_cached<'c>(
     db: &CrawlDb,
     profile_names: &[String],
     filter_list: Option<&FilterList>,
     tree_config: &TreeConfig,
     site_meta: &BTreeMap<String, (u32, String)>,
     workers: usize,
-    cache: &AnalysisCache,
+    cache: impl Into<Option<&'c AnalysisCache>>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
+    let cache = cache.into();
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
@@ -268,98 +269,67 @@ pub fn accumulate_cached(
     }
     let sites_total = by_site.len();
 
-    // Hash every site's delta key, in canonical site order. This is
-    // the cache-resolved analogue of tree building (it decides which
-    // trees exist this run), so it counts toward the build stage.
-    let keyed: Vec<(&str, Option<u64>)> = by_site
+    // With a cache, hash every site's delta key in canonical site
+    // order. Keying decides which trees exist this run, so it counts
+    // toward the build stage.
+    let keys: Vec<Option<u64>> = by_site
         .iter()
-        .map(|(site, pages)| (*site, site_delta_key(db, site, pages, site_meta.get(*site))))
+        .map(|(site, pages)| {
+            cache.and_then(|_| site_delta_key(db, site, pages, site_meta.get(*site)))
+        })
         .collect();
     let mut build_wall = sw.lap("build.keys");
 
     // Resolve the keys against the cache (deterministic hit/miss
-    // counters and disk append order). Materializing a cached
-    // accumulator — parse, tree rehydration — is fold work, symmetric
-    // to the cold fold's serialize, so it counts toward the fold stage.
-    let mut reused: Vec<PartialAccumulators> = Vec::new();
+    // counters). Materializing a cached accumulator — parse, tree
+    // rehydration — is fold work, so it counts as analysis time.
+    let mut acc = PartialAccumulators::empty(profile_names.to_vec());
     let mut rebuild: Vec<(&str, Option<u64>)> = Vec::new();
-    for (site, key) in keyed {
-        match key.and_then(|k| cache.get_site_acc(k, profile_names)) {
-            Some(acc) => reused.push(acc),
+    for ((site, _), key) in by_site.iter().zip(keys) {
+        let cached = cache
+            .zip(key)
+            .and_then(|(cache, key)| cache.get_site_acc(key, profile_names));
+        match cached {
+            Some(cached) => acc.merge(cached)?,
             None => rebuild.push((site, key)),
         }
     }
-    let mut fold_wall = sw.lap("fold.resolve");
+    sw.lap("fold.resolve");
 
-    // Rebuild phase 1: one sub-database holding every changed site, so
-    // the tree build fans out across all of them at once.
-    let mut sub = CrawlDb::new(db.n_profiles());
-    for (site, _) in &rebuild {
-        for page in &by_site[site] {
-            for profile in 0..db.n_profiles() {
-                if let Some(v) = db.visit_any(page, profile) {
-                    match db.visit_hash(page, profile) {
-                        Some(h) => sub.insert_hashed((*page).clone(), profile, v.clone(), h),
-                        None => sub.insert((*page).clone(), profile, v.clone()),
-                    }
-                }
-            }
-        }
-    }
-    let data = ExperimentData::from_db_cached(
-        &sub,
+    // Build the rebuilt sites' trees straight from the database's
+    // vetted pages, all sites at once so the fan-out spans them.
+    let rebuilt: BTreeSet<&str> = rebuild.iter().map(|(site, _)| *site).collect();
+    let mut vetted = db.vetted_pages_hashed();
+    vetted.retain(|(page, _)| rebuilt.contains(page.site.as_str()));
+    let data = ExperimentData::from_vetted(
+        &vetted,
         profile_names.to_vec(),
         filter_list,
         tree_config,
         site_meta,
         workers,
-        Some(cache.tree_cache()),
+        cache.map(AnalysisCache::tree_cache),
     );
     build_wall += sw.lap("build.trees");
 
-    // Rebuild phase 2: the per-page analyses (each page independent).
+    // Analyze every rebuilt page, then fold the pages back per site:
+    // each site becomes one accumulator with its own crawl accounting,
+    // cached for next time when it has a key. A cached site's record
+    // references its trees by their visits' content hashes.
     let sims = analyze_all(&data);
-    let analyze_wall = sw.lap("analyze");
-
-    // Fold: split the rebuilt pages back per site, wrap each site in
-    // its own accumulator (cached for next time), then merge cached +
-    // fresh accumulators and finish into canonical order. Each rebuilt
-    // page's visit content hashes (aligned with its trees) become the
-    // lean disk record's tree references.
-    let tree_keys: Vec<Vec<Option<u64>>> = sub
-        .vetted_pages_hashed()
-        .into_iter()
-        .map(|(_, visits)| visits.into_iter().map(|(_, h)| h).collect())
-        .collect();
-    debug_assert_eq!(tree_keys.len(), data.pages.len());
-    let mut acc = PartialAccumulators::empty(profile_names.to_vec());
-    for cached in reused {
-        acc.merge(cached)?;
-    }
-    let mut pairs = data
-        .pages
-        .into_iter()
-        .zip(sims)
-        .zip(tree_keys)
-        .map(|((page, sim), keys)| (page, sim, keys))
-        .peekable();
-    for (site, key) in &rebuild {
-        let mut site_pages = Vec::new();
-        let mut site_sims = Vec::new();
-        let mut site_keys = Vec::new();
-        while let Some((page, _, _)) = pairs.peek() {
-            if &*page.site != *site {
-                break;
+    let mut pages = data.pages.into_iter().zip(sims).zip(&vetted).peekable();
+    for (site, key) in rebuild {
+        let (mut site_pages, mut site_sims, mut tree_keys) = (Vec::new(), Vec::new(), Vec::new());
+        while let Some(((page, sim), (_, visits))) =
+            pages.next_if(|((page, _), _)| &*page.site == site)
+        {
+            if key.is_some() {
+                tree_keys.push(visits.iter().map(|(_, h)| *h).collect());
             }
-            let (page, sim, keys) = match pairs.next() {
-                Some(triple) => triple,
-                None => break,
-            };
             site_pages.push(page);
             site_sims.push(sim);
-            site_keys.push(keys);
         }
-        let vetted = usize::from(!site_pages.is_empty());
+        let vetted_sites = usize::from(!site_pages.is_empty());
         let (stats, successful) = site_stats(db, &by_site[site]);
         let site_data = ExperimentData {
             profile_names: profile_names.to_vec(),
@@ -372,28 +342,24 @@ pub fn accumulate_cached(
             stats,
             by_site[site].len(),
             successful,
-            vetted,
+            vetted_sites,
         );
-        if let Some(k) = key {
-            cache.insert_site_acc(*k, &site_acc, &site_keys);
+        if let (Some(cache), Some(key)) = (cache, key) {
+            cache.insert_site_acc(key, &site_acc, &tree_keys);
         }
         acc.merge(site_acc)?;
     }
-    fold_wall += sw.lap("fold");
 
     Ok(CachedAccumulation {
         acc,
         sites_total,
-        sites_rebuilt: rebuild.len(),
-        sites_reused: sites_total - rebuild.len(),
+        sites_rebuilt: rebuilt.len(),
+        sites_reused: sites_total - rebuilt.len(),
         build_wall,
-        analyze_wall,
-        fold_wall,
     })
 }
 
-/// What a cached bundle replay reports beyond the results themselves:
-/// how much of the work the cache absorbed.
+/// A run's results plus how much of the work a cache absorbed.
 #[derive(Debug)]
 pub struct IncrementalReplay {
     /// The full analysis results — byte-identical to an uncached
@@ -401,18 +367,10 @@ pub struct IncrementalReplay {
     pub results: crate::ExperimentResults,
     /// Sites in the bundle.
     pub sites_total: usize,
-    /// Sites whose delta key missed the cache and were rebuilt.
+    /// Sites rebuilt from their visits (every site, without a cache).
     pub sites_rebuilt: usize,
     /// Sites folded from cached accumulators.
     pub sites_reused: usize,
-    /// Wall time of the build stage: delta-key hashing over every
-    /// site, plus tree building for the rebuilt ones.
-    pub build_wall: Duration,
-    /// Wall time of the per-page analyses over rebuilt sites.
-    pub analyze_wall: Duration,
-    /// Wall time of the fold: cached-accumulator reconstruction, the
-    /// per-site fold of rebuilt sites, and the canonical finish.
-    pub fold_wall: Duration,
 }
 
 #[cfg(test)]

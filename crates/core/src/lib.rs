@@ -31,8 +31,9 @@
 //!    a deterministic rank-listed universe of sites.
 //! 2. [`Commander::run`](wmtree_crawler::Commander::run) — the
 //!    semi-parallel five-profile crawl (Table 1 profiles).
-//! 3. [`ExperimentData::from_db`](wmtree_analysis::ExperimentData::from_db)
-//!    — vetting + dependency-tree construction (§3.2).
+//! 3. [`Fold`] — vetting, dependency-tree construction (§3.2) and the
+//!    per-node analyses, site by site, optionally through an
+//!    [`AnalysisCache`].
 //! 4. [`Report::generate`] — every table/figure of §4, §5, and the
 //!    appendices.
 
@@ -47,7 +48,7 @@ pub mod incremental;
 pub mod report;
 
 pub use config::{ExperimentConfig, Scale, ScaleParseError};
-pub use experiment::{BundleRun, Experiment, ExperimentResults};
+pub use experiment::{BundleRun, Experiment, ExperimentResults, Fold};
 pub use incremental::{
     accumulate_cached, cache_fingerprint, AnalysisCache, CachedAccumulation, IncrementalReplay,
 };

@@ -163,8 +163,8 @@ impl Cache {
         self.new.insert(rel.to_string(), entry);
     }
 
-    /// Write the cache atomically (temp file + rename). The parent
-    /// directory is created if needed.
+    /// Write the cache atomically. The parent directory is created if
+    /// needed.
     pub fn save(&self) -> io::Result<()> {
         if let Some(parent) = self.path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -176,9 +176,7 @@ impl Cache {
         };
         let body = serde_json::to_string(&doc)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = self.path.with_extension("json.tmp");
-        std::fs::write(&tmp, body)?;
-        std::fs::rename(&tmp, &self.path)
+        wmtree_bundle::atomic_replace(&self.path, body.as_bytes())
     }
 }
 

@@ -261,16 +261,13 @@ impl JobStore {
         Ok(updated)
     }
 
-    /// Atomically rewrite `JOBS.json`: serialize to a temp file in the
-    /// store root, then rename over the real file.
+    /// Atomically rewrite `JOBS.json`.
     fn persist(&self, file: &JobsFile) -> Result<(), ServerError> {
         let body = serde_json::to_string_pretty(file)
             .map_err(|e| ServerError::json("serializing JOBS.json", e))?;
-        let tmp = self.root.join(format!(".{JOBS_FILE}.tmp"));
-        std::fs::write(&tmp, format!("{body}\n")).map_err(|e| ServerError::io(tmp.display(), e))?;
         let path = JobStore::jobs_path(&self.root);
-        std::fs::rename(&tmp, &path).map_err(|e| ServerError::io(path.display(), e))?;
-        Ok(())
+        wmtree_bundle::atomic_replace(&path, format!("{body}\n").as_bytes())
+            .map_err(|e| ServerError::io(path.display(), e))
     }
 }
 

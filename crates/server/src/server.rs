@@ -32,7 +32,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
-use wmtree::{BundleRun, Experiment, Report};
+use wmtree::crawler::ResumableOutcome;
+use wmtree::{Experiment, Report};
 use wmtree_bundle::{bundle_content_hash, BundleStore};
 use wmtree_telemetry::{counter, gauge, MetricValue};
 use wmtree_tree::{diff_trees, TreeDiff};
@@ -632,8 +633,9 @@ fn run_job(shared: &Shared, job: JobRecord) {
         if shared.shutdown.killed() {
             return;
         }
-        match experiment.run_to_bundle(&dir, Some(shared.batch_sites)) {
-            Ok(BundleRun::Complete { .. }) => {
+        // Batches only crawl; the job's first replay analyses it once.
+        match experiment.crawl_window_to_bundle(0, sites_total, &dir, Some(shared.batch_sites)) {
+            Ok(ResumableOutcome::Complete { .. }) => {
                 let hash = match bundle_content_hash(&dir) {
                     Ok(hash) => hash,
                     Err(e) => return fail(format!("hashing finished bundle: {e}")),
@@ -646,7 +648,7 @@ fn run_job(shared: &Shared, job: JobRecord) {
                 });
                 return;
             }
-            Ok(BundleRun::Partial {
+            Ok(ResumableOutcome::Partial {
                 sites_done,
                 sites_total,
                 ..

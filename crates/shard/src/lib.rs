@@ -14,9 +14,8 @@
 //!    [`crawl_remaining_shards`]. On completion the bundle's content
 //!    hash is recorded into the plan.
 //! 3. **Merge** — [`merge_shards`] streams the analysis: one
-//!    shard-bundle in memory at a time, folded in rank order into
-//!    mergeable [`PartialAccumulators`]
-//!    (`wmtree_analysis::partial`), finishing into results
+//!    shard-bundle in memory at a time, folded in rank order through
+//!    the same [`Fold`] every other mode uses, finishing into results
 //!    byte-identical to a monolithic single-process run — same report,
 //!    same CSVs, same totals.
 //!
@@ -25,7 +24,7 @@
 //! [`MergedRun::peak_shard_pages`]) witness it.
 //!
 //! [`Scale::Huge`]: wmtree::Scale::Huge
-//! [`PartialAccumulators`]: wmtree_analysis::PartialAccumulators
+//! [`Fold`]: wmtree::Fold
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,12 +14,10 @@
 use crate::error::ShardError;
 use crate::plan::ShardPlan;
 use std::path::Path;
-use wmtree::{accumulate_cached, AnalysisCache, Experiment, ExperimentResults};
-use wmtree_analysis::{MergeDigest, PartialAccumulators};
+use wmtree::{AnalysisCache, Experiment, ExperimentResults};
+use wmtree_analysis::{MergeDigest, PartialMergeError};
 use wmtree_bundle::{bundle_content_hash, Manifest};
 use wmtree_crawler::read_bundle;
-use wmtree_filterlist::embedded::tracking_list;
-use wmtree_telemetry::{ManifestProfile, RunManifest, Stopwatch};
 
 /// A finished streaming merge.
 #[derive(Debug)]
@@ -74,54 +72,15 @@ fn check_hash(plan_dir: &Path, spec: &crate::plan::ShardSpec) -> Result<(), Shar
 /// location inside its archive.
 pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, ShardError> {
     let _span = wmtree_telemetry::span("shard.merge");
-    let metrics_before = wmtree_telemetry::global().snapshot();
-    let mut sw = Stopwatch::start();
+    let mut fold = exp.fold();
 
     let plan = ShardPlan::load(plan_dir)?;
     plan.check_experiment(exp)?;
 
-    let cfg = exp.config();
-    let names: Vec<String> = cfg.profiles.iter().map(|p| p.name.clone()).collect();
-    let filter = if cfg.use_filter_list {
-        Some(tracking_list())
-    } else {
-        None
-    };
-    let site_meta: std::collections::BTreeMap<String, (u32, String)> = exp
-        .universe()
-        .sites()
-        .iter()
-        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-        .collect();
-
-    let mut manifest = RunManifest::new(
-        cfg.experiment_seed,
-        format!(
-            "{} sites × ≤{} pages × {} profiles, merged from {} shards",
-            plan.total_sites,
-            cfg.max_pages_per_site,
-            names.len(),
-            plan.shards.len(),
-        ),
-    );
-    manifest.profiles = cfg
-        .profiles
-        .iter()
-        .map(|p| ManifestProfile {
-            name: p.name.clone(),
-            version: p.version,
-            user_interaction: p.user_interaction,
-            gui: p.gui,
-            country: p.country.clone(),
-        })
-        .collect();
-
+    let merge_fault = |source: PartialMergeError| ShardError::Merge { source };
     let gauge = wmtree_telemetry::gauge!("shard.pages.in_memory");
     let peak_gauge = wmtree_telemetry::gauge!("shard.pages.in_memory.peak");
     let mut peak: usize = 0;
-    let mut sites_rebuilt: usize = 0;
-    let mut sites_reused: usize = 0;
-    let mut acc = PartialAccumulators::empty(names.clone());
 
     for spec in &plan.shards {
         let _shard_span = wmtree_telemetry::span("shard.merge.fold");
@@ -139,63 +98,45 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
         }
 
         // The one-shard residency window: the raw database lives only
-        // inside this block. Each shard carries its own tree/site
+        // until `add` returns. Each shard carries its own tree/site
         // cache next to its bundle, so a re-merge over unchanged
         // shards folds cached accumulators without rebuilding a tree —
         // and the fold stays byte-identical to the cold path.
-        let part = {
-            let db = read_bundle(&dir).map_err(located)?;
-            gauge.set(db.page_count() as i64);
-            peak = peak.max(db.page_count());
-            peak_gauge.set(peak as i64);
-
-            let cache = AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), cfg);
-            let out = accumulate_cached(
-                &db,
-                &names,
-                filter,
-                &cfg.tree,
-                &site_meta,
-                cfg.workers,
-                &cache,
-            )
-            .map_err(|source| ShardError::Merge { source })?;
-            if cache.commit().is_err() {
-                wmtree_telemetry::counter!("tree.cache.disk.error").inc();
-            }
-            sites_rebuilt += out.sites_rebuilt;
-            sites_reused += out.sites_reused;
-            out.acc
-        };
+        let db = read_bundle(&dir).map_err(located)?;
+        fold.lap("read_bundle");
+        gauge.set(db.page_count() as i64);
+        peak = peak.max(db.page_count());
+        peak_gauge.set(peak as i64);
+        let cache =
+            AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), exp.config());
+        fold.add(db, Some(&cache)).map_err(merge_fault)?;
         gauge.set(0);
-        acc.merge(part)
-            .map_err(|source| ShardError::Merge { source })?;
         wmtree_telemetry::counter!("shard.merges.folded").inc();
     }
-    manifest.push_stage("fold_shards", sw.lap("fold_shards"));
 
-    let merged = acc
-        .finish(cfg.workers)
-        .map_err(|source| ShardError::Merge { source })?;
-    manifest.push_stage("finish_merge", sw.lap("finish_merge"));
-
-    manifest.metrics = wmtree_telemetry::global().snapshot().since(&metrics_before);
-    manifest.timings = wmtree_telemetry::global().timings().snapshot();
-
-    let digest = merged.digest.clone();
+    let run = fold.finish(None).map_err(merge_fault)?;
+    let mut results = run.results;
+    results.manifest.label += &format!(", merged from {} shards", plan.shards.len());
     Ok(MergedRun {
-        results: ExperimentResults {
-            data: merged.data,
-            sims: merged.sims,
-            profile_stats: merged.profile_stats,
-            pages_discovered: digest.pages_discovered,
-            successful_visits: digest.successful_visits,
-            vetted_sites: digest.vetted_sites,
-            manifest,
-        },
-        digest,
+        digest: digest_of(&results),
+        results,
         peak_shard_pages: peak,
-        sites_rebuilt,
-        sites_reused,
+        sites_rebuilt: run.sites_rebuilt,
+        sites_reused: run.sites_reused,
     })
+}
+
+/// The totals digest of merged results.
+fn digest_of(results: &ExperimentResults) -> MergeDigest {
+    MergeDigest {
+        pages: results.data.pages.len(),
+        pages_discovered: results.pages_discovered,
+        successful_visits: results.successful_visits,
+        vetted_sites: results.vetted_sites,
+        per_profile: results
+            .profile_stats
+            .iter()
+            .map(|s| (s.attempted, s.succeeded))
+            .collect(),
+    }
 }

@@ -128,9 +128,9 @@ impl ShardPlan {
         serde_json::from_str(&text).map_err(|source| ShardError::Json { path, source })
     }
 
-    /// Store the plan into `dir` (created if absent) — write to a
-    /// temporary file, then rename over [`SHARDS_FILE`], so a crash
-    /// never leaves a torn manifest.
+    /// Store the plan into `dir` (created if absent), replacing
+    /// [`SHARDS_FILE`] atomically so a crash never leaves a torn
+    /// manifest.
     pub fn store(&self, dir: &Path) -> Result<(), ShardError> {
         std::fs::create_dir_all(dir).map_err(|source| ShardError::Io {
             path: dir.to_path_buf(),
@@ -141,12 +141,8 @@ impl ShardPlan {
             path: path.clone(),
             source,
         })?;
-        let tmp = dir.join(format!("{SHARDS_FILE}.tmp"));
-        std::fs::write(&tmp, body).map_err(|source| ShardError::Io {
-            path: tmp.clone(),
-            source,
-        })?;
-        std::fs::rename(&tmp, &path).map_err(|source| ShardError::Io { path, source })
+        wmtree_bundle::atomic_replace(&path, body.as_bytes())
+            .map_err(|source| ShardError::Io { path, source })
     }
 
     /// The shard with a given id.

@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
+use wmtree_bundle::atomic::{atomic_replace, temp_sibling};
 use wmtree_bundle::error::BundleError;
 use wmtree_bundle::hash::{chain_fold, chain_start, from_hex, object_hash, to_hex};
 use wmtree_bundle::manifest::DEFAULT_SEGMENT_CAPACITY;
@@ -90,13 +91,10 @@ pub struct CacheManifest {
 
 impl CacheManifest {
     fn store(&self, dir: &Path) -> Result<(), BundleError> {
-        let tmp = dir.join(".CACHE.json.tmp");
         let body = serde_json::to_string(self)
             .map_err(|e| BundleError::json("serializing cache manifest", e))?;
-        std::fs::write(&tmp, format!("{body}\n")).map_err(|e| BundleError::io(&tmp, e))?;
         let path = dir.join(CACHE_MANIFEST_FILE);
-        std::fs::rename(&tmp, &path).map_err(|e| BundleError::io(&path, e))?;
-        Ok(())
+        atomic_replace(&path, format!("{body}\n").as_bytes()).map_err(|e| BundleError::io(&path, e))
     }
 }
 
@@ -428,7 +426,7 @@ fn evict_over_capacity(state: &mut CacheState) {
 /// a later create error instead of being destroyed).
 fn discard_dir(dir: &Path) {
     let _ = std::fs::remove_file(dir.join(CACHE_MANIFEST_FILE));
-    let _ = std::fs::remove_file(dir.join(".CACHE.json.tmp"));
+    let _ = std::fs::remove_file(temp_sibling(&dir.join(CACHE_MANIFEST_FILE)));
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
             let name = entry.file_name();

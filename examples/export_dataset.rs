@@ -7,14 +7,9 @@
 //! cargo run --release --example export_dataset -- /tmp/wmtree-dataset
 //! ```
 
-use std::collections::BTreeMap;
-use wmtree::analysis::ExperimentData;
 use wmtree::browser::har::to_har_json;
-use wmtree::crawler::{export, standard_profiles, Commander, CrawlOptions};
-use wmtree::filterlist::embedded::tracking_list;
-use wmtree::tree::TreeConfig;
-use wmtree::webgen::{UniverseConfig, WebUniverse};
-use wmtree::{Report, Scale};
+use wmtree::crawler::export;
+use wmtree::{Experiment, ExperimentConfig, Report, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out_dir = std::path::PathBuf::from(
@@ -24,27 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     std::fs::create_dir_all(&out_dir)?;
 
-    // Crawl.
-    let scale = Scale::Tiny;
-    let universe = WebUniverse::generate(UniverseConfig {
-        seed: 0x2023_11ac,
-        sites_per_bucket: scale.sites_per_bucket(),
-        max_subpages: scale.max_pages(),
-    });
-    let profiles = standard_profiles();
-    let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-    let db = Commander::new(
-        &universe,
-        profiles,
-        CrawlOptions {
-            max_pages_per_site: scale.max_pages(),
-            workers: 4,
-            experiment_seed: 0x1317,
-            reliable: false,
-            stateful: false,
-        },
-    )
-    .run();
+    // Crawl, keeping the raw database.
+    let mut config = ExperimentConfig::at_scale(Scale::Tiny);
+    config.workers = 4;
+    let experiment = Experiment::new(config);
+    let db = experiment.commander().run();
 
     // 1. Raw data: JSONL of every (page, profile) visit.
     let raw_path = out_dir.join("raw_visits.jsonl");
@@ -59,35 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote HAR of {} to {}", page.url, har_path.display());
     }
 
-    // 3. Aggregated report (JSON) + figure CSVs.
-    let site_meta: BTreeMap<String, (u32, String)> = universe
-        .sites()
-        .iter()
-        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-        .collect();
-    let data = ExperimentData::from_db(
-        &db,
-        names,
-        Some(tracking_list()),
-        &TreeConfig::default(),
-        &site_meta,
-    );
-    let sims = wmtree::analysis::node_similarity::analyze_all(&data);
-    let results = wmtree::ExperimentResults {
-        profile_stats: db.profile_stats(),
-        pages_discovered: db.page_count(),
-        successful_visits: db.total_successful_visits(),
-        vetted_sites: db.vetted_sites().len(),
-        sims,
-        data,
-        manifest: wmtree::telemetry::RunManifest::new(0x1317, "export_dataset"),
-    };
-    let report = Report::generate(&results);
-    std::fs::write(out_dir.join("report.json"), report.to_json())?;
-    let csvs = report.write_csv_dir(&out_dir.join("csv"))?;
-    println!("wrote report.json and {} CSV files", csvs.len());
-
-    // 4. Round-trip check: the raw data re-imports losslessly.
+    // 3. Round-trip check: the raw data re-imports losslessly.
     let file = std::fs::File::open(&raw_path)?;
     let back = export::read_jsonl(std::io::BufReader::new(file), db.n_profiles())?;
     assert_eq!(back.page_count(), db.page_count());
@@ -97,5 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         back.page_count(),
         back.total_successful_visits()
     );
+
+    // 4. Aggregated report (JSON) + figure CSVs, from the same database.
+    let mut fold = experiment.fold();
+    fold.add(db, None)?;
+    let results = fold.finish(None)?.results;
+    let report = Report::generate(&results);
+    std::fs::write(out_dir.join("report.json"), report.to_json())?;
+    let csvs = report.write_csv_dir(&out_dir.join("csv"))?;
+    println!("wrote report.json and {} CSV files", csvs.len());
     Ok(())
 }
