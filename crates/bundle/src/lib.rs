@@ -19,11 +19,13 @@
 //! uncommitted bytes and continues appending — the resumed bundle is
 //! byte-identical to one written by an uninterrupted run.
 //!
-//! [`BundleReader`] streams records lazily (no full-database
-//! materialization) and verifies checksums as it goes; the first
-//! corruption surfaces as an error naming the segment, line, and byte
-//! offset. [`verify_bundle`] is the lenient whole-archive scan used by
-//! `wmtree-lint check-artifacts`.
+//! Segment logs have one reader, [`segment::LogScan`], which yields
+//! records and framing defects alike. Replay ([`read_visits`]) and
+//! [`BundleWriter::resume`] share one fail-fast loader over it: the
+//! first defect surfaces as an error naming the segment, line, and byte
+//! offset. [`verify_bundle`], the check behind `wmtree-lint
+//! check-artifacts`, scans the same way but leniently, collecting every
+//! defect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +45,9 @@ pub use atomic::atomic_replace;
 pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};
-pub use reader::{BundleReader, VisitIter};
+pub use reader::read_visits;
 pub use record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
+pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};
 pub use writer::{BundleWriter, ResumeState};

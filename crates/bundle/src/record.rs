@@ -1,5 +1,7 @@
-//! The record types the segment logs store.
+//! The record types the segment logs store, and the one decoder for
+//! each kind of payload.
 
+use crate::hash::{from_hex, object_hash, to_hex};
 use serde::{Deserialize, Serialize};
 use wmtree_browser::VisitResult;
 
@@ -47,6 +49,79 @@ pub struct ObjectEntry {
     pub hash: String,
     /// The deduplicated payload.
     pub visit: VisitResult,
+}
+
+impl ObjectEntry {
+    /// Decode one object-store payload into its content address and
+    /// visit, re-verifying the address against the payload's canonical
+    /// serialization. The error describes the defect; the caller knows
+    /// where the record is.
+    pub(crate) fn decode(payload: &str) -> Result<(u64, VisitResult), String> {
+        let entry: ObjectEntry =
+            serde_json::from_str(payload).map_err(|e| format!("unparseable object entry: {e}"))?;
+        let hash = from_hex(&entry.hash)
+            .ok_or_else(|| format!("malformed object hash `{}`", entry.hash))?;
+        let canonical = serde_json::to_string(&entry.visit)
+            .map_err(|e| format!("payload does not re-serialize: {e}"))?;
+        let actual = object_hash(canonical.as_bytes());
+        if actual != hash {
+            return Err(format!(
+                "content address mismatch: entry says {}, payload hashes to {}",
+                entry.hash,
+                to_hex(actual)
+            ));
+        }
+        Ok((hash, entry.visit))
+    }
+}
+
+/// The defect of an object entry whose address is already stored.
+pub(crate) fn duplicate_object(hash: u64) -> String {
+    format!(
+        "duplicate object {} defeats content addressing",
+        to_hex(hash)
+    )
+}
+
+/// A visit-log payload, decoded by [`Record::decode`].
+pub(crate) enum LogEntry {
+    /// A visit record with its parsed object address.
+    Visit(VisitRef, u64),
+    /// A site checkpoint.
+    Checkpoint(Checkpoint),
+}
+
+/// Why [`Record::decode`] rejected a visit-log payload.
+pub(crate) enum BadRecord {
+    /// Unparseable, or a malformed object hash.
+    Corrupt(String),
+    /// A visit by a profile index the bundle does not have.
+    ProfileOutOfRange(usize),
+}
+
+impl Record {
+    /// Decode one visit-log payload: parse the record, then a visit's
+    /// object hash, then check its profile index against the bundle's
+    /// `n_profiles`.
+    pub(crate) fn decode(payload: &str, n_profiles: usize) -> Result<LogEntry, BadRecord> {
+        let record: Record = serde_json::from_str(payload)
+            .map_err(|e| BadRecord::Corrupt(format!("unparseable record: {e}")))?;
+        match record {
+            Record::Checkpoint(cp) => Ok(LogEntry::Checkpoint(cp)),
+            Record::Visit(vr) => {
+                let Some(hash) = from_hex(&vr.object) else {
+                    return Err(BadRecord::Corrupt(format!(
+                        "malformed object hash `{}`",
+                        vr.object
+                    )));
+                };
+                if vr.profile >= n_profiles {
+                    return Err(BadRecord::ProfileOutOfRange(vr.profile));
+                }
+                Ok(LogEntry::Visit(vr, hash))
+            }
+        }
+    }
 }
 
 /// A fully resolved visit streamed out of a bundle: the coordinates of

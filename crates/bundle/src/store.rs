@@ -72,36 +72,12 @@ impl BundleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::BundleMeta;
+    use crate::writer::tests::{meta, tmp, visit};
     use crate::writer::BundleWriter;
-    use std::path::PathBuf;
-    use wmtree_browser::VisitResult;
-    use wmtree_url::Url;
-
-    fn meta() -> BundleMeta {
-        BundleMeta {
-            n_profiles: 2,
-            profiles: vec!["A".into(), "B".into()],
-            experiment_seed: 7,
-        }
-    }
-
-    fn visit(n: u64) -> VisitResult {
-        let mut v = VisitResult::failed(Url::parse("https://www.a.com/").unwrap());
-        v.duration_ms = n;
-        v
-    }
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wmtree-bundle-store-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn lists_multi_bundle_directory_sorted_with_counts() {
-        let root = tmp("multi");
+        let root = tmp("store-multi");
         // Two bundles (one complete, one suspended), written in reverse
         // name order to prove the listing sorts.
         let mut w = BundleWriter::create(&root.join("job-001"), meta()).unwrap();
@@ -140,13 +116,14 @@ mod tests {
 
     #[test]
     fn empty_store_lists_nothing() {
-        let root = tmp("empty");
+        let root = tmp("store-empty");
+        std::fs::create_dir_all(&root).unwrap();
         assert_eq!(BundleStore::list(&root).unwrap(), Vec::new());
     }
 
     #[test]
     fn missing_store_is_an_io_error() {
-        let root = tmp("gone").join("nope");
+        let root = tmp("store-gone").join("nope");
         assert!(matches!(
             BundleStore::list(&root),
             Err(BundleError::Io { .. })

@@ -8,17 +8,19 @@
 //! 3. append a checkpoint record,
 //! 4. flush both logs and atomically rewrite the manifest.
 //!
-//! A crash between checkpoints leaves trailing bytes the manifest does
-//! not cover; [`BundleWriter::resume`] verifies the covered prefix,
-//! truncates the leftovers, and continues appending — producing final
-//! files byte-identical to an uninterrupted run.
+//! A crash between checkpoints leaves trailing bytes (or stray segments)
+//! the manifest does not cover; [`BundleWriter::resume`] verifies the
+//! covered prefix with replay's loader, truncates the leftovers, and
+//! continues appending — producing final files byte-identical to an
+//! uninterrupted run.
 
 use crate::error::BundleError;
-use crate::hash::{from_hex, object_hash, to_hex};
+use crate::hash::{object_hash, to_hex};
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
+use crate::reader::load;
 use crate::record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
-use crate::segment::{verify_and_truncate, LogWriter};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::segment::LogWriter;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
 
@@ -53,166 +55,39 @@ impl BundleWriter {
     /// missing). Fails with [`BundleError::AlreadyExists`] if a
     /// manifest is already present — resume instead.
     pub fn create(dir: &Path, meta: BundleMeta) -> Result<BundleWriter, BundleError> {
-        Self::create_with_capacity(dir, meta, DEFAULT_SEGMENT_CAPACITY)
-    }
-
-    /// [`create`](BundleWriter::create) with an explicit segment
-    /// rotation capacity (records per segment).
-    pub fn create_with_capacity(
-        dir: &Path,
-        meta: BundleMeta,
-        segment_capacity: usize,
-    ) -> Result<BundleWriter, BundleError> {
         if Manifest::exists(dir) {
             return Err(BundleError::AlreadyExists {
                 dir: dir.to_path_buf(),
             });
         }
         std::fs::create_dir_all(dir).map_err(|e| BundleError::io(dir, e))?;
-        let manifest = Manifest::new(meta, segment_capacity);
+        let manifest = Manifest::new(meta, DEFAULT_SEGMENT_CAPACITY);
         manifest.store(dir)?;
         Ok(BundleWriter {
             dir: dir.to_path_buf(),
-            visits: LogWriter::create(dir, VISITS_PREFIX, segment_capacity),
-            objects: LogWriter::create(dir, OBJECTS_PREFIX, segment_capacity),
+            visits: LogWriter::create(dir, VISITS_PREFIX, DEFAULT_SEGMENT_CAPACITY),
+            objects: LogWriter::create(dir, OBJECTS_PREFIX, DEFAULT_SEGMENT_CAPACITY),
             manifest,
             index: BTreeSet::new(),
         })
     }
 
     /// Reopen a partial bundle for appending: check `meta` against the
-    /// manifest, verify every committed record, truncate uncommitted
-    /// crash leftovers, and rebuild the dedup index plus the
-    /// already-recorded visits.
+    /// manifest, load and verify every committed record through the
+    /// same loader replay uses, and only then truncate uncommitted
+    /// crash leftovers. Returns the dedup index inside the writer plus
+    /// the already-recorded sites and visits.
     pub fn resume(
         dir: &Path,
         meta: BundleMeta,
     ) -> Result<(BundleWriter, ResumeState), BundleError> {
-        // Scope guard only: the span's clock reads stay inside
-        // telemetry's own snapshot, never the manifest bytes.
-        let _span = wmtree_telemetry::span("bundle.resume.verify"); // wmtree-lint: allow(WM0301)
+        let _span = wmtree_telemetry::span("bundle.resume.verify");
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
-
-        // Object store first: the dedup index and payloads for the
-        // visit join below.
-        let mut index: BTreeSet<u64> = BTreeSet::new();
-        let mut store: BTreeMap<u64, VisitResult> = BTreeMap::new();
-        verify_and_truncate(
-            dir,
-            OBJECTS_PREFIX,
-            &manifest.object_segments,
-            |loc, payload| {
-                let entry: ObjectEntry = serde_json::from_str(payload)
-                    .map_err(|e| BundleError::json(format!("{}:{}", loc.segment, loc.line), e))?;
-                let corrupt = |detail: String| BundleError::Corrupt {
-                    segment: loc.segment.clone(),
-                    line: loc.line,
-                    offset: loc.offset,
-                    detail,
-                };
-                let hash = from_hex(&entry.hash)
-                    .ok_or_else(|| corrupt(format!("malformed object hash `{}`", entry.hash)))?;
-                let canonical = serde_json::to_string(&entry.visit)
-                    .map_err(|e| BundleError::json("re-serializing object payload", e))?;
-                let actual = object_hash(canonical.as_bytes());
-                if actual != hash {
-                    return Err(corrupt(format!(
-                        "content address mismatch: entry says {}, payload hashes to {}",
-                        entry.hash,
-                        to_hex(actual)
-                    )));
-                }
-                index.insert(hash);
-                store.insert(hash, entry.visit);
-                Ok(())
-            },
-        )?;
-        if index.len() as u64 != manifest.objects {
-            return Err(BundleError::ManifestMismatch {
-                segment: OBJECTS_PREFIX.to_string(),
-                detail: format!(
-                    "manifest declares {} unique objects, store holds {}",
-                    manifest.objects,
-                    index.len()
-                ),
-            });
-        }
-
-        // Visit log: rebuild the checkpointed visits. The committed
-        // region must end at a checkpoint (the manifest is only ever
-        // stored right after one).
-        let mut state = ResumeState::default();
-        let mut pending: Vec<BundleVisit> = Vec::new();
-        let mut checkpoints: u64 = 0;
-        let mut visit_records: u64 = 0;
-        verify_and_truncate(
-            dir,
-            VISITS_PREFIX,
-            &manifest.visit_segments,
-            |loc, payload| {
-                let record: Record = serde_json::from_str(payload)
-                    .map_err(|e| BundleError::json(format!("{}:{}", loc.segment, loc.line), e))?;
-                match record {
-                    Record::Visit(vr) => {
-                        visit_records += 1;
-                        let corrupt = |detail: String| BundleError::Corrupt {
-                            segment: loc.segment.clone(),
-                            line: loc.line,
-                            offset: loc.offset,
-                            detail,
-                        };
-                        if vr.profile >= manifest.meta.n_profiles {
-                            return Err(corrupt(format!(
-                                "profile index {} out of range (bundle has {} profiles)",
-                                vr.profile, manifest.meta.n_profiles
-                            )));
-                        }
-                        let hash = from_hex(&vr.object).ok_or_else(|| {
-                            corrupt(format!("malformed object hash `{}`", vr.object))
-                        })?;
-                        let Some(visit) = store.get(&hash) else {
-                            return Err(BundleError::DanglingObject {
-                                segment: loc.segment.clone(),
-                                line: loc.line,
-                                object: vr.object.clone(),
-                            });
-                        };
-                        pending.push(BundleVisit {
-                            site: vr.site,
-                            url: vr.url,
-                            profile: vr.profile,
-                            object: hash,
-                            visit: visit.clone(),
-                        });
-                    }
-                    Record::Checkpoint(cp) => {
-                        checkpoints += 1;
-                        state.sites.insert(cp.site);
-                        state.visits.append(&mut pending);
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        if !pending.is_empty() {
-            return Err(BundleError::ManifestMismatch {
-                segment: VISITS_PREFIX.to_string(),
-                detail: format!(
-                    "{} committed visit record(s) after the last checkpoint",
-                    pending.len()
-                ),
-            });
-        }
-        if checkpoints != manifest.checkpoints || visit_records != manifest.visit_records {
-            return Err(BundleError::ManifestMismatch {
-                segment: VISITS_PREFIX.to_string(),
-                detail: format!(
-                    "manifest declares {} checkpoint(s) / {} visit record(s), \
-                     log holds {checkpoints} / {visit_records}",
-                    manifest.checkpoints, manifest.visit_records
-                ),
-            });
+        let mut visits = Vec::new();
+        let loaded = load(dir, &manifest, |bv| visits.push(bv))?;
+        for log in &loaded.logs {
+            log.truncate()?;
         }
 
         let capacity = manifest.segment_capacity;
@@ -231,7 +106,11 @@ impl BundleWriter {
                 manifest.object_segments.clone(),
             ),
             manifest,
-            index,
+            index: loaded.index,
+        };
+        let state = ResumeState {
+            sites: loaded.sites,
+            visits,
         };
         Ok((writer, state))
     }
@@ -324,11 +203,15 @@ impl BundleWriter {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! The writer's tests, and the fixtures the crate's other tests share.
+
     use super::*;
+    use crate::hash::{chain_fold, from_hex, line_checksum};
     use wmtree_url::Url;
 
-    fn meta() -> BundleMeta {
+    /// The two-profile experiment every fixture bundle records.
+    pub(crate) fn meta() -> BundleMeta {
         BundleMeta {
             n_profiles: 2,
             profiles: vec!["A".into(), "B".into()],
@@ -336,21 +219,68 @@ mod tests {
         }
     }
 
-    fn visit(n: u64) -> VisitResult {
+    /// A failed visit, made distinct by its duration.
+    pub(crate) fn visit(n: u64) -> VisitResult {
         let mut v = VisitResult::failed(Url::parse("https://www.a.com/").unwrap());
         v.duration_ms = n;
         v
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("wmtree-bundle-writer-{name}"));
+    /// A scratch path for the test `name`, emptied.
+    pub(crate) fn tmp(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wmtree-bundle-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
+    /// Two sites: `a.com` visited by both profiles with two distinct
+    /// payloads, then `b.com` reusing the first payload (a dedup hit).
+    pub(crate) fn write_small(dir: &Path, finish: bool) {
+        let mut w = BundleWriter::create(dir, meta()).unwrap();
+        let (va, vb) = (visit(1), visit(2));
+        let page = |site: &str| format!("https://www.{site}/");
+        w.append_site(
+            "a.com",
+            vec![(page("a.com"), 0, &va), (page("a.com"), 1, &vb)],
+        )
+        .unwrap();
+        w.append_site("b.com", vec![(page("b.com"), 0, &va)])
+            .unwrap();
+        if finish {
+            w.finish().unwrap();
+        } else {
+            w.suspend().unwrap();
+        }
+    }
+
+    /// Append a correctly framed object entry for `visit` under the address
+    /// `hash` to the last object segment and pin it in the manifest.
+    /// Returns the new line's number and start offset.
+    pub(crate) fn forge_object(dir: &Path, hash: u64, visit: VisitResult) -> (usize, u64) {
+        let mut manifest = Manifest::load(dir).unwrap();
+        let entry = serde_json::to_string(&ObjectEntry {
+            hash: to_hex(hash),
+            visit,
+        })
+        .unwrap();
+        let line = format!("{} {entry}", to_hex(line_checksum(entry.as_bytes())));
+        let m = manifest.object_segments.last_mut().unwrap();
+        let seg = dir.join(&m.name);
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let offset = bytes.len() as u64;
+        bytes.extend_from_slice(format!("{line}\n").as_bytes());
+        std::fs::write(&seg, &bytes).unwrap();
+        m.chain = to_hex(chain_fold(from_hex(&m.chain).unwrap(), line.as_bytes()));
+        m.records += 1;
+        let line_no = m.records as usize;
+        manifest.objects += 1;
+        manifest.store(dir).unwrap();
+        (line_no, offset)
+    }
+
     #[test]
     fn create_refuses_existing_bundle() {
-        let dir = tmp("exists");
+        let dir = tmp("writer-exists");
         let w = BundleWriter::create(&dir, meta()).unwrap();
         drop(w);
         assert!(matches!(
@@ -361,7 +291,7 @@ mod tests {
 
     #[test]
     fn dedup_shares_identical_payloads() {
-        let dir = tmp("dedup");
+        let dir = tmp("writer-dedup");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
         // Both profiles see the identical payload → one object, one hit.
@@ -384,7 +314,7 @@ mod tests {
 
     #[test]
     fn resume_recovers_sites_and_visits_and_index() {
-        let dir = tmp("resume");
+        let dir = tmp("writer-resume");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
         w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
@@ -406,7 +336,7 @@ mod tests {
 
     #[test]
     fn resume_rejects_wrong_meta() {
-        let dir = tmp("wrongmeta");
+        let dir = tmp("writer-wrongmeta");
         let w = BundleWriter::create(&dir, meta()).unwrap();
         drop(w);
         let mut other = meta();
@@ -419,26 +349,64 @@ mod tests {
 
     #[test]
     fn resume_truncates_uncommitted_tail() {
-        let dir = tmp("tail");
+        let dir = tmp("writer-tail");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
         w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
             .unwrap();
         w.suspend().unwrap();
-        // Simulate a crash mid-site: trailing garbage past the commit.
-        let seg = dir.join("visits-000.seg");
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let committed_len = bytes.len();
-        bytes.extend_from_slice(b"0000000000000000 {\"torn\":true}\n");
-        std::fs::write(&seg, &bytes).unwrap();
+        // Simulate a crash mid-site: torn records past the commit in
+        // both logs, and a stray segment from a rotation.
+        let mut committed = Vec::new();
+        for name in ["visits-000.seg", "objects-000.seg"] {
+            let seg = dir.join(name);
+            let mut bytes = std::fs::read(&seg).unwrap();
+            committed.push((seg.clone(), bytes.len() as u64));
+            bytes.extend_from_slice(b"0000000000000000 {\"torn\":tr");
+            std::fs::write(&seg, &bytes).unwrap();
+        }
+        let stray = dir.join("visits-001.seg");
+        std::fs::write(&stray, b"junk\n").unwrap();
 
         let (w2, state) = BundleWriter::resume(&dir, meta()).unwrap();
         drop(w2);
         assert_eq!(state.visits.len(), 1);
-        assert_eq!(
-            std::fs::read(&seg).unwrap().len(),
-            committed_len,
-            "uncommitted tail must be truncated"
+        for (seg, len) in committed {
+            assert_eq!(
+                std::fs::metadata(&seg).unwrap().len(),
+                len,
+                "uncommitted tail of {} must be truncated",
+                seg.display()
+            );
+        }
+        assert!(!stray.exists(), "stray segment must be deleted");
+    }
+
+    #[test]
+    fn resume_refuses_corruption_and_truncates_nothing() {
+        let dir = tmp("writer-refuse");
+        let mut w = BundleWriter::create(&dir, meta()).unwrap();
+        let v = visit(1);
+        w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
+            .unwrap();
+        w.suspend().unwrap();
+        // A torn tail on the visit log, and a flipped byte inside the
+        // committed object log: the object log fails after the visit log
+        // verified, and neither file may be cut.
+        let visits = dir.join("visits-000.seg");
+        let mut bytes = std::fs::read(&visits).unwrap();
+        bytes.extend_from_slice(b"torn");
+        std::fs::write(&visits, &bytes).unwrap();
+        let objects = dir.join("objects-000.seg");
+        let mut obj = std::fs::read(&objects).unwrap();
+        obj[30] ^= 1;
+        std::fs::write(&objects, &obj).unwrap();
+
+        let err = BundleWriter::resume(&dir, meta()).unwrap_err();
+        assert!(
+            matches!(&err, BundleError::Corrupt { segment, .. } if segment == "objects-000.seg"),
+            "{err}"
         );
+        assert_eq!(std::fs::read(&visits).unwrap(), bytes, "nothing truncated");
     }
 }

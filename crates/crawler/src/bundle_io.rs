@@ -9,7 +9,7 @@
 use crate::db::{CrawlDb, PageKey};
 use std::path::Path;
 use wmtree_browser::VisitResult;
-use wmtree_bundle::{BundleError, BundleMeta, BundleReader, BundleWriter, Manifest};
+use wmtree_bundle::{read_visits, BundleError, BundleMeta, BundleWriter, Manifest};
 
 /// The canonical append order of a database's visits: pages in
 /// `(site, url)` order, profiles in index order — the same order
@@ -55,26 +55,15 @@ pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manife
     writer.finish()
 }
 
-/// Rebuild a database from a bundle, streaming record by record (the
-/// whole archive is never held in memory twice). Works on partial
+/// Rebuild a database from a bundle through the loader resume shares,
+/// verifying every committed record on the way. Works on partial
 /// bundles too — they rebuild the checkpointed prefix.
 pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
     let _span = wmtree_telemetry::span("bundle.read_db");
-    let reader = BundleReader::open(dir)?;
-    let n_profiles = reader.manifest().meta.n_profiles;
-    let mut db = CrawlDb::new(n_profiles);
-    for item in reader.visits() {
-        let bv = item?;
-        if bv.profile >= n_profiles {
-            return Err(BundleError::ManifestMismatch {
-                segment: "visits".to_string(),
-                detail: format!(
-                    "profile index {} out of range (bundle has {n_profiles} profiles)",
-                    bv.profile
-                ),
-            });
-        }
-        // The reader verified the content address against the payload,
+    let manifest = Manifest::load(dir)?;
+    let mut db = CrawlDb::new(manifest.meta.n_profiles);
+    read_visits(dir, &manifest, |bv| {
+        // The loader verified the content address against the payload,
         // so the hash is vouched-for: downstream tree caching keys off
         // it without re-hashing.
         db.insert_hashed(
@@ -86,7 +75,7 @@ pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
             bv.visit,
             bv.object,
         );
-    }
+    })?;
     Ok(db)
 }
 
@@ -142,6 +131,42 @@ mod tests {
         let a = serde_json::to_string(&db).unwrap();
         let b = serde_json::to_string(&back).unwrap();
         assert_eq!(a, b, "bundle round-trip must be the identity");
+    }
+
+    /// Rewrite the lines of a bundle's last object segment, leaving the
+    /// manifest describing the original bytes.
+    fn tamper_last_object_segment(dir: &Path, edit: impl FnOnce(&mut Vec<String>)) -> String {
+        let manifest = Manifest::load(dir).unwrap();
+        let name = manifest.object_segments.last().unwrap().name.clone();
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        edit(&mut lines);
+        std::fs::write(dir.join(&name), lines.join("\n") + "\n").unwrap();
+        name
+    }
+
+    #[test]
+    fn tampered_last_object_segment_is_rejected() {
+        let db = small_db();
+        let swapped = tmp("swapped");
+        write_bundle(&db, &swapped, meta()).unwrap();
+        let name = tamper_last_object_segment(&swapped, |lines| lines.swap(0, 1));
+        let err = read_bundle(&swapped).expect_err("swapped lines must not read back");
+        assert!(err.to_string().contains(&name), "{err}");
+
+        let recased = tmp("recased");
+        write_bundle(&db, &recased, meta()).unwrap();
+        let name = tamper_last_object_segment(&recased, |lines| {
+            let line = lines
+                .iter_mut()
+                .find(|l| l[..16].contains(char::is_alphabetic))
+                .unwrap();
+            let at = line[..16].find(char::is_alphabetic).unwrap();
+            let upper = line[at..at + 1].to_uppercase();
+            line.replace_range(at..at + 1, &upper);
+        });
+        let err = read_bundle(&recased).expect_err("a re-cased checksum must not read back");
+        assert!(err.to_string().contains(&name), "{err}");
     }
 
     #[test]

@@ -312,37 +312,12 @@ pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnosti
     let mut out = Vec::new();
     for issue in &report.issues {
         match issue {
-            wmtree_bundle::VerifyIssue::Corrupt {
-                segment,
-                line,
-                offset,
-                detail,
-            } => out.push(
-                Diagnostic::artifact(
-                    Code("WM0231"),
-                    Severity::Error,
-                    format!("{origin}:{segment}:{line}"),
-                    detail.clone(),
-                )
-                .with_note(format!("record starts at byte offset {offset}")),
-            ),
-            wmtree_bundle::VerifyIssue::ManifestMismatch { segment, detail } => {
-                out.push(Diagnostic::artifact(
-                    Code("WM0231"),
-                    Severity::Error,
-                    format!("{origin}:{segment}"),
-                    format!("manifest disagreement: {detail}"),
-                ));
-            }
-            wmtree_bundle::VerifyIssue::TrailingBytes { segment, bytes } => out.push(
-                Diagnostic::artifact(
-                    Code("WM0231"),
-                    Severity::Warning,
-                    format!("{origin}:{segment}"),
-                    format!("{bytes} uncommitted byte(s) past the committed region"),
-                )
-                .with_note("crash leftovers; resuming the crawl truncates them"),
-            ),
+            wmtree_bundle::VerifyIssue::Segment(defect) => out.push(segment_diagnostic(
+                Code("WM0231"),
+                origin,
+                defect,
+                "resuming the crawl",
+            )),
             wmtree_bundle::VerifyIssue::DanglingObject {
                 segment,
                 line,
@@ -396,6 +371,44 @@ pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnosti
     Ok(out)
 }
 
+/// A segment-log defect as a diagnostic under `code`: bundles (WM0231)
+/// and tree caches (WM0244) share the framing, so they share this
+/// mapping. `recovery` names what truncates crash leftovers.
+fn segment_diagnostic(
+    code: Code,
+    origin: &str,
+    defect: &wmtree_bundle::SegmentDefect,
+    recovery: &str,
+) -> Diagnostic {
+    match defect {
+        wmtree_bundle::SegmentDefect::Corrupt {
+            segment,
+            line,
+            offset,
+            detail,
+        } => Diagnostic::artifact(
+            code,
+            Severity::Error,
+            format!("{origin}:{segment}:{line}"),
+            detail.clone(),
+        )
+        .with_note(format!("record starts at byte offset {offset}")),
+        wmtree_bundle::SegmentDefect::ManifestMismatch { segment, detail } => Diagnostic::artifact(
+            code,
+            Severity::Error,
+            format!("{origin}:{segment}"),
+            format!("manifest disagreement: {detail}"),
+        ),
+        wmtree_bundle::SegmentDefect::TrailingBytes { segment, bytes } => Diagnostic::artifact(
+            code,
+            Severity::Warning,
+            format!("{origin}:{segment}"),
+            format!("{bytes} uncommitted byte(s) past the committed region"),
+        )
+        .with_note(format!("crash leftovers; {recovery} truncates them")),
+    }
+}
+
 /// Check a tree/site cache directory (`WM0244`–`WM0246`), as written
 /// next to a bundle by the incremental replay path (`TREECACHE/`).
 /// Maps [`wmtree_tree::verify_cache`]'s read-only scan to diagnostics:
@@ -408,28 +421,15 @@ pub fn check_tree_cache(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagn
     let mut out = Vec::new();
     for issue in &report.issues {
         match issue {
-            wmtree_tree::CacheVerifyIssue::Corrupt {
-                segment,
-                line,
-                detail,
-            } => out.push(
-                Diagnostic::artifact(
-                    Code("WM0244"),
-                    Severity::Error,
-                    format!("{origin}:{segment}:{line}"),
-                    detail.clone(),
-                )
-                .with_note("a corrupt cache is discarded and rebuilt on the next open"),
-            ),
-            wmtree_tree::CacheVerifyIssue::TrailingBytes { segment, bytes } => out.push(
-                Diagnostic::artifact(
-                    Code("WM0244"),
-                    Severity::Warning,
-                    format!("{origin}:{segment}"),
-                    format!("{bytes} uncommitted byte(s) past the committed region"),
-                )
-                .with_note("crash leftovers; the next cache open truncates them"),
-            ),
+            wmtree_tree::CacheVerifyIssue::Segment(defect) => {
+                let diag =
+                    segment_diagnostic(Code("WM0244"), origin, defect, "the next cache open");
+                out.push(if diag.severity == Severity::Error {
+                    diag.with_note("a corrupt cache is discarded and rebuilt on the next open")
+                } else {
+                    diag
+                });
+            }
             wmtree_tree::CacheVerifyIssue::BadRecord {
                 segment,
                 line,
@@ -1098,6 +1098,17 @@ mod tests {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code.as_str(), "WM0234");
         assert_eq!(diags[0].severity, Severity::Warning);
+    }
+
+    #[test]
+    fn stray_segment_warns_wm0231() {
+        let dir = small_bundle("stray", true);
+        std::fs::write(dir.join("objects-001.seg"), b"junk").expect("write stray");
+        let diags = check_bundle(&dir, "b").expect("scan");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code.as_str(), "WM0231");
+        assert_eq!(diags[0].severity, Severity::Warning);
+        assert!(diags[0].location.display().contains("objects-001.seg"));
     }
 
     #[test]

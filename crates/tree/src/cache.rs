@@ -30,17 +30,15 @@
 use crate::tree::{DepTree, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::atomic::{atomic_replace, temp_sibling};
 use wmtree_bundle::error::BundleError;
-use wmtree_bundle::hash::{chain_fold, chain_start, from_hex, object_hash, to_hex};
+use wmtree_bundle::hash::{from_hex, object_hash, to_hex};
 use wmtree_bundle::manifest::DEFAULT_SEGMENT_CAPACITY;
-use wmtree_bundle::segment::{
-    decode_line, segment_name, verify_and_truncate, verify_line, LogWriter,
-};
-use wmtree_bundle::SegmentMeta;
+use wmtree_bundle::segment::{LogScan, LogWriter, RecordLoc, Scanned};
+use wmtree_bundle::{SegmentDefect, SegmentMeta};
 use wmtree_net::ResourceType;
 use wmtree_url::Party;
 
@@ -105,12 +103,8 @@ struct CacheState {
     /// Hashes whose trees are durably in the tree log (loaded from a
     /// committed segment or appended this run). Site records may only
     /// reference these — a reference to a memory-only tree would
-    /// dangle after reopen. Survives memory-tier eviction.
+    /// dangle after reopen.
     disk: HashSet<u64>,
-    /// Insertion order of `trees` keys — FIFO eviction order.
-    order: VecDeque<u64>,
-    /// In-memory tree entry cap; `None` = unbounded.
-    mem_capacity: Option<usize>,
     /// site-delta hash → opaque payload line.
     sites: HashMap<u64, std::sync::Arc<str>>,
     /// Append handles; `None` for an in-memory cache or after a disk
@@ -150,8 +144,6 @@ impl TreeCache {
             state: Mutex::new(CacheState {
                 trees: HashMap::new(),
                 disk: HashSet::new(),
-                order: VecDeque::new(),
-                mem_capacity: None,
                 sites: HashMap::new(),
                 logs: None,
             }),
@@ -211,32 +203,22 @@ impl TreeCache {
             }
         };
 
+        // Fail-fast over both logs; leftovers are cut only once both
+        // verified, and any defect discards the cache.
         let mut trees = HashMap::new();
-        let mut order = VecDeque::new();
-        verify_and_truncate(dir, TREES_PREFIX, &tree_metas, |loc, payload| {
-            let (hash, tree) = decode_tree(payload).map_err(|detail| BundleError::Corrupt {
-                segment: loc.segment.clone(),
-                line: loc.line,
-                offset: loc.offset,
-                detail,
-            })?;
-            if trees.insert(hash, tree).is_none() {
-                order.push_back(hash);
-            }
-            Ok(())
-        })?;
-
+        let mut tree_log = LogScan::new(dir, TREES_PREFIX, &tree_metas);
+        while let Some((loc, payload)) = tree_log.next_record()? {
+            let (hash, tree) = decode_tree(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
+            trees.insert(hash, tree);
+        }
         let mut sites = HashMap::new();
-        verify_and_truncate(dir, SITES_PREFIX, &site_metas, |loc, payload| {
-            let (key, body) = decode_site(payload).map_err(|detail| BundleError::Corrupt {
-                segment: loc.segment.clone(),
-                line: loc.line,
-                offset: loc.offset,
-                detail,
-            })?;
+        let mut site_log = LogScan::new(dir, SITES_PREFIX, &site_metas);
+        while let Some((loc, payload)) = site_log.next_record()? {
+            let (key, body) = decode_site(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
             sites.insert(key, std::sync::Arc::from(body));
-            Ok(())
-        })?;
+        }
+        tree_log.truncate()?;
+        site_log.truncate()?;
 
         let logs = Some((
             LogWriter::resume(dir, TREES_PREFIX, DEFAULT_SEGMENT_CAPACITY, tree_metas),
@@ -250,8 +232,6 @@ impl TreeCache {
             state: Mutex::new(CacheState {
                 trees,
                 disk,
-                order,
-                mem_capacity: None,
                 sites,
                 logs,
             }),
@@ -276,15 +256,6 @@ impl TreeCache {
     /// Number of site records currently held in memory.
     pub fn site_count(&self) -> usize {
         self.state.lock().sites.len()
-    }
-
-    /// Cap the in-memory tree tier at `n` entries (FIFO eviction,
-    /// counted by `tree.cache.evict`). Disk records are append-only and
-    /// unaffected. `None` removes the cap.
-    pub fn set_mem_capacity(&self, n: Option<usize>) {
-        let mut state = self.state.lock();
-        state.mem_capacity = n;
-        evict_over_capacity(&mut state);
     }
 
     /// Look up the tree for a visit content hash. Counts
@@ -315,8 +286,6 @@ impl TreeCache {
             }
         }
         state.trees.insert(hash, tree.clone());
-        state.order.push_back(hash);
-        evict_over_capacity(&mut state);
     }
 
     /// Is this tree durably in the tree log (committed, or appended
@@ -406,19 +375,6 @@ fn append_line(state: &mut CacheState, which: Log, line: &str) -> bool {
         return false;
     }
     true
-}
-
-fn evict_over_capacity(state: &mut CacheState) {
-    let Some(cap) = state.mem_capacity else {
-        return;
-    };
-    while state.trees.len() > cap {
-        let Some(oldest) = state.order.pop_front() else {
-            break;
-        };
-        state.trees.remove(&oldest);
-        wmtree_telemetry::counter!("tree.cache.evict").inc();
-    }
 }
 
 /// Remove a cache directory's manifest and segment files (targeted —
@@ -571,23 +527,10 @@ fn decode_site(payload: &str) -> Result<(u64, &str), String> {
 #[derive(Debug)]
 pub enum CacheVerifyIssue {
     /// Framing, checksum, chain, or manifest disagreement — the
-    /// integrity layer shared with `crates/bundle` segment logs.
-    Corrupt {
-        /// Segment (or manifest) file name.
-        segment: String,
-        /// One-based line number; 0 for whole-file defects.
-        line: usize,
-        /// Human-readable defect.
-        detail: String,
-    },
-    /// Uncommitted bytes past the committed region — crash leftovers
-    /// that the next [`TreeCache::open`] truncates away.
-    TrailingBytes {
-        /// Segment file name.
-        segment: String,
-        /// Bytes past the committed region.
-        bytes: u64,
-    },
+    /// integrity layer shared with `crates/bundle` segment logs — or
+    /// uncommitted leftovers ([`SegmentDefect::TrailingBytes`]) that the
+    /// next [`TreeCache::open`] truncates away.
+    Segment(SegmentDefect),
     /// A record verifies at the framing layer but its hash key or
     /// payload does not decode into a valid cache entry.
     BadRecord {
@@ -629,121 +572,23 @@ impl CacheVerifyReport {
     }
 }
 
-/// Walk one committed segment log read-only, verifying line checksums,
-/// per-segment chains, and record counts; feed every verified payload
-/// to `on_payload` (which may report a semantic defect); flag
-/// uncommitted trailing bytes and stray segments past the committed
-/// set.
-fn scan_log(
+/// Lenient scan of one cache log: every framing defect lands in
+/// `issues`, and `on_record` judges each verified record.
+fn scan_lenient(
     dir: &Path,
-    prefix: &str,
+    prefix: &'static str,
     metas: &[SegmentMeta],
     issues: &mut Vec<CacheVerifyIssue>,
-    mut on_payload: impl FnMut(&str, usize, &str) -> Option<CacheVerifyIssue>,
-) {
-    use std::io::BufRead;
-    for meta in metas {
-        let path = dir.join(&meta.name);
-        let file = match std::fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                issues.push(CacheVerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line: 0,
-                    detail: format!("cannot open segment: {e}"),
-                });
-                continue;
-            }
-        };
-        let mut reader = std::io::BufReader::new(file);
-        let mut consumed: u64 = 0;
-        let mut chain = chain_start();
-        let mut broken = false;
-        for line_no in 1..=meta.records as usize {
-            let mut buf = Vec::new();
-            let read = match reader.read_until(b'\n', &mut buf) {
-                Ok(n) => n,
-                Err(e) => {
-                    issues.push(CacheVerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line: line_no,
-                        detail: format!("read error: {e}"),
-                    });
-                    broken = true;
-                    break;
-                }
-            };
-            if read == 0 {
-                issues.push(CacheVerifyIssue::Corrupt {
-                    segment: meta.name.clone(),
-                    line: line_no,
-                    detail: format!(
-                        "file ends after {} record(s), manifest declares {}",
-                        line_no - 1,
-                        meta.records
-                    ),
-                });
-                broken = true;
-                break;
-            }
-            consumed += read as u64;
-            match decode_line(&buf).and_then(verify_line) {
-                Ok(payload) => {
-                    let trimmed = buf.strip_suffix(b"\n").unwrap_or(&buf);
-                    chain = chain_fold(chain, trimmed);
-                    if let Some(issue) = on_payload(&meta.name, line_no, payload) {
-                        issues.push(issue);
-                    }
-                }
-                Err(detail) => {
-                    issues.push(CacheVerifyIssue::Corrupt {
-                        segment: meta.name.clone(),
-                        line: line_no,
-                        detail,
-                    });
-                    broken = true;
-                    break;
-                }
-            }
-        }
-        if broken {
-            continue;
-        }
-        if to_hex(chain) != meta.chain {
-            issues.push(CacheVerifyIssue::Corrupt {
-                segment: meta.name.clone(),
-                line: 0,
-                detail: format!(
-                    "segment chain is {}, manifest declares {}",
-                    to_hex(chain),
-                    meta.chain
-                ),
-            });
-        }
-        if let Ok(md) = std::fs::metadata(&path) {
-            if md.len() > consumed {
-                issues.push(CacheVerifyIssue::TrailingBytes {
-                    segment: meta.name.clone(),
-                    bytes: md.len() - consumed,
-                });
-            }
+    mut on_record: impl FnMut(&RecordLoc, &str) -> Option<CacheVerifyIssue>,
+) -> Result<(), String> {
+    let mut log = LogScan::new(dir, prefix, metas);
+    while let Some(item) = log.next_item() {
+        match item.map_err(|e| e.to_string())? {
+            Scanned::Defect(defect) => issues.push(CacheVerifyIssue::Segment(defect)),
+            Scanned::Record(loc, payload) => issues.extend(on_record(&loc, payload)),
         }
     }
-    // Stray segments past the committed set (crash before commit).
-    let mut idx = metas.len();
-    loop {
-        let name = segment_name(prefix, idx);
-        match std::fs::metadata(dir.join(&name)) {
-            Ok(md) => {
-                issues.push(CacheVerifyIssue::TrailingBytes {
-                    segment: name,
-                    bytes: md.len(),
-                });
-                idx += 1;
-            }
-            Err(_) => break,
-        }
-    }
+    Ok(())
 }
 
 /// Read-only integrity + semantic scan of a cache directory, for
@@ -766,11 +611,9 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
         Ok(text) => match serde_json::from_str(&text) {
             Ok(m) => Some(m),
             Err(e) => {
-                report.issues.push(CacheVerifyIssue::Corrupt {
-                    segment: CACHE_MANIFEST_FILE.to_string(),
-                    line: 1,
-                    detail: format!("cache manifest does not parse: {e}"),
-                });
+                report.issues.push(manifest_defect(format!(
+                    "cache manifest does not parse: {e}"
+                )));
                 None
             }
         },
@@ -778,21 +621,16 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
     let (tree_metas, site_metas) = match &manifest {
         Some(m) => {
             if m.version != CACHE_VERSION {
-                report.issues.push(CacheVerifyIssue::Corrupt {
-                    segment: CACHE_MANIFEST_FILE.to_string(),
-                    line: 1,
-                    detail: format!(
-                        "cache format version {} (this build reads {CACHE_VERSION})",
-                        m.version
-                    ),
-                });
+                report.issues.push(manifest_defect(format!(
+                    "cache format version {} (this build reads {CACHE_VERSION})",
+                    m.version
+                )));
             }
             if from_hex(&m.fingerprint).is_none() {
-                report.issues.push(CacheVerifyIssue::Corrupt {
-                    segment: CACHE_MANIFEST_FILE.to_string(),
-                    line: 1,
-                    detail: format!("malformed cache fingerprint {:?}", m.fingerprint),
-                });
+                report.issues.push(manifest_defect(format!(
+                    "malformed cache fingerprint {:?}",
+                    m.fingerprint
+                )));
             }
             (m.trees.clone(), m.sites.clone())
         }
@@ -801,85 +639,86 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
 
     let mut seen_trees: HashSet<u64> = HashSet::new();
     let mut tree_records = 0usize;
-    scan_log(
+    scan_lenient(
         dir,
         TREES_PREFIX,
         &tree_metas,
         &mut report.issues,
-        |segment, line, payload| match decode_tree(payload) {
-            Ok((hash, _tree)) => {
-                if seen_trees.insert(hash) {
-                    tree_records += 1;
-                    None
-                } else {
-                    Some(CacheVerifyIssue::Sparse {
-                        segment: segment.to_string(),
-                        line,
-                        detail: format!("duplicate tree record for hash {}", to_hex(hash)),
-                    })
-                }
+        |loc, payload| match decode_tree(payload) {
+            Err(detail) => Some(bad_record(loc, detail)),
+            Ok((hash, _)) if !seen_trees.insert(hash) => Some(sparse(
+                loc,
+                format!("duplicate tree record for hash {}", to_hex(hash)),
+            )),
+            Ok(_) => {
+                tree_records += 1;
+                None
             }
-            Err(detail) => Some(CacheVerifyIssue::BadRecord {
-                segment: segment.to_string(),
-                line,
-                detail,
-            }),
         },
-    );
+    )?;
 
     let mut seen_sites: HashSet<u64> = HashSet::new();
     let mut site_records = 0usize;
-    scan_log(
+    scan_lenient(
         dir,
         SITES_PREFIX,
         &site_metas,
         &mut report.issues,
-        |segment, line, payload| match decode_site(payload) {
-            Ok((key, body)) => {
-                if !seen_sites.insert(key) {
-                    Some(CacheVerifyIssue::Sparse {
-                        segment: segment.to_string(),
-                        line,
-                        detail: format!("duplicate site record for key {}", to_hex(key)),
-                    })
-                } else if body.is_empty() {
-                    Some(CacheVerifyIssue::Sparse {
-                        segment: segment.to_string(),
-                        line,
-                        detail: "empty site record payload".to_string(),
-                    })
-                } else {
-                    match serde_json::from_str::<serde_json::Value>(body) {
-                        Err(_) => Some(CacheVerifyIssue::BadRecord {
-                            segment: segment.to_string(),
-                            line,
-                            detail: "site record payload is not valid JSON".to_string(),
-                        }),
-                        Ok(v) => match dangling_tree_ref(&v, &seen_trees) {
-                            Some(detail) => Some(CacheVerifyIssue::BadRecord {
-                                segment: segment.to_string(),
-                                line,
-                                detail,
-                            }),
-                            None => {
-                                site_records += 1;
-                                None
-                            }
-                        },
-                    }
-                }
+        |loc, payload| {
+            let (key, body) = match decode_site(payload) {
+                Ok(record) => record,
+                Err(detail) => return Some(bad_record(loc, detail)),
+            };
+            if !seen_sites.insert(key) {
+                let detail = format!("duplicate site record for key {}", to_hex(key));
+                return Some(sparse(loc, detail));
             }
-            Err(detail) => Some(CacheVerifyIssue::BadRecord {
-                segment: segment.to_string(),
-                line,
-                detail,
-            }),
+            if body.is_empty() {
+                return Some(sparse(loc, "empty site record payload".into()));
+            }
+            let Ok(v) = serde_json::from_str::<serde_json::Value>(body) else {
+                return Some(bad_record(
+                    loc,
+                    "site record payload is not valid JSON".into(),
+                ));
+            };
+            if let Some(detail) = dangling_tree_ref(&v, &seen_trees) {
+                return Some(bad_record(loc, detail));
+            }
+            site_records += 1;
+            None
         },
-    );
+    )?;
 
     report.tree_records = tree_records;
     report.site_records = site_records;
     Ok(report)
+}
+
+fn bad_record(loc: &RecordLoc, detail: String) -> CacheVerifyIssue {
+    CacheVerifyIssue::BadRecord {
+        segment: loc.segment.clone(),
+        line: loc.line,
+        detail,
+    }
+}
+
+fn sparse(loc: &RecordLoc, detail: String) -> CacheVerifyIssue {
+    CacheVerifyIssue::Sparse {
+        segment: loc.segment.clone(),
+        line: loc.line,
+        detail,
+    }
+}
+
+/// A defect of `CACHE.json` itself, located at its one line.
+fn manifest_defect(detail: String) -> CacheVerifyIssue {
+    CacheVerifyIssue::Segment(SegmentDefect::Corrupt {
+        segment: CACHE_MANIFEST_FILE.to_string(),
+        line: 1,
+        offset: 0,
+        detail,
+    })
 }
 
 /// Site records store trees as content-hash references into the tree
@@ -1070,6 +909,8 @@ mod tests {
         let committed = bytes.len();
         bytes.extend_from_slice(b"0123 half-written rec");
         std::fs::write(&seg, &bytes).unwrap();
+        let stray = dir.join("sites-000.seg");
+        std::fs::write(&stray, b"never committed").unwrap();
 
         let cache = TreeCache::open(&dir, 4);
         assert_eq!(cache.tree_count(), 1, "committed prefix survives");
@@ -1078,6 +919,8 @@ mod tests {
             committed as u64,
             "crash leftovers are truncated"
         );
+        assert!(!stray.exists(), "stray segments are deleted");
+        assert!(verify_cache(&dir).expect("scan").is_clean());
     }
 
     #[test]
@@ -1110,7 +953,10 @@ mod tests {
         let report = verify_cache(&dir).expect("scan");
         assert!(matches!(
             report.issues.as_slice(),
-            [CacheVerifyIssue::TrailingBytes { bytes: 21, .. }]
+            [CacheVerifyIssue::Segment(SegmentDefect::TrailingBytes {
+                bytes: 21,
+                ..
+            })]
         ));
 
         // A flipped byte inside the committed region is corruption
@@ -1122,7 +968,8 @@ mod tests {
         assert!(
             report.issues.iter().any(|i| matches!(
                 i,
-                CacheVerifyIssue::Corrupt { segment, line: 1, .. } if segment == "trees-000.seg"
+                CacheVerifyIssue::Segment(SegmentDefect::Corrupt { segment, line: 1, .. })
+                    if segment == "trees-000.seg"
             )),
             "{:?}",
             report.issues
@@ -1222,20 +1069,6 @@ mod tests {
             !cache.is_tree_persisted(h),
             "no tree log, so site records must not reference it"
         );
-    }
-
-    #[test]
-    fn fifo_eviction_counts() {
-        let cache = TreeCache::in_memory(5);
-        cache.set_mem_capacity(Some(2));
-        let visits = sample_visits(3);
-        let hashes: Vec<u64> = visits.iter().map(|v| visit_hash(v).unwrap()).collect();
-        for (v, h) in visits.iter().zip(&hashes) {
-            cache.insert_tree(*h, &build_tree(v, None, &TreeConfig::default()));
-        }
-        assert_eq!(cache.tree_count(), 2);
-        assert!(cache.get_tree(hashes[0]).is_none(), "oldest evicted first");
-        assert!(cache.get_tree(hashes[2]).is_some());
     }
 
     #[test]
