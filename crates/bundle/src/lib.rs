@@ -3,9 +3,10 @@
 //! A *bundle* is an on-disk archive of one crawl run:
 //!
 //! - **Object store** — every [`wmtree_browser::VisitResult`] payload is
-//!   serialized canonically, content-addressed with a stable 64-bit
-//!   hash, and stored exactly once. Identical visit outcomes (common
-//!   for failure records and idle profiles) are deduplicated.
+//!   serialized canonically, once, content-addressed with a 64-bit hash
+//!   of exactly those bytes, and stored exactly once. Identical visit
+//!   outcomes (common for failure records and idle profiles) are
+//!   deduplicated.
 //! - **Visit log** — an append-only sequence of small reference records
 //!   `(site, url, profile, object-hash)` plus per-site *checkpoint*
 //!   records, framed one per line with a checksum header.
@@ -21,11 +22,12 @@
 //!
 //! Segment logs have one reader, [`segment::LogScan`], which yields
 //! records and framing defects alike. Replay ([`read_visits`]) and
-//! [`BundleWriter::resume`] share one fail-fast loader over it: the
-//! first defect surfaces as an error naming the segment, line, and byte
-//! offset. [`verify_bundle`], the check behind `wmtree-lint
-//! check-artifacts`, scans the same way but leniently, collecting every
-//! defect.
+//! [`BundleWriter::resume`] share one fail-fast loader over it, which
+//! reads each log once and moves every stored payload into the visits
+//! that reference it: the first defect surfaces as an error naming the
+//! segment, line, and byte offset. [`verify_bundle`], the check behind
+//! `wmtree-lint check-artifacts`, scans the same way but leniently,
+//! collecting every defect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Manifest file name within a bundle directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -239,16 +239,39 @@ mod tests {
     #[test]
     fn version_gate() {
         let dir = tmp("version");
-        let mut m = Manifest::new(meta(), 64);
-        m.version = 99;
-        m.store(&dir).unwrap();
-        assert!(matches!(
-            Manifest::load(&dir),
-            Err(BundleError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
+        // Version 1 bundles used other content addresses and checksums.
+        for version in [1, 99] {
+            let mut m = Manifest::new(meta(), 64);
+            m.version = version;
+            m.store(&dir).unwrap();
+            assert!(matches!(
+                Manifest::load(&dir),
+                Err(BundleError::UnsupportedVersion {
+                    found,
+                    supported: FORMAT_VERSION
+                }) if found == version
+            ));
+        }
+    }
+
+    #[test]
+    fn type_error_names_the_field_and_its_byte_offset() {
+        let dir = tmp("typeerr");
+        Manifest::new(meta(), 64).store(&dir).unwrap();
+        let path = dir.join(MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path)
+            .unwrap()
+            .replace("\"checkpoints\":0", "\"checkpoints\":\"30\"");
+        std::fs::write(&path, &text).unwrap();
+        let offset = text.find("\"30\"").unwrap();
+        let msg = Manifest::load(&dir).unwrap_err().to_string();
+        assert!(msg.contains(MANIFEST_FILE), "names the file: {msg}");
+        assert!(
+            msg.contains(&format!(
+                "field `checkpoints`: expected integer at byte {offset}"
+            )),
+            "names the field and offset: {msg}"
+        );
     }
 
     #[test]

@@ -2,17 +2,20 @@
 //! `wmtree-crawler`, through [`read_visits`]) and by
 //! [`BundleWriter::resume`](crate::BundleWriter::resume).
 //!
-//! Both logs are read fail-fast through [`LogScan`]. The visit log
-//! drives: each object is resolved when a visit record first references
-//! it (the writer appends an object *before* its first reference, so one
-//! forward pass over both logs suffices, holding only the unique
-//! payloads in memory), and the object log is then read to its end so
-//! every committed record and chain is verified. Visits reach the
-//! caller site by site, at each checkpoint.
+//! Both logs are read fail-fast through [`LogScan`], each exactly once.
+//! The visit log comes first: it is small (coordinates and content
+//! addresses only), and reading it whole tells the loader which visits
+//! reference each object. The object log is then streamed, and each
+//! object is moved into the last visit that references it; only the
+//! earlier references of a deduplicated payload get clones. No payload
+//! is held twice, and nothing reaches the caller before every committed
+//! record, chain, count and reference has been checked.
 
 use crate::error::BundleError;
 use crate::manifest::Manifest;
-use crate::record::{duplicate_object, BadRecord, BundleVisit, LogEntry, ObjectEntry, Record};
+use crate::record::{
+    duplicate_object, BadRecord, BundleVisit, LogEntry, ObjectEntry, Record, VisitRef,
+};
 use crate::segment::{LogScan, RecordLoc, SegmentDefect};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,32 +92,44 @@ pub(crate) struct Loaded {
     pub(crate) logs: [LogScan; 2],
 }
 
+/// One visit record of the log, waiting for its payload.
+struct Pending {
+    loc: RecordLoc,
+    visit: VisitRef,
+    object: u64,
+    payload: Option<VisitResult>,
+}
+
 /// Read and verify every committed record of the bundle at `dir`:
 /// checksums, chains, content addresses, profile indices, references,
-/// counts and the checkpoint boundary. Each checkpointed visit goes to
-/// `sink` in log order. Crash leftovers past the committed region are
-/// skipped; any other defect is an error naming where it is.
+/// counts and the checkpoint boundary. Then each checkpointed visit
+/// goes to `sink` in log order. Crash leftovers past the committed
+/// region are skipped; any other defect is an error naming where it is.
 pub(crate) fn load(
     dir: &Path,
     manifest: &Manifest,
     mut sink: impl FnMut(BundleVisit),
 ) -> Result<Loaded, BundleError> {
-    let mut visits = LogScan::new(dir, VISITS_PREFIX, &manifest.visit_segments);
-    let mut objects = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
+    let mut visit_log = LogScan::new(dir, VISITS_PREFIX, &manifest.visit_segments);
+    let mut object_log = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
     let n_profiles = manifest.meta.n_profiles;
-    let mut store: BTreeMap<u64, VisitResult> = BTreeMap::new();
-    let mut referenced: BTreeSet<u64> = BTreeSet::new();
+    let mut visits: Vec<Pending> = Vec::new();
+    // Visits before the last checkpoint.
+    let mut committed = 0;
     let mut sites = BTreeSet::new();
-    let mut pending: Vec<BundleVisit> = Vec::new();
     let mut tally = Tally::default();
-    while let Some((loc, payload)) = visits.next_record()? {
-        let (vr, hash) = match Record::decode(payload, n_profiles) {
-            Ok(LogEntry::Visit(vr, hash)) => (vr, hash),
+    while let Some((loc, payload)) = visit_log.next_record()? {
+        match Record::decode(payload, n_profiles) {
+            Ok(LogEntry::Visit(visit, object)) => visits.push(Pending {
+                loc,
+                visit,
+                object,
+                payload: None,
+            }),
             Ok(LogEntry::Checkpoint(cp)) => {
                 tally.checkpoints += 1;
                 sites.insert(cp.site);
-                pending.drain(..).for_each(&mut sink);
-                continue;
+                committed = visits.len();
             }
             Err(BadRecord::Corrupt(detail)) => {
                 return Err(SegmentDefect::corrupt(&loc, detail).into())
@@ -125,66 +140,72 @@ pub(crate) fn load(
                 );
                 return Err(SegmentDefect::corrupt(&loc, detail).into());
             }
-        };
-        tally.visit_records += 1;
-        let visit = loop {
-            if let Some(visit) = store.get(&hash) {
-                break visit.clone();
+        }
+    }
+    tally.visit_records = visits.len() as u64;
+    tally.pending = (visits.len() - committed) as u64;
+
+    // The visits that reference each object, in log order.
+    let mut wanted: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    for (i, pending) in visits.iter().enumerate() {
+        wanted.entry(pending.object).or_default().push(i);
+    }
+    let mut index = BTreeSet::new();
+    let mut orphan = None;
+    while let Some((loc, payload)) = object_log.next_record()? {
+        let (hash, payload) =
+            ObjectEntry::decode(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
+        if !index.insert(hash) {
+            return Err(SegmentDefect::corrupt(&loc, duplicate_object(hash)).into());
+        }
+        match wanted.remove(&hash).as_deref() {
+            Some([earlier @ .., last]) => {
+                for &i in earlier {
+                    visits[i].payload = Some(payload.clone());
+                }
+                visits[*last].payload = Some(payload);
             }
-            let Some((loc, payload)) = objects.next_record()? else {
-                return Err(BundleError::DanglingObject {
-                    segment: loc.segment,
-                    line: loc.line,
-                    object: vr.object,
-                });
-            };
-            store_object(&mut store, &loc, payload)?;
-        };
-        referenced.insert(hash);
-        pending.push(BundleVisit {
-            site: vr.site,
-            url: vr.url,
-            profile: vr.profile,
-            object: hash,
-            visit,
+            _ => {
+                orphan.get_or_insert(hash);
+            }
+        }
+    }
+    if let Some(dangling) = visits.iter().find(|p| p.payload.is_none()) {
+        return Err(BundleError::DanglingObject {
+            segment: dangling.loc.segment.clone(),
+            line: dangling.loc.line,
+            object: dangling.visit.object.clone(),
         });
     }
-    while let Some((loc, payload)) = objects.next_record()? {
-        store_object(&mut store, &loc, payload)?;
-    }
-    tally.pending = pending.len() as u64;
-    tally.objects = store.len() as u64;
+    tally.objects = index.len() as u64;
     if let Some(defect) = tally.defects(manifest).into_iter().next() {
         return Err(defect.into());
     }
-    if let Some(orphan) = store.keys().find(|h| !referenced.contains(h)) {
+    if let Some(orphan) = orphan {
         return Err(BundleError::ManifestMismatch {
             segment: OBJECTS_PREFIX.to_string(),
             detail: format!(
                 "object {} is stored but never referenced",
-                crate::hash::to_hex(*orphan)
+                crate::hash::to_hex(orphan)
             ),
         });
     }
+    for pending in visits.into_iter().take(committed) {
+        if let Some(visit) = pending.payload {
+            sink(BundleVisit {
+                site: pending.visit.site,
+                url: pending.visit.url,
+                profile: pending.visit.profile,
+                object: pending.object,
+                visit,
+            });
+        }
+    }
     Ok(Loaded {
         sites,
-        index: store.into_keys().collect(),
-        logs: [visits, objects],
+        index,
+        logs: [visit_log, object_log],
     })
-}
-
-/// Decode one object entry into the store; a second entry for the same
-/// address is corruption.
-fn store_object(
-    store: &mut BTreeMap<u64, VisitResult>,
-    loc: &RecordLoc,
-    payload: &str,
-) -> Result<(), BundleError> {
-    let (hash, visit) = ObjectEntry::decode(payload).map_err(|d| SegmentDefect::corrupt(loc, d))?;
-    if store.insert(hash, visit).is_some() {
-        return Err(SegmentDefect::corrupt(loc, duplicate_object(hash)).into());
-    }
-    Ok(())
 }
 
 /// Replay a bundle: load and verify every committed record of the

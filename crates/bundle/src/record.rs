@@ -43,6 +43,13 @@ pub struct Checkpoint {
 /// One entry of the object store: a content hash and the payload it
 /// addresses. The hash is stored redundantly so a reader can verify the
 /// content address without re-deriving which record referenced it.
+///
+/// On disk an entry is exactly `{"hash":"<16 hex>","visit":<canonical>}`,
+/// the compact serialization of this struct, where `<canonical>` is the
+/// compact serialization of the visit — the very bytes the hash covers.
+/// The writer stores it from those bytes, and the reader verifies the
+/// hash on them before parsing them, so an object is serialized once
+/// and parsed once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObjectEntry {
     /// Content hash (hex) of the canonical serialization of `visit`.
@@ -51,27 +58,39 @@ pub struct ObjectEntry {
     pub visit: VisitResult,
 }
 
+/// What an object entry holds before its content address.
+const ENTRY_HEAD: &str = "{\"hash\":\"";
+/// What separates the content address from the payload.
+const ENTRY_VISIT: &str = "\",\"visit\":";
+
 impl ObjectEntry {
+    /// The object-store payload for the visit whose canonical
+    /// serialization `canonical` hashes to `hash`.
+    pub(crate) fn encode(hash: u64, canonical: &str) -> String {
+        format!("{ENTRY_HEAD}{}{ENTRY_VISIT}{canonical}}}", to_hex(hash))
+    }
+
     /// Decode one object-store payload into its content address and
-    /// visit, re-verifying the address against the payload's canonical
-    /// serialization. The error describes the defect; the caller knows
+    /// visit: check the address against the raw payload bytes, then
+    /// parse them. The error describes the defect; the caller knows
     /// where the record is.
     pub(crate) fn decode(payload: &str) -> Result<(u64, VisitResult), String> {
-        let entry: ObjectEntry =
-            serde_json::from_str(payload).map_err(|e| format!("unparseable object entry: {e}"))?;
-        let hash = from_hex(&entry.hash)
-            .ok_or_else(|| format!("malformed object hash `{}`", entry.hash))?;
-        let canonical = serde_json::to_string(&entry.visit)
-            .map_err(|e| format!("payload does not re-serialize: {e}"))?;
+        let (hex, canonical) = payload
+            .strip_prefix(ENTRY_HEAD)
+            .and_then(|rest| rest.split_once(ENTRY_VISIT))
+            .and_then(|(hex, rest)| Some((hex, rest.strip_suffix('}')?)))
+            .ok_or("malformed object entry: expected {\"hash\":\"<hex>\",\"visit\":<payload>}")?;
+        let hash = from_hex(hex).ok_or_else(|| format!("malformed object hash `{hex}`"))?;
         let actual = object_hash(canonical.as_bytes());
         if actual != hash {
             return Err(format!(
-                "content address mismatch: entry says {}, payload hashes to {}",
-                entry.hash,
+                "content address mismatch: entry says {hex}, payload hashes to {}",
                 to_hex(actual)
             ));
         }
-        Ok((hash, entry.visit))
+        let visit = serde_json::from_str(canonical)
+            .map_err(|e| format!("unparseable visit payload: {e}"))?;
+        Ok((hash, visit))
     }
 }
 
@@ -178,5 +197,47 @@ mod tests {
         let json = serde_json::to_string(&entry).unwrap();
         let back: ObjectEntry = serde_json::from_str(&json).unwrap();
         assert_eq!(back, entry);
+    }
+
+    #[test]
+    fn encode_is_the_serialized_entry_and_decodes_back() {
+        let visit = VisitResult::failed(Url::parse("https://www.a.com/\"q\"").unwrap());
+        let canonical = serde_json::to_string(&visit).unwrap();
+        let hash = object_hash(canonical.as_bytes());
+        let payload = ObjectEntry::encode(hash, &canonical);
+        let entry = ObjectEntry {
+            hash: to_hex(hash),
+            visit: visit.clone(),
+        };
+        assert_eq!(payload, serde_json::to_string(&entry).unwrap());
+        assert_eq!(ObjectEntry::decode(&payload).unwrap(), (hash, visit));
+    }
+
+    #[test]
+    fn decode_checks_the_raw_bytes() {
+        let visit = VisitResult::failed(Url::parse("https://www.a.com/").unwrap());
+        let canonical = serde_json::to_string(&visit).unwrap();
+        let hash = object_hash(canonical.as_bytes());
+        // The same visit spelled with a space hashes differently: the
+        // address covers the stored bytes, not what they parse to.
+        let spaced = ObjectEntry::encode(hash, &canonical.replacen(':', ": ", 1));
+        let err = ObjectEntry::decode(&spaced).unwrap_err();
+        assert!(err.contains("content address mismatch"), "{err}");
+        // Framing defects are named, never a panic.
+        for bad in [
+            "",
+            "{}",
+            "{\"hash\":\"0123\"",
+            "{\"hash\":\"zzzzzzzzzzzzzzzz\",\"visit\":{}}",
+            "{\"visit\":{},\"hash\":\"0123456789abcdef\"}",
+            "{\"hash\":\"0123456789abcdef\",\"visit\":{}",
+        ] {
+            assert!(ObjectEntry::decode(bad).is_err(), "{bad}");
+        }
+        // A payload that hashes right but does not parse as a visit.
+        let junk = "{\"page_url\":1}";
+        let entry = ObjectEntry::encode(object_hash(junk.as_bytes()), junk);
+        let err = ObjectEntry::decode(&entry).unwrap_err();
+        assert!(err.contains("unparseable visit payload"), "{err}");
     }
 }

@@ -135,17 +135,14 @@ impl BundleWriter {
         let _span = wmtree_telemetry::span("bundle.checkpoint"); // wmtree-lint: allow(WM0301)
         let mut count = 0usize;
         for (url, profile, visit) in visits {
+            // One serialization per visit: the bytes hashed are the
+            // bytes stored.
             let canonical = serde_json::to_string(visit)
                 .map_err(|e| BundleError::json("serializing visit payload", e))?;
             let hash = object_hash(canonical.as_bytes());
             if self.index.insert(hash) {
-                let entry = ObjectEntry {
-                    hash: to_hex(hash),
-                    visit: visit.clone(),
-                };
-                let payload = serde_json::to_string(&entry)
-                    .map_err(|e| BundleError::json("serializing object entry", e))?;
-                self.objects.append(&payload)?;
+                self.objects
+                    .append(&ObjectEntry::encode(hash, &canonical))?;
                 self.manifest.objects += 1;
                 wmtree_telemetry::counter!("bundle.objects.stored").inc();
             } else {

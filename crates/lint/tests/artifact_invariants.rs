@@ -8,7 +8,7 @@
 //! and each corruption must surface as the right diagnostic code.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize, Value};
+use serde::Value;
 use wmtree_browser::{Browser, BrowserConfig};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_lint::artifact::check_dep_tree;
@@ -79,7 +79,7 @@ fn corrupt_node<F>(tree: &DepTree, node: usize, f: F) -> DepTree
 where
     F: FnOnce(&mut [(String, Value)]),
 {
-    let mut v = tree.serialize_value();
+    let mut v = serde_json::to_value(tree).expect("tree serializes");
     {
         let Value::Map(fields) = &mut v else {
             panic!("tree serializes to a map")
@@ -97,7 +97,7 @@ where
         };
         f(node_fields);
     }
-    Deserialize::deserialize_value(&v).expect("corrupted tree still deserializes")
+    serde_json::from_value(v).expect("corrupted tree still deserializes")
 }
 
 /// Overwrite one named field of a node.

@@ -1,7 +1,7 @@
 //! Content-hash memoized trees: never build the same visit twice.
 //!
 //! The bundle object store already content-addresses identical
-//! [`VisitResult`] payloads (`stable_hash` over the canonical JSON), so
+//! [`VisitResult`] payloads (a 64-bit hash of the canonical JSON), so
 //! a visit's content hash is a ready-made memoization key for the tree
 //! built from it: `build_tree` is a pure function of the visit, the
 //! filter list, and the [`crate::TreeConfig`]. [`TreeCache`] maps that
@@ -43,7 +43,7 @@ use wmtree_net::ResourceType;
 use wmtree_url::Party;
 
 /// Cache format version this build reads and writes.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 
 /// Manifest file name within a cache directory.
 pub const CACHE_MANIFEST_FILE: &str = "CACHE.json";
@@ -855,6 +855,33 @@ mod tests {
         }
         let cache = TreeCache::open(&dir, 2);
         assert_eq!(cache.tree_count(), 0, "different fingerprint starts empty");
+        assert!(cache.is_disk_backed());
+    }
+
+    #[test]
+    fn older_format_version_discards() {
+        let dir = tmp("version");
+        {
+            let cache = TreeCache::open(&dir, 5);
+            let v = &sample_visits(1)[0];
+            cache.insert_tree(
+                visit_hash(v).unwrap(),
+                &build_tree(v, None, &TreeConfig::default()),
+            );
+            cache.commit().unwrap();
+        }
+        // A cache written by the previous format (other line checksums
+        // and content addresses) is rebuilt, never read.
+        let path = dir.join(CACHE_MANIFEST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let old = text.replace(
+            &format!("\"version\":{CACHE_VERSION}"),
+            &format!("\"version\":{}", CACHE_VERSION - 1),
+        );
+        assert_ne!(old, text);
+        std::fs::write(&path, old).unwrap();
+        let cache = TreeCache::open(&dir, 5);
+        assert_eq!(cache.tree_count(), 0, "an older version starts empty");
         assert!(cache.is_disk_backed());
     }
 

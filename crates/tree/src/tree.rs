@@ -63,14 +63,14 @@ pub struct DepTree {
 // Hand-written delegation so the serialized form stays exactly the
 // pre-`Arc` layout: a map with `nodes` and `by_key`.
 impl Serialize for DepTree {
-    fn serialize_value(&self) -> serde::Value {
-        self.inner.serialize_value()
+    fn serialize(&self, out: &mut serde::Writer) {
+        self.inner.serialize(out);
     }
 }
 
 impl Deserialize for DepTree {
-    fn deserialize_value(v: &serde::Value) -> Result<DepTree, serde::Error> {
-        TreeInner::deserialize_value(v).map(|inner| DepTree {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<DepTree, serde::Error> {
+        TreeInner::deserialize(input).map(|inner| DepTree {
             inner: Arc::new(inner),
         })
     }
