@@ -2,13 +2,13 @@
 
 use crate::index::PageIndex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use wmtree_browser::VisitResult;
-use wmtree_crawler::{CrawlDb, HashedVisit, PageKey};
+use wmtree_crawler::{CrawlDb, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_net::cookie::{CookieId, SecurityAttributes};
-use wmtree_tree::{build_tree, visit_hash, DepTree, TreeCache, TreeConfig};
+use wmtree_tree::{build_tree, DepTree, TreeConfig};
 
 /// A cookie as compared across profiles: RFC 6265 identity plus the
 /// security attributes (§5.2).
@@ -86,12 +86,10 @@ pub struct ExperimentData {
 
 impl ExperimentData {
     /// Build the analysis input from a crawl database: apply the
-    /// all-profiles vetting rule, construct every tree, and collect
-    /// cookie observations. Tree builds fan out over `workers` scoped
-    /// threads, deduplicated through an ephemeral in-run memo (content
-    /// hashes the database already knows — bundle replays know them
-    /// all, live crawls none). Results are identical for any worker
-    /// count.
+    /// all-profiles vetting rule, construct every tree
+    /// ([`build_trees`]), and assemble the pages
+    /// ([`from_vetted`](Self::from_vetted)). Results are identical for
+    /// any worker count.
     ///
     /// `site_meta` optionally maps a site to `(rank, bucket label)` for
     /// the popularity analysis.
@@ -103,39 +101,24 @@ impl ExperimentData {
         site_meta: &BTreeMap<String, (u32, String)>,
         workers: usize,
     ) -> ExperimentData {
-        Self::from_vetted(
-            &db.vetted_pages_hashed(),
-            profile_names,
-            filter_list,
-            tree_config,
-            site_meta,
-            workers,
-            None,
-        )
+        let vetted = db.vetted_pages();
+        let visits: Vec<&VisitResult> =
+            vetted.iter().flat_map(|(_, v)| v.iter().copied()).collect();
+        let trees = build_trees(&visits, filter_list, tree_config, workers);
+        Self::from_vetted(&vetted, trees, profile_names, site_meta, workers)
     }
 
-    /// [`from_db_parallel`](Self::from_db_parallel) over pages already
-    /// vetted — any subset of a database's
-    /// [`vetted_pages_hashed`](CrawlDb::vetted_pages_hashed), in its
-    /// order — consulting a [`TreeCache`]: visits whose content hash is
-    /// already memoized skip `build_tree` entirely, and freshly built
-    /// trees are inserted for the next run. With `cache: None`, an
-    /// ephemeral in-memory memo still deduplicates identical visits
-    /// *within* the run.
-    ///
-    /// The pipeline is phased so its observable effects are
-    /// worker-count invariant (DESIGN.md §9): parallel phases do pure
-    /// slot-per-item work (hashing, building, assembling); all cache
-    /// lookups, hit/miss accounting, and disk appends happen in
-    /// sequential phases in canonical page order.
+    /// Assemble the analysis input from vetted pages — a database's
+    /// [`vetted_pages`](CrawlDb::vetted_pages), in its order — and the
+    /// trees of their visits in (page, profile) order: cookies, site
+    /// metadata, and the per-page index, pre-warmed in parallel over
+    /// `workers` scoped threads.
     pub fn from_vetted(
-        vetted: &[(&PageKey, Vec<HashedVisit<'_>>)],
+        vetted: &[(&PageKey, Vec<&VisitResult>)],
+        trees: Vec<DepTree>,
         profile_names: Vec<String>,
-        filter_list: Option<&FilterList>,
-        tree_config: &TreeConfig,
         site_meta: &BTreeMap<String, (u32, String)>,
         workers: usize,
-        cache: Option<&TreeCache>,
     ) -> ExperimentData {
         // Intern each site's strings once, up front, so workers share
         // one `Arc` per site instead of cloning per page.
@@ -150,111 +133,15 @@ impl ExperimentData {
             });
         }
 
-        // Flatten to per-visit jobs: ~n_profiles× more items than
-        // per-page chunking and far more uniform (one tree each), so
-        // the fan-out engages at smaller scales and no worker gets
-        // stuck behind a chunk of heavyweight pages.
-        let mut jobs: Vec<(usize, &VisitResult, Option<u64>)> =
-            Vec::with_capacity(vetted.len() * profile_names.len().max(1));
-        for (pi, (_, visits)) in vetted.iter().enumerate() {
-            for (v, h) in visits {
-                jobs.push((pi, v, *h));
-            }
-        }
-
-        // Phase 1 (parallel): content-hash visits that arrived without
-        // one — only worthwhile when a persistent cache can reuse the
-        // key across runs; the ephemeral memo sticks to the hashes the
-        // database already vouches for.
-        let hashes: Vec<Option<u64>> = if cache.is_some() {
-            crate::par::par_map_min(&jobs, workers, crate::par::MIN_VISITS_PER_WORKER, |j| {
-                j.2.or_else(|| visit_hash(j.1))
-            })
-        } else {
-            jobs.iter().map(|j| j.2).collect()
-        };
-        let ephemeral;
-        let cache: &TreeCache = match cache {
-            Some(c) => c,
-            None => {
-                ephemeral = TreeCache::in_memory(0);
-                &ephemeral
-            }
-        };
-
-        // Phase 2 (sequential): resolve every job against the cache in
-        // job order — hit/miss counters and the builder/follower plan
-        // are therefore identical for every worker count.
-        let mut resolved: Vec<Option<DepTree>> = Vec::with_capacity(jobs.len());
-        let mut to_build: Vec<usize> = Vec::new();
-        let mut planned: HashMap<u64, usize> = HashMap::new();
-        let mut followers: Vec<(usize, usize)> = Vec::new();
-        for (i, h) in hashes.iter().enumerate() {
-            let slot = match h {
-                Some(h) => match cache.get_tree(*h) {
-                    Some(tree) => Some(tree),
-                    None => {
-                        match planned.get(h) {
-                            // Same unseen hash earlier in this run:
-                            // share the one build.
-                            Some(&builder) => followers.push((i, builder)),
-                            None => {
-                                planned.insert(*h, i);
-                                to_build.push(i);
-                            }
-                        }
-                        None
-                    }
-                },
-                // Unhashable visit: built fresh, never memoized.
-                None => {
-                    to_build.push(i);
-                    None
-                }
-            };
-            resolved.push(slot);
-        }
-
-        // Phase 3 (parallel): build only the unique missing trees.
-        let built: Vec<DepTree> = crate::par::par_map_min(
-            &to_build,
-            workers,
-            crate::par::MIN_VISITS_PER_WORKER,
-            |&i| build_tree(jobs[i].1, filter_list, tree_config),
-        );
-
-        // Phase 4 (sequential): memoize the fresh trees — the disk
-        // log's append order is the canonical job order — and fill the
-        // remaining slots with O(1) clones.
-        for (&i, tree) in to_build.iter().zip(&built) {
-            if let Some(h) = hashes[i] {
-                cache.insert_tree(h, tree);
-            }
-            resolved[i] = Some(tree.clone());
-        }
-        for (i, builder) in followers {
-            resolved[i] = resolved[builder].clone();
-        }
-
-        // Phase 5 (parallel): per-page assembly — cookies, site
-        // metadata, and the pre-warmed per-page index.
-        let mut page_inputs = Vec::with_capacity(vetted.len());
-        let mut offset = 0usize;
-        for (page, visits) in vetted {
-            page_inputs.push((page, visits, offset));
-            offset += visits.len();
-        }
-        let pages = crate::par::par_map(&page_inputs, workers, |(page, visits, offset)| {
-            let trees: Vec<DepTree> = (0..visits.len())
-                .map(|k| {
-                    resolved[offset + k]
-                        .clone()
-                        .expect("phases 2–4 fill every slot") // wmtree-lint: allow(WM0105)
-                })
-                .collect();
+        let mut trees = trees.into_iter();
+        let page_inputs: Vec<_> = vetted
+            .iter()
+            .map(|(page, visits)| (page, visits, trees.by_ref().take(visits.len()).collect()))
+            .collect();
+        let pages = crate::par::par_map(&page_inputs, workers, |(page, visits, trees)| {
             let cookies: Vec<Vec<CookieObservation>> = visits
                 .iter()
-                .map(|(v, _)| {
+                .map(|v| {
                     v.cookies
                         .iter()
                         .map(|c| CookieObservation {
@@ -270,7 +157,7 @@ impl ExperimentData {
                 page.url.clone(),
                 meta.as_ref().map(|(r, _)| *r),
                 meta.as_ref().map(|(_, b)| Arc::clone(b)),
-                trees,
+                Vec::clone(trees),
                 cookies,
             );
             analysis.index(); // pre-warm in the worker
@@ -297,6 +184,21 @@ impl ExperimentData {
     pub fn tree_count(&self) -> usize {
         self.pages.iter().map(|p| p.trees.len()).sum()
     }
+}
+
+/// Build one tree per visit, in order, fanned out over `workers` scoped
+/// threads. The fan-out unit is the visit — ~n_profiles× more items
+/// than pages and far more uniform (one tree each) — so it engages at
+/// smaller scales and no worker gets stuck behind a heavyweight page.
+pub fn build_trees(
+    visits: &[&VisitResult],
+    filter_list: Option<&FilterList>,
+    tree_config: &TreeConfig,
+    workers: usize,
+) -> Vec<DepTree> {
+    crate::par::par_map_min(visits, workers, crate::par::MIN_VISITS_PER_WORKER, |v| {
+        build_tree(v, filter_list, tree_config)
+    })
 }
 
 #[cfg(test)]
@@ -443,9 +345,9 @@ mod tests {
 
     #[test]
     fn cached_build_matches_cold_for_any_worker_count() {
-        // Cold (no cache), cold-populating, and fully warm builds must
-        // produce identical pages — the memoized path has to be
-        // indistinguishable from building every tree.
+        // A cache hit hands `from_vetted` trees built by an earlier run:
+        // the pages it assembles from them must be indistinguishable from
+        // a fresh build's, at any worker count.
         let data = testutil::experiment();
         let universe = wmtree_webgen::WebUniverse::generate(wmtree_webgen::UniverseConfig {
             seed: 61,
@@ -471,31 +373,29 @@ mod tests {
             .iter()
             .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
             .collect();
-        let cache = TreeCache::in_memory(0);
-        let vetted = db.vetted_pages_hashed();
-        for pass in 0..2 {
-            for workers in [1usize, 2, 8] {
-                let cached = ExperimentData::from_vetted(
-                    &vetted,
-                    names.clone(),
-                    Some(wmtree_filterlist::embedded::tracking_list()),
-                    &wmtree_tree::TreeConfig::default(),
-                    &site_meta,
-                    workers,
-                    Some(&cache),
-                );
-                assert_eq!(cached.pages.len(), data.pages.len());
-                for (a, b) in cached.pages.iter().zip(&data.pages) {
-                    assert_eq!(a.site, b.site, "pass {pass}, workers {workers}");
-                    assert_eq!(a.url, b.url);
-                    assert_eq!(a.cookies, b.cookies);
-                    assert_eq!(a.trees, b.trees, "pass {pass}, workers {workers}");
-                }
-            }
-            assert!(
-                cache.tree_count() > 0,
-                "cache must be populated after a cold pass"
+        let vetted = db.vetted_pages();
+        let prebuilt: Vec<DepTree> = data
+            .pages
+            .iter()
+            .flat_map(|p| p.trees.iter().cloned())
+            .collect();
+        for workers in [1usize, 2, 8] {
+            let cached = ExperimentData::from_vetted(
+                &vetted,
+                prebuilt.clone(),
+                names.clone(),
+                &site_meta,
+                workers,
             );
+            assert_eq!(cached.pages.len(), data.pages.len());
+            for (a, b) in cached.pages.iter().zip(&data.pages) {
+                assert_eq!(a.site, b.site, "workers {workers}");
+                assert_eq!(a.url, b.url);
+                assert_eq!(a.rank, b.rank);
+                assert_eq!(a.bucket, b.bucket);
+                assert_eq!(a.cookies, b.cookies);
+                assert_eq!(a.trees, b.trees, "workers {workers}");
+            }
         }
     }
 }

@@ -47,6 +47,6 @@ pub mod tracking;
 pub mod type_similarity;
 pub mod unique_nodes;
 
-pub use data::{CookieObservation, ExperimentData, PageAnalysis};
+pub use data::{build_trees, CookieObservation, ExperimentData, PageAnalysis};
 pub use node_similarity::{NodeSimilarity, PageNodeSimilarities};
 pub use partial::{MergeDigest, MergedAnalysis, PartialAccumulators, PartialMergeError};

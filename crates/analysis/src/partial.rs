@@ -21,13 +21,10 @@
 //! [`merge`]: PartialAccumulators::merge
 //! [`finish`]: PartialAccumulators::finish
 
-use crate::data::{CookieObservation, ExperimentData, PageAnalysis};
+use crate::data::{ExperimentData, PageAnalysis};
 use crate::node_similarity::PageNodeSimilarities;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 use wmtree_crawler::ProfileStats;
-use wmtree_tree::DepTree;
 
 /// Why two partial accumulators refused to merge, or a merged
 /// accumulator refused to finish.
@@ -149,11 +146,6 @@ impl PartialAccumulators {
         }
     }
 
-    /// The profile roster this accumulator was built for.
-    pub fn profile_names(&self) -> &[String] {
-        &self.profile_names
-    }
-
     /// Pages accumulated so far.
     pub fn page_count(&self) -> usize {
         self.pairs.len()
@@ -230,121 +222,6 @@ impl PartialAccumulators {
             sims,
             profile_stats: self.profile_stats,
             digest,
-        })
-    }
-}
-
-/// One page of the compact disk form of an accumulator
-/// ([`PartialAccumulators::to_cache_record`]): everything a
-/// [`PageAnalysis`] holds except the trees, which are stored as
-/// content-hash *references* into the tree cache's own log — they are
-/// the bulk of the bytes, the tree log already stores them in its
-/// dense codec, and rehydrating one is an O(1) arena clone.
-#[derive(Serialize, Deserialize)]
-struct CacheRecordPage {
-    site: String,
-    url: String,
-    rank: Option<u32>,
-    bucket: Option<String>,
-    trees: Vec<u64>,
-    cookies: Vec<Vec<CookieObservation>>,
-    sims: PageNodeSimilarities,
-}
-
-/// The compact disk form of one accumulator (one site, in practice).
-#[derive(Serialize, Deserialize)]
-struct CacheRecord {
-    profiles: Vec<String>,
-    pages: Vec<CacheRecordPage>,
-    stats: Vec<ProfileStats>,
-    discovered: usize,
-    successful: usize,
-    vetted: usize,
-}
-
-impl PartialAccumulators {
-    /// Serialize into the compact cache-record form: each page's trees
-    /// are replaced by their content-hash keys in the tree cache
-    /// (`tree_keys` is aligned with the accumulated pages, one key per
-    /// tree). Returns `None` when any key is missing — such an
-    /// accumulator is simply not disk-cached.
-    pub fn to_cache_record(&self, tree_keys: &[Vec<Option<u64>>]) -> Option<String> {
-        if tree_keys.len() != self.pairs.len() {
-            return None;
-        }
-        let mut pages = Vec::with_capacity(self.pairs.len());
-        for ((page, sims), keys) in self.pairs.iter().zip(tree_keys) {
-            if keys.len() != page.trees.len() {
-                return None;
-            }
-            let trees: Option<Vec<u64>> = keys.iter().copied().collect();
-            pages.push(CacheRecordPage {
-                site: page.site.to_string(),
-                url: page.url.clone(),
-                rank: page.rank,
-                bucket: page.bucket.as_deref().map(str::to_string),
-                trees: trees?,
-                cookies: page.cookies.clone(),
-                sims: sims.clone(),
-            });
-        }
-        serde_json::to_string(&CacheRecord {
-            profiles: self.profile_names.clone(),
-            pages,
-            stats: self.profile_stats.clone(),
-            discovered: self.pages_discovered,
-            successful: self.successful_visits,
-            vetted: self.vetted_sites,
-        })
-        .ok()
-    }
-
-    /// Rebuild an accumulator from its [`to_cache_record`] form,
-    /// resolving tree references through `lookup` (the tree cache).
-    /// `None` on any parse failure, profile-roster mismatch, or
-    /// unresolvable tree reference — callers then rebuild the site
-    /// from its visits, so a defective record costs time, never
-    /// correctness.
-    ///
-    /// [`to_cache_record`]: PartialAccumulators::to_cache_record
-    pub fn from_cache_record(
-        payload: &str,
-        profile_names: &[String],
-        mut lookup: impl FnMut(u64) -> Option<DepTree>,
-    ) -> Option<PartialAccumulators> {
-        let rec: CacheRecord = serde_json::from_str(payload).ok()?;
-        if rec.profiles.as_slice() != profile_names || rec.stats.len() != profile_names.len() {
-            return None;
-        }
-        // Re-intern site and bucket strings so rebuilt pages share one
-        // `Arc` per distinct string, like freshly built ones do.
-        let mut interned: BTreeMap<String, Arc<str>> = BTreeMap::new();
-        let intern = |s: String, interned: &mut BTreeMap<String, Arc<str>>| -> Arc<str> {
-            if let Some(a) = interned.get(&s) {
-                return Arc::clone(a);
-            }
-            let a: Arc<str> = Arc::from(s.as_str());
-            interned.insert(s, Arc::clone(&a));
-            a
-        };
-        let mut pairs = Vec::with_capacity(rec.pages.len());
-        for p in rec.pages {
-            let mut trees = Vec::with_capacity(p.trees.len());
-            for key in p.trees {
-                trees.push(lookup(key)?);
-            }
-            let site = intern(p.site, &mut interned);
-            let bucket = p.bucket.map(|b| intern(b, &mut interned));
-            let page = PageAnalysis::new(site, p.url, p.rank, bucket, trees, p.cookies);
-            pairs.push((page, p.sims));
-        }
-        Some(PartialAccumulators {
-            profile_names: rec.profiles,
-            pairs,
-            profile_stats: rec.stats,
-            pages_discovered: rec.discovered,
-            successful_visits: rec.successful,
-            vetted_sites: rec.vetted,
         })
     }
 }
@@ -477,43 +354,6 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("a.com"), "{err}");
-    }
-
-    #[test]
-    fn cache_record_roundtrip_is_identity() {
-        let pages = universe_pages();
-        let acc = shard_of(pages.clone(), 4);
-        // Key each tree by (page index, slot) so the lookup can hand
-        // back exactly the tree the record referenced.
-        let tree_keys: Vec<Vec<Option<u64>>> = (0..pages.len())
-            .map(|i| (0..3).map(|k| Some((i * 3 + k) as u64)).collect())
-            .collect();
-        let record = acc.to_cache_record(&tree_keys).expect("record");
-        let back = PartialAccumulators::from_cache_record(&record, &names(), |h| {
-            let (i, k) = ((h / 3) as usize, (h % 3) as usize);
-            Some(pages[i].trees[k].clone())
-        })
-        .expect("rebuild");
-        let a = back.finish(0).expect("finish");
-        let b = shard_of(pages.clone(), 4).finish(0).expect("finish");
-        assert_eq!(json(&a.data), json(&b.data));
-        assert_eq!(a.sims, b.sims);
-        assert_eq!(a.digest, b.digest);
-
-        // A roster mismatch or an unresolvable tree reference refuses
-        // (the caller rebuilds), never yields a wrong accumulator.
-        assert!(
-            PartialAccumulators::from_cache_record(&record, &["X".to_string()], |h| {
-                let (i, k) = ((h / 3) as usize, (h % 3) as usize);
-                Some(pages[i].trees[k].clone())
-            })
-            .is_none()
-        );
-        assert!(PartialAccumulators::from_cache_record(&record, &names(), |_| None).is_none());
-        // And a missing key refuses to serialize in the first place.
-        let mut missing = tree_keys.clone();
-        missing[0][0] = None;
-        assert!(acc.to_cache_record(&missing).is_none());
     }
 
     proptest! {

@@ -32,13 +32,67 @@
 //!
 //! Unless `--no-telemetry` is given, every run ends with a telemetry
 //! summary on stderr, and `--telemetry DIR` (or `--csv DIR`) writes the
-//! machine-readable manifest next to the exported tables. A numeric
-//! flag whose value is not a number exits 2 naming the flag.
+//! machine-readable manifest next to the exported tables. An unknown
+//! flag, a value flag without a value, or a numeric flag whose value is
+//! not a number exits 2 naming the flag.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use wmtree::{Experiment, ExperimentConfig, Report, Scale};
+
+/// Every flag of the main command: name, and whether it takes a value.
+const FLAGS: &[(&str, bool)] = &[
+    ("--help", false),
+    ("-h", false),
+    ("--scale", true),
+    ("--table", true),
+    ("--fig", true),
+    ("--case", true),
+    ("--json", true),
+    ("--csv", true),
+    ("--telemetry", true),
+    ("--no-telemetry", false),
+    ("--ablations", false),
+    ("--bundle", true),
+    ("--resume", false),
+    ("--max-sites", true),
+    ("--from-bundle", true),
+    ("--shards", true),
+    ("--shard-dir", true),
+    ("--plan-only", false),
+    ("--shard-id", true),
+    ("--merge-shards", true),
+    ("--workers", true),
+    ("--list-bundles", true),
+];
+
+/// Every flag of `repro serve`, as [`FLAGS`].
+const SERVE_FLAGS: &[(&str, bool)] = &[
+    ("--root", true),
+    ("--addr", true),
+    ("--http-workers", true),
+    ("--job-workers", true),
+    ("--cache", true),
+    ("--batch-sites", true),
+];
+
+/// Check `args` against a flag table: every argument is a known flag,
+/// and a value flag is followed by a value that is not itself a
+/// `--flag`. Anything else exits 2 with a message naming the flag.
+fn check_flags(args: &[String], table: &[(&str, bool)]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let Some(&(_, takes_value)) = table.iter().find(|(name, _)| name == arg) else {
+            eprintln!("[repro] unknown flag {arg:?} (see --help)");
+            std::process::exit(2);
+        };
+        if takes_value && rest.next().is_none_or(|value| value.starts_with("--")) {
+            eprintln!("[repro] {arg} needs a value");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// The value following `flag` in `args`, if any.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -65,9 +119,11 @@ fn main() {
 
     // `repro serve` hands the process over to the measurement service.
     if args.first().map(String::as_str) == Some("serve") {
+        check_flags(&args[1..], SERVE_FLAGS);
         serve(&args[1..]);
         return;
     }
+    check_flags(&args, FLAGS);
 
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
@@ -234,9 +290,9 @@ fn main() {
             }
         }
     } else if let Some(dir) = get("--from-bundle") {
-        // Replays go through the analysis cache next to the bundle:
-        // the first replay populates TREECACHE/, later replays of the
-        // unchanged bundle fold cached site accumulators. The results
+        // Replays go through the tree cache next to the bundle: the
+        // first replay populates TREECACHE/, later replays of the
+        // unchanged bundle take every site's trees from it. The results
         // are byte-identical to the uncached path either way.
         eprintln!("[repro] replaying analyses from bundle {dir} (no crawl)...");
         let cfg = config(scale);

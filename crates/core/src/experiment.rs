@@ -80,7 +80,7 @@ impl Experiment {
         let _span = wmtree_telemetry::span("experiment.generate");
         let mut sw = Stopwatch::start();
         let universe = WebUniverse::generate(config.universe);
-        let gen_wall = sw.lap("generate");
+        let gen_wall = sw.lap();
         Experiment {
             config,
             universe,
@@ -192,13 +192,12 @@ impl Experiment {
     }
 
     /// [`replay_from_bundle`](Experiment::replay_from_bundle) through
-    /// an [`AnalysisCache`]: unchanged sites fold their cached partial
-    /// accumulators without rebuilding a single tree, changed sites
-    /// rebuild with their trees memoized per visit, and the cache is
-    /// committed (appended records made durable) before returning. The
-    /// results are byte-identical to the uncached replay; the
-    /// [`IncrementalReplay`] wrapper additionally reports how much work
-    /// the cache absorbed.
+    /// an [`AnalysisCache`]: unchanged sites take their trees from their
+    /// cache records without building one, changed sites build theirs
+    /// and record them, and the cache is committed (appended records
+    /// made durable) before returning. The results are byte-identical
+    /// to the uncached replay; the [`IncrementalReplay`] wrapper
+    /// additionally reports how much work the cache absorbed.
     pub fn replay_from_bundle_cached(
         &self,
         dir: &Path,
@@ -314,8 +313,9 @@ impl Experiment {
 }
 
 /// A single database cannot contain duplicate pages or a foreign
-/// roster, so a fold that fails on one means a cache fed back
-/// inconsistent state — reported like cache corruption.
+/// roster, so its fold has nothing to conflict on; should one fail
+/// regardless, the replay reports it against its derived state rather
+/// than panicking.
 fn cache_fault(e: PartialMergeError) -> BundleError {
     BundleError::ManifestMismatch {
         segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
@@ -355,14 +355,14 @@ impl Fold<'_> {
     /// `read_bundle`. A run that reads several databases (the shard
     /// merge) sums their wall time under the first stage name.
     pub fn lap(&mut self, stage: &'static str) {
-        let wall = self.sw.lap(stage);
+        let wall = self.sw.lap();
         self.source.get_or_insert((stage, Duration::ZERO)).1 += wall;
     }
 
     /// Fold one crawl database in — through `cache` when given, which
-    /// is committed before returning — and drop it: vetting, trees,
-    /// analyses and crawl accounting of every site the cache does not
-    /// already hold ([`accumulate_cached`]).
+    /// is committed before returning — and drop it: vetting, trees (from
+    /// the cache where it holds them), analyses and crawl accounting
+    /// ([`accumulate_cached`]).
     pub fn add(
         &mut self,
         db: CrawlDb,
@@ -390,7 +390,7 @@ impl Fold<'_> {
         self.sites_rebuilt += fold.sites_rebuilt;
         self.sites_reused += fold.sites_reused;
         self.build_wall += fold.build_wall;
-        self.analyze_wall += self.sw.lap("fold").saturating_sub(fold.build_wall);
+        self.analyze_wall += self.sw.lap().saturating_sub(fold.build_wall);
         Ok(())
     }
 
@@ -402,7 +402,7 @@ impl Fold<'_> {
         progress: Option<&ProgressTracker>,
     ) -> Result<IncrementalReplay, PartialMergeError> {
         let merged = self.acc.finish(self.exp.config.workers)?;
-        self.analyze_wall += self.sw.lap("finish");
+        self.analyze_wall += self.sw.lap();
         let mut manifest = self.manifest;
         if let Some((stage, wall)) = self.source {
             manifest.push_stage(stage, wall);
@@ -510,7 +510,8 @@ mod tests {
         let plain = exp.replay_from_bundle(&dir).unwrap();
         let plain_report = crate::Report::generate(&plain);
 
-        let cache = crate::AnalysisCache::in_memory(exp.config());
+        let cache_dir = dir.join(wmtree_tree::cache::CACHE_DIR_NAME);
+        let cache = crate::AnalysisCache::open(&cache_dir, exp.config());
         let cold = exp.replay_from_bundle_cached(&dir, &cache).unwrap();
         assert_eq!(cold.sites_reused, 0, "empty cache reuses nothing");
         assert_eq!(cold.sites_rebuilt, cold.sites_total);

@@ -1,52 +1,46 @@
 //! Incremental re-analysis over bundle deltas.
 //!
-//! [`AnalysisCache`] extends the tree-level memoization of
-//! [`wmtree_tree::TreeCache`] with per-**site** partial accumulators
-//! ([`wmtree_analysis::PartialAccumulators`]): a site whose visit
-//! content hashes (and metadata) are unchanged between two bundles is
-//! never re-built or re-analyzed — its cached accumulator folds
-//! straight into the merge, exactly as an unchanged shard would in the
-//! out-of-core pipeline. Only sites whose *delta key* changed are
-//! rebuilt, and their trees still dedup through the tree cache.
+//! Building dependency trees is the one expensive step of a bundle
+//! replay; the analyses over them are cheap. [`AnalysisCache`] keeps
+//! every site's trees in a [`TreeCache`] next to the bundle, one
+//! self-contained record per site under the site's *delta key*, so a
+//! site whose visits are unchanged between two replays takes its trees
+//! from its record instead of building them. Everything after the trees
+//! — page assembly, analyses, crawl accounting — runs once over the
+//! whole database, the same code with or without a cache, so cached,
+//! incremental and cold runs render byte-identical reports (proven by
+//! `tests/treecache_identity.rs`).
 //!
 //! Everything is keyed by content, so invalidation is by construction:
 //!
-//! * a tree's key is the visit payload's content hash (the bundle
-//!   object store's address);
-//! * a site's key hashes the site's full visit roster — every page
-//!   URL, every per-profile slot (present/absent), every present
-//!   visit's content hash, plus the site's rank/bucket metadata;
+//! * a site's key hashes exactly what its trees depend on in the crawl
+//!   data — every page URL, every per-profile slot (present/absent),
+//!   every present visit's content hash (the bundle object store's
+//!   address);
 //! * the cache *fingerprint* ([`cache_fingerprint`]) covers everything
-//!   trees and analyses depend on besides the visits: tree config,
-//!   filter-list use, and the profile roster. A cache opened under a
-//!   different fingerprint starts empty.
-//!
-//! The cached path must be indistinguishable from the cold path. The
-//! per-site accumulators are exact — crawl accounting sums over sites,
-//! and [`PartialAccumulators::finish`] restores the canonical
-//! `(site, url)` order — so cached, incremental, and cold runs render
-//! byte-identical reports (proven by `tests/treecache_identity.rs`).
+//!   else trees depend on: tree config, filter-list use, and the
+//!   profile roster. A cache opened under a different fingerprint
+//!   starts empty.
 
 use crate::config::ExperimentConfig;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 use wmtree_analysis::node_similarity::analyze_all;
-use wmtree_analysis::{ExperimentData, PartialAccumulators, PartialMergeError};
+use wmtree_analysis::{build_trees, ExperimentData, PartialAccumulators, PartialMergeError};
+use wmtree_browser::VisitResult;
 use wmtree_bundle::hash::{object_hash, to_hex};
 use wmtree_bundle::BundleError;
-use wmtree_crawler::{CrawlDb, PageKey, ProfileStats};
+use wmtree_crawler::{CrawlDb, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::Stopwatch;
-use wmtree_tree::{CallStackMode, TreeCache, TreeConfig};
+use wmtree_tree::{CallStackMode, DepTree, TreeCache, TreeConfig};
 
 /// The cache fingerprint of a configuration: a content hash over
-/// everything a cached tree or site accumulator depends on *besides*
-/// the visit payloads — tree construction options, filter-list use,
-/// and the profile roster (slot order matters). Two configurations
-/// with the same fingerprint may share a cache; anything else opens it
-/// empty.
+/// everything a cached tree depends on *besides* the visit payloads —
+/// tree construction options, filter-list use, and the profile roster
+/// (slot order matters). Two configurations with the same fingerprint
+/// may share a cache; anything else opens it empty.
 pub fn cache_fingerprint(config: &ExperimentConfig) -> u64 {
     let mut canon = String::from("wmtree-cache-fp-v1");
     canon.push_str(if config.tree.normalize_urls {
@@ -70,20 +64,15 @@ pub fn cache_fingerprint(config: &ExperimentConfig) -> u64 {
     object_hash(canon.as_bytes())
 }
 
-/// Two-level analysis cache: memoized trees (via [`TreeCache`], memory
-/// and disk) plus per-site partial accumulators (a typed in-memory
-/// tier over the tree cache's opaque disk records). Open one next to a
-/// bundle and every replay through
+/// The trees of every site, cached on disk next to a bundle under the
+/// configuration's fingerprint. Open one next to a bundle and every
+/// replay through
 /// [`Experiment::replay_from_bundle_cached`][crate::Experiment::replay_from_bundle_cached]
-/// gets faster: first run populates, later runs of unchanged sites fold
-/// cached accumulators without building a single tree.
+/// gets faster: the first run builds and records every site's trees,
+/// later runs of unchanged sites take them from their records.
 #[derive(Debug)]
 pub struct AnalysisCache {
     trees: TreeCache,
-    /// Typed tier of the site records: parsed accumulators, shared
-    /// within the process so warm in-process replays skip even the
-    /// JSON parse (and keep their pre-built page indexes).
-    sites: Mutex<BTreeMap<u64, PartialAccumulators>>,
 }
 
 impl AnalysisCache {
@@ -93,95 +82,20 @@ impl AnalysisCache {
     pub fn open(dir: &Path, config: &ExperimentConfig) -> AnalysisCache {
         AnalysisCache {
             trees: TreeCache::open(dir, cache_fingerprint(config)),
-            sites: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// A memory-only cache (within-process reuse, nothing persisted).
-    pub fn in_memory(config: &ExperimentConfig) -> AnalysisCache {
-        AnalysisCache {
-            trees: TreeCache::in_memory(cache_fingerprint(config)),
-            sites: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The underlying tree cache.
-    pub fn tree_cache(&self) -> &TreeCache {
-        &self.trees
     }
 
     /// Commit appended records durably (atomic manifest rewrite).
     pub fn commit(&self) -> Result<(), BundleError> {
         self.trees.commit()
     }
-
-    fn sites_tier(&self) -> MutexGuard<'_, BTreeMap<u64, PartialAccumulators>> {
-        match self.sites.lock() {
-            Ok(guard) => guard,
-            // The tier is a plain map; a panic mid-access cannot leave
-            // it half-written in a way later reads would misread.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Look up a site accumulator by delta key: typed tier first, then
-    /// the disk records (lean form — trees stored as content-hash
-    /// references, rehydrated through the tree cache and promoted into
-    /// the typed tier). A record whose references no longer resolve is
-    /// simply a miss: the site rebuilds from its visits.
-    fn get_site_acc(&self, key: u64, profile_names: &[String]) -> Option<PartialAccumulators> {
-        if let Some(acc) = self.sites_tier().get(&key) {
-            if acc.profile_names() == profile_names {
-                wmtree_telemetry::counter!("tree.cache.site.hit").inc();
-                return Some(acc.clone());
-            }
-        }
-        let payload = self.trees.get_site(key)?;
-        let acc = PartialAccumulators::from_cache_record(&payload, profile_names, |h| {
-            self.trees.get_tree(h)
-        })?;
-        self.sites_tier().insert(key, acc.clone());
-        Some(acc)
-    }
-
-    /// Cache a freshly built site accumulator. `tree_keys` holds each
-    /// page's visit content hashes, aligned with the accumulator's
-    /// pages and their trees. The disk record stores only these
-    /// references, so it is written just when every key is known *and*
-    /// its tree is durably in the tree log (a reference to a
-    /// memory-only tree would dangle after reopen); the typed tier
-    /// keeps the full accumulator either way for in-process reuse.
-    fn insert_site_acc(&self, key: u64, acc: &PartialAccumulators, tree_keys: &[Vec<Option<u64>>]) {
-        let persisted = tree_keys
-            .iter()
-            .flatten()
-            .all(|k| k.is_some_and(|h| self.trees.is_tree_persisted(h)));
-        if persisted {
-            if let Some(payload) = acc.to_cache_record(tree_keys) {
-                self.trees.insert_site(key, &payload);
-            }
-        }
-        self.sites_tier().insert(key, acc.clone());
-    }
 }
 
 /// The delta key of one site: a content hash over the site's complete
-/// visit roster and metadata. `None` when any present visit lacks a
-/// content hash (live-crawl data) — such a site is simply rebuilt.
-fn site_delta_key(
-    db: &CrawlDb,
-    site: &str,
-    pages: &[&PageKey],
-    meta: Option<&(u32, String)>,
-) -> Option<u64> {
-    let mut canon = String::from("wmtree-site-acc-v1|");
-    canon.push_str(site);
-    if let Some((rank, bucket)) = meta {
-        canon.push_str("|meta:");
-        canon.push_str(&rank.to_string());
-        canon.push(':');
-        canon.push_str(bucket);
-    }
+/// visit roster. `None` when any present visit lacks a content hash
+/// (live-crawl data) — such a site is simply rebuilt.
+fn site_delta_key(db: &CrawlDb, pages: &[&PageKey]) -> Option<u64> {
+    let mut canon = String::from("wmtree-site-trees-v1");
     for page in pages {
         canon.push_str("|p:");
         canon.push_str(&page.url);
@@ -189,66 +103,41 @@ fn site_delta_key(
             canon.push(',');
             match db.visit_any(page, profile) {
                 None => canon.push('-'),
-                Some(_) => match db.visit_hash(page, profile) {
-                    Some(h) => canon.push_str(&to_hex(h)),
-                    None => return None,
-                },
+                Some(_) => canon.push_str(&to_hex(db.visit_hash(page, profile)?)),
             }
         }
     }
     Some(object_hash(canon.as_bytes()))
 }
 
-/// Per-site crawl accounting: profile stats and successful visits over
-/// exactly this site's pages. Summing these over all sites reproduces
-/// the whole-database figures — the exactness the byte-identity
-/// guarantee rests on.
-fn site_stats(db: &CrawlDb, pages: &[&PageKey]) -> (Vec<ProfileStats>, usize) {
-    let mut stats = vec![ProfileStats::default(); db.n_profiles()];
-    let mut successful = 0usize;
-    for page in pages {
-        for (profile, stat) in stats.iter_mut().enumerate() {
-            if let Some(v) = db.visit_any(page, profile) {
-                stat.attempted += 1;
-                if v.success {
-                    stat.succeeded += 1;
-                    successful += 1;
-                }
-            }
-        }
-    }
-    (stats, successful)
-}
-
-/// Outcome of [`accumulate_cached`]: every site's accumulator — cached
-/// or freshly rebuilt — merged but **not yet finished**, plus how much
-/// of the work the cache absorbed. [`crate::Fold`] folds one of these
-/// per crawl database and finishes once.
+/// Outcome of [`accumulate_cached`]: the database's accumulator —
+/// analysed but **not yet finished** — plus how much of the work the
+/// cache absorbed. [`crate::Fold`] folds one of these per crawl
+/// database and finishes once.
 pub struct CachedAccumulation {
-    /// The merged (un-finished) accumulators over every site.
+    /// The (un-finished) accumulator over every site.
     pub acc: PartialAccumulators,
     /// Sites in the database.
     pub sites_total: usize,
-    /// Sites rebuilt from their visits (every site, without a cache).
+    /// Sites whose trees were built (every site, without a cache).
     pub sites_rebuilt: usize,
-    /// Sites folded from cached accumulators.
+    /// Sites whose trees came from their cache records.
     pub sites_reused: usize,
-    /// Wall time of the build stage: delta-key hashing over every site
-    /// plus tree building for the rebuilt ones. Everything else the
-    /// fold does — cache lookups, analyses, per-site folding — is
-    /// analysis time.
+    /// Wall time of the build stage: delta keys and record lookups,
+    /// tree building for the rebuilt sites and their records, and page
+    /// assembly. The analyses and accounting after it are analysis time.
     pub build_wall: Duration,
 }
 
-/// The post-crawl pipeline over one crawl database, folded site by
-/// site: vetting, trees, per-node analyses and exact per-site crawl
-/// accounting, merged into one [`PartialAccumulators`].
+/// The post-crawl pipeline over one crawl database: vetting, trees,
+/// page assembly, per-node analyses and crawl accounting, as one
+/// [`PartialAccumulators`].
 ///
-/// With a cache, each site's delta key is looked up first and a hit
-/// folds the cached accumulator without building a tree; only missed
-/// sites are rebuilt (their trees still memoized per visit) and cached
-/// for next time. Without one, no key is computed, no lookup made, and
-/// every site is rebuilt.
+/// With a cache, each site's delta key is looked up first: a hit takes
+/// the site's trees from its record, a miss builds them and records
+/// them for next time. Without one, no key is computed, no lookup made,
+/// and every tree is built. Everything after the trees is the same
+/// either way.
 pub fn accumulate_cached<'c>(
     db: &CrawlDb,
     profile_names: &[String],
@@ -258,103 +147,86 @@ pub fn accumulate_cached<'c>(
     workers: usize,
     cache: impl Into<Option<&'c AnalysisCache>>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
-    let cache = cache.into();
+    let cache = cache.into().map(|cache| &cache.trees);
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
-    // (site, url) order, so sites come out sorted and contiguous).
+    // (site, url) order, so sites come out sorted and contiguous), and
+    // flatten the vetted visits, in the same order: each site's vetted
+    // visits are one contiguous run of `visits`.
     let mut by_site: BTreeMap<&str, Vec<&PageKey>> = BTreeMap::new();
     for page in db.pages() {
         by_site.entry(page.site.as_str()).or_default().push(page);
     }
-    let sites_total = by_site.len();
+    let vetted = db.vetted_pages();
+    let visits: Vec<&VisitResult> = vetted.iter().flat_map(|(_, v)| v.iter().copied()).collect();
 
-    // With a cache, hash every site's delta key in canonical site
-    // order. Keying decides which trees exist this run, so it counts
-    // toward the build stage.
-    let keys: Vec<Option<u64>> = by_site
-        .iter()
-        .map(|(site, pages)| {
-            cache.and_then(|_| site_delta_key(db, site, pages, site_meta.get(*site)))
-        })
-        .collect();
-    let mut build_wall = sw.lap("build.keys");
-
-    // Resolve the keys against the cache (deterministic hit/miss
-    // counters). Materializing a cached accumulator — parse, tree
-    // rehydration — is fold work, so it counts as analysis time.
-    let mut acc = PartialAccumulators::empty(profile_names.to_vec());
-    let mut rebuild: Vec<(&str, Option<u64>)> = Vec::new();
-    for ((site, _), key) in by_site.iter().zip(keys) {
-        let cached = cache
+    // Resolve every site against the cache in canonical site order
+    // (deterministic hit/miss counters and record order).
+    let mut trees: Vec<Option<DepTree>> = vec![None; visits.len()];
+    let mut missing: Vec<usize> = Vec::new();
+    let mut to_record: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
+    let mut vetted_pages = vetted.iter().peekable();
+    let mut end = 0usize;
+    let mut sites_rebuilt = 0usize;
+    for (site, pages) in &by_site {
+        let start = end;
+        while let Some((_, page_visits)) = vetted_pages.next_if(|(page, _)| page.site == *site) {
+            end += page_visits.len();
+        }
+        let key = cache.and_then(|_| site_delta_key(db, pages));
+        match cache
             .zip(key)
-            .and_then(|(cache, key)| cache.get_site_acc(key, profile_names));
-        match cached {
-            Some(cached) => acc.merge(cached)?,
-            None => rebuild.push((site, key)),
-        }
-    }
-    sw.lap("fold.resolve");
-
-    // Build the rebuilt sites' trees straight from the database's
-    // vetted pages, all sites at once so the fan-out spans them.
-    let rebuilt: BTreeSet<&str> = rebuild.iter().map(|(site, _)| *site).collect();
-    let mut vetted = db.vetted_pages_hashed();
-    vetted.retain(|(page, _)| rebuilt.contains(page.site.as_str()));
-    let data = ExperimentData::from_vetted(
-        &vetted,
-        profile_names.to_vec(),
-        filter_list,
-        tree_config,
-        site_meta,
-        workers,
-        cache.map(AnalysisCache::tree_cache),
-    );
-    build_wall += sw.lap("build.trees");
-
-    // Analyze every rebuilt page, then fold the pages back per site:
-    // each site becomes one accumulator with its own crawl accounting,
-    // cached for next time when it has a key. A cached site's record
-    // references its trees by their visits' content hashes.
-    let sims = analyze_all(&data);
-    let mut pages = data.pages.into_iter().zip(sims).zip(&vetted).peekable();
-    for (site, key) in rebuild {
-        let (mut site_pages, mut site_sims, mut tree_keys) = (Vec::new(), Vec::new(), Vec::new());
-        while let Some(((page, sim), (_, visits))) =
-            pages.next_if(|((page, _), _)| &*page.site == site)
+            .and_then(|(cache, key)| cache.get_site(key, end - start))
         {
-            if key.is_some() {
-                tree_keys.push(visits.iter().map(|(_, h)| *h).collect());
+            Some(record) => {
+                for (slot, tree) in trees[start..end].iter_mut().zip(record) {
+                    *slot = Some(tree);
+                }
             }
-            site_pages.push(page);
-            site_sims.push(sim);
+            None => {
+                sites_rebuilt += 1;
+                missing.extend(start..end);
+                to_record.extend(key.map(|key| (key, start..end)));
+            }
         }
-        let vetted_sites = usize::from(!site_pages.is_empty());
-        let (stats, successful) = site_stats(db, &by_site[site]);
-        let site_data = ExperimentData {
-            profile_names: profile_names.to_vec(),
-            pages: site_pages,
-            workers: 0,
-        };
-        let site_acc = PartialAccumulators::from_shard(
-            site_data,
-            site_sims,
-            stats,
-            by_site[site].len(),
-            successful,
-            vetted_sites,
-        );
-        if let (Some(cache), Some(key)) = (cache, key) {
-            cache.insert_site_acc(key, &site_acc, &tree_keys);
-        }
-        acc.merge(site_acc)?;
     }
 
+    // Build the missing trees in one fan-out over every rebuilt site,
+    // then record each rebuilt site's trees for next time.
+    let missing_visits: Vec<&VisitResult> = missing.iter().map(|&i| visits[i]).collect();
+    let built = build_trees(&missing_visits, filter_list, tree_config, workers);
+    for (&i, tree) in missing.iter().zip(built) {
+        trees[i] = Some(tree);
+    }
+    let trees: Vec<DepTree> = trees
+        .into_iter()
+        .map(|tree| tree.expect("every vetted visit's tree is served or built")) // wmtree-lint: allow(WM0105)
+        .collect();
+    if let Some(cache) = cache {
+        wmtree_telemetry::counter!("tree.cache.miss").add(missing.len() as u64);
+        for (key, run) in to_record {
+            cache.insert_site(key, &trees[run]);
+        }
+    }
+    let data =
+        ExperimentData::from_vetted(&vetted, trees, profile_names.to_vec(), site_meta, workers);
+    let build_wall = sw.lap();
+
+    let sims = analyze_all(&data);
+    let acc = PartialAccumulators::from_shard(
+        data,
+        sims,
+        db.profile_stats(),
+        db.page_count(),
+        db.total_successful_visits(),
+        db.vetted_sites().len(),
+    );
     Ok(CachedAccumulation {
         acc,
-        sites_total,
-        sites_rebuilt: rebuilt.len(),
-        sites_reused: sites_total - rebuilt.len(),
+        sites_total: by_site.len(),
+        sites_rebuilt,
+        sites_reused: by_site.len() - sites_rebuilt,
         build_wall,
     })
 }

@@ -31,9 +31,9 @@
 //!    a deterministic rank-listed universe of sites.
 //! 2. [`Commander::run`](wmtree_crawler::Commander::run) — the
 //!    semi-parallel five-profile crawl (Table 1 profiles).
-//! 3. [`Fold`] — vetting, dependency-tree construction (§3.2) and the
-//!    per-node analyses, site by site, optionally through an
-//!    [`AnalysisCache`].
+//! 3. [`Fold`] — vetting, dependency-tree construction (§3.2), with
+//!    unchanged sites' trees taken from an optional [`AnalysisCache`],
+//!    and the per-node analyses.
 //! 4. [`Report::generate`] — every table/figure of §4, §5, and the
 //!    appendices.
 

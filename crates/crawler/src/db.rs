@@ -15,10 +15,6 @@ pub struct PageKey {
     pub url: String,
 }
 
-/// One successful visit paired with its content hash where known —
-/// the element type of [`CrawlDb::vetted_pages_hashed`].
-pub type HashedVisit<'a> = (&'a VisitResult, Option<u64>);
-
 /// Per-profile crawl accounting (§4, "Success of Crawling Method").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfileStats {
@@ -86,7 +82,8 @@ pub struct CrawlDb {
     /// `hashes[page][profile]` — the content hash of each visit payload
     /// where known (bundle replays know it for free from the object
     /// store; live crawls leave it `None`). Derived bookkeeping for the
-    /// tree cache, not part of the database's serialized identity.
+    /// tree cache's site keys, not part of the database's serialized
+    /// identity.
     #[serde(skip)]
     hashes: BTreeMap<PageKey, Vec<Option<u64>>>,
 }
@@ -263,30 +260,6 @@ impl CrawlDb {
                     .filter(|v| v.success)
                     .collect();
                 if ok.len() >= k {
-                    Some((page, ok))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// [`vetted_pages`][CrawlDb::vetted_pages] with each successful
-    /// visit's content hash where known — the tree cache's keys. A
-    /// `None` hash means the visit must be hashed (or built) afresh.
-    pub fn vetted_pages_hashed(&self) -> Vec<(&PageKey, Vec<HashedVisit<'_>>)> {
-        self.visits
-            .iter()
-            .filter_map(|(page, results)| {
-                let hashes = self.hashes.get(page);
-                let ok: Vec<(&VisitResult, Option<u64>)> = results
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| r.as_ref().map(|v| (i, v)))
-                    .filter(|(_, v)| v.success)
-                    .map(|(i, v)| (v, hashes.and_then(|h| h.get(i)).copied().flatten()))
-                    .collect();
-                if ok.len() >= self.n_profiles {
                     Some((page, ok))
                 } else {
                     None
@@ -512,10 +485,6 @@ mod tests {
         db.insert(page(1), 1, ok_visit());
         assert_eq!(db.visit_hash(&page(1), 0), Some(0xCAFE));
         assert_eq!(db.visit_hash(&page(1), 1), None);
-        let vetted = db.vetted_pages_hashed();
-        assert_eq!(vetted.len(), 1);
-        assert_eq!(vetted[0].1[0].1, Some(0xCAFE));
-        assert_eq!(vetted[0].1[1].1, None);
         // Plain re-insert withdraws the vouched hash.
         db.insert(page(1), 0, ok_visit());
         assert_eq!(db.visit_hash(&page(1), 0), None);

@@ -32,7 +32,7 @@ mod profile;
 
 pub use bundle_io::{read_bundle, write_bundle};
 pub use commander::{Commander, CrawlOptions, ResumableOutcome};
-pub use db::{CrawlDb, HashedVisit, MergeError, PageKey, ProfileStats};
+pub use db::{CrawlDb, MergeError, PageKey, ProfileStats};
 pub use discovery::discover_pages;
 pub use profile::{standard_profiles, Profile, ProfileId, STANDARD_PROFILES};
 

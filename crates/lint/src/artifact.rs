@@ -123,12 +123,12 @@ pub const ARTIFACT_CHECKS: &[(&str, &str, &str)] = &[
     (
         "WM0245",
         "treecache-records",
-        "every cache record decodes: well-formed hash key, valid tree / site payload",
+        "every site record decodes: a well-formed key and the trees it declares",
     ),
     (
         "WM0246",
         "treecache-dense",
-        "cache records are dense: no duplicate keys, no empty payloads",
+        "cache records are dense: no duplicate site keys",
     ),
 ];
 
@@ -409,13 +409,13 @@ fn segment_diagnostic(
     }
 }
 
-/// Check a tree/site cache directory (`WM0244`–`WM0246`), as written
-/// next to a bundle by the incremental replay path (`TREECACHE/`).
-/// Maps [`wmtree_tree::verify_cache`]'s read-only scan to diagnostics:
+/// Check a tree cache directory (`WM0244`–`WM0246`), as written next
+/// to a bundle by the incremental replay path (`TREECACHE/`). Maps
+/// [`wmtree_tree::verify_cache`]'s read-only scan to diagnostics:
 /// framing/chain/manifest defects (WM0244, uncommitted crash leftovers
-/// are warnings), records whose hash key or payload does not decode
-/// (WM0245), and duplicate or empty records (WM0246). `Err` means the
-/// directory could not be scanned at all.
+/// are warnings), site records that do not decode (WM0245), and
+/// duplicate site keys (WM0246). `Err` means the directory could not be
+/// scanned at all.
 pub fn check_tree_cache(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnostic>, String> {
     let report = wmtree_tree::verify_cache(dir)?;
     let mut out = Vec::new();
@@ -441,9 +441,9 @@ pub fn check_tree_cache(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagn
                     format!("{origin}:{segment}:{line}"),
                     detail.clone(),
                 )
-                .with_note("cache records must decode to valid hash-keyed entries"),
+                .with_note("site records must decode to a key and valid trees"),
             ),
-            wmtree_tree::CacheVerifyIssue::Sparse {
+            wmtree_tree::CacheVerifyIssue::Duplicate {
                 segment,
                 line,
                 detail,
@@ -1140,14 +1140,14 @@ mod tests {
             wmtree_url::Party::Third,
             false,
         );
-        cache.insert_tree(3, &tree);
-        cache.insert_site(9, "{\"opaque\":true}");
+        cache.insert_site(3, &[tree]);
+        cache.insert_site(9, &[]);
         cache.commit().expect("commit cache");
         assert!(check_bundle(&dir, "b").expect("scan").is_empty());
 
         // A flipped byte inside the committed cache region: WM0244,
         // naming the cache segment, through the bundle entry point.
-        let seg = cache_dir.join("trees-000.seg");
+        let seg = cache_dir.join("sites-000.seg");
         let committed = std::fs::read(&seg).expect("read cache segment");
         let mut bytes = committed.clone();
         bytes[20] ^= 1;
@@ -1161,62 +1161,41 @@ mod tests {
         );
         std::fs::write(&seg, &committed).expect("restore cache segment");
 
-        // A record that verifies but does not decode: WM0245. Forge a
-        // sites segment whose payload is a malformed site record, with
-        // correct line checksum and a re-pinned manifest.
+        // Append `payload` as a record that verifies at the framing
+        // layer: correct line checksum and a re-pinned manifest.
         let manifest_path = cache_dir.join(wmtree_tree::cache::CACHE_MANIFEST_FILE);
-        let manifest_text = std::fs::read_to_string(&manifest_path).expect("read cache manifest");
-        let mut w = wmtree_bundle::segment::LogWriter::resume(
-            &cache_dir,
-            wmtree_tree::cache::SITES_PREFIX,
-            wmtree_bundle::DEFAULT_SEGMENT_CAPACITY,
-            serde_json::from_str::<wmtree_tree::cache::CacheManifest>(&manifest_text)
-                .expect("parse cache manifest")
-                .sites,
-        );
-        w.append("not-hex no-payload")
-            .expect("append forged record");
-        w.flush().expect("flush forged record");
-        let mut manifest: wmtree_tree::cache::CacheManifest =
-            serde_json::from_str(&manifest_text).expect("parse cache manifest");
-        manifest.sites = w.metas().to_vec();
-        std::fs::write(
-            &manifest_path,
-            format!(
-                "{}\n",
-                serde_json::to_string(&manifest).expect("serialize manifest")
-            ),
-        )
-        .expect("write cache manifest");
-        let diags = check_tree_cache(&cache_dir, "c").expect("scan");
-        assert!(
-            diags.iter().any(|d| d.code.as_str() == "WM0245"),
-            "{diags:?}"
-        );
+        let append = |payload: &str| {
+            let mut manifest: wmtree_tree::cache::CacheManifest = serde_json::from_str(
+                &std::fs::read_to_string(&manifest_path).expect("read cache manifest"),
+            )
+            .expect("parse cache manifest");
+            let mut w = wmtree_bundle::segment::LogWriter::resume(
+                &cache_dir,
+                wmtree_tree::cache::SITES_PREFIX,
+                wmtree_bundle::DEFAULT_SEGMENT_CAPACITY,
+                manifest.sites,
+            );
+            w.append(payload).expect("append forged record");
+            w.flush().expect("flush forged record");
+            manifest.sites = w.metas().to_vec();
+            let body = serde_json::to_string(&manifest).expect("serialize manifest");
+            std::fs::write(&manifest_path, format!("{body}\n")).expect("write cache manifest");
+        };
 
-        // A duplicate tree record: WM0246.
-        let tree_line = String::from_utf8(committed.clone()).expect("utf8 segment");
-        let payload = tree_line.lines().next().expect("one record")[17..].to_string();
-        let mut w = wmtree_bundle::segment::LogWriter::resume(
-            &cache_dir,
-            wmtree_tree::cache::TREES_PREFIX,
-            wmtree_bundle::DEFAULT_SEGMENT_CAPACITY,
-            manifest.trees.clone(),
-        );
-        w.append(&payload).expect("append duplicate record");
-        w.flush().expect("flush duplicate record");
-        manifest.trees = w.metas().to_vec();
-        std::fs::write(
-            &manifest_path,
-            format!(
-                "{}\n",
-                serde_json::to_string(&manifest).expect("serialize manifest")
-            ),
-        )
-        .expect("write cache manifest");
+        // A duplicate site key: WM0246.
+        let first = String::from_utf8(committed).expect("utf8 segment");
+        append(&first.lines().next().expect("one record")[17..]);
         let diags = check_tree_cache(&cache_dir, "c").expect("scan");
         assert!(
             diags.iter().any(|d| d.code.as_str() == "WM0246"),
+            "{diags:?}"
+        );
+
+        // A record that does not decode: WM0245.
+        append("not-hex no-payload");
+        let diags = check_tree_cache(&cache_dir, "c").expect("scan");
+        assert!(
+            diags.iter().any(|d| d.code.as_str() == "WM0245"),
             "{diags:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -427,11 +427,11 @@ fn replayed(
 
 /// Fetch a job's replay through the cache (one hit or miss counted per
 /// call), replaying the bundle on miss. The replay itself goes through
-/// the disk-backed tree/site cache next to the job's bundle
-/// (`TREECACHE/`), so even a cold in-process cache — a restarted
-/// server — folds unchanged sites from cached accumulators instead of
-/// rebuilding their trees. The cached path is byte-identical to the
-/// cold one, so the ETag derived from the bundle hash stays valid.
+/// the disk-backed tree cache next to the job's bundle (`TREECACHE/`),
+/// so even a cold in-process cache — a restarted server — takes
+/// unchanged sites' trees from their records instead of rebuilding
+/// them. The cached path is byte-identical to the cold one, so the ETag
+/// derived from the bundle hash stays valid.
 fn replay_job(
     shared: &Shared,
     job: &JobRecord,

@@ -31,10 +31,10 @@ pub struct MergedRun {
     /// bounded-memory witness (equals the largest shard, not the
     /// corpus).
     pub peak_shard_pages: usize,
-    /// Sites rebuilt (tree build + analysis) across all shards — on a
-    /// warm re-merge over unchanged bundles this is 0.
+    /// Sites whose trees were built across all shards — on a warm
+    /// re-merge over unchanged bundles this is 0.
     pub sites_rebuilt: usize,
-    /// Sites folded from each shard's `TREECACHE` without rebuilding.
+    /// Sites whose trees came from each shard's `TREECACHE`.
     pub sites_reused: usize,
 }
 
@@ -98,10 +98,10 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
         }
 
         // The one-shard residency window: the raw database lives only
-        // until `add` returns. Each shard carries its own tree/site
-        // cache next to its bundle, so a re-merge over unchanged
-        // shards folds cached accumulators without rebuilding a tree —
-        // and the fold stays byte-identical to the cold path.
+        // until `add` returns. Each shard carries its own tree cache
+        // next to its bundle, so a re-merge over unchanged shards
+        // builds no tree — and the fold stays byte-identical to the
+        // cold path.
         let db = read_bundle(&dir).map_err(located)?;
         fold.lap("read_bundle");
         gauge.set(db.page_count() as i64);

@@ -160,43 +160,28 @@ impl Drop for Span {
     }
 }
 
-/// Linear stage timer for a pipeline run: call [`lap`][Stopwatch::lap]
-/// at each stage boundary and collect named stage durations in order.
+/// Linear stage timer for a pipeline run: each [`lap`][Stopwatch::lap]
+/// closes the current stage and starts the next.
 #[derive(Debug)]
 pub struct Stopwatch {
-    origin: Instant,
     last: Instant,
-    laps: Vec<(String, Duration)>,
 }
 
 impl Stopwatch {
     /// Start timing.
     pub fn start() -> Stopwatch {
-        let now = Instant::now();
         Stopwatch {
-            origin: now,
-            last: now,
-            laps: Vec::new(),
+            last: Instant::now(),
         }
     }
 
-    /// Close the current stage under `name` and start the next one.
-    pub fn lap(&mut self, name: &str) -> Duration {
+    /// Close the current stage, returning its duration, and start the
+    /// next one.
+    pub fn lap(&mut self) -> Duration {
         let now = Instant::now();
         let d = now - self.last;
         self.last = now;
-        self.laps.push((name.to_string(), d));
         d
-    }
-
-    /// Stages recorded so far, in order.
-    pub fn laps(&self) -> &[(String, Duration)] {
-        &self.laps
-    }
-
-    /// Total elapsed since `start`.
-    pub fn total(&self) -> Duration {
-        self.origin.elapsed()
     }
 }
 
@@ -220,13 +205,15 @@ mod tests {
 
     #[test]
     fn stopwatch_orders_laps() {
+        let outer = Instant::now();
         let mut sw = Stopwatch::start();
         std::thread::sleep(Duration::from_millis(1));
-        sw.lap("generate");
-        sw.lap("crawl");
-        let names: Vec<&str> = sw.laps().iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["generate", "crawl"]);
-        assert!(sw.laps()[0].1 >= Duration::from_millis(1));
-        assert!(sw.total() >= sw.laps()[0].1);
+        let first = sw.lap();
+        let second = sw.lap();
+        assert!(first >= Duration::from_millis(1));
+        assert!(
+            outer.elapsed() >= first + second,
+            "laps are consecutive and never overlap"
+        );
     }
 }

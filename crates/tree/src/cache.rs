@@ -1,41 +1,31 @@
-//! Content-hash memoized trees: never build the same visit twice.
+//! Cached dependency trees: never build the same site's trees twice.
 //!
-//! The bundle object store already content-addresses identical
-//! [`VisitResult`] payloads (a 64-bit hash of the canonical JSON), so
-//! a visit's content hash is a ready-made memoization key for the tree
-//! built from it: `build_tree` is a pure function of the visit, the
-//! filter list, and the [`crate::TreeConfig`]. [`TreeCache`] maps that
-//! hash to the built [`DepTree`] in two tiers:
-//!
-//! * **in-memory** within a run — cross-profile and cross-visit dedup
-//!   (tree clones are O(1) `Arc` bumps);
-//! * **disk-backed** across runs — an append-only, checksummed segment
-//!   log next to the bundle (`TREECACHE/`), committed with the same
-//!   MANIFEST-style atomic-rename discipline and crash recovery as
-//!   `crates/bundle`: `CACHE.json` pins every segment's record count
-//!   and rolling chain checksum, anything past it is truncated on open,
-//!   and any corruption or fingerprint mismatch discards the cache
-//!   (it is derived data — a rebuild is always safe).
-//!
-//! Invalidation is by construction: the key *is* the content, and the
-//! cache fingerprint covers everything else a tree depends on (tree
-//! config, filter list, profile roster). A stale entry cannot exist,
+//! Tree building is the one step of a bundle replay worth skipping: the
+//! analyses over the trees are cheap to recompute. [`TreeCache`] keeps,
+//! per site, the trees of that site's vetted visits under the site's
+//! *delta key* — a content hash the caller computes over everything
+//! those trees depend on in the crawl data (`wmtree::incremental`).
+//! `build_tree` is a pure function of the visit, the filter list and
+//! the [`crate::TreeConfig`], and the cache fingerprint covers the
+//! latter two plus the profile roster, so a stale record cannot exist,
 //! only an unused one.
 //!
-//! Alongside trees the cache stores opaque single-line *site records*
-//! (keyed by a site-delta hash) that the incremental re-analysis layer
-//! in `wmtree` uses for per-site partial accumulators; this module
-//! treats the payloads as opaque strings.
+//! On disk (`TREECACHE/`) the cache is one append-only, checksummed
+//! segment log of self-contained site records, committed with the same
+//! MANIFEST-style atomic-rename discipline and crash recovery as
+//! `crates/bundle`: `CACHE.json` pins every segment's record count and
+//! rolling chain checksum, anything past it is truncated on open, and
+//! any corruption, version skew or fingerprint mismatch discards the
+//! cache (it is derived data — a rebuild is always safe).
 
 use crate::tree::{DepTree, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use wmtree_browser::VisitResult;
 use wmtree_bundle::atomic::{atomic_replace, temp_sibling};
 use wmtree_bundle::error::BundleError;
-use wmtree_bundle::hash::{from_hex, object_hash, to_hex};
+use wmtree_bundle::hash::{from_hex, to_hex};
 use wmtree_bundle::manifest::DEFAULT_SEGMENT_CAPACITY;
 use wmtree_bundle::segment::{LogScan, LogWriter, RecordLoc, Scanned};
 use wmtree_bundle::{SegmentDefect, SegmentMeta};
@@ -43,7 +33,7 @@ use wmtree_net::ResourceType;
 use wmtree_url::Party;
 
 /// Cache format version this build reads and writes.
-pub const CACHE_VERSION: u32 = 2;
+pub const CACHE_VERSION: u32 = 3;
 
 /// Manifest file name within a cache directory.
 pub const CACHE_MANIFEST_FILE: &str = "CACHE.json";
@@ -51,27 +41,22 @@ pub const CACHE_MANIFEST_FILE: &str = "CACHE.json";
 /// Conventional cache directory name next to (inside) a bundle.
 pub const CACHE_DIR_NAME: &str = "TREECACHE";
 
-/// Tree-record segment prefix (`trees-000.seg`, ...).
-pub const TREES_PREFIX: &str = "trees";
-
 /// Site-record segment prefix (`sites-000.seg`, ...).
 pub const SITES_PREFIX: &str = "sites";
+
+/// Segment prefix of the separate tree log a version-2 cache kept; a
+/// discard removes those segments too.
+const V2_TREES_PREFIX: &str = "trees";
 
 /// Field separator inside one encoded node (US, never in a URL).
 const FIELD_SEP: char = '\u{1f}';
 /// Node separator inside one encoded tree (RS, never in a URL).
 const NODE_SEP: char = '\u{1e}';
+/// Tree separator inside one site record (GS, never in a URL).
+const TREE_SEP: char = '\u{1d}';
 
-/// The content hash of a visit — identical to the bundle object
-/// store's address for the same payload, so replayed bundles get the
-/// key for free from their visit records.
-pub fn visit_hash(visit: &VisitResult) -> Option<u64> {
-    let canonical = serde_json::to_string(visit).ok()?;
-    Some(object_hash(canonical.as_bytes()))
-}
-
-/// The commit record of a cache directory: segment metas for both
-/// logs, pinned fingerprint, format version. Rewritten atomically
+/// The commit record of a cache directory: the site log's segment
+/// metas, pinned fingerprint, format version. Rewritten atomically
 /// (temp file + rename) on [`TreeCache::commit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheManifest {
@@ -81,8 +66,6 @@ pub struct CacheManifest {
     /// besides the visit content: tree config, filter list, profile
     /// roster. A mismatch discards the cache.
     pub fingerprint: String,
-    /// The tree-log segments.
-    pub trees: Vec<SegmentMeta>,
     /// The site-record-log segments.
     pub sites: Vec<SegmentMeta>,
 }
@@ -98,60 +81,37 @@ impl CacheManifest {
 
 /// Mutable state behind the cache's lock.
 struct CacheState {
-    /// hash → built tree (shared arena; clones are O(1)).
-    trees: HashMap<u64, DepTree>,
-    /// Hashes whose trees are durably in the tree log (loaded from a
-    /// committed segment or appended this run). Site records may only
-    /// reference these — a reference to a memory-only tree would
-    /// dangle after reopen.
-    disk: HashSet<u64>,
-    /// site-delta hash → opaque payload line.
-    sites: HashMap<u64, std::sync::Arc<str>>,
-    /// Append handles; `None` for an in-memory cache or after a disk
-    /// write error (the cache then degrades to memory-only).
-    logs: Option<(LogWriter, LogWriter)>,
+    /// delta key → the site's trees (shared arenas; clones are O(1)).
+    sites: HashMap<u64, Vec<DepTree>>,
+    /// Append handle; `None` after a disk write error or when the
+    /// directory could not be opened (the cache is then memory-only).
+    log: Option<LogWriter>,
 }
 
-/// Two-tier (memory + disk) content-hash tree cache. All methods take
-/// `&self`; a [`Mutex`] serializes the mutable state, and the callers
-/// (the phased build pipeline in `wmtree-analysis`) only touch the
-/// cache from sequential phases, so hit/miss counters and the on-disk
-/// append order are deterministic for any worker count.
+/// Disk-backed site-record cache. All methods take `&self`; a [`Mutex`]
+/// serializes the mutable state, and the caller (`accumulate_cached`)
+/// only touches the cache from sequential code in canonical site order,
+/// so hit/miss counters and the on-disk append order are deterministic
+/// for any worker count.
 pub struct TreeCache {
-    dir: Option<PathBuf>,
-    fingerprint: u64,
+    dir: PathBuf,
     state: Mutex<CacheState>,
+    fingerprint: u64,
 }
 
 impl std::fmt::Debug for TreeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
         f.debug_struct("TreeCache")
             .field("dir", &self.dir)
             .field("fingerprint", &to_hex(self.fingerprint))
-            .field("trees", &state.trees.len())
-            .field("sites", &state.sites.len())
+            .field("sites", &self.site_count())
             .finish()
     }
 }
 
 impl TreeCache {
-    /// A memory-only cache (within-run dedup, nothing persisted).
-    pub fn in_memory(fingerprint: u64) -> TreeCache {
-        TreeCache {
-            dir: None,
-            fingerprint,
-            state: Mutex::new(CacheState {
-                trees: HashMap::new(),
-                disk: HashSet::new(),
-                sites: HashMap::new(),
-                logs: None,
-            }),
-        }
-    }
-
-    /// Open (or create) a disk-backed cache at `dir`. Never fails: a
-    /// missing directory is created; a corrupt, version-skewed, or
+    /// Open (or create) the cache at `dir`. Never fails: a missing
+    /// directory is created; a corrupt, version-skewed, or
     /// fingerprint-mismatched cache is *discarded* and recreated empty
     /// (counted by `tree.cache.discard`) — the cache holds derived
     /// data, so discarding is always safe. Crash leftovers past the
@@ -166,8 +126,14 @@ impl TreeCache {
                 // A discarded directory holds no segments, so a second
                 // failure is impossible short of an unusable filesystem;
                 // in that case degrade to memory-only.
-                Self::try_open(dir, fingerprint)
-                    .unwrap_or_else(|_| TreeCache::in_memory(fingerprint))
+                Self::try_open(dir, fingerprint).unwrap_or_else(|_| TreeCache {
+                    dir: dir.to_path_buf(),
+                    state: Mutex::new(CacheState {
+                        sites: HashMap::new(),
+                        log: None,
+                    }),
+                    fingerprint,
+                })
             }
         }
     }
@@ -175,8 +141,8 @@ impl TreeCache {
     fn try_open(dir: &Path, fingerprint: u64) -> Result<TreeCache, BundleError> {
         std::fs::create_dir_all(dir).map_err(|e| BundleError::io(dir, e))?;
         let manifest_path = dir.join(CACHE_MANIFEST_FILE);
-        let (tree_metas, site_metas) = match std::fs::read_to_string(&manifest_path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), Vec::new()),
+        let metas = match std::fs::read_to_string(&manifest_path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(BundleError::io(&manifest_path, e)),
             Ok(text) => {
                 let manifest: CacheManifest = serde_json::from_str(&text)
@@ -199,182 +165,119 @@ impl TreeCache {
                         ),
                     });
                 }
-                (manifest.trees, manifest.sites)
+                manifest.sites
             }
         };
 
-        // Fail-fast over both logs; leftovers are cut only once both
-        // verified, and any defect discards the cache.
-        let mut trees = HashMap::new();
-        let mut tree_log = LogScan::new(dir, TREES_PREFIX, &tree_metas);
-        while let Some((loc, payload)) = tree_log.next_record()? {
-            let (hash, tree) = decode_tree(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
-            trees.insert(hash, tree);
-        }
+        // Fail-fast: leftovers are cut only once the log verified, and
+        // any defect discards the cache.
         let mut sites = HashMap::new();
-        let mut site_log = LogScan::new(dir, SITES_PREFIX, &site_metas);
-        while let Some((loc, payload)) = site_log.next_record()? {
-            let (key, body) = decode_site(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
-            sites.insert(key, std::sync::Arc::from(body));
+        let mut log = LogScan::new(dir, SITES_PREFIX, &metas);
+        while let Some((loc, payload)) = log.next_record()? {
+            let (key, trees) = decode_site(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
+            sites.insert(key, trees);
         }
-        tree_log.truncate()?;
-        site_log.truncate()?;
-
-        let logs = Some((
-            LogWriter::resume(dir, TREES_PREFIX, DEFAULT_SEGMENT_CAPACITY, tree_metas),
-            LogWriter::resume(dir, SITES_PREFIX, DEFAULT_SEGMENT_CAPACITY, site_metas),
-        ));
-        // Collecting keys into a set is order-insensitive.
-        let disk: HashSet<u64> = trees.keys().copied().collect(); // wmtree-lint: allow(WM0102)
+        log.truncate()?;
         Ok(TreeCache {
-            dir: Some(dir.to_path_buf()),
-            fingerprint,
+            dir: dir.to_path_buf(),
             state: Mutex::new(CacheState {
-                trees,
-                disk,
                 sites,
-                logs,
+                log: Some(LogWriter::resume(
+                    dir,
+                    SITES_PREFIX,
+                    DEFAULT_SEGMENT_CAPACITY,
+                    metas,
+                )),
             }),
+            fingerprint,
         })
-    }
-
-    /// The fingerprint this cache was opened under.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Is the cache disk-backed (and its disk tier still healthy)?
     pub fn is_disk_backed(&self) -> bool {
-        self.state.lock().logs.is_some()
+        self.state.lock().log.is_some()
     }
 
-    /// Number of trees currently held in memory.
-    pub fn tree_count(&self) -> usize {
-        self.state.lock().trees.len()
-    }
-
-    /// Number of site records currently held in memory.
+    /// Number of site records currently held.
     pub fn site_count(&self) -> usize {
         self.state.lock().sites.len()
     }
 
-    /// Look up the tree for a visit content hash. Counts
-    /// `tree.cache.hit` / `tree.cache.miss`. The returned clone shares
-    /// the node arena (O(1)).
-    pub fn get_tree(&self, hash: u64) -> Option<DepTree> {
-        let found = self.state.lock().trees.get(&hash).cloned();
+    /// The trees of the site record stored under `key`, if there is one
+    /// holding exactly `trees` trees; a record of any other length is a
+    /// miss. Counts `tree.cache.site.hit` / `tree.cache.site.miss`, and
+    /// `tree.cache.hit` per tree served. The returned clones share
+    /// their node arenas (O(1) each).
+    pub fn get_site(&self, key: u64, trees: usize) -> Option<Vec<DepTree>> {
+        let found = self
+            .state
+            .lock()
+            .sites
+            .get(&key)
+            .filter(|record| record.len() == trees)
+            .cloned();
         match &found {
-            Some(_) => wmtree_telemetry::counter!("tree.cache.hit").inc(),
-            None => wmtree_telemetry::counter!("tree.cache.miss").inc(),
-        }
-        found
-    }
-
-    /// Memoize a freshly built tree under its visit content hash: into
-    /// the memory tier, and (when disk-backed) appended to the tree
-    /// log. Trees whose node keys contain the codec's separator bytes
-    /// are kept in memory only — `build_tree` never produces such keys,
-    /// but the cache refuses rather than corrupt its log.
-    pub fn insert_tree(&self, hash: u64, tree: &DepTree) {
-        let mut state = self.state.lock();
-        if state.trees.contains_key(&hash) {
-            return;
-        }
-        if let Some(encoded) = encode_tree(hash, tree) {
-            if append_line(&mut state, Log::Trees, &encoded) {
-                state.disk.insert(hash);
+            Some(_) => {
+                wmtree_telemetry::counter!("tree.cache.site.hit").inc();
+                wmtree_telemetry::counter!("tree.cache.hit").add(trees as u64);
             }
-        }
-        state.trees.insert(hash, tree.clone());
-    }
-
-    /// Is this tree durably in the tree log (committed, or appended
-    /// this run)? Only such trees may be referenced by site records —
-    /// anything else would dangle after a reopen.
-    pub fn is_tree_persisted(&self, hash: u64) -> bool {
-        self.state.lock().disk.contains(&hash)
-    }
-
-    /// Look up an opaque site record. Counts `tree.cache.site.hit` /
-    /// `tree.cache.site.miss`.
-    pub fn get_site(&self, key: u64) -> Option<std::sync::Arc<str>> {
-        let found = self.state.lock().sites.get(&key).cloned();
-        match &found {
-            Some(_) => wmtree_telemetry::counter!("tree.cache.site.hit").inc(),
             None => wmtree_telemetry::counter!("tree.cache.site.miss").inc(),
         }
         found
     }
 
-    /// Store an opaque site record (single line; an embedded newline is
-    /// rejected — impossible for JSON payloads, which escape control
-    /// characters).
-    pub fn insert_site(&self, key: u64, payload: &str) {
-        if payload.contains('\n') {
-            return;
-        }
+    /// Store a site record: the trees of the site's vetted visits in
+    /// (page, profile) order under its delta key, in memory and (when
+    /// disk-backed) appended to the site log. A key already held is
+    /// left as it is, and a record whose node keys contain the codec's
+    /// separator bytes is not cached at all — `build_tree` never
+    /// produces such keys, but the cache refuses rather than corrupt
+    /// its log.
+    pub fn insert_site(&self, key: u64, trees: &[DepTree]) {
         let mut state = self.state.lock();
         if state.sites.contains_key(&key) {
             return;
         }
-        let line = format!("{} {payload}", to_hex(key));
-        append_line(&mut state, Log::Sites, &line);
-        state.sites.insert(key, std::sync::Arc::from(payload));
+        let Some(line) = encode_site(key, trees) else {
+            return;
+        };
+        if let Some(log) = state.log.as_mut() {
+            // A write error permanently degrades the cache to
+            // memory-only rather than failing the caller — the cache
+            // must never break an analysis.
+            if log.append(&line).is_err() {
+                wmtree_telemetry::counter!("tree.cache.disk.error").inc();
+                state.log = None;
+            }
+        }
+        state.sites.insert(key, trees.to_vec());
     }
 
-    /// Commit appended records durably: flush both logs and atomically
+    /// Commit appended records durably: flush the log and atomically
     /// rewrite `CACHE.json` to cover them. Also refreshes the
     /// `tree.cache.disk.bytes` gauge with the total committed segment
     /// size. A memory-only cache commits trivially.
     pub fn commit(&self) -> Result<(), BundleError> {
-        let Some(dir) = &self.dir else { return Ok(()) };
         let mut state = self.state.lock();
-        let Some((tree_log, site_log)) = state.logs.as_mut() else {
+        let Some(log) = state.log.as_mut() else {
             return Ok(());
         };
-        tree_log.flush()?;
-        site_log.flush()?;
+        log.flush()?;
         let manifest = CacheManifest {
             version: CACHE_VERSION,
             fingerprint: to_hex(self.fingerprint),
-            trees: tree_log.metas().to_vec(),
-            sites: site_log.metas().to_vec(),
+            sites: log.metas().to_vec(),
         };
-        manifest.store(dir)?;
-        let mut bytes: u64 = 0;
-        for meta in manifest.trees.iter().chain(&manifest.sites) {
-            if let Ok(md) = std::fs::metadata(dir.join(&meta.name)) {
-                bytes += md.len();
-            }
-        }
+        manifest.store(&self.dir)?;
+        let bytes: u64 = manifest
+            .sites
+            .iter()
+            .filter_map(|meta| std::fs::metadata(self.dir.join(&meta.name)).ok())
+            .map(|md| md.len())
+            .sum();
         wmtree_telemetry::gauge!("tree.cache.disk.bytes").set(bytes as i64);
         Ok(())
     }
-}
-
-/// Which log an append targets.
-enum Log {
-    Trees,
-    Sites,
-}
-
-/// Append to one of the logs; a write error permanently degrades the
-/// cache to memory-only (counted by `tree.cache.disk.error`) rather
-/// than failing the caller — the cache must never break an analysis.
-fn append_line(state: &mut CacheState, which: Log, line: &str) -> bool {
-    let Some((tree_log, site_log)) = state.logs.as_mut() else {
-        return false;
-    };
-    let log = match which {
-        Log::Trees => tree_log,
-        Log::Sites => site_log,
-    };
-    if log.append(line).is_err() {
-        wmtree_telemetry::counter!("tree.cache.disk.error").inc();
-        state.logs = None;
-        return false;
-    }
-    true
 }
 
 /// Remove a cache directory's manifest and segment files (targeted —
@@ -388,7 +291,7 @@ fn discard_dir(dir: &Path) {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             let is_segment = name.ends_with(".seg")
-                && (name.starts_with(TREES_PREFIX) || name.starts_with(SITES_PREFIX));
+                && (name.starts_with(SITES_PREFIX) || name.starts_with(V2_TREES_PREFIX));
             if is_segment {
                 let _ = std::fs::remove_file(entry.path());
             }
@@ -433,59 +336,77 @@ fn resource_from_code(c: &str) -> Option<ResourceType> {
     })
 }
 
-/// Encode one tree as a single log line:
-/// `<hash> <node-count> <node>\x1e<node>...` with each node as
-/// `<parent|r>\x1f<type>\x1f<party>\x1f<tracking>\x1f<key>` in
-/// attachment order. Children, depths, and the key index are derived
+/// Encode one site record as a single log line: `<key> <tree-count>`,
+/// then `\x1d<tree>` per tree, each tree as `<node-count> <node>\x1e<node>...`
+/// with each node as `<parent|r>\x1f<type>\x1f<party>\x1f<tracking>\x1f<key>`
+/// in attachment order. Children, depths, and the key index are derived
 /// on decode, so only the irreducible structure is stored (≈10× denser
 /// than the JSON form). Returns `None` when a node key would collide
-/// with the framing (separator bytes or newline) — such a tree is
-/// simply not disk-cached.
-pub fn encode_tree(hash: u64, tree: &DepTree) -> Option<String> {
-    let nodes = tree.nodes();
-    let mut out = String::with_capacity(nodes.len() * 32);
-    out.push_str(&to_hex(hash));
+/// with the framing (separator bytes or newline).
+fn encode_site(key: u64, trees: &[DepTree]) -> Option<String> {
+    let nodes: usize = trees.iter().map(DepTree::node_count).sum();
+    let mut out = String::with_capacity(24 + nodes * 32);
+    out.push_str(&to_hex(key));
     out.push(' ');
-    out.push_str(&nodes.len().to_string());
-    out.push(' ');
-    for (i, node) in nodes.iter().enumerate() {
-        if node.key.contains([FIELD_SEP, NODE_SEP, '\n', '\r']) {
-            return None;
+    out.push_str(&trees.len().to_string());
+    for tree in trees {
+        out.push(TREE_SEP);
+        let nodes = tree.nodes();
+        out.push_str(&nodes.len().to_string());
+        out.push(' ');
+        for (i, node) in nodes.iter().enumerate() {
+            if node
+                .key
+                .contains([FIELD_SEP, NODE_SEP, TREE_SEP, '\n', '\r'])
+            {
+                return None;
+            }
+            if i > 0 {
+                out.push(NODE_SEP);
+            }
+            match node.parent {
+                None => out.push('r'),
+                Some(p) => out.push_str(&p.to_string()),
+            }
+            out.push(FIELD_SEP);
+            out.push(resource_code(node.resource_type));
+            out.push(FIELD_SEP);
+            out.push(if node.party == Party::Third { '3' } else { '1' });
+            out.push(FIELD_SEP);
+            out.push(if node.tracking { '1' } else { '0' });
+            out.push(FIELD_SEP);
+            out.push_str(&node.key);
         }
-        if i > 0 {
-            out.push(NODE_SEP);
-        }
-        match node.parent {
-            None => out.push('r'),
-            Some(p) => out.push_str(&p.to_string()),
-        }
-        out.push(FIELD_SEP);
-        out.push(resource_code(node.resource_type));
-        out.push(FIELD_SEP);
-        out.push(if node.party == Party::Third { '3' } else { '1' });
-        out.push(FIELD_SEP);
-        out.push(if node.tracking { '1' } else { '0' });
-        out.push(FIELD_SEP);
-        out.push_str(&node.key);
     }
     Some(out)
 }
 
-/// Decode the line format of [`encode_tree`]. Every structural claim is
-/// validated (count, parent order, key uniqueness); any mismatch is a
+/// Decode the line format of [`encode_site`]. Every structural claim is
+/// validated (counts, parent order, key uniqueness); any mismatch is a
 /// corruption error that discards the cache.
-pub fn decode_tree(payload: &str) -> Result<(u64, DepTree), String> {
-    let mut head = payload.splitn(3, ' ');
-    let hash = head
-        .next()
-        .and_then(from_hex)
-        .ok_or("malformed tree record hash")?;
-    let count: usize = head
+fn decode_site(payload: &str) -> Result<(u64, Vec<DepTree>), String> {
+    let (key, body) = payload.split_once(' ').ok_or("truncated site record")?;
+    let key = from_hex(key).ok_or("malformed site record key")?;
+    let mut parts = body.split(TREE_SEP);
+    let count: usize = parts
         .next()
         .and_then(|n| n.parse().ok())
-        .ok_or("malformed tree record node count")?;
-    let body = head.next().ok_or("truncated tree record")?;
-    let mut parts = Vec::with_capacity(count);
+        .ok_or("malformed site record tree count")?;
+    let trees = parts.map(decode_tree).collect::<Result<Vec<_>, _>>()?;
+    if trees.len() != count {
+        return Err(format!(
+            "site record declares {count} trees, found {}",
+            trees.len()
+        ));
+    }
+    Ok((key, trees))
+}
+
+/// Decode one `<node-count> <nodes>` tree of a site record.
+fn decode_tree(text: &str) -> Result<DepTree, String> {
+    let (count, body) = text.split_once(' ').ok_or("truncated tree")?;
+    let count: usize = count.parse().map_err(|_| "malformed tree node count")?;
+    let mut parts = Vec::new();
     for node in body.split(NODE_SEP) {
         let mut fields = node.splitn(5, FIELD_SEP);
         let parent = match fields.next().ok_or("missing parent field")? {
@@ -509,18 +430,11 @@ pub fn decode_tree(payload: &str) -> Result<(u64, DepTree), String> {
     }
     if parts.len() != count {
         return Err(format!(
-            "tree record declares {count} nodes, found {}",
+            "tree declares {count} nodes, found {}",
             parts.len()
         ));
     }
-    let tree = DepTree::from_parts(parts)?;
-    Ok((hash, tree))
-}
-
-fn decode_site(payload: &str) -> Result<(u64, &str), String> {
-    let (key, body) = payload.split_once(' ').ok_or("truncated site record")?;
-    let key = from_hex(key).ok_or("malformed site record key")?;
-    Ok((key, body))
+    DepTree::from_parts(parts)
 }
 
 /// One defect found by [`verify_cache`].
@@ -531,8 +445,8 @@ pub enum CacheVerifyIssue {
     /// uncommitted leftovers ([`SegmentDefect::TrailingBytes`]) that the
     /// next [`TreeCache::open`] truncates away.
     Segment(SegmentDefect),
-    /// A record verifies at the framing layer but its hash key or
-    /// payload does not decode into a valid cache entry.
+    /// A record verifies at the framing layer but does not decode into
+    /// a site key and valid trees.
     BadRecord {
         /// Segment file name.
         segment: String,
@@ -541,9 +455,8 @@ pub enum CacheVerifyIssue {
         /// Human-readable defect.
         detail: String,
     },
-    /// Duplicate or empty records: every committed record must carry a
-    /// distinct, non-degenerate entry.
-    Sparse {
+    /// A second record under a key an earlier record already holds.
+    Duplicate {
         /// Segment file name.
         segment: String,
         /// One-based line number.
@@ -556,8 +469,6 @@ pub enum CacheVerifyIssue {
 /// Read-only scan report of a cache directory ([`verify_cache`]).
 #[derive(Debug, Default)]
 pub struct CacheVerifyReport {
-    /// Valid tree records decoded.
-    pub tree_records: usize,
     /// Valid site records decoded.
     pub site_records: usize,
     /// Every defect found — the scan is lenient (collects instead of
@@ -572,33 +483,14 @@ impl CacheVerifyReport {
     }
 }
 
-/// Lenient scan of one cache log: every framing defect lands in
-/// `issues`, and `on_record` judges each verified record.
-fn scan_lenient(
-    dir: &Path,
-    prefix: &'static str,
-    metas: &[SegmentMeta],
-    issues: &mut Vec<CacheVerifyIssue>,
-    mut on_record: impl FnMut(&RecordLoc, &str) -> Option<CacheVerifyIssue>,
-) -> Result<(), String> {
-    let mut log = LogScan::new(dir, prefix, metas);
-    while let Some(item) = log.next_item() {
-        match item.map_err(|e| e.to_string())? {
-            Scanned::Defect(defect) => issues.push(CacheVerifyIssue::Segment(defect)),
-            Scanned::Record(loc, payload) => issues.extend(on_record(&loc, payload)),
-        }
-    }
-    Ok(())
-}
-
 /// Read-only integrity + semantic scan of a cache directory, for
 /// `wmtree-lint check-artifacts` (WM0244–WM0246). Unlike
 /// [`TreeCache::open`], nothing is truncated or discarded — every
 /// defect is reported: checksum/chain/count disagreements with
-/// `CACHE.json`, records whose hash keys or payloads do not decode,
-/// and duplicate or empty records. A missing `CACHE.json` is treated
-/// as an empty committed set (any segments present are uncommitted
-/// leftovers). `Err` means the directory cannot be scanned at all.
+/// `CACHE.json`, records that do not decode, and duplicate keys. A
+/// missing `CACHE.json` is treated as an empty committed set (any
+/// segments present are uncommitted leftovers). `Err` means the
+/// directory cannot be scanned at all.
 pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
     if !dir.is_dir() {
         return Err(format!("{} is not a directory", dir.display()));
@@ -618,7 +510,7 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
             }
         },
     };
-    let (tree_metas, site_metas) = match &manifest {
+    let metas = match manifest {
         Some(m) => {
             if m.version != CACHE_VERSION {
                 report.issues.push(manifest_defect(format!(
@@ -632,83 +524,37 @@ pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
                     m.fingerprint
                 )));
             }
-            (m.trees.clone(), m.sites.clone())
+            m.sites
         }
-        None => (Vec::new(), Vec::new()),
+        None => Vec::new(),
     };
 
-    let mut seen_trees: HashSet<u64> = HashSet::new();
-    let mut tree_records = 0usize;
-    scan_lenient(
-        dir,
-        TREES_PREFIX,
-        &tree_metas,
-        &mut report.issues,
-        |loc, payload| match decode_tree(payload) {
-            Err(detail) => Some(bad_record(loc, detail)),
-            Ok((hash, _)) if !seen_trees.insert(hash) => Some(sparse(
-                loc,
-                format!("duplicate tree record for hash {}", to_hex(hash)),
-            )),
-            Ok(_) => {
-                tree_records += 1;
-                None
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut log = LogScan::new(dir, SITES_PREFIX, &metas);
+    while let Some(item) = log.next_item() {
+        let (loc, payload) = match item.map_err(|e| e.to_string())? {
+            Scanned::Defect(defect) => {
+                report.issues.push(CacheVerifyIssue::Segment(defect));
+                continue;
             }
-        },
-    )?;
-
-    let mut seen_sites: HashSet<u64> = HashSet::new();
-    let mut site_records = 0usize;
-    scan_lenient(
-        dir,
-        SITES_PREFIX,
-        &site_metas,
-        &mut report.issues,
-        |loc, payload| {
-            let (key, body) = match decode_site(payload) {
-                Ok(record) => record,
-                Err(detail) => return Some(bad_record(loc, detail)),
-            };
-            if !seen_sites.insert(key) {
-                let detail = format!("duplicate site record for key {}", to_hex(key));
-                return Some(sparse(loc, detail));
-            }
-            if body.is_empty() {
-                return Some(sparse(loc, "empty site record payload".into()));
-            }
-            let Ok(v) = serde_json::from_str::<serde_json::Value>(body) else {
-                return Some(bad_record(
-                    loc,
-                    "site record payload is not valid JSON".into(),
-                ));
-            };
-            if let Some(detail) = dangling_tree_ref(&v, &seen_trees) {
-                return Some(bad_record(loc, detail));
-            }
-            site_records += 1;
-            None
-        },
-    )?;
-
-    report.tree_records = tree_records;
-    report.site_records = site_records;
+            Scanned::Record(loc, payload) => (loc, payload),
+        };
+        let RecordLoc { segment, line, .. } = loc;
+        match decode_site(payload) {
+            Err(detail) => report.issues.push(CacheVerifyIssue::BadRecord {
+                segment,
+                line,
+                detail,
+            }),
+            Ok((key, _)) if !seen.insert(key) => report.issues.push(CacheVerifyIssue::Duplicate {
+                segment,
+                line,
+                detail: format!("duplicate site record for key {}", to_hex(key)),
+            }),
+            Ok(_) => report.site_records += 1,
+        }
+    }
     Ok(report)
-}
-
-fn bad_record(loc: &RecordLoc, detail: String) -> CacheVerifyIssue {
-    CacheVerifyIssue::BadRecord {
-        segment: loc.segment.clone(),
-        line: loc.line,
-        detail,
-    }
-}
-
-fn sparse(loc: &RecordLoc, detail: String) -> CacheVerifyIssue {
-    CacheVerifyIssue::Sparse {
-        segment: loc.segment.clone(),
-        line: loc.line,
-        detail,
-    }
 }
 
 /// A defect of `CACHE.json` itself, located at its one line.
@@ -719,33 +565,6 @@ fn manifest_defect(detail: String) -> CacheVerifyIssue {
         offset: 0,
         detail,
     })
-}
-
-/// Site records store trees as content-hash references into the tree
-/// log. A reference to a hash with no tree record would make the site
-/// unreconstructable — report it so `check-artifacts` catches caches
-/// whose tree and site logs have drifted apart. Payloads without a
-/// `pages` array (opaque or foreign records) are left alone.
-fn dangling_tree_ref(v: &serde_json::Value, seen_trees: &HashSet<u64>) -> Option<String> {
-    let serde_json::Value::Seq(pages) = v.get("pages")? else {
-        return None;
-    };
-    for page in pages {
-        let Some(serde_json::Value::Seq(refs)) = page.get("trees") else {
-            continue;
-        };
-        for t in refs {
-            match t {
-                serde_json::Value::U64(h) => {
-                    if !seen_trees.contains(h) {
-                        return Some(format!("dangling tree reference {}", to_hex(*h)));
-                    }
-                }
-                _ => return Some("malformed tree reference (expected u64 hash)".to_string()),
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -762,7 +581,7 @@ mod tests {
         dir
     }
 
-    fn sample_visits(n: usize) -> Vec<VisitResult> {
+    fn sample_trees(n: usize) -> Vec<DepTree> {
         let u = WebUniverse::generate(UniverseConfig {
             seed: 91,
             sites_per_bucket: [4, 2, 2, 2, 2],
@@ -773,105 +592,106 @@ mod tests {
             .iter()
             .take(n)
             .enumerate()
-            .map(|(i, s)| b.visit(&s.landing_url(), i as u64))
+            .map(|(i, s)| {
+                build_tree(
+                    &b.visit(&s.landing_url(), i as u64),
+                    None,
+                    &TreeConfig::default(),
+                )
+            })
             .collect()
+    }
+
+    /// A cache at `dir` holding `records` committed site records: record
+    /// `k` has key `k + 1` and the first `k` sample trees, so record 0
+    /// holds none.
+    fn committed(dir: &Path, fingerprint: u64, records: usize) -> Vec<DepTree> {
+        let trees = sample_trees(records);
+        let cache = TreeCache::open(dir, fingerprint);
+        for k in 0..records {
+            cache.insert_site(k as u64 + 1, &trees[..k]);
+        }
+        cache.commit().unwrap();
+        trees
     }
 
     #[test]
     fn codec_roundtrips_built_trees() {
-        for (i, v) in sample_visits(6).iter().enumerate() {
-            let tree = build_tree(v, None, &TreeConfig::default());
-            let encoded = encode_tree(i as u64, &tree).expect("URL keys are codec-safe");
-            let (hash, back) = decode_tree(&encoded).unwrap();
-            assert_eq!(hash, i as u64);
-            assert_eq!(back, tree, "visit {i} tree must round-trip exactly");
-            back.check_invariants().unwrap();
+        let trees = sample_trees(6);
+        let encoded = encode_site(7, &trees).expect("URL keys are codec-safe");
+        let (key, back) = decode_site(&encoded).unwrap();
+        assert_eq!(key, 7);
+        assert_eq!(back, trees, "site record trees must round-trip exactly");
+        for tree in &back {
+            tree.check_invariants().unwrap();
         }
+        assert_eq!(
+            decode_site(&encode_site(8, &[]).unwrap()).unwrap(),
+            (8, Vec::new())
+        );
     }
 
     #[test]
     fn codec_refuses_separator_keys() {
-        let mut t = DepTree::new_rooted("https://p/".into());
-        t.attach(
-            0,
-            format!("bad{}key", FIELD_SEP),
-            ResourceType::Script,
-            Party::First,
-            false,
-        );
-        assert!(encode_tree(1, &t).is_none());
+        for sep in [FIELD_SEP, NODE_SEP, TREE_SEP] {
+            let mut t = DepTree::new_rooted("https://p/".into());
+            t.attach(
+                0,
+                format!("bad{sep}key"),
+                ResourceType::Script,
+                Party::First,
+                false,
+            );
+            assert!(encode_site(1, &[t]).is_none());
+        }
     }
 
     #[test]
-    fn memory_tier_hits_and_misses() {
-        let cache = TreeCache::in_memory(7);
-        let visits = sample_visits(2);
-        let h0 = visit_hash(&visits[0]).unwrap();
-        assert!(cache.get_tree(h0).is_none());
-        let tree = build_tree(&visits[0], None, &TreeConfig::default());
-        cache.insert_tree(h0, &tree);
-        assert_eq!(cache.get_tree(h0).unwrap(), tree);
-        assert_eq!(cache.tree_count(), 1);
+    fn records_hit_only_at_their_tree_count() {
+        let dir = tmp("hits");
+        let cache = TreeCache::open(&dir, 7);
+        let trees = sample_trees(2);
+        assert!(cache.get_site(5, 2).is_none());
+        cache.insert_site(5, &trees);
+        assert_eq!(cache.get_site(5, 2).unwrap(), trees);
+        assert!(
+            cache.get_site(5, 3).is_none(),
+            "a record of another length is a miss"
+        );
+        assert_eq!(cache.site_count(), 1);
     }
 
     #[test]
     fn disk_tier_survives_reopen() {
         let dir = tmp("reopen");
-        let visits = sample_visits(3);
-        let cfg = TreeConfig::default();
-        {
-            let cache = TreeCache::open(&dir, 42);
-            for v in &visits {
-                let h = visit_hash(v).unwrap();
-                cache.insert_tree(h, &build_tree(v, None, &cfg));
-            }
-            cache.insert_site(9, "{\"opaque\":true}");
-            cache.commit().unwrap();
-        }
+        let trees = committed(&dir, 42, 3);
         let cache = TreeCache::open(&dir, 42);
-        assert_eq!(cache.tree_count(), visits.len());
-        for v in &visits {
-            let h = visit_hash(v).unwrap();
+        assert_eq!(cache.site_count(), 3);
+        for k in 0..3 {
             assert_eq!(
-                cache.get_tree(h).unwrap(),
-                build_tree(v, None, &cfg),
-                "reloaded tree must equal the built one"
+                cache.get_site(k as u64 + 1, k).unwrap(),
+                trees[..k],
+                "reloaded trees must equal the built ones"
             );
         }
-        assert_eq!(&*cache.get_site(9).unwrap(), "{\"opaque\":true}");
     }
 
     #[test]
     fn fingerprint_mismatch_discards() {
         let dir = tmp("fingerprint");
-        {
-            let cache = TreeCache::open(&dir, 1);
-            let v = &sample_visits(1)[0];
-            cache.insert_tree(
-                visit_hash(v).unwrap(),
-                &build_tree(v, None, &TreeConfig::default()),
-            );
-            cache.commit().unwrap();
-        }
+        committed(&dir, 1, 2);
         let cache = TreeCache::open(&dir, 2);
-        assert_eq!(cache.tree_count(), 0, "different fingerprint starts empty");
+        assert_eq!(cache.site_count(), 0, "different fingerprint starts empty");
         assert!(cache.is_disk_backed());
     }
 
     #[test]
     fn older_format_version_discards() {
         let dir = tmp("version");
-        {
-            let cache = TreeCache::open(&dir, 5);
-            let v = &sample_visits(1)[0];
-            cache.insert_tree(
-                visit_hash(v).unwrap(),
-                &build_tree(v, None, &TreeConfig::default()),
-            );
-            cache.commit().unwrap();
-        }
-        // A cache written by the previous format (other line checksums
-        // and content addresses) is rebuilt, never read.
+        committed(&dir, 5, 2);
+        // A version-2 cache kept its trees in a separate tree log beside
+        // the site log; it is rebuilt, never read, and its tree log goes
+        // with it.
         let path = dir.join(CACHE_MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
         let old = text.replace(
@@ -880,67 +700,53 @@ mod tests {
         );
         assert_ne!(old, text);
         std::fs::write(&path, old).unwrap();
+        let tree_log = dir.join("trees-000.seg");
+        std::fs::write(
+            &tree_log,
+            b"0123456789abcdef 0123 1 r\x1fM\x1f1\x1f0\x1fhttps://a/\n",
+        )
+        .unwrap();
         let cache = TreeCache::open(&dir, 5);
-        assert_eq!(cache.tree_count(), 0, "an older version starts empty");
+        assert_eq!(cache.site_count(), 0, "an older version starts empty");
         assert!(cache.is_disk_backed());
+        assert!(!tree_log.exists(), "the version-2 tree log is discarded");
     }
 
     #[test]
     fn corrupt_segment_discards_and_recreates() {
         let dir = tmp("corrupt");
-        {
-            let cache = TreeCache::open(&dir, 3);
-            for v in &sample_visits(2) {
-                cache.insert_tree(
-                    visit_hash(v).unwrap(),
-                    &build_tree(v, None, &TreeConfig::default()),
-                );
-            }
-            cache.commit().unwrap();
-        }
+        let trees = committed(&dir, 3, 3);
         // Flip one byte inside the committed region.
-        let seg = dir.join("trees-000.seg");
+        let seg = dir.join("sites-000.seg");
         let mut bytes = std::fs::read(&seg).unwrap();
         bytes[25] ^= 1;
         std::fs::write(&seg, &bytes).unwrap();
 
         let cache = TreeCache::open(&dir, 3);
-        assert_eq!(cache.tree_count(), 0, "corruption discards the cache");
+        assert_eq!(cache.site_count(), 0, "corruption discards the cache");
         assert!(cache.is_disk_backed(), "and recreates it fresh");
         // The discarded directory is usable again.
-        let v = &sample_visits(1)[0];
-        cache.insert_tree(
-            visit_hash(v).unwrap(),
-            &build_tree(v, None, &TreeConfig::default()),
-        );
+        cache.insert_site(9, &trees);
         cache.commit().unwrap();
         let back = TreeCache::open(&dir, 3);
-        assert_eq!(back.tree_count(), 1);
+        assert_eq!(back.get_site(9, trees.len()).unwrap(), trees);
     }
 
     #[test]
     fn uncommitted_tail_is_truncated() {
         let dir = tmp("tail");
-        {
-            let cache = TreeCache::open(&dir, 4);
-            let v = &sample_visits(1)[0];
-            cache.insert_tree(
-                visit_hash(v).unwrap(),
-                &build_tree(v, None, &TreeConfig::default()),
-            );
-            cache.commit().unwrap();
-        }
+        committed(&dir, 4, 2);
         // Simulate a crash mid-append: garbage past the committed region.
-        let seg = dir.join("trees-000.seg");
+        let seg = dir.join("sites-000.seg");
         let mut bytes = std::fs::read(&seg).unwrap();
         let committed = bytes.len();
         bytes.extend_from_slice(b"0123 half-written rec");
         std::fs::write(&seg, &bytes).unwrap();
-        let stray = dir.join("sites-000.seg");
+        let stray = dir.join("sites-001.seg");
         std::fs::write(&stray, b"never committed").unwrap();
 
         let cache = TreeCache::open(&dir, 4);
-        assert_eq!(cache.tree_count(), 1, "committed prefix survives");
+        assert_eq!(cache.site_count(), 2, "committed prefix survives");
         assert_eq!(
             std::fs::metadata(&seg).unwrap().len(),
             committed as u64,
@@ -953,26 +759,17 @@ mod tests {
     #[test]
     fn verify_cache_clean_and_defect_reporting() {
         let dir = tmp("verify");
-        let visits = sample_visits(3);
-        {
-            let cache = TreeCache::open(&dir, 11);
-            for v in &visits {
-                cache.insert_tree(
-                    visit_hash(v).unwrap(),
-                    &build_tree(v, None, &TreeConfig::default()),
-                );
-            }
-            cache.insert_site(77, "{\"opaque\":true}");
-            cache.commit().unwrap();
-        }
+        committed(&dir, 11, 3);
         let report = verify_cache(&dir).expect("scan");
         assert!(report.is_clean(), "{:?}", report.issues);
-        assert_eq!(report.tree_records, visits.len());
-        assert_eq!(report.site_records, 1);
+        assert_eq!(
+            report.site_records, 3,
+            "a zero-tree record is a valid record"
+        );
 
         // Crash leftovers: uncommitted garbage past the committed
         // region is a TrailingBytes warning, not corruption.
-        let seg = dir.join("trees-000.seg");
+        let seg = dir.join("sites-000.seg");
         let committed = std::fs::read(&seg).unwrap();
         let mut bytes = committed.clone();
         bytes.extend_from_slice(b"0123 half-written rec");
@@ -996,16 +793,16 @@ mod tests {
             report.issues.iter().any(|i| matches!(
                 i,
                 CacheVerifyIssue::Segment(SegmentDefect::Corrupt { segment, line: 1, .. })
-                    if segment == "trees-000.seg"
+                    if segment == "sites-000.seg"
             )),
             "{:?}",
             report.issues
         );
         std::fs::write(&seg, &committed).unwrap();
 
-        // A duplicate record (valid framing, repeated key) is a
-        // density defect. Re-append a copy of line 1 and re-pin the
-        // manifest so the framing layer stays clean.
+        // A duplicate record (valid framing, repeated key). Re-append a
+        // copy of line 1 and re-pin the manifest so the framing layer
+        // stays clean.
         let text = String::from_utf8(committed.clone()).unwrap();
         let first_line = text.lines().next().unwrap().to_string();
         let mut manifest: CacheManifest =
@@ -1013,98 +810,23 @@ mod tests {
                 .unwrap();
         let mut w = LogWriter::resume(
             &dir,
-            TREES_PREFIX,
+            SITES_PREFIX,
             DEFAULT_SEGMENT_CAPACITY,
-            manifest.trees.clone(),
+            manifest.sites.clone(),
         );
-        let payload = first_line[17..].to_string(); // strip checksum column
-        w.append(&payload).unwrap();
+        w.append(&first_line[17..]).unwrap(); // strip checksum column
         w.flush().unwrap();
-        manifest.trees = w.metas().to_vec();
+        manifest.sites = w.metas().to_vec();
         manifest.store(&dir).unwrap();
         let report = verify_cache(&dir).expect("scan");
         assert!(
             report
                 .issues
                 .iter()
-                .any(|i| matches!(i, CacheVerifyIssue::Sparse { line: 4, .. })),
+                .any(|i| matches!(i, CacheVerifyIssue::Duplicate { line: 4, .. })),
             "{:?}",
             report.issues
         );
-    }
-
-    #[test]
-    fn verify_cache_flags_dangling_tree_references() {
-        let dir = tmp("dangling");
-        let visits = sample_visits(2);
-        let hashes: Vec<u64> = visits.iter().map(|v| visit_hash(v).unwrap()).collect();
-        {
-            let cache = TreeCache::open(&dir, 13);
-            for (v, h) in visits.iter().zip(&hashes) {
-                cache.insert_tree(*h, &build_tree(v, None, &TreeConfig::default()));
-                assert!(cache.is_tree_persisted(*h), "appended to the tree log");
-            }
-            assert!(!cache.is_tree_persisted(0xDEAD), "never inserted");
-            // A site record whose tree references all resolve is clean.
-            let good = format!(
-                "{{\"pages\":[{{\"trees\":[{},{}]}}]}}",
-                hashes[0], hashes[1]
-            );
-            cache.insert_site(1, &good);
-            // One referencing a hash absent from the tree log dangles.
-            let bad = format!("{{\"pages\":[{{\"trees\":[{},57005]}}]}}", hashes[0]);
-            cache.insert_site(2, &bad);
-            // Non-integer references are malformed, not dangling.
-            cache.insert_site(3, "{\"pages\":[{\"trees\":[\"x\"]}]}");
-            // Records without a `pages` array are left alone.
-            cache.insert_site(4, "{\"opaque\":true}");
-            cache.commit().unwrap();
-        }
-        let report = verify_cache(&dir).expect("scan");
-        let bad_records: Vec<&str> = report
-            .issues
-            .iter()
-            .filter_map(|i| match i {
-                CacheVerifyIssue::BadRecord { detail, .. } => Some(detail.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(bad_records.len(), 2, "{:?}", report.issues);
-        assert!(
-            bad_records
-                .iter()
-                .any(|d| d.contains("dangling tree reference")),
-            "{bad_records:?}"
-        );
-        assert!(
-            bad_records
-                .iter()
-                .any(|d| d.contains("malformed tree reference")),
-            "{bad_records:?}"
-        );
-        assert_eq!(report.site_records, 2, "good + opaque records count");
-    }
-
-    #[test]
-    fn memory_only_caches_never_mark_trees_persisted() {
-        let cache = TreeCache::in_memory(5);
-        let visits = sample_visits(1);
-        let h = visit_hash(&visits[0]).unwrap();
-        cache.insert_tree(h, &build_tree(&visits[0], None, &TreeConfig::default()));
-        assert!(cache.get_tree(h).is_some());
-        assert!(
-            !cache.is_tree_persisted(h),
-            "no tree log, so site records must not reference it"
-        );
-    }
-
-    #[test]
-    fn visit_hash_matches_bundle_object_address() {
-        // The cache key must be the bundle object store's address so a
-        // replayed bundle supplies keys for free.
-        let v = &sample_visits(1)[0];
-        let canonical = serde_json::to_string(v).unwrap();
-        assert_eq!(visit_hash(v), Some(object_hash(canonical.as_bytes())));
     }
 
     /// Random trees for the codec property: a parent index for each
@@ -1143,14 +865,63 @@ mod tests {
         })
     }
 
+    /// Decode `line`, which must not panic; whatever decodes holds
+    /// well-formed trees.
+    fn decodes_soundly(line: &str) -> bool {
+        match decode_site(line) {
+            Ok((_, trees)) => {
+                for tree in &trees {
+                    tree.check_invariants().unwrap();
+                }
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
     proptest! {
         #[test]
-        fn codec_roundtrip_property(tree in arb_tree(), hash in any::<u64>()) {
-            let encoded = encode_tree(hash, &tree).expect("generated keys are codec-safe");
-            let (h, back) = decode_tree(&encoded).unwrap();
-            prop_assert_eq!(h, hash);
-            prop_assert_eq!(&back, &tree);
-            back.check_invariants().unwrap();
+        fn codec_roundtrip_property(
+            trees in proptest::collection::vec(arb_tree(), 0..4),
+            key in any::<u64>(),
+        ) {
+            let encoded = encode_site(key, &trees).expect("generated keys are codec-safe");
+            let (k, back) = decode_site(&encoded).unwrap();
+            prop_assert_eq!(k, key);
+            prop_assert_eq!(&back, &trees);
+            for tree in &back {
+                tree.check_invariants().unwrap();
+            }
+        }
+
+        /// Arbitrary bytes never decode; a flipped bit, a truncation or
+        /// a splice of one record into another never panics the decoder
+        /// and never yields a malformed tree. (A flip inside a URL can
+        /// still decode; the segment layer's line checksum catches it.)
+        #[test]
+        fn record_decoder_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            a in proptest::collection::vec(arb_tree(), 0..3),
+            b in proptest::collection::vec(arb_tree(), 0..3),
+            kind in 0u8..3,
+            at in any::<usize>(),
+            span in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            prop_assert!(!decodes_soundly(&String::from_utf8_lossy(&bytes)));
+            let mut line = encode_site(1, &a).expect("codec-safe").into_bytes();
+            let donor = encode_site(2, &b).expect("codec-safe").into_bytes();
+            let at = at % (line.len() + 1);
+            match kind {
+                0 if at < line.len() => line[at] ^= 1 << bit,
+                1 => line.truncate(at),
+                _ => {
+                    let from = span % (donor.len() + 1);
+                    let to = (from + span % 64).min(donor.len());
+                    line.splice(at..at, donor[from..to].iter().copied());
+                }
+            }
+            decodes_soundly(&String::from_utf8_lossy(&line));
         }
     }
 }

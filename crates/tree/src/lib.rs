@@ -30,6 +30,6 @@ pub mod diff;
 mod tree;
 
 pub use build::{build_tree, build_tree_default, CallStackMode, TreeConfig};
-pub use cache::{verify_cache, visit_hash, CacheVerifyIssue, CacheVerifyReport, TreeCache};
+pub use cache::{verify_cache, CacheVerifyIssue, CacheVerifyReport, TreeCache};
 pub use diff::{diff_trees, DiffEntry, NodeDisposition, TreeDiff};
 pub use tree::{DepTree, Node, NodeId, TreeMetrics};

@@ -1,5 +1,5 @@
 //! Byte-identity of the cached analysis path: a replay through the
-//! tree/site cache — cold, warm in-process, warm across a process
+//! tree cache — cold, warm in-process, warm across a process
 //! boundary (cache reopened from disk), after cache corruption, or
 //! incremental over a bundle delta — must render exactly the same
 //! report JSON and CSVs as the uncached crawl-then-analyze run, at any
@@ -92,13 +92,14 @@ fn cached_replays_are_byte_identical_to_cold_runs() {
     assert_eq!(cold.sites_rebuilt, cold.sites_total);
     render(&cold.results).pipe_assert(&baseline, "cold cached replay");
 
-    // --- Warm, same process: every site folds from the typed tier. ---
+    // --- Warm, same process: every site's trees come from the records
+    // the cold replay stored. ---
     let warm = cached_replay(1, &dir, &cache);
     assert_eq!(warm.sites_rebuilt, 0, "warm cache must cover every site");
     render(&warm.results).pipe_assert(&baseline, "warm in-process replay");
 
-    // --- Warm, reopened from disk (a restarted process): sites
-    // reconstruct from lean records + tree-log rehydration. ---
+    // --- Warm, reopened from disk (a restarted process): every site's
+    // trees decode from its committed record. ---
     let reopened = AnalysisCache::open(&cache_dir, &config(1));
     let disk = cached_replay(1, &dir, &reopened);
     assert_eq!(
@@ -121,11 +122,11 @@ fn cached_replays_are_byte_identical_to_cold_runs() {
         let _ = std::fs::remove_dir_all(&wdir);
     }
 
-    // --- Corruption: flip one byte inside the committed tree log. The
+    // --- Corruption: flip one byte inside the committed site log. The
     // cache must discard itself on open and rebuild — outputs stay
     // byte-identical, nothing is trusted from the damaged files. ---
-    let seg = cache_dir.join("trees-000.seg");
-    let mut bytes = std::fs::read(&seg).expect("committed tree segment exists");
+    let seg = cache_dir.join("sites-000.seg");
+    let mut bytes = std::fs::read(&seg).expect("committed site segment exists");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
     std::fs::write(&seg, &bytes).unwrap();
