@@ -1,8 +1,7 @@
 //! Deterministic scoped-thread fan-out for per-page analysis passes.
 //!
-//! The same worker scheme the crawler's `Commander` uses: chunk the
-//! input across `workers` scoped threads, write each result into its
-//! pre-assigned slot, and join. Because every item's result lands at
+//! Chunk the input across `workers` scoped threads, write each result
+//! into its pre-assigned slot, and join. Because every item's result lands at
 //! the item's own position, the output is **identical for any worker
 //! count** — the deterministic-merge rule of DESIGN.md §9. Ordered
 //! floating-point accumulation therefore stays inside `f`, never

@@ -34,64 +34,36 @@
 //! summary on stderr, and `--telemetry DIR` (or `--csv DIR`) writes the
 //! machine-readable manifest next to the exported tables. An unknown
 //! flag, a value flag without a value, or a numeric flag whose value is
-//! not a number exits 2 naming the flag.
+//! not a number exits 2 naming the flag. `--help` (or `-h`) prints the
+//! usage of `repro`, or of `repro serve`, rendered from the command's
+//! flag table, and exits 0.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use wmtree::{Experiment, ExperimentConfig, Report, Scale};
-
-/// Every flag of the main command: name, and whether it takes a value.
-const FLAGS: &[(&str, bool)] = &[
-    ("--help", false),
-    ("-h", false),
-    ("--scale", true),
-    ("--table", true),
-    ("--fig", true),
-    ("--case", true),
-    ("--json", true),
-    ("--csv", true),
-    ("--telemetry", true),
-    ("--no-telemetry", false),
-    ("--ablations", false),
-    ("--bundle", true),
-    ("--resume", false),
-    ("--max-sites", true),
-    ("--from-bundle", true),
-    ("--shards", true),
-    ("--shard-dir", true),
-    ("--plan-only", false),
-    ("--shard-id", true),
-    ("--merge-shards", true),
-    ("--workers", true),
-    ("--list-bundles", true),
-];
-
-/// Every flag of `repro serve`, as [`FLAGS`].
-const SERVE_FLAGS: &[(&str, bool)] = &[
-    ("--root", true),
-    ("--addr", true),
-    ("--http-workers", true),
-    ("--job-workers", true),
-    ("--cache", true),
-    ("--batch-sites", true),
-];
+use wmtree_bench::{usage, FlagTable, FLAGS, SERVE_FLAGS};
 
 /// Check `args` against a flag table: every argument is a known flag,
 /// and a value flag is followed by a value that is not itself a
 /// `--flag`. Anything else exits 2 with a message naming the flag.
-fn check_flags(args: &[String], table: &[(&str, bool)]) {
+fn check_flags(args: &[String], table: FlagTable) {
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        let Some(&(_, takes_value)) = table.iter().find(|(name, _)| name == arg) else {
+        let Some((_, value)) = table.iter().find(|(name, _)| name == arg) else {
             eprintln!("[repro] unknown flag {arg:?} (see --help)");
             std::process::exit(2);
         };
-        if takes_value && rest.next().is_none_or(|value| value.starts_with("--")) {
+        if value.is_some() && rest.next().is_none_or(|value| value.starts_with("--")) {
             eprintln!("[repro] {arg} needs a value");
             std::process::exit(2);
         }
     }
+}
+
+/// Whether `args` ask for the usage text.
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
 }
 
 /// The value following `flag` in `args`, if any.
@@ -120,23 +92,23 @@ fn main() {
     // `repro serve` hands the process over to the measurement service.
     if args.first().map(String::as_str) == Some("serve") {
         check_flags(&args[1..], SERVE_FLAGS);
+        if wants_help(&args[1..]) {
+            println!(
+                "repro serve — run the measurement service\n\n{}",
+                usage("repro serve", SERVE_FLAGS)
+            );
+            return;
+        }
         serve(&args[1..]);
         return;
     }
     check_flags(&args, FLAGS);
 
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    if wants_help(&args) {
         println!(
-            "repro — regenerate the IMC'23 tables and figures\n\n\
-             USAGE: repro [--scale tiny|small|medium|large|huge] \
-             [--table 1..7] [--fig 1..8] [--case unique-nodes|cookies|tracking] \
-             [--json FILE] [--csv DIR] [--telemetry DIR] [--no-telemetry] [--ablations] \
-             [--bundle DIR [--resume] [--max-sites N]] [--from-bundle DIR] \
-             [--shards N --shard-dir DIR [--plan-only]] \
-             [--shard-dir DIR --shard-id K [--max-sites N]] [--merge-shards DIR] \
-             [--workers N] [--list-bundles DIR]\n\n\
-             repro serve --root DIR [--addr HOST:PORT] [--http-workers N] \
-             [--job-workers N] [--cache N] [--batch-sites N]"
+            "repro — regenerate the IMC'23 tables and figures\n\n{}\n\n{}",
+            usage("repro", FLAGS),
+            usage("repro serve", SERVE_FLAGS)
         );
         return;
     }

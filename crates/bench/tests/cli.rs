@@ -1,9 +1,11 @@
 //! `repro` flag validation at the process boundary: an unknown flag, a
 //! value flag without its value, or a numeric flag with a value that is
 //! not a number must stop the run with exit code 2 and a message naming
-//! the flag, not fall back to a default.
+//! the flag, not fall back to a default. `--help` exits 0 and names
+//! every flag its command accepts.
 
 use std::process::{Command, Output};
+use wmtree_bench::{FlagTable, FLAGS, SERVE_FLAGS};
 
 /// Run `repro` with `args` in a fresh working directory, which is
 /// returned so a test can check what the run left behind.
@@ -59,4 +61,41 @@ fn value_flag_followed_by_a_flag_exits_2_naming_it() {
     );
     let (out, _) = repro("trailing-value", &["--scale", "tiny", "--workers"]);
     assert_rejected(&out, "--workers");
+}
+
+/// `repro` run with `args` must print a usage naming every flag of
+/// `table`, and exit 0.
+fn assert_help(name: &str, args: &[&str], table: FlagTable) {
+    let (out, _) = repro(name, args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (flag, value) in table {
+        let shown = match value {
+            Some(value) => format!("[{flag} {value}]"),
+            None => format!("[{flag}]"),
+        };
+        assert!(
+            stdout.contains(&shown),
+            "{args:?} must show {shown}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn serve_help_exits_0() {
+    assert_help("serve-help", &["serve", "--help"], SERVE_FLAGS);
+    assert_help("serve-h", &["serve", "-h"], SERVE_FLAGS);
+}
+
+#[test]
+fn help_names_every_flag_of_its_command() {
+    assert_help("help", &["--help"], FLAGS);
+    assert_help("h", &["-h"], FLAGS);
+    // The main help also shows the serve command's usage.
+    assert_help("help-serve", &["--help"], SERVE_FLAGS);
 }

@@ -15,17 +15,21 @@
 //!   every segment. The manifest is the commit point: bytes beyond the
 //!   manifest-covered prefix are uncommitted crash leftovers.
 //!
-//! [`BundleWriter`] checkpoints after every completed site, so a crawl
-//! killed mid-run leaves a consistent partial bundle. Resuming truncates
-//! uncommitted bytes and continues appending — the resumed bundle is
-//! byte-identical to one written by an uninterrupted run.
+//! A site is encoded on its own ([`EncodedSite::encode`], pure, so
+//! crawl workers do it in parallel) and then appended in order
+//! ([`BundleWriter::append`]), which checkpoints after every completed
+//! site, so a crawl killed mid-run leaves a consistent partial bundle.
+//! Resuming truncates uncommitted bytes and continues appending — the
+//! resumed bundle is byte-identical to one written by an uninterrupted
+//! run.
 //!
 //! Segment logs have one reader, [`segment::LogScan`], which yields
 //! records and framing defects alike. Replay ([`read_visits`]) and
 //! [`BundleWriter::resume`] share one fail-fast loader over it, which
-//! reads each log once and moves every stored payload into the visits
-//! that reference it: the first defect surfaces as an error naming the
-//! segment, line, and byte offset. [`verify_bundle`], the check behind
+//! reads each log once, decodes objects on scoped threads, and moves
+//! every stored payload into the visits that reference it, in log
+//! order: the first defect surfaces as an error naming the segment,
+//! line, and byte offset. [`verify_bundle`], the check behind
 //! `wmtree-lint check-artifacts`, scans the same way but leniently,
 //! collecting every defect.
 
@@ -52,4 +56,4 @@ pub use record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
 pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};
-pub use writer::{BundleWriter, ResumeState};
+pub use writer::{BundleWriter, EncodedSite, ResumeState};

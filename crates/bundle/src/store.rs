@@ -72,7 +72,7 @@ impl BundleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::tests::{meta, tmp, visit};
+    use crate::writer::tests::{append_site, meta, tmp, visit};
     use crate::writer::BundleWriter;
 
     #[test]
@@ -82,15 +82,24 @@ mod tests {
         // name order to prove the listing sorts.
         let mut w = BundleWriter::create(&root.join("job-001"), meta()).unwrap();
         let v = visit(1);
-        w.append_site("b.com", vec![("https://www.b.com/".to_string(), 0, &v)])
-            .unwrap();
+        append_site(
+            &mut w,
+            "b.com",
+            vec![("https://www.b.com/".to_string(), 0, &v)],
+        );
         w.suspend().unwrap();
 
         let mut w = BundleWriter::create(&root.join("job-000"), meta()).unwrap();
-        w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
-            .unwrap();
-        w.append_site("c.com", vec![("https://www.c.com/".to_string(), 1, &v)])
-            .unwrap();
+        append_site(
+            &mut w,
+            "a.com",
+            vec![("https://www.a.com/".to_string(), 0, &v)],
+        );
+        append_site(
+            &mut w,
+            "c.com",
+            vec![("https://www.c.com/".to_string(), 1, &v)],
+        );
         w.finish().unwrap();
 
         // Noise the listing must skip: a sidecar file and a plain dir.

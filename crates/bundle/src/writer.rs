@@ -1,12 +1,20 @@
 //! [`BundleWriter`] — checkpointed, resumable archive recording.
 //!
-//! The write protocol makes the *site* the unit of durability:
+//! Appending a site has two halves. [`EncodedSite::encode`] is pure: it
+//! serializes each visit once, content-addresses those bytes, and
+//! builds the site's object entries, visit records and checkpoint
+//! record. It touches no writer state, so crawl workers encode their
+//! own sites in parallel. [`BundleWriter::append`] is the ordered half,
+//! and makes the *site* the unit of durability:
 //!
 //! 1. append the site's missing payloads to the object store
-//!    (content-addressed, deduplicated),
+//!    (content-addressed, deduplicated against every stored object),
 //! 2. append one visit record per `(page, profile)` visit,
-//! 3. append a checkpoint record,
+//! 3. append the checkpoint record,
 //! 4. flush both logs and atomically rewrite the manifest.
+//!
+//! The archive's bytes depend only on the order of the appends, never
+//! on where or when a site was encoded.
 //!
 //! A crash between checkpoints leaves trailing bytes (or stray segments)
 //! the manifest does not cover; [`BundleWriter::resume`] verifies the
@@ -37,6 +45,70 @@ pub struct ResumeState {
     /// Every checkpointed visit, payloads resolved, in log order —
     /// ready to rebuild the in-memory database.
     pub visits: Vec<BundleVisit>,
+}
+
+/// One site encoded for [`BundleWriter::append`].
+#[derive(Debug)]
+pub struct EncodedSite {
+    /// The site's visits, in append order.
+    visits: Vec<EncodedVisit>,
+    /// The checkpoint record closing the site.
+    checkpoint: String,
+}
+
+/// One visit of an [`EncodedSite`].
+#[derive(Debug)]
+struct EncodedVisit {
+    /// Content address of the visit's canonical serialization.
+    hash: u64,
+    /// The object-store payload, appended unless the store has `hash`.
+    object: String,
+    /// The visit-log payload referencing `hash`.
+    record: String,
+}
+
+impl EncodedSite {
+    /// Encode one completed site: each visit serialized once, its
+    /// content address taken over exactly those bytes, and every
+    /// payload the site will append built. The iteration order of
+    /// `visits` must be deterministic — it defines the archive's bytes.
+    pub fn encode<'a>(
+        site: &str,
+        visits: impl IntoIterator<Item = (String, usize, &'a VisitResult)>,
+    ) -> Result<EncodedSite, BundleError> {
+        // Scope guard only: the span's clock reads stay inside
+        // telemetry's own snapshot, never the segment bytes.
+        let _span = wmtree_telemetry::span("bundle.encode"); // wmtree-lint: allow(WM0301)
+        let mut encoded = Vec::new();
+        for (url, profile, visit) in visits {
+            // One serialization per visit: the bytes hashed are the
+            // bytes stored.
+            let canonical = serde_json::to_string(visit)
+                .map_err(|e| BundleError::json("serializing visit payload", e))?;
+            let hash = object_hash(canonical.as_bytes());
+            let record = serde_json::to_string(&Record::Visit(VisitRef {
+                site: site.to_string(),
+                url,
+                profile,
+                object: to_hex(hash),
+            }))
+            .map_err(|e| BundleError::json("serializing visit record", e))?;
+            encoded.push(EncodedVisit {
+                hash,
+                object: ObjectEntry::encode(hash, &canonical),
+                record,
+            });
+        }
+        let checkpoint = serde_json::to_string(&Record::Checkpoint(Checkpoint {
+            site: site.to_string(),
+            visits: encoded.len(),
+        }))
+        .map_err(|e| BundleError::json("serializing checkpoint record", e))?;
+        Ok(EncodedSite {
+            visits: encoded,
+            checkpoint,
+        })
+    }
 }
 
 /// Checkpointed archive writer. See the module docs for the protocol.
@@ -121,58 +193,30 @@ impl BundleWriter {
         &self.manifest
     }
 
-    /// Append one completed site and commit it: object payloads, visit
-    /// records, a checkpoint record, then the manifest rewrite. The
-    /// iteration order of `visits` must be deterministic — it defines
-    /// the archive's bytes.
-    pub fn append_site<'a>(
-        &mut self,
-        site: &str,
-        visits: impl IntoIterator<Item = (String, usize, &'a VisitResult)>,
-    ) -> Result<usize, BundleError> {
-        // Scope guard only: the span's clock reads stay inside
-        // telemetry's own snapshot, never the segment bytes.
-        let _span = wmtree_telemetry::span("bundle.checkpoint"); // wmtree-lint: allow(WM0301)
-        let mut count = 0usize;
-        for (url, profile, visit) in visits {
-            // One serialization per visit: the bytes hashed are the
-            // bytes stored.
-            let canonical = serde_json::to_string(visit)
-                .map_err(|e| BundleError::json("serializing visit payload", e))?;
-            let hash = object_hash(canonical.as_bytes());
-            if self.index.insert(hash) {
-                self.objects
-                    .append(&ObjectEntry::encode(hash, &canonical))?;
+    /// Append one encoded site and commit it: the object payloads the
+    /// store lacks, the visit records, the checkpoint record, then the
+    /// manifest rewrite. Sites must arrive in a deterministic order —
+    /// it defines the archive's bytes.
+    pub fn append(&mut self, site: EncodedSite) -> Result<(), BundleError> {
+        let _span = wmtree_telemetry::span("bundle.checkpoint");
+        for visit in &site.visits {
+            if self.index.insert(visit.hash) {
+                self.objects.append(&visit.object)?;
                 self.manifest.objects += 1;
                 wmtree_telemetry::counter!("bundle.objects.stored").inc();
             } else {
                 self.manifest.dedup_hits += 1;
                 wmtree_telemetry::counter!("bundle.objects.dedup_hits").inc();
             }
-            let record = Record::Visit(VisitRef {
-                site: site.to_string(),
-                url,
-                profile,
-                object: to_hex(hash),
-            });
-            let payload = serde_json::to_string(&record)
-                .map_err(|e| BundleError::json("serializing visit record", e))?;
-            self.visits.append(&payload)?;
+            self.visits.append(&visit.record)?;
             self.manifest.visit_records += 1;
-            count += 1;
             wmtree_telemetry::counter!("bundle.records.written").inc();
         }
-        let checkpoint = Record::Checkpoint(Checkpoint {
-            site: site.to_string(),
-            visits: count,
-        });
-        let payload = serde_json::to_string(&checkpoint)
-            .map_err(|e| BundleError::json("serializing checkpoint record", e))?;
-        self.visits.append(&payload)?;
+        self.visits.append(&site.checkpoint)?;
         self.manifest.checkpoints += 1;
         self.commit()?;
         wmtree_telemetry::counter!("bundle.checkpoints").inc();
-        Ok(count)
+        Ok(())
     }
 
     /// Flush the logs and atomically rewrite the manifest.
@@ -230,19 +274,28 @@ pub(crate) mod tests {
         dir
     }
 
+    /// Encode `site` and append it to `w` through the one append path.
+    pub(crate) fn append_site(
+        w: &mut BundleWriter,
+        site: &str,
+        visits: Vec<(String, usize, &VisitResult)>,
+    ) {
+        w.append(EncodedSite::encode(site, visits).unwrap())
+            .unwrap();
+    }
+
     /// Two sites: `a.com` visited by both profiles with two distinct
     /// payloads, then `b.com` reusing the first payload (a dedup hit).
     pub(crate) fn write_small(dir: &Path, finish: bool) {
         let mut w = BundleWriter::create(dir, meta()).unwrap();
         let (va, vb) = (visit(1), visit(2));
         let page = |site: &str| format!("https://www.{site}/");
-        w.append_site(
+        append_site(
+            &mut w,
             "a.com",
             vec![(page("a.com"), 0, &va), (page("a.com"), 1, &vb)],
-        )
-        .unwrap();
-        w.append_site("b.com", vec![(page("b.com"), 0, &va)])
-            .unwrap();
+        );
+        append_site(&mut w, "b.com", vec![(page("b.com"), 0, &va)]);
         if finish {
             w.finish().unwrap();
         } else {
@@ -292,14 +345,14 @@ pub(crate) mod tests {
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
         // Both profiles see the identical payload → one object, one hit.
-        w.append_site(
+        append_site(
+            &mut w,
             "a.com",
             vec![
                 ("https://www.a.com/".to_string(), 0, &v),
                 ("https://www.a.com/".to_string(), 1, &v),
             ],
-        )
-        .unwrap();
+        );
         let m = w.finish().unwrap();
         assert_eq!(m.objects, 1);
         assert_eq!(m.dedup_hits, 1);
@@ -314,8 +367,11 @@ pub(crate) mod tests {
         let dir = tmp("writer-resume");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
-        w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
-            .unwrap();
+        append_site(
+            &mut w,
+            "a.com",
+            vec![("https://www.a.com/".to_string(), 0, &v)],
+        );
         w.suspend().unwrap();
 
         let (mut w2, state) = BundleWriter::resume(&dir, meta()).unwrap();
@@ -324,8 +380,11 @@ pub(crate) mod tests {
         assert_eq!(state.visits.len(), 1);
         assert_eq!(state.visits[0].visit, v);
         // The recovered index still dedups against pre-crash objects.
-        w2.append_site("b.com", vec![("https://www.b.com/".to_string(), 0, &v)])
-            .unwrap();
+        append_site(
+            &mut w2,
+            "b.com",
+            vec![("https://www.b.com/".to_string(), 0, &v)],
+        );
         let m = w2.finish().unwrap();
         assert_eq!(m.objects, 1, "identical payload dedups across resume");
         assert_eq!(m.dedup_hits, 1);
@@ -349,8 +408,11 @@ pub(crate) mod tests {
         let dir = tmp("writer-tail");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
-        w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
-            .unwrap();
+        append_site(
+            &mut w,
+            "a.com",
+            vec![("https://www.a.com/".to_string(), 0, &v)],
+        );
         w.suspend().unwrap();
         // Simulate a crash mid-site: torn records past the commit in
         // both logs, and a stray segment from a rotation.
@@ -384,8 +446,11 @@ pub(crate) mod tests {
         let dir = tmp("writer-refuse");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
-        w.append_site("a.com", vec![("https://www.a.com/".to_string(), 0, &v)])
-            .unwrap();
+        append_site(
+            &mut w,
+            "a.com",
+            vec![("https://www.a.com/".to_string(), 0, &v)],
+        );
         w.suspend().unwrap();
         // A torn tail on the visit log, and a flipped byte inside the
         // committed object log: the object log fails after the visit log

@@ -8,49 +8,38 @@
 
 use crate::db::{CrawlDb, PageKey};
 use std::path::Path;
-use wmtree_browser::VisitResult;
-use wmtree_bundle::{read_visits, BundleError, BundleMeta, BundleWriter, Manifest};
+use wmtree_bundle::{read_visits, BundleError, BundleMeta, BundleWriter, EncodedSite, Manifest};
 
-/// The canonical append order of a database's visits: pages in
-/// `(site, url)` order, profiles in index order — the same order
-/// [`crate::export::write_jsonl`] uses, so archives are deterministic.
-pub(crate) fn ordered_visits(db: &CrawlDb) -> Vec<(String, usize, &VisitResult)> {
-    let mut out = Vec::new();
-    for page in db.pages() {
+/// Encode the visits `db` holds on `pages`, all pages of `site`, in the
+/// canonical append order: pages in `(site, url)` order, profiles in
+/// index order — the same order [`crate::export::write_jsonl`] uses, so
+/// archives are deterministic.
+pub(crate) fn encode_site<'a>(
+    db: &CrawlDb,
+    site: &str,
+    pages: impl IntoIterator<Item = &'a PageKey>,
+) -> Result<EncodedSite, BundleError> {
+    let mut visits = Vec::new();
+    for page in pages {
         for profile in 0..db.n_profiles() {
             if let Some(visit) = db.visit_any(page, profile) {
-                out.push((page.url.clone(), profile, visit));
+                visits.push((page.url.clone(), profile, visit));
             }
         }
     }
-    out
+    EncodedSite::encode(site, visits)
 }
 
 /// Archive a database as a complete bundle at `dir` (one checkpoint per
-/// site, sites in lexicographic order). Fails if `dir` already holds a
-/// bundle.
+/// site, sites in lexicographic order), encoding and appending on the
+/// calling thread. Fails if `dir` already holds a bundle.
 pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manifest, BundleError> {
     let _span = wmtree_telemetry::span("bundle.write_db");
     let mut writer = BundleWriter::create(dir, meta)?;
-    let pages: Vec<PageKey> = db.pages().cloned().collect();
-    let mut i = 0;
-    while i < pages.len() {
-        // Pages of one site are contiguous in (site, url) order.
-        let site = pages[i].site.clone();
-        let mut j = i;
-        while j < pages.len() && pages[j].site == site {
-            j += 1;
-        }
-        let mut visits = Vec::new();
-        for page in &pages[i..j] {
-            for profile in 0..db.n_profiles() {
-                if let Some(visit) = db.visit_any(page, profile) {
-                    visits.push((page.url.clone(), profile, visit));
-                }
-            }
-        }
-        writer.append_site(&site, visits)?;
-        i = j;
+    let pages: Vec<&PageKey> = db.pages().collect();
+    // Pages of one site are contiguous in (site, url) order.
+    for site in pages.chunk_by(|a, b| a.site == b.site) {
+        writer.append(encode_site(db, &site[0].site, site.iter().copied())?)?;
     }
     writer.finish()
 }

@@ -9,11 +9,25 @@
 //! simulations, not VMs, so the semi-parallel semantics are preserved
 //! by construction: profiles of the same site always run in the same
 //! task).
+//!
+//! Every crawl — in memory, resumable into a bundle, or over a shard's
+//! site window — runs through one loop, `ordered`. Workers take the
+//! next site from a shared index and crawl it into a database of its
+//! own; a resumable crawl also encodes the site for the bundle in the
+//! worker. The calling thread hands finished sites to its sink (the
+//! database merge, and the bundle's ordered append and checkpoint) in
+//! universe order, through a reorder window of at most twice the worker
+//! count, so no worker waits for a slower site of a chunk and the
+//! results are the same for any worker count.
 
+use crate::bundle_io::encode_site;
 use crate::db::{CrawlDb, PageKey};
 use crate::discovery::discover_pages;
 use crate::profile::Profile;
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::path::Path;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use wmtree_browser::Browser;
 use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Manifest, ResumeState};
 use wmtree_telemetry::ProgressTracker;
@@ -134,46 +148,17 @@ impl<'a> Commander<'a> {
     /// it afterwards for the run manifest).
     pub fn run_with_progress(&self, progress: &ProgressTracker) -> CrawlDb {
         let _run_span = wmtree_telemetry::span("crawl.run");
-        let window = self.site_window();
-        if self.options.workers <= 1 {
-            let mut db = CrawlDb::new(self.profiles.len());
-            for site_idx in window {
-                self.crawl_site(site_idx, &mut db, 0, progress);
-            }
-            return db;
-        }
-        // Shard sites over workers; each worker fills its own DB shard,
-        // merged at the end (site-level sync is inherent: a site's five
-        // profile visits happen inside one worker task).
-        let workers = self.options.workers.min(window.len().max(1));
-        let mut shards: Vec<CrawlDb> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let window = window.clone();
-                let handle = scope.spawn(move || {
-                    let mut db = CrawlDb::new(self.profiles.len());
-                    let mut site_idx = window.start + w;
-                    while site_idx < window.end {
-                        self.crawl_site(site_idx, &mut db, w, progress);
-                        site_idx += workers;
-                    }
-                    db
-                });
-                handles.push(handle);
-            }
-            for h in handles {
-                // Propagate a worker panic instead of silently dropping
-                // that worker's shard of the crawl.
-                shards.push(h.join().expect("crawl worker panicked")); // wmtree-lint: allow(WM0105)
-            }
-        });
-
-        let _merge_span = wmtree_telemetry::span("crawl.merge");
+        let sites: Vec<usize> = self.site_window().collect();
         let mut db = CrawlDb::new(self.profiles.len());
-        for shard in shards {
-            db.merge(shard);
-        }
+        let Ok(()) = ordered(
+            &sites,
+            self.options.workers,
+            |site_idx, worker| self.crawl_site(site_idx, worker, progress),
+            |site| {
+                db.merge(site);
+                Ok::<(), Infallible>(())
+            },
+        );
         db
     }
 
@@ -253,46 +238,26 @@ impl<'a> Commander<'a> {
             .filter(|i| !state.sites.contains(&sites[*i].domain))
             .collect();
         let budget = max_sites.unwrap_or(pending.len()).min(pending.len());
-        let workers = self.options.workers.max(1);
-        let mut crawled = 0usize;
 
-        // Crawl pending sites in chunks of `workers`: sites of a chunk
-        // run in parallel, but append/checkpoint strictly in universe
-        // order — the archive's bytes are independent of the worker
-        // count and of where interruptions fall.
-        for chunk in pending[..budget].chunks(workers) {
-            let mut shards: Vec<(usize, CrawlDb)> = Vec::with_capacity(chunk.len());
-            if workers <= 1 {
-                for &site_idx in chunk {
-                    let mut shard = CrawlDb::new(self.profiles.len());
-                    self.crawl_site(site_idx, &mut shard, 0, progress);
-                    shards.push((site_idx, shard));
-                }
-            } else {
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(chunk.len());
-                    for (w, &site_idx) in chunk.iter().enumerate() {
-                        handles.push(scope.spawn(move || {
-                            let mut shard = CrawlDb::new(self.profiles.len());
-                            self.crawl_site(site_idx, &mut shard, w, progress);
-                            (site_idx, shard)
-                        }));
-                    }
-                    for h in handles {
-                        // Propagate worker panics, as in run_with_progress.
-                        shards.push(h.join().expect("crawl worker panicked")); // wmtree-lint: allow(WM0105)
-                    }
-                });
-            }
-            for (site_idx, shard) in shards {
-                writer.append_site(
-                    &sites[site_idx].domain,
-                    crate::bundle_io::ordered_visits(&shard),
-                )?;
-                db.merge(shard);
-                crawled += 1;
-            }
-        }
+        // Workers crawl and encode sites; the writer appends and
+        // checkpoints them strictly in universe order — the archive's
+        // bytes are independent of the worker count and of where
+        // interruptions fall.
+        ordered(
+            &pending[..budget],
+            self.options.workers,
+            |site_idx, worker| {
+                let site = self.crawl_site(site_idx, worker, progress);
+                let encoded = encode_site(&site, &sites[site_idx].domain, site.pages())?;
+                Ok::<_, BundleError>((site, encoded))
+            },
+            |crawled_site| {
+                let (site, encoded) = crawled_site?;
+                writer.append(encoded)?;
+                db.merge(site);
+                Ok::<(), BundleError>(())
+            },
+        )?;
 
         if budget == pending.len() {
             let manifest = writer.finish()?;
@@ -300,7 +265,7 @@ impl<'a> Commander<'a> {
         } else {
             let manifest = writer.suspend()?;
             Ok(ResumableOutcome::Partial {
-                sites_done: recovered + crawled,
+                sites_done: recovered + budget,
                 sites_total: self.site_window().len(),
                 manifest,
             })
@@ -308,15 +273,11 @@ impl<'a> Commander<'a> {
     }
 
     /// Crawl one site with every profile ("semi-parallel": all profiles
-    /// get the same page list, visits differ only by their seeds).
-    fn crawl_site(
-        &self,
-        site_idx: usize,
-        db: &mut CrawlDb,
-        worker: usize,
-        progress: &ProgressTracker,
-    ) {
+    /// get the same page list, visits differ only by their seeds) into
+    /// a database of its own.
+    fn crawl_site(&self, site_idx: usize, worker: usize, progress: &ProgressTracker) -> CrawlDb {
         let _site_span = wmtree_telemetry::span("crawl.site");
+        let mut db = CrawlDb::new(self.profiles.len());
         let site = &self.universe.sites()[site_idx];
         let pages = discover_pages(self.universe, site, self.options.max_pages_per_site);
         wmtree_telemetry::counter!("crawler.pages.discovered").add(pages.len() as u64);
@@ -357,7 +318,132 @@ impl<'a> Commander<'a> {
         }
         progress.site_done(worker);
         wmtree_telemetry::counter!("crawler.sites.crawled").inc();
+        db
     }
+}
+
+/// What an [`ordered`] loop's workers and its calling thread share.
+struct Window<T> {
+    /// Index of the next item a worker claims.
+    next: usize,
+    /// Results the sink has taken — the index of the next one it wants.
+    taken: usize,
+    /// Finished results the sink has not taken yet, by item index.
+    done: BTreeMap<usize, T>,
+    /// No more claims: the sink failed, or a worker panicked.
+    stop: bool,
+}
+
+/// Lock the window. A worker that panics poisons the lock on its way
+/// out; the state stays consistent, since no work runs under it.
+fn lock<T>(window: &Mutex<Window<T>>) -> MutexGuard<'_, Window<T>> {
+    window.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Stops the loop when its thread unwinds — a worker in `work`, or the
+/// calling thread in the sink — so no thread waits forever for one
+/// that is gone.
+struct StopOnPanic<'a, T>(&'a Mutex<Window<T>>, &'a Condvar);
+
+impl<T> Drop for StopOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(self.0).stop = true;
+            self.1.notify_all();
+        }
+    }
+}
+
+/// The crawl loop. `workers` scoped threads (at least one) claim the
+/// next item of `items` from a shared index and run `work(item,
+/// worker)` on it, while the calling thread hands the results to
+/// `sink` strictly in item order. A reorder window bounds the items
+/// claimed but not yet taken by the sink to twice the worker count, so
+/// a slow item delays the sink but never idles a worker, and memory
+/// stays bounded.
+///
+/// The first sink error stops the loop: workers claim nothing more, no
+/// later result reaches the sink, and the error is returned once every
+/// worker has finished its current item. A panic in `work` or in the
+/// sink propagates to the caller with its original payload.
+fn ordered<T: Send, E>(
+    items: &[usize],
+    workers: usize,
+    work: impl Fn(usize, usize) -> T + Sync,
+    mut sink: impl FnMut(T) -> Result<(), E>,
+) -> Result<(), E> {
+    if items.is_empty() {
+        return Ok(());
+    }
+    let workers = workers.clamp(1, items.len());
+    let reorder = 2 * workers;
+    let window = Mutex::new(Window {
+        next: 0,
+        taken: 0,
+        done: BTreeMap::new(),
+        stop: false,
+    });
+    let changed = Condvar::new();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (window, changed, work) = (&window, &changed, &work);
+                scope.spawn(move || {
+                    let _stop = StopOnPanic(window, changed);
+                    loop {
+                        let mut state = lock(window);
+                        while !state.stop
+                            && state.next < items.len()
+                            && state.next >= state.taken + reorder
+                        {
+                            state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                        }
+                        if state.stop || state.next == items.len() {
+                            return;
+                        }
+                        let i = state.next;
+                        state.next += 1;
+                        drop(state);
+                        let result = work(items[i], worker);
+                        lock(window).done.insert(i, result);
+                        changed.notify_all();
+                    }
+                })
+            })
+            .collect();
+
+        let _stop = StopOnPanic(&window, &changed);
+        let mut failed = None;
+        for i in 0..items.len() {
+            let mut state = lock(&window);
+            let result = loop {
+                if let Some(result) = state.done.remove(&i) {
+                    state.taken += 1;
+                    break Some(result);
+                }
+                if state.stop {
+                    break None;
+                }
+                state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            };
+            drop(state);
+            changed.notify_all();
+            // `None`: a worker panicked; joining below re-raises it.
+            let Some(result) = result else { break };
+            if let Err(e) = sink(result) {
+                lock(&window).stop = true;
+                changed.notify_all();
+                failed = Some(e);
+                break;
+            }
+        }
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        failed.map_or(Ok(()), Err)
+    })
 }
 
 #[cfg(test)]
@@ -584,6 +670,112 @@ mod tests {
         for (page, visits) in a.vetted_pages() {
             let bv = b.visit(page, 0).unwrap();
             assert_eq!(visits[0], bv);
+        }
+    }
+
+    #[test]
+    fn ordered_sinks_in_item_order_within_the_window() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<usize> = (100..160).collect();
+        for workers in [1usize, 2, 8] {
+            let sunk = AtomicUsize::new(0);
+            // With two workers or more, item 0 finishes after item 1.
+            let (one_done, wait_for_one) = std::sync::mpsc::channel();
+            let wait_for_one = Mutex::new(wait_for_one);
+            let mut seen = Vec::new();
+            let Ok(()) = ordered(
+                &items,
+                workers,
+                |item, worker| {
+                    assert!(worker < workers);
+                    // Item `i` is claimed only once the sink has taken
+                    // item `i - 2 × workers`.
+                    let i = item - 100;
+                    assert!(i <= sunk.load(Ordering::SeqCst) + 2 * workers, "{i}");
+                    if workers > 1 && i == 0 {
+                        wait_for_one.lock().unwrap().recv().unwrap();
+                    }
+                    if i == 1 {
+                        one_done.send(()).unwrap();
+                    }
+                    item * 2
+                },
+                |result| {
+                    sunk.fetch_add(1, Ordering::SeqCst);
+                    seen.push(result);
+                    Ok::<(), Infallible>(())
+                },
+            );
+            let expect: Vec<usize> = items.iter().map(|i| i * 2).collect();
+            assert_eq!(seen, expect, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_loop() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<usize> = (0..40).collect();
+        for workers in [1usize, 2, 8] {
+            let started = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let result = ordered(
+                &items,
+                workers,
+                |item, _| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    item
+                },
+                |item| {
+                    if item == 7 {
+                        return Err(format!("sink failed at {item}"));
+                    }
+                    seen.push(item);
+                    Ok(())
+                },
+            );
+            assert_eq!(result, Err("sink failed at 7".to_string()));
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "no later item is sunk");
+            let started = started.load(Ordering::SeqCst);
+            assert!(started <= 8 + 2 * workers, "{started} items claimed");
+        }
+    }
+
+    #[test]
+    fn panics_in_work_or_sink_reach_the_caller() {
+        let items: Vec<usize> = (0..40).collect();
+        let message = |panic: Box<dyn std::any::Any + Send>| panic.downcast::<String>().map(|m| *m);
+        for workers in [1usize, 2, 8] {
+            let panic = std::panic::catch_unwind(|| {
+                ordered(
+                    &items,
+                    workers,
+                    |item, _| {
+                        if item == 5 {
+                            panic!("work panicked at {item}");
+                        }
+                        item
+                    },
+                    |_| Ok::<(), Infallible>(()),
+                )
+            })
+            .expect_err("the work's panic must reach the caller");
+            assert_eq!(message(panic).ok().as_deref(), Some("work panicked at 5"));
+
+            let panic = std::panic::catch_unwind(|| {
+                ordered(
+                    &items,
+                    workers,
+                    |item, _| item,
+                    |item| {
+                        if item == 3 {
+                            panic!("sink panicked at {item}");
+                        }
+                        Ok::<(), Infallible>(())
+                    },
+                )
+            })
+            .expect_err("the sink's panic must reach the caller");
+            assert_eq!(message(panic).ok().as_deref(), Some("sink panicked at 3"));
         }
     }
 }

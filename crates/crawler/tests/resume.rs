@@ -142,3 +142,30 @@ fn rerun_on_complete_bundle_replays_without_crawling() {
         serde_json::to_string(&second).unwrap()
     );
 }
+
+#[test]
+fn bundle_bytes_ignore_worker_count_and_interruption_points() {
+    let u = uni();
+    let reference = tmp("points-reference");
+    Commander::new(&u, standard_profiles(), options(1))
+        .run_resumable(&reference, None)
+        .unwrap();
+    let expect = dir_bytes(&reference);
+    // Stop after `first` sites, then resume `then` sites at a time.
+    for workers in [1usize, 2, 8] {
+        for (first, then) in [(1, 4), (5, 100)] {
+            let dir = tmp(&format!("points-{workers}-{first}"));
+            let cmd = Commander::new(&u, standard_profiles(), options(workers));
+            let mut cap = first;
+            while let ResumableOutcome::Partial { .. } = cmd.run_resumable(&dir, Some(cap)).unwrap()
+            {
+                cap = then;
+            }
+            assert_eq!(
+                dir_bytes(&dir),
+                expect,
+                "{workers} workers, interrupted after {first} then every {then} sites"
+            );
+        }
+    }
+}

@@ -1069,14 +1069,15 @@ mod tests {
             wmtree_url::Url::parse("https://www.a.com/").expect("test url"),
         );
         v.duration_ms = 1;
-        w.append_site(
+        let site = wmtree_bundle::EncodedSite::encode(
             "a.com",
             vec![
                 ("https://www.a.com/".to_string(), 0, &v),
                 ("https://www.a.com/".to_string(), 1, &v),
             ],
         )
-        .expect("append site");
+        .expect("encode site");
+        w.append(site).expect("append site");
         if finish {
             w.finish().expect("finish bundle");
         } else {

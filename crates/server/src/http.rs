@@ -53,7 +53,8 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Read one CRLF- (or LF-) terminated line, enforcing [`MAX_LINE`].
+/// Read one CRLF- (or LF-) terminated line, enforcing [`MAX_LINE`] on
+/// the line without its terminator.
 fn read_line(reader: &mut impl BufRead) -> Result<String, HttpParseError> {
     let mut line = Vec::new();
     loop {
@@ -65,7 +66,8 @@ fn read_line(reader: &mut impl BufRead) -> Result<String, HttpParseError> {
                     break;
                 }
                 line.push(byte[0]);
-                if line.len() > MAX_LINE {
+                // One byte of slack for the `\r` of a CRLF terminator.
+                if line.len() > MAX_LINE + 1 {
                     return Err(malformed("line too long"));
                 }
             }
@@ -74,6 +76,9 @@ fn read_line(reader: &mut impl BufRead) -> Result<String, HttpParseError> {
     }
     if line.last() == Some(&b'\r') {
         line.pop();
+    }
+    if line.len() > MAX_LINE {
+        return Err(malformed("line too long"));
     }
     String::from_utf8(line).map_err(|_| malformed("line is not utf-8"))
 }
