@@ -24,7 +24,6 @@
 use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use wmtree_stats::descriptive::Summary;
 
 /// Coverage of single-profile measurements against the union of all
@@ -39,27 +38,22 @@ pub struct SingleProfileRecall {
 
 /// Fraction of the page's observable nodes (union over all profiles)
 /// each single profile captured.
+///
+/// Read off the [`PageIndex`](crate::index::PageIndex): the union is
+/// its record keys, and a tree's non-root key count is its node count
+/// minus the root, because keys are unique within a tree.
 pub fn single_profile_recall(data: &ExperimentData) -> SingleProfileRecall {
     let k = data.n_profiles();
     let mut per_profile_sum = vec![0.0f64; k];
     let mut per_profile_n = vec![0usize; k];
     let mut all = Vec::new();
     for page in &data.pages {
-        let mut union: BTreeSet<&str> = BTreeSet::new();
-        let sets: Vec<BTreeSet<&str>> = page
-            .trees
-            .iter()
-            .map(|t| {
-                let s: BTreeSet<&str> = t.nodes().iter().skip(1).map(|n| n.key.as_str()).collect();
-                union.extend(&s);
-                s
-            })
-            .collect();
-        if union.is_empty() {
+        let union = page.index().record_keys().len();
+        if union == 0 {
             continue;
         }
-        for (p, s) in sets.iter().enumerate() {
-            let recall = s.len() as f64 / union.len() as f64;
+        for (p, tree) in page.trees.iter().enumerate() {
+            let recall = (tree.node_count() - 1) as f64 / union as f64;
             per_profile_sum[p] += recall;
             per_profile_n[p] += 1;
             all.push(recall);
@@ -78,28 +72,36 @@ pub fn single_profile_recall(data: &ExperimentData) -> SingleProfileRecall {
 /// The accumulation curve: mean coverage of the node union after
 /// combining the first `i+1` profiles (in profile order — the paper's
 /// recommendation is order-free, but a fixed order keeps the metric
-/// deterministic; pass a permutation to reorder).
+/// deterministic; pass a permutation to reorder). An index past the
+/// page's profiles adds nothing.
+///
+/// Per page, each profile in `order` walks the record keys once and
+/// counts the keys its tree holds that no earlier profile did.
 pub fn accumulation_curve(data: &ExperimentData, order: &[usize]) -> Vec<f64> {
     let k = order.len();
     let mut sums = vec![0.0f64; k];
     let mut pages = 0usize;
+    let mut seen: Vec<bool> = Vec::new();
     for page in &data.pages {
-        let sets: Vec<BTreeSet<&str>> = page
-            .trees
-            .iter()
-            .map(|t| t.nodes().iter().skip(1).map(|n| n.key.as_str()).collect())
-            .collect();
-        let union_all: BTreeSet<&str> = sets.iter().flatten().copied().collect();
-        if union_all.is_empty() {
+        let index = page.index();
+        let keys = index.record_keys();
+        if keys.is_empty() {
             continue;
         }
         pages += 1;
-        let mut acc: BTreeSet<&str> = BTreeSet::new();
+        seen.clear();
+        seen.resize(keys.len(), false);
+        let mut covered = 0usize;
         for (i, &p) in order.iter().enumerate() {
-            if let Some(s) = sets.get(p) {
-                acc.extend(s);
+            if let Some(tree) = index.trees().get(p) {
+                for (seen, &id) in seen.iter_mut().zip(keys) {
+                    if !*seen && tree.non_root_node_of(id).is_some() {
+                        *seen = true;
+                        covered += 1;
+                    }
+                }
             }
-            sums[i] += acc.len() as f64 / union_all.len() as f64;
+            sums[i] += covered as f64 / keys.len() as f64;
         }
     }
     sums.into_iter()
@@ -184,6 +186,111 @@ mod tests {
     use super::*;
     use crate::data::testutil::experiment;
     use crate::node_similarity::analyze_all;
+    use std::collections::BTreeSet;
+
+    /// The string-set derivation the index-based passes replaced: every
+    /// tree's non-root keys as a `BTreeSet<&str>`. Kept as the oracle.
+    fn oracle_recall(data: &ExperimentData) -> SingleProfileRecall {
+        let k = data.n_profiles();
+        let mut per_profile_sum = vec![0.0f64; k];
+        let mut per_profile_n = vec![0usize; k];
+        let mut all = Vec::new();
+        for page in &data.pages {
+            let mut union: BTreeSet<&str> = BTreeSet::new();
+            let sets: Vec<BTreeSet<&str>> = page
+                .trees
+                .iter()
+                .map(|t| {
+                    let s: BTreeSet<&str> =
+                        t.nodes().iter().skip(1).map(|n| n.key.as_str()).collect();
+                    union.extend(&s);
+                    s
+                })
+                .collect();
+            if union.is_empty() {
+                continue;
+            }
+            for (p, s) in sets.iter().enumerate() {
+                let recall = s.len() as f64 / union.len() as f64;
+                per_profile_sum[p] += recall;
+                per_profile_n[p] += 1;
+                all.push(recall);
+            }
+        }
+        SingleProfileRecall {
+            per_profile: per_profile_sum
+                .iter()
+                .zip(&per_profile_n)
+                .map(|(s, &n)| if n == 0 { 0.0 } else { s / n as f64 })
+                .collect(),
+            overall: Summary::of(&all),
+        }
+    }
+
+    /// The string-set accumulation curve, kept as the oracle.
+    fn oracle_accumulation(data: &ExperimentData, order: &[usize]) -> Vec<f64> {
+        let k = order.len();
+        let mut sums = vec![0.0f64; k];
+        let mut pages = 0usize;
+        for page in &data.pages {
+            let sets: Vec<BTreeSet<&str>> = page
+                .trees
+                .iter()
+                .map(|t| t.nodes().iter().skip(1).map(|n| n.key.as_str()).collect())
+                .collect();
+            let union_all: BTreeSet<&str> = sets.iter().flatten().copied().collect();
+            if union_all.is_empty() {
+                continue;
+            }
+            pages += 1;
+            let mut acc: BTreeSet<&str> = BTreeSet::new();
+            for (i, &p) in order.iter().enumerate() {
+                if let Some(s) = sets.get(p) {
+                    acc.extend(s);
+                }
+                sums[i] += acc.len() as f64 / union_all.len() as f64;
+            }
+        }
+        sums.into_iter()
+            .map(|s| if pages == 0 { 0.0 } else { s / pages as f64 })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn summary_bits(s: &Summary) -> (usize, [u64; 5]) {
+        (
+            s.n,
+            [s.mean, s.sd, s.min, s.max, s.median].map(f64::to_bits),
+        )
+    }
+
+    #[test]
+    fn recall_matches_the_string_set_oracle_bit_for_bit() {
+        let data = experiment();
+        let got = single_profile_recall(data);
+        let want = oracle_recall(data);
+        assert_eq!(bits(&got.per_profile), bits(&want.per_profile));
+        assert_eq!(summary_bits(&got.overall), summary_bits(&want.overall));
+    }
+
+    #[test]
+    fn accumulation_matches_the_string_set_oracle_bit_for_bit() {
+        let data = experiment();
+        let orders: [&[usize]; 4] = [
+            &[0, 1, 2, 3, 4],
+            &[3, 1, 4, 0, 2],
+            &[2, 2, 0, 2],
+            &[1, 7, 0, 5, 4],
+        ];
+        for order in orders {
+            let got = accumulation_curve(data, order);
+            let want = oracle_accumulation(data, order);
+            assert_eq!(bits(&got), bits(&want), "order {order:?}");
+        }
+    }
 
     #[test]
     fn recall_bounded_and_meaningful() {

@@ -4,9 +4,11 @@
 //! CSVs, per-site tree diffs — derives from one replay of the job's
 //! bundle. Replays are deterministic, so the bundle's content hash is
 //! a complete cache key *and* the HTTP ETag: same hash, byte-identical
-//! responses. The cache holds `Arc` snapshots (results + generated
-//! report) with LRU eviction; concurrent readers share one snapshot
-//! without copying.
+//! responses. An entry holds the replayed results (for the diff
+//! endpoint) and every other response body, rendered once when the
+//! replay enters the cache; a hit copies a body out, it never renders.
+//! The cache holds `Arc` snapshots with LRU eviction; concurrent
+//! readers share one snapshot without copying.
 //!
 //! Recency is tracked with a logical tick (a monotone counter), not
 //! wall time — the serving path performs no clock reads, keeping the
@@ -19,15 +21,66 @@ use std::sync::Arc;
 use wmtree::{ExperimentResults, Report};
 use wmtree_telemetry::counter;
 
-/// One cached replay: the results and the report generated from them.
+/// Renders one CSV export of a report.
+type CsvRenderer = fn(&Report) -> String;
+
+/// The CSV exports served by name, each with its renderer.
+const CSVS: [(&str, CsvRenderer); 8] = [
+    ("fig1", Report::fig1_csv),
+    ("fig2", Report::fig2_csv),
+    ("fig3", Report::fig3_csv),
+    ("fig4", Report::fig4_csv),
+    ("fig7", Report::fig7_csv),
+    ("fig8", Report::fig8_csv),
+    ("table5", Report::table5_csv),
+    ("table7", Report::table7_csv),
+];
+
+/// One cached replay: the results and the response bodies rendered
+/// from their report.
 #[derive(Debug)]
 pub struct CachedReplay {
     /// Quoted strong ETag: the bundle content hash in double quotes.
     pub etag: String,
     /// The replayed experiment results (for diff endpoints).
     pub results: ExperimentResults,
-    /// The report generated from `results` (for report/CSV endpoints).
-    pub report: Report,
+    /// The rendered text report (`report`).
+    pub text: String,
+    /// The report as JSON (`report.json`).
+    pub json: String,
+    /// Every CSV export (`csv/{name}`), by name.
+    pub csvs: Vec<(&'static str, String)>,
+}
+
+impl CachedReplay {
+    /// Generate the report of `results` and render every body served
+    /// from it. The report itself is not kept.
+    pub fn render(hash: &str, results: ExperimentResults) -> CachedReplay {
+        let report = Report::generate(&results);
+        CachedReplay {
+            etag: format!("\"{hash}\""),
+            text: report.render(),
+            json: report.to_json(),
+            csvs: CSVS
+                .iter()
+                .map(|&(name, render)| (name, render(&report)))
+                .collect(),
+            results,
+        }
+    }
+
+    /// The CSV export called `name`, if there is one.
+    pub fn csv(&self, name: &str) -> Option<&str> {
+        self.csvs
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, body)| body.as_str())
+    }
+
+    /// The names [`csv`](Self::csv) knows, comma-separated.
+    pub fn csv_names() -> String {
+        CSVS.map(|(name, _)| name).join(", ")
+    }
 }
 
 #[derive(Debug)]
@@ -127,12 +180,7 @@ mod tests {
                     .run()
             })
             .clone();
-        let report = Report::generate(&results);
-        Arc::new(CachedReplay {
-            etag: format!("\"{etag}\""),
-            results,
-            report,
-        })
+        Arc::new(CachedReplay::render(etag, results))
     }
 
     #[test]

@@ -14,11 +14,16 @@
 //! claimable again. Re-running an interrupted job picks the crawl up
 //! from the bundle's last checkpoint, so no work is lost and the final
 //! archive is byte-identical to an uninterrupted run.
+//!
+//! Idle job workers block in [`JobStore::wait_claim`] on a condvar
+//! paired with the store's mutex: [`JobStore::submit`] wakes one of
+//! them, [`JobStore::wake_all`] (drain and kill) wakes them all.
 
 use crate::error::ServerError;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, PoisonError};
 use wmtree::{ExperimentConfig, Scale};
 
 /// Job store file name within the store root.
@@ -128,6 +133,9 @@ pub struct JobsFile {
 pub struct JobStore {
     root: PathBuf,
     inner: Mutex<JobsFile>,
+    /// Signalled when a job becomes claimable or the workers must stop;
+    /// waited on with `inner`'s guard.
+    claimable: Condvar,
 }
 
 impl JobStore {
@@ -176,6 +184,7 @@ impl JobStore {
         let store = JobStore {
             root: root.to_path_buf(),
             inner: Mutex::new(file),
+            claimable: Condvar::new(),
         };
         store.persist(&store.inner.lock())?;
         Ok((store, recovered))
@@ -209,6 +218,7 @@ impl JobStore {
         };
         file.jobs.push(job.clone());
         self.persist(&file)?;
+        self.claimable.notify_one();
         Ok(job)
     }
 
@@ -230,7 +240,40 @@ impl JobStore {
     /// marking it `Running` and persisting. `None` when the queue is
     /// drained.
     pub fn claim_next(&self) -> Result<Option<JobRecord>, ServerError> {
+        self.claim_locked(&mut self.inner.lock())
+    }
+
+    /// Block until a job is claimable and claim it as
+    /// [`claim_next`](Self::claim_next) does, or return `None` once
+    /// `stop` holds. `stop` and the queue are checked under the store
+    /// lock that the wait releases, so a stop raised before
+    /// [`wake_all`](Self::wake_all) or a job submitted before its
+    /// notification is never missed.
+    pub fn wait_claim(&self, stop: impl Fn() -> bool) -> Result<Option<JobRecord>, ServerError> {
         let mut file = self.inner.lock();
+        loop {
+            if stop() {
+                return Ok(None);
+            }
+            if let Some(job) = self.claim_locked(&mut file)? {
+                return Ok(Some(job));
+            }
+            file = self
+                .claimable
+                .wait(file)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wake every worker blocked in [`wait_claim`](Self::wait_claim) so
+    /// it re-checks its stop condition. Taking the lock orders this
+    /// after any check still in progress.
+    pub fn wake_all(&self) {
+        let _file = self.inner.lock();
+        self.claimable.notify_all();
+    }
+
+    fn claim_locked(&self, file: &mut JobsFile) -> Result<Option<JobRecord>, ServerError> {
         let Some(job) = file
             .jobs
             .iter_mut()
@@ -240,7 +283,7 @@ impl JobStore {
         };
         job.state = JobState::Running;
         let claimed = job.clone();
-        self.persist(&file)?;
+        self.persist(file)?;
         Ok(Some(claimed))
     }
 

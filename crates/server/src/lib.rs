@@ -24,8 +24,9 @@
 //!
 //! The serving path performs no wall-clock reads (enforced by
 //! `wmtree-lint` WM0101): timeouts are socket deadlines, cache
-//! recency is a logical tick, and shutdown is flag-polling — so the
-//! service stays inside the same determinism budget as the pipeline.
+//! recency is a logical tick, and no thread polls — each blocks on the
+//! event it serves (see [`server`]) — so the service stays inside the
+//! same determinism budget as the pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,6 +9,20 @@
 //! so the worker-count determinism discipline holds for the service
 //! exactly as it does for the pipeline.
 //!
+//! No thread polls. Each blocks on the event it serves:
+//!
+//! - the accept thread in `accept` on a blocking listener; a stop wakes
+//!   it with one connection to the listener's own address (loopback
+//!   when it is bound to an unspecified one);
+//! - the HTTP workers in the connection channel's `recv`, released when
+//!   the accept thread exits and drops the sender;
+//! - idle job workers on the job store's condvar
+//!   ([`JobStore::wait_claim`]), woken by a submit or a stop.
+//!
+//! A panic ends only the unit of work it happened in: a request's
+//! routing answers `500`, a job becomes `Failed`. The thread serving it
+//! carries on, so nothing needs respawning.
+//!
 //! Shutdown has two shapes, both exercised by the e2e tests:
 //!
 //! - **drain** ([`ServerHandle::shutdown`] or `POST /shutdown`): stop
@@ -25,17 +39,19 @@ use crate::http::{Request, Response};
 use crate::jobs::{JobRecord, JobSpec, JobState, JobStore};
 use parking_lot::Mutex;
 use serde::Serialize;
+use std::any::Any;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 use wmtree::crawler::ResumableOutcome;
-use wmtree::{Experiment, Report};
+use wmtree::Experiment;
 use wmtree_bundle::{bundle_content_hash, BundleStore};
-use wmtree_telemetry::{counter, gauge, MetricValue};
+use wmtree_telemetry::{counter, gauge, Counter, MetricValue};
 use wmtree_tree::{diff_trees, TreeDiff};
 
 /// How the service is set up.
@@ -75,6 +91,16 @@ impl ServerConfig {
     }
 }
 
+/// Pause after an `accept` or `claim_next` error before retrying, so a
+/// persistent error (out of descriptors, an unwritable store) cannot
+/// spin a core.
+const ERROR_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Longest a stop waits for its wake-up connection. The connection is
+/// queued by the kernel, so it completes at once unless the backlog is
+/// full — and then the accept thread is not blocked anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Shutdown flags shared by every thread.
 #[derive(Debug, Default)]
 struct Shutdown {
@@ -89,6 +115,9 @@ impl Shutdown {
     fn killed(&self) -> bool {
         self.kill.load(Ordering::SeqCst)
     }
+    fn stopping(&self) -> bool {
+        self.draining() || self.killed()
+    }
 }
 
 /// State shared across all server threads.
@@ -97,6 +126,38 @@ struct Shared {
     cache: ReplayCache,
     shutdown: Shutdown,
     batch_sites: usize,
+    /// Where a connection reaches the listener.
+    listener: SocketAddr,
+}
+
+impl Shared {
+    /// Raise the stop flags (`kill` raises both), then wake the threads
+    /// blocked on an event: one connection releases the accept thread,
+    /// a notification the idle job workers. Busy workers see the flags
+    /// at their next check.
+    fn stop(&self, kill: bool) {
+        if kill {
+            self.shutdown.kill.store(true, Ordering::SeqCst);
+        }
+        self.shutdown.drain.store(true, Ordering::SeqCst);
+        // Refused once the accept thread has closed the listener:
+        // then there is nothing left to wake.
+        let _ = TcpStream::connect_timeout(&self.listener, WAKE_TIMEOUT);
+        self.store.wake_all();
+    }
+}
+
+/// The address a client uses to reach a listener bound to `bound`:
+/// loopback in place of an unspecified address.
+fn reachable(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Namespace for starting the service.
@@ -116,15 +177,13 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| ServerError::io("resolving local addr", e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| ServerError::io("setting listener nonblocking", e))?;
 
         let shared = Arc::new(Shared {
             store,
             cache: ReplayCache::new(config.cache_capacity),
             shutdown: Shutdown::default(),
             batch_sites: config.batch_sites.max(1),
+            listener: reachable(addr),
         });
 
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(128);
@@ -188,7 +247,7 @@ impl ServerHandle {
     /// running jobs as `Interrupted` at their next batch boundary, and
     /// join every thread.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.drain.store(true, Ordering::SeqCst);
+        self.shared.stop(false);
         self.join();
     }
 
@@ -196,8 +255,7 @@ impl ServerHandle {
     /// batches and `JOBS.json` is left saying `Running`; the next
     /// [`Server::start`] over the same root recovers them.
     pub fn kill(mut self) {
-        self.shared.shutdown.kill.store(true, Ordering::SeqCst);
-        self.shared.shutdown.drain.store(true, Ordering::SeqCst);
+        self.shared.stop(true);
         self.join();
     }
 
@@ -215,27 +273,22 @@ impl ServerHandle {
 }
 
 /// Accept connections until drain/kill; backpressure via the bounded
-/// channel. Dropping the sender on exit is what releases the HTTP
-/// workers from `recv`.
+/// channel. The flags are checked before and after each blocking
+/// `accept`, so the connection a stop makes ends the loop. Dropping
+/// the sender on exit is what releases the HTTP workers from `recv`.
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::SyncSender<TcpStream>) {
-    loop {
-        if shared.shutdown.draining() || shared.shutdown.killed() {
-            return;
-        }
+    while !shared.shutdown.stopping() {
         match listener.accept() {
+            // The wake-up, or a client arriving as the server stops:
+            // dropped unserved, like any connection still queued.
+            Ok(_) if shared.shutdown.stopping() => return,
             Ok((stream, _)) => {
                 counter!("server.http.connections").inc();
-                // The listener is nonblocking (for shutdown polling);
-                // handler io must be blocking-with-timeout.
-                let _ = stream.set_nonblocking(false);
                 if tx.send(stream).is_err() {
                     return;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
+            Err(_) => thread::sleep(ERROR_BACKOFF),
         }
     }
 }
@@ -265,7 +318,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, timeout: Duration) {
     let response = match Request::read_from(&mut reader) {
         Ok(req) => {
             counter!("server.http.requests").inc();
-            handle_request(shared, &req)
+            respond(|| handle_request(shared, &req))
         }
         Err(e) => {
             counter!("server.http.bad_requests").inc();
@@ -278,6 +331,44 @@ fn handle_connection(shared: &Shared, stream: TcpStream, timeout: Duration) {
         .inc();
     let mut stream = stream;
     let _ = response.write_to(&mut stream);
+}
+
+/// Run one unit of work — a request's routing or a claimed job — so a
+/// panic in it ends the unit and not the thread serving it. A panic is
+/// counted on `panics` and returned as its message.
+fn contain<T>(panics: &Counter, work: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        panics.inc();
+        panic_message(payload)
+    })
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or("a non-string payload", |message| message)
+            .to_string(),
+    }
+}
+
+/// Route one request; a panic while routing is a `500` naming it.
+fn respond(route: impl FnOnce() -> Response) -> Response {
+    contain(counter!("server.http.panics"), route)
+        .unwrap_or_else(|panic| error_response(500, &format!("panicked: {panic}")))
+}
+
+/// Run one claimed job; a panic while running it fails the job.
+fn supervise(store: &JobStore, id: usize, run: impl FnOnce()) {
+    if let Err(panic) = contain(counter!("server.jobs.panics"), run) {
+        counter!("server.jobs.failed").inc();
+        let _ = store.update(id, |j| {
+            j.state = JobState::Failed;
+            j.error = Some(format!("panicked: {panic}"));
+        });
+    }
 }
 
 /// JSON error body.
@@ -323,29 +414,24 @@ fn handle_request(shared: &Shared, req: &Request) -> Response {
             Err(e) => error_response(500, &e.to_string()),
         },
         ("GET", ["jobs", id, "report"]) => {
-            replayed(shared, req, id, |r| Response::text(200, r.report.render()))
+            replayed(shared, req, id, |r| Response::text(200, r.text.as_str()))
         }
         ("GET", ["jobs", id, "report.json"]) => {
-            replayed(shared, req, id, |r| Response::json(200, r.report.to_json()))
+            replayed(shared, req, id, |r| Response::json(200, r.json.as_str()))
         }
-        ("GET", ["jobs", id, "csv", name]) => {
-            let name = name.to_string();
-            replayed(shared, req, id, move |r| {
-                match csv_by_name(&r.report, &name) {
-                    Some(csv) => Response::new(200, "text/csv", csv.into_bytes()),
-                    None => error_response(
-                        404,
-                        &format!("unknown csv {name:?} (valid: {})", CSV_NAMES.join(", ")),
-                    ),
-                }
-            })
-        }
-        ("GET", ["jobs", id, "diff", site]) => {
-            let site = site.to_string();
-            replayed(shared, req, id, move |r| site_diff(&r, &site))
-        }
+        ("GET", ["jobs", id, "csv", name]) => replayed(shared, req, id, |r| match r.csv(name) {
+            Some(csv) => Response::new(200, "text/csv", csv.as_bytes()),
+            None => error_response(
+                404,
+                &format!(
+                    "unknown csv {name:?} (valid: {})",
+                    CachedReplay::csv_names()
+                ),
+            ),
+        }),
+        ("GET", ["jobs", id, "diff", site]) => replayed(shared, req, id, |r| site_diff(r, site)),
         ("POST", ["shutdown"]) => {
-            shared.shutdown.drain.store(true, Ordering::SeqCst);
+            shared.stop(false);
             counter!("server.http.shutdown_requests").inc();
             Response::text(202, "draining\n")
         }
@@ -386,7 +472,7 @@ fn replayed(
     shared: &Shared,
     req: &Request,
     raw_id: &str,
-    render: impl FnOnce(Arc<CachedReplay>) -> Response,
+    render: impl FnOnce(&CachedReplay) -> Response,
 ) -> Response {
     let job = match parse_id(raw_id).and_then(|id| shared.store.get(id)) {
         Ok(job) => job,
@@ -420,7 +506,7 @@ fn replayed(
         Ok(replay) => replay,
         Err(e) => return error_response(e.status(), &e.to_string()),
     };
-    render(replay)
+    render(&replay)
         .with_header("ETag", &etag)
         .with_header("Cache-Control", "no-cache")
 }
@@ -450,34 +536,10 @@ fn replay_job(
     let results = experiment
         .replay_from_bundle_cached(&bundle_dir, &tree_cache)?
         .results;
-    let report = Report::generate(&results);
     Ok(shared.cache.insert(
         hash.to_string(),
-        Arc::new(CachedReplay {
-            etag: format!("\"{hash}\""),
-            results,
-            report,
-        }),
+        Arc::new(CachedReplay::render(hash, results)),
     ))
-}
-
-/// The CSV exports the server knows by name.
-const CSV_NAMES: [&str; 8] = [
-    "fig1", "fig2", "fig3", "fig4", "fig7", "fig8", "table5", "table7",
-];
-
-fn csv_by_name(report: &Report, name: &str) -> Option<String> {
-    match name {
-        "fig1" => Some(report.fig1_csv()),
-        "fig2" => Some(report.fig2_csv()),
-        "fig3" => Some(report.fig3_csv()),
-        "fig4" => Some(report.fig4_csv()),
-        "fig7" => Some(report.fig7_csv()),
-        "fig8" => Some(report.fig8_csv()),
-        "table5" => Some(report.table5_csv()),
-        "table7" => Some(report.table7_csv()),
-        _ => None,
-    }
 }
 
 /// Per-profile tree diff of one page against the baseline profile.
@@ -585,20 +647,18 @@ fn update_queue_gauge(shared: &Shared) {
     gauge!("server.jobs.queued").set(queued as i64);
 }
 
-/// Claim-and-run loop of one job worker.
+/// Claim-and-run loop of one job worker: blocks on the store's condvar
+/// while the queue is empty, returns once the server stops.
 fn job_worker(shared: &Shared) {
     loop {
-        if shared.shutdown.draining() || shared.shutdown.killed() {
-            return;
-        }
-        match shared.store.claim_next() {
+        match shared.store.wait_claim(|| shared.shutdown.stopping()) {
             Ok(Some(job)) => {
                 update_queue_gauge(shared);
-                run_job(shared, job);
+                supervise(&shared.store, job.id, || run_job(shared, job));
                 update_queue_gauge(shared);
             }
-            Ok(None) => thread::sleep(Duration::from_millis(20)),
-            Err(_) => thread::sleep(Duration::from_millis(20)),
+            Ok(None) => return,
+            Err(_) => thread::sleep(ERROR_BACKOFF),
         }
     }
 }
@@ -675,5 +735,79 @@ fn run_job(shared: &Shared, job: JobRecord) {
             }
             Err(e) => return fail(format!("crawl batch failed: {e}")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::JobSpec;
+
+    fn count(name: &str) -> u64 {
+        match wmtree_telemetry::global().snapshot().metrics.get(name) {
+            Some(MetricValue::Counter(n)) => *n,
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn a_panic_while_routing_answers_500_naming_it() {
+        let before = count("server.http.panics");
+        let resp = respond(|| panic!("routing blew up"));
+        assert_eq!(resp.status, 500);
+        let body = String::from_utf8(resp.body).unwrap();
+        assert_eq!(body, "{\"error\":\"panicked: routing blew up\"}\n");
+        let resp = respond(|| panic!("request {} blew up", 7));
+        assert!(String::from_utf8(resp.body)
+            .unwrap()
+            .contains("panicked: request 7 blew up"));
+        assert_eq!(count("server.http.panics"), before + 2);
+        // The thread that contained them keeps routing.
+        assert_eq!(respond(|| Response::text(200, "ok\n")).status, 200);
+        assert_eq!(count("server.http.panics"), before + 2);
+    }
+
+    #[test]
+    fn a_panic_while_running_a_job_fails_it() {
+        let root = std::env::temp_dir().join("wmtree-server-supervise");
+        let _ = std::fs::remove_dir_all(&root);
+        let (store, _) = JobStore::open(&root).unwrap();
+        let spec = JobSpec {
+            scale: "tiny".to_string(),
+            seed: None,
+            workers: Some(1),
+        };
+        store.submit(spec.clone()).unwrap();
+        store.submit(spec).unwrap();
+        let before = (count("server.jobs.panics"), count("server.jobs.failed"));
+
+        let job = store.claim_next().unwrap().unwrap();
+        supervise(&store, job.id, || panic!("crawl blew up"));
+        let failed = store.get(job.id).unwrap();
+        assert_eq!(failed.state, JobState::Failed);
+        assert_eq!(failed.error.as_deref(), Some("panicked: crawl blew up"));
+        assert_eq!(
+            (count("server.jobs.panics"), count("server.jobs.failed")),
+            (before.0 + 1, before.1 + 1)
+        );
+
+        // The next job is claimed and runs as usual; one that returns
+        // keeps whatever state it left itself in.
+        let job = store.claim_next().unwrap().unwrap();
+        assert_eq!(job.id, 1);
+        supervise(&store, job.id, || {});
+        assert_eq!(store.get(job.id).unwrap().state, JobState::Running);
+        assert_eq!(count("server.jobs.panics"), before.0 + 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unspecified_addresses_are_reached_over_loopback() {
+        let any: SocketAddr = "0.0.0.0:4242".parse().unwrap();
+        assert_eq!(reachable(any), "127.0.0.1:4242".parse().unwrap());
+        let any6: SocketAddr = "[::]:4242".parse().unwrap();
+        assert_eq!(reachable(any6), "[::1]:4242".parse().unwrap());
+        let bound: SocketAddr = "192.0.2.7:80".parse().unwrap();
+        assert_eq!(reachable(bound), bound);
     }
 }
