@@ -182,8 +182,13 @@ fn main() {
         eprintln!("[repro] crawling shard {id} of plan {dir} at {scale:?} scale...");
         let exp = Experiment::new(config(scale));
         match wmtree_shard::crawl_shard(&exp, plan_dir, id, max_sites) {
-            Ok(wmtree_shard::ShardCrawl::Complete { pages, bundle_hash }) => {
-                eprintln!("[repro] shard {id} complete: {pages} pages, bundle hash {bundle_hash}");
+            Ok(wmtree_shard::ShardCrawl::Complete {
+                visits,
+                bundle_hash,
+            }) => {
+                eprintln!(
+                    "[repro] shard {id} complete: {visits} visit records, bundle hash {bundle_hash}"
+                );
             }
             Ok(wmtree_shard::ShardCrawl::Partial {
                 sites_done,

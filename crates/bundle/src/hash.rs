@@ -52,7 +52,8 @@ fn digest(seed: u64, bytes: &[u8]) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Content address of a serialized object payload.
+/// Content address of a stored object: the hash of exactly its payload
+/// bytes.
 pub fn object_hash(payload: &[u8]) -> u64 {
     digest(OBJECT_SEED, payload)
 }

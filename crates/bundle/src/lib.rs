@@ -3,10 +3,11 @@
 //! A *bundle* is an on-disk archive of one crawl run:
 //!
 //! - **Object store** — every [`wmtree_browser::VisitResult`] payload is
-//!   serialized canonically, once, content-addressed with a 64-bit hash
-//!   of exactly those bytes, and stored exactly once. Identical visit
-//!   outcomes (common for failure records and idle profiles) are
-//!   deduplicated.
+//!   encoded once as a self-contained format-v3 object ([`object`]: a
+//!   positional JSON array with its own string and URL table),
+//!   content-addressed with a 64-bit hash of exactly those bytes, and
+//!   stored exactly once. Identical visit outcomes (common for failure
+//!   records and idle profiles) are deduplicated.
 //! - **Visit log** — an append-only sequence of small reference records
 //!   `(site, url, profile, object-hash)` plus per-site *checkpoint*
 //!   records, framed one per line with a checksum header.
@@ -24,14 +25,16 @@
 //! run.
 //!
 //! Segment logs have one reader, [`segment::LogScan`], which yields
-//! records and framing defects alike. Replay ([`read_visits`]) and
-//! [`BundleWriter::resume`] share one fail-fast loader over it, which
-//! reads each log once, decodes objects on scoped threads, and moves
-//! every stored payload into the visits that reference it, in log
-//! order: the first defect surfaces as an error naming the segment,
-//! line, and byte offset. [`verify_bundle`], the check behind
-//! `wmtree-lint check-artifacts`, scans the same way but leniently,
-//! collecting every defect.
+//! records and framing defects alike. Replay ([`read_visits`],
+//! [`read_visits_at`]) and [`BundleWriter::resume`] share one fail-fast
+//! loader over it, which reads each log once, decodes each object on
+//! scoped threads only as deep as its readers need ([`Depth`]: the
+//! address alone, the header, or the whole visit), and moves every
+//! stored payload into the visits that reference it, in log order: the
+//! first defect surfaces as an error naming the segment, line, and byte
+//! offset. [`verify_bundle`], the check behind `wmtree-lint
+//! check-artifacts`, scans the same way but leniently, decoding every
+//! object in full and collecting every defect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod atomic;
 pub mod error;
 pub mod hash;
 pub mod manifest;
+pub mod object;
 pub mod reader;
 pub mod record;
 pub mod segment;
@@ -51,8 +55,9 @@ pub use atomic::atomic_replace;
 pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};
-pub use reader::read_visits;
-pub use record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
+pub use object::Depth;
+pub use reader::{read_visits, read_visits_at, LoggedVisit};
+pub use record::{BundleVisit, Checkpoint, Record, VisitRef};
 pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};

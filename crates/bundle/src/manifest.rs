@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Manifest file name within a bundle directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
@@ -239,8 +239,9 @@ mod tests {
     #[test]
     fn version_gate() {
         let dir = tmp("version");
-        // Version 1 bundles used other content addresses and checksums.
-        for version in [1, 99] {
+        // Version 1 bundles used other content addresses and checksums;
+        // version 2 stored each object as its serde JSON.
+        for version in [1, 2, 99] {
             let mut m = Manifest::new(meta(), 64);
             m.version = version;
             m.store(&dir).unwrap();
@@ -252,6 +253,16 @@ mod tests {
                 }) if found == version
             ));
         }
+        let mut m = Manifest::new(meta(), 64);
+        m.version = 2;
+        m.store(&dir).unwrap();
+        assert!(matches!(
+            Manifest::load(&dir),
+            Err(BundleError::UnsupportedVersion {
+                found: 2,
+                supported: 3
+            })
+        ));
     }
 
     #[test]

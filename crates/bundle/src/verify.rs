@@ -7,10 +7,11 @@
 //! flipped byte does not hide an unrelated dangling reference further on.
 
 use crate::error::BundleError;
-use crate::hash::to_hex;
+use crate::hash::{object_hash, to_hex};
 use crate::manifest::Manifest;
+use crate::object::{decode_at, Depth};
 use crate::reader::Tally;
-use crate::record::{duplicate_object, BadRecord, LogEntry, ObjectEntry, Record};
+use crate::record::{duplicate_object, BadRecord, LogEntry, Record};
 use crate::segment::{LogScan, RecordLoc, Scanned, SegmentDefect};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::BTreeSet;
@@ -97,19 +98,21 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
     let corrupt =
         |loc: &RecordLoc, detail: String| VerifyIssue::Segment(SegmentDefect::corrupt(loc, detail));
 
-    // Pass 1 — object store: content addresses and duplicates.
+    // Pass 1 — object store: every payload decodes in full, and no
+    // content address is stored twice.
     let mut stored: BTreeSet<u64> = BTreeSet::new();
     let mut objects = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
     while let Some(item) = objects.next_item() {
         match item? {
             Scanned::Defect(defect) => issues.push(VerifyIssue::Segment(defect)),
-            Scanned::Record(loc, payload) => match ObjectEntry::decode(payload) {
-                Err(detail) => issues.push(corrupt(&loc, detail)),
-                Ok((hash, _)) if !stored.insert(hash) => {
-                    issues.push(corrupt(&loc, duplicate_object(hash)))
+            Scanned::Record(loc, payload) => {
+                let hash = object_hash(payload.as_bytes());
+                if let Err(detail) = decode_at(payload, Depth::Full) {
+                    issues.push(corrupt(&loc, detail));
+                } else if !stored.insert(hash) {
+                    issues.push(corrupt(&loc, duplicate_object(hash)));
                 }
-                Ok(_) => {}
-            },
+            }
         }
     }
 
@@ -181,7 +184,7 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::object_hash;
+    use crate::object::encode;
     use crate::writer::tests::{forge_object, tmp, visit, write_small};
 
     #[test]
@@ -231,9 +234,7 @@ mod tests {
     fn orphan_object_detected() {
         let dir = tmp("verify-orphan");
         write_small(&dir, true);
-        let v = visit(99);
-        let h = object_hash(serde_json::to_string(&v).unwrap().as_bytes());
-        forge_object(&dir, h, v);
+        forge_object(&dir, &encode(&visit(99)).unwrap());
         let report = verify_bundle(&dir).unwrap();
         assert!(
             report
@@ -249,8 +250,8 @@ mod tests {
     fn record_defects_carry_their_byte_offset() {
         let dir = tmp("verify-offset");
         write_small(&dir, true);
-        // Framed and chained correctly, but filed under a wrong address.
-        let (line, offset) = forge_object(&dir, 0xdead_beef, visit(99));
+        // Framed and chained correctly, but no object payload.
+        let (line, offset) = forge_object(&dir, "[\"not a visit\"]");
         assert!(offset > 0);
         let report = verify_bundle(&dir).unwrap();
         assert!(
@@ -258,7 +259,7 @@ mod tests {
                 i,
                 VerifyIssue::Segment(SegmentDefect::Corrupt { segment, line: l, offset: o, detail })
                     if segment == "objects-000.seg" && *l == line && *o == offset
-                        && detail.contains("content address mismatch")
+                        && detail.contains("unparseable visit payload")
             )),
             "line {line} at byte {offset}: {:?}",
             report.issues

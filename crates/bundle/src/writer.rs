@@ -1,11 +1,11 @@
 //! [`BundleWriter`] — checkpointed, resumable archive recording.
 //!
 //! Appending a site has two halves. [`EncodedSite::encode`] is pure: it
-//! serializes each visit once, content-addresses those bytes, and
-//! builds the site's object entries, visit records and checkpoint
-//! record. It touches no writer state, so crawl workers encode their
-//! own sites in parallel. [`BundleWriter::append`] is the ordered half,
-//! and makes the *site* the unit of durability:
+//! encodes each visit once as its object ([`crate::object::encode`]),
+//! content-addresses those bytes, and builds the site's objects, visit
+//! records and checkpoint record. It touches no writer state, so crawl
+//! workers encode their own sites in parallel. [`BundleWriter::append`]
+//! is the ordered half, and makes the *site* the unit of durability:
 //!
 //! 1. append the site's missing payloads to the object store
 //!    (content-addressed, deduplicated against every stored object),
@@ -20,13 +20,16 @@
 //! the manifest does not cover; [`BundleWriter::resume`] verifies the
 //! covered prefix with replay's loader, truncates the leftovers, and
 //! continues appending — producing final files byte-identical to an
-//! uninterrupted run.
+//! uninterrupted run. A caller that keeps no database resumes at
+//! [`Depth::Address`]: every committed byte is verified, no object is
+//! parsed.
 
 use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
+use crate::object::{self, Depth};
 use crate::reader::load;
-use crate::record::{BundleVisit, Checkpoint, ObjectEntry, Record, VisitRef};
+use crate::record::{BundleVisit, Checkpoint, Record, VisitRef};
 use crate::segment::LogWriter;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -42,8 +45,9 @@ pub(crate) const OBJECTS_PREFIX: &str = "objects";
 pub struct ResumeState {
     /// Sites already checkpointed — the crawl skips these.
     pub sites: BTreeSet<String>,
-    /// Every checkpointed visit, payloads resolved, in log order —
-    /// ready to rebuild the in-memory database.
+    /// Every checkpointed visit, payloads resolved at the depth the
+    /// resume asked for, in log order — ready to rebuild the in-memory
+    /// database. Empty when it asked for [`Depth::Address`].
     pub visits: Vec<BundleVisit>,
 }
 
@@ -59,19 +63,20 @@ pub struct EncodedSite {
 /// One visit of an [`EncodedSite`].
 #[derive(Debug)]
 struct EncodedVisit {
-    /// Content address of the visit's canonical serialization.
+    /// Content address of the object payload.
     hash: u64,
-    /// The object-store payload, appended unless the store has `hash`.
+    /// The object payload, appended unless the store has `hash`.
     object: String,
     /// The visit-log payload referencing `hash`.
     record: String,
 }
 
 impl EncodedSite {
-    /// Encode one completed site: each visit serialized once, its
-    /// content address taken over exactly those bytes, and every
-    /// payload the site will append built. The iteration order of
-    /// `visits` must be deterministic — it defines the archive's bytes.
+    /// Encode one completed site: each visit encoded once as its
+    /// object payload ([`object::encode`]), its content address taken
+    /// over exactly those bytes, and every payload the site will append
+    /// built. The iteration order of `visits` must be deterministic —
+    /// it defines the archive's bytes.
     pub fn encode<'a>(
         site: &str,
         visits: impl IntoIterator<Item = (String, usize, &'a VisitResult)>,
@@ -81,11 +86,12 @@ impl EncodedSite {
         let _span = wmtree_telemetry::span("bundle.encode"); // wmtree-lint: allow(WM0301)
         let mut encoded = Vec::new();
         for (url, profile, visit) in visits {
-            // One serialization per visit: the bytes hashed are the
-            // bytes stored.
-            let canonical = serde_json::to_string(visit)
-                .map_err(|e| BundleError::json("serializing visit payload", e))?;
-            let hash = object_hash(canonical.as_bytes());
+            // One encoding per visit: the bytes hashed are the bytes
+            // stored.
+            let object = object::encode(visit).map_err(|detail| {
+                BundleError::json("encoding visit payload", serde::Error::new(detail).into())
+            })?;
+            let hash = object_hash(object.as_bytes());
             let record = serde_json::to_string(&Record::Visit(VisitRef {
                 site: site.to_string(),
                 url,
@@ -95,7 +101,7 @@ impl EncodedSite {
             .map_err(|e| BundleError::json("serializing visit record", e))?;
             encoded.push(EncodedVisit {
                 hash,
-                object: ObjectEntry::encode(hash, &canonical),
+                object,
                 record,
             });
         }
@@ -148,16 +154,20 @@ impl BundleWriter {
     /// manifest, load and verify every committed record through the
     /// same loader replay uses, and only then truncate uncommitted
     /// crash leftovers. Returns the dedup index inside the writer plus
-    /// the already-recorded sites and visits.
+    /// the already-recorded sites and their visits, decoded to `depth`:
+    /// at [`Depth::Address`] every committed byte is still verified,
+    /// but no object is parsed and no visit returned.
     pub fn resume(
         dir: &Path,
         meta: BundleMeta,
+        depth: Depth,
     ) -> Result<(BundleWriter, ResumeState), BundleError> {
         let _span = wmtree_telemetry::span("bundle.resume.verify");
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
         let mut visits = Vec::new();
-        let loaded = load(dir, &manifest, |bv| visits.push(bv))?;
+        let plan = |logged: &[_]| vec![depth; logged.len()];
+        let loaded = load(dir, &manifest, plan, |bv| visits.push(bv))?;
         for log in &loaded.logs {
             log.truncate()?;
         }
@@ -303,17 +313,12 @@ pub(crate) mod tests {
         }
     }
 
-    /// Append a correctly framed object entry for `visit` under the address
-    /// `hash` to the last object segment and pin it in the manifest.
-    /// Returns the new line's number and start offset.
-    pub(crate) fn forge_object(dir: &Path, hash: u64, visit: VisitResult) -> (usize, u64) {
+    /// Append `payload` as a correctly framed object record to the last
+    /// object segment and pin it in the manifest. Returns the new
+    /// line's number and start offset.
+    pub(crate) fn forge_object(dir: &Path, payload: &str) -> (usize, u64) {
         let mut manifest = Manifest::load(dir).unwrap();
-        let entry = serde_json::to_string(&ObjectEntry {
-            hash: to_hex(hash),
-            visit,
-        })
-        .unwrap();
-        let line = format!("{} {entry}", to_hex(line_checksum(entry.as_bytes())));
+        let line = format!("{} {payload}", to_hex(line_checksum(payload.as_bytes())));
         let m = manifest.object_segments.last_mut().unwrap();
         let seg = dir.join(&m.name);
         let mut bytes = std::fs::read(&seg).unwrap();
@@ -374,7 +379,7 @@ pub(crate) mod tests {
         );
         w.suspend().unwrap();
 
-        let (mut w2, state) = BundleWriter::resume(&dir, meta()).unwrap();
+        let (mut w2, state) = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap();
         assert_eq!(state.sites.len(), 1);
         assert!(state.sites.contains("a.com"));
         assert_eq!(state.visits.len(), 1);
@@ -398,7 +403,7 @@ pub(crate) mod tests {
         let mut other = meta();
         other.experiment_seed = 99;
         assert!(matches!(
-            BundleWriter::resume(&dir, other),
+            BundleWriter::resume(&dir, other, Depth::Full),
             Err(BundleError::MetaMismatch { .. })
         ));
     }
@@ -427,7 +432,7 @@ pub(crate) mod tests {
         let stray = dir.join("visits-001.seg");
         std::fs::write(&stray, b"junk\n").unwrap();
 
-        let (w2, state) = BundleWriter::resume(&dir, meta()).unwrap();
+        let (w2, state) = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap();
         drop(w2);
         assert_eq!(state.visits.len(), 1);
         for (seg, len) in committed {
@@ -464,7 +469,7 @@ pub(crate) mod tests {
         obj[30] ^= 1;
         std::fs::write(&objects, &obj).unwrap();
 
-        let err = BundleWriter::resume(&dir, meta()).unwrap_err();
+        let err = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap_err();
         assert!(
             matches!(&err, BundleError::Corrupt { segment, .. } if segment == "objects-000.seg"),
             "{err}"

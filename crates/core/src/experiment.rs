@@ -2,7 +2,7 @@
 //! similarities.
 
 use crate::config::ExperimentConfig;
-use crate::incremental::{accumulate_cached, AnalysisCache, IncrementalReplay};
+use crate::incremental::{accumulate_cached, read_bundle_cached, AnalysisCache, IncrementalReplay};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
@@ -168,19 +168,21 @@ impl Experiment {
     /// shard, and a server job is analysed by its first replay.
     /// `max_sites` caps how many sites this invocation crawls
     /// (interrupt + resume works exactly as for whole-universe
-    /// bundles).
+    /// bundles). No crawl database is kept: resuming parses no stored
+    /// object, so a window crawled in many short batches costs what one
+    /// call does.
     pub fn crawl_window_to_bundle(
         &self,
         lo: usize,
         hi: usize,
         dir: &Path,
         max_sites: Option<usize>,
-    ) -> Result<ResumableOutcome, BundleError> {
+    ) -> Result<ResumableOutcome<()>, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.crawl_window");
         let progress = ProgressTracker::new(hi - lo, self.config.workers.max(1));
         self.commander()
             .with_site_range(lo, hi)
-            .run_resumable_with_progress(dir, max_sites, &progress)
+            .record_window(dir, max_sites, &progress)
     }
 
     /// Skip crawling entirely: rebuild the database from a (complete)
@@ -206,8 +208,9 @@ impl Experiment {
         self.replay(dir, Some(cache))
     }
 
-    /// Both bundle replays: read the bundle, then fold it through
-    /// `cache` when one is given.
+    /// Both bundle replays: read the bundle through `cache` when one is
+    /// given ([`read_bundle_cached`]: sites it holds decode header-only),
+    /// then fold it through the same cache.
     fn replay(
         &self,
         dir: &Path,
@@ -216,7 +219,7 @@ impl Experiment {
         let _run_span = wmtree_telemetry::span("experiment.replay");
         let mut fold = self.fold();
         Manifest::load(dir)?.check_meta(&self.commander().bundle_meta())?;
-        let db = wmtree_crawler::read_bundle(dir)?;
+        let db = read_bundle_cached(dir, cache)?;
         fold.lap("read_bundle");
         fold.add(db, cache).map_err(cache_fault)?;
         fold.finish(None).map_err(cache_fault)

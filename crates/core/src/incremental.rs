@@ -5,7 +5,8 @@
 //! every site's trees in a [`TreeCache`] next to the bundle, one
 //! self-contained record per site under the site's *delta key*, so a
 //! site whose visits are unchanged between two replays takes its trees
-//! from its record instead of building them. Everything after the trees
+//! from its record instead of building them — and, read through
+//! [`read_bundle_cached`], decodes only its visits' headers. Everything after the trees
 //! — page assembly, analyses, crawl accounting — runs once over the
 //! whole database, the same code with or without a cache, so cached,
 //! incremental and cold runs render byte-identical reports (proven by
@@ -23,14 +24,14 @@
 //!   starts empty.
 
 use crate::config::ExperimentConfig;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::time::Duration;
 use wmtree_analysis::node_similarity::analyze_all;
 use wmtree_analysis::{build_trees, ExperimentData, PartialAccumulators, PartialMergeError};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::hash::{object_hash, to_hex};
-use wmtree_bundle::BundleError;
+use wmtree_bundle::{read_visits_at, BundleError, BundleVisit, Depth, LoggedVisit, Manifest};
 use wmtree_crawler::{CrawlDb, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::Stopwatch;
@@ -91,23 +92,145 @@ impl AnalysisCache {
     }
 }
 
-/// The delta key of one site: a content hash over the site's complete
-/// visit roster. `None` when any present visit lacks a content hash
-/// (live-crawl data) — such a site is simply rebuilt.
-fn site_delta_key(db: &CrawlDb, pages: &[&PageKey]) -> Option<u64> {
-    let mut canon = String::from("wmtree-site-trees-v1");
-    for page in pages {
-        canon.push_str("|p:");
-        canon.push_str(&page.url);
-        for profile in 0..db.n_profiles() {
-            canon.push(',');
-            match db.visit_any(page, profile) {
-                None => canon.push('-'),
-                Some(_) => canon.push_str(&to_hex(db.visit_hash(page, profile)?)),
-            }
+/// The delta key of one site, built from its complete visit roster:
+/// page by page in URL order, one slot per profile holding the visit's
+/// content address or nothing. A database ([`site_delta_key`]) and a
+/// bundle's visit log ([`read_bundle_cached`]) feed it the same way, so
+/// both name a site by the same key.
+struct DeltaKey(String);
+
+impl DeltaKey {
+    fn new() -> DeltaKey {
+        DeltaKey(String::from("wmtree-site-trees-v1"))
+    }
+
+    /// Start the next page.
+    fn page(&mut self, url: &str) {
+        self.0.push_str("|p:");
+        self.0.push_str(url);
+    }
+
+    /// The page's next profile slot.
+    fn slot(&mut self, object: Option<u64>) {
+        self.0.push(',');
+        match object {
+            None => self.0.push('-'),
+            Some(hash) => self.0.push_str(&to_hex(hash)),
         }
     }
-    Some(object_hash(canon.as_bytes()))
+
+    fn finish(self) -> u64 {
+        object_hash(self.0.as_bytes())
+    }
+}
+
+/// The delta key of one site of `db`. `None` when any present visit
+/// lacks a content hash (live-crawl data) — such a site is simply
+/// rebuilt.
+fn site_delta_key(db: &CrawlDb, pages: &[&PageKey]) -> Option<u64> {
+    let mut key = DeltaKey::new();
+    for page in pages {
+        key.page(&page.url);
+        for profile in 0..db.n_profiles() {
+            key.slot(match db.visit_any(page, profile) {
+                None => None,
+                Some(_) => Some(db.visit_hash(page, profile)?),
+            });
+        }
+    }
+    Some(key.finish())
+}
+
+/// Rebuild a database from the bundle at `dir` through `cache`,
+/// decoding each object only as deep as the fold will need it.
+///
+/// Each site's delta key comes from the visit log alone — page URLs,
+/// profile slots and object addresses — before any object is read. A
+/// site the cache holds a record for decodes header-only: its trees
+/// come from that record, so the fold needs only its outcome flags and
+/// cookies. Every other site decodes in full, and without a cache every
+/// site does. A tree is never built from a header-only visit: a site
+/// whose record turns out to hold a different number of trees than the
+/// site has vetted visits is a miss, so it is read again in full before
+/// the database is returned. Every committed byte is verified either
+/// way.
+pub fn read_bundle_cached(
+    dir: &Path,
+    cache: Option<&AnalysisCache>,
+) -> Result<CrawlDb, BundleError> {
+    let _span = wmtree_telemetry::span("bundle.read_db");
+    let manifest = Manifest::load(dir)?;
+    let n_profiles = manifest.meta.n_profiles;
+    let mut db = CrawlDb::new(n_profiles);
+    let insert = |db: &mut CrawlDb, bv: BundleVisit| {
+        let page = PageKey {
+            site: bv.site,
+            url: bv.url,
+        };
+        db.insert_hashed(page, bv.profile, bv.visit, bv.object);
+    };
+    // Sites read header-only, with the tree count of their records.
+    let mut headers: BTreeMap<String, usize> = BTreeMap::new();
+    let plan = |visits: &[LoggedVisit]| {
+        let Some(cache) = cache else {
+            return vec![Depth::Full; visits.len()];
+        };
+        let mut sites: BTreeMap<&str, BTreeMap<&str, Vec<Option<u64>>>> = BTreeMap::new();
+        for v in visits {
+            let slots = sites
+                .entry(&v.site)
+                .or_default()
+                .entry(&v.url)
+                .or_insert_with(|| vec![None; n_profiles]);
+            slots[v.profile] = Some(v.object);
+        }
+        for (site, pages) in &sites {
+            let mut key = DeltaKey::new();
+            for (url, slots) in pages {
+                key.page(url);
+                for &slot in slots {
+                    key.slot(slot);
+                }
+            }
+            if let Some(trees) = cache.trees.site_len(key.finish()) {
+                headers.insert(site.to_string(), trees);
+            }
+        }
+        let depth = |v: &LoggedVisit| {
+            if headers.contains_key(&v.site) {
+                Depth::Header
+            } else {
+                Depth::Full
+            }
+        };
+        visits.iter().map(depth).collect()
+    };
+    read_visits_at(dir, &manifest, plan, |bv| insert(&mut db, bv))?;
+
+    // The re-read guard: a header-only site must hit its record.
+    let mut vetted: BTreeMap<&str, usize> = BTreeMap::new();
+    for (page, visits) in db.vetted_pages() {
+        *vetted.entry(page.site.as_str()).or_default() += visits.len();
+    }
+    let misses: BTreeSet<String> = headers
+        .into_iter()
+        .filter(|(site, trees)| vetted.get(site.as_str()).copied().unwrap_or(0) != *trees)
+        .map(|(site, _)| site)
+        .collect();
+    if !misses.is_empty() {
+        let plan = |visits: &[LoggedVisit]| {
+            let depth = |v: &LoggedVisit| {
+                if misses.contains(&v.site) {
+                    Depth::Full
+                } else {
+                    Depth::Address
+                }
+            };
+            visits.iter().map(depth).collect()
+        };
+        read_visits_at(dir, &manifest, plan, |bv| insert(&mut db, bv))?;
+    }
+    Ok(db)
 }
 
 /// Outcome of [`accumulate_cached`]: the database's accumulator —
@@ -249,6 +372,95 @@ pub struct IncrementalReplay {
 mod tests {
     use super::*;
     use crate::config::Scale;
+    use crate::{Experiment, Report};
+    use wmtree_filterlist::embedded::tracking_list;
+
+    /// A Tiny bundle recorded at a fresh `dir`, its database read in
+    /// full, and its first site with a vetted page: the site's delta
+    /// key and the trees of its vetted visits.
+    fn recorded(dir: &Path) -> (ExperimentConfig, CrawlDb, String, u64, Vec<DepTree>) {
+        let _ = std::fs::remove_dir_all(dir);
+        let cfg = ExperimentConfig::at_scale(Scale::Tiny);
+        Experiment::new(cfg.clone())
+            .run_to_bundle(dir, None)
+            .expect("record a Tiny bundle");
+        let db = wmtree_crawler::read_bundle(dir).expect("read it back");
+        let vetted = db.vetted_pages();
+        let site = vetted[0].0.site.clone();
+        let pages: Vec<&PageKey> = db.pages().filter(|p| p.site == site).collect();
+        let key = site_delta_key(&db, &pages).expect("bundle visits carry addresses");
+        let visits: Vec<&VisitResult> = vetted
+            .iter()
+            .filter(|(page, _)| page.site == site)
+            .flat_map(|(_, v)| v.iter().copied())
+            .collect();
+        let trees = build_trees(&visits, Some(tracking_list()), &cfg.tree, 1);
+        drop(vetted);
+        (cfg, db, site, key, trees)
+    }
+
+    /// Whether every visit of `site` in `db` equals the one in `full`,
+    /// and whether their requests were decoded.
+    fn site_visits(db: &CrawlDb, full: &CrawlDb, site: &str) -> (bool, bool) {
+        let (mut equal, mut decoded) = (true, false);
+        for page in full.pages().filter(|p| p.site == site) {
+            for profile in 0..full.n_profiles() {
+                let (a, b) = (db.visit_any(page, profile), full.visit_any(page, profile));
+                equal &= a == b;
+                decoded |= a.is_some_and(|v| !v.requests.is_empty());
+            }
+        }
+        (equal, decoded)
+    }
+
+    #[test]
+    fn sites_with_a_record_read_header_only() {
+        let dir = std::env::temp_dir().join("wmtree-incremental-header-only");
+        let (cfg, full, site, key, trees) = recorded(&dir);
+        let cache = AnalysisCache::open(&dir.join(wmtree_tree::cache::CACHE_DIR_NAME), &cfg);
+        cache.trees.insert_site(key, &trees);
+        let db = read_bundle_cached(&dir, Some(&cache)).unwrap();
+        let (equal, decoded) = site_visits(&db, &full, &site);
+        assert!(!equal && !decoded, "the hit site decodes header-only");
+        for page in full.pages().filter(|p| p.site != site) {
+            for profile in 0..full.n_profiles() {
+                assert_eq!(db.visit_any(page, profile), full.visit_any(page, profile));
+            }
+        }
+        assert_eq!(db.vetted_pages().len(), full.vetted_pages().len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_one_tree_short_is_reread_in_full_and_rebuilt() {
+        let dir = std::env::temp_dir().join("wmtree-incremental-one-short");
+        let (cfg, full, site, key, trees) = recorded(&dir);
+        assert!(trees.len() > 1, "the site has vetted visits to drop one of");
+        let cache = AnalysisCache::open(&dir.join(wmtree_tree::cache::CACHE_DIR_NAME), &cfg);
+        cache.trees.insert_site(key, &trees[1..]);
+        cache.commit().unwrap();
+
+        // The reader re-reads the site in full before handing it out.
+        let db = read_bundle_cached(&dir, Some(&cache)).unwrap();
+        assert_eq!(site_visits(&db, &full, &site), (true, true));
+
+        // The replay counts the site as rebuilt from those full visits,
+        // and renders exactly what the cache-free replay does.
+        let exp = Experiment::new(cfg.clone());
+        let cached = exp.replay_from_bundle_cached(&dir, &cache).unwrap();
+        assert_eq!(cached.sites_reused, 0);
+        assert_eq!(cached.sites_rebuilt, cached.sites_total);
+        let plain = exp.replay_from_bundle(&dir).unwrap();
+        assert_eq!(
+            Report::generate(&cached.results).to_json(),
+            Report::generate(&plain).to_json()
+        );
+        assert_eq!(
+            Report::generate(&cached.results).render(),
+            Report::generate(&plain).render()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn fingerprint_separates_configurations() {

@@ -50,7 +50,8 @@ pub mod report;
 pub use config::{ExperimentConfig, Scale, ScaleParseError};
 pub use experiment::{BundleRun, Experiment, ExperimentResults, Fold};
 pub use incremental::{
-    accumulate_cached, cache_fingerprint, AnalysisCache, CachedAccumulation, IncrementalReplay,
+    accumulate_cached, cache_fingerprint, read_bundle_cached, AnalysisCache, CachedAccumulation,
+    IncrementalReplay,
 };
 pub use report::Report;
 

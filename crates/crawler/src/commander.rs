@@ -19,6 +19,11 @@
 //! universe order, through a reorder window of at most twice the worker
 //! count, so no worker waits for a slower site of a chunk and the
 //! results are the same for any worker count.
+//!
+//! A window crawl into a bundle ([`Commander::record_window`]) keeps no
+//! database: resuming it verifies every committed byte but parses no
+//! stored object, and each site is dropped once it is appended. So a
+//! crawl cut into many short batches costs what one call does.
 
 use crate::bundle_io::encode_site;
 use crate::db::{CrawlDb, PageKey};
@@ -29,7 +34,7 @@ use std::convert::Infallible;
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use wmtree_browser::Browser;
-use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Manifest, ResumeState};
+use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Depth, Manifest, ResumeState};
 use wmtree_telemetry::ProgressTracker;
 use wmtree_webgen::{stable_hash, WebUniverse};
 
@@ -63,13 +68,15 @@ impl Default for CrawlOptions {
     }
 }
 
-/// Outcome of a [resumable crawl](Commander::run_resumable).
+/// Outcome of a [resumable crawl](Commander::run_resumable): `D` is
+/// the crawl database, or `()` for a
+/// [window crawl](Commander::record_window), which keeps none.
 #[derive(Debug)]
-pub enum ResumableOutcome {
+pub enum ResumableOutcome<D = CrawlDb> {
     /// Every site is checkpointed; the bundle is marked complete.
     Complete {
         /// The full crawl database (recovered prefix + new sites).
-        db: CrawlDb,
+        db: D,
         /// The bundle's final manifest.
         manifest: Manifest,
     },
@@ -200,37 +207,92 @@ impl<'a> Commander<'a> {
         max_sites: Option<usize>,
         progress: &ProgressTracker,
     ) -> Result<ResumableOutcome, BundleError> {
+        let mut db = CrawlDb::new(self.profiles.len());
+        Ok(
+            match self.record(dir, max_sites, progress, Some(&mut db))? {
+                ResumableOutcome::Complete { manifest, .. } => {
+                    ResumableOutcome::Complete { db, manifest }
+                }
+                ResumableOutcome::Partial {
+                    sites_done,
+                    sites_total,
+                    manifest,
+                } => ResumableOutcome::Partial {
+                    sites_done,
+                    sites_total,
+                    manifest,
+                },
+            },
+        )
+    }
+
+    /// [`run_resumable_with_progress`], keeping no database: a resume
+    /// verifies every committed byte of the bundle but parses no stored
+    /// object, a complete bundle is left unread, and each crawled site
+    /// is dropped once it is appended. The bundle's bytes are the same
+    /// as from [`run_resumable`](Commander::run_resumable) — the unit of
+    /// work of shards and of server jobs crawled in batches.
+    ///
+    /// [`run_resumable_with_progress`]: Commander::run_resumable_with_progress
+    pub fn record_window(
+        &self,
+        dir: &Path,
+        max_sites: Option<usize>,
+        progress: &ProgressTracker,
+    ) -> Result<ResumableOutcome<()>, BundleError> {
+        self.record(dir, max_sites, progress, None)
+    }
+
+    /// The one resumable crawl: open or create the bundle at `dir`,
+    /// crawl at most `max_sites` of the window's unrecorded sites, and
+    /// append each in universe order. With `db`, the recovered visits
+    /// (decoded in full) and every crawled site are merged into it.
+    fn record(
+        &self,
+        dir: &Path,
+        max_sites: Option<usize>,
+        progress: &ProgressTracker,
+        mut db: Option<&mut CrawlDb>,
+    ) -> Result<ResumableOutcome<()>, BundleError> {
         let _run_span = wmtree_telemetry::span("crawl.run_resumable");
         let meta = self.bundle_meta();
         let sites = self.universe.sites();
 
         // Open or create the archive; recover checkpointed work.
-        let (writer, state) = if Manifest::exists(dir) {
+        let (mut writer, state) = if Manifest::exists(dir) {
             let manifest = Manifest::load(dir)?;
             if manifest.complete {
-                // Nothing left to crawl: verify identity and replay.
+                // Nothing left to crawl: verify identity, and replay
+                // into the database if one is kept.
                 manifest.check_meta(&meta)?;
-                let db = crate::bundle_io::read_bundle(dir)?;
-                return Ok(ResumableOutcome::Complete { db, manifest });
+                if let Some(db) = db {
+                    *db = crate::bundle_io::read_bundle(dir)?;
+                }
+                return Ok(ResumableOutcome::Complete { db: (), manifest });
             }
-            BundleWriter::resume(dir, meta)?
+            let depth = if db.is_some() {
+                Depth::Full
+            } else {
+                Depth::Address
+            };
+            BundleWriter::resume(dir, meta, depth)?
         } else {
             (BundleWriter::create(dir, meta)?, ResumeState::default())
         };
-        let mut writer = writer;
 
         // Rebuild the in-memory database from the recovered prefix.
-        let mut db = CrawlDb::new(self.profiles.len());
         let recovered = state.sites.len();
-        for bv in state.visits {
-            db.insert(
-                PageKey {
-                    site: bv.site,
-                    url: bv.url,
-                },
-                bv.profile,
-                bv.visit,
-            );
+        if let Some(db) = db.as_deref_mut() {
+            for bv in state.visits {
+                db.insert(
+                    PageKey {
+                        site: bv.site,
+                        url: bv.url,
+                    },
+                    bv.profile,
+                    bv.visit,
+                );
+            }
         }
 
         let pending: Vec<usize> = self
@@ -254,14 +316,16 @@ impl<'a> Commander<'a> {
             |crawled_site| {
                 let (site, encoded) = crawled_site?;
                 writer.append(encoded)?;
-                db.merge(site);
+                if let Some(db) = db.as_deref_mut() {
+                    db.merge(site);
+                }
                 Ok::<(), BundleError>(())
             },
         )?;
 
         if budget == pending.len() {
             let manifest = writer.finish()?;
-            Ok(ResumableOutcome::Complete { db, manifest })
+            Ok(ResumableOutcome::Complete { db: (), manifest })
         } else {
             let manifest = writer.suspend()?;
             Ok(ResumableOutcome::Partial {

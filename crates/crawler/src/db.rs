@@ -109,9 +109,9 @@ impl CrawlDb {
         self.insert_slot(page, profile, result, None);
     }
 
-    /// Record a visit together with the content hash of its canonical
-    /// serialization (the bundle object store's address). The hash is
-    /// trusted — bundle readers verify it against the payload.
+    /// Record a visit together with the content hash of its stored
+    /// object (the bundle object store's address). The hash is trusted
+    /// — bundle readers take it from the stored bytes.
     pub fn insert_hashed(
         &mut self,
         page: PageKey,

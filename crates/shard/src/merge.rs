@@ -14,10 +14,9 @@
 use crate::error::ShardError;
 use crate::plan::ShardPlan;
 use std::path::Path;
-use wmtree::{AnalysisCache, Experiment, ExperimentResults};
+use wmtree::{read_bundle_cached, AnalysisCache, Experiment, ExperimentResults};
 use wmtree_analysis::{MergeDigest, PartialMergeError};
 use wmtree_bundle::{bundle_content_hash, Manifest};
-use wmtree_crawler::read_bundle;
 
 /// A finished streaming merge.
 #[derive(Debug)]
@@ -99,16 +98,16 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
 
         // The one-shard residency window: the raw database lives only
         // until `add` returns. Each shard carries its own tree cache
-        // next to its bundle, so a re-merge over unchanged shards
-        // builds no tree — and the fold stays byte-identical to the
-        // cold path.
-        let db = read_bundle(&dir).map_err(located)?;
+        // next to its bundle, and is read through it: a re-merge over
+        // unchanged shards decodes only visit headers and builds no
+        // tree — and the fold stays byte-identical to the cold path.
+        let cache =
+            AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), exp.config());
+        let db = read_bundle_cached(&dir, Some(&cache)).map_err(located)?;
         fold.lap("read_bundle");
         gauge.set(db.page_count() as i64);
         peak = peak.max(db.page_count());
         peak_gauge.set(peak as i64);
-        let cache =
-            AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), exp.config());
         fold.add(db, Some(&cache)).map_err(merge_fault)?;
         gauge.set(0);
         wmtree_telemetry::counter!("shard.merges.folded").inc();

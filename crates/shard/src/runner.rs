@@ -1,7 +1,7 @@
 //! The shard runner: crawl one shard's rank window into its own
 //! resumable bundle.
 //!
-//! Each shard is an independent `Commander::run_resumable` over a
+//! Each shard is an independent `Commander::record_window` over a
 //! contiguous site window, so shards can run as separate OS processes
 //! (each invoking `repro --shard-id K` on its own) or as scoped threads
 //! in one process. A shard interrupted mid-crawl resumes from its
@@ -22,8 +22,8 @@ pub enum ShardCrawl {
     /// The shard's window is fully crawled; its content hash is now
     /// recorded in `SHARDS.json`.
     Complete {
-        /// Pages in the shard's database.
-        pages: usize,
+        /// Visit records in the shard's bundle.
+        visits: u64,
         /// The recorded bundle content hash (hex).
         bundle_hash: String,
     },
@@ -60,7 +60,7 @@ pub fn crawl_shard(
             source,
         })?;
     match outcome {
-        ResumableOutcome::Complete { db, .. } => {
+        ResumableOutcome::Complete { manifest, .. } => {
             let hash = bundle_content_hash(&dir).map_err(|source| ShardError::Shard {
                 id,
                 dir: dir.clone(),
@@ -69,7 +69,7 @@ pub fn crawl_shard(
             ShardPlan::record_bundle_hash(plan_dir, id, hash.clone())?;
             wmtree_telemetry::counter!("shard.crawls.completed").inc();
             Ok(ShardCrawl::Complete {
-                pages: db.page_count(),
+                visits: manifest.visit_records,
                 bundle_hash: hash,
             })
         }

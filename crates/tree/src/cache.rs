@@ -226,6 +226,14 @@ impl TreeCache {
         found
     }
 
+    /// The number of trees in the record held under `key`, if any — a
+    /// lookup that counts neither a hit nor a miss. A record serves
+    /// ([`get_site`](TreeCache::get_site)) exactly the sites with that
+    /// many vetted visits.
+    pub fn site_len(&self, key: u64) -> Option<usize> {
+        self.state.lock().sites.get(&key).map(Vec::len)
+    }
+
     /// Store a site record: the trees of the site's vetted visits in
     /// (page, profile) order under its delta key, in memory and (when
     /// disk-backed) appended to the site log. A key already held is

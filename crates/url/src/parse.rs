@@ -23,6 +23,10 @@ pub enum ParseError {
     InvalidHost,
     /// The port is present but not a valid `u16`.
     InvalidPort,
+    /// A path that does not start with `/` or holds `?` or `#`, or a
+    /// query that holds `#` ([`Url::from_parts`] only: the parser
+    /// splits at those characters).
+    InvalidPath,
 }
 
 impl fmt::Display for ParseError {
@@ -33,6 +37,7 @@ impl fmt::Display for ParseError {
             ParseError::EmptyHost => "empty host",
             ParseError::InvalidHost => "invalid host",
             ParseError::InvalidPort => "invalid port",
+            ParseError::InvalidPath => "invalid path or query",
         };
         f.write_str(msg)
     }
@@ -138,6 +143,72 @@ impl Url {
             query,
             fragment,
         })
+    }
+
+    /// Assemble a URL from its components, checking that they are ones
+    /// [`Url::parse`] produces: a lowercase scheme starting with a
+    /// letter, a non-empty host without ASCII capitals, whitespace or
+    /// any of `/?#@`, a path that starts with `/` and holds no `?` or
+    /// `#`, and a query without `#`. Readers of stored components build
+    /// URLs with it instead of re-parsing their serialization.
+    pub fn from_parts(
+        scheme: String,
+        host: String,
+        port: Option<u16>,
+        path: String,
+        query: Option<String>,
+        fragment: Option<String>,
+    ) -> Result<Url, ParseError> {
+        let url = Url {
+            scheme,
+            host,
+            port,
+            path,
+            query,
+            fragment,
+        };
+        url.check_parts()?;
+        Ok(url)
+    }
+
+    /// Check that this URL's components are ones [`Url::parse`]
+    /// produces — what [`Url::from_parts`] accepts. Only a URL
+    /// deserialized from hand-written components can fail.
+    pub fn check_parts(&self) -> Result<(), ParseError> {
+        let mut scheme = self.scheme.bytes();
+        if !scheme.next().is_some_and(|b| b.is_ascii_lowercase())
+            || !scheme.all(|b| {
+                b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.')
+            })
+        {
+            return Err(ParseError::InvalidScheme);
+        }
+        if self.host.is_empty() {
+            return Err(ParseError::EmptyHost);
+        }
+        // ASCII whitespace here is what `char::is_whitespace` says,
+        // which includes the vertical tab; beyond ASCII, only
+        // whitespace is forbidden.
+        let ascii_defect = |b: &u8| {
+            b.is_ascii_uppercase()
+                || b.is_ascii_whitespace()
+                || matches!(b, 0x0b | b'/' | b'?' | b'#' | b'@')
+        };
+        if self.host.as_bytes().iter().any(ascii_defect)
+            || (!self.host.is_ascii() && self.host.chars().any(char::is_whitespace))
+        {
+            return Err(ParseError::InvalidHost);
+        }
+        if !self.path.starts_with('/')
+            || self.path.bytes().any(|b| b == b'?' || b == b'#')
+            || self
+                .query
+                .as_deref()
+                .is_some_and(|q| q.bytes().any(|b| b == b'#'))
+        {
+            return Err(ParseError::InvalidPath);
+        }
+        Ok(())
     }
 
     /// The lowercased scheme (e.g. `https`).
@@ -258,6 +329,12 @@ impl Url {
     /// fragment).
     pub fn as_str(&self) -> String {
         let mut out = String::new();
+        self.write_into(&mut out);
+        out
+    }
+
+    /// Append what [`Url::as_str`] returns to `out`.
+    pub fn write_into(&self, out: &mut String) {
         out.push_str(&self.scheme);
         out.push_str("://");
         out.push_str(&self.host);
@@ -274,7 +351,6 @@ impl Url {
             out.push('#');
             out.push_str(f);
         }
-        out
     }
 
     /// Resolve a possibly-relative reference against this URL as base.
@@ -339,6 +415,85 @@ impl std::str::FromStr for Url {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_parts_accepts_what_parse_produces() {
+        for raw in [
+            "http://a.com",
+            "wss://sock.example.org:9001/live?ch=3#top",
+            "HTTPS://WWW.Example.Com/Case?Key=Val?x#f#g",
+            "https://a:80:/p?",
+            "https://h.com?q",
+            "https://h.com#frag",
+        ] {
+            let u = Url::parse(raw).unwrap();
+            let back = Url::from_parts(
+                u.scheme().to_string(),
+                u.host().to_string(),
+                u.port(),
+                u.path().to_string(),
+                u.query().map(str::to_string),
+                u.fragment().map(str::to_string),
+            );
+            assert_eq!(back, Ok(u), "{raw}");
+        }
+    }
+
+    #[test]
+    fn from_parts_rejects_what_parse_never_produces() {
+        let parts = |scheme: &str, host: &str, path: &str, query: Option<&str>| {
+            Url::from_parts(
+                scheme.to_string(),
+                host.to_string(),
+                None,
+                path.to_string(),
+                query.map(str::to_string),
+                None,
+            )
+        };
+        assert_eq!(
+            parts("", "a.com", "/", None),
+            Err(ParseError::InvalidScheme)
+        );
+        assert_eq!(
+            parts("1x", "a.com", "/", None),
+            Err(ParseError::InvalidScheme)
+        );
+        assert_eq!(
+            parts("HTTP", "a.com", "/", None),
+            Err(ParseError::InvalidScheme)
+        );
+        assert_eq!(parts("http", "", "/", None), Err(ParseError::EmptyHost));
+        assert_eq!(
+            parts("http", "A.com", "/", None),
+            Err(ParseError::InvalidHost)
+        );
+        assert_eq!(
+            parts("http", "a b", "/", None),
+            Err(ParseError::InvalidHost)
+        );
+        assert_eq!(
+            parts("http", "a\u{b}b", "/", None),
+            Err(ParseError::InvalidHost)
+        );
+        assert_eq!(
+            parts("http", "a\u{a0}b", "/", None),
+            Err(ParseError::InvalidHost)
+        );
+        assert!(parts("http", "bücher.de", "/", None).is_ok());
+        assert_eq!(
+            parts("http", "a.com", "", None),
+            Err(ParseError::InvalidPath)
+        );
+        assert_eq!(
+            parts("http", "a.com", "/a?b", None),
+            Err(ParseError::InvalidPath)
+        );
+        assert_eq!(
+            parts("http", "a.com", "/", Some("q#f")),
+            Err(ParseError::InvalidPath)
+        );
+    }
 
     #[test]
     fn parses_minimal() {

@@ -58,8 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     for id in 0..plan.shards.len() {
         match crawl_shard(&exp, &dir, id, None)? {
-            ShardCrawl::Complete { pages, bundle_hash } => {
-                println!("shard {id} complete: {pages} pages, hash {bundle_hash}");
+            ShardCrawl::Complete {
+                visits,
+                bundle_hash,
+            } => {
+                println!("shard {id} complete: {visits} visit records, hash {bundle_hash}");
             }
             ShardCrawl::Partial { .. } => unreachable!("uncapped crawls complete"),
         }

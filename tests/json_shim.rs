@@ -2,10 +2,11 @@
 //!
 //! * no input makes `from_str` panic — arbitrary text, and bit flips,
 //!   truncations and splices of real payloads, give `Ok` or `Err`;
-//! * every object a recorded Tiny bundle stores, and generated visits
-//!   with quotes, backslashes, control characters and non-ASCII in
-//!   their strings, re-serialize to exactly the bytes they were parsed
-//!   from — the bundle's content addresses are verified on those bytes;
+//! * every object a recorded Tiny bundle stores re-encodes to exactly
+//!   the bytes it was decoded from — the bundle's content addresses are
+//!   the hashes of those bytes — and generated visits with quotes,
+//!   backslashes, control characters and non-ASCII in their strings
+//!   re-serialize to exactly the bytes they were parsed from;
 //! * every shape the derive supports prints as pinned below, compact
 //!   and pretty (the strings were taken from the value-tree
 //!   implementation this one replaced).
@@ -16,7 +17,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use wmtree::browser::{FrameRecord, RequestRecord, StackEntry, TriggerSource, VisitResult};
-use wmtree::bundle::{Manifest, ObjectEntry, Record};
+use wmtree::bundle::{object, Manifest, Record};
 use wmtree::net::cookie::{Cookie, SameSite};
 use wmtree::net::{ResourceType, Status};
 use wmtree::url::Url;
@@ -81,7 +82,8 @@ fn samples() -> &'static [String; 4] {
 /// Parse `text` as every type it could be; only a panic fails.
 fn parse_all(text: &str) {
     let _ = serde_json::from_str::<serde_json::Value>(text);
-    let _ = serde_json::from_str::<ObjectEntry>(text);
+    let _ = object::decode(text);
+    let _ = object::decode_header(text);
     let _ = serde_json::from_str::<Record>(text);
     let _ = serde_json::from_str::<Manifest>(text);
     let _ = serde_json::from_str::<JobSpec>(text);
@@ -204,17 +206,9 @@ fn every_stored_object_roundtrips_exactly() {
     let dir = tiny_bundle();
     let objects = payloads(dir, "objects");
     assert!(objects.len() > 100, "{} objects", objects.len());
-    for entry in &objects {
-        let canonical = entry
-            .strip_prefix(r#"{"hash":""#)
-            .and_then(|rest| rest.get(16..))
-            .and_then(|rest| rest.strip_prefix(r#"","visit":"#))
-            .and_then(|rest| rest.strip_suffix('}'))
-            .expect("object entry framing");
-        let visit: VisitResult = serde_json::from_str(canonical).expect("visit parses");
-        assert_eq!(serde_json::to_string(&visit).unwrap(), canonical);
-        let back: ObjectEntry = serde_json::from_str(entry).expect("entry parses");
-        assert_eq!(&serde_json::to_string(&back).unwrap(), entry);
+    for payload in &objects {
+        let visit = object::decode(payload).expect("object decodes");
+        assert_eq!(&object::encode(&visit).expect("re-encode"), payload);
     }
     for record in payloads(dir, "visits") {
         let back: Record = serde_json::from_str(&record).expect("record parses");
