@@ -1,24 +1,8 @@
-//! Shared fixtures for the benchmark harness: one crawled experiment per
-//! scale, built lazily and reused by every bench and by the `repro`
-//! binary, and the flag tables of `repro`'s two commands.
+//! The flag tables of `repro`'s two commands, shared by the binary and
+//! its tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::sync::OnceLock;
-use wmtree::{Experiment, ExperimentConfig, ExperimentResults, Scale};
-
-/// The crawled Tiny experiment (seconds to build).
-pub fn tiny_results() -> &'static ExperimentResults {
-    static R: OnceLock<ExperimentResults> = OnceLock::new();
-    R.get_or_init(|| Experiment::new(ExperimentConfig::at_scale(Scale::Tiny)).run())
-}
-
-/// The crawled Small experiment (the default `repro` scale).
-pub fn small_results() -> &'static ExperimentResults {
-    static R: OnceLock<ExperimentResults> = OnceLock::new();
-    R.get_or_init(|| Experiment::new(ExperimentConfig::at_scale(Scale::Small)).run())
-}
 
 /// One `repro` command's flags, each with the placeholder of its value
 /// (`None` for a switch). The argument check and the usage text both

@@ -61,4 +61,4 @@ pub use record::{BundleVisit, Checkpoint, Record, VisitRef};
 pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};
 pub use verify::{verify_bundle, VerifyIssue, VerifyReport};
-pub use writer::{BundleWriter, EncodedSite, ResumeState};
+pub use writer::{BundleWriter, EncodedSite};

@@ -18,18 +18,17 @@
 //!
 //! A crash between checkpoints leaves trailing bytes (or stray segments)
 //! the manifest does not cover; [`BundleWriter::resume`] verifies the
-//! covered prefix with replay's loader, truncates the leftovers, and
-//! continues appending — producing final files byte-identical to an
-//! uninterrupted run. A caller that keeps no database resumes at
-//! [`Depth::Address`]: every committed byte is verified, no object is
-//! parsed.
+//! covered prefix with replay's loader at [`Depth::Address`] — every
+//! committed byte is checked, no object is parsed — truncates the
+//! leftovers, and continues appending, producing final files
+//! byte-identical to an uninterrupted run.
 
 use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
 use crate::object::{self, Depth};
 use crate::reader::load;
-use crate::record::{BundleVisit, Checkpoint, Record, VisitRef};
+use crate::record::{Checkpoint, Record, VisitRef};
 use crate::segment::LogWriter;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -39,17 +38,6 @@ use wmtree_browser::VisitResult;
 pub(crate) const VISITS_PREFIX: &str = "visits";
 /// File-name prefix of the object store.
 pub(crate) const OBJECTS_PREFIX: &str = "objects";
-
-/// What [`BundleWriter::resume`] recovered from a partial bundle.
-#[derive(Debug, Default)]
-pub struct ResumeState {
-    /// Sites already checkpointed — the crawl skips these.
-    pub sites: BTreeSet<String>,
-    /// Every checkpointed visit, payloads resolved at the depth the
-    /// resume asked for, in log order — ready to rebuild the in-memory
-    /// database. Empty when it asked for [`Depth::Address`].
-    pub visits: Vec<BundleVisit>,
-}
 
 /// One site encoded for [`BundleWriter::append`].
 #[derive(Debug)]
@@ -151,23 +139,20 @@ impl BundleWriter {
     }
 
     /// Reopen a partial bundle for appending: check `meta` against the
-    /// manifest, load and verify every committed record through the
-    /// same loader replay uses, and only then truncate uncommitted
-    /// crash leftovers. Returns the dedup index inside the writer plus
-    /// the already-recorded sites and their visits, decoded to `depth`:
-    /// at [`Depth::Address`] every committed byte is still verified,
-    /// but no object is parsed and no visit returned.
+    /// manifest, verify every committed record through the same loader
+    /// replay uses — at [`Depth::Address`], parsing no object — and only
+    /// then truncate uncommitted crash leftovers. Returns the writer,
+    /// with the dedup index inside, and the already-checkpointed sites,
+    /// which the crawl skips.
     pub fn resume(
         dir: &Path,
         meta: BundleMeta,
-        depth: Depth,
-    ) -> Result<(BundleWriter, ResumeState), BundleError> {
+    ) -> Result<(BundleWriter, BTreeSet<String>), BundleError> {
         let _span = wmtree_telemetry::span("bundle.resume.verify");
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
-        let mut visits = Vec::new();
-        let plan = |logged: &[_]| vec![depth; logged.len()];
-        let loaded = load(dir, &manifest, plan, |bv| visits.push(bv))?;
+        let plan = |logged: &[_]| vec![Depth::Address; logged.len()];
+        let loaded = load(dir, &manifest, plan, |_| {})?;
         for log in &loaded.logs {
             log.truncate()?;
         }
@@ -190,11 +175,7 @@ impl BundleWriter {
             manifest,
             index: loaded.index,
         };
-        let state = ResumeState {
-            sites: loaded.sites,
-            visits,
-        };
-        Ok((writer, state))
+        Ok((writer, loaded.sites))
     }
 
     /// The manifest as of the last checkpoint (plus in-memory updates
@@ -368,7 +349,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn resume_recovers_sites_and_visits_and_index() {
+    fn resume_recovers_sites_and_index() {
         let dir = tmp("writer-resume");
         let mut w = BundleWriter::create(&dir, meta()).unwrap();
         let v = visit(1);
@@ -379,11 +360,9 @@ pub(crate) mod tests {
         );
         w.suspend().unwrap();
 
-        let (mut w2, state) = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap();
-        assert_eq!(state.sites.len(), 1);
-        assert!(state.sites.contains("a.com"));
-        assert_eq!(state.visits.len(), 1);
-        assert_eq!(state.visits[0].visit, v);
+        let (mut w2, sites) = BundleWriter::resume(&dir, meta()).unwrap();
+        assert_eq!(sites.len(), 1);
+        assert!(sites.contains("a.com"));
         // The recovered index still dedups against pre-crash objects.
         append_site(
             &mut w2,
@@ -403,7 +382,7 @@ pub(crate) mod tests {
         let mut other = meta();
         other.experiment_seed = 99;
         assert!(matches!(
-            BundleWriter::resume(&dir, other, Depth::Full),
+            BundleWriter::resume(&dir, other),
             Err(BundleError::MetaMismatch { .. })
         ));
     }
@@ -432,9 +411,9 @@ pub(crate) mod tests {
         let stray = dir.join("visits-001.seg");
         std::fs::write(&stray, b"junk\n").unwrap();
 
-        let (w2, state) = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap();
+        let (w2, sites) = BundleWriter::resume(&dir, meta()).unwrap();
         drop(w2);
-        assert_eq!(state.visits.len(), 1);
+        assert_eq!(sites.len(), 1);
         for (seg, len) in committed {
             assert_eq!(
                 std::fs::metadata(&seg).unwrap().len(),
@@ -469,7 +448,7 @@ pub(crate) mod tests {
         obj[30] ^= 1;
         std::fs::write(&objects, &obj).unwrap();
 
-        let err = BundleWriter::resume(&dir, meta(), Depth::Full).unwrap_err();
+        let err = BundleWriter::resume(&dir, meta()).unwrap_err();
         assert!(
             matches!(&err, BundleError::Corrupt { segment, .. } if segment == "objects-000.seg"),
             "{err}"

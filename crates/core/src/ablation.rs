@@ -43,13 +43,12 @@ fn data_with(
     filter: &FilterList,
     tree: &TreeConfig,
 ) -> ExperimentData {
-    let inputs = experiment.analysis_inputs();
     ExperimentData::from_db_parallel(
         db,
-        inputs.names,
+        experiment.names.clone(),
         Some(filter),
         tree,
-        &inputs.site_meta,
+        &experiment.site_meta,
         experiment.config().workers,
     )
 }

@@ -2,7 +2,9 @@
 //! similarities.
 
 use crate::config::ExperimentConfig;
-use crate::incremental::{accumulate_cached, read_bundle_cached, AnalysisCache, IncrementalReplay};
+use crate::incremental::{
+    accumulate_cached, read_bundle_cached, AnalysisCache, CachedAccumulation, IncrementalReplay,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
@@ -53,17 +55,6 @@ impl ExperimentResults {
     }
 }
 
-/// What the post-crawl pipeline takes from an experiment besides the
-/// crawl database.
-pub(crate) struct AnalysisInputs {
-    /// Profile names, in slot order.
-    pub(crate) names: Vec<String>,
-    /// The tracking filter list, when the configuration uses one.
-    pub(crate) filter: Option<&'static FilterList>,
-    /// Site → `(rank, bucket label)` over the whole universe.
-    pub(crate) site_meta: BTreeMap<String, (u32, String)>,
-}
-
 /// A configured experiment.
 #[derive(Debug)]
 pub struct Experiment {
@@ -72,6 +63,12 @@ pub struct Experiment {
     /// Wall time of universe generation (the `generate` stage happens
     /// in [`Experiment::new`], before `run`).
     gen_wall: Duration,
+    /// Profile names, in slot order.
+    pub(crate) names: Vec<String>,
+    /// The tracking filter list, when the configuration uses one.
+    filter: Option<&'static FilterList>,
+    /// Site → `(rank, bucket label)` over the whole universe.
+    pub(crate) site_meta: BTreeMap<String, (u32, String)>,
 }
 
 impl Experiment {
@@ -82,6 +79,13 @@ impl Experiment {
         let universe = WebUniverse::generate(config.universe);
         let gen_wall = sw.lap();
         Experiment {
+            names: config.profiles.iter().map(|p| p.name.clone()).collect(),
+            filter: config.use_filter_list.then(tracking_list),
+            site_meta: universe
+                .sites()
+                .iter()
+                .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
+                .collect(),
             config,
             universe,
             gen_wall,
@@ -100,19 +104,27 @@ impl Experiment {
 
     /// Run the crawl and all per-node analyses, assembling the run
     /// manifest (stage wall times, crawl progress, metric diff) along
-    /// the way.
+    /// the way. The worker that crawls a site also analyses it
+    /// ([`accumulate`](Experiment::accumulate)), so no database of the
+    /// whole crawl is ever held.
     pub fn run(&self) -> ExperimentResults {
         let _run_span = wmtree_telemetry::span("experiment.run");
         let mut fold = self.fold();
         let progress = self.progress();
-        let db = self.commander().run_with_progress(&progress);
-        fold.lap("crawl");
-        fold.add(db, None)
-            .and_then(|()| fold.finish(Some(&progress)))
+        self.commander()
+            .crawl(
+                &progress,
+                |site, threads| self.accumulate(&site, threads, None),
+                |acc| fold.add(acc?),
+            )
+            .and_then(|()| {
+                fold.lap("crawl");
+                fold.finish(Some(&progress))
+            })
             .map(|run| run.results)
-            // One crawl database holds each page once, under one
-            // profile roster, so its fold has nothing to conflict on.
-            .expect("one crawl database folds cleanly") // wmtree-lint: allow(WM0105)
+            // Every site is crawled once, under one profile roster, so
+            // the fold has nothing to conflict on.
+            .expect("one crawl folds cleanly") // wmtree-lint: allow(WM0105)
     }
 
     /// [`run`](Experiment::run), but crawling *resumably* into the
@@ -121,7 +133,8 @@ impl Experiment {
     /// this invocation crawls; when the cap stops the crawl early the
     /// analyses are skipped and [`BundleRun::Partial`] reports how far
     /// the archive got. A crawl interrupted this way and resumed leaves
-    /// a bundle byte-identical to an uninterrupted run.
+    /// a bundle byte-identical to an uninterrupted run. The call that
+    /// completes the bundle also analyses the visits it recovered.
     pub fn run_to_bundle(
         &self,
         dir: &Path,
@@ -130,17 +143,16 @@ impl Experiment {
         let _run_span = wmtree_telemetry::span("experiment.run_to_bundle");
         let mut fold = self.fold();
         let progress = self.progress();
+        let stage = |db: CrawlDb, threads| self.accumulate(&db, threads, None);
         let outcome = self
             .commander()
-            .run_resumable_with_progress(dir, max_sites, &progress)?;
+            .record(dir, max_sites, &progress, Some(&stage), |acc| {
+                acc.and_then(|acc| fold.add(acc)).map_err(cache_fault)
+            })?;
         fold.lap("crawl");
 
         match outcome {
-            ResumableOutcome::Complete {
-                db,
-                manifest: bundle,
-            } => {
-                fold.add(db, None).map_err(cache_fault)?;
+            ResumableOutcome::Complete { manifest: bundle } => {
                 let run = fold.finish(Some(&progress)).map_err(cache_fault)?;
                 Ok(BundleRun::Complete {
                     results: Box::new(run.results),
@@ -177,7 +189,7 @@ impl Experiment {
         hi: usize,
         dir: &Path,
         max_sites: Option<usize>,
-    ) -> Result<ResumableOutcome<()>, BundleError> {
+    ) -> Result<ResumableOutcome, BundleError> {
         let _run_span = wmtree_telemetry::span("experiment.crawl_window");
         let progress = ProgressTracker::new(hi - lo, self.config.workers.max(1));
         self.commander()
@@ -208,9 +220,8 @@ impl Experiment {
         self.replay(dir, Some(cache))
     }
 
-    /// Both bundle replays: read the bundle through `cache` when one is
-    /// given ([`read_bundle_cached`]: sites it holds decode header-only),
-    /// then fold it through the same cache.
+    /// Both bundle replays: [`Fold::add_bundle`] through `cache` when
+    /// one is given.
     fn replay(
         &self,
         dir: &Path,
@@ -219,10 +230,30 @@ impl Experiment {
         let _run_span = wmtree_telemetry::span("experiment.replay");
         let mut fold = self.fold();
         Manifest::load(dir)?.check_meta(&self.commander().bundle_meta())?;
-        let db = read_bundle_cached(dir, cache)?;
-        fold.lap("read_bundle");
-        fold.add(db, cache).map_err(cache_fault)?;
+        fold.add_bundle(dir, cache)?;
         fold.finish(None).map_err(cache_fault)
+    }
+
+    /// The post-crawl stage over one crawl database, fanned out over
+    /// `workers` threads: [`accumulate_cached`] with this experiment's
+    /// roster, filter list, tree options and site ranks. Crawls run it
+    /// on each site in its worker; [`Fold::add_bundle`] on a bundle.
+    pub fn accumulate(
+        &self,
+        db: &CrawlDb,
+        workers: usize,
+        cache: Option<&AnalysisCache>,
+    ) -> Result<CachedAccumulation, PartialMergeError> {
+        let _span = wmtree_telemetry::span("experiment.build_trees");
+        accumulate_cached(
+            db,
+            &self.names,
+            self.filter,
+            &self.config.tree,
+            &self.site_meta,
+            workers,
+            cache,
+        )
     }
 
     /// Start a run's [`Fold`]: the metric baseline, the stage clock, and
@@ -251,40 +282,18 @@ impl Experiment {
             })
             .collect();
         manifest.push_stage("generate", self.gen_wall);
-        let inputs = self.analysis_inputs();
         Fold {
             exp: self,
             metrics_before: wmtree_telemetry::global().snapshot(),
             sw: Stopwatch::start(),
             manifest,
-            acc: PartialAccumulators::empty(inputs.names.clone()),
-            inputs,
+            acc: PartialAccumulators::empty(self.names.clone()),
             source: None,
             build_wall: Duration::ZERO,
             analyze_wall: Duration::ZERO,
             sites_total: 0,
             sites_rebuilt: 0,
             sites_reused: 0,
-        }
-    }
-
-    /// What the post-crawl pipeline takes from this experiment besides
-    /// the crawl database.
-    pub(crate) fn analysis_inputs(&self) -> AnalysisInputs {
-        AnalysisInputs {
-            names: self
-                .config
-                .profiles
-                .iter()
-                .map(|p| p.name.clone())
-                .collect(),
-            filter: self.config.use_filter_list.then(tracking_list),
-            site_meta: self
-                .universe
-                .sites()
-                .iter()
-                .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-                .collect(),
         }
     }
 
@@ -300,7 +309,10 @@ impl Experiment {
     }
 
     /// The commander this configuration describes, for callers that
-    /// want the raw crawl database (then [`fold`](Experiment::fold) it).
+    /// want the raw crawl database (then [`accumulate`] it and
+    /// [`fold`](Experiment::fold) the result).
+    ///
+    /// [`accumulate`]: Experiment::accumulate
     pub fn commander(&self) -> Commander<'_> {
         Commander::new(
             &self.universe,
@@ -315,9 +327,9 @@ impl Experiment {
     }
 }
 
-/// A single database cannot contain duplicate pages or a foreign
-/// roster, so its fold has nothing to conflict on; should one fail
-/// regardless, the replay reports it against its derived state rather
+/// The accumulations of one experiment share its roster and never
+/// repeat a page, so their fold has nothing to conflict on; should one
+/// fail regardless, the run reports it against its derived state rather
 /// than panicking.
 fn cache_fault(e: PartialMergeError) -> BundleError {
     BundleError::ManifestMismatch {
@@ -326,25 +338,27 @@ fn cache_fault(e: PartialMergeError) -> BundleError {
     }
 }
 
-/// One run on its way from crawl databases to [`ExperimentResults`] —
-/// the only way there. [`Experiment::fold`] starts it; every database
-/// the run crawls or reads is folded in by [`Fold::add`], through an
-/// optional [`AnalysisCache`]; [`Fold::finish`] restores the canonical
-/// page order, fills the manifest and assembles the results. `run`,
-/// `run_to_bundle`, both bundle replays and the shard merge all go
-/// through it, so their outputs agree byte for byte by construction.
+/// One run on its way to [`ExperimentResults`] — the only way there.
+/// [`Experiment::fold`] starts it; [`Fold::add`] folds in each
+/// accumulation of the post-crawl stage ([`Experiment::accumulate`]):
+/// per crawled site in `run` and `run_to_bundle`, per bundle
+/// ([`Fold::add_bundle`]) in both replays and the shard merge.
+/// [`Fold::finish`] restores the canonical page order, fills the
+/// manifest and assembles the results, so every mode's outputs agree
+/// byte for byte by construction.
 ///
-/// Stages: `generate`, then the stage that produced the databases
-/// (`crawl` or `read_bundle`, summed over databases), then
-/// `build_trees` and `analyze` (which includes the fold).
+/// Stages: `generate`, then the stage that produced the visits (`crawl`
+/// or `read_bundle`, summed over bundles), then `build_trees` and
+/// `analyze`, the summed stage times of the folded accumulations
+/// (`analyze` also counts the fold). A crawl runs them in its workers,
+/// inside `crawl`.
 pub struct Fold<'e> {
     exp: &'e Experiment,
-    inputs: AnalysisInputs,
     metrics_before: Snapshot,
     sw: Stopwatch,
     manifest: RunManifest,
     acc: PartialAccumulators,
-    /// The stage that produced the databases, and its summed wall time.
+    /// The stage that produced the visits, and its summed wall time.
     source: Option<(&'static str, Duration)>,
     build_wall: Duration,
     analyze_wall: Duration,
@@ -354,47 +368,53 @@ pub struct Fold<'e> {
 }
 
 impl Fold<'_> {
-    /// Close the stage that produced the next database — `crawl` or
-    /// `read_bundle`. A run that reads several databases (the shard
-    /// merge) sums their wall time under the first stage name.
+    /// Close the stage that produced the next visits — `crawl` or
+    /// `read_bundle`. A run that reads several bundles (the shard merge)
+    /// sums their wall time under the first stage name.
     pub fn lap(&mut self, stage: &'static str) {
         let wall = self.sw.lap();
         self.source.get_or_insert((stage, Duration::ZERO)).1 += wall;
     }
 
-    /// Fold one crawl database in — through `cache` when given, which
-    /// is committed before returning — and drop it: vetting, trees (from
-    /// the cache where it holds them), analyses and crawl accounting
-    /// ([`accumulate_cached`]).
-    pub fn add(
+    /// Fold one accumulation in: its analysed pages, crawl accounting,
+    /// cache use and stage times.
+    pub fn add(&mut self, acc: CachedAccumulation) -> Result<(), PartialMergeError> {
+        self.acc.merge(acc.acc)?;
+        self.sites_total += acc.sites_total;
+        self.sites_rebuilt += acc.sites_rebuilt;
+        self.sites_reused += acc.sites_reused;
+        self.build_wall += acc.build_wall;
+        self.analyze_wall += acc.analyze_wall;
+        Ok(())
+    }
+
+    /// Fold the bundle at `dir` in, through `cache` when given: read it
+    /// ([`read_bundle_cached`]), closing the `read_bundle` stage, run
+    /// [`Experiment::accumulate`] over its database, commit the cache,
+    /// free the database (both count as analysis) and [`add`](Fold::add)
+    /// the accumulation. Returns the database's page count.
+    pub fn add_bundle(
         &mut self,
-        db: CrawlDb,
+        dir: &Path,
         cache: Option<&AnalysisCache>,
-    ) -> Result<(), PartialMergeError> {
-        let config = &self.exp.config;
-        let fold = {
-            let _span = wmtree_telemetry::span("experiment.build_trees");
-            accumulate_cached(
-                &db,
-                &self.inputs.names,
-                self.inputs.filter,
-                &config.tree,
-                &self.inputs.site_meta,
-                config.workers,
-                cache,
-            )?
-        };
-        drop(db);
+    ) -> Result<usize, BundleError> {
+        let db = read_bundle_cached(dir, cache)?;
+        self.lap("read_bundle");
+        let pages = db.page_count();
+        let acc = self
+            .exp
+            .accumulate(&db, self.exp.config.workers, cache)
+            .map_err(cache_fault)?;
         if cache.is_some_and(|cache| cache.commit().is_err()) {
             wmtree_telemetry::counter!("tree.cache.disk.error").inc();
         }
-        self.acc.merge(fold.acc)?;
-        self.sites_total += fold.sites_total;
-        self.sites_rebuilt += fold.sites_rebuilt;
-        self.sites_reused += fold.sites_reused;
-        self.build_wall += fold.build_wall;
-        self.analyze_wall += self.sw.lap().saturating_sub(fold.build_wall);
-        Ok(())
+        drop(db);
+        self.analyze_wall += self
+            .sw
+            .lap()
+            .saturating_sub(acc.build_wall + acc.analyze_wall);
+        self.add(acc).map_err(cache_fault)?;
+        Ok(pages)
     }
 
     /// Finish the run: restore the canonical `(site, url)` page order,
@@ -538,12 +558,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A report's rendered text, JSON, and CSV files (name, bytes) as
+    /// written into `dir`.
+    type Rendered = (String, String, Vec<(String, Vec<u8>)>);
+
+    fn rendered(results: &ExperimentResults, dir: &Path) -> Rendered {
+        let report = crate::Report::generate(results);
+        let mut csvs: Vec<(String, Vec<u8>)> = report
+            .write_csv_dir(dir)
+            .unwrap()
+            .into_iter()
+            .map(|path| {
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        csvs.sort();
+        (report.render(), report.to_json(), csvs)
+    }
+
     #[test]
     fn capped_bundle_run_reports_partial_then_resumes() {
         let dir = std::env::temp_dir().join("wmtree-core-partial");
         let _ = std::fs::remove_dir_all(&dir);
-        let exp = Experiment::new(crate::ExperimentConfig::at_scale(Scale::Tiny));
-        let first = exp.run_to_bundle(&dir, Some(2)).unwrap();
+        let one = crate::ExperimentConfig {
+            workers: 1,
+            ..crate::ExperimentConfig::at_scale(Scale::Tiny)
+        };
+        let eight = crate::ExperimentConfig {
+            workers: 8,
+            ..one.clone()
+        };
+        let expect = rendered(&Experiment::new(one.clone()).run(), &dir.join("csv-run"));
+
+        // Capped after 3 sites at one worker: no analysis runs.
+        let bundle = dir.join("bundle");
+        let first = Experiment::new(one)
+            .run_to_bundle(&bundle, Some(3))
+            .unwrap();
         let (done, total) = match first {
             super::BundleRun::Partial {
                 sites_done,
@@ -553,14 +605,26 @@ mod tests {
                 assert!(!bundle.complete);
                 (sites_done, sites_total)
             }
-            super::BundleRun::Complete { .. } => panic!("cap of 2 must interrupt"),
+            super::BundleRun::Complete { .. } => panic!("cap of 3 must interrupt"),
         };
+        assert_eq!(done, 3);
         assert!(done < total);
-        // Resume without a cap: now it completes.
-        match exp.run_to_bundle(&dir, None).unwrap() {
-            super::BundleRun::Complete { bundle, .. } => assert!(bundle.complete),
-            super::BundleRun::Partial { .. } => panic!("uncapped resume must complete"),
+
+        // Resumed without a cap at eight workers: it completes, and its
+        // report is the one-worker run's, byte for byte — and so is a
+        // second run over the complete bundle.
+        let exp = Experiment::new(eight);
+        for pass in ["resumed", "rerun"] {
+            match exp.run_to_bundle(&bundle, None).unwrap() {
+                super::BundleRun::Complete { results, bundle } => {
+                    assert!(bundle.complete);
+                    let got = rendered(&results, &dir.join(format!("csv-{pass}")));
+                    assert!(got == expect, "{pass} report differs from run()");
+                }
+                super::BundleRun::Partial { .. } => panic!("uncapped {pass} must complete"),
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

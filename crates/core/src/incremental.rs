@@ -6,11 +6,13 @@
 //! self-contained record per site under the site's *delta key*, so a
 //! site whose visits are unchanged between two replays takes its trees
 //! from its record instead of building them — and, read through
-//! [`read_bundle_cached`], decodes only its visits' headers. Everything after the trees
-//! — page assembly, analyses, crawl accounting — runs once over the
-//! whole database, the same code with or without a cache, so cached,
-//! incremental and cold runs render byte-identical reports (proven by
-//! `tests/treecache_identity.rs`).
+//! [`read_bundle_cached`], decodes only its visits' headers. Everything
+//! after the trees — page assembly, analyses, crawl accounting — runs
+//! over the whole database, the same code with or without a cache, so
+//! cached, incremental and cold runs render byte-identical reports
+//! (proven by `tests/treecache_identity.rs`).
+//! Only replays and the shard merge use a cache: a crawl runs the same
+//! stage on each site it crawls, with no trees to reuse.
 //!
 //! Everything is keyed by content, so invalidation is by construction:
 //!
@@ -235,8 +237,8 @@ pub fn read_bundle_cached(
 
 /// Outcome of [`accumulate_cached`]: the database's accumulator —
 /// analysed but **not yet finished** — plus how much of the work the
-/// cache absorbed. [`crate::Fold`] folds one of these per crawl
-/// database and finishes once.
+/// cache absorbed and how long it took. [`crate::Fold`] folds one of
+/// these per crawled site or read bundle and finishes once.
 pub struct CachedAccumulation {
     /// The (un-finished) accumulator over every site.
     pub acc: PartialAccumulators,
@@ -248,8 +250,10 @@ pub struct CachedAccumulation {
     pub sites_reused: usize,
     /// Wall time of the build stage: delta keys and record lookups,
     /// tree building for the rebuilt sites and their records, and page
-    /// assembly. The analyses and accounting after it are analysis time.
+    /// assembly.
     pub build_wall: Duration,
+    /// Wall time of the analyses and crawl accounting after the build.
+    pub analyze_wall: Duration,
 }
 
 /// The post-crawl pipeline over one crawl database: vetting, trees,
@@ -351,6 +355,7 @@ pub fn accumulate_cached<'c>(
         sites_rebuilt,
         sites_reused: by_site.len() - sites_rebuilt,
         build_wall,
+        analyze_wall: sw.lap(),
     })
 }
 

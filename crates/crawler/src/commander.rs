@@ -14,27 +14,29 @@
 //! site window — runs through one loop, `ordered`. Workers take the
 //! next site from a shared index and crawl it into a database of its
 //! own; a resumable crawl also encodes the site for the bundle in the
-//! worker. The calling thread hands finished sites to its sink (the
-//! database merge, and the bundle's ordered append and checkpoint) in
-//! universe order, through a reorder window of at most twice the worker
-//! count, so no worker waits for a slower site of a chunk and the
-//! results are the same for any worker count.
+//! worker. Then the worker runs the caller's *stage* (the post-crawl
+//! analysis, say) on the site's database and drops it. The calling
+//! thread hands the results to its sink — after the bundle's ordered
+//! append and checkpoint — in universe order, through a reorder window
+//! of at most twice the worker count, so no worker waits for a slower
+//! site of a chunk and the results are the same for any worker count.
+//! Only [`Commander::run`]'s sink builds a database of the whole crawl.
 //!
-//! A window crawl into a bundle ([`Commander::record_window`]) keeps no
-//! database: resuming it verifies every committed byte but parses no
-//! stored object, and each site is dropped once it is appended. So a
-//! crawl cut into many short batches costs what one call does.
+//! A window crawl into a bundle ([`Commander::record_window`]) has no
+//! stage: resuming it verifies every committed byte but parses no
+//! stored object, so a crawl cut into many short batches costs what one
+//! call does.
 
-use crate::bundle_io::encode_site;
+use crate::bundle_io::{encode_site, read_bundle};
 use crate::db::{CrawlDb, PageKey};
 use crate::discovery::discover_pages;
 use crate::profile::Profile;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use wmtree_browser::Browser;
-use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Depth, Manifest, ResumeState};
+use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Manifest};
 use wmtree_telemetry::ProgressTracker;
 use wmtree_webgen::{stable_hash, WebUniverse};
 
@@ -68,15 +70,11 @@ impl Default for CrawlOptions {
     }
 }
 
-/// Outcome of a [resumable crawl](Commander::run_resumable): `D` is
-/// the crawl database, or `()` for a
-/// [window crawl](Commander::record_window), which keeps none.
+/// Outcome of a [resumable crawl](Commander::record).
 #[derive(Debug)]
-pub enum ResumableOutcome<D = CrawlDb> {
+pub enum ResumableOutcome {
     /// Every site is checkpointed; the bundle is marked complete.
     Complete {
-        /// The full crawl database (recovered prefix + new sites).
-        db: D,
         /// The bundle's final manifest.
         manifest: Manifest,
     },
@@ -140,33 +138,43 @@ impl<'a> Commander<'a> {
         &self.profiles
     }
 
-    /// Run the full crawl and return the database, tracking progress on
-    /// an internal throwaway tracker. Use [`run_with_progress`] to
-    /// observe the crawl from outside.
+    /// Run the full crawl and return its database: [`crawl`] with each
+    /// site's database as its own stage, merged in universe order.
     ///
-    /// [`run_with_progress`]: Commander::run_with_progress
+    /// [`crawl`]: Commander::crawl
     pub fn run(&self) -> CrawlDb {
         let progress = ProgressTracker::new(self.site_window().len(), self.options.workers.max(1));
-        self.run_with_progress(&progress)
-    }
-
-    /// Run the full crawl, feeding `progress` as sites and visits
-    /// complete (share the tracker to watch a crawl live, or snapshot
-    /// it afterwards for the run manifest).
-    pub fn run_with_progress(&self, progress: &ProgressTracker) -> CrawlDb {
-        let _run_span = wmtree_telemetry::span("crawl.run");
-        let sites: Vec<usize> = self.site_window().collect();
         let mut db = CrawlDb::new(self.profiles.len());
-        let Ok(()) = ordered(
-            &sites,
-            self.options.workers,
-            |site_idx, worker| self.crawl_site(site_idx, worker, progress),
+        let Ok(()) = self.crawl(
+            &progress,
+            |site, _| site,
             |site| {
                 db.merge(site);
                 Ok::<(), Infallible>(())
             },
         );
         db
+    }
+
+    /// Crawl every site of the window, feeding `progress`. The worker
+    /// that crawls a site runs `stage(site, 1)` on the site's own
+    /// database (one thread: no fan-out inside the crawl's); the calling
+    /// thread hands the results to `sink` in universe order. The first
+    /// sink error stops the crawl and is returned.
+    pub fn crawl<T: Send, E>(
+        &self,
+        progress: &ProgressTracker,
+        stage: impl Fn(CrawlDb, usize) -> T + Sync,
+        sink: impl FnMut(T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let _run_span = wmtree_telemetry::span("crawl.run");
+        let sites: Vec<usize> = self.site_window().collect();
+        ordered(
+            &sites,
+            self.options.workers,
+            |site_idx, worker| stage(self.crawl_site(site_idx, worker, progress), 1),
+            sink,
+        )
     }
 
     /// The bundle identity of this experiment: profile roster and
@@ -180,160 +188,106 @@ impl<'a> Commander<'a> {
         }
     }
 
-    /// Run the crawl *resumably*, checkpointing every completed site to
-    /// the bundle at `dir` (created if absent, resumed if present).
-    /// `max_sites` caps how many sites this invocation crawls — the
-    /// crawl then stops in an orderly way, leaving a resumable bundle.
+    /// [`crawl`](Commander::crawl) *resumably* into the bundle at `dir`
+    /// (created if absent, resumed if present), checkpointing each site
+    /// before its result reaches `sink`. `max_sites` caps how many sites
+    /// this invocation crawls, leaving a resumable bundle. A resume
+    /// verifies the bundle but parses no object. A call that the cap
+    /// stops early stages nothing; the call that completes the bundle
+    /// first stages what it already held — the recovered prefix, or all
+    /// of a complete bundle — read back as one database
+    /// ([`read_bundle`]), on the calling thread with the crawl's worker
+    /// count.
     ///
     /// Interruption is invisible in the archive: a crawl stopped after
     /// `k` sites and resumed produces a bundle byte-identical to an
-    /// uninterrupted run, whatever the worker count — sites are
-    /// committed in universe order regardless of which worker crawled
-    /// them.
-    pub fn run_resumable(
+    /// uninterrupted run, whatever the worker count.
+    pub fn record<T: Send>(
         &self,
         dir: &Path,
         max_sites: Option<usize>,
+        progress: &ProgressTracker,
+        stage: Option<&(dyn Fn(CrawlDb, usize) -> T + Sync)>,
+        mut sink: impl FnMut(T) -> Result<(), BundleError>,
     ) -> Result<ResumableOutcome, BundleError> {
-        let progress = ProgressTracker::new(self.site_window().len(), self.options.workers.max(1));
-        self.run_resumable_with_progress(dir, max_sites, &progress)
-    }
-
-    /// [`run_resumable`](Commander::run_resumable) with an external
-    /// progress tracker.
-    pub fn run_resumable_with_progress(
-        &self,
-        dir: &Path,
-        max_sites: Option<usize>,
-        progress: &ProgressTracker,
-    ) -> Result<ResumableOutcome, BundleError> {
-        let mut db = CrawlDb::new(self.profiles.len());
-        Ok(
-            match self.record(dir, max_sites, progress, Some(&mut db))? {
-                ResumableOutcome::Complete { manifest, .. } => {
-                    ResumableOutcome::Complete { db, manifest }
-                }
-                ResumableOutcome::Partial {
-                    sites_done,
-                    sites_total,
-                    manifest,
-                } => ResumableOutcome::Partial {
-                    sites_done,
-                    sites_total,
-                    manifest,
-                },
-            },
-        )
-    }
-
-    /// [`run_resumable_with_progress`], keeping no database: a resume
-    /// verifies every committed byte of the bundle but parses no stored
-    /// object, a complete bundle is left unread, and each crawled site
-    /// is dropped once it is appended. The bundle's bytes are the same
-    /// as from [`run_resumable`](Commander::run_resumable) — the unit of
-    /// work of shards and of server jobs crawled in batches.
-    ///
-    /// [`run_resumable_with_progress`]: Commander::run_resumable_with_progress
-    pub fn record_window(
-        &self,
-        dir: &Path,
-        max_sites: Option<usize>,
-        progress: &ProgressTracker,
-    ) -> Result<ResumableOutcome<()>, BundleError> {
-        self.record(dir, max_sites, progress, None)
-    }
-
-    /// The one resumable crawl: open or create the bundle at `dir`,
-    /// crawl at most `max_sites` of the window's unrecorded sites, and
-    /// append each in universe order. With `db`, the recovered visits
-    /// (decoded in full) and every crawled site are merged into it.
-    fn record(
-        &self,
-        dir: &Path,
-        max_sites: Option<usize>,
-        progress: &ProgressTracker,
-        mut db: Option<&mut CrawlDb>,
-    ) -> Result<ResumableOutcome<()>, BundleError> {
         let _run_span = wmtree_telemetry::span("crawl.run_resumable");
         let meta = self.bundle_meta();
         let sites = self.universe.sites();
+        let workers = self.options.workers;
 
         // Open or create the archive; recover checkpointed work.
-        let (mut writer, state) = if Manifest::exists(dir) {
+        let (mut writer, recorded) = if Manifest::exists(dir) {
             let manifest = Manifest::load(dir)?;
             if manifest.complete {
-                // Nothing left to crawl: verify identity, and replay
-                // into the database if one is kept.
                 manifest.check_meta(&meta)?;
-                if let Some(db) = db {
-                    *db = crate::bundle_io::read_bundle(dir)?;
+                if let Some(stage) = stage {
+                    sink(stage(read_bundle(dir)?, workers))?;
                 }
-                return Ok(ResumableOutcome::Complete { db: (), manifest });
+                return Ok(ResumableOutcome::Complete { manifest });
             }
-            let depth = if db.is_some() {
-                Depth::Full
-            } else {
-                Depth::Address
-            };
-            BundleWriter::resume(dir, meta, depth)?
+            BundleWriter::resume(dir, meta)?
         } else {
-            (BundleWriter::create(dir, meta)?, ResumeState::default())
+            (BundleWriter::create(dir, meta)?, BTreeSet::new())
         };
-
-        // Rebuild the in-memory database from the recovered prefix.
-        let recovered = state.sites.len();
-        if let Some(db) = db.as_deref_mut() {
-            for bv in state.visits {
-                db.insert(
-                    PageKey {
-                        site: bv.site,
-                        url: bv.url,
-                    },
-                    bv.profile,
-                    bv.visit,
-                );
-            }
-        }
 
         let pending: Vec<usize> = self
             .site_window()
-            .filter(|i| !state.sites.contains(&sites[*i].domain))
+            .filter(|i| !recorded.contains(&sites[*i].domain))
             .collect();
         let budget = max_sites.unwrap_or(pending.len()).min(pending.len());
+        let stage = stage.filter(|_| budget == pending.len());
+        if let Some(stage) = stage.filter(|_| !recorded.is_empty()) {
+            sink(stage(read_bundle(dir)?, workers))?;
+        }
 
-        // Workers crawl and encode sites; the writer appends and
+        // Workers crawl, encode and stage sites; the writer appends and
         // checkpoints them strictly in universe order — the archive's
         // bytes are independent of the worker count and of where
         // interruptions fall.
         ordered(
             &pending[..budget],
-            self.options.workers,
+            workers,
             |site_idx, worker| {
                 let site = self.crawl_site(site_idx, worker, progress);
                 let encoded = encode_site(&site, &sites[site_idx].domain, site.pages())?;
-                Ok::<_, BundleError>((site, encoded))
+                Ok::<_, BundleError>((encoded, stage.map(|stage| stage(site, 1))))
             },
             |crawled_site| {
-                let (site, encoded) = crawled_site?;
+                let (encoded, staged) = crawled_site?;
                 writer.append(encoded)?;
-                if let Some(db) = db.as_deref_mut() {
-                    db.merge(site);
-                }
-                Ok::<(), BundleError>(())
+                staged.map_or(Ok(()), &mut sink)
             },
         )?;
 
         if budget == pending.len() {
             let manifest = writer.finish()?;
-            Ok(ResumableOutcome::Complete { db: (), manifest })
+            Ok(ResumableOutcome::Complete { manifest })
         } else {
             let manifest = writer.suspend()?;
             Ok(ResumableOutcome::Partial {
-                sites_done: recovered + budget,
+                sites_done: recorded.len() + budget,
                 sites_total: self.site_window().len(),
                 manifest,
             })
         }
+    }
+
+    /// [`record`](Commander::record) without a stage: no object is
+    /// parsed and each site is dropped once appended — the unit of work
+    /// of shards and of server jobs crawled in batches.
+    pub fn record_window(
+        &self,
+        dir: &Path,
+        max_sites: Option<usize>,
+        progress: &ProgressTracker,
+    ) -> Result<ResumableOutcome, BundleError> {
+        self.record(
+            dir,
+            max_sites,
+            progress,
+            None::<&(dyn Fn(CrawlDb, usize) + Sync)>,
+            |()| Ok(()),
+        )
     }
 
     /// Crawl one site with every profile ("semi-parallel": all profiles
@@ -689,8 +643,15 @@ mod tests {
         let dir = std::env::temp_dir().join("wmtree-commander-window-bundle");
         let _ = std::fs::remove_dir_all(&dir);
         let cmd = Commander::new(&u, standard_profiles(), options()).with_site_range(2, 5);
-        match cmd.run_resumable(&dir, None).unwrap() {
-            ResumableOutcome::Complete { db, manifest } => {
+        let progress = ProgressTracker::new(3, 1);
+        let stage = |site: CrawlDb, _| site;
+        let mut db = CrawlDb::new(5);
+        let outcome = cmd.record(&dir, None, &progress, Some(&stage), |site| {
+            db.merge(site);
+            Ok(())
+        });
+        match outcome.unwrap() {
+            ResumableOutcome::Complete { manifest } => {
                 assert!(manifest.complete);
                 // Exactly the windowed sites' pages are recorded.
                 let expect = Commander::new(&u, standard_profiles(), options())
@@ -703,8 +664,7 @@ mod tests {
         // A capped window reports progress against the window size.
         let dir2 = std::env::temp_dir().join("wmtree-commander-window-partial");
         let _ = std::fs::remove_dir_all(&dir2);
-        let cmd = Commander::new(&u, standard_profiles(), options()).with_site_range(2, 5);
-        match cmd.run_resumable(&dir2, Some(1)).unwrap() {
+        match cmd.record_window(&dir2, Some(1), &progress).unwrap() {
             ResumableOutcome::Partial {
                 sites_done,
                 sites_total,

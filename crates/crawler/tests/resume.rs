@@ -1,10 +1,13 @@
 //! Resume determinism: a crawl interrupted after `k` sites and resumed
 //! must leave a bundle byte-identical to an uninterrupted run — the
-//! core guarantee of the checkpointed archive format.
+//! core guarantee of the checkpointed archive format — and its stage
+//! must see exactly the crawl's visits: the recovered prefix once, as
+//! one database, plus every site crawled after it.
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use wmtree_crawler::{standard_profiles, Commander, CrawlOptions, ResumableOutcome};
+use wmtree_crawler::{standard_profiles, Commander, CrawlDb, CrawlOptions, ResumableOutcome};
+use wmtree_telemetry::ProgressTracker;
 use wmtree_webgen::{UniverseConfig, WebUniverse};
 
 fn uni() -> WebUniverse {
@@ -42,6 +45,40 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+/// What one [`Commander::record`] call's stage saw.
+struct Staged {
+    outcome: ResumableOutcome,
+    /// Every database the stage was handed, merged in sink order.
+    db: CrawlDb,
+    /// The thread count of each stage call, in sink order.
+    threads: Vec<usize>,
+}
+
+/// One [`Commander::record`] call whose stage hands each database on
+/// unchanged.
+fn record(cmd: &Commander, dir: &Path, cap: Option<usize>) -> Staged {
+    let progress = ProgressTracker::new(1, 1);
+    let stage = |db: CrawlDb, threads: usize| (db, threads);
+    let mut db = CrawlDb::new(standard_profiles().len());
+    let mut calls = Vec::new();
+    let outcome = cmd
+        .record(dir, cap, &progress, Some(&stage), |(site, threads)| {
+            db.merge(site);
+            calls.push(threads);
+            Ok(())
+        })
+        .unwrap();
+    Staged {
+        outcome,
+        db,
+        threads: calls,
+    }
+}
+
+fn json(db: &CrawlDb) -> String {
+    serde_json::to_string(db).unwrap()
+}
+
 #[test]
 fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
     let u = uni();
@@ -49,36 +86,50 @@ fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
 
     // Uninterrupted reference run.
     let straight = tmp("straight");
-    let ResumableOutcome::Complete { db: ref_db, .. } = cmd.run_resumable(&straight, None).unwrap()
-    else {
-        panic!("uncapped run must complete");
-    };
+    let reference = record(&cmd, &straight, None);
+    assert!(matches!(
+        reference.outcome,
+        ResumableOutcome::Complete { .. }
+    ));
 
     // Interrupted run: stop after 3 sites, then resume in chunks of 4
-    // until done.
+    // until done. Capped calls stage nothing; the call that completes
+    // the bundle stages the recovered prefix, then its own sites.
     let chunked = tmp("chunked");
-    let mut outcome = cmd.run_resumable(&chunked, Some(3)).unwrap();
+    let mut staged = record(&cmd, &chunked, Some(3));
     let mut rounds = 0;
-    let db = loop {
-        match outcome {
-            ResumableOutcome::Complete { db, manifest } => {
+    let last = loop {
+        match staged.outcome {
+            ResumableOutcome::Complete { ref manifest } => {
                 assert!(manifest.complete);
-                break db;
+                break staged;
             }
             ResumableOutcome::Partial {
                 sites_done,
                 sites_total,
-                manifest,
+                ref manifest,
             } => {
                 assert!(!manifest.complete);
                 assert!(sites_done < sites_total, "{sites_done} < {sites_total}");
+                assert!(staged.threads.is_empty(), "a capped call stages nothing");
+                assert_eq!(staged.db.page_count(), 0);
                 rounds += 1;
                 assert!(rounds < 20, "resume loop must terminate");
-                outcome = cmd.run_resumable(&chunked, Some(4)).unwrap();
+                staged = record(&cmd, &chunked, Some(4));
             }
         }
     };
     assert!(rounds >= 2, "the cap must actually interrupt the crawl");
+    assert_eq!(
+        last.threads.first(),
+        Some(&2),
+        "the recovered prefix is staged first, with the crawl's workers"
+    );
+    assert!(
+        last.threads[1..].iter().all(|&t| t == 1),
+        "{:?}",
+        last.threads
+    );
 
     assert_eq!(
         dir_bytes(&straight),
@@ -86,9 +137,9 @@ fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
         "resumed bundle must be byte-identical to the uninterrupted one"
     );
     assert_eq!(
-        serde_json::to_string(&ref_db).unwrap(),
-        serde_json::to_string(&db).unwrap(),
-        "recovered database must match the uninterrupted one"
+        json(&reference.db),
+        json(&last.db),
+        "recovered visits plus the staged sites must match the uninterrupted crawl"
     );
 }
 
@@ -97,12 +148,16 @@ fn worker_count_does_not_change_the_bundle() {
     let u = uni();
     let one = tmp("workers1");
     let eight = tmp("workers8");
-    Commander::new(&u, standard_profiles(), options(1))
-        .run_resumable(&one, None)
-        .unwrap();
-    Commander::new(&u, standard_profiles(), options(8))
-        .run_resumable(&eight, None)
-        .unwrap();
+    record(
+        &Commander::new(&u, standard_profiles(), options(1)),
+        &one,
+        None,
+    );
+    record(
+        &Commander::new(&u, standard_profiles(), options(8)),
+        &eight,
+        None,
+    );
     assert_eq!(dir_bytes(&one), dir_bytes(&eight));
 }
 
@@ -112,13 +167,17 @@ fn resumable_crawl_matches_plain_run() {
     let cmd = Commander::new(&u, standard_profiles(), options(2));
     let plain = cmd.run();
     let dir = tmp("vsplain");
-    let ResumableOutcome::Complete { db, .. } = cmd.run_resumable(&dir, None).unwrap() else {
-        panic!("uncapped run must complete");
-    };
+    let staged = record(&cmd, &dir, None);
+    assert!(matches!(staged.outcome, ResumableOutcome::Complete { .. }));
     assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&db).unwrap(),
-        "resumable crawl must produce the same database as run()"
+        staged.threads,
+        vec![1; u.sites().len()],
+        "a fresh bundle stages each site once, in its worker"
+    );
+    assert_eq!(
+        json(&plain),
+        json(&staged.db),
+        "resumable crawl must stage the same visits as run()"
     );
 }
 
@@ -127,29 +186,31 @@ fn rerun_on_complete_bundle_replays_without_crawling() {
     let u = uni();
     let cmd = Commander::new(&u, standard_profiles(), options(2));
     let dir = tmp("replay");
-    let ResumableOutcome::Complete { db: first, .. } = cmd.run_resumable(&dir, None).unwrap()
-    else {
-        panic!("uncapped run must complete");
-    };
+    let first = record(&cmd, &dir, None);
     let before = dir_bytes(&dir);
-    let ResumableOutcome::Complete { db: second, .. } = cmd.run_resumable(&dir, None).unwrap()
-    else {
-        panic!("complete bundle must replay as Complete");
-    };
+    let second = record(&cmd, &dir, None);
+    assert!(
+        matches!(second.outcome, ResumableOutcome::Complete { .. }),
+        "complete bundle must replay as Complete"
+    );
     assert_eq!(before, dir_bytes(&dir), "replay must not touch the archive");
     assert_eq!(
-        serde_json::to_string(&first).unwrap(),
-        serde_json::to_string(&second).unwrap()
+        second.threads,
+        vec![2],
+        "the whole bundle is staged once, as one database"
     );
+    assert_eq!(json(&first.db), json(&second.db));
 }
 
 #[test]
 fn bundle_bytes_ignore_worker_count_and_interruption_points() {
     let u = uni();
     let reference = tmp("points-reference");
-    Commander::new(&u, standard_profiles(), options(1))
-        .run_resumable(&reference, None)
-        .unwrap();
+    record(
+        &Commander::new(&u, standard_profiles(), options(1)),
+        &reference,
+        None,
+    );
     let expect = dir_bytes(&reference);
     // Stop after `first` sites, then resume `then` sites at a time.
     for workers in [1usize, 2, 8] {
@@ -157,8 +218,7 @@ fn bundle_bytes_ignore_worker_count_and_interruption_points() {
             let dir = tmp(&format!("points-{workers}-{first}"));
             let cmd = Commander::new(&u, standard_profiles(), options(workers));
             let mut cap = first;
-            while let ResumableOutcome::Partial { .. } = cmd.run_resumable(&dir, Some(cap)).unwrap()
-            {
+            while let ResumableOutcome::Partial { .. } = record(&cmd, &dir, Some(cap)).outcome {
                 cap = then;
             }
             assert_eq!(
@@ -168,4 +228,24 @@ fn bundle_bytes_ignore_worker_count_and_interruption_points() {
             );
         }
     }
+}
+
+#[test]
+fn window_crawls_without_a_stage_match_staged_crawls() {
+    // The stage never touches the archive: a window crawl, resumed in
+    // batches without one, writes the staged crawl's bytes.
+    let u = uni();
+    let staged = tmp("window-staged");
+    record(
+        &Commander::new(&u, standard_profiles(), options(2)),
+        &staged,
+        None,
+    );
+    let dir = tmp("window-bare");
+    let cmd = Commander::new(&u, standard_profiles(), options(2));
+    let progress = ProgressTracker::new(u.sites().len(), 2);
+    while let ResumableOutcome::Partial { .. } =
+        cmd.record_window(&dir, Some(3), &progress).unwrap()
+    {}
+    assert_eq!(dir_bytes(&dir), dir_bytes(&staged));
 }

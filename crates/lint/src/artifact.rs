@@ -474,97 +474,22 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
     let at_plan = format!("{origin}:{}", wmtree_shard::SHARDS_FILE);
     let mut out = Vec::new();
 
-    // WM0236 — dense ids in rank order.
-    for (i, spec) in plan.shards.iter().enumerate() {
-        if spec.id != i {
-            out.push(Diagnostic::artifact(
-                Code("WM0236"),
-                Severity::Error,
-                format!("{at_plan}:shard[{i}]"),
-                format!(
-                    "shard ids must be dense 0..{}, found id {}",
-                    plan.shards.len(),
-                    spec.id
-                ),
-            ));
-        }
-    }
-
-    // WM0235 — windows partition the universe; rank ranges disjoint.
-    if plan.shards.is_empty() {
+    // WM0235 / WM0236 — the windows partition the universe, ids dense.
+    for defect in plan.partition_defects() {
+        let code = match defect.kind {
+            wmtree_shard::DefectKind::Coverage => "WM0235",
+            wmtree_shard::DefectKind::Ids => "WM0236",
+        };
+        let at = match defect.shard {
+            Some(i) => format!("{at_plan}:shard[{i}]"),
+            None => at_plan.clone(),
+        };
         out.push(Diagnostic::artifact(
-            Code("WM0235"),
+            Code(code),
             Severity::Error,
-            at_plan.clone(),
-            "plan has no shards",
+            at,
+            defect.detail,
         ));
-    } else {
-        let first = &plan.shards[0];
-        let last = plan.shards.last().expect("non-empty"); // wmtree-lint: allow(WM0105)
-        if first.site_lo != 0 {
-            out.push(Diagnostic::artifact(
-                Code("WM0235"),
-                Severity::Error,
-                format!("{at_plan}:shard[0]"),
-                format!("first shard starts at site {}, not 0", first.site_lo),
-            ));
-        }
-        if last.site_hi != plan.total_sites {
-            out.push(Diagnostic::artifact(
-                Code("WM0235"),
-                Severity::Error,
-                format!("{at_plan}:shard[{}]", plan.shards.len() - 1),
-                format!(
-                    "last shard ends at site {}, universe has {}",
-                    last.site_hi, plan.total_sites
-                ),
-            ));
-        }
-        for (i, spec) in plan.shards.iter().enumerate() {
-            if spec.site_lo >= spec.site_hi {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{i}]"),
-                    format!("empty site window [{}, {})", spec.site_lo, spec.site_hi),
-                ));
-            }
-            if spec.rank_lo > spec.rank_hi {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{i}]"),
-                    format!("inverted rank range [{}, {}]", spec.rank_lo, spec.rank_hi),
-                ));
-            }
-        }
-        for (i, w) in plan.shards.windows(2).enumerate() {
-            if w[0].site_hi != w[1].site_lo {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{}]", i + 1),
-                    format!(
-                        "site windows must be contiguous: shard {} ends at {}, shard {} starts at {}",
-                        i, w[0].site_hi, i + 1, w[1].site_lo
-                    ),
-                ));
-            }
-            if w[0].rank_hi >= w[1].rank_lo {
-                out.push(Diagnostic::artifact(
-                    Code("WM0235"),
-                    Severity::Error,
-                    format!("{at_plan}:shard[{}]", i + 1),
-                    format!(
-                        "rank ranges overlap: shard {} ends at rank {}, shard {} starts at rank {}",
-                        i,
-                        w[0].rank_hi,
-                        i + 1,
-                        w[1].rank_lo
-                    ),
-                ));
-            }
-        }
     }
 
     // WM0237 — recorded bundle hashes verify against the archives.
@@ -586,10 +511,10 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
             continue;
         };
         match wmtree_bundle::bundle_content_hash(&bundle_dir) {
-            Ok(actual) if actual == recorded => match wmtree_crawler::read_bundle(&bundle_dir) {
-                Ok(db) => {
+            Ok(actual) if actual == recorded => match vetted_sites(&bundle_dir) {
+                Ok(sites) => {
                     if let Some(total) = shard_vetted_sites.as_mut() {
-                        *total += db.vetted_sites().len();
+                        *total += sites;
                     }
                 }
                 Err(e) => {
@@ -678,6 +603,23 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
     }
 
     Ok(out)
+}
+
+/// Sites of the bundle at `dir` that survive vetting. Vetting reads
+/// only each visit's success flag, so objects decode header-only; every
+/// committed byte is still verified.
+fn vetted_sites(dir: &std::path::Path) -> Result<usize, wmtree_bundle::BundleError> {
+    let manifest = wmtree_bundle::Manifest::load(dir)?;
+    let mut db = wmtree_crawler::CrawlDb::new(manifest.meta.n_profiles);
+    let plan = |visits: &[_]| vec![wmtree_bundle::Depth::Header; visits.len()];
+    wmtree_bundle::read_visits_at(dir, &manifest, plan, |bv| {
+        let page = wmtree_crawler::PageKey {
+            site: bv.site,
+            url: bv.url,
+        };
+        db.insert(page, bv.profile, bv.visit);
+    })?;
+    Ok(db.vetted_sites().len())
 }
 
 /// Check a job-store root (`WM0241`–`WM0243`): a `JOBS.json` queue

@@ -26,7 +26,8 @@ pub enum ShardError {
         /// The underlying JSON error.
         source: serde_json::Error,
     },
-    /// The plan itself is malformed (bad shard count, empty universe).
+    /// The plan itself is malformed (empty universe, or shards that do
+    /// not partition it — the detail names the shard).
     Plan {
         /// What is wrong with it.
         detail: String,

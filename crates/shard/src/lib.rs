@@ -36,5 +36,5 @@ pub mod runner;
 
 pub use error::ShardError;
 pub use merge::{merge_shards, MergedRun};
-pub use plan::{ShardPlan, ShardSpec, SHARDS_FILE, SHARDS_VERSION};
+pub use plan::{DefectKind, PlanDefect, ShardPlan, ShardSpec, SHARDS_FILE, SHARDS_VERSION};
 pub use runner::{crawl_remaining_shards, crawl_shard, ShardCrawl};

@@ -2,20 +2,23 @@
 //! mergeable partial accumulators, then finish into exactly the
 //! results a monolithic single-process run produces.
 //!
-//! The memory argument: the expensive residency of a run is the raw
+//! The memory argument: the expensive residency of a replay is the raw
 //! crawl database (every visit of every page). The merge holds at most
-//! **one shard's** database at a time — load shard k, vet + build
-//! trees, analyze its pages, fold the (much smaller) per-page analysis
-//! records into the accumulator, and drop the database before touching
-//! shard k+1. The `shard.pages.in_memory` gauge tracks the live
-//! database's page count and `shard.pages.in_memory.peak` its maximum,
-//! so a run can *prove* its residency never exceeded one shard.
+//! **one shard's** database at a time — [`Fold::add_bundle`] loads
+//! shard k, vets it, builds (or takes from the shard's tree cache) its
+//! trees, analyses its pages, folds the per-page analysis records into
+//! the accumulator, and drops the database before shard k+1 is touched.
+//! The `shard.pages.in_memory.peak` gauge records the largest shard
+//! database's page count, so a run can *prove* its residency never
+//! exceeded one shard.
+//!
+//! [`Fold::add_bundle`]: wmtree::Fold::add_bundle
 
 use crate::error::ShardError;
 use crate::plan::ShardPlan;
 use std::path::Path;
-use wmtree::{read_bundle_cached, AnalysisCache, Experiment, ExperimentResults};
-use wmtree_analysis::{MergeDigest, PartialMergeError};
+use wmtree::{AnalysisCache, Experiment, ExperimentResults};
+use wmtree_analysis::MergeDigest;
 use wmtree_bundle::{bundle_content_hash, Manifest};
 
 /// A finished streaming merge.
@@ -76,8 +79,6 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
     let plan = ShardPlan::load(plan_dir)?;
     plan.check_experiment(exp)?;
 
-    let merge_fault = |source: PartialMergeError| ShardError::Merge { source };
-    let gauge = wmtree_telemetry::gauge!("shard.pages.in_memory");
     let peak_gauge = wmtree_telemetry::gauge!("shard.pages.in_memory.peak");
     let mut peak: usize = 0;
 
@@ -96,24 +97,21 @@ pub fn merge_shards(exp: &Experiment, plan_dir: &Path) -> Result<MergedRun, Shar
             return Err(ShardError::NotCrawled { id: spec.id });
         }
 
-        // The one-shard residency window: the raw database lives only
-        // until `add` returns. Each shard carries its own tree cache
-        // next to its bundle, and is read through it: a re-merge over
-        // unchanged shards decodes only visit headers and builds no
-        // tree — and the fold stays byte-identical to the cold path.
+        // Each shard carries its own tree cache next to its bundle, and
+        // is read through it: a re-merge over unchanged shards decodes
+        // only visit headers and builds no tree — and the fold stays
+        // byte-identical to the cold path.
         let cache =
             AnalysisCache::open(&dir.join(wmtree::tree::cache::CACHE_DIR_NAME), exp.config());
-        let db = read_bundle_cached(&dir, Some(&cache)).map_err(located)?;
-        fold.lap("read_bundle");
-        gauge.set(db.page_count() as i64);
-        peak = peak.max(db.page_count());
+        let pages = fold.add_bundle(&dir, Some(&cache)).map_err(located)?;
+        peak = peak.max(pages);
         peak_gauge.set(peak as i64);
-        fold.add(db, Some(&cache)).map_err(merge_fault)?;
-        gauge.set(0);
         wmtree_telemetry::counter!("shard.merges.folded").inc();
     }
 
-    let run = fold.finish(None).map_err(merge_fault)?;
+    let run = fold
+        .finish(None)
+        .map_err(|source| ShardError::Merge { source })?;
     let mut results = run.results;
     results.manifest.label += &format!(", merged from {} shards", plan.shards.len());
     Ok(MergedRun {

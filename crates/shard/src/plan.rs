@@ -47,6 +47,29 @@ impl ShardSpec {
     }
 }
 
+/// Which partition rule a [`PlanDefect`] breaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefectKind {
+    /// The site windows do not cover `[0, total_sites)` contiguously
+    /// with non-empty windows, or the rank ranges are not ascending and
+    /// disjoint.
+    Coverage,
+    /// The shard ids are not dense `0..n` in rank order.
+    Ids,
+}
+
+/// One way a plan fails to partition the universe.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanDefect {
+    /// The rule broken.
+    pub kind: DefectKind,
+    /// Position of the offending shard in the plan; `None` for the plan
+    /// as a whole.
+    pub shard: Option<usize>,
+    /// What is wrong.
+    pub detail: String,
+}
+
 /// The whole plan: experiment identity plus the shard partition.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardPlan {
@@ -158,9 +181,65 @@ impl ShardPlan {
         Ok(plan_dir.join(&self.shard(id)?.dir))
     }
 
-    /// Check the plan was made for this experiment: same universe,
-    /// seeds, and profile roster. A shard bundle crawled under one
-    /// experiment must never be merged under another.
+    /// Every way the shards fail to partition the universe: ids must be
+    /// dense `0..n` in order, and the site windows non-empty, contiguous
+    /// and covering `[0, total_sites)`, with ascending, disjoint rank
+    /// ranges. Empty for a plan [`ShardPlan::new`] made.
+    pub fn partition_defects(&self) -> Vec<PlanDefect> {
+        use DefectKind::{Coverage, Ids};
+        let n = self.shards.len();
+        let mut out = Vec::new();
+        if n == 0 {
+            out.push(PlanDefect {
+                kind: Coverage,
+                shard: None,
+                detail: "plan has no shards".into(),
+            });
+        }
+        for (i, s) in self.shards.iter().enumerate() {
+            let (lo, hi, rank_lo, rank_hi) = (s.site_lo, s.site_hi, s.rank_lo, s.rank_hi);
+            let mut check = |ok: bool, kind, detail: String| {
+                if !ok {
+                    out.push(PlanDefect {
+                        kind,
+                        shard: Some(i),
+                        detail,
+                    });
+                }
+            };
+            check(
+                s.id == i,
+                Ids,
+                format!("ids must be dense 0..{n}, found {}", s.id),
+            );
+            check(lo < hi, Coverage, format!("empty site window [{lo}, {hi})"));
+            let inverted = format!("inverted rank range [{rank_lo}, {rank_hi}]");
+            check(rank_lo <= rank_hi, Coverage, inverted);
+            match i.checked_sub(1).map(|p| &self.shards[p]) {
+                None => check(lo == 0, Coverage, format!("starts at site {lo}, not 0")),
+                Some(prev) => {
+                    let (end, last_rank) = (prev.site_hi, prev.rank_hi);
+                    let gap = format!("site window starts at {lo}, shard {} ends at {end}", i - 1);
+                    check(end == lo, Coverage, gap);
+                    let overlap =
+                        format!("rank {rank_lo} overlaps shard {}, up to {last_rank}", i - 1);
+                    check(last_rank < rank_lo, Coverage, overlap);
+                }
+            }
+            if i + 1 == n {
+                let uncovered = format!("ends at site {hi}, universe has {}", self.total_sites);
+                check(hi == self.total_sites, Coverage, uncovered);
+            }
+        }
+        out
+    }
+
+    /// Check the plan was made for this experiment — same universe,
+    /// seeds, and profile roster — and partitions its universe
+    /// ([`partition_defects`](ShardPlan::partition_defects); the first
+    /// defect is the error, naming its shard). A shard bundle crawled
+    /// under one experiment must never be merged under another, and a
+    /// window outside the universe must never be crawled.
     pub fn check_experiment(&self, exp: &Experiment) -> Result<(), ShardError> {
         let mismatch = |field: &str, planned: String, actual: String| {
             Err(ShardError::ConfigMismatch {
@@ -207,7 +286,17 @@ impl ShardPlan {
                 total.to_string(),
             );
         }
-        Ok(())
+        match self.partition_defects().into_iter().next() {
+            None => Ok(()),
+            Some(PlanDefect {
+                shard: Some(i),
+                detail,
+                ..
+            }) => Err(ShardError::Plan {
+                detail: format!("shard {i}: {detail}"),
+            }),
+            Some(PlanDefect { detail, .. }) => Err(ShardError::Plan { detail }),
+        }
     }
 
     /// Record the completed bundle's content hash for one shard:
@@ -264,7 +353,34 @@ mod tests {
                 assert_eq!(s.id, i, "dense ids");
                 assert!(s.sites() > 0, "non-empty shards");
             }
+            assert_eq!(plan.partition_defects(), [], "n={n}");
         }
+    }
+
+    #[test]
+    fn partition_defects_name_every_broken_rule() {
+        let plan = ShardPlan::new(&exp(), 3).expect("plan");
+        let mut bad = plan.clone();
+        bad.shards[1].rank_lo = bad.shards[0].rank_hi;
+        bad.shards[2].site_lo += 1;
+        bad.shards[2].id = 9;
+        let found: Vec<(DefectKind, Option<usize>)> = bad
+            .partition_defects()
+            .iter()
+            .map(|d| (d.kind, d.shard))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (DefectKind::Coverage, Some(1)),
+                (DefectKind::Ids, Some(2)),
+                (DefectKind::Coverage, Some(2)),
+            ]
+        );
+
+        let mut empty = plan;
+        empty.shards.clear();
+        assert_eq!(empty.partition_defects()[0].detail, "plan has no shards");
     }
 
     #[test]

@@ -236,3 +236,38 @@ fn merging_an_uncrawled_plan_is_rejected() {
     assert!(matches!(err, ShardError::NotCrawled { id: 0 }), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_plans_are_located_errors_not_panics() {
+    let exp = Experiment::new(ExperimentConfig::at_scale(Scale::Tiny));
+    let total = exp.universe().sites().len();
+
+    // The last window runs past the universe: the crawl refuses the
+    // plan instead of tripping the commander's range check.
+    let dir = tmp("past-universe");
+    let mut plan = ShardPlan::new(&exp, 3).expect("plan");
+    plan.shards[2].site_hi = total + 2;
+    plan.store(&dir).expect("store plan");
+    let err = crawl_shard(&exp, &dir, 2, None).expect_err("window past the universe");
+    assert!(matches!(err, ShardError::Plan { .. }), "{err}");
+    assert!(err.to_string().contains("shard 2"), "{err}");
+
+    // Shard 1 starts three sites late: crawled under the good plan,
+    // then merged under the one with the gap, which must not yield a
+    // report missing those sites.
+    let dir = tmp("gap");
+    ShardPlan::new(&exp, 3)
+        .expect("plan")
+        .store(&dir)
+        .expect("store plan");
+    for id in 0..3 {
+        crawl_shard(&exp, &dir, id, None).expect("crawl shard");
+    }
+    let mut gap = ShardPlan::load(&dir).expect("reload");
+    gap.shards[1].site_lo += 3;
+    gap.store(&dir).expect("store gap");
+    let err = merge_shards(&exp, &dir).expect_err("a plan with a gap must not merge");
+    assert!(matches!(err, ShardError::Plan { .. }), "{err}");
+    assert!(err.to_string().contains("shard 1"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -16,8 +16,6 @@
 //!   table.
 //! * [`histogram`] — 1-D and 2-D fixed-bin histograms used for Figures
 //!   1, 2, and 8.
-//! * [`bootstrap`] — deterministic percentile-bootstrap confidence
-//!   intervals for any statistic (metascience tooling beyond the paper).
 //!
 //! All tests use a two-sided alternative and the normal / χ²
 //! approximations with tie corrections, which is what SciPy computes for
@@ -41,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod descriptive;
 pub mod dist;
 pub mod histogram;

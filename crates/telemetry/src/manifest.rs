@@ -30,12 +30,19 @@ pub struct ManifestProfile {
 }
 
 /// Wall time of one pipeline stage.
+///
+/// `generate`, `crawl` / `read_bundle` and `render` are wall time of
+/// the calling thread. `build_trees` and `analyze` are the summed
+/// durations of the post-crawl stage over everything the run folded
+/// (`analyze` also counts the final fold). A crawl runs that stage in
+/// its workers, per site, inside `crawl`: there the two overlap `crawl`
+/// and each other, and summed over workers they can exceed it.
 #[derive(Debug, Clone, Serialize)]
 pub struct StageTiming {
-    /// Stage name (`generate`, `crawl`, `build_trees`, `analyze`,
-    /// `render`).
+    /// Stage name (`generate`, `crawl` or `read_bundle`, `build_trees`,
+    /// `analyze`, `render`).
     pub name: String,
-    /// Stage wall time in milliseconds.
+    /// Stage time in milliseconds.
     pub wall_ms: f64,
 }
 
