@@ -58,13 +58,11 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let workers = workers
         .clamp(1, items.len().max(1))
-        .min((items.len() / min_items_per_worker.max(1)).max(1))
-        .min(cores);
+        .min((items.len() / min_items_per_worker.max(1)).max(1));
+    // The core count is read only when a fan-out is still possible.
+    let workers = if workers > 1 { workers.min(cores()) } else { 1 };
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -88,6 +86,19 @@ where
     out.into_iter()
         .map(|slot| slot.expect("worker filled every slot")) // wmtree-lint: allow(WM0105)
         .collect()
+}
+
+/// The host's available parallelism, read once per process: each read
+/// consults the scheduler affinity and cgroup quota (tens of
+/// microseconds), and the per-site stage would otherwise read it for
+/// every site.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@
 //! The shard flags are the multi-process recipe for `--scale huge`
 //! (the paper's 25k-site corpus): plan once, crawl each shard in its
 //! own process with `--shard-id`, then `--merge-shards` — the merged
-//! report is byte-identical to a single-process run, but peak memory
-//! is one shard.
+//! report is byte-identical to a single-process run, but no process
+//! holds more than one shard's sites in flight.
 //!
 //! Unless `--no-telemetry` is given, every run ends with a telemetry
 //! summary on stderr, and `--telemetry DIR` (or `--csv DIR`) writes the
@@ -250,13 +250,13 @@ fn main() {
     }
 
     let mut results = if let Some(dir) = merge_dir {
-        // Streaming merge: one shard-bundle in memory at a time.
+        // Streaming merge: one shard-bundle at a time, site by site.
         eprintln!("[repro] merging shards from {dir} (streaming, one shard at a time)...");
         let exp = Experiment::new(config(scale));
         match wmtree_shard::merge_shards(&exp, std::path::Path::new(&dir)) {
             Ok(merged) => {
                 eprintln!(
-                    "[repro] merged {} pages from {dir}; peak residency {} pages (one shard)",
+                    "[repro] merged {} pages from {dir}; largest shard {} pages, streamed site by site",
                     merged.digest.pages, merged.peak_shard_pages
                 );
                 merged.results
@@ -317,12 +317,14 @@ fn main() {
             Ok(wmtree::BundleRun::Partial {
                 sites_done,
                 sites_total,
+                manifest,
                 ..
             }) => {
                 eprintln!(
                     "[repro] bundle checkpointed at {sites_done}/{sites_total} sites; \
                      rerun with `--bundle {dir} --resume` to continue"
                 );
+                report_telemetry(&manifest, get("--telemetry").or_else(|| get("--csv")));
                 return;
             }
             Err(e) => {
@@ -358,16 +360,10 @@ fn main() {
     }
     // The manifest lands next to the exported tables (or wherever
     // --telemetry points), and its summary goes to stderr.
-    if wmtree::telemetry::enabled() {
-        if let Some(dir) = get("--telemetry").or_else(|| get("--csv")) {
-            let path = results
-                .manifest
-                .write_to_dir(std::path::Path::new(&dir))
-                .expect("write telemetry.json");
-            eprintln!("[repro] wrote {}", path.display());
-        }
-        eprint!("{}", Report::render_telemetry(&results.manifest));
-    }
+    report_telemetry(
+        &results.manifest,
+        get("--telemetry").or_else(|| get("--csv")),
+    );
 
     if let Some(table) = get("--table") {
         let out = match table.as_str() {
@@ -441,6 +437,21 @@ fn main() {
     }
 
     print!("{}", report.render());
+}
+
+/// Unless telemetry is off, write the run manifest's `telemetry.json`
+/// into `dir` when one is given, and print its summary to stderr.
+fn report_telemetry(manifest: &wmtree::telemetry::RunManifest, dir: Option<String>) {
+    if !wmtree::telemetry::enabled() {
+        return;
+    }
+    if let Some(dir) = dir {
+        let path = manifest
+            .write_to_dir(std::path::Path::new(&dir))
+            .expect("write telemetry.json");
+        eprintln!("[repro] wrote {}", path.display());
+    }
+    eprint!("{}", Report::render_telemetry(manifest));
 }
 
 /// `repro serve`: run the measurement service until it drains (a

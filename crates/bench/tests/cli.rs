@@ -99,3 +99,35 @@ fn help_names_every_flag_of_its_command() {
     // The main help also shows the serve command's usage.
     assert_help("help-serve", &["--help"], SERVE_FLAGS);
 }
+
+#[test]
+fn a_capped_bundle_run_writes_its_telemetry() {
+    let (out, dir) = repro(
+        "capped-telemetry",
+        &[
+            "--scale",
+            "tiny",
+            "--bundle",
+            "b",
+            "--max-sites",
+            "2",
+            "--telemetry",
+            "t",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("checkpointed at 2/"), "stderr: {stderr}");
+    let text = std::fs::read_to_string(dir.join("t").join("telemetry.json"))
+        .unwrap_or_else(|e| panic!("no telemetry.json ({e}); stderr: {stderr}"));
+    let at = |needle: &str| {
+        text.find(needle)
+            .unwrap_or_else(|| panic!("no {needle} in telemetry.json: {text}"))
+    };
+    assert!(
+        at("\"name\": \"generate\"") < at("\"name\": \"crawl\""),
+        "{text}"
+    );
+    at("\"sites_done\": 2,");
+    at("\"crawler.sites.crawled\"");
+}

@@ -25,14 +25,15 @@
 //! run.
 //!
 //! Segment logs have one reader, [`segment::LogScan`], which yields
-//! records and framing defects alike. Replay ([`read_visits`],
-//! [`read_visits_at`]) and [`BundleWriter::resume`] share one fail-fast
-//! loader over it, which reads each log once, decodes each object on
-//! scoped threads only as deep as its readers need ([`Depth`]: the
-//! address alone, the header, or the whole visit), and moves every
-//! stored payload into the visits that reference it, in log order: the
-//! first defect surfaces as an error naming the segment, line, and byte
-//! offset. [`verify_bundle`], the check behind `wmtree-lint
+//! records and framing defects alike. Replay ([`read_sites`]) and
+//! [`BundleWriter::resume`] share one fail-fast loader over it, which
+//! reads each log once, decodes each object on scoped threads only as
+//! deep as its readers need ([`Depth`]: the address alone, the header,
+//! or the whole visit), moves every stored payload into the visits that
+//! reference it, and hands out each checkpointed site, in log order, as
+//! soon as its objects are verified and decoded; the checks that need
+//! the whole log decide the result at its end. The first defect
+//! surfaces as an error naming the segment, line, and byte offset. [`verify_bundle`], the check behind `wmtree-lint
 //! check-artifacts`, scans the same way but leniently, decoding every
 //! object in full and collecting every defect.
 
@@ -56,7 +57,7 @@ pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};
 pub use object::Depth;
-pub use reader::{read_visits, read_visits_at, LoggedVisit};
+pub use reader::{read_sites, LoggedVisit};
 pub use record::{BundleVisit, Checkpoint, Record, VisitRef};
 pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};

@@ -1,24 +1,32 @@
-//! The one bundle loader, shared by replay (`read_bundle` in
-//! `wmtree-crawler` through [`read_visits`], and the tree-cache-aware
-//! reader in `wmtree` through [`read_visits_at`]) and by
+//! The one bundle loader, shared by replay ([`read_sites`]: `read_bundle`
+//! and the site-by-site replays in `wmtree-crawler`, the tree-cache
+//! plan in `wmtree`) and by
 //! [`BundleWriter::resume`](crate::BundleWriter::resume).
 //!
 //! Both logs are read fail-fast through [`LogScan`], each exactly once.
 //! The visit log comes first: it is small (coordinates and content
 //! addresses only), and reading it whole tells the loader which visits
-//! reference each object. The caller's plan then names the [`Depth`]
-//! each checkpointed visit needs, and each object is decoded once, at
-//! the deepest depth of the visits that reference it. The object log is
-//! scanned on the calling thread (checksums and chains) in rounds of
-//! bounded batches. Scoped threads decode one round's batches (content
-//! address, then parse to the object's depth) while the calling thread
-//! scans the next round, and the results are applied strictly in log
-//! order: each object is moved into the first visit that references it,
-//! and only the later references of a deduplicated payload get clones.
-//! Counts, dedup moves and the first defect in log order are the same
-//! at any decode width and any plan. No payload is held twice, and
-//! nothing reaches the caller before every committed record, chain,
-//! content address, count and reference has been checked.
+//! reference each object and which visits each checkpoint closes. The
+//! caller's plan then names the [`Depth`] each checkpointed visit
+//! needs, and each object is decoded once, at the deepest depth of the
+//! visits that reference it. The object log is scanned on the calling
+//! thread (checksums and chains) in rounds of bounded batches. Scoped
+//! threads decode one round's batches (content address, then parse to
+//! the object's depth) while the calling thread scans the next round,
+//! and the results are applied strictly in log order.
+//!
+//! A site streams out as soon as every object its visits reference has
+//! been applied: checksummed, content-addressed and decoded. Sites
+//! leave in log order, each visit holding its object, which is moved
+//! into the last visit that references it; only the earlier references
+//! of a deduplicated payload get clones, and a payload is held only
+//! while a site still to leave references it. Counts, dedup moves and
+//! the first defect in log order are the same at any decode width and
+//! any plan. The checks that need the whole log — dangling references,
+//! manifest counts, orphans, stray segments, segment chains and the
+//! checkpoint boundary — run once the object log is read: sites may
+//! have left by then, so a caller commits nothing it derived from them
+//! until the load returns `Ok`.
 
 use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
@@ -32,10 +40,12 @@ use std::path::Path;
 use std::sync::{mpsc, Mutex, PoisonError};
 use wmtree_browser::VisitResult;
 
-/// Object payload bytes per decode batch: enough parsing to dwarf a
-/// thread spawn, and few enough bytes that the batches in flight stay
-/// a sliver of the bundle.
-const BATCH_BYTES: usize = 1 << 20;
+/// Object payload bytes per decode batch: some forty objects at Small,
+/// enough parsing to dwarf the hand-off to a decode thread, and few
+/// enough that the batches in flight — decoded, several times their
+/// payload — stay a few MB: with 1 MiB batches they held about 30 MB
+/// of a Small replay's peak.
+const BATCH_BYTES: usize = 1 << 18;
 
 /// What the committed logs hold, to check against what the manifest
 /// declares.
@@ -111,7 +121,7 @@ pub struct LoggedVisit {
     pub object: u64,
 }
 
-/// What [`load`] recovered besides the visits it handed out.
+/// What [`load`] recovered besides the sites it handed out.
 #[derive(Debug)]
 pub(crate) struct Loaded {
     /// Checkpointed sites.
@@ -127,19 +137,143 @@ pub(crate) struct Loaded {
 /// counts and the checkpoint boundary. `plan` sees the checkpointed
 /// visits, in log order, before any object is read, and names the
 /// depth each one needs; each object is decoded once, at the deepest
-/// depth of the visits that reference it. Then every checkpointed
-/// visit planned deeper than [`Depth::Address`] goes to `sink` in log
-/// order. Crash leftovers past the committed region are skipped; any
-/// other defect is an error naming where it is. Objects decode as wide
-/// as the host's available parallelism.
+/// depth of the visits that reference it. Each checkpointed site goes
+/// to `sink`, in log order, as soon as the objects its visits reference
+/// are decoded: its visits planned deeper than [`Depth::Address`], in
+/// log order (a site with none is skipped). Crash leftovers past the
+/// committed region are skipped; any other defect, or the first `sink`
+/// error, is the error, naming where it is. Objects decode as wide as
+/// the host's available parallelism.
 pub(crate) fn load(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    sink: impl FnMut(BundleVisit),
+    sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
 ) -> Result<Loaded, BundleError> {
     let width = std::thread::available_parallelism().map_or(1, |n| n.get());
     load_with(dir, manifest, plan, sink, width, BATCH_BYTES)
+}
+
+/// The checkpointed sites on their way out of [`load_with`]: which
+/// objects each still waits for, and the payloads a site still to leave
+/// references.
+struct SiteStream<'v> {
+    /// Every visit record of the log.
+    visits: &'v mut [LoggedVisit],
+    /// The depth planned for each visit (past the last checkpoint:
+    /// [`Depth::Address`]).
+    depths: &'v [Depth],
+    /// The visit count at each checkpoint: site `s` is the visits
+    /// `ends[s - 1]..ends[s]`.
+    ends: Vec<usize>,
+    /// Per site, the distinct objects it references that are not
+    /// applied yet.
+    waiting: Vec<usize>,
+    /// Per object, the visits handed out with its payload that have
+    /// not left yet.
+    uses: BTreeMap<u64, usize>,
+    /// Decoded payloads that visits still to leave need.
+    kept: BTreeMap<u64, VisitResult>,
+    /// The next site to leave.
+    next: usize,
+}
+
+impl<'v> SiteStream<'v> {
+    /// The stream over the sites `ends` delimits, with `wanted` the
+    /// visits referencing each object.
+    fn new(
+        visits: &'v mut [LoggedVisit],
+        depths: &'v [Depth],
+        ends: Vec<usize>,
+        wanted: &BTreeMap<u64, Vec<usize>>,
+    ) -> SiteStream<'v> {
+        let mut waiting = vec![0; ends.len()];
+        let mut uses = BTreeMap::new();
+        for (&object, refs) in wanted {
+            let mut last = None;
+            for &i in refs {
+                // `ends` is sorted: the first end past `i` is its site.
+                let site = ends.partition_point(|&end| end <= i);
+                if site == ends.len() {
+                    continue;
+                }
+                if last != Some(site) {
+                    waiting[site] += 1;
+                    last = Some(site);
+                }
+                if depths[i] > Depth::Address {
+                    *uses.entry(object).or_insert(0) += 1;
+                }
+            }
+        }
+        SiteStream {
+            visits,
+            depths,
+            ends,
+            waiting,
+            uses,
+            kept: BTreeMap::new(),
+            next: 0,
+        }
+    }
+
+    /// Apply one object: `refs` are the visits referencing it, in log
+    /// order, and `payload` its decoded visit, if it was parsed.
+    fn apply(&mut self, object: u64, refs: &[usize], payload: Option<VisitResult>) {
+        let mut last = None;
+        for &i in refs {
+            let site = self.ends.partition_point(|&end| end <= i);
+            if site < self.ends.len() && last != Some(site) {
+                self.waiting[site] -= 1;
+                last = Some(site);
+            }
+        }
+        if let Some(payload) = payload.filter(|_| self.uses.contains_key(&object)) {
+            self.kept.insert(object, payload);
+        }
+    }
+
+    /// Hand every site whose objects are all applied to `sink`, in log
+    /// order, up to the first that still waits.
+    fn flush(
+        &mut self,
+        sink: &mut impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
+    ) -> Result<(), BundleError> {
+        while self.next < self.ends.len() && self.waiting[self.next] == 0 {
+            let start = self.next.checked_sub(1).map_or(0, |s| self.ends[s]);
+            let range = start..self.ends[self.next];
+            self.next += 1;
+            let mut site = Vec::new();
+            for i in range.filter(|&i| self.depths[i] > Depth::Address) {
+                let visit = &mut self.visits[i];
+                let object = visit.object;
+                let Some(uses) = self.uses.get_mut(&object) else {
+                    unreachable!("a visit planned past the address counts as a use")
+                };
+                *uses -= 1;
+                let payload = if *uses == 0 {
+                    self.uses.remove(&object);
+                    self.kept.remove(&object)
+                } else {
+                    self.kept.get(&object).cloned()
+                };
+                let Some(payload) = payload else {
+                    unreachable!("an applied object planned past the address was decoded")
+                };
+                site.push(BundleVisit {
+                    site: std::mem::take(&mut visit.site),
+                    url: std::mem::take(&mut visit.url),
+                    profile: visit.profile,
+                    object,
+                    visit: payload,
+                });
+            }
+            if !site.is_empty() {
+                sink(site)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// [`load`], decoding objects in batches of about `batch_bytes` bytes,
@@ -148,7 +282,7 @@ fn load_with(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    mut sink: impl FnMut(BundleVisit),
+    mut sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
     width: usize,
     batch_bytes: usize,
 ) -> Result<Loaded, BundleError> {
@@ -157,8 +291,8 @@ fn load_with(
     let n_profiles = manifest.meta.n_profiles;
     let mut visits: Vec<LoggedVisit> = Vec::new();
     let mut locs: Vec<RecordLoc> = Vec::new();
-    // Visits before the last checkpoint.
-    let mut committed = 0;
+    // The visit count at each checkpoint.
+    let mut ends = Vec::new();
     let mut sites = BTreeSet::new();
     let mut tally = Tally::default();
     while let Some((loc, payload)) = visit_log.next_record()? {
@@ -175,7 +309,7 @@ fn load_with(
             Ok(LogEntry::Checkpoint(cp)) => {
                 tally.checkpoints += 1;
                 sites.insert(cp.site);
-                committed = visits.len();
+                ends.push(visits.len());
             }
             Err(BadRecord::Corrupt(detail)) => {
                 return Err(SegmentDefect::corrupt(&loc, detail).into())
@@ -188,6 +322,8 @@ fn load_with(
             }
         }
     }
+    // Visits before the last checkpoint.
+    let committed = ends.last().copied().unwrap_or(0);
     tally.visit_records = visits.len() as u64;
     tally.pending = (visits.len() - committed) as u64;
 
@@ -203,7 +339,9 @@ fn load_with(
         let depth = depth_of.entry(visit.object).or_insert(Depth::Address);
         *depth = (*depth).max(depths[i]);
     }
-    let mut payloads: Vec<Option<VisitResult>> = vec![None; visits.len()];
+    let mut stream = SiteStream::new(&mut visits, &depths, ends, &wanted);
+    // Sites with no visit wait for nothing.
+    stream.flush(&mut sink)?;
     let mut index = BTreeSet::new();
     let mut orphan = None;
     decode_objects(
@@ -217,13 +355,8 @@ fn load_with(
             }
             match wanted.remove(&hash) {
                 Some(refs) => {
-                    let mut refs = refs.into_iter().filter(|&i| depths[i] > Depth::Address);
-                    if let (Some(payload), Some(first)) = (payload, refs.next()) {
-                        for i in refs {
-                            payloads[i] = Some(payload.clone());
-                        }
-                        payloads[first] = Some(payload);
-                    }
+                    stream.apply(hash, &refs, payload);
+                    stream.flush(&mut sink)?;
                 }
                 None => {
                     orphan.get_or_insert(hash);
@@ -248,17 +381,6 @@ fn load_with(
             segment: OBJECTS_PREFIX.to_string(),
             detail: format!("object {} is stored but never referenced", to_hex(orphan)),
         });
-    }
-    for (visit, payload) in visits.into_iter().zip(payloads).take(committed) {
-        if let Some(payload) = payload {
-            sink(BundleVisit {
-                site: visit.site,
-                url: visit.url,
-                profile: visit.profile,
-                object: visit.object,
-                visit: payload,
-            });
-        }
     }
     Ok(Loaded {
         sites,
@@ -379,37 +501,30 @@ fn decode_objects(
     })
 }
 
-/// Replay a bundle: load and verify every committed record of the
-/// bundle at `dir` whose `manifest` the caller loaded, handing each
-/// checkpointed visit, decoded in full, to `sink` in log order. Works
-/// on partial bundles too — they replay their checkpointed prefix. The
-/// first defect is an error naming its segment (and line and byte
-/// offset, where it has them).
-pub fn read_visits(
-    dir: &Path,
-    manifest: &Manifest,
-    sink: impl FnMut(BundleVisit),
-) -> Result<(), BundleError> {
-    read_visits_at(
-        dir,
-        manifest,
-        |visits| vec![Depth::Full; visits.len()],
-        sink,
-    )
-}
-
-/// [`read_visits`], decoding each object only as deep as `plan` asks:
-/// it sees every checkpointed visit record, in log order, before any
-/// object is read, and returns one [`Depth`] per record. Every byte is
-/// verified whatever the depths; visits planned at
-/// [`Depth::Address`] are not handed to `sink`, and a visit planned at
+/// Replay a bundle site by site: load and verify every committed
+/// record of the bundle at `dir` whose `manifest` the caller loaded,
+/// decoding each object only as deep as `plan` asks. `plan` sees every
+/// checkpointed visit record, in log order, before any object is read,
+/// and returns one [`Depth`] per record. Each checkpointed site goes to
+/// `sink`, in log order, as soon as every object its visits reference
+/// is checksummed, content-addressed and decoded: its visits planned
+/// deeper than [`Depth::Address`], in log order. A visit planned at
 /// [`Depth::Header`] arrives with its `requests` and `frames` empty
-/// unless another visit of the same object asked for it in full.
-pub fn read_visits_at(
+/// unless another visit of the same object asked for it in full. Works
+/// on partial bundles too — they replay their checkpointed prefix.
+///
+/// Every byte is verified whatever the depths, but the checks that need
+/// the whole log (dangling references, counts, orphans, chains, stray
+/// segments, the checkpoint boundary) decide the result only after the
+/// last site has left: whatever a caller derives from the sites stays
+/// provisional until this returns `Ok`. The first defect, or the first
+/// `sink` error, is the error, naming its segment (and line and byte
+/// offset, where it has them).
+pub fn read_sites(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    sink: impl FnMut(BundleVisit),
+    sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
     load(dir, manifest, plan, sink).map(drop)
 }
@@ -423,10 +538,18 @@ mod tests {
     use crate::writer::tests::{append_site, forge_object, meta, tmp, visit, write_small};
     use crate::writer::BundleWriter;
 
+    /// Every visit planned at `Full`.
+    fn full(visits: &[LoggedVisit]) -> Vec<Depth> {
+        vec![Depth::Full; visits.len()]
+    }
+
     fn read_all(dir: &Path) -> Result<Vec<BundleVisit>, BundleError> {
         let manifest = Manifest::load(dir)?;
         let mut out = Vec::new();
-        read_visits(dir, &manifest, |bv| out.push(bv))?;
+        read_sites(dir, &manifest, full, |site| {
+            out.extend(site);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -510,9 +633,11 @@ mod tests {
     fn read_at(dir: &Path, width: usize, batch_bytes: usize) -> Result<Vec<BundleVisit>, String> {
         let manifest = Manifest::load(dir).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
-        let full = |visits: &[LoggedVisit]| vec![Depth::Full; visits.len()];
-        load_with(dir, &manifest, full, |bv| out.push(bv), width, batch_bytes)
-            .map_err(|e| e.to_string())?;
+        let sink = |site: Vec<BundleVisit>| {
+            out.extend(site);
+            Ok(())
+        };
+        load_with(dir, &manifest, full, sink, width, batch_bytes).map_err(|e| e.to_string())?;
         Ok(out)
     }
 
@@ -559,6 +684,90 @@ mod tests {
         for (i, bv) in all.iter().enumerate() {
             assert_eq!(bv.visit, visit(i as u64), "visit {i} in log order");
         }
+    }
+
+    /// The sites the loader hands out at decode `width` with batches of
+    /// `batch_bytes`, as `(site, visits)` in the order they left, and
+    /// how the load ended.
+    fn stream_at(
+        dir: &Path,
+        width: usize,
+        batch_bytes: usize,
+    ) -> (Vec<(String, usize)>, Result<(), String>) {
+        let manifest = Manifest::load(dir).unwrap();
+        let mut left = Vec::new();
+        let sink = |site: Vec<BundleVisit>| {
+            assert!(site.iter().all(|bv| bv.site == site[0].site), "one site");
+            left.push((site[0].site.clone(), site.len()));
+            Ok(())
+        };
+        let end = load_with(dir, &manifest, full, sink, width, batch_bytes);
+        (left, end.map(drop).map_err(|e| e.to_string()))
+    }
+
+    #[test]
+    fn sites_leave_in_log_order_with_their_visits() {
+        let dir = tmp("reader-sites");
+        write_many(&dir);
+        let expect: Vec<(String, usize)> = (0..8).map(|i| (format!("s{i}.com"), 2)).collect();
+        for batch_bytes in [1, 600, 1 << 20] {
+            for width in [1, 2, 8] {
+                assert_eq!(
+                    stream_at(&dir, width, batch_bytes),
+                    (expect.clone(), Ok(()))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sites_leave_before_a_late_defect_decides_the_load() {
+        let dir = tmp("reader-late-defect");
+        write_many(&dir);
+        // Flip a payload byte of the last object line: its checksum no
+        // longer matches, so the last site never leaves, the seven
+        // before it have, and the load fails at that line.
+        let seg = dir.join("objects-000.seg");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let at = bytes.len() - 3;
+        bytes[at] ^= 1;
+        std::fs::write(&seg, &bytes).unwrap();
+        let early: Vec<(String, usize)> = (0..7).map(|i| (format!("s{i}.com"), 2)).collect();
+        for batch_bytes in [1, 600, 1 << 20] {
+            for width in [1, 2, 8] {
+                let (left, end) = stream_at(&dir, width, batch_bytes);
+                assert_eq!(left, early, "width {width}, batches of {batch_bytes} bytes");
+                let err = end.unwrap_err();
+                assert!(err.contains("objects-000.seg line 16"), "{err}");
+            }
+        }
+
+        // An orphan appended to the log: every site leaves, then the
+        // end-of-log check fails the load.
+        let dir = tmp("reader-late-orphan");
+        write_many(&dir);
+        forge_object(&dir, &encode(&visit(99)).unwrap());
+        let (left, end) = stream_at(&dir, 2, 600);
+        assert_eq!(left.len(), 8);
+        assert!(end.unwrap_err().contains("never referenced"));
+    }
+
+    #[test]
+    fn a_sink_error_stops_the_load() {
+        let dir = tmp("reader-sink-error");
+        write_many(&dir);
+        let manifest = Manifest::load(&dir).unwrap();
+        let mut left = 0;
+        let err = read_sites(&dir, &manifest, full, |_| {
+            left += 1;
+            if left == 3 {
+                return Err(BundleError::NotFound { dir: dir.clone() });
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, BundleError::NotFound { .. }), "{err}");
+        assert_eq!(left, 3, "no site leaves after the sink's error");
     }
 
     /// Rewrite the lines of segment `name` with `edit`, each line
@@ -664,7 +873,10 @@ mod tests {
         let manifest = Manifest::load(dir)?;
         let mut out = Vec::new();
         let plan = |visits: &[LoggedVisit]| vec![depth; visits.len()];
-        load(dir, &manifest, plan, |bv| out.push(bv))?;
+        load(dir, &manifest, plan, |site| {
+            out.extend(site);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -728,7 +940,10 @@ mod tests {
                         .extend(visits.iter().map(|v| v.site.clone()));
                     plan.to_vec()
                 },
-                |bv| out.push(bv),
+                |site| {
+                    out.extend(site);
+                    Ok(())
+                },
             )
             .unwrap();
             assert_eq!(*seen.borrow(), ["a.com", "a.com", "b.com"]);

@@ -152,7 +152,7 @@ impl BundleWriter {
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
         let plan = |logged: &[_]| vec![Depth::Address; logged.len()];
-        let loaded = load(dir, &manifest, plan, |_| {})?;
+        let loaded = load(dir, &manifest, plan, |_| Ok(()))?;
         for log in &loaded.logs {
             log.truncate()?;
         }

@@ -3,7 +3,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::incremental::{
-    accumulate_cached, read_bundle_cached, AnalysisCache, CachedAccumulation, IncrementalReplay,
+    accumulate, replay_cached, AnalysisCache, CachedAccumulation, IncrementalReplay, SiteRecord,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -114,7 +114,7 @@ impl Experiment {
         self.commander()
             .crawl(
                 &progress,
-                |site, threads| self.accumulate(&site, threads, None),
+                |site| self.accumulate(&site, 1, None),
                 |acc| fold.add(acc?),
             )
             .and_then(|()| {
@@ -132,9 +132,11 @@ impl Experiment {
     /// checkpointed sites) if present. `max_sites` caps how many sites
     /// this invocation crawls; when the cap stops the crawl early the
     /// analyses are skipped and [`BundleRun::Partial`] reports how far
-    /// the archive got. A crawl interrupted this way and resumed leaves
-    /// a bundle byte-identical to an uninterrupted run. The call that
-    /// completes the bundle also analyses the visits it recovered.
+    /// the archive got, with the run's manifest so far (`generate` and
+    /// `crawl`, the crawl progress and the metrics). A crawl interrupted
+    /// this way and resumed leaves a bundle byte-identical to an
+    /// uninterrupted run. The call that completes the bundle also
+    /// analyses the visits it recovered, replaying them site by site.
     pub fn run_to_bundle(
         &self,
         dir: &Path,
@@ -143,7 +145,7 @@ impl Experiment {
         let _run_span = wmtree_telemetry::span("experiment.run_to_bundle");
         let mut fold = self.fold();
         let progress = self.progress();
-        let stage = |db: CrawlDb, threads| self.accumulate(&db, threads, None);
+        let stage = |db: CrawlDb| self.accumulate(&db, 1, None);
         let outcome = self
             .commander()
             .record(dir, max_sites, &progress, Some(&stage), |acc| {
@@ -167,6 +169,7 @@ impl Experiment {
                 sites_done,
                 sites_total,
                 bundle,
+                manifest: Box::new(fold.into_manifest(Some(&progress))),
             }),
         }
     }
@@ -197,21 +200,23 @@ impl Experiment {
             .record_window(dir, max_sites, &progress)
     }
 
-    /// Skip crawling entirely: rebuild the database from a (complete)
-    /// bundle recorded under the *same* configuration and run the
-    /// analyses on it. The results — and any report/CSV rendered from
-    /// them — are identical to a crawl-then-analyze run.
+    /// Skip crawling entirely: replay a (complete) bundle recorded under
+    /// the *same* configuration site by site and run the analyses on
+    /// each site. The results — and any report/CSV rendered from them —
+    /// are identical to a crawl-then-analyze run.
     pub fn replay_from_bundle(&self, dir: &Path) -> Result<ExperimentResults, BundleError> {
         self.replay(dir, None).map(|replay| replay.results)
     }
 
     /// [`replay_from_bundle`](Experiment::replay_from_bundle) through
     /// an [`AnalysisCache`]: unchanged sites take their trees from their
-    /// cache records without building one, changed sites build theirs
-    /// and record them, and the cache is committed (appended records
-    /// made durable) before returning. The results are byte-identical
-    /// to the uncached replay; the [`IncrementalReplay`] wrapper
-    /// additionally reports how much work the cache absorbed.
+    /// cache records without building one, changed sites build theirs,
+    /// and once the whole bundle has verified their records are stored
+    /// and the cache committed (appended records made durable) before
+    /// returning; a bundle with a defect commits nothing. The results
+    /// are byte-identical to the uncached replay; the
+    /// [`IncrementalReplay`] wrapper additionally reports how much work
+    /// the cache absorbed.
     pub fn replay_from_bundle_cached(
         &self,
         dir: &Path,
@@ -235,9 +240,12 @@ impl Experiment {
     }
 
     /// The post-crawl stage over one crawl database, fanned out over
-    /// `workers` threads: [`accumulate_cached`] with this experiment's
-    /// roster, filter list, tree options and site ranks. Crawls run it
-    /// on each site in its worker; [`Fold::add_bundle`] on a bundle.
+    /// `workers` threads: [`accumulate_cached`](crate::accumulate_cached)
+    /// with this experiment's roster, filter list, tree options and site
+    /// ranks, except that the records of the sites it rebuilds stay in
+    /// the accumulation: [`Fold::add_bundle`] stores them once the whole
+    /// bundle has verified. Crawls and replays run it on each site in a
+    /// worker, with one thread.
     pub fn accumulate(
         &self,
         db: &CrawlDb,
@@ -245,7 +253,7 @@ impl Experiment {
         cache: Option<&AnalysisCache>,
     ) -> Result<CachedAccumulation, PartialMergeError> {
         let _span = wmtree_telemetry::span("experiment.build_trees");
-        accumulate_cached(
+        accumulate(
             db,
             &self.names,
             self.filter,
@@ -291,6 +299,8 @@ impl Experiment {
             source: None,
             build_wall: Duration::ZERO,
             analyze_wall: Duration::ZERO,
+            tail_wall: Duration::ZERO,
+            records: Vec::new(),
             sites_total: 0,
             sites_rebuilt: 0,
             sites_reused: 0,
@@ -340,18 +350,20 @@ fn cache_fault(e: PartialMergeError) -> BundleError {
 
 /// One run on its way to [`ExperimentResults`] — the only way there.
 /// [`Experiment::fold`] starts it; [`Fold::add`] folds in each
-/// accumulation of the post-crawl stage ([`Experiment::accumulate`]):
-/// per crawled site in `run` and `run_to_bundle`, per bundle
-/// ([`Fold::add_bundle`]) in both replays and the shard merge.
+/// accumulation of the post-crawl stage ([`Experiment::accumulate`]),
+/// one per site: per crawled site in `run` and `run_to_bundle`, per
+/// replayed site ([`Fold::add_bundle`]) in both replays, the shard merge
+/// and the prefix a completing `run_to_bundle` reads back.
 /// [`Fold::finish`] restores the canonical page order, fills the
 /// manifest and assembles the results, so every mode's outputs agree
 /// byte for byte by construction.
 ///
 /// Stages: `generate`, then the stage that produced the visits (`crawl`
 /// or `read_bundle`, summed over bundles), then `build_trees` and
-/// `analyze`, the summed stage times of the folded accumulations
-/// (`analyze` also counts the fold). A crawl runs them in its workers,
-/// inside `crawl`.
+/// `analyze`, the summed per-site stage times of the folded
+/// accumulations, which ran inside that stage on its workers. `analyze`
+/// also counts the calling thread's time after it: storing and
+/// committing tree-cache records and the final fold.
 pub struct Fold<'e> {
     exp: &'e Experiment,
     metrics_before: Snapshot,
@@ -362,6 +374,11 @@ pub struct Fold<'e> {
     source: Option<(&'static str, Duration)>,
     build_wall: Duration,
     analyze_wall: Duration,
+    /// Calling-thread time after the source stage closed.
+    tail_wall: Duration,
+    /// Tree-cache records of the rebuilt sites, stored once their
+    /// bundle has verified.
+    records: Vec<SiteRecord>,
     sites_total: usize,
     sites_rebuilt: usize,
     sites_reused: usize,
@@ -377,7 +394,7 @@ impl Fold<'_> {
     }
 
     /// Fold one accumulation in: its analysed pages, crawl accounting,
-    /// cache use and stage times.
+    /// cache use, stage times and the cache records it left to store.
     pub fn add(&mut self, acc: CachedAccumulation) -> Result<(), PartialMergeError> {
         self.acc.merge(acc.acc)?;
         self.sites_total += acc.sites_total;
@@ -385,35 +402,45 @@ impl Fold<'_> {
         self.sites_reused += acc.sites_reused;
         self.build_wall += acc.build_wall;
         self.analyze_wall += acc.analyze_wall;
+        self.records.extend(acc.records);
         Ok(())
     }
 
-    /// Fold the bundle at `dir` in, through `cache` when given: read it
-    /// ([`read_bundle_cached`]), closing the `read_bundle` stage, run
-    /// [`Experiment::accumulate`] over its database, commit the cache,
-    /// free the database (both count as analysis) and [`add`](Fold::add)
-    /// the accumulation. Returns the database's page count.
+    /// Fold the bundle at `dir` in, site by site, through `cache` when
+    /// given: the bundle loader hands out each site once its objects
+    /// verify, a worker runs [`Experiment::accumulate`] on it (one
+    /// thread; the cache lookup per site), and each accumulation is
+    /// [`add`](Fold::add)ed in log order; that closes the `read_bundle`
+    /// stage. Only once the whole bundle has verified are the rebuilt
+    /// sites' records stored, in canonical site order, and the cache
+    /// committed. Returns the bundle's page count. On an error the fold
+    /// holds part of the bundle and must be dropped.
     pub fn add_bundle(
         &mut self,
         dir: &Path,
         cache: Option<&AnalysisCache>,
     ) -> Result<usize, BundleError> {
-        let db = read_bundle_cached(dir, cache)?;
+        let exp = self.exp;
+        let mut pages = 0;
+        replay_cached(
+            dir,
+            cache,
+            exp.config.workers,
+            |db| (db.page_count(), exp.accumulate(&db, 1, cache)),
+            |(site_pages, acc)| {
+                pages += site_pages;
+                self.add(acc.map_err(cache_fault)?).map_err(cache_fault)
+            },
+        )?;
         self.lap("read_bundle");
-        let pages = db.page_count();
-        let acc = self
-            .exp
-            .accumulate(&db, self.exp.config.workers, cache)
-            .map_err(cache_fault)?;
-        if cache.is_some_and(|cache| cache.commit().is_err()) {
-            wmtree_telemetry::counter!("tree.cache.disk.error").inc();
+        if let Some(cache) = cache {
+            self.records.sort_by(|a, b| a.site.cmp(&b.site));
+            cache.store(self.records.drain(..));
+            if cache.commit().is_err() {
+                wmtree_telemetry::counter!("tree.cache.disk.error").inc();
+            }
         }
-        drop(db);
-        self.analyze_wall += self
-            .sw
-            .lap()
-            .saturating_sub(acc.build_wall + acc.analyze_wall);
-        self.add(acc).map_err(cache_fault)?;
+        self.tail_wall += self.sw.lap();
         Ok(pages)
     }
 
@@ -424,14 +451,34 @@ impl Fold<'_> {
         mut self,
         progress: Option<&ProgressTracker>,
     ) -> Result<IncrementalReplay, PartialMergeError> {
-        let merged = self.acc.finish(self.exp.config.workers)?;
-        self.analyze_wall += self.sw.lap();
+        let acc = std::mem::replace(&mut self.acc, PartialAccumulators::empty(Vec::new()));
+        let merged = acc.finish(self.exp.config.workers)?;
+        self.tail_wall += self.sw.lap();
+        let (sites_total, sites_rebuilt, sites_reused) =
+            (self.sites_total, self.sites_rebuilt, self.sites_reused);
+        Ok(IncrementalReplay {
+            results: ExperimentResults::from_merged(merged, self.into_manifest(progress)),
+            sites_total,
+            sites_rebuilt,
+            sites_reused,
+        })
+    }
+
+    /// The run's manifest as it stands: the stages, the metric diff, the
+    /// crawl progress when a crawl ran, and the span timings.
+    pub(crate) fn into_manifest(self, progress: Option<&ProgressTracker>) -> RunManifest {
         let mut manifest = self.manifest;
-        if let Some((stage, wall)) = self.source {
+        let within = self.source.map(|(stage, wall)| {
             manifest.push_stage(stage, wall);
-        }
-        manifest.push_stage("build_trees", self.build_wall);
-        manifest.push_stage("analyze", self.analyze_wall);
+            stage
+        });
+        manifest.push_nested("build_trees", self.build_wall, within, Duration::ZERO);
+        manifest.push_nested(
+            "analyze",
+            self.analyze_wall + self.tail_wall,
+            within,
+            self.tail_wall,
+        );
 
         manifest.metrics = wmtree_telemetry::global()
             .snapshot()
@@ -448,13 +495,7 @@ impl Fold<'_> {
             manifest.progress = Some(progress_snap);
         }
         manifest.timings = wmtree_telemetry::global().timings().snapshot();
-
-        Ok(IncrementalReplay {
-            results: ExperimentResults::from_merged(merged, manifest),
-            sites_total: self.sites_total,
-            sites_rebuilt: self.sites_rebuilt,
-            sites_reused: self.sites_reused,
-        })
+        manifest
     }
 }
 
@@ -477,6 +518,9 @@ pub enum BundleRun {
         sites_total: usize,
         /// The bundle's manifest as of the last checkpoint.
         bundle: Manifest,
+        /// The run's manifest: the `generate` and `crawl` stages (with
+        /// no stage time inside it), the crawl progress and the metrics.
+        manifest: Box<RunManifest>,
     },
 }
 
@@ -601,6 +645,7 @@ mod tests {
                 sites_done,
                 sites_total,
                 ref bundle,
+                ..
             } => {
                 assert!(!bundle.complete);
                 (sites_done, sites_total)

@@ -5,10 +5,10 @@
 //! every site's trees in a [`TreeCache`] next to the bundle, one
 //! self-contained record per site under the site's *delta key*, so a
 //! site whose visits are unchanged between two replays takes its trees
-//! from its record instead of building them — and, read through
-//! [`read_bundle_cached`], decodes only its visits' headers. Everything
-//! after the trees — page assembly, analyses, crawl accounting — runs
-//! over the whole database, the same code with or without a cache, so
+//! from its record instead of building them — and, replayed through the
+//! cache ([`replay_cached`]), decodes only its visits' headers.
+//! Everything after the trees — page assembly, analyses, crawl
+//! accounting — is the same per-site stage with or without a cache, so
 //! cached, incremental and cold runs render byte-identical reports
 //! (proven by `tests/treecache_identity.rs`).
 //! Only replays and the shard merge use a cache: a crawl runs the same
@@ -28,13 +28,14 @@
 use crate::config::ExperimentConfig;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::OnceLock;
 use std::time::Duration;
 use wmtree_analysis::node_similarity::analyze_all;
 use wmtree_analysis::{build_trees, ExperimentData, PartialAccumulators, PartialMergeError};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::hash::{object_hash, to_hex};
-use wmtree_bundle::{read_visits_at, BundleError, BundleVisit, Depth, LoggedVisit, Manifest};
-use wmtree_crawler::{CrawlDb, PageKey};
+use wmtree_bundle::{BundleError, Depth, LoggedVisit, Manifest};
+use wmtree_crawler::{replay_sites, CrawlDb, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::Stopwatch;
 use wmtree_tree::{CallStackMode, DepTree, TreeCache, TreeConfig};
@@ -92,13 +93,32 @@ impl AnalysisCache {
     pub fn commit(&self) -> Result<(), BundleError> {
         self.trees.commit()
     }
+
+    /// Append site records to the cache, in the order given.
+    pub(crate) fn store(&self, records: impl IntoIterator<Item = SiteRecord>) {
+        for record in records {
+            self.trees.insert_site(record.key, &record.trees);
+        }
+    }
+}
+
+/// The cache record of one rebuilt site: its delta key and the trees of
+/// its vetted visits, waiting to be stored.
+#[derive(Debug)]
+pub(crate) struct SiteRecord {
+    /// The site, which orders records canonically.
+    pub(crate) site: String,
+    /// The site's delta key.
+    pub(crate) key: u64,
+    /// The trees of its vetted visits, in (page, profile) order.
+    pub(crate) trees: Vec<DepTree>,
 }
 
 /// The delta key of one site, built from its complete visit roster:
 /// page by page in URL order, one slot per profile holding the visit's
 /// content address or nothing. A database ([`site_delta_key`]) and a
-/// bundle's visit log ([`read_bundle_cached`]) feed it the same way, so
-/// both name a site by the same key.
+/// bundle's visit log ([`replay_cached`]) feed it the same way, so both
+/// name a site by the same key.
 struct DeltaKey(String);
 
 impl DeltaKey {
@@ -143,36 +163,32 @@ fn site_delta_key(db: &CrawlDb, pages: &[&PageKey]) -> Option<u64> {
     Some(key.finish())
 }
 
-/// Rebuild a database from the bundle at `dir` through `cache`,
-/// decoding each object only as deep as the fold will need it.
+/// Replay the bundle at `dir` site by site through `cache`, decoding
+/// each object only as deep as the fold will need it: one of `workers`
+/// threads runs `stage` on each site's database, and `sink` takes the
+/// results in log order ([`replay_sites`]).
 ///
 /// Each site's delta key comes from the visit log alone — page URLs,
 /// profile slots and object addresses — before any object is read. A
 /// site the cache holds a record for decodes header-only: its trees
-/// come from that record, so the fold needs only its outcome flags and
+/// come from that record, so the stage needs only its outcome flags and
 /// cookies. Every other site decodes in full, and without a cache every
 /// site does. A tree is never built from a header-only visit: a site
 /// whose record turns out to hold a different number of trees than the
-/// site has vetted visits is a miss, so it is read again in full before
-/// the database is returned. Every committed byte is verified either
-/// way.
-pub fn read_bundle_cached(
+/// site has vetted visits is a miss, so it skips the stage and, once
+/// the whole bundle has verified, is read again in full and staged.
+/// Every committed byte is verified either way, and nothing `sink`
+/// derives is final until this returns `Ok`.
+pub(crate) fn replay_cached<T: Send>(
     dir: &Path,
     cache: Option<&AnalysisCache>,
-) -> Result<CrawlDb, BundleError> {
-    let _span = wmtree_telemetry::span("bundle.read_db");
-    let manifest = Manifest::load(dir)?;
-    let n_profiles = manifest.meta.n_profiles;
-    let mut db = CrawlDb::new(n_profiles);
-    let insert = |db: &mut CrawlDb, bv: BundleVisit| {
-        let page = PageKey {
-            site: bv.site,
-            url: bv.url,
-        };
-        db.insert_hashed(page, bv.profile, bv.visit, bv.object);
-    };
+    workers: usize,
+    stage: impl Fn(CrawlDb) -> T + Sync,
+    mut sink: impl FnMut(T) -> Result<(), BundleError>,
+) -> Result<(), BundleError> {
+    let n_profiles = Manifest::load(dir)?.meta.n_profiles;
     // Sites read header-only, with the tree count of their records.
-    let mut headers: BTreeMap<String, usize> = BTreeMap::new();
+    let headers: OnceLock<BTreeMap<String, usize>> = OnceLock::new();
     let plan = |visits: &[LoggedVisit]| {
         let Some(cache) = cache else {
             return vec![Depth::Full; visits.len()];
@@ -186,6 +202,7 @@ pub fn read_bundle_cached(
                 .or_insert_with(|| vec![None; n_profiles]);
             slots[v.profile] = Some(v.object);
         }
+        let mut hits = BTreeMap::new();
         for (site, pages) in &sites {
             let mut key = DeltaKey::new();
             for (url, slots) in pages {
@@ -195,50 +212,75 @@ pub fn read_bundle_cached(
                 }
             }
             if let Some(trees) = cache.trees.site_len(key.finish()) {
-                headers.insert(site.to_string(), trees);
+                hits.insert(site.to_string(), trees);
             }
         }
         let depth = |v: &LoggedVisit| {
-            if headers.contains_key(&v.site) {
+            if hits.contains_key(&v.site) {
                 Depth::Header
             } else {
                 Depth::Full
             }
         };
+        let depths = visits.iter().map(depth).collect();
+        let _ = headers.set(hits);
+        depths
+    };
+
+    // The re-read guard, per site: a header-only site whose record holds
+    // a different number of trees than it has vetted visits skips the
+    // stage, to be read again in full.
+    let guarded = |db: CrawlDb| {
+        let Some(headers) = headers.get().filter(|h| !h.is_empty()) else {
+            return Ok(stage(db));
+        };
+        let mut vetted: BTreeMap<&str, usize> = BTreeMap::new();
+        for (page, visits) in db.vetted_pages() {
+            *vetted.entry(page.site.as_str()).or_default() += visits.len();
+        }
+        let miss = db.pages().any(|page| {
+            let site = page.site.as_str();
+            headers
+                .get(site)
+                .is_some_and(|&trees| vetted.get(site).copied().unwrap_or(0) != trees)
+        });
+        if miss {
+            Err(db
+                .pages()
+                .map(|page| page.site.clone())
+                .collect::<BTreeSet<_>>())
+        } else {
+            Ok(stage(db))
+        }
+    };
+    let mut reread: BTreeSet<String> = BTreeSet::new();
+    replay_sites(dir, workers, plan, guarded, |staged| match staged {
+        Ok(result) => sink(result),
+        Err(sites) => {
+            reread.extend(sites);
+            Ok(())
+        }
+    })?;
+    if reread.is_empty() {
+        return Ok(());
+    }
+    let plan = |visits: &[LoggedVisit]| {
+        let depth = |v: &LoggedVisit| {
+            if reread.contains(&v.site) {
+                Depth::Full
+            } else {
+                Depth::Address
+            }
+        };
         visits.iter().map(depth).collect()
     };
-    read_visits_at(dir, &manifest, plan, |bv| insert(&mut db, bv))?;
-
-    // The re-read guard: a header-only site must hit its record.
-    let mut vetted: BTreeMap<&str, usize> = BTreeMap::new();
-    for (page, visits) in db.vetted_pages() {
-        *vetted.entry(page.site.as_str()).or_default() += visits.len();
-    }
-    let misses: BTreeSet<String> = headers
-        .into_iter()
-        .filter(|(site, trees)| vetted.get(site.as_str()).copied().unwrap_or(0) != *trees)
-        .map(|(site, _)| site)
-        .collect();
-    if !misses.is_empty() {
-        let plan = |visits: &[LoggedVisit]| {
-            let depth = |v: &LoggedVisit| {
-                if misses.contains(&v.site) {
-                    Depth::Full
-                } else {
-                    Depth::Address
-                }
-            };
-            visits.iter().map(depth).collect()
-        };
-        read_visits_at(dir, &manifest, plan, |bv| insert(&mut db, bv))?;
-    }
-    Ok(db)
+    replay_sites(dir, workers, plan, stage, sink)
 }
 
 /// Outcome of [`accumulate_cached`]: the database's accumulator —
 /// analysed but **not yet finished** — plus how much of the work the
 /// cache absorbed and how long it took. [`crate::Fold`] folds one of
-/// these per crawled site or read bundle and finishes once.
+/// these per crawled or replayed site and finishes once.
 pub struct CachedAccumulation {
     /// The (un-finished) accumulator over every site.
     pub acc: PartialAccumulators,
@@ -254,6 +296,10 @@ pub struct CachedAccumulation {
     pub build_wall: Duration,
     /// Wall time of the analyses and crawl accounting after the build.
     pub analyze_wall: Duration,
+    /// The cache records of the rebuilt sites, in canonical site order,
+    /// not stored yet: [`accumulate_cached`] stores them before it
+    /// returns, a replay once its whole bundle has verified.
+    pub(crate) records: Vec<SiteRecord>,
 }
 
 /// The post-crawl pipeline over one crawl database: vetting, trees,
@@ -274,7 +320,34 @@ pub fn accumulate_cached<'c>(
     workers: usize,
     cache: impl Into<Option<&'c AnalysisCache>>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
-    let cache = cache.into().map(|cache| &cache.trees);
+    let cache = cache.into();
+    let mut acc = accumulate(
+        db,
+        profile_names,
+        filter_list,
+        tree_config,
+        site_meta,
+        workers,
+        cache,
+    )?;
+    if let Some(cache) = cache {
+        cache.store(acc.records.drain(..));
+    }
+    Ok(acc)
+}
+
+/// [`accumulate_cached`], leaving the rebuilt sites' records in the
+/// accumulation for the caller to store.
+pub(crate) fn accumulate(
+    db: &CrawlDb,
+    profile_names: &[String],
+    filter_list: Option<&FilterList>,
+    tree_config: &TreeConfig,
+    site_meta: &BTreeMap<String, (u32, String)>,
+    workers: usize,
+    cache: Option<&AnalysisCache>,
+) -> Result<CachedAccumulation, PartialMergeError> {
+    let cache = cache.map(|cache| &cache.trees);
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
@@ -292,7 +365,7 @@ pub fn accumulate_cached<'c>(
     // (deterministic hit/miss counters and record order).
     let mut trees: Vec<Option<DepTree>> = vec![None; visits.len()];
     let mut missing: Vec<usize> = Vec::new();
-    let mut to_record: Vec<(u64, std::ops::Range<usize>)> = Vec::new();
+    let mut to_record: Vec<(&str, u64, std::ops::Range<usize>)> = Vec::new();
     let mut vetted_pages = vetted.iter().peekable();
     let mut end = 0usize;
     let mut sites_rebuilt = 0usize;
@@ -314,13 +387,13 @@ pub fn accumulate_cached<'c>(
             None => {
                 sites_rebuilt += 1;
                 missing.extend(start..end);
-                to_record.extend(key.map(|key| (key, start..end)));
+                to_record.extend(key.map(|key| (*site, key, start..end)));
             }
         }
     }
 
     // Build the missing trees in one fan-out over every rebuilt site,
-    // then record each rebuilt site's trees for next time.
+    // then keep each rebuilt site's trees as its record.
     let missing_visits: Vec<&VisitResult> = missing.iter().map(|&i| visits[i]).collect();
     let built = build_trees(&missing_visits, filter_list, tree_config, workers);
     for (&i, tree) in missing.iter().zip(built) {
@@ -330,12 +403,17 @@ pub fn accumulate_cached<'c>(
         .into_iter()
         .map(|tree| tree.expect("every vetted visit's tree is served or built")) // wmtree-lint: allow(WM0105)
         .collect();
-    if let Some(cache) = cache {
+    if cache.is_some() {
         wmtree_telemetry::counter!("tree.cache.miss").add(missing.len() as u64);
-        for (key, run) in to_record {
-            cache.insert_site(key, &trees[run]);
-        }
     }
+    let records = to_record
+        .into_iter()
+        .map(|(site, key, run)| SiteRecord {
+            site: site.to_string(),
+            key,
+            trees: trees[run].to_vec(),
+        })
+        .collect();
     let data =
         ExperimentData::from_vetted(&vetted, trees, profile_names.to_vec(), site_meta, workers);
     let build_wall = sw.lap();
@@ -356,6 +434,7 @@ pub fn accumulate_cached<'c>(
         sites_reused: by_site.len() - sites_rebuilt,
         build_wall,
         analyze_wall: sw.lap(),
+        records,
     })
 }
 
@@ -418,13 +497,35 @@ mod tests {
         (equal, decoded)
     }
 
+    /// What a stage replaying the bundle at `dir` through `cache` is
+    /// handed: every site's database, merged, and the sites in the
+    /// order they were staged.
+    fn staged(dir: &Path, cache: &AnalysisCache, workers: usize) -> (CrawlDb, Vec<String>) {
+        let mut db = CrawlDb::new(5);
+        let mut sites = Vec::new();
+        replay_cached(
+            dir,
+            Some(cache),
+            workers,
+            |site| site,
+            |site| {
+                sites.extend(site.pages().next().map(|p| p.site.clone()));
+                db.merge(site);
+                Ok(())
+            },
+        )
+        .unwrap();
+        (db, sites)
+    }
+
     #[test]
     fn sites_with_a_record_read_header_only() {
         let dir = std::env::temp_dir().join("wmtree-incremental-header-only");
         let (cfg, full, site, key, trees) = recorded(&dir);
         let cache = AnalysisCache::open(&dir.join(wmtree_tree::cache::CACHE_DIR_NAME), &cfg);
         cache.trees.insert_site(key, &trees);
-        let db = read_bundle_cached(&dir, Some(&cache)).unwrap();
+        let (db, sites) = staged(&dir, &cache, 2);
+        assert_eq!(sites.iter().filter(|s| **s == site).count(), 1);
         let (equal, decoded) = site_visits(&db, &full, &site);
         assert!(!equal && !decoded, "the hit site decodes header-only");
         for page in full.pages().filter(|p| p.site != site) {
@@ -445,9 +546,13 @@ mod tests {
         cache.trees.insert_site(key, &trees[1..]);
         cache.commit().unwrap();
 
-        // The reader re-reads the site in full before handing it out.
-        let db = read_bundle_cached(&dir, Some(&cache)).unwrap();
+        // The site skips the stage when it leaves header-only, and is
+        // staged once, in full, after the rest of the bundle.
+        let (db, sites) = staged(&dir, &cache, 2);
         assert_eq!(site_visits(&db, &full, &site), (true, true));
+        assert_eq!(sites.last(), Some(&site), "{sites:?}");
+        assert_eq!(sites.iter().filter(|s| **s == site).count(), 1);
+        assert_eq!(db.page_count(), full.page_count());
 
         // The replay counts the site as rebuilt from those full visits,
         // and renders exactly what the cache-free replay does.

@@ -2,13 +2,16 @@
 //!
 //! A finished database can be archived as a complete bundle
 //! ([`write_bundle`]) and a bundle — complete or partial — can be
-//! rebuilt into a database ([`read_bundle`]). Both directions preserve
+//! rebuilt into a database ([`read_bundle`]), or replayed site by site
+//! without one ([`crate::replay_sites`]). Both directions preserve
 //! every `(page, profile)` visit exactly: the round-trip is the
 //! identity (proven by property tests in `tests/`).
 
 use crate::db::{CrawlDb, PageKey};
 use std::path::Path;
-use wmtree_bundle::{read_visits, BundleError, BundleMeta, BundleWriter, EncodedSite, Manifest};
+use wmtree_bundle::{
+    read_sites, BundleError, BundleMeta, BundleVisit, BundleWriter, Depth, EncodedSite, Manifest,
+};
 
 /// Encode the visits `db` holds on `pages`, all pages of `site`, in the
 /// canonical append order: pages in `(site, url)` order, profiles in
@@ -46,26 +49,39 @@ pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manife
 
 /// Rebuild a database from a bundle through the loader resume shares,
 /// verifying every committed record on the way. Works on partial
-/// bundles too — they rebuild the checkpointed prefix.
+/// bundles too — they rebuild the checkpointed prefix. Nothing is
+/// returned unless the whole bundle verified.
 pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
     let _span = wmtree_telemetry::span("bundle.read_db");
     let manifest = Manifest::load(dir)?;
     let mut db = CrawlDb::new(manifest.meta.n_profiles);
-    read_visits(dir, &manifest, |bv| {
+    let full = |visits: &[_]| vec![Depth::Full; visits.len()];
+    read_sites(dir, &manifest, full, |site| {
+        insert_visits(&mut db, site);
+        Ok(())
+    })?;
+    Ok(db)
+}
+
+/// The database of one site's visits, as the bundle loader hands them
+/// out.
+pub(crate) fn site_db(n_profiles: usize, visits: Vec<BundleVisit>) -> CrawlDb {
+    let mut db = CrawlDb::new(n_profiles);
+    insert_visits(&mut db, visits);
+    db
+}
+
+fn insert_visits(db: &mut CrawlDb, visits: Vec<BundleVisit>) {
+    for bv in visits {
         // The loader verified the content address against the payload,
         // so the hash is vouched-for: downstream tree caching keys off
         // it without re-hashing.
-        db.insert_hashed(
-            PageKey {
-                site: bv.site,
-                url: bv.url,
-            },
-            bv.profile,
-            bv.visit,
-            bv.object,
-        );
-    })?;
-    Ok(db)
+        let page = PageKey {
+            site: bv.site,
+            url: bv.url,
+        };
+        db.insert_hashed(page, bv.profile, bv.visit, bv.object);
+    }
 }
 
 #[cfg(test)]

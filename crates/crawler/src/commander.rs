@@ -11,32 +11,36 @@
 //! task).
 //!
 //! Every crawl — in memory, resumable into a bundle, or over a shard's
-//! site window — runs through one loop, `ordered`. Workers take the
-//! next site from a shared index and crawl it into a database of its
-//! own; a resumable crawl also encodes the site for the bundle in the
-//! worker. Then the worker runs the caller's *stage* (the post-crawl
-//! analysis, say) on the site's database and drops it. The calling
-//! thread hands the results to its sink — after the bundle's ordered
-//! append and checkpoint — in universe order, through a reorder window
-//! of at most twice the worker count, so no worker waits for a slower
-//! site of a chunk and the results are the same for any worker count.
-//! Only [`Commander::run`]'s sink builds a database of the whole crawl.
+//! site window — runs through one loop, `ordered`. The calling thread
+//! feeds it sites, workers take them from a shared queue and crawl each
+//! into a database of its own; a resumable crawl also encodes the site
+//! for the bundle in the worker. Then the worker runs the caller's
+//! *stage* (the post-crawl analysis, say) on the site's database and
+//! drops it. The calling thread hands the results to its sink — after
+//! the bundle's ordered append and checkpoint — in universe order,
+//! through a reorder window of at most twice the worker count, so no
+//! worker waits for a slower site of a chunk and the results are the
+//! same for any worker count. Bundle replays run the same loop, fed by
+//! the bundle loader instead of a site index ([`replay_sites`]). Only
+//! [`Commander::run`]'s sink builds a database of the whole crawl.
 //!
 //! A window crawl into a bundle ([`Commander::record_window`]) has no
 //! stage: resuming it verifies every committed byte but parses no
 //! stored object, so a crawl cut into many short batches costs what one
 //! call does.
 
-use crate::bundle_io::{encode_site, read_bundle};
+use crate::bundle_io::{encode_site, site_db};
 use crate::db::{CrawlDb, PageKey};
 use crate::discovery::discover_pages;
 use crate::profile::Profile;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use wmtree_browser::Browser;
-use wmtree_bundle::{BundleError, BundleMeta, BundleWriter, Manifest};
+use wmtree_bundle::{
+    read_sites, BundleError, BundleMeta, BundleWriter, Depth, LoggedVisit, Manifest,
+};
 use wmtree_telemetry::ProgressTracker;
 use wmtree_webgen::{stable_hash, WebUniverse};
 
@@ -147,7 +151,7 @@ impl<'a> Commander<'a> {
         let mut db = CrawlDb::new(self.profiles.len());
         let Ok(()) = self.crawl(
             &progress,
-            |site, _| site,
+            |site| site,
             |site| {
                 db.merge(site);
                 Ok::<(), Infallible>(())
@@ -157,22 +161,21 @@ impl<'a> Commander<'a> {
     }
 
     /// Crawl every site of the window, feeding `progress`. The worker
-    /// that crawls a site runs `stage(site, 1)` on the site's own
-    /// database (one thread: no fan-out inside the crawl's); the calling
-    /// thread hands the results to `sink` in universe order. The first
-    /// sink error stops the crawl and is returned.
+    /// that crawls a site runs `stage` on the site's own database; the
+    /// calling thread hands the results to `sink` in universe order. The
+    /// first sink error stops the crawl and is returned.
     pub fn crawl<T: Send, E>(
         &self,
         progress: &ProgressTracker,
-        stage: impl Fn(CrawlDb, usize) -> T + Sync,
+        stage: impl Fn(CrawlDb) -> T + Sync,
         sink: impl FnMut(T) -> Result<(), E>,
     ) -> Result<(), E> {
         let _run_span = wmtree_telemetry::span("crawl.run");
         let sites: Vec<usize> = self.site_window().collect();
         ordered(
-            &sites,
-            self.options.workers,
-            |site_idx, worker| stage(self.crawl_site(site_idx, worker, progress), 1),
+            self.options.workers.clamp(1, sites.len().max(1)),
+            |push| sites.iter().try_for_each(|&site| push(site)),
+            |site_idx, worker| stage(self.crawl_site(site_idx, worker, progress)),
             sink,
         )
     }
@@ -195,9 +198,8 @@ impl<'a> Commander<'a> {
     /// verifies the bundle but parses no object. A call that the cap
     /// stops early stages nothing; the call that completes the bundle
     /// first stages what it already held — the recovered prefix, or all
-    /// of a complete bundle — read back as one database
-    /// ([`read_bundle`]), on the calling thread with the crawl's worker
-    /// count.
+    /// of a complete bundle — replayed site by site ([`replay_sites`]),
+    /// with the crawl's worker count.
     ///
     /// Interruption is invisible in the archive: a crawl stopped after
     /// `k` sites and resumed produces a bundle byte-identical to an
@@ -207,13 +209,14 @@ impl<'a> Commander<'a> {
         dir: &Path,
         max_sites: Option<usize>,
         progress: &ProgressTracker,
-        stage: Option<&(dyn Fn(CrawlDb, usize) -> T + Sync)>,
+        stage: Option<&(dyn Fn(CrawlDb) -> T + Sync)>,
         mut sink: impl FnMut(T) -> Result<(), BundleError>,
     ) -> Result<ResumableOutcome, BundleError> {
         let _run_span = wmtree_telemetry::span("crawl.run_resumable");
         let meta = self.bundle_meta();
         let sites = self.universe.sites();
         let workers = self.options.workers;
+        let full = |visits: &[LoggedVisit]| vec![Depth::Full; visits.len()];
 
         // Open or create the archive; recover checkpointed work.
         let (mut writer, recorded) = if Manifest::exists(dir) {
@@ -221,7 +224,7 @@ impl<'a> Commander<'a> {
             if manifest.complete {
                 manifest.check_meta(&meta)?;
                 if let Some(stage) = stage {
-                    sink(stage(read_bundle(dir)?, workers))?;
+                    replay_sites(dir, workers, full, stage, &mut sink)?;
                 }
                 return Ok(ResumableOutcome::Complete { manifest });
             }
@@ -237,7 +240,7 @@ impl<'a> Commander<'a> {
         let budget = max_sites.unwrap_or(pending.len()).min(pending.len());
         let stage = stage.filter(|_| budget == pending.len());
         if let Some(stage) = stage.filter(|_| !recorded.is_empty()) {
-            sink(stage(read_bundle(dir)?, workers))?;
+            replay_sites(dir, workers, full, stage, &mut sink)?;
         }
 
         // Workers crawl, encode and stage sites; the writer appends and
@@ -245,12 +248,12 @@ impl<'a> Commander<'a> {
         // bytes are independent of the worker count and of where
         // interruptions fall.
         ordered(
-            &pending[..budget],
-            workers,
+            workers.clamp(1, budget.max(1)),
+            |push| pending[..budget].iter().try_for_each(|&site| push(site)),
             |site_idx, worker| {
                 let site = self.crawl_site(site_idx, worker, progress);
                 let encoded = encode_site(&site, &sites[site_idx].domain, site.pages())?;
-                Ok::<_, BundleError>((encoded, stage.map(|stage| stage(site, 1))))
+                Ok::<_, BundleError>((encoded, stage.map(|stage| stage(site))))
             },
             |crawled_site| {
                 let (encoded, staged) = crawled_site?;
@@ -285,7 +288,7 @@ impl<'a> Commander<'a> {
             dir,
             max_sites,
             progress,
-            None::<&(dyn Fn(CrawlDb, usize) + Sync)>,
+            None::<&(dyn Fn(CrawlDb) + Sync)>,
             |()| Ok(()),
         )
     }
@@ -340,30 +343,61 @@ impl<'a> Commander<'a> {
     }
 }
 
+/// Replay the bundle at `dir` site by site, through the crawl's loop
+/// fed by the bundle loader ([`read_sites`]): each checkpointed site
+/// leaves the loader, in log order, once every object its visits
+/// reference is verified and decoded as deep as `plan` asks; one of
+/// `workers` threads builds the site's database and runs `stage` on it;
+/// the calling thread hands the results to `sink` in log order. At
+/// most twice `workers` sites wait between the loader and the sink.
+///
+/// The loader's end-of-log checks decide the result after the last site
+/// has left, so whatever `sink` derives stays provisional until this
+/// returns `Ok`: any defect, or the first sink error, stops the loop
+/// (no later result reaches the sink) and is returned.
+pub fn replay_sites<T: Send>(
+    dir: &Path,
+    workers: usize,
+    plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
+    stage: impl Fn(CrawlDb) -> T + Sync,
+    sink: impl FnMut(T) -> Result<(), BundleError>,
+) -> Result<(), BundleError> {
+    let _span = wmtree_telemetry::span("bundle.replay");
+    let manifest = Manifest::load(dir)?;
+    let n_profiles = manifest.meta.n_profiles;
+    ordered(
+        workers.max(1),
+        |push| read_sites(dir, &manifest, plan, push),
+        |visits, _| stage(site_db(n_profiles, visits)),
+        sink,
+    )
+}
+
 /// What an [`ordered`] loop's workers and its calling thread share.
-struct Window<T> {
-    /// Index of the next item a worker claims.
-    next: usize,
-    /// Results the sink has taken — the index of the next one it wants.
-    taken: usize,
-    /// Finished results the sink has not taken yet, by item index.
-    done: BTreeMap<usize, T>,
-    /// No more claims: the sink failed, or a worker panicked.
+struct Window<I, T> {
+    /// Items fed but not claimed yet, with their position in the feed.
+    queue: VecDeque<(usize, I)>,
+    /// Finished results the sink has not taken yet, by position; a
+    /// panic in the work is its item's result.
+    done: BTreeMap<usize, std::thread::Result<T>>,
+    /// The feed has ended: workers stop once the queue is empty.
+    closed: bool,
+    /// Stop now: the feed or the sink failed, or the calling thread is
+    /// unwinding.
     stop: bool,
 }
 
-/// Lock the window. A worker that panics poisons the lock on its way
-/// out; the state stays consistent, since no work runs under it.
-fn lock<T>(window: &Mutex<Window<T>>) -> MutexGuard<'_, Window<T>> {
+/// Lock the window. The state stays consistent across a panic, since
+/// no work runs under the lock.
+fn lock<I, T>(window: &Mutex<Window<I, T>>) -> MutexGuard<'_, Window<I, T>> {
     window.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Stops the loop when its thread unwinds — a worker in `work`, or the
-/// calling thread in the sink — so no thread waits forever for one
-/// that is gone.
-struct StopOnPanic<'a, T>(&'a Mutex<Window<T>>, &'a Condvar);
+/// Stops the loop when the calling thread unwinds — in the feed, in the
+/// sink, or raising a worker's panic — so no worker waits forever.
+struct StopOnPanic<'a, I, T>(&'a Mutex<Window<I, T>>, &'a Condvar);
 
-impl<T> Drop for StopOnPanic<'_, T> {
+impl<I, T> Drop for StopOnPanic<'_, I, T> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             lock(self.0).stop = true;
@@ -372,95 +406,102 @@ impl<T> Drop for StopOnPanic<'_, T> {
     }
 }
 
-/// The crawl loop. `workers` scoped threads (at least one) claim the
-/// next item of `items` from a shared index and run `work(item,
-/// worker)` on it, while the calling thread hands the results to
-/// `sink` strictly in item order. A reorder window bounds the items
-/// claimed but not yet taken by the sink to twice the worker count, so
-/// a slow item delays the sink but never idles a worker, and memory
-/// stays bounded.
+/// The crawl loop. The calling thread runs `feed`, which hands items
+/// one by one to the `push` it is given; `workers` scoped threads (at
+/// least one) claim the pushed items in order and run `work(item,
+/// worker)` on each, while the calling thread hands the results to
+/// `sink` strictly in feed order. A reorder window bounds the items fed
+/// but not yet taken by the sink to twice the worker count: a `push`
+/// into a full window sinks the next result first, waiting for it if
+/// need be. So a slow item delays the sink but never idles a worker,
+/// the feed runs no further ahead than the window, and memory stays
+/// bounded.
 ///
-/// The first sink error stops the loop: workers claim nothing more, no
-/// later result reaches the sink, and the error is returned once every
-/// worker has finished its current item. A panic in `work` or in the
-/// sink propagates to the caller with its original payload.
-fn ordered<T: Send, E>(
-    items: &[usize],
+/// The first error — from the feed, or from the sink, which `push`
+/// then returns to the feed — stops the loop: workers claim nothing
+/// more, no later result reaches the sink, and the error is returned
+/// once every worker has finished its current item. A panic in `work`
+/// is raised on the calling thread when the sink reaches its item, and
+/// a panic in the feed or the sink propagates as it is; either way the
+/// caller sees the original payload.
+fn ordered<I: Send, T: Send, E>(
     workers: usize,
-    work: impl Fn(usize, usize) -> T + Sync,
+    feed: impl FnOnce(&mut dyn FnMut(I) -> Result<(), E>) -> Result<(), E>,
+    work: impl Fn(I, usize) -> T + Sync,
     mut sink: impl FnMut(T) -> Result<(), E>,
 ) -> Result<(), E> {
-    if items.is_empty() {
-        return Ok(());
-    }
-    let workers = workers.clamp(1, items.len());
+    let workers = workers.max(1);
     let reorder = 2 * workers;
     let window = Mutex::new(Window {
-        next: 0,
-        taken: 0,
+        queue: VecDeque::new(),
         done: BTreeMap::new(),
+        closed: false,
         stop: false,
     });
     let changed = Condvar::new();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let (window, changed, work) = (&window, &changed, &work);
-                scope.spawn(move || {
-                    let _stop = StopOnPanic(window, changed);
-                    loop {
-                        let mut state = lock(window);
-                        while !state.stop
-                            && state.next < items.len()
-                            && state.next >= state.taken + reorder
-                        {
-                            state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
-                        }
-                        if state.stop || state.next == items.len() {
-                            return;
-                        }
-                        let i = state.next;
-                        state.next += 1;
-                        drop(state);
-                        let result = work(items[i], worker);
-                        lock(window).done.insert(i, result);
-                        changed.notify_all();
+        for worker in 0..workers {
+            let (window, changed, work) = (&window, &changed, &work);
+            scope.spawn(move || loop {
+                let mut state = lock(window);
+                let (i, item) = loop {
+                    if state.stop {
+                        return;
                     }
-                })
-            })
-            .collect();
+                    if let Some(next) = state.queue.pop_front() {
+                        break next;
+                    }
+                    if state.closed {
+                        return;
+                    }
+                    state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                };
+                drop(state);
+                let result =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(item, worker)));
+                lock(window).done.insert(i, result);
+                changed.notify_all();
+            });
+        }
 
         let _stop = StopOnPanic(&window, &changed);
-        let mut failed = None;
-        for i in 0..items.len() {
-            let mut state = lock(&window);
-            let result = loop {
-                if let Some(result) = state.done.remove(&i) {
-                    state.taken += 1;
-                    break Some(result);
-                }
-                if state.stop {
-                    break None;
-                }
-                state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
-            };
-            drop(state);
+        // Items fed, and results the sink has taken.
+        let (mut fed, mut taken) = (0, 0);
+        // Sink results in order until at most `ahead` fed items are
+        // still to be sunk.
+        let mut drain = |fed: usize, ahead: usize| -> Result<(), E> {
+            while fed - taken > ahead {
+                let mut state = lock(&window);
+                let result = loop {
+                    if let Some(result) = state.done.remove(&taken) {
+                        break result;
+                    }
+                    state = changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+                };
+                drop(state);
+                taken += 1;
+                let result = result.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                sink(result)?;
+            }
+            Ok(())
+        };
+        let fed_all = feed(&mut |item| {
+            drain(fed, reorder - 1)?;
+            lock(&window).queue.push_back((fed, item));
+            fed += 1;
+            changed.notify_one();
+            Ok(())
+        });
+        let outcome = fed_all.and_then(|()| {
+            lock(&window).closed = true;
             changed.notify_all();
-            // `None`: a worker panicked; joining below re-raises it.
-            let Some(result) = result else { break };
-            if let Err(e) = sink(result) {
-                lock(&window).stop = true;
-                changed.notify_all();
-                failed = Some(e);
-                break;
-            }
+            drain(fed, 0)
+        });
+        if outcome.is_err() {
+            lock(&window).stop = true;
+            changed.notify_all();
         }
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-        failed.map_or(Ok(()), Err)
+        outcome
     })
 }
 
@@ -644,7 +685,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cmd = Commander::new(&u, standard_profiles(), options()).with_site_range(2, 5);
         let progress = ProgressTracker::new(3, 1);
-        let stage = |site: CrawlDb, _| site;
+        let stage = |site: CrawlDb| site;
         let mut db = CrawlDb::new(5);
         let outcome = cmd.record(&dir, None, &progress, Some(&stage), |site| {
             db.merge(site);
@@ -708,8 +749,8 @@ mod tests {
             let wait_for_one = Mutex::new(wait_for_one);
             let mut seen = Vec::new();
             let Ok(()) = ordered(
-                &items,
                 workers,
+                |push| items.iter().try_for_each(|&item| push(item)),
                 |item, worker| {
                     assert!(worker < workers);
                     // Item `i` is claimed only once the sink has taken
@@ -743,8 +784,8 @@ mod tests {
             let started = AtomicUsize::new(0);
             let mut seen = Vec::new();
             let result = ordered(
-                &items,
                 workers,
+                |push| items.iter().try_for_each(|&item| push(item)),
                 |item, _| {
                     started.fetch_add(1, Ordering::SeqCst);
                     item
@@ -771,8 +812,8 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let panic = std::panic::catch_unwind(|| {
                 ordered(
-                    &items,
                     workers,
+                    |push| items.iter().try_for_each(|&item| push(item)),
                     |item, _| {
                         if item == 5 {
                             panic!("work panicked at {item}");
@@ -787,8 +828,8 @@ mod tests {
 
             let panic = std::panic::catch_unwind(|| {
                 ordered(
-                    &items,
                     workers,
+                    |push| items.iter().try_for_each(|&item| push(item)),
                     |item, _| item,
                     |item| {
                         if item == 3 {

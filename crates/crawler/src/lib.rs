@@ -31,7 +31,7 @@ pub mod export;
 mod profile;
 
 pub use bundle_io::{read_bundle, write_bundle};
-pub use commander::{Commander, CrawlOptions, ResumableOutcome};
+pub use commander::{replay_sites, Commander, CrawlOptions, ResumableOutcome};
 pub use db::{CrawlDb, MergeError, PageKey, ProfileStats};
 pub use discovery::discover_pages;
 pub use profile::{standard_profiles, Profile, ProfileId, STANDARD_PROFILES};

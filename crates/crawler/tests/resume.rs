@@ -1,8 +1,9 @@
 //! Resume determinism: a crawl interrupted after `k` sites and resumed
 //! must leave a bundle byte-identical to an uninterrupted run — the
 //! core guarantee of the checkpointed archive format — and its stage
-//! must see exactly the crawl's visits: the recovered prefix once, as
-//! one database, plus every site crawled after it.
+//! must see exactly the crawl's visits, one site at a time in universe
+//! order: the recovered prefix replayed from the bundle, then every site
+//! crawled after it.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -50,29 +51,41 @@ struct Staged {
     outcome: ResumableOutcome,
     /// Every database the stage was handed, merged in sink order.
     db: CrawlDb,
-    /// The thread count of each stage call, in sink order.
-    threads: Vec<usize>,
+    /// The site of each database the stage was handed, in sink order
+    /// (a site without pages has none: a crawl stages its empty
+    /// database, a replay has nothing to hand out).
+    sites: Vec<String>,
 }
 
 /// One [`Commander::record`] call whose stage hands each database on
 /// unchanged.
 fn record(cmd: &Commander, dir: &Path, cap: Option<usize>) -> Staged {
     let progress = ProgressTracker::new(1, 1);
-    let stage = |db: CrawlDb, threads: usize| (db, threads);
+    let stage = |db: CrawlDb| db;
     let mut db = CrawlDb::new(standard_profiles().len());
-    let mut calls = Vec::new();
+    let mut sites = Vec::new();
     let outcome = cmd
-        .record(dir, cap, &progress, Some(&stage), |(site, threads)| {
+        .record(dir, cap, &progress, Some(&stage), |site| {
+            let mut names: Vec<String> = site.pages().map(|p| p.site.clone()).collect();
+            names.dedup();
+            assert!(names.len() <= 1, "one site per stage call: {names:?}");
+            sites.extend(names);
             db.merge(site);
-            calls.push(threads);
             Ok(())
         })
         .unwrap();
-    Staged {
-        outcome,
-        db,
-        threads: calls,
-    }
+    Staged { outcome, db, sites }
+}
+
+/// The sites of the universe that have pages in `db`, in universe
+/// order.
+fn universe_order(u: &WebUniverse, db: &CrawlDb) -> Vec<String> {
+    let crawled: std::collections::BTreeSet<&str> = db.pages().map(|p| p.site.as_str()).collect();
+    u.sites()
+        .iter()
+        .filter(|s| crawled.contains(s.domain.as_str()))
+        .map(|s| s.domain.clone())
+        .collect()
 }
 
 fn json(db: &CrawlDb) -> String {
@@ -94,7 +107,8 @@ fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
 
     // Interrupted run: stop after 3 sites, then resume in chunks of 4
     // until done. Capped calls stage nothing; the call that completes
-    // the bundle stages the recovered prefix, then its own sites.
+    // the bundle stages the recovered prefix site by site, then its own
+    // sites.
     let chunked = tmp("chunked");
     let mut staged = record(&cmd, &chunked, Some(3));
     let mut rounds = 0;
@@ -111,7 +125,7 @@ fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
             } => {
                 assert!(!manifest.complete);
                 assert!(sites_done < sites_total, "{sites_done} < {sites_total}");
-                assert!(staged.threads.is_empty(), "a capped call stages nothing");
+                assert!(staged.sites.is_empty(), "a capped call stages nothing");
                 assert_eq!(staged.db.page_count(), 0);
                 rounds += 1;
                 assert!(rounds < 20, "resume loop must terminate");
@@ -121,14 +135,9 @@ fn interrupted_resumed_bundle_is_byte_identical_to_uninterrupted() {
     };
     assert!(rounds >= 2, "the cap must actually interrupt the crawl");
     assert_eq!(
-        last.threads.first(),
-        Some(&2),
-        "the recovered prefix is staged first, with the crawl's workers"
-    );
-    assert!(
-        last.threads[1..].iter().all(|&t| t == 1),
-        "{:?}",
-        last.threads
+        last.sites,
+        universe_order(&u, &reference.db),
+        "the recovered prefix is staged first, then the crawled sites, each once"
     );
 
     assert_eq!(
@@ -170,9 +179,9 @@ fn resumable_crawl_matches_plain_run() {
     let staged = record(&cmd, &dir, None);
     assert!(matches!(staged.outcome, ResumableOutcome::Complete { .. }));
     assert_eq!(
-        staged.threads,
-        vec![1; u.sites().len()],
-        "a fresh bundle stages each site once, in its worker"
+        staged.sites,
+        universe_order(&u, &plain),
+        "a fresh bundle stages each site once, in universe order"
     );
     assert_eq!(
         json(&plain),
@@ -195,9 +204,9 @@ fn rerun_on_complete_bundle_replays_without_crawling() {
     );
     assert_eq!(before, dir_bytes(&dir), "replay must not touch the archive");
     assert_eq!(
-        second.threads,
-        vec![2],
-        "the whole bundle is staged once, as one database"
+        second.sites,
+        universe_order(&u, &first.db),
+        "the bundle is replayed site by site, each once, in log order"
     );
     assert_eq!(json(&first.db), json(&second.db));
 }

@@ -605,21 +605,27 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
     Ok(out)
 }
 
-/// Sites of the bundle at `dir` that survive vetting. Vetting reads
-/// only each visit's success flag, so objects decode header-only; every
-/// committed byte is still verified.
+/// Sites of the bundle at `dir` that survive vetting, counted site by
+/// site as the loader hands them out. Vetting reads only each visit's
+/// success flag, so objects decode header-only; every committed byte is
+/// still verified.
 fn vetted_sites(dir: &std::path::Path) -> Result<usize, wmtree_bundle::BundleError> {
     let manifest = wmtree_bundle::Manifest::load(dir)?;
-    let mut db = wmtree_crawler::CrawlDb::new(manifest.meta.n_profiles);
     let plan = |visits: &[_]| vec![wmtree_bundle::Depth::Header; visits.len()];
-    wmtree_bundle::read_visits_at(dir, &manifest, plan, |bv| {
-        let page = wmtree_crawler::PageKey {
-            site: bv.site,
-            url: bv.url,
-        };
-        db.insert(page, bv.profile, bv.visit);
+    let mut vetted = 0;
+    wmtree_bundle::read_sites(dir, &manifest, plan, |site| {
+        let mut db = wmtree_crawler::CrawlDb::new(manifest.meta.n_profiles);
+        for bv in site {
+            let page = wmtree_crawler::PageKey {
+                site: bv.site,
+                url: bv.url,
+            };
+            db.insert(page, bv.profile, bv.visit);
+        }
+        vetted += db.vetted_sites().len();
+        Ok(())
     })?;
-    Ok(db.vetted_sites().len())
+    Ok(vetted)
 }
 
 /// Check a job-store root (`WM0241`–`WM0243`): a `JOBS.json` queue

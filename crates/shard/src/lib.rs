@@ -13,15 +13,16 @@
 //!    separate OS processes (`repro --shard-id K`) or sequentially via
 //!    [`crawl_remaining_shards`]. On completion the bundle's content
 //!    hash is recorded into the plan.
-//! 3. **Merge** — [`merge_shards`] streams the analysis: one
-//!    shard-bundle in memory at a time, folded in rank order through
-//!    the same [`Fold`] every other mode uses, finishing into results
-//!    byte-identical to a monolithic single-process run — same report,
-//!    same CSVs, same totals.
+//! 3. **Merge** — [`merge_shards`] streams the analysis: one shard
+//!    at a time, each replayed site by site, folded in rank order
+//!    through the same [`Fold`] every other mode uses, finishing into
+//!    results byte-identical to a monolithic single-process run — same
+//!    report, same CSVs, same totals.
 //!
-//! Peak memory is one shard, not the corpus; the
+//! No shard is held whole: besides the fold state, the merge holds the
+//! sites between the bundle loader and the fold. The
 //! `shard.pages.in_memory.peak` telemetry gauge (and
-//! [`MergedRun::peak_shard_pages`]) witness it.
+//! [`MergedRun::peak_shard_pages`]) report the largest shard's pages.
 //!
 //! [`Scale::Huge`]: wmtree::Scale::Huge
 //! [`Fold`]: wmtree::Fold

@@ -3,14 +3,14 @@
 //! results a monolithic single-process run produces.
 //!
 //! The memory argument: the expensive residency of a replay is the raw
-//! crawl database (every visit of every page). The merge holds at most
-//! **one shard's** database at a time — [`Fold::add_bundle`] loads
-//! shard k, vets it, builds (or takes from the shard's tree cache) its
-//! trees, analyses its pages, folds the per-page analysis records into
-//! the accumulator, and drops the database before shard k+1 is touched.
-//! The `shard.pages.in_memory.peak` gauge records the largest shard
-//! database's page count, so a run can *prove* its residency never
-//! exceeded one shard.
+//! crawl data (every visit of every page). The merge never holds a
+//! shard's — [`Fold::add_bundle`] replays shard k site by site: each
+//! site leaves the bundle loader once its objects verify, a worker vets
+//! it, builds (or takes from the shard's tree cache) its trees and
+//! analyses its pages, and the per-page analysis records are folded
+//! into the accumulator before shard k+1 is touched. The
+//! `shard.pages.in_memory.peak` gauge records the largest shard's page
+//! count, the most any one shard streamed.
 //!
 //! [`Fold::add_bundle`]: wmtree::Fold::add_bundle
 
@@ -29,9 +29,8 @@ pub struct MergedRun {
     pub results: ExperimentResults,
     /// The totals digest both pipelines must agree on.
     pub digest: MergeDigest,
-    /// Maximum pages any one shard's database held in memory — the
-    /// bounded-memory witness (equals the largest shard, not the
-    /// corpus).
+    /// Pages of the largest shard — the most any one shard streamed
+    /// through the fold (a shard, not the corpus).
     pub peak_shard_pages: usize,
     /// Sites whose trees were built across all shards — on a warm
     /// re-merge over unchanged bundles this is 0.
@@ -66,8 +65,8 @@ fn check_hash(plan_dir: &Path, spec: &crate::plan::ShardSpec) -> Result<(), Shar
 }
 
 /// Merge every shard of the plan in `plan_dir` into full experiment
-/// results by streaming: one shard-bundle in memory at a time, folded
-/// in rank (= id) order. Every shard must have been crawled to
+/// results by streaming: one shard-bundle at a time, site by site,
+/// folded in rank (= id) order. Every shard must have been crawled to
 /// completion ([`crate::runner::crawl_shard`]); each bundle's content
 /// hash and per-record checksums are verified as it is read, and any
 /// corruption surfaces as an error naming the shard and the exact

@@ -2,9 +2,9 @@
 //! crawl (including an interrupt + resume), streaming merge — produces
 //! a report, CSVs, and totals digest **byte-identical** to a
 //! single-process unsharded run, at Tiny and Small, for shard counts
-//! {1, 2, 5}; and the merge's peak residency is one shard, not the
-//! corpus. A tampered shard bundle is rejected with an error naming
-//! the shard and the corruption's location.
+//! {1, 2, 5}; and the most the merge streams through one fold step is
+//! one shard, not the corpus. A tampered shard bundle is rejected with
+//! an error naming the shard and the corruption's location.
 
 use std::path::PathBuf;
 use wmtree::{Experiment, ExperimentConfig, ExperimentResults, Report, Scale};
@@ -135,7 +135,7 @@ fn assert_identical(scale: Scale, n: usize, interrupt: bool, mono: &ExperimentRe
         "{tag}: warm re-merged report differs"
     );
 
-    // Bounded memory: the merge never held more than the largest
+    // Bounded memory: no fold step streamed more than the largest
     // shard's pages; with real partitions that is less than the corpus.
     assert!(peak_shard_pages > 0);
     assert!(

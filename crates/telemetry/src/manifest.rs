@@ -33,10 +33,13 @@ pub struct ManifestProfile {
 ///
 /// `generate`, `crawl` / `read_bundle` and `render` are wall time of
 /// the calling thread. `build_trees` and `analyze` are the summed
-/// durations of the post-crawl stage over everything the run folded
-/// (`analyze` also counts the final fold). A crawl runs that stage in
-/// its workers, per site, inside `crawl`: there the two overlap `crawl`
-/// and each other, and summed over workers they can exceed it.
+/// durations of the per-site stage over everything the run folded. The
+/// stage runs in the workers of a crawl or a replay, per site, inside
+/// `crawl` or `read_bundle` (`within`): there the two overlap that
+/// stage and each other, and summed over workers they can exceed it.
+/// `analyze` also counts the calling thread's time after that stage
+/// closed (`after_ms`: storing tree-cache records and the final fold).
+/// A run's total is its own stages plus each nested stage's `after_ms`.
 #[derive(Debug, Clone, Serialize)]
 pub struct StageTiming {
     /// Stage name (`generate`, `crawl` or `read_bundle`, `build_trees`,
@@ -44,6 +47,12 @@ pub struct StageTiming {
     pub name: String,
     /// Stage time in milliseconds.
     pub wall_ms: f64,
+    /// The stage this one ran inside, for a sum of per-site times;
+    /// `None` for a stage of the run's own.
+    pub within: Option<String>,
+    /// Of `wall_ms`, the milliseconds spent on the calling thread after
+    /// the stage it ran `within` had closed (0 for a stage of its own).
+    pub after_ms: f64,
 }
 
 /// Everything worth knowing about one experiment run.
@@ -84,10 +93,37 @@ impl RunManifest {
 
     /// Append a stage timing.
     pub fn push_stage(&mut self, name: &str, wall: Duration) {
+        self.push_nested(name, wall, None, Duration::ZERO);
+    }
+
+    /// Append a stage that ran `within` another (a stage of its own when
+    /// `None`), `after` of its `wall` on the calling thread once that
+    /// one had closed.
+    pub fn push_nested(
+        &mut self,
+        name: &str,
+        wall: Duration,
+        within: Option<&str>,
+        after: Duration,
+    ) {
         self.stages.push(StageTiming {
             name: name.to_string(),
             wall_ms: wall.as_secs_f64() * 1e3,
+            within: within.map(str::to_string),
+            after_ms: after.as_secs_f64() * 1e3,
         });
+    }
+
+    /// The run's total stage time: its own stages, plus the time each
+    /// nested stage spent after the stage it ran in.
+    pub fn total_ms(&self) -> f64 {
+        self.stages
+            .iter()
+            .map(|s| match s.within {
+                None => s.wall_ms,
+                Some(_) => s.after_ms,
+            })
+            .sum()
     }
 
     /// Serialize to pretty JSON.
@@ -120,15 +156,32 @@ impl RunManifest {
         );
 
         if !self.stages.is_empty() {
-            let total: f64 = self.stages.iter().map(|s| s.wall_ms).sum();
+            // Nested stages print under the stage they ran in, and only
+            // their time after it counts toward the total and shares.
+            let total = self.total_ms();
+            let share = |ms: f64| if total > 0.0 { 100.0 * ms / total } else { 0.0 };
             let _ = writeln!(out, "\n{:<16} {:>12} {:>7}", "stage", "wall ms", "share");
             for s in &self.stages {
-                let share = if total > 0.0 {
-                    100.0 * s.wall_ms / total
-                } else {
-                    0.0
+                let _ = match &s.within {
+                    None => writeln!(
+                        out,
+                        "{:<16} {:>12.1} {:>6.1}%",
+                        s.name,
+                        s.wall_ms,
+                        share(s.wall_ms)
+                    ),
+                    Some(within) if s.after_ms > 0.0 => writeln!(
+                        out,
+                        "  {:<14} {:>12.1} {:>6.1}%  ({:.1} after {within})",
+                        s.name,
+                        s.wall_ms,
+                        share(s.after_ms),
+                        s.after_ms
+                    ),
+                    Some(within) => {
+                        writeln!(out, "  {:<14} {:>12.1}  (in {within})", s.name, s.wall_ms)
+                    }
                 };
-                let _ = writeln!(out, "{:<16} {:>12.1} {:>6.1}%", s.name, s.wall_ms, share);
             }
             let _ = writeln!(out, "{:<16} {:>12.1}", "total", total);
         }
@@ -229,6 +282,41 @@ mod tests {
         assert!(s.contains("generate"));
         assert!(s.contains("net.fetch.ok"));
         assert!(s.contains("mean 60.0"), "{s}");
+    }
+
+    #[test]
+    fn nested_stages_count_only_their_time_after_the_parent() {
+        let mut m = RunManifest::new(1, "nested");
+        m.push_stage("generate", Duration::from_millis(12));
+        m.push_stage("crawl", Duration::from_millis(340));
+        m.push_nested(
+            "build_trees",
+            Duration::from_millis(80),
+            Some("crawl"),
+            Duration::ZERO,
+        );
+        m.push_nested(
+            "analyze",
+            Duration::from_millis(50),
+            Some("crawl"),
+            Duration::from_millis(8),
+        );
+        m.push_stage("render", Duration::from_millis(40));
+        // 12 + 340 + 8 (the final fold, after `crawl`) + 40.
+        assert_eq!(m.total_ms(), 400.0);
+        let s = m.summary();
+        let line = |name: &str| {
+            s.lines()
+                .find(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} row in:\n{s}"))
+                .to_string()
+        };
+        assert!(line("total").ends_with("400.0"), "{s}");
+        assert!(line("crawl").ends_with("85.0%"), "{s}");
+        assert!(line("build_trees").starts_with("  "), "{s}");
+        assert!(line("build_trees").ends_with("(in crawl)"), "{s}");
+        assert!(line("analyze").contains(" 2.0%  (8.0 after crawl)"), "{s}");
+        assert!(line("render").ends_with("10.0%"), "{s}");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! pipeline on a laptop-sized universe: partition the rank-sorted site
 //! list into shards (`SHARDS.json`), crawl each shard into its own
 //! resumable bundle — interrupting and resuming one on purpose — then
-//! merge the analysis one shard at a time and show that the merged
-//! report is byte-identical to a monolithic single-process run while
-//! peak residency stayed one shard.
+//! merge the analysis one shard at a time, each site by site, and show
+//! that the merged report is byte-identical to a monolithic
+//! single-process run.
 //!
 //! ```sh
 //! cargo run --release --example sharded_run -- /tmp/wmtree-sharded-run
@@ -68,12 +68,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 3. Merge — one shard-bundle in memory at a time, folded in rank
-    //    order into mergeable partial accumulators.
+    // 3. Merge — one shard-bundle at a time, streamed site by site and
+    //    folded in rank order into mergeable partial accumulators.
     println!("\n== Merging ==");
     let merged = merge_shards(&exp, &dir)?;
     println!(
-        "merged {} pages across {} vetted sites; peak residency {} pages (largest shard)",
+        "merged {} pages across {} vetted sites; largest shard {} pages",
         merged.digest.pages, merged.digest.vetted_sites, merged.peak_shard_pages
     );
 

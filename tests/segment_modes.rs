@@ -3,19 +3,23 @@
 //! junk, or two swapped lines — must never panic either reader, and:
 //!
 //! * a bundle fails `read_bundle` exactly when `verify_bundle` finds a
-//!   defect other than a crash leftover or an unfinished crawl;
+//!   defect other than a crash leftover or an unfinished crawl, and a
+//!   cached replay, which analyses sites as they stream out, fails
+//!   exactly when `read_bundle` does, with the same error;
 //! * a tree cache opens empty whenever `verify_cache` finds a framing
 //!   defect, and keeps every committed record when it finds none.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use wmtree::browser::VisitResult;
 use wmtree::bundle::{verify_bundle, BundleMeta, SegmentDefect};
-use wmtree::crawler::{read_bundle, write_bundle, CrawlDb, PageKey};
+use wmtree::crawler::{read_bundle, standard_profiles, write_bundle, CrawlDb, PageKey};
 use wmtree::net::ResourceType;
 use wmtree::tree::cache::{verify_cache, CacheVerifyIssue, TreeCache};
 use wmtree::tree::DepTree;
 use wmtree::url::{Party, Url};
+use wmtree::{AnalysisCache, Experiment, ExperimentConfig, Scale};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wmtree-segment-modes-{name}"));
@@ -70,6 +74,22 @@ fn small_db() -> CrawlDb {
     db
 }
 
+/// An experiment whose bundle identity is the one `small_db` is
+/// written under — two profiles named `A` and `B`, seed 1 — so it
+/// replays those bundles.
+fn small_experiment() -> &'static Experiment {
+    static EXPERIMENT: OnceLock<Experiment> = OnceLock::new();
+    EXPERIMENT.get_or_init(|| {
+        let mut profiles = standard_profiles();
+        profiles.truncate(2);
+        profiles[0].name = "A".into();
+        profiles[1].name = "B".into();
+        let mut cfg = ExperimentConfig::at_scale(Scale::Tiny).with_profiles(profiles);
+        cfg.experiment_seed = 1;
+        Experiment::new(cfg)
+    })
+}
+
 fn small_cache(dir: &Path) -> usize {
     let cache = TreeCache::open(dir, 9);
     let n = 3;
@@ -102,6 +122,7 @@ proptest! {
 
         let report = verify_bundle(&dir).expect("segments stay readable");
         let read = read_bundle(&dir);
+        let read_err = read.as_ref().err().map(|e| e.to_string());
         prop_assert_eq!(
             read.is_ok(),
             report.is_clean(),
@@ -109,7 +130,14 @@ proptest! {
             read.err().map(|e| e.to_string()),
             report.issues
         );
+        let exp = small_experiment();
+        let cache_dir = dir.with_extension("cache");
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let cache = AnalysisCache::open(&cache_dir, exp.config());
+        let replay = exp.replay_from_bundle_cached(&dir, &cache);
+        prop_assert_eq!(replay.err().map(|e| e.to_string()), read_err);
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 
     #[test]

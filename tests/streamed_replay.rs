@@ -1,0 +1,161 @@
+//! A replay streams: sites are analysed as soon as the loader hands
+//! them out, before the end-of-log checks have run. A defect those
+//! checks find — a corrupt last object record, or an orphan object
+//! appended to the log — must still fail the replay with exactly the
+//! error `read_bundle` gives, after sites were staged, and without
+//! committing anything to the tree cache.
+//!
+//! Tree-cache counters are process-global, so this file owns its
+//! process and runs its cases in one test.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use wmtree::browser::VisitResult;
+use wmtree::bundle::hash::{chain_fold, from_hex, line_checksum, to_hex};
+use wmtree::bundle::{object, BundleError, Manifest};
+use wmtree::crawler::read_bundle;
+use wmtree::telemetry::MetricValue;
+use wmtree::tree::cache::TreeCache;
+use wmtree::url::Url;
+use wmtree::{cache_fingerprint, AnalysisCache, BundleRun, Experiment, ExperimentConfig, Scale};
+
+fn fresh(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wmtree-streamed-replay-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every file of a directory, name → bytes.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (name.into_owned(), std::fs::read(&path).expect("read file"))
+        })
+        .collect()
+}
+
+/// The last object segment of the bundle at `dir`, and its lines.
+fn last_object_segment(dir: &Path) -> (String, Vec<String>) {
+    let manifest = Manifest::load(dir).expect("manifest");
+    let name = manifest
+        .object_segments
+        .last()
+        .expect("objects")
+        .name
+        .clone();
+    let text = std::fs::read_to_string(dir.join(&name)).expect("read segment");
+    (name, text.lines().map(str::to_string).collect())
+}
+
+/// Flip one payload byte of the last line of the last object segment:
+/// its checksum no longer matches.
+fn corrupt_last_object(dir: &Path) {
+    let (name, lines) = last_object_segment(dir);
+    let mut bytes = std::fs::read(dir.join(&name)).expect("read segment");
+    let last_line_start = bytes.len() - 1 - lines.last().expect("a line").len();
+    bytes[last_line_start + 20] ^= 1;
+    std::fs::write(dir.join(&name), bytes).expect("write segment");
+}
+
+/// Append a well-framed object no visit references to the last object
+/// segment, with the manifest's records, chain and object count
+/// updated to cover it: only the end-of-log orphan check can refuse it.
+fn append_orphan(dir: &Path) {
+    let mut manifest = Manifest::load(dir).expect("manifest");
+    let (name, _) = last_object_segment(dir);
+    let orphan = VisitResult::failed(Url::parse("https://orphan.example/").expect("url"));
+    let payload = object::encode(&orphan).expect("encode the orphan");
+    let line = format!("{} {payload}", to_hex(line_checksum(payload.as_bytes())));
+    let mut text = std::fs::read_to_string(dir.join(&name)).expect("read segment");
+    text.push_str(&line);
+    text.push('\n');
+    std::fs::write(dir.join(&name), text).expect("write segment");
+    let meta = manifest.object_segments.last_mut().expect("objects");
+    let chain = from_hex(&meta.chain).expect("hex chain");
+    meta.chain = to_hex(chain_fold(chain, line.as_bytes()));
+    meta.records += 1;
+    manifest.objects += 1;
+    manifest.store(dir).expect("store manifest");
+}
+
+fn counter(metrics: &wmtree::telemetry::Snapshot, name: &str) -> u64 {
+    match metrics.metrics.get(name) {
+        Some(MetricValue::Counter(n)) => *n,
+        _ => 0,
+    }
+}
+
+/// A named way to damage a bundle.
+type Defect = (&'static str, fn(&Path));
+
+#[test]
+fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
+    let cfg = ExperimentConfig::at_scale(Scale::Tiny);
+    let exp = Experiment::new(cfg.clone());
+    let root = fresh("late-defect");
+    let defects: [Defect; 2] = [("corrupt", corrupt_last_object), ("orphan", append_orphan)];
+    for (case, defect) in defects {
+        // A cache holding the records of the first three sites: a cold
+        // replay of the partial bundle after three sites commits them.
+        let bundle = root.join(format!("{case}-bundle"));
+        let cache_dir = root.join(format!("{case}-cache"));
+        match exp.run_to_bundle(&bundle, Some(3)) {
+            Ok(BundleRun::Partial { sites_done: 3, .. }) => {}
+            other => panic!("a cap of 3 stops after 3 sites: {other:?}"),
+        }
+        let cache = AnalysisCache::open(&cache_dir, &cfg);
+        exp.replay_from_bundle_cached(&bundle, &cache)
+            .expect("replay the partial bundle");
+        drop(cache);
+        let committed = TreeCache::open(&cache_dir, cache_fingerprint(&cfg)).site_count();
+        assert!(committed > 0, "{case}: the prefix has sites with pages");
+        match exp.run_to_bundle(&bundle, None) {
+            Ok(BundleRun::Complete { .. }) => {}
+            other => panic!("the resumed record completes: {other:?}"),
+        }
+        defect(&bundle);
+        let (segment, lines) = last_object_segment(&bundle);
+        let expect = read_bundle(&bundle).expect_err("the defect fails read_bundle");
+        match (case, &expect) {
+            (
+                "corrupt",
+                BundleError::Corrupt {
+                    segment: s, line, ..
+                },
+            ) => {
+                assert_eq!((s, *line), (&segment, lines.len()), "{expect}")
+            }
+            ("orphan", BundleError::ManifestMismatch { detail, .. }) => {
+                assert!(detail.contains("never referenced"), "{expect}")
+            }
+            _ => panic!("{case}: unexpected {expect:?}"),
+        }
+
+        let before = files(&cache_dir);
+        let cache = AnalysisCache::open(&cache_dir, &cfg);
+        let metrics = wmtree::telemetry::global().snapshot();
+        let err = exp
+            .replay_from_bundle_cached(&bundle, &cache)
+            .expect_err("the defect fails the replay");
+        let metrics = wmtree::telemetry::global().snapshot().since(&metrics);
+        assert_eq!(err.to_string(), expect.to_string(), "{case}");
+        assert_eq!(
+            std::mem::discriminant(&err),
+            std::mem::discriminant(&expect),
+            "{case}"
+        );
+        assert!(
+            counter(&metrics, "tree.cache.site.miss") > 0,
+            "{case}: sites past the cached prefix were staged before the error"
+        );
+        assert!(counter(&metrics, "tree.cache.site.hit") > 0, "{case}");
+        drop(cache);
+        assert_eq!(files(&cache_dir), before, "{case}: TREECACHE/ is untouched");
+        let reopened = TreeCache::open(&cache_dir, cache_fingerprint(&cfg));
+        assert_eq!(reopened.site_count(), committed, "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -194,6 +194,70 @@ fn cached_replays_are_byte_identical_to_cold_runs() {
     let _ = std::fs::remove_dir_all(&delta_dir);
 }
 
+/// Every file of a cache directory, name → bytes.
+fn cache_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .expect("list cache")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path.file_name().expect("file name").to_string_lossy();
+            (
+                name.into_owned(),
+                std::fs::read(&path).expect("read cache file"),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn streamed_cold_replays_store_the_whole_database_records() {
+    // The oracle: one accumulation over the whole bundle's database
+    // stores every rebuilt site's record in canonical site order.
+    let dir = std::env::temp_dir().join("wmtree-treecache-record-order");
+    let _ = std::fs::remove_dir_all(&dir);
+    let exp = Experiment::new(config(1));
+    match exp.run_to_bundle(&dir.join("bundle"), None) {
+        Ok(wmtree::BundleRun::Complete { .. }) => {}
+        other => panic!("uncapped bundle run must complete: {other:?}"),
+    }
+    let cfg = config(1);
+    let names: Vec<String> = cfg.profiles.iter().map(|p| p.name.clone()).collect();
+    let filter = cfg
+        .use_filter_list
+        .then(wmtree::filterlist::embedded::tracking_list);
+    let site_meta = exp
+        .universe()
+        .sites()
+        .iter()
+        .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
+        .collect();
+    let oracle = dir.join("oracle");
+    let cache = AnalysisCache::open(&oracle, &cfg);
+    let db = read_bundle(&dir.join("bundle")).expect("read the bundle");
+    wmtree::accumulate_cached(&db, &names, filter, &cfg.tree, &site_meta, 1, &cache)
+        .expect("accumulate the whole database");
+    cache.commit().expect("commit the oracle");
+    let expect = cache_files(&oracle);
+    assert!(expect
+        .iter()
+        .any(|(name, bytes)| name.starts_with("sites-") && !bytes.is_empty()));
+
+    for workers in [1usize, 2, 8] {
+        let wdir = dir.join(format!("cold-{workers}"));
+        let cache = AnalysisCache::open(&wdir, &config(workers));
+        let cold = cached_replay(workers, &dir.join("bundle"), &cache);
+        assert_eq!(cold.sites_reused, 0);
+        assert_eq!(
+            cache_files(&wdir),
+            expect,
+            "TREECACHE/ after a streamed cold replay at {workers} workers"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `a.pipe_assert(b, what)` reads better at call sites than
 /// `assert_identical(&b, &a, what)` with the arguments flipped.
 impl Rendered {
