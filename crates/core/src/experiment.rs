@@ -252,7 +252,6 @@ impl Experiment {
         workers: usize,
         cache: Option<&AnalysisCache>,
     ) -> Result<CachedAccumulation, PartialMergeError> {
-        let _span = wmtree_telemetry::span("experiment.build_trees");
         accumulate(
             db,
             &self.names,

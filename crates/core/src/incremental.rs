@@ -348,6 +348,9 @@ pub(crate) fn accumulate(
     cache: Option<&AnalysisCache>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
     let cache = cache.map(|cache| &cache.trees);
+    // The span covers exactly what the `build_trees` stage times: up to
+    // and including the page indexes, not the analyses after them.
+    let build_span = wmtree_telemetry::span("experiment.build_trees");
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
@@ -417,6 +420,7 @@ pub(crate) fn accumulate(
     let data =
         ExperimentData::from_vetted(&vetted, trees, profile_names.to_vec(), site_meta, workers);
     let build_wall = sw.lap();
+    drop(build_span);
 
     let sims = analyze_all(&data);
     let acc = PartialAccumulators::from_shard(

@@ -21,18 +21,67 @@
 //! every matching rule and `any(candidates) == any(all rules)`. The
 //! property test in `tests/prop.rs` asserts exactly that against the
 //! linear scan.
+//!
+//! Probing allocates nothing. The caller hands in the request already
+//! prepared ([`Prepared`]): its URL serialized and lowercased into a
+//! buffer the caller reuses, its host lowercased, and, when known, its
+//! party, which `$third-party` rules then read instead of classifying
+//! the request again. Each bucket map keeps, per first byte, a mask of
+//! its key lengths ([`Keyed`]); a host suffix or URL run that no key
+//! could equal is turned away before it is hashed, which spares almost
+//! every probe its hash. A run that occurs twice in a URL is probed
+//! twice; the answer is the same either way.
 
-use crate::rule::{FilterRule, RequestInfo};
-use std::collections::BTreeMap;
+use crate::rule::{FilterRule, Prepared};
+use std::collections::HashMap;
+
+/// Bucket key → rule ids, with a length mask in front of the map.
+#[derive(Debug, Clone, Default)]
+struct Keyed {
+    ids: HashMap<Box<str>, Vec<u32>>,
+    /// Per first byte (256 entries once a key is in), bit `n` set when
+    /// some key starting with that byte is `n` bytes long (bit 63: 63 or
+    /// more).
+    lens: Vec<u64>,
+}
+
+impl Keyed {
+    /// File rule `id` under `key`, which is not empty.
+    fn insert(&mut self, key: &str, id: u32) {
+        if self.lens.is_empty() {
+            self.lens = vec![0; 256];
+        }
+        self.lens[usize::from(key.as_bytes()[0])] |= len_bit(key.len());
+        self.ids.entry(key.into()).or_default().push(id);
+    }
+
+    /// The rules filed under `key`.
+    fn get(&self, key: &str) -> Option<&[u32]> {
+        let first = *key.as_bytes().first()?;
+        if self.lens.get(usize::from(first))? & len_bit(key.len()) == 0 {
+            return None;
+        }
+        self.ids.get(key).map(Vec::as_slice)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
+
+/// The bit of a [`Keyed`] length mask for a key of `len` bytes.
+fn len_bit(len: usize) -> u64 {
+    1 << len.min(63)
+}
 
 /// Buckets over one rule set (blocking or exception rules). Values are
 /// indices into the rule vector.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RuleBuckets {
     /// Label-boundary host suffix → host-anchored rules pinned to it.
-    host: BTreeMap<String, Vec<u32>>,
+    host: Keyed,
     /// Interior literal run → rules requiring that run in the URL.
-    token: BTreeMap<String, Vec<u32>>,
+    token: Keyed,
     /// Rules with no usable key; always evaluated.
     general: Vec<u32>,
 }
@@ -44,9 +93,9 @@ impl RuleBuckets {
             let i = i as u32;
             let p = rule.pattern();
             if let Some(h) = p.index_host() {
-                b.host.entry(h.to_string()).or_default().push(i);
+                b.host.insert(h, i);
             } else if let Some(t) = p.index_token() {
-                b.token.entry(t.to_string()).or_default().push(i);
+                b.token.insert(t, i);
             } else {
                 b.general.push(i);
             }
@@ -54,39 +103,32 @@ impl RuleBuckets {
         b
     }
 
-    /// Does any rule in this bucket set match the request? `lower_url`
-    /// and `lower_host` are the request's URL/host lowercased once by
-    /// the caller (rules with `$match-case` ignore them).
-    pub(crate) fn any_match(
-        &self,
-        rules: &[FilterRule],
-        req: &RequestInfo<'_>,
-        lower_url: &str,
-        lower_host: &str,
-    ) -> bool {
-        let hit = |i: &u32| rules[*i as usize].matches_lowered(req, lower_url, lower_host);
+    /// Does any rule in this bucket set match the prepared request?
+    pub(crate) fn any_match(&self, rules: &[FilterRule], req: &Prepared<'_>) -> bool {
+        let hit = |i: &u32| rules[*i as usize].matches_prepared(req);
         if self.general.iter().any(hit) {
             return true;
         }
         // Host buckets: every label-boundary suffix of the host.
         if !self.host.is_empty() {
+            let host = req.lower_host;
             let mut start = 0usize;
             loop {
-                if let Some(ids) = self.host.get(&lower_host[start..]) {
+                if let Some(ids) = self.host.get(&host[start..]) {
                     if ids.iter().any(hit) {
                         return true;
                     }
                 }
-                match lower_host[start..].find('.') {
+                match host[start..].find('.') {
                     Some(dot) => start += dot + 1,
                     None => break,
                 }
             }
         }
-        // Token buckets: every distinct alphanumeric run of the URL.
+        // Token buckets: every alphanumeric run of the URL.
         if !self.token.is_empty() {
-            let bytes = lower_url.as_bytes();
-            let mut seen: Vec<&str> = Vec::new();
+            let url = req.lower_url;
+            let bytes = url.as_bytes();
             let mut i = 0usize;
             while i < bytes.len() {
                 if !bytes[i].is_ascii_alphanumeric() {
@@ -97,12 +139,7 @@ impl RuleBuckets {
                 while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
                     i += 1;
                 }
-                let run = &lower_url[start..i];
-                if seen.contains(&run) {
-                    continue;
-                }
-                seen.push(run);
-                if let Some(ids) = self.token.get(run) {
+                if let Some(ids) = self.token.get(&url[start..i]) {
                     if ids.iter().any(hit) {
                         return true;
                     }

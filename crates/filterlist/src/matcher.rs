@@ -104,8 +104,14 @@ impl Pattern {
             Anchor::Start => self.match_at(bytes, 0),
             Anchor::Host => {
                 // `||example.com` must match at the start of the host or
-                // at a `.`-separated label boundary within the host.
-                let Some(host_start) = url.find(host) else {
+                // at a `.`-separated label boundary within the host. The
+                // host starts right after the scheme's `://` — not at its
+                // first occurrence, which for a host like `tp` or `s`
+                // lies inside the scheme.
+                let Some(host_start) = wmtree_url::scheme_separator(url)
+                    .map(|i| i + 3)
+                    .filter(|&start| url[start..].starts_with(host))
+                else {
                     return false;
                 };
                 let host_end = host_start + host.len();
@@ -314,6 +320,19 @@ mod tests {
             "https://safe.com/tracker.com/px",
             "safe.com"
         ));
+    }
+
+    #[test]
+    fn host_anchor_starts_after_the_scheme() {
+        // Each host also occurs inside its own scheme; the anchor must
+        // not start there.
+        assert!(m("||tp/x", "http://tp/x", "tp"));
+        assert!(m("||s/ad", "https://s/ad.js", "s"));
+        assert!(m("||ttp/a", "http://ttp/a", "ttp"));
+        assert!(m("||tp^", "http://a.tp/", "a.tp"));
+        assert!(!m("||ttp/a", "http://tp/a", "tp"));
+        // A host that is not where the scheme ends matches nothing.
+        assert!(!m("||a.com^", "https://b.com/", "a.com"));
     }
 
     #[test]

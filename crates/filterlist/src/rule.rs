@@ -3,6 +3,7 @@
 
 use crate::matcher::Pattern;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use wmtree_net::ResourceType;
 use wmtree_url::{psl, Url};
 
@@ -101,9 +102,12 @@ pub struct RuleOptions {
     pub third_party: Option<bool>,
     /// Resource types the rule applies to.
     pub types: TypeMask,
-    /// `$domain=` inclusions (page site must be one of these, if non-empty).
+    /// `$domain=` inclusions: if non-empty, the page's host must be one
+    /// of these or a subdomain of one (as in Adblock Plus, `a.com`
+    /// covers `news.a.com`; the host is compared, not its eTLD+1).
     pub include_domains: Vec<String>,
-    /// `$domain=~` exclusions (page site must not be one of these).
+    /// `$domain=~` exclusions: the page's host must be none of these
+    /// nor a subdomain of one.
     pub exclude_domains: Vec<String>,
     /// `$match-case` — patterns are case-sensitive (default: insensitive).
     pub match_case: bool,
@@ -147,7 +151,7 @@ impl FilterRule {
     /// Evaluate the rule against a request.
     pub fn matches(&self, req: &RequestInfo<'_>) -> bool {
         // Options first (cheap), then the pattern scan.
-        if !self.options_match(req) {
+        if !self.options_match(req, None) {
             return false;
         }
         let target = req.url.as_str();
@@ -161,42 +165,40 @@ impl FilterRule {
         }
     }
 
-    /// Like [`FilterRule::matches`], but with the request URL and host
-    /// already lowercased by the caller — [`crate::FilterList`] prepares
-    /// them once per request instead of once per rule.
-    pub(crate) fn matches_lowered(
-        &self,
-        req: &RequestInfo<'_>,
-        lower_url: &str,
-        lower_host: &str,
-    ) -> bool {
-        if !self.options_match(req) {
+    /// Like [`FilterRule::matches`], over what [`crate::FilterList`]
+    /// derives once per request instead of once per rule.
+    pub(crate) fn matches_prepared(&self, req: &Prepared<'_>) -> bool {
+        if !self.options_match(req.info, req.third_party) {
             return false;
         }
         if self.options.match_case {
-            self.pattern.matches(&req.url.as_str(), req.url.host())
+            self.pattern
+                .matches(&req.info.url.as_str(), req.info.url.host())
         } else {
-            self.pattern.matches(lower_url, lower_host)
+            self.pattern.matches(req.lower_url, req.lower_host)
         }
     }
 
-    fn options_match(&self, req: &RequestInfo<'_>) -> bool {
+    /// Do the rule's options admit the request? `third_party` is the
+    /// request's [`RequestInfo::is_third_party`] when the caller already
+    /// knows it; `None` computes it if an option needs it.
+    fn options_match(&self, req: &RequestInfo<'_>, third_party: Option<bool>) -> bool {
         if !self.options.types.includes(req.resource_type) {
             return false;
         }
         if let Some(want_third) = self.options.third_party {
-            if req.is_third_party() != want_third {
+            if third_party.unwrap_or_else(|| req.is_third_party()) != want_third {
                 return false;
             }
         }
         if !self.options.include_domains.is_empty() || !self.options.exclude_domains.is_empty() {
-            let page_site = req.page.site();
+            let page_host = lowered(req.page.host());
             if !self.options.include_domains.is_empty()
                 && !self
                     .options
                     .include_domains
                     .iter()
-                    .any(|d| domain_or_superdomain(&page_site, d))
+                    .any(|d| domain_or_subdomain(&page_host, d))
             {
                 return false;
             }
@@ -204,7 +206,7 @@ impl FilterRule {
                 .options
                 .exclude_domains
                 .iter()
-                .any(|d| domain_or_superdomain(&page_site, d))
+                .any(|d| domain_or_subdomain(&page_host, d))
             {
                 return false;
             }
@@ -213,11 +215,31 @@ impl FilterRule {
     }
 }
 
-/// Is `site` equal to `rule_domain` or a subdomain of it?
-fn domain_or_superdomain(site: &str, rule_domain: &str) -> bool {
-    site == rule_domain
-        || (site.ends_with(rule_domain)
-            && site.as_bytes().get(site.len() - rule_domain.len() - 1) == Some(&b'.'))
+/// A request with what matching derives from it once: its URL
+/// serialized and lowercased, its host lowercased, and its party when
+/// the caller classified it already.
+pub(crate) struct Prepared<'r> {
+    pub(crate) info: &'r RequestInfo<'r>,
+    pub(crate) lower_url: &'r str,
+    pub(crate) lower_host: &'r str,
+    pub(crate) third_party: Option<bool>,
+}
+
+/// `s` lowercased, borrowed when it has no ASCII capitals — `Url::parse`
+/// lowercases hosts, so the borrow is the overwhelmingly common case.
+pub(crate) fn lowered(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Is `host` equal to `rule_domain` or a subdomain of it?
+fn domain_or_subdomain(host: &str, rule_domain: &str) -> bool {
+    host == rule_domain
+        || (host.ends_with(rule_domain)
+            && host.as_bytes().get(host.len() - rule_domain.len() - 1) == Some(&b'.'))
 }
 
 #[cfg(test)]
@@ -262,8 +284,48 @@ mod tests {
 
     #[test]
     fn domain_option_matching() {
-        assert!(domain_or_superdomain("sub.example.com", "example.com"));
-        assert!(domain_or_superdomain("example.com", "example.com"));
-        assert!(!domain_or_superdomain("badexample.com", "example.com"));
+        assert!(domain_or_subdomain("sub.example.com", "example.com"));
+        assert!(domain_or_subdomain("example.com", "example.com"));
+        assert!(!domain_or_subdomain("badexample.com", "example.com"));
+        assert!(!domain_or_subdomain("example.com", "sub.example.com"));
+    }
+
+    #[test]
+    fn domain_option_compares_the_page_host() {
+        let rule = |line: &str| match crate::parser::parse_line(line) {
+            crate::ParsedLine::Block(r) => r,
+            other => panic!("expected a block rule, got {other:?}"),
+        };
+        let url = Url::parse("https://t.net/px").unwrap();
+        let on = |page: &str, line: &str| {
+            let page = Url::parse(page).unwrap();
+            rule(line).matches(&RequestInfo::new(&url, &page, ResourceType::Image))
+        };
+        // The page host itself, not only its eTLD+1, can be named.
+        assert!(on(
+            "https://news.example.com/",
+            "/px$domain=news.example.com"
+        ));
+        assert!(!on(
+            "https://news.example.com/",
+            "/px$domain=~news.example.com"
+        ));
+        // A parent domain covers its subdomains, a sibling does not.
+        assert!(on("https://news.example.com/", "/px$domain=example.com"));
+        assert!(!on(
+            "https://shop.example.com/",
+            "/px$domain=news.example.com"
+        ));
+        assert!(on(
+            "https://shop.example.com/",
+            "/px$domain=~news.example.com"
+        ));
+        // The parser test's `a.com|~b.a.com`: on `a.com` and its other
+        // subdomains, never on `b.a.com` or below.
+        let line = "/px$domain=a.com|~b.a.com";
+        assert!(on("https://a.com/", line));
+        assert!(on("https://c.a.com/", line));
+        assert!(!on("https://b.a.com/", line));
+        assert!(!on("https://x.b.a.com/", line));
     }
 }

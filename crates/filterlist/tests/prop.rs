@@ -13,35 +13,78 @@ fn host() -> impl Strategy<Value = String> {
         .prop_map(|(n, t)| format!("{n}.{t}"))
 }
 
+/// Hosts as requests and pages carry them: registrable domains, their
+/// subdomains, and single-label hosts that also occur inside a scheme
+/// (`tp`, `s`).
+fn any_host() -> impl Strategy<Value = String> {
+    (
+        0usize..4,
+        host(),
+        "[a-z]{1,4}",
+        prop::sample::select(vec!["tp", "s", "ttp", "localhost", "p"]),
+    )
+        .prop_map(|(shape, h, sub, single)| match shape {
+            0 => h,
+            1 => format!("{sub}.{h}"),
+            2 => single.to_string(),
+            _ => format!("{sub}.{single}"),
+        })
+}
+
+/// URLs with either scheme, an optional port, capitals anywhere (the
+/// parser lowercases only scheme and host), and query values.
 fn url_str() -> impl Strategy<Value = String> {
-    (host(), prop::collection::vec("[a-z0-9]{1,8}", 0..3))
-        .prop_map(|(h, segs)| format!("https://{h}/{}", segs.join("/")))
+    (
+        (
+            prop::sample::select(vec!["https", "http", "HTTP"]),
+            any_host(),
+            prop::option::of(prop::sample::select(vec![80u16, 443, 8080])),
+            any::<bool>(),
+        ),
+        prop::collection::vec("[a-zA-Z0-9]{1,8}", 0..3),
+        prop::option::of(("[a-z]{1,4}", "[a-zA-Z0-9]{0,6}")),
+    )
+        .prop_map(|((scheme, h, port, upper), segs, query)| {
+            let h = if upper { h.to_ascii_uppercase() } else { h };
+            let port = port.map(|p| format!(":{p}")).unwrap_or_default();
+            let query = query.map(|(k, v)| format!("?{k}={v}")).unwrap_or_default();
+            format!("{scheme}://{h}{port}/{}{query}", segs.join("/"))
+        })
 }
 
 /// One filter line covering every anchor/bucket shape the index handles:
 /// host-bucketable, open-ended host (general pool), interior-token and
 /// edge-token substrings, start/end anchors, wildcards, exceptions, and
-/// options.
+/// options: types, `$third-party` either way, `$match-case`, and
+/// `$domain=` over domains, subdomains and `~` exclusions.
 fn rule_line() -> impl Strategy<Value = String> {
     (
-        prop::sample::select((0usize..12).collect::<Vec<_>>()),
-        host(),
-        "[a-z]{3,9}",
+        prop::sample::select((0usize..19).collect::<Vec<_>>()),
+        any_host(),
+        "[a-zA-Z]{3,9}",
         "[a-z]{2,6}",
+        any_host(),
     )
-        .prop_map(|(shape, h, t, e)| match shape {
-            0 => format!("||{h}^"),         // host-anchored, bucketable
-            1 => format!("||{h}/{t}"),      // host anchor with path
-            2 => format!("||{e}."),         // open-ended host → general pool
-            3 => format!("/{t}/"),          // interior token
-            4 => t,                         // edge token → general pool
-            5 => format!("|https://{h}"),   // start anchor
-            6 => format!(".{e}|"),          // end anchor
-            7 => format!("{e}*{t}^"),       // wildcard + separator
-            8 => format!("@@||{h}^"),       // exception, host bucket
-            9 => format!("@@/{t}/"),        // exception, token bucket
-            10 => format!("||{h}^$script"), // type option
-            _ => format!("||{h}^$third-party"),
+        .prop_map(|(shape, h, t, e, d)| match shape {
+            0 => format!("||{h}^"),               // host-anchored, bucketable
+            1 => format!("||{h}/{t}"),            // host anchor with path
+            2 => format!("||{e}."),               // open-ended host → general pool
+            3 => format!("/{t}/"),                // interior token
+            4 => t,                               // edge token → general pool
+            5 => format!("|https://{h}"),         // start anchor
+            6 => format!(".{e}|"),                // end anchor
+            7 => format!("{e}*{t}^"),             // wildcard + separator
+            8 => format!("@@||{h}^"),             // exception, host bucket
+            9 => format!("@@/{t}/"),              // exception, token bucket
+            10 => format!("||{h}^$script"),       // type option
+            11 => format!("||{h}^$third-party"),  // third party only
+            12 => format!("||{h}^$~third-party"), // first party only
+            13 => format!("/{t}$match-case"),     // case-sensitive
+            14 => format!("/{t}/$domain={d}"),    // page host or its parents
+            15 => format!("||{h}^$domain=~{d}"),  // excluded page hosts
+            16 => format!("/{t}$domain={d}|~sub.{d}"),
+            17 => format!("@@||{h}^$~third-party,domain={d}"),
+            _ => format!("{e}^$third-party,match-case"),
         })
 }
 
@@ -118,7 +161,9 @@ proptest! {
 
     /// The candidate index is a pure accelerator: `is_tracking` (indexed,
     /// lowercase-once) agrees with the linear per-rule scan on arbitrary
-    /// rule/URL pairs, across every anchor shape the syntax supports.
+    /// rule/URL pairs, across every anchor shape the syntax supports;
+    /// so does `is_tracking_with`, given the request's party and a
+    /// buffer holding an earlier request's URL.
     #[test]
     fn index_agrees_with_linear_scan(
         rules in prop::collection::vec(rule_line(), 0..12),
@@ -134,12 +179,51 @@ proptest! {
         let u = Url::parse(&target).unwrap();
         let p = Url::parse(&page).unwrap();
         let req = RequestInfo::new(&u, &p, ty);
-        prop_assert_eq!(list.is_tracking(&req), list.is_tracking_linear(&req));
+        let linear = list.is_tracking_linear(&req);
+        prop_assert_eq!(list.is_tracking(&req), linear);
+        let mut buf = page.clone();
+        prop_assert_eq!(list.is_tracking_with(&req, req.is_third_party(), &mut buf), linear);
         prop_assert_eq!(list.matches_block(&req), list.matches_block_linear(&req));
         prop_assert_eq!(
             list.matches_exception(&req),
             list.matches_exception_linear(&req)
         );
+    }
+
+    /// `||host` anchors where the host starts — right after `://` —
+    /// even when the host also occurs inside the scheme.
+    #[test]
+    fn host_anchor_starts_after_the_scheme(
+        scheme in prop::sample::select(vec!["http", "https"]),
+        single in prop::sample::select(vec!["tp", "s", "ttp", "p", "h"]),
+        path in "[a-z]{1,6}",
+    ) {
+        let list = FilterList::parse(&format!("||{single}/{path}"));
+        let page = Url::parse("https://page.example/").unwrap();
+        let u = Url::parse(&format!("{scheme}://{single}/{path}.js")).unwrap();
+        let req = RequestInfo::new(&u, &page, ResourceType::Script);
+        prop_assert!(list.is_tracking(&req), "{}", u);
+        prop_assert!(list.is_tracking_linear(&req), "{}", u);
+    }
+
+    /// `$domain=` compares the page's host: a rule naming the page host
+    /// applies there and on its subdomains, never on its parent.
+    #[test]
+    fn domain_option_compares_the_page_host(sub in "[a-z]{1,5}", domain in host(), path in "[a-z]{3,6}") {
+        let page_host = format!("{sub}.{domain}");
+        let include = FilterList::parse(&format!("/{path}/$domain={page_host}"));
+        let exclude = FilterList::parse(&format!("/{path}/\n@@/{path}/$domain={page_host}"));
+        let u = Url::parse(&format!("https://cdn.example/{path}/x")).unwrap();
+        for (page, on) in [
+            (page_host.clone(), true),
+            (format!("deeper.{page_host}"), true),
+            (domain.clone(), false),
+        ] {
+            let page = Url::parse(&format!("https://{page}/")).unwrap();
+            let req = RequestInfo::new(&u, &page, ResourceType::Image);
+            prop_assert_eq!(include.is_tracking(&req), on, "{}", page);
+            prop_assert_eq!(exclude.is_tracking(&req), !on, "{}", page);
+        }
     }
 
     /// Type options restrict, never extend, matching.

@@ -48,18 +48,19 @@ impl TreeConfig {
         }
     }
 
-    /// [`key_of`](Self::key_of) for an already-parsed URL — skips the
-    /// serialize-then-reparse round trip, which dominates tree-building
-    /// cost (one full `Url::parse` per request otherwise).
-    fn key_of_url(&self, url: &Url) -> String {
+    /// Write the key of an already-parsed URL into `out`, replacing its
+    /// contents. Equal to [`key_of`](Self::key_of) of the URL's
+    /// serialization, without the serialize-then-reparse round trip,
+    /// and into a buffer the caller reuses.
+    fn write_key(&self, url: &Url, out: &mut String) {
+        out.clear();
         if self.normalize_urls {
-            url.normalize_for_comparison()
+            url.write_normalized(out);
         } else {
-            let mut s = url.as_str();
-            if let Some(i) = s.find('#') {
-                s.truncate(i);
+            url.write_into(out);
+            if let Some(i) = out.find('#') {
+                out.truncate(i);
             }
-            s
         }
     }
 }
@@ -69,42 +70,56 @@ impl TreeConfig {
 /// `filter_list` classifies tracking requests (pass
 /// [`wmtree_filterlist::embedded::tracking_list`] to reproduce the
 /// paper's EasyList step); `None` leaves every node non-tracking.
+///
+/// Each request either adds a node or is dropped, and a request whose
+/// key the tree already holds is dropped before anything else is
+/// derived for it (first attribution wins, §3.2/§6). What repeats
+/// within a visit is derived once per visit: the key of each call-stack
+/// script URL, the party of each request host, and the frames'
+/// document keys. Keys are written into one reused buffer and copied
+/// out only for a new node; the filter list reuses one buffer too.
 pub fn build_tree(
     visit: &VisitResult,
     filter_list: Option<&FilterList>,
     config: &TreeConfig,
 ) -> DepTree {
     let page_url = &visit.page_url;
-    let root_key = config.key_of_url(page_url);
-    // The page's site (eTLD+1) is fixed for the whole visit; computing
-    // it once turns per-request party classification into a single
-    // allocation-free suffix walk over the request's host.
+    // The page's site (eTLD+1) is fixed for the whole visit: each
+    // distinct request host is classified against it once.
     let page_site = page_url.site();
-    let mut tree = DepTree::new_rooted(root_key.clone());
+    let mut key = String::new();
+    config.write_key(page_url, &mut key);
+    let mut tree = DepTree::new_rooted(key.clone());
 
-    // Frame id → (normalized) document key.
-    let frame_doc: HashMap<u32, String> = visit
+    // Frame id → (document key, parent frame id).
+    let frame_of: HashMap<u32, (String, Option<u32>)> = visit
         .frames
         .iter()
-        .map(|f| (f.frame_id, config.key_of(&f.document_url)))
+        .map(|f| {
+            (
+                f.frame_id,
+                (config.key_of(&f.document_url), f.parent_frame_id),
+            )
+        })
         .collect();
-    // Frame id → parent frame id.
-    let frame_parent: HashMap<u32, Option<u32>> = visit
-        .frames
-        .iter()
-        .map(|f| (f.frame_id, f.parent_frame_id))
-        .collect();
+    let frame_doc = |id: u32| frame_of.get(&id).map(|(doc, _)| doc.as_str());
+    // Call-stack script URL → key, and request host → party.
+    let mut script_keys: HashMap<&str, String> = HashMap::new();
+    let mut parties: HashMap<&str, Party> = HashMap::new();
+    let mut redirect_key = String::new();
+    let mut url_buf = String::new();
 
     for req in &visit.requests {
-        let key = config.key_of_url(&req.url);
-        if key == root_key {
-            continue; // the navigation request is the root itself
+        config.write_key(&req.url, &mut key);
+        if tree.find(&key).is_some() {
+            continue; // the root's navigation, or a key already attributed
         }
 
         // --- Parent attribution (§3.2) --------------------------------
         // 1. Redirects.
-        let parent_key: Option<String> = if let Some(from) = &req.redirect_from {
-            Some(config.key_of_url(from))
+        let parent_key: Option<&str> = if let Some(from) = &req.redirect_from {
+            config.write_key(from, &mut redirect_key);
+            Some(&redirect_key)
         }
         // 2. JavaScript / CSS call stacks.
         else if !req.call_stack.is_empty() {
@@ -112,39 +127,47 @@ pub fn build_tree(
                 CallStackMode::LatestEntry => req.call_stack.last(),
                 CallStackMode::FullWalk => req.call_stack.first(),
             };
-            entry.map(|e| config.key_of(&e.url))
+            entry.map(|e| {
+                script_keys
+                    .entry(e.url.as_str())
+                    .or_insert_with(|| config.key_of(&e.url))
+                    .as_str()
+            })
         }
         // 3. Frame structure.
         else if req.is_frame_navigation {
             // A frame's document with no script on the stack: child of
             // the parent frame's document.
-            frame_parent
+            frame_of
                 .get(&req.frame_id)
-                .copied()
-                .flatten()
-                .and_then(|pf| frame_doc.get(&pf).cloned())
+                .and_then(|(_, parent)| *parent)
+                .and_then(frame_doc)
         } else if req.frame_id != 0 {
-            frame_doc.get(&req.frame_id).cloned()
+            frame_doc(req.frame_id)
         } else {
             None
         };
 
         // Resolve the parent node; anything unattributable goes to the
-        // root, as the paper prescribes.
-        let parent_id = parent_key
-            .filter(|p| *p != key)
-            .and_then(|p| tree.find(&p))
-            .unwrap_or(tree.root());
+        // root, as the paper prescribes. A parent key equal to the
+        // request's own cannot be in the tree yet, so it goes there too.
+        let parent_id = parent_key.and_then(|p| tree.find(p)).unwrap_or(tree.root());
 
-        let party = if psl::host_in_site(req.url.host(), &page_site) {
-            Party::First
-        } else {
-            Party::Third
-        };
-        let tracking = filter_list
-            .map(|list| list.is_tracking(&RequestInfo::new(&req.url, page_url, req.resource_type)))
-            .unwrap_or(false);
-        tree.attach(parent_id, key, req.resource_type, party, tracking);
+        let party = *parties.entry(req.url.host()).or_insert_with(|| {
+            if psl::host_in_site(req.url.host(), &page_site) {
+                Party::First
+            } else {
+                Party::Third
+            }
+        });
+        let tracking = filter_list.is_some_and(|list| {
+            list.is_tracking_with(
+                &RequestInfo::new(&req.url, page_url, req.resource_type),
+                party == Party::Third,
+                &mut url_buf,
+            )
+        });
+        tree.attach(parent_id, key.clone(), req.resource_type, party, tracking);
     }
     tree
 }

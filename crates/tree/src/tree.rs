@@ -1,7 +1,7 @@
 //! The dependency-tree structure and its metrics.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use wmtree_net::ResourceType;
 use wmtree_url::Party;
@@ -181,23 +181,29 @@ impl DepTree {
         party: Party,
         tracking: bool,
     ) -> NodeId {
-        if let Some(&existing) = self.inner.by_key.get(&key) {
-            return existing;
+        // A shared tree is only copied when it really changes.
+        if Arc::get_mut(&mut self.inner).is_none() {
+            if let Some(existing) = self.find(&key) {
+                return existing;
+            }
         }
-        let inner = Arc::make_mut(&mut self.inner);
-        let id = inner.nodes.len();
-        let depth = inner.nodes[parent].depth + 1;
-        inner.nodes.push(Node {
-            key: key.clone(),
+        let TreeInner { nodes, by_key } = Arc::make_mut(&mut self.inner);
+        let id = nodes.len();
+        let entry = match by_key.entry(key) {
+            Entry::Occupied(existing) => return *existing.get(),
+            Entry::Vacant(entry) => entry,
+        };
+        nodes.push(Node {
+            key: entry.key().clone(),
             resource_type,
             party,
             tracking,
-            depth,
+            depth: nodes[parent].depth + 1,
             parent: Some(parent),
             children: Vec::new(),
         });
-        inner.nodes[parent].children.push(id);
-        inner.by_key.insert(key, id);
+        nodes[parent].children.push(id);
+        entry.insert(id);
         id
     }
 

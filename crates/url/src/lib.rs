@@ -44,7 +44,7 @@ mod parse;
 pub mod psl;
 
 pub use origin::{Origin, Party};
-pub use parse::{ParseError, Url};
+pub use parse::{parse_prefix, scheme_separator, ParseError, Url};
 
 /// Normalize a raw URL string for cross-tree node comparison without
 /// constructing a full [`Url`].
@@ -54,8 +54,14 @@ pub use parse::{ParseError, Url};
 /// the fragment) when it does not parse as an absolute URL, which mirrors
 /// the paper's best-effort analysis-phase normalization.
 pub fn normalize_url_str(raw: &str) -> String {
-    match Url::parse(raw) {
-        Ok(u) => u.normalize_for_comparison(),
+    match parse::Parts::split(raw) {
+        Ok(parts) => {
+            let mut out = String::with_capacity(raw.len());
+            parts.write_normalized(&mut out);
+            // `Url::parse` lowercases the scheme and host, which lead.
+            out[..parts.scheme.len() + "://".len() + parts.host.len()].make_ascii_lowercase();
+            out
+        }
         Err(_) => raw.split('#').next().unwrap_or(raw).to_string(),
     }
 }

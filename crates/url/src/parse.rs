@@ -7,7 +7,7 @@
 //! instead of silently mangled.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Error returned by [`Url::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,74 +74,14 @@ impl Url {
     /// assert_eq!(u.fragment(), Some("frag"));
     /// ```
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let input = input.trim();
-        let scheme_end = input.find("://").ok_or(ParseError::MissingScheme)?;
-        let scheme = &input[..scheme_end];
-        if scheme.is_empty()
-            || !scheme
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic())
-            || !scheme
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
-        {
-            return Err(ParseError::InvalidScheme);
-        }
-        let rest = &input[scheme_end + 3..];
-
-        // Authority ends at the first of `/`, `?`, `#`.
-        let auth_end = rest.find(['/', '?', '#']).unwrap_or(rest.len());
-        let authority = &rest[..auth_end];
-        let after = &rest[auth_end..];
-
-        // We do not model userinfo; strip it if present (rare in traffic).
-        let hostport = authority.rsplit('@').next().unwrap_or(authority);
-        let (host, port) = match hostport.rfind(':') {
-            Some(i)
-                if hostport[i + 1..].chars().all(|c| c.is_ascii_digit())
-                    && i + 1 < hostport.len() =>
-            {
-                let port: u16 = hostport[i + 1..]
-                    .parse()
-                    .map_err(|_| ParseError::InvalidPort)?;
-                (&hostport[..i], Some(port))
-            }
-            Some(i) if i + 1 == hostport.len() => (&hostport[..i], None),
-            _ => (hostport, None),
-        };
-        if host.is_empty() {
-            return Err(ParseError::EmptyHost);
-        }
-        if host
-            .chars()
-            .any(|c| c.is_whitespace() || matches!(c, '/' | '?' | '#' | '@'))
-        {
-            return Err(ParseError::InvalidHost);
-        }
-
-        // Split the remainder into path / query / fragment.
-        let (before_frag, fragment) = match after.find('#') {
-            Some(i) => (&after[..i], Some(after[i + 1..].to_string())),
-            None => (after, None),
-        };
-        let (path, query) = match before_frag.find('?') {
-            Some(i) => (&before_frag[..i], Some(before_frag[i + 1..].to_string())),
-            None => (before_frag, None),
-        };
-        let path = if path.is_empty() {
-            "/".to_string()
-        } else {
-            path.to_string()
-        };
-
+        let p = Parts::split(input)?;
         Ok(Url {
-            scheme: scheme.to_ascii_lowercase(),
-            host: host.to_ascii_lowercase(),
-            port,
-            path,
-            query,
-            fragment,
+            scheme: p.scheme.to_ascii_lowercase(),
+            host: p.host.to_ascii_lowercase(),
+            port: p.port,
+            path: p.path.to_string(),
+            query: p.query.map(str::to_string),
+            fragment: p.fragment.map(str::to_string),
         })
     }
 
@@ -253,15 +193,7 @@ impl Url {
     /// Iterate over `(key, value)` query parameters. A parameter without
     /// `=` yields an empty value.
     pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.query
-            .as_deref()
-            .unwrap_or("")
-            .split('&')
-            .filter(|s| !s.is_empty())
-            .map(|kv| match kv.find('=') {
-                Some(i) => (&kv[..i], &kv[i + 1..]),
-                None => (kv, ""),
-            })
+        query_pairs(self.query.as_deref().unwrap_or(""))
     }
 
     /// The registerable domain (eTLD+1) of the host — the paper's notion
@@ -290,39 +222,22 @@ impl Url {
     pub fn normalize_for_comparison(&self) -> String {
         let mut out =
             String::with_capacity(self.scheme.len() + self.host.len() + self.path.len() + 8);
-        out.push_str(&self.scheme);
-        out.push_str("://");
-        out.push_str(&self.host);
-        if let Some(p) = self.port {
-            out.push(':');
-            out.push_str(&p.to_string());
-        }
-        // Percent-encoding differences must not split node identities
-        // (`%41` vs `A` in paths; RFC 3986 §6.2.2). Unescaped
-        // components — the overwhelmingly common case — are appended
-        // verbatim without the normalization pass's allocation.
-        if self.path.contains('%') {
-            out.push_str(&crate::encoding::normalize_percent_encoding(&self.path));
-        } else {
-            out.push_str(&self.path);
-        }
-        if self.query.is_some() {
-            out.push('?');
-            let mut first = true;
-            for (k, _) in self.query_pairs() {
-                if !first {
-                    out.push('&');
-                }
-                first = false;
-                if k.contains('%') {
-                    out.push_str(&crate::encoding::normalize_percent_encoding(k));
-                } else {
-                    out.push_str(k);
-                }
-                out.push('=');
-            }
-        }
+        self.write_normalized(&mut out);
         out
+    }
+
+    /// Append what [`Url::normalize_for_comparison`] returns to `out`,
+    /// so a caller normalizing many URLs can reuse one buffer.
+    pub fn write_normalized(&self, out: &mut String) {
+        Parts {
+            scheme: &self.scheme,
+            host: &self.host,
+            port: self.port,
+            path: &self.path,
+            query: self.query.as_deref(),
+            fragment: self.fragment.as_deref(),
+        }
+        .write_normalized(out);
     }
 
     /// Serialize back to a full URL string (including query values and
@@ -335,13 +250,7 @@ impl Url {
 
     /// Append what [`Url::as_str`] returns to `out`.
     pub fn write_into(&self, out: &mut String) {
-        out.push_str(&self.scheme);
-        out.push_str("://");
-        out.push_str(&self.host);
-        if let Some(p) = self.port {
-            out.push(':');
-            out.push_str(&p.to_string());
-        }
+        write_origin(&self.scheme, &self.host, self.port, out);
         out.push_str(&self.path);
         if let Some(q) = &self.query {
             out.push('?');
@@ -396,6 +305,169 @@ impl Url {
         };
         Url::parse(&format!("{base_prefix}{dir}{reference}"))
     }
+}
+
+/// A URL's components as [`Url::parse`] splits them, borrowed from the
+/// input: scheme and host keep the input's case, and an empty path is
+/// already `/`.
+pub(crate) struct Parts<'a> {
+    pub(crate) scheme: &'a str,
+    pub(crate) host: &'a str,
+    port: Option<u16>,
+    path: &'a str,
+    query: Option<&'a str>,
+    fragment: Option<&'a str>,
+}
+
+impl<'a> Parts<'a> {
+    /// Split an absolute URL: the whole of [`Url::parse`] but for its
+    /// allocations.
+    pub(crate) fn split(input: &'a str) -> Result<Parts<'a>, ParseError> {
+        let input = input.trim();
+        let scheme_end = scheme_separator(input).ok_or(ParseError::MissingScheme)?;
+        let scheme = &input[..scheme_end];
+        if scheme.is_empty()
+            || !scheme
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_alphabetic())
+            || !scheme
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
+        {
+            return Err(ParseError::InvalidScheme);
+        }
+        let rest = &input[scheme_end + 3..];
+
+        let auth_end = authority_end(rest);
+        let authority = &rest[..auth_end];
+        let after = &rest[auth_end..];
+
+        // We do not model userinfo; strip it if present (rare in traffic).
+        let hostport = authority.rsplit('@').next().unwrap_or(authority);
+        let (host, port) = match hostport.rfind(':') {
+            Some(i)
+                if hostport[i + 1..].chars().all(|c| c.is_ascii_digit())
+                    && i + 1 < hostport.len() =>
+            {
+                let port: u16 = hostport[i + 1..]
+                    .parse()
+                    .map_err(|_| ParseError::InvalidPort)?;
+                (&hostport[..i], Some(port))
+            }
+            Some(i) if i + 1 == hostport.len() => (&hostport[..i], None),
+            _ => (hostport, None),
+        };
+        if host.is_empty() {
+            return Err(ParseError::EmptyHost);
+        }
+        if host
+            .chars()
+            .any(|c| c.is_whitespace() || matches!(c, '/' | '?' | '#' | '@'))
+        {
+            return Err(ParseError::InvalidHost);
+        }
+
+        // Split the remainder into path / query / fragment.
+        let (before_frag, fragment) = match after.find('#') {
+            Some(i) => (&after[..i], Some(&after[i + 1..])),
+            None => (after, None),
+        };
+        let (path, query) = match before_frag.find('?') {
+            Some(i) => (&before_frag[..i], Some(&before_frag[i + 1..])),
+            None => (before_frag, None),
+        };
+        Ok(Parts {
+            scheme,
+            host,
+            port,
+            path: if path.is_empty() { "/" } else { path },
+            query,
+            fragment,
+        })
+    }
+
+    /// Append the [`Url::normalize_for_comparison`] form of these
+    /// components to `out`, in their case.
+    pub(crate) fn write_normalized(&self, out: &mut String) {
+        write_origin(self.scheme, self.host, self.port, out);
+        // Percent-encoding differences must not split node identities
+        // (`%41` vs `A` in paths; RFC 3986 §6.2.2). Unescaped
+        // components — the overwhelmingly common case — are appended
+        // verbatim without the normalization pass's allocation.
+        if self.path.contains('%') {
+            out.push_str(&crate::encoding::normalize_percent_encoding(self.path));
+        } else {
+            out.push_str(self.path);
+        }
+        if let Some(query) = self.query {
+            out.push('?');
+            let mut first = true;
+            for (k, _) in query_pairs(query) {
+                if !first {
+                    out.push('&');
+                }
+                first = false;
+                if k.contains('%') {
+                    out.push_str(&crate::encoding::normalize_percent_encoding(k));
+                } else {
+                    out.push_str(k);
+                }
+                out.push('=');
+            }
+        }
+    }
+}
+
+/// Byte offset of the first `://` in `input`: `input.find("://")`
+/// without setting up a substring searcher for every short URL.
+pub fn scheme_separator(input: &str) -> Option<usize> {
+    input.as_bytes().windows(3).position(|w| w == b"://")
+}
+
+/// Length of the authority at the start of `rest` (what follows
+/// `scheme://`): it ends at the first of `/`, `?`, `#`.
+fn authority_end(rest: &str) -> usize {
+    rest.bytes()
+        .position(|b| matches!(b, b'/' | b'?' | b'#'))
+        .unwrap_or(rest.len())
+}
+
+/// The part of `raw` that decides what [`Url::parse`] makes of it: the
+/// trimmed input up to the end of its authority (`scheme://` and the
+/// userinfo, host and port before the first `/`, `?` or `#`). Path,
+/// query and fragment neither fail a parse nor change scheme, host or
+/// port, so inputs with the same prefix parse to URLs with the same
+/// scheme, host and port, or all fail. `None` when there is no `://`:
+/// such an input never parses.
+pub fn parse_prefix(raw: &str) -> Option<&str> {
+    let input = raw.trim();
+    let scheme_end = scheme_separator(input)? + "://".len();
+    Some(&input[..scheme_end + authority_end(&input[scheme_end..])])
+}
+
+/// Append `scheme://host[:port]`, the prefix both serializations
+/// share.
+fn write_origin(scheme: &str, host: &str, port: Option<u16>, out: &mut String) {
+    out.push_str(scheme);
+    out.push_str("://");
+    out.push_str(host);
+    if let Some(p) = port {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, ":{p}");
+    }
+}
+
+/// `(key, value)` pairs of a raw query string; a parameter without `=`
+/// yields an empty value.
+fn query_pairs(query: &str) -> impl Iterator<Item = (&str, &str)> {
+    query
+        .split('&')
+        .filter(|s| !s.is_empty())
+        .map(|kv| match kv.find('=') {
+            Some(i) => (&kv[..i], &kv[i + 1..]),
+            None => (kv, ""),
+        })
 }
 
 impl fmt::Display for Url {
@@ -493,6 +565,41 @@ mod tests {
             parts("http", "a.com", "/", Some("q#f")),
             Err(ParseError::InvalidPath)
         );
+    }
+
+    #[test]
+    fn byte_scans_agree_with_str_find() {
+        for s in [
+            "",
+            ":",
+            ":/",
+            "://",
+            "a:b://c",
+            "::://",
+            "é://x",
+            "https://a.com/x",
+            "no scheme",
+            "x:/y://z",
+        ] {
+            assert_eq!(scheme_separator(s), s.find("://"), "{s:?}");
+            assert_eq!(
+                authority_end(s),
+                s.find(['/', '?', '#']).unwrap_or(s.len()),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_prefix_ends_with_the_authority() {
+        assert_eq!(
+            parse_prefix(" https://u@A.com:80/p?q#f "),
+            Some("https://u@A.com:80")
+        );
+        assert_eq!(parse_prefix("http://a.com"), Some("http://a.com"));
+        assert_eq!(parse_prefix("http://a.com \n"), Some("http://a.com"));
+        assert_eq!(parse_prefix("http://a b/x"), Some("http://a b"));
+        assert_eq!(parse_prefix("a.com/x"), None);
     }
 
     #[test]

@@ -141,11 +141,11 @@ fn is_ip_literal(host: &str) -> bool {
     if host.starts_with('[') || host.contains(':') {
         return true;
     }
-    let parts: Vec<&str> = host.split('.').collect();
-    parts.len() == 4
-        && parts
-            .iter()
-            .all(|p| !p.is_empty() && p.parse::<u8>().is_ok())
+    let mut parts = 0usize;
+    host.split('.').all(|p| {
+        parts += 1;
+        parts <= 4 && !p.is_empty() && p.parse::<u8>().is_ok()
+    }) && parts == 4
 }
 
 /// Is `candidate` (a dot-joined label sequence) a public suffix?
@@ -336,6 +336,14 @@ mod tests {
         assert_eq!(etld_plus_one("[::1]"), "[::1]");
         // Not an IP: label out of range.
         assert_eq!(etld_plus_one("999.999.999.999.com"), "999.com");
+    }
+
+    #[test]
+    fn ip_literals_have_exactly_four_byte_labels() {
+        assert_eq!(etld_plus_one("10.0.0.1"), "10.0.0.1");
+        assert_eq!(etld_plus_one("1.2.3.4.5"), "4.5");
+        assert_eq!(etld_plus_one("1.2.3"), "2.3");
+        assert_eq!(etld_plus_one("1.2.3.256"), "3.256");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for URL parsing, normalization, and PSL logic.
 
 use proptest::prelude::*;
-use wmtree_url::{psl, Party, Url};
+use wmtree_url::{normalize_url_str, psl, Party, Url};
 
 /// Strategy for syntactically valid host names made of generator-like labels.
 fn host_strategy() -> impl Strategy<Value = String> {
@@ -122,4 +122,52 @@ proptest! {
         let expected = format!("/{seg}");
         prop_assert_eq!(joined.path(), expected.as_str());
     }
+
+    /// `normalize_url_str` normalizes without building a `Url`; it must
+    /// say what parsing then normalizing says, and fall back the same
+    /// way on what does not parse.
+    #[test]
+    fn normalize_url_str_equals_parse_then_normalize(raw in raw_url_strategy()) {
+        let expected = match Url::parse(&raw) {
+            Ok(u) => u.normalize_for_comparison(),
+            Err(_) => raw.split('#').next().unwrap_or(&raw).to_string(),
+        };
+        prop_assert_eq!(normalize_url_str(&raw), expected, "{:?}", raw);
+    }
+
+    /// Writing the normalized form appends to what the buffer holds.
+    #[test]
+    fn write_normalized_appends(raw in url_strategy(), held in "[a-z]{0,8}") {
+        let u = Url::parse(&raw).unwrap();
+        let mut buf = held.clone();
+        u.write_normalized(&mut buf);
+        prop_assert_eq!(buf, format!("{held}{}", u.normalize_for_comparison()));
+    }
+}
+
+/// Strings around the URL grammar: capitals in scheme and host,
+/// surrounding whitespace, userinfo, ports that parse or fail, percent
+/// escapes, query flags, fragments, and inputs that fail to parse.
+fn raw_url_strategy() -> impl Strategy<Value = String> {
+    (
+        (
+            prop::sample::select(vec!["", " ", "\t"]),
+            prop::sample::select(vec!["https", "HTTP", "Ws", "1x", ""]),
+            prop::sample::select(vec!["://", "://", ":/"]),
+            prop::sample::select(vec!["", "u@", "u:p@"]),
+            prop::sample::select(vec!["a.com", "WWW.A.Com", "", "a b", "[::1]", "tp"]),
+            prop::sample::select(vec!["", ":8080", ":", ":99999", ":8a"]),
+        ),
+        (
+            prop::sample::select(vec!["", "/", "/p%41th/%2f", "/A/b.js", "/a b"]),
+            prop::sample::select(vec!["", "?", "?k=V&flag&=x", "?a%41=1&b=%20", "?q=#x"]),
+            prop::sample::select(vec!["", "#frag", "#"]),
+            prop::sample::select(vec!["", " ", "\n"]),
+        ),
+    )
+        .prop_map(
+            |((lead, scheme, sep, user, host, port), (path, query, frag, trail))| {
+                format!("{lead}{scheme}{sep}{user}{host}{port}{path}{query}{frag}{trail}")
+            },
+        )
 }

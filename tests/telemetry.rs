@@ -36,6 +36,26 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
     ] {
         assert!(timings.contains_key(span), "missing span {span}");
     }
+    // The `experiment.build_trees` span times what the `build_trees`
+    // stage times (vetting, trees, page indexes), not the analyses after
+    // it: over both runs, its total is the stage's to well within the
+    // per-site analyses' time.
+    let stage_ms = |name: &str| -> f64 {
+        [&first, &second]
+            .iter()
+            .map(|r| {
+                let s = r.manifest.stages.iter().find(|s| s.name == name);
+                let s = s.unwrap_or_else(|| panic!("no {name} stage"));
+                s.wall_ms - s.after_ms
+            })
+            .sum()
+    };
+    let span_ms = timings["experiment.build_trees"].total_ms;
+    let (build_ms, analyze_ms) = (stage_ms("build_trees"), stage_ms("analyze"));
+    assert!(
+        (span_ms - build_ms).abs() < analyze_ms / 2.0,
+        "experiment.build_trees {span_ms} ms vs build_trees {build_ms} ms (analyze {analyze_ms} ms)"
+    );
 
     // --- Metric coverage: every instrumented layer reported in. ---
     let metric_names: Vec<&str> = first
