@@ -9,7 +9,7 @@ use wmtree_net::conditions::FetchOutcome;
 use wmtree_net::cookie::CookieJar;
 use wmtree_net::ResourceType;
 use wmtree_url::Url;
-use wmtree_webgen::{stable_hash, Condition, Content, Embed, VisitCtx, WebUniverse};
+use wmtree_webgen::{stable_hash, Condition, Content, Embed, StableHasher, VisitCtx, WebUniverse};
 
 /// A configured browser bound to a universe — call [`Browser::visit`]
 /// repeatedly like a crawler does.
@@ -79,7 +79,11 @@ pub fn visit_page(
     visit_seed: u64,
 ) -> VisitResult {
     let mut jar = CookieJar::new();
-    visit_page_with_jar(universe, config, page_url, visit_seed, &mut jar)
+    let mut visit = run_visit(universe, config, page_url, visit_seed, &mut jar);
+    if visit.success {
+        visit.cookies = jar.into_cookies();
+    }
+    visit
 }
 
 /// Visit one page starting from (and updating) an existing cookie jar.
@@ -90,12 +94,31 @@ pub fn visit_page_with_jar(
     visit_seed: u64,
     jar: &mut CookieJar,
 ) -> VisitResult {
+    let mut visit = run_visit(universe, config, page_url, visit_seed, jar);
+    if visit.success {
+        visit.cookies = jar.iter().cloned().collect();
+    }
+    visit
+}
+
+/// Visit one page, updating `jar`. The result's `cookies` are left
+/// empty: the caller fills them from the jar when the visit succeeded.
+fn run_visit(
+    universe: &WebUniverse,
+    config: &BrowserConfig,
+    page_url: &Url,
+    visit_seed: u64,
+    jar: &mut CookieJar,
+) -> VisitResult {
     wmtree_telemetry::counter!("browser.visit.started").inc();
+    let failed = || {
+        wmtree_telemetry::counter!("browser.visit.failed").inc();
+        VisitResult::failed(page_url.clone())
+    };
     // Crawler-level failure (bot blocks, crashes, unreachable hosts).
     let fail_roll = stable_hash(visit_seed, b"visit-fail") as f64 / u64::MAX as f64;
     if fail_roll < config.visit_failure_rate {
-        wmtree_telemetry::counter!("browser.visit.failed").inc();
-        return VisitResult::failed(page_url.clone());
+        return failed();
     }
 
     let ctx = VisitCtx {
@@ -125,7 +148,7 @@ pub fn visit_page_with_jar(
     let mut interaction_time: Option<u64> = None;
 
     let root_task = FetchTask {
-        url: page_url.as_str(),
+        url: page_url.to_string(),
         resource_type: ResourceType::MainFrame,
         frame_id: 0,
         call_stack: Vec::new(),
@@ -154,9 +177,13 @@ pub fn visit_page_with_jar(
         let Ok(url) = Url::parse(&task.url) else {
             continue;
         };
+        // The URL as materialized is what the per-visit cache keys on
+        // and what frames, call stacks and triggers record: the parsed
+        // URL's serialization, unless parsing respelled it.
+        let respelled = (url.as_str() != task.url).then(|| task.url.clone());
 
         // Per-visit cache: each distinct URL is fetched once.
-        if !seen_urls.insert(task.url.clone()) {
+        if !seen_urls.insert(task.url) {
             continue;
         }
 
@@ -166,7 +193,7 @@ pub fn visit_page_with_jar(
             FetchOutcome::Failed | FetchOutcome::Stalled => {
                 if task.frame_id == 0 && matches!(task.trigger, TriggerSource::Navigation) {
                     // Main document unreachable: the visit fails.
-                    return VisitResult::failed(page_url.clone());
+                    return failed();
                 }
                 continue;
             }
@@ -180,7 +207,8 @@ pub fn visit_page_with_jar(
 
         let reply = universe.serve(&url, &ctx);
 
-        // Record the request.
+        // Record the request: the task's URL, stack, redirect origin and
+        // trigger move into it.
         let set_cookies: Vec<String> = reply
             .content
             .set_cookies()
@@ -192,29 +220,39 @@ pub fn visit_page_with_jar(
                 jar.store(c);
             }
         }
-        let record = RequestRecord {
+        let FetchTask {
+            resource_type,
+            frame_id,
+            call_stack,
+            trigger,
+            redirect_from,
+            frame_navigation,
+            ..
+        } = task;
+        requests.push(RequestRecord {
             id: next_req_id,
-            url: url.clone(),
-            resource_type: task.resource_type,
-            frame_id: task.frame_id,
-            call_stack: task.call_stack.clone(),
-            redirect_from: task.redirect_from.clone(),
-            trigger: task.trigger.clone(),
+            url,
+            resource_type,
+            frame_id,
+            call_stack,
+            redirect_from,
+            trigger,
             started_ms: at,
             completed_ms: completed_clamped,
             status: reply.status,
             set_cookies,
-            is_frame_navigation: task.frame_navigation.is_some(),
-        };
+            is_frame_navigation: frame_navigation.is_some(),
+        });
         next_req_id += 1;
-        requests.push(record);
+        let record = &requests[requests.len() - 1];
+        let spelled = respelled.as_deref().unwrap_or(record.url.as_str());
 
         // Frame bookkeeping.
-        if let Some(nav) = &task.frame_navigation {
+        if let Some(nav) = &frame_navigation {
             frames.push(FrameRecord {
                 frame_id: nav.frame_id,
                 parent_frame_id: nav.parent_frame_id,
-                document_url: task.url.clone(),
+                document_url: spelled.to_string(),
             });
             if nav.frame_id == 0 {
                 main_doc_loaded = true;
@@ -230,58 +268,43 @@ pub fn visit_page_with_jar(
         // Dispatch content.
         match &reply.content {
             Content::Redirect { to, .. } => {
-                let target = ids.materialize(to);
                 let hop = FetchTask {
-                    url: target,
-                    resource_type: task.resource_type,
-                    frame_id: task.frame_id,
+                    url: ids.materialize(to),
+                    resource_type,
+                    frame_id,
                     call_stack: Vec::new(),
-                    trigger: TriggerSource::Redirect(task.url.clone()),
-                    redirect_from: Some(url.clone()),
+                    trigger: TriggerSource::Redirect(spelled.to_string()),
+                    redirect_from: Some(record.url.clone()),
                     frame_navigation: None,
                 };
                 queue.push(Reverse((completed, seq, TaskBox(hop))));
                 seq += 1;
             }
             content => {
-                let issuer_stack: Vec<StackEntry> = match content {
-                    Content::Script { .. } => vec![StackEntry {
-                        url: task.url.clone(),
-                        function: "issueRequest".to_string(),
-                    }],
-                    Content::Stylesheet { .. } => vec![StackEntry {
-                        url: task.url.clone(),
-                        function: "css-loader".to_string(),
-                    }],
-                    Content::Api { .. } => vec![StackEntry {
-                        url: task.url.clone(),
-                        function: "onResponse".to_string(),
-                    }],
-                    Content::WebSocket { .. } => vec![StackEntry {
-                        url: task.url.clone(),
-                        function: "onMessage".to_string(),
-                    }],
-                    _ => Vec::new(),
+                // The function a script, stylesheet, API or socket
+                // child is issued from, on top of its call stack.
+                let issuer = match content {
+                    Content::Script { .. } => Some("issueRequest"),
+                    Content::Stylesheet { .. } => Some("css-loader"),
+                    Content::Api { .. } => Some("onResponse"),
+                    Content::WebSocket { .. } => Some("onMessage"),
+                    _ => None,
                 };
-                let child_trigger = |child_url: &str| match content {
-                    Content::Document { .. } => TriggerSource::Parser,
+                let child_trigger = || match content {
                     Content::Script { .. } | Content::Api { .. } => {
-                        TriggerSource::Script(task.url.clone())
+                        TriggerSource::Script(spelled.to_string())
                     }
-                    Content::Stylesheet { .. } => TriggerSource::Css(task.url.clone()),
-                    Content::WebSocket { .. } => TriggerSource::WebSocketPush(task.url.clone()),
-                    _ => {
-                        let _ = child_url;
-                        TriggerSource::Parser
-                    }
+                    Content::Stylesheet { .. } => TriggerSource::Css(spelled.to_string()),
+                    Content::WebSocket { .. } => TriggerSource::WebSocketPush(spelled.to_string()),
+                    _ => TriggerSource::Parser,
                 };
                 // The frame children belong to: a document's children run
                 // in its own frame; script/css children run in the frame
                 // the script belongs to.
-                let child_frame = task.frame_id;
+                let child_frame = frame_id;
 
                 for (idx, embed) in content.embeds().iter().enumerate() {
-                    if !condition_holds(embed, &task.url, idx, visit_seed, config) {
+                    if !condition_holds(embed, spelled, idx, visit_seed, config) {
                         continue;
                     }
                     let mut when = completed + embed.delay_ms + 15 * idx as u64;
@@ -295,7 +318,6 @@ pub fn visit_page_with_jar(
                         // Socket pushes arrive a bit after the handshake.
                         when += 400;
                     }
-                    let concrete = ids.materialize(&embed.url);
                     let frame_navigation = if embed.resource_type == ResourceType::SubFrame {
                         let nav = FrameNav {
                             frame_id: next_frame_id,
@@ -307,14 +329,21 @@ pub fn visit_page_with_jar(
                         None
                     };
                     let child = FetchTask {
-                        url: concrete.clone(),
+                        url: ids.materialize(&embed.url),
                         resource_type: embed.resource_type,
                         frame_id: frame_navigation
                             .as_ref()
                             .map(|n| n.frame_id)
                             .unwrap_or(child_frame),
-                        call_stack: issuer_stack.clone(),
-                        trigger: child_trigger(&concrete),
+                        call_stack: issuer
+                            .map(|function| {
+                                vec![StackEntry {
+                                    url: spelled.to_string(),
+                                    function: function.to_string(),
+                                }]
+                            })
+                            .unwrap_or_default(),
+                        trigger: child_trigger(),
                         redirect_from: None,
                         frame_navigation,
                     };
@@ -326,8 +355,7 @@ pub fn visit_page_with_jar(
     }
 
     if !main_doc_loaded {
-        wmtree_telemetry::counter!("browser.visit.failed").inc();
-        return VisitResult::failed(page_url.clone());
+        return failed();
     }
 
     wmtree_telemetry::counter!("browser.visit.ok").inc();
@@ -344,7 +372,7 @@ pub fn visit_page_with_jar(
         timed_out,
         requests,
         frames,
-        cookies: jar.iter().cloned().collect(),
+        cookies: Vec::new(),
         duration_ms: last_completed,
     }
 }
@@ -357,9 +385,14 @@ fn condition_holds(
     visit_seed: u64,
     config: &BrowserConfig,
 ) -> bool {
+    // The roll hashes the key `cond:{parent_url}:{embed url}:{idx}`.
     let roll = |p: f64| {
-        let key = format!("cond:{parent_url}:{}:{idx}", embed.url);
-        (stable_hash(visit_seed, key.as_bytes()) as f64 / u64::MAX as f64) < p
+        let mut key = StableHasher::new(visit_seed);
+        for piece in ["cond:", parent_url, ":", &embed.url, ":"] {
+            key.write(piece.as_bytes());
+        }
+        key.write_decimal(idx as u64);
+        (key.finish() as f64 / u64::MAX as f64) < p
     };
     match embed.condition {
         Condition::Always => true,
@@ -436,8 +469,8 @@ mod tests {
         let page = u.sites()[0].landing_url();
         let a = b.visit(&page, 1);
         let c = b.visit(&page, 2);
-        let urls_a: Vec<String> = a.requests.iter().map(|r| r.url.as_str()).collect();
-        let urls_c: Vec<String> = c.requests.iter().map(|r| r.url.as_str()).collect();
+        let urls_a: Vec<&str> = a.requests.iter().map(|r| r.url.as_str()).collect();
+        let urls_c: Vec<&str> = c.requests.iter().map(|r| r.url.as_str()).collect();
         assert_ne!(urls_a, urls_c);
     }
 

@@ -128,7 +128,7 @@ pub fn to_har(visit: &VisitResult) -> Har {
             time: r.completed_ms.saturating_sub(r.started_ms),
             request: HarRequest {
                 method: "GET".into(),
-                url: r.url.as_str(),
+                url: r.url.to_string(),
             },
             response: HarResponse {
                 status: r.status.0,
@@ -138,7 +138,7 @@ pub fn to_har(visit: &VisitResult) -> Har {
                 resource_type: r.resource_type.label().to_string(),
                 frame_id: r.frame_id,
                 initiator_script: r.call_stack.last().map(|e| e.url.clone()),
-                redirect_from: r.redirect_from.as_ref().map(|u| u.as_str()),
+                redirect_from: r.redirect_from.as_ref().map(|u| u.to_string()),
                 trigger: match &r.trigger {
                     TriggerSource::Parser => "parser".into(),
                     TriggerSource::Script(_) => "script".into(),
@@ -159,7 +159,7 @@ pub fn to_har(visit: &VisitResult) -> Har {
             },
             pages: vec![HarPage {
                 id: page_id,
-                title: visit.page_url.as_str(),
+                title: visit.page_url.to_string(),
                 started: "0ms".into(),
                 timings: HarPageTimings {
                     on_load: visit.duration_ms,

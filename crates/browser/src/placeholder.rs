@@ -7,6 +7,7 @@
 //! query-value churn the paper's normalization step (§3.2) exists to
 //! neutralize.
 
+use std::fmt::Write as _;
 use wmtree_webgen::stable_hash;
 
 /// Per-visit identifier state.
@@ -46,18 +47,67 @@ impl VisitIds {
     }
 
     /// Materialize all placeholders in a URL template. Each call
-    /// consumes fresh cache-busters for `{cb}` occurrences.
+    /// consumes fresh cache-busters for `{cb}` occurrences, left to
+    /// right.
     pub fn materialize(&mut self, template: &str) -> String {
-        let mut out = template
-            .replace("{sid}", &self.sid)
-            .replace("{uid}", &self.uid);
-        while let Some(pos) = out.find("{cb}") {
-            self.cb_counter += 1;
-            let cb = stable_hash(self.cb_seed, &self.cb_counter.to_le_bytes()) & 0xffff_ffff;
-            out.replace_range(pos..pos + 4, &format!("{cb:08x}"));
-        }
+        let mut len = 0;
+        each_piece(template, |piece| {
+            len += match piece {
+                Piece::Text(text) => text.len(),
+                Piece::Sid => self.sid.len(),
+                Piece::Uid => self.uid.len(),
+                Piece::Cb => 8,
+            }
+        });
+        let mut out = String::with_capacity(len);
+        each_piece(template, |piece| match piece {
+            Piece::Text(text) => out.push_str(text),
+            Piece::Sid => out.push_str(&self.sid),
+            Piece::Uid => out.push_str(&self.uid),
+            Piece::Cb => {
+                self.cb_counter += 1;
+                let cb = stable_hash(self.cb_seed, &self.cb_counter.to_le_bytes()) & 0xffff_ffff;
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{cb:08x}");
+            }
+        });
         out
     }
+}
+
+/// A stretch of a URL template: literal text or one placeholder.
+enum Piece<'a> {
+    Text(&'a str),
+    Sid,
+    Uid,
+    Cb,
+}
+
+/// Call `f` on each stretch of `template`, in order. Placeholders start
+/// with `{`, end with `}` and hold neither, so no two occurrences
+/// overlap and a `{` that starts none is text.
+fn each_piece<'a>(template: &'a str, mut f: impl FnMut(Piece<'a>)) {
+    let (mut text_start, mut from) = (0, 0);
+    while let Some(i) = template[from..].find('{').map(|i| from + i) {
+        let tail = &template[i..];
+        let placeholder = if tail.starts_with("{sid}") {
+            Some((Piece::Sid, "{sid}".len()))
+        } else if tail.starts_with("{uid}") {
+            Some((Piece::Uid, "{uid}".len()))
+        } else if tail.starts_with("{cb}") {
+            Some((Piece::Cb, "{cb}".len()))
+        } else {
+            None
+        };
+        from = i + 1;
+        if let Some((piece, len)) = placeholder {
+            f(Piece::Text(&template[text_start..i]));
+            f(piece);
+            text_start = i + len;
+            from = text_start;
+        }
+    }
+    f(Piece::Text(&template[text_start..]));
 }
 
 #[cfg(test)]

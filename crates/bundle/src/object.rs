@@ -188,33 +188,22 @@ fn cookie_row(w: &mut Writer, c: &Cookie) {
 /// no URL that [`Url::parse`] produced has that defect.
 pub fn encode(visit: &VisitResult) -> Result<String, String> {
     checked(&visit.page_url)?;
-    // Each request's URL is an entry of its own, spelled back to back.
+    // Each request's URL is an entry of its own.
     let n = visit.requests.len();
-    let mut spellings = String::new();
-    let mut ends = Vec::with_capacity(n);
-    for r in &visit.requests {
-        checked(&r.url)?.write_into(&mut spellings);
-        ends.push(spellings.len());
-    }
     let mut spelled: HashMap<&str, usize> = HashMap::with_capacity(n);
-    let mut start = 0;
-    for (id, &end) in ends.iter().enumerate() {
-        spelled.entry(&spellings[start..end]).or_insert(id);
-        start = end;
+    for (id, r) in visit.requests.iter().enumerate() {
+        spelled.entry(checked(&r.url)?.as_str()).or_insert(id);
     }
     // The `urls` entries: each request's URL, in request order, then
     // each redirect origin no request URL equals.
     let mut urls: Vec<&Url> = visit.requests.iter().map(|r| &r.url).collect();
-    let mut scratch = String::new();
     let mut redirects = Vec::with_capacity(n);
     for r in &visit.requests {
         let Some(origin) = &r.redirect_from else {
             redirects.push(None);
             continue;
         };
-        scratch.clear();
-        origin.write_into(&mut scratch);
-        let id = match spelled.get(scratch.as_str()) {
+        let id = match spelled.get(origin.as_str()) {
             Some(&id) if urls[id] == origin => id,
             _ => {
                 urls.push(checked(origin)?);
@@ -408,14 +397,13 @@ struct Parts<'a> {
 impl Parts<'_> {
     /// The URL, checked as [`Url::from_parts`] does.
     fn url(&self, r: &Reader) -> Result<Url, Error> {
-        let own = |s: &Option<Cow<str>>| s.as_deref().map(str::to_string);
         Url::from_parts(
-            self.scheme.to_string(),
-            self.host.to_string(),
+            &self.scheme,
+            &self.host,
             self.port,
-            self.path.to_string(),
-            own(&self.query),
-            own(&self.fragment),
+            &self.path,
+            self.query.as_deref(),
+            self.fragment.as_deref(),
         )
         .map_err(|e| {
             let (scheme, host, path) = (&self.scheme, &self.host, &self.path);
@@ -523,7 +511,7 @@ impl<'a> Tables<'a> {
         let i = index(r, self.urls.len(), "URL")?;
         let spelled = match &mut self.spelled[i] {
             Some(spelled) => spelled,
-            slot => slot.insert(self.urls[i].url(r)?.as_str()),
+            slot => slot.insert(self.urls[i].url(r)?.to_string()),
         };
         Ok(spelled.clone())
     }
@@ -674,7 +662,7 @@ pub(crate) mod tests {
         let triggers = [
             TriggerSource::Navigation,
             TriggerSource::Parser,
-            TriggerSource::Script(script.as_str()),
+            TriggerSource::Script(script.to_string()),
             TriggerSource::Css("https://cdn.a.com/style.css?".into()),
             TriggerSource::Redirect("not a url \u{1}\t😀".into()),
             TriggerSource::WebSocketPush("wss://sock.b.net/live".into()),
@@ -692,7 +680,7 @@ pub(crate) mod tests {
                 call_stack: match i % 3 {
                     0 => Vec::new(),
                     1 => vec![StackEntry {
-                        url: script.as_str(),
+                        url: script.to_string(),
                         function: "issueRequest".into(),
                     }],
                     _ => vec![
@@ -701,7 +689,7 @@ pub(crate) mod tests {
                             function: "f\\g".into(),
                         },
                         StackEntry {
-                            url: script.as_str(),
+                            url: script.to_string(),
                             function: "issueRequest".into(),
                         },
                     ],

@@ -327,7 +327,7 @@ impl<'a> Commander<'a> {
                 db.insert(
                     PageKey {
                         site: site.domain.clone(),
-                        url: page_url.as_str(),
+                        url: page_url.to_string(),
                     },
                     profile_id,
                     result,
@@ -561,8 +561,8 @@ mod tests {
         for (page, visits) in seq.vetted_pages() {
             for (pid, v) in visits.iter().enumerate() {
                 let pv = par.visit(page, pid).expect("page present in parallel run");
-                let a: Vec<String> = v.requests.iter().map(|r| r.url.as_str()).collect();
-                let b: Vec<String> = pv.requests.iter().map(|r| r.url.as_str()).collect();
+                let a: Vec<&str> = v.requests.iter().map(|r| r.url.as_str()).collect();
+                let b: Vec<&str> = pv.requests.iter().map(|r| r.url.as_str()).collect();
                 assert_eq!(a, b, "profile {pid} page {page:?}");
             }
         }
@@ -576,8 +576,8 @@ mod tests {
         // still differ somewhere (ad rotation), across all pages.
         let mut any_diff = false;
         for (_, visits) in db.vetted_pages() {
-            let a: Vec<String> = visits[1].requests.iter().map(|r| r.url.as_str()).collect();
-            let b: Vec<String> = visits[2].requests.iter().map(|r| r.url.as_str()).collect();
+            let a: Vec<&str> = visits[1].requests.iter().map(|r| r.url.as_str()).collect();
+            let b: Vec<&str> = visits[2].requests.iter().map(|r| r.url.as_str()).collect();
             if a != b {
                 any_diff = true;
                 break;

@@ -108,7 +108,7 @@ fn complete_visit(bits: u64, page: &str) -> VisitResult {
         // A URL-valued string: some request's URL, or free text.
         let linked = |w: u64| match w % 3 {
             0 => text(w >> 4),
-            _ => urls[(w >> 2) as usize % urls.len()].as_str(),
+            _ => urls[(w >> 2) as usize % urls.len()].to_string(),
         };
         let trigger = match w % 6 {
             0 => TriggerSource::Parser,
@@ -148,7 +148,7 @@ fn complete_visit(bits: u64, page: &str) -> VisitResult {
         visit.frames.push(FrameRecord {
             frame_id: f as u32,
             parent_frame_id: (f > 0).then(|| (word(200 + f) % f) as u32),
-            document_url: urls[(word(300 + f) % urls.len() as u64) as usize].as_str(),
+            document_url: urls[(word(300 + f) % urls.len() as u64) as usize].to_string(),
         });
     }
     let same_site = [

@@ -176,7 +176,7 @@ fn prepare<R>(
     f: impl FnOnce(&Prepared<'_>) -> R,
 ) -> R {
     buf.clear();
-    req.url.write_into(buf);
+    buf.push_str(req.url.as_str());
     buf.make_ascii_lowercase();
     let lower_host = rule::lowered(req.url.host());
     f(&Prepared {

@@ -156,7 +156,7 @@ impl FilterRule {
         }
         let target = req.url.as_str();
         if self.options.match_case {
-            self.pattern.matches(&target, req.url.host())
+            self.pattern.matches(target, req.url.host())
         } else {
             self.pattern.matches(
                 &target.to_ascii_lowercase(),
@@ -173,7 +173,7 @@ impl FilterRule {
         }
         if self.options.match_case {
             self.pattern
-                .matches(&req.info.url.as_str(), req.info.url.host())
+                .matches(req.info.url.as_str(), req.info.url.host())
         } else {
             self.pattern.matches(req.lower_url, req.lower_host)
         }

@@ -204,8 +204,9 @@ impl CookieJar {
     /// Store a cookie, replacing any existing cookie with the same
     /// identity. Cookies with `Max-Age <= 0` delete the stored cookie.
     pub fn store(&mut self, cookie: Cookie) {
-        let id = cookie.id();
-        self.cookies.retain(|c| c.id() != id);
+        self.cookies.retain(|c| {
+            (&c.name, &c.domain, &c.path) != (&cookie.name, &cookie.domain, &cookie.path)
+        });
         if cookie.max_age.is_some_and(|a| a <= 0) {
             return; // deletion
         }
@@ -245,6 +246,12 @@ impl CookieJar {
     /// All stored cookies.
     pub fn iter(&self) -> impl Iterator<Item = &Cookie> {
         self.cookies.iter()
+    }
+
+    /// The stored cookies, in the order [`iter`](Self::iter) yields
+    /// them, without copying them.
+    pub fn into_cookies(self) -> Vec<Cookie> {
+        self.cookies
     }
 
     /// Number of stored cookies.

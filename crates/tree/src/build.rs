@@ -57,7 +57,7 @@ impl TreeConfig {
         if self.normalize_urls {
             url.write_normalized(out);
         } else {
-            url.write_into(out);
+            out.push_str(url.as_str());
             if let Some(i) = out.find('#') {
                 out.truncate(i);
             }
@@ -225,7 +225,7 @@ mod tests {
         // latest entry (when that node exists).
         for req in &v.requests {
             if let Some(top) = req.call_stack.last() {
-                let key = normalize_url_str(&req.url.as_str());
+                let key = normalize_url_str(req.url.as_str());
                 let expect_parent = normalize_url_str(&top.url);
                 if let (Some(id), Some(_)) = (t.find(&key), t.find(&expect_parent)) {
                     let actual = t.parent_key(id).unwrap();

@@ -28,7 +28,7 @@ fn oracle_key_of_url(config: &TreeConfig, url: &Url) -> String {
     if config.normalize_urls {
         url.normalize_for_comparison()
     } else {
-        let mut s = url.as_str();
+        let mut s = url.to_string();
         if let Some(i) = s.find('#') {
             s.truncate(i);
         }

@@ -3,7 +3,8 @@
 //! This crate is the foundation of the `wmtree` workspace. It provides:
 //!
 //! * [`Url`] — a parsed absolute URL (scheme, host, port, path, query,
-//!   fragment) with strict-enough parsing for measurement data.
+//!   fragment) with strict-enough parsing for measurement data, held as
+//!   its serialization in one buffer with the component boundaries.
 //! * [`Url::normalize_for_comparison`] — the IMC'23 paper's node-identity
 //!   normalization: query parameter *values* are dropped while parameter
 //!   *names* are kept (`foo.com/a.js?s_id=1234` → `foo.com/a.js?s_id=`),

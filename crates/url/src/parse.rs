@@ -27,6 +27,9 @@ pub enum ParseError {
     /// query that holds `#` ([`Url::from_parts`] only: the parser
     /// splits at those characters).
     InvalidPath,
+    /// The URL is longer than its component offsets can address
+    /// (`u32::MAX` bytes before the fragment).
+    TooLong,
 }
 
 impl fmt::Display for ParseError {
@@ -38,6 +41,7 @@ impl fmt::Display for ParseError {
             ParseError::InvalidHost => "invalid host",
             ParseError::InvalidPort => "invalid port",
             ParseError::InvalidPath => "invalid path or query",
+            ParseError::TooLong => "URL too long",
         };
         f.write_str(msg)
     }
@@ -50,14 +54,39 @@ impl std::error::Error for ParseError {}
 /// Components are stored in their original spelling except for scheme and
 /// host, which are lowercased on parse (they are case-insensitive per
 /// RFC 3986 §6.2.2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The URL is one buffer: its serialization
+/// `scheme://host[:port]path[?query][#fragment]`, with the port and the
+/// boundaries of every component stored next to it, so the accessors
+/// and [`Url::as_str`] return slices of it and a clone is one
+/// allocation. The boundaries are stored, not found again by scanning:
+/// a URL deserialized from hand-written components (a `?` in its path,
+/// say) keeps exactly those components. Its `Debug`, `Serialize` and
+/// `Deserialize` forms are a struct with `scheme`, `host`, `port`,
+/// `path`, `query` and `fragment` fields.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Url {
-    scheme: String,
-    host: String,
+    serialization: String,
+    /// End of the scheme; `://` follows it.
+    scheme_end: u32,
+    /// End of the host; `:port` or the path follows it.
+    host_end: u32,
+    /// Start of the path.
+    path_start: u32,
+    /// End of the path; the query's `?` is here when there is a query.
+    path_end: u32,
+    /// End of the query (`path_end` when there is none); the
+    /// fragment's `#` is here when there is a fragment.
+    query_end: u32,
     port: Option<u16>,
-    path: String,
-    query: Option<String>,
-    fragment: Option<String>,
+}
+
+// Offsets are `u32`; reading one back as a `usize` never truncates.
+const _: () = assert!(usize::BITS >= u32::BITS);
+
+/// A stored offset as an index into the serialization.
+fn at(offset: u32) -> usize {
+    offset as usize
 }
 
 impl Url {
@@ -74,15 +103,11 @@ impl Url {
     /// assert_eq!(u.fragment(), Some("frag"));
     /// ```
     pub fn parse(input: &str) -> Result<Self, ParseError> {
-        let p = Parts::split(input)?;
-        Ok(Url {
-            scheme: p.scheme.to_ascii_lowercase(),
-            host: p.host.to_ascii_lowercase(),
-            port: p.port,
-            path: p.path.to_string(),
-            query: p.query.map(str::to_string),
-            fragment: p.fragment.map(str::to_string),
-        })
+        let mut url = Parts::split(input)?.to_url()?;
+        // Scheme, `://` and host lead the buffer.
+        let host_end = at(url.host_end);
+        url.serialization[..host_end].make_ascii_lowercase();
+        Ok(url)
     }
 
     /// Assemble a URL from its components, checking that they are ones
@@ -92,14 +117,14 @@ impl Url {
     /// `#`, and a query without `#`. Readers of stored components build
     /// URLs with it instead of re-parsing their serialization.
     pub fn from_parts(
-        scheme: String,
-        host: String,
+        scheme: &str,
+        host: &str,
         port: Option<u16>,
-        path: String,
-        query: Option<String>,
-        fragment: Option<String>,
+        path: &str,
+        query: Option<&str>,
+        fragment: Option<&str>,
     ) -> Result<Url, ParseError> {
-        let url = Url {
+        let parts = Parts {
             scheme,
             host,
             port,
@@ -107,58 +132,37 @@ impl Url {
             query,
             fragment,
         };
-        url.check_parts()?;
-        Ok(url)
+        parts.check()?;
+        parts.to_url()
     }
 
     /// Check that this URL's components are ones [`Url::parse`]
     /// produces — what [`Url::from_parts`] accepts. Only a URL
     /// deserialized from hand-written components can fail.
     pub fn check_parts(&self) -> Result<(), ParseError> {
-        let mut scheme = self.scheme.bytes();
-        if !scheme.next().is_some_and(|b| b.is_ascii_lowercase())
-            || !scheme.all(|b| {
-                b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.')
-            })
-        {
-            return Err(ParseError::InvalidScheme);
+        self.parts().check()
+    }
+
+    /// This URL's components.
+    fn parts(&self) -> Parts<'_> {
+        Parts {
+            scheme: self.scheme(),
+            host: self.host(),
+            port: self.port,
+            path: self.path(),
+            query: self.query(),
+            fragment: self.fragment(),
         }
-        if self.host.is_empty() {
-            return Err(ParseError::EmptyHost);
-        }
-        // ASCII whitespace here is what `char::is_whitespace` says,
-        // which includes the vertical tab; beyond ASCII, only
-        // whitespace is forbidden.
-        let ascii_defect = |b: &u8| {
-            b.is_ascii_uppercase()
-                || b.is_ascii_whitespace()
-                || matches!(b, 0x0b | b'/' | b'?' | b'#' | b'@')
-        };
-        if self.host.as_bytes().iter().any(ascii_defect)
-            || (!self.host.is_ascii() && self.host.chars().any(char::is_whitespace))
-        {
-            return Err(ParseError::InvalidHost);
-        }
-        if !self.path.starts_with('/')
-            || self.path.bytes().any(|b| b == b'?' || b == b'#')
-            || self
-                .query
-                .as_deref()
-                .is_some_and(|q| q.bytes().any(|b| b == b'#'))
-        {
-            return Err(ParseError::InvalidPath);
-        }
-        Ok(())
     }
 
     /// The lowercased scheme (e.g. `https`).
     pub fn scheme(&self) -> &str {
-        &self.scheme
+        &self.serialization[..at(self.scheme_end)]
     }
 
     /// The lowercased host.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.serialization[at(self.scheme_end) + "://".len()..at(self.host_end)]
     }
 
     /// The explicit port, if any.
@@ -169,7 +173,7 @@ impl Url {
     /// The port in effect: explicit port, or the scheme default
     /// (80 for http, 443 for https/wss, 80 for ws).
     pub fn effective_port(&self) -> u16 {
-        self.port.unwrap_or(match self.scheme.as_str() {
+        self.port.unwrap_or(match self.scheme() {
             "https" | "wss" => 443,
             _ => 80,
         })
@@ -177,29 +181,31 @@ impl Url {
 
     /// The path (always starts with `/`).
     pub fn path(&self) -> &str {
-        &self.path
+        &self.serialization[at(self.path_start)..at(self.path_end)]
     }
 
     /// The raw query string without the leading `?`, if any.
     pub fn query(&self) -> Option<&str> {
-        self.query.as_deref()
+        (self.query_end != self.path_end)
+            .then(|| &self.serialization[at(self.path_end) + 1..at(self.query_end)])
     }
 
     /// The fragment without the leading `#`, if any.
     pub fn fragment(&self) -> Option<&str> {
-        self.fragment.as_deref()
+        let rest = &self.serialization[at(self.query_end)..];
+        (!rest.is_empty()).then(|| &rest[1..])
     }
 
     /// Iterate over `(key, value)` query parameters. A parameter without
     /// `=` yields an empty value.
     pub fn query_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        query_pairs(self.query.as_deref().unwrap_or(""))
+        query_pairs(self.query().unwrap_or(""))
     }
 
     /// The registerable domain (eTLD+1) of the host — the paper's notion
     /// of a *site*. IP-literal hosts are returned verbatim.
     pub fn site(&self) -> String {
-        crate::psl::etld_plus_one(&self.host)
+        crate::psl::etld_plus_one(self.host())
     }
 
     /// `true` when the query contains at least one non-empty parameter
@@ -220,8 +226,7 @@ impl Url {
     /// assert_eq!(u.normalize_for_comparison(), "https://foo.com/scriptA.js?s_id=&b=");
     /// ```
     pub fn normalize_for_comparison(&self) -> String {
-        let mut out =
-            String::with_capacity(self.scheme.len() + self.host.len() + self.path.len() + 8);
+        let mut out = String::with_capacity(at(self.path_end) + 8);
         self.write_normalized(&mut out);
         out
     }
@@ -229,37 +234,12 @@ impl Url {
     /// Append what [`Url::normalize_for_comparison`] returns to `out`,
     /// so a caller normalizing many URLs can reuse one buffer.
     pub fn write_normalized(&self, out: &mut String) {
-        Parts {
-            scheme: &self.scheme,
-            host: &self.host,
-            port: self.port,
-            path: &self.path,
-            query: self.query.as_deref(),
-            fragment: self.fragment.as_deref(),
-        }
-        .write_normalized(out);
+        self.parts().write_normalized(out);
     }
 
-    /// Serialize back to a full URL string (including query values and
-    /// fragment).
-    pub fn as_str(&self) -> String {
-        let mut out = String::new();
-        self.write_into(&mut out);
-        out
-    }
-
-    /// Append what [`Url::as_str`] returns to `out`.
-    pub fn write_into(&self, out: &mut String) {
-        write_origin(&self.scheme, &self.host, self.port, out);
-        out.push_str(&self.path);
-        if let Some(q) = &self.query {
-            out.push('?');
-            out.push_str(q);
-        }
-        if let Some(f) = &self.fragment {
-            out.push('#');
-            out.push_str(f);
-        }
+    /// The full URL string (including query values and fragment).
+    pub fn as_str(&self) -> &str {
+        &self.serialization
     }
 
     /// Resolve a possibly-relative reference against this URL as base.
@@ -273,43 +253,91 @@ impl Url {
             return Url::parse(reference);
         }
         if let Some(rest) = reference.strip_prefix("//") {
-            return Url::parse(&format!("{}://{}", self.scheme, rest));
+            return Url::parse(&format!("{}://{}", self.scheme(), rest));
         }
-        let base_prefix = {
-            let mut s = format!("{}://{}", self.scheme, self.host);
-            if let Some(p) = self.port {
-                s.push(':');
-                s.push_str(&p.to_string());
-            }
-            s
-        };
+        // `scheme://host[:port]`.
+        let base_prefix = &self.serialization[..at(self.path_start)];
         if reference.starts_with('/') {
             return Url::parse(&format!("{base_prefix}{reference}"));
         }
         if let Some(q) = reference.strip_prefix('?') {
-            return Url::parse(&format!("{base_prefix}{}?{q}", self.path));
+            return Url::parse(&format!("{base_prefix}{}?{q}", self.path()));
         }
         if reference.starts_with('#') || reference.is_empty() {
-            let mut u = self.clone();
-            u.fragment = if reference.is_empty() {
-                None
-            } else {
-                Some(reference[1..].to_string())
-            };
-            return Ok(u);
+            return Parts {
+                fragment: reference.get(1..),
+                ..self.parts()
+            }
+            .to_url();
         }
         // Relative path: resolve against the base path's directory.
-        let dir = match self.path.rfind('/') {
-            Some(i) => &self.path[..=i],
+        let path = self.path();
+        let dir = match path.rfind('/') {
+            Some(i) => &path[..=i],
             None => "/",
         };
         Url::parse(&format!("{base_prefix}{dir}{reference}"))
     }
 }
 
-/// A URL's components as [`Url::parse`] splits them, borrowed from the
-/// input: scheme and host keep the input's case, and an empty path is
-/// already `/`.
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Url")
+            .field("scheme", &self.scheme())
+            .field("host", &self.host())
+            .field("port", &self.port)
+            .field("path", &self.path())
+            .field("query", &self.query())
+            .field("fragment", &self.fragment())
+            .finish()
+    }
+}
+
+impl Serialize for Url {
+    fn serialize(&self, out: &mut serde::Writer) {
+        let mut map = out.map();
+        map.field("scheme", self.scheme());
+        map.field("host", self.host());
+        map.field("port", &self.port);
+        map.field("path", self.path());
+        map.field("query", &self.query());
+        map.field("fragment", &self.fragment());
+        map.end();
+    }
+}
+
+/// The owned components a URL deserializes from.
+#[derive(Deserialize)]
+struct Components {
+    scheme: String,
+    host: String,
+    port: Option<u16>,
+    path: String,
+    query: Option<String>,
+    fragment: Option<String>,
+}
+
+impl Deserialize for Url {
+    /// Components come back exactly as written, unchecked:
+    /// [`Url::check_parts`] tells whether [`Url::parse`] could have
+    /// produced them.
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let c = Components::deserialize(input)?;
+        Parts {
+            scheme: &c.scheme,
+            host: &c.host,
+            port: c.port,
+            path: &c.path,
+            query: c.query.as_deref(),
+            fragment: c.fragment.as_deref(),
+        }
+        .to_url()
+        .map_err(|e| input.error(e))
+    }
+}
+
+/// A URL's components, borrowed. As [`Url::parse`] splits them, scheme
+/// and host keep the input's case, and an empty path is already `/`.
 pub(crate) struct Parts<'a> {
     pub(crate) scheme: &'a str,
     pub(crate) host: &'a str,
@@ -384,6 +412,86 @@ impl<'a> Parts<'a> {
             path: if path.is_empty() { "/" } else { path },
             query,
             fragment,
+        })
+    }
+
+    /// Check that these are components [`Url::parse`] produces (see
+    /// [`Url::from_parts`]).
+    fn check(&self) -> Result<(), ParseError> {
+        let mut scheme = self.scheme.bytes();
+        if !scheme.next().is_some_and(|b| b.is_ascii_lowercase())
+            || !scheme.all(|b| {
+                b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'+' | b'-' | b'.')
+            })
+        {
+            return Err(ParseError::InvalidScheme);
+        }
+        if self.host.is_empty() {
+            return Err(ParseError::EmptyHost);
+        }
+        // ASCII whitespace here is what `char::is_whitespace` says,
+        // which includes the vertical tab; beyond ASCII, only
+        // whitespace is forbidden.
+        let ascii_defect = |b: &u8| {
+            b.is_ascii_uppercase()
+                || b.is_ascii_whitespace()
+                || matches!(b, 0x0b | b'/' | b'?' | b'#' | b'@')
+        };
+        if self.host.as_bytes().iter().any(ascii_defect)
+            || (!self.host.is_ascii() && self.host.chars().any(char::is_whitespace))
+        {
+            return Err(ParseError::InvalidHost);
+        }
+        if !self.path.starts_with('/')
+            || self.path.bytes().any(|b| b == b'?' || b == b'#')
+            || self.query.is_some_and(|q| q.bytes().any(|b| b == b'#'))
+        {
+            return Err(ParseError::InvalidPath);
+        }
+        Ok(())
+    }
+
+    /// The URL of these components, as they are, in one allocation.
+    fn to_url(&self) -> Result<Url, ParseError> {
+        let with_sep = |s: Option<&str>| s.map_or(0, |s| 1 + s.len());
+        let len = self.scheme.len()
+            + "://".len()
+            + self.host.len()
+            + self.port.map_or(0, |_| ":65535".len())
+            + self.path.len()
+            + with_sep(self.query)
+            + with_sep(self.fragment);
+        let mut s = String::with_capacity(len);
+        let offset = |s: &String| u32::try_from(s.len()).map_err(|_| ParseError::TooLong);
+        s.push_str(self.scheme);
+        let scheme_end = offset(&s)?;
+        s.push_str("://");
+        s.push_str(self.host);
+        let host_end = offset(&s)?;
+        if let Some(port) = self.port {
+            // Writing into a `String` cannot fail.
+            let _ = write!(s, ":{port}");
+        }
+        let path_start = offset(&s)?;
+        s.push_str(self.path);
+        let path_end = offset(&s)?;
+        if let Some(query) = self.query {
+            s.push('?');
+            s.push_str(query);
+        }
+        let query_end = offset(&s)?;
+        if let Some(fragment) = self.fragment {
+            s.push('#');
+            s.push_str(fragment);
+        }
+        Ok(Url {
+            serialization: s,
+            scheme_end,
+            host_end,
+            path_start,
+            path_end,
+            query_end,
+            port: self.port,
         })
     }
 
@@ -472,7 +580,7 @@ fn query_pairs(query: &str) -> impl Iterator<Item = (&str, &str)> {
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_str())
+        f.write_str(self.as_str())
     }
 }
 
@@ -500,12 +608,12 @@ mod tests {
         ] {
             let u = Url::parse(raw).unwrap();
             let back = Url::from_parts(
-                u.scheme().to_string(),
-                u.host().to_string(),
+                u.scheme(),
+                u.host(),
                 u.port(),
-                u.path().to_string(),
-                u.query().map(str::to_string),
-                u.fragment().map(str::to_string),
+                u.path(),
+                u.query(),
+                u.fragment(),
             );
             assert_eq!(back, Ok(u), "{raw}");
         }
@@ -514,14 +622,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_what_parse_never_produces() {
         let parts = |scheme: &str, host: &str, path: &str, query: Option<&str>| {
-            Url::from_parts(
-                scheme.to_string(),
-                host.to_string(),
-                None,
-                path.to_string(),
-                query.map(str::to_string),
-                None,
-            )
+            Url::from_parts(scheme, host, None, path, query, None)
         };
         assert_eq!(
             parts("", "a.com", "/", None),

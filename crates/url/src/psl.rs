@@ -214,12 +214,19 @@ pub fn etld_plus_one(host: &str) -> String {
     etld_plus_one_lower(&host).to_string()
 }
 
-/// [`etld_plus_one`] over an already-lowercased host, returning a
-/// subslice of it. One left-to-right pass over the label boundaries: at
-/// each start offset the remaining suffix is a candidate (longest
-/// first), so no per-candidate `join(".")` buffers and no `Vec<&str>`
-/// of labels are ever built.
-fn etld_plus_one_lower(host: &str) -> &str {
+/// [`etld_plus_one`] of a host without ASCII capitals, borrowed from
+/// it: the host of a parsed [`Url`](crate::Url) qualifies. One
+/// left-to-right pass over the label boundaries: at each start offset
+/// the remaining suffix is a candidate (longest first), so no
+/// per-candidate `join(".")` buffers and no `Vec<&str>` of labels are
+/// ever built.
+///
+/// ```
+/// use wmtree_url::psl::etld_plus_one_lower;
+/// assert_eq!(etld_plus_one_lower("www.example.co.uk"), "example.co.uk");
+/// assert_eq!(etld_plus_one_lower("user.github.io"), "user.github.io");
+/// ```
+pub fn etld_plus_one_lower(host: &str) -> &str {
     if is_ip_literal(host) {
         return host;
     }

@@ -45,7 +45,7 @@ proptest! {
     fn roundtrip_is_fixed_point(raw in url_strategy()) {
         let u = Url::parse(&raw).unwrap();
         let s = u.as_str();
-        let u2 = Url::parse(&s).unwrap();
+        let u2 = Url::parse(s).unwrap();
         prop_assert_eq!(u, u2);
     }
 

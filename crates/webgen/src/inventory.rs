@@ -80,7 +80,7 @@ pub fn page_inventory(
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut by_gate: BTreeMap<GateClass, usize> = BTreeMap::new();
     let mut queue: VecDeque<(String, GateClass, usize)> = VecDeque::new();
-    queue.push_back((page.as_str(), GateClass::Always, 0));
+    queue.push_back((page.to_string(), GateClass::Always, 0));
     let mut max_depth = 0usize;
 
     while let Some((template, gate, depth)) = queue.pop_front() {
@@ -114,7 +114,7 @@ pub fn page_inventory(
     }
 
     PageInventory {
-        page: page.as_str(),
+        page: page.to_string(),
         by_gate,
         total: seen.len(),
         max_depth,

@@ -36,5 +36,5 @@ pub mod tranco;
 mod universe;
 
 pub use content::{Condition, Content, Embed, SpawnSpec};
-pub use seed::{stable_hash, SeedMixer};
+pub use seed::{stable_hash, SeedMixer, StableHasher};
 pub use universe::{RankBucket, SiteSpec, UniverseConfig, VisitCtx, WebUniverse};

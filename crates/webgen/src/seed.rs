@@ -4,16 +4,55 @@
 /// FNV-1a + avalanche hash of a byte string with a seed. Stable across
 //  runs and platforms (unlike `DefaultHasher`).
 pub fn stable_hash(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    let mut h = StableHasher::new(seed);
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`stable_hash`] fed piece by piece: hashing the pieces of a byte
+/// string in order gives `stable_hash` of the whole string, so a key
+/// need not be assembled in a buffer first.
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl StableHasher {
+    /// Start hashing with `seed`.
+    pub fn new(seed: u64) -> StableHasher {
+        StableHasher(0xcbf2_9ce4_8422_2325 ^ seed)
     }
-    // splitmix64 finalizer for avalanche.
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+
+    /// Hash the next bytes (FNV-1a).
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    /// Hash `n` written in decimal, as `n.to_string()` spells it.
+    pub fn write_decimal(&mut self, n: u64) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = n;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        self.write(&digits[start..]);
+    }
+
+    /// The hash of everything written (splitmix64 finalizer for
+    /// avalanche).
+    pub fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// Hierarchical seed derivation: `SeedMixer::new(seed).with("site").with(domain).finish()`.

@@ -20,7 +20,8 @@ use crate::universe::{RankBucket, ServerReply, SiteSpec, VisitCtx, WebUniverse};
 use wmtree_net::{ResourceType, Status};
 use wmtree_url::{psl, Url};
 
-/// Site-level structural profile, derived once per (seed, site).
+/// Site-level structural profile, derived once per (seed, site), when
+/// the universe is generated.
 #[derive(Debug, Clone)]
 pub struct SiteProfile {
     /// Number of theme stylesheets (1–2).
@@ -121,13 +122,14 @@ impl SiteProfile {
     }
 }
 
-/// Serve a URL. Top-level dispatcher.
+/// Serve a URL. Top-level dispatcher. The host is dispatched on as
+/// [`Url::parse`] spells it, in lowercase.
 pub fn serve(universe: &WebUniverse, url: &Url, ctx: &VisitCtx) -> ServerReply {
-    let site_domain = psl::etld_plus_one(url.host());
-    if let Some(site) = universe.site(&site_domain) {
-        return first_party(universe, site, url, ctx);
+    let site_domain = psl::etld_plus_one_lower(url.host());
+    if let Some((site, profile)) = universe.site_with_profile(site_domain) {
+        return first_party(universe, site, profile, url, ctx);
     }
-    match site_domain.as_str() {
+    match site_domain {
         "metricsphere.com" => metricsphere(url, ctx),
         "statcounter-pro.net" => statcounter(url),
         "analytics-relay.com" => analytics_relay(url, ctx),
@@ -170,22 +172,27 @@ fn not_found() -> ServerReply {
 // First party
 // ---------------------------------------------------------------------
 
-fn first_party(universe: &WebUniverse, site: &SiteSpec, url: &Url, ctx: &VisitCtx) -> ServerReply {
+fn first_party(
+    universe: &WebUniverse,
+    site: &SiteSpec,
+    profile: &SiteProfile,
+    url: &Url,
+    ctx: &VisitCtx,
+) -> ServerReply {
     let seed = universe.config().seed;
-    let profile = SiteProfile::derive(seed, site);
     let path = url.path();
 
     if path == "/" || path.starts_with("/page/") {
-        return site_document(seed, site, &profile, url, ctx);
+        return site_document(seed, site, profile, url, ctx);
     }
     if path.starts_with("/assets/theme-") {
-        return site_stylesheet(site, &profile, path);
+        return site_stylesheet(site, profile, path);
     }
     if path.starts_with("/assets/app-legacy") {
-        return site_app_script(seed, site, &profile, ctx, true);
+        return site_app_script(seed, site, profile, ctx, true);
     }
     if path.starts_with("/assets/app-v") {
-        return site_app_script(seed, site, &profile, ctx, false);
+        return site_app_script(seed, site, profile, ctx, false);
     }
     if path.starts_with("/api/") {
         return site_api(seed, site, url, ctx);

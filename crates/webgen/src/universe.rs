@@ -2,6 +2,7 @@
 
 use crate::content::Content;
 use crate::seed::SeedMixer;
+use crate::serve::SiteProfile;
 use crate::tranco;
 pub use crate::tranco::RankBucket;
 use serde::{Deserialize, Serialize};
@@ -112,12 +113,16 @@ pub struct ServerReply {
 pub struct WebUniverse {
     config: UniverseConfig,
     sites: Vec<SiteSpec>,
+    /// `profiles[i]` is the structural profile of `sites[i]`.
+    profiles: Vec<SiteProfile>,
     by_domain: HashMap<String, usize>,
 }
 
 impl WebUniverse {
     /// Generate the universe for a configuration. Pure function of the
-    /// config; cheap (site internals are derived lazily on `serve`).
+    /// config; cheap: each site's [`SiteProfile`] (which services it
+    /// embeds) is derived here once, and everything else a page holds
+    /// is derived on `serve`.
     pub fn generate(config: UniverseConfig) -> WebUniverse {
         let ranks = tranco::sample_ranks(config.seed, &config.sites_per_bucket);
         let mut sites = Vec::with_capacity(ranks.len());
@@ -150,9 +155,13 @@ impl WebUniverse {
             });
             by_domain.insert(domain, idx);
         }
+        let profiles = (sites.iter())
+            .map(|site| SiteProfile::derive(config.seed, site))
+            .collect();
         WebUniverse {
             config,
             sites,
+            profiles,
             by_domain,
         }
     }
@@ -170,6 +179,12 @@ impl WebUniverse {
     /// Look up a site by its registerable domain.
     pub fn site(&self, domain: &str) -> Option<&SiteSpec> {
         self.by_domain.get(domain).map(|&i| &self.sites[i])
+    }
+
+    /// Look up a site and its structural profile by its registerable
+    /// domain.
+    pub(crate) fn site_with_profile(&self, domain: &str) -> Option<(&SiteSpec, &SiteProfile)> {
+        (self.by_domain.get(domain)).map(|&i| (&self.sites[i], &self.profiles[i]))
     }
 
     /// Serve a URL for a visit: the heart of the synthetic web. Returns

@@ -26,7 +26,7 @@ proptest! {
     fn universe_is_closed_under_serving(seed in 0u64..1000, visit in 0u64..1000) {
         let u = small_universe(seed);
         let ctx = VisitCtx::standard(visit);
-        let mut frontier = vec![u.sites()[0].landing_url().as_str()];
+        let mut frontier = vec![u.sites()[0].landing_url().to_string()];
         let mut seen = std::collections::HashSet::new();
         let mut steps = 0;
         while let Some(raw) = frontier.pop() {
@@ -111,7 +111,7 @@ proptest! {
         let gated = |v: &wmtree::browser::VisitResult| -> Vec<String> {
             v.requests
                 .iter()
-                .map(|r| r.url.as_str())
+                .map(|r| r.url.to_string())
                 .filter(|u| u.contains("lazy") || u.contains("/collect/engage") || u.contains("/scroll"))
                 .collect()
         };

@@ -85,6 +85,22 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
         other => panic!("browser.visit.started missing: {other:?}"),
     };
     assert_eq!(visits, progress.visits_ok + progress.visits_failed);
+    // Every started visit lands in exactly one of the engine's buckets,
+    // whichever way it failed. The default Tiny crawl has main documents
+    // that fail in the network model, as well as crawler-level failures.
+    let default_tiny = Experiment::new(ExperimentConfig::at_scale(Scale::Tiny)).run();
+    for (run, seed) in [(&first, "0x7e1e"), (&default_tiny, "default")] {
+        let counter = |name: &str| match run.manifest.metrics.metrics.get(name) {
+            Some(MetricValue::Counter(n)) => *n,
+            None => 0,
+            other => panic!("{name} is not a counter: {other:?}"),
+        };
+        assert_eq!(
+            counter("browser.visit.started"),
+            counter("browser.visit.ok") + counter("browser.visit.failed"),
+            "browser.visit.started vs ok + failed, seed {seed}"
+        );
+    }
 
     // --- Determinism: identical seeds → identical metric snapshots
     // (counters, gauges, histograms — wall-clock timings excluded by
