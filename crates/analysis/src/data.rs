@@ -208,7 +208,7 @@ pub(crate) mod testutil {
     use super::*;
     use wmtree_crawler::{standard_profiles, Commander, CrawlOptions};
     use wmtree_filterlist::embedded::tracking_list;
-    use wmtree_webgen::{RankBucket, UniverseConfig, WebUniverse};
+    use wmtree_webgen::{UniverseConfig, WebUniverse};
 
     /// A modest crawl: enough pages for distributions to be meaningful,
     /// small enough for fast tests.
@@ -239,7 +239,6 @@ pub(crate) mod testutil {
                 .iter()
                 .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
                 .collect();
-            let _ = RankBucket::Top5k; // keep the import honest
             ExperimentData::from_db_parallel(
                 &db,
                 names,

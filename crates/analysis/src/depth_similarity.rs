@@ -4,7 +4,6 @@
 use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use wmtree_net::ResourceType;
 use wmtree_stats::descriptive::Summary;
 use wmtree_stats::jaccard::{pairwise_mean_jaccard_sorted, SimilarityCategory};
 use wmtree_url::Party;
@@ -168,11 +167,6 @@ pub fn similarity_by_depth(sims: &[PageNodeSimilarities], max_depth: usize) -> S
         counts,
     }
 }
-
-// ResourceType is referenced by sibling modules through this import in
-// earlier revisions; keep the compiler quiet if unused here.
-#[allow(unused_imports)]
-use ResourceType as _;
 
 #[cfg(test)]
 mod tests {

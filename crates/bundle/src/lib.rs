@@ -27,15 +27,18 @@
 //! Segment logs have one reader, [`segment::LogScan`], which yields
 //! records and framing defects alike. Replay ([`read_sites`]) and
 //! [`BundleWriter::resume`] share one fail-fast loader over it, which
-//! reads each log once, decodes each object on scoped threads only as
-//! deep as its readers need ([`Depth`]: the address alone, the header,
-//! or the whole visit), moves every stored payload into the visits that
-//! reference it, and hands out each checkpointed site, in log order, as
-//! soon as its objects are verified and decoded; the checks that need
-//! the whole log decide the result at its end. The first defect
-//! surfaces as an error naming the segment, line, and byte offset. [`verify_bundle`], the check behind `wmtree-lint
-//! check-artifacts`, scans the same way but leniently, decoding every
-//! object in full and collecting every defect.
+//! reads each log once on the calling thread, parses no object, and
+//! hands out each checkpointed site, in log order, as soon as its
+//! objects are verified, still encoded ([`StoredSite`]): each payload
+//! it needs, moved to the last site that needs it, with the deepest
+//! [`Depth`] planned for it (the address alone, the header, or the
+//! whole visit). [`StoredSite::decode`] parses a site's objects on
+//! whichever thread takes the site — in a replay, the worker that
+//! analyses it. The checks that need the whole log decide the result
+//! at its end. The first defect surfaces as an error naming the
+//! segment, line, and byte offset. [`verify_bundle`], the check behind
+//! `wmtree-lint check-artifacts`, scans the same way but leniently,
+//! decoding every object in full and collecting every defect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,7 +60,7 @@ pub use error::BundleError;
 pub use hash::bundle_content_hash;
 pub use manifest::{BundleMeta, Manifest, SegmentMeta, DEFAULT_SEGMENT_CAPACITY};
 pub use object::Depth;
-pub use reader::{read_sites, LoggedVisit};
+pub use reader::{read_sites, LoggedVisit, StoredSite};
 pub use record::{BundleVisit, Checkpoint, Record, VisitRef};
 pub use segment::SegmentDefect;
 pub use store::{BundleStore, BundleSummary};

@@ -1,32 +1,28 @@
-//! The one bundle loader, shared by replay ([`read_sites`]: `read_bundle`
-//! and the site-by-site replays in `wmtree-crawler`, the tree-cache
-//! plan in `wmtree`) and by
-//! [`BundleWriter::resume`](crate::BundleWriter::resume).
+//! The one bundle loader, shared by replay ([`read_sites`], which feeds
+//! the stage workers of `wmtree-crawler`'s `replay_sites`) and by
+//! [`BundleWriter::resume`](crate::BundleWriter::resume). It runs on the
+//! calling thread and parses no object.
 //!
 //! Both logs are read fail-fast through [`LogScan`], each exactly once.
 //! The visit log comes first: it is small (coordinates and content
 //! addresses only), and reading it whole tells the loader which visits
 //! reference each object and which visits each checkpoint closes. The
 //! caller's plan then names the [`Depth`] each checkpointed visit
-//! needs, and each object is decoded once, at the deepest depth of the
-//! visits that reference it. The object log is scanned on the calling
-//! thread (checksums and chains) in rounds of bounded batches. Scoped
-//! threads decode one round's batches (content address, then parse to
-//! the object's depth) while the calling thread scans the next round,
-//! and the results are applied strictly in log order.
+//! needs; an object's depth is the deepest of the visits that reference
+//! it. The object log comes next: each record's checksum, chain and
+//! content address, and the duplicate check.
 //!
-//! A site streams out as soon as every object its visits reference has
-//! been applied: checksummed, content-addressed and decoded. Sites
-//! leave in log order, each visit holding its object, which is moved
-//! into the last visit that references it; only the earlier references
-//! of a deduplicated payload get clones, and a payload is held only
-//! while a site still to leave references it. Counts, dedup moves and
-//! the first defect in log order are the same at any decode width and
-//! any plan. The checks that need the whole log — dangling references,
-//! manifest counts, orphans, stray segments, segment chains and the
-//! checkpoint boundary — run once the object log is read: sites may
-//! have left by then, so a caller commits nothing it derived from them
-//! until the load returns `Ok`.
+//! A site leaves as soon as every object its visits reference has been
+//! scanned, in log order and still encoded ([`StoredSite`]): each
+//! object it needs with its record location and depth. A payload is
+//! moved to the last site that needs it and cloned for earlier ones, so
+//! it is held only while a site still to leave references it.
+//! [`StoredSite::decode`] parses each of a site's objects once, on
+//! whichever thread takes the site. The checks that need the whole log
+//! — dangling references, manifest counts, orphans, stray segments,
+//! segment chains and the checkpoint boundary — run once the object log
+//! is read: sites may have left by then, so a caller commits nothing it
+//! derived from them until the load returns `Ok`.
 
 use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
@@ -37,15 +33,6 @@ use crate::segment::{LogScan, RecordLoc, SegmentDefect};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::{mpsc, Mutex, PoisonError};
-use wmtree_browser::VisitResult;
-
-/// Object payload bytes per decode batch: some forty objects at Small,
-/// enough parsing to dwarf the hand-off to a decode thread, and few
-/// enough that the batches in flight — decoded, several times their
-/// payload — stay a few MB: with 1 MiB batches they held about 30 MB
-/// of a Small replay's peak.
-const BATCH_BYTES: usize = 1 << 18;
 
 /// What the committed logs hold, to check against what the manifest
 /// declares.
@@ -121,6 +108,76 @@ pub struct LoggedVisit {
     pub object: u64,
 }
 
+/// A checkpointed site as the loader hands it out: its visits planned
+/// deeper than [`Depth::Address`], in log order, and the objects they
+/// reference, checksummed and content-addressed but not parsed.
+#[derive(Debug)]
+pub struct StoredSite {
+    /// The visits, in log order.
+    visits: Vec<LoggedVisit>,
+    /// The distinct objects the visits reference, in object-log order.
+    objects: Vec<StoredObject>,
+}
+
+/// A verified object on its way to the sites that reference it.
+#[derive(Debug, Clone)]
+struct StoredObject {
+    /// Its content address.
+    object: u64,
+    /// Its position in the object log.
+    seq: usize,
+    /// Its record, to locate a decode defect.
+    loc: RecordLoc,
+    /// The deepest depth planned for it.
+    depth: Depth,
+    /// Its payload.
+    payload: String,
+}
+
+impl StoredSite {
+    /// Decode the site: each of its objects once, in log order, at the
+    /// deepest depth planned for the object (a visit planned at
+    /// [`Depth::Header`] arrives with its `requests` and `frames` empty
+    /// unless a visit of the same object asked for it in full), joined
+    /// with its visits in log order. The payload goes to the last visit
+    /// of the object and earlier visits get clones. An object that does
+    /// not decode is a `Corrupt` error at its record.
+    pub fn decode(self) -> Result<Vec<BundleVisit>, BundleError> {
+        let _span = wmtree_telemetry::span("bundle.decode");
+        let mut decoded = BTreeMap::new();
+        for stored in &self.objects {
+            let visit = decode_at(&stored.payload, stored.depth)
+                .map_err(|detail| SegmentDefect::corrupt(&stored.loc, detail))?;
+            decoded.insert(stored.object, visit);
+        }
+        let last: BTreeMap<u64, usize> = self
+            .visits
+            .iter()
+            .enumerate()
+            .map(|(i, visit)| (visit.object, i))
+            .collect();
+        let mut out = Vec::with_capacity(self.visits.len());
+        for (i, visit) in self.visits.into_iter().enumerate() {
+            let payload = if last[&visit.object] == i {
+                decoded.remove(&visit.object).flatten()
+            } else {
+                decoded[&visit.object].clone()
+            };
+            let Some(payload) = payload else {
+                unreachable!("a site holds only objects planned past the address")
+            };
+            out.push(BundleVisit {
+                site: visit.site,
+                url: visit.url,
+                profile: visit.profile,
+                object: visit.object,
+                visit: payload,
+            });
+        }
+        Ok(out)
+    }
+}
+
 /// What [`load`] recovered besides the sites it handed out.
 #[derive(Debug)]
 pub(crate) struct Loaded {
@@ -132,31 +189,8 @@ pub(crate) struct Loaded {
     pub(crate) logs: [LogScan; 2],
 }
 
-/// Read and verify every committed record of the bundle at `dir`:
-/// checksums, chains, content addresses, profile indices, references,
-/// counts and the checkpoint boundary. `plan` sees the checkpointed
-/// visits, in log order, before any object is read, and names the
-/// depth each one needs; each object is decoded once, at the deepest
-/// depth of the visits that reference it. Each checkpointed site goes
-/// to `sink`, in log order, as soon as the objects its visits reference
-/// are decoded: its visits planned deeper than [`Depth::Address`], in
-/// log order (a site with none is skipped). Crash leftovers past the
-/// committed region are skipped; any other defect, or the first `sink`
-/// error, is the error, naming where it is. Objects decode as wide as
-/// the host's available parallelism.
-pub(crate) fn load(
-    dir: &Path,
-    manifest: &Manifest,
-    plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
-) -> Result<Loaded, BundleError> {
-    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
-    load_with(dir, manifest, plan, sink, width, BATCH_BYTES)
-}
-
-/// The checkpointed sites on their way out of [`load_with`]: which
-/// objects each still waits for, and the payloads a site still to leave
-/// references.
+/// The checkpointed sites on their way out of [`load`]: which objects
+/// each still waits for, and the payloads a site still to leave needs.
 struct SiteStream<'v> {
     /// Every visit record of the log.
     visits: &'v mut [LoggedVisit],
@@ -167,13 +201,12 @@ struct SiteStream<'v> {
     /// `ends[s - 1]..ends[s]`.
     ends: Vec<usize>,
     /// Per site, the distinct objects it references that are not
-    /// applied yet.
+    /// scanned yet.
     waiting: Vec<usize>,
-    /// Per object, the visits handed out with its payload that have
-    /// not left yet.
+    /// Per object, the sites still to leave that need its payload.
     uses: BTreeMap<u64, usize>,
-    /// Decoded payloads that visits still to leave need.
-    kept: BTreeMap<u64, VisitResult>,
+    /// Scanned objects that sites still to leave need.
+    kept: BTreeMap<u64, StoredObject>,
     /// The next site to leave.
     next: usize,
 }
@@ -190,19 +223,20 @@ impl<'v> SiteStream<'v> {
         let mut waiting = vec![0; ends.len()];
         let mut uses = BTreeMap::new();
         for (&object, refs) in wanted {
-            let mut last = None;
+            let (mut waits, mut needs) = (None, None);
             for &i in refs {
                 // `ends` is sorted: the first end past `i` is its site.
                 let site = ends.partition_point(|&end| end <= i);
                 if site == ends.len() {
                     continue;
                 }
-                if last != Some(site) {
+                if waits != Some(site) {
                     waiting[site] += 1;
-                    last = Some(site);
+                    waits = Some(site);
                 }
-                if depths[i] > Depth::Address {
+                if depths[i] > Depth::Address && needs != Some(site) {
                     *uses.entry(object).or_insert(0) += 1;
+                    needs = Some(site);
                 }
             }
         }
@@ -217,9 +251,10 @@ impl<'v> SiteStream<'v> {
         }
     }
 
-    /// Apply one object: `refs` are the visits referencing it, in log
-    /// order, and `payload` its decoded visit, if it was parsed.
-    fn apply(&mut self, object: u64, refs: &[usize], payload: Option<VisitResult>) {
+    /// Apply the `seq`th object of the log, scanned at `loc`: `refs` are
+    /// the visits referencing it, in log order. Its payload is kept if a
+    /// site needs it.
+    fn apply(&mut self, object: u64, refs: &[usize], seq: usize, loc: RecordLoc, payload: &str) {
         let mut last = None;
         for &i in refs {
             let site = self.ends.partition_point(|&end| end <= i);
@@ -228,47 +263,61 @@ impl<'v> SiteStream<'v> {
                 last = Some(site);
             }
         }
-        if let Some(payload) = payload.filter(|_| self.uses.contains_key(&object)) {
-            self.kept.insert(object, payload);
+        if self.uses.contains_key(&object) {
+            let depth = refs.iter().map(|&i| self.depths[i]).max();
+            let stored = StoredObject {
+                object,
+                seq,
+                loc,
+                depth: depth.unwrap_or(Depth::Address),
+                payload: payload.to_owned(),
+            };
+            self.kept.insert(object, stored);
         }
     }
 
-    /// Hand every site whose objects are all applied to `sink`, in log
+    /// Hand every site whose objects are all scanned to `sink`, in log
     /// order, up to the first that still waits.
     fn flush(
         &mut self,
-        sink: &mut impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
+        sink: &mut impl FnMut(StoredSite) -> Result<(), BundleError>,
     ) -> Result<(), BundleError> {
         while self.next < self.ends.len() && self.waiting[self.next] == 0 {
             let start = self.next.checked_sub(1).map_or(0, |s| self.ends[s]);
             let range = start..self.ends[self.next];
             self.next += 1;
-            let mut site = Vec::new();
+            let mut site = StoredSite {
+                visits: Vec::new(),
+                objects: Vec::new(),
+            };
             for i in range.filter(|&i| self.depths[i] > Depth::Address) {
                 let visit = &mut self.visits[i];
                 let object = visit.object;
-                let Some(uses) = self.uses.get_mut(&object) else {
-                    unreachable!("a visit planned past the address counts as a use")
-                };
-                *uses -= 1;
-                let payload = if *uses == 0 {
-                    self.uses.remove(&object);
-                    self.kept.remove(&object)
-                } else {
-                    self.kept.get(&object).cloned()
-                };
-                let Some(payload) = payload else {
-                    unreachable!("an applied object planned past the address was decoded")
-                };
-                site.push(BundleVisit {
+                if site.objects.iter().all(|stored| stored.object != object) {
+                    let Some(uses) = self.uses.get_mut(&object) else {
+                        unreachable!("a visit planned past the address counts as a use")
+                    };
+                    *uses -= 1;
+                    let stored = if *uses == 0 {
+                        self.uses.remove(&object);
+                        self.kept.remove(&object)
+                    } else {
+                        self.kept.get(&object).cloned()
+                    };
+                    let Some(stored) = stored else {
+                        unreachable!("a scanned object a site needs is kept")
+                    };
+                    site.objects.push(stored);
+                }
+                site.visits.push(LoggedVisit {
                     site: std::mem::take(&mut visit.site),
                     url: std::mem::take(&mut visit.url),
                     profile: visit.profile,
                     object,
-                    visit: payload,
                 });
             }
-            if !site.is_empty() {
+            if !site.visits.is_empty() {
+                site.objects.sort_by_key(|stored| stored.seq);
                 sink(site)?;
             }
         }
@@ -276,15 +325,21 @@ impl<'v> SiteStream<'v> {
     }
 }
 
-/// [`load`], decoding objects in batches of about `batch_bytes` bytes,
-/// `width` batches at a time.
-fn load_with(
+/// Read and verify every committed record of the bundle at `dir`:
+/// checksums, chains, content addresses, profile indices, references,
+/// counts and the checkpoint boundary. `plan` sees the checkpointed
+/// visits, in log order, before any object is read, and names the
+/// depth each one needs. Each checkpointed site goes to `sink`, in log
+/// order, as soon as the objects its visits reference are scanned: its
+/// visits planned deeper than [`Depth::Address`], with those objects
+/// still encoded (a site with none is skipped). Crash leftovers past
+/// the committed region are skipped; any other defect, or the first
+/// `sink` error, is the error, naming where it is.
+pub(crate) fn load(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    mut sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
-    width: usize,
-    batch_bytes: usize,
+    mut sink: impl FnMut(StoredSite) -> Result<(), BundleError>,
 ) -> Result<Loaded, BundleError> {
     let mut visit_log = LogScan::new(dir, VISITS_PREFIX, &manifest.visit_segments);
     let mut object_log = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
@@ -327,44 +382,35 @@ fn load_with(
     tally.visit_records = visits.len() as u64;
     tally.pending = (visits.len() - committed) as u64;
 
-    // The depth of each visit (past the checkpoint: none), and of each
-    // object with the visits that reference it, in log order.
+    // The depth of each visit (past the checkpoint: none), and the
+    // visits that reference each object, in log order.
     let mut depths = plan(&visits[..committed]);
     depths.resize(committed, Depth::Address);
     depths.resize(visits.len(), Depth::Address);
     let mut wanted: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    let mut depth_of: BTreeMap<u64, Depth> = BTreeMap::new();
     for (i, visit) in visits.iter().enumerate() {
         wanted.entry(visit.object).or_default().push(i);
-        let depth = depth_of.entry(visit.object).or_insert(Depth::Address);
-        *depth = (*depth).max(depths[i]);
     }
     let mut stream = SiteStream::new(&mut visits, &depths, ends, &wanted);
     // Sites with no visit wait for nothing.
     stream.flush(&mut sink)?;
     let mut index = BTreeSet::new();
     let mut orphan = None;
-    decode_objects(
-        &mut object_log,
-        &depth_of,
-        width,
-        batch_bytes,
-        |loc, hash, payload| {
-            if !index.insert(hash) {
-                return Err(SegmentDefect::corrupt(&loc, duplicate_object(hash)).into());
+    while let Some((loc, payload)) = object_log.next_record()? {
+        let hash = object_hash(payload.as_bytes());
+        if !index.insert(hash) {
+            return Err(SegmentDefect::corrupt(&loc, duplicate_object(hash)).into());
+        }
+        match wanted.remove(&hash) {
+            Some(refs) => {
+                stream.apply(hash, &refs, index.len(), loc, payload);
+                stream.flush(&mut sink)?;
             }
-            match wanted.remove(&hash) {
-                Some(refs) => {
-                    stream.apply(hash, &refs, payload);
-                    stream.flush(&mut sink)?;
-                }
-                None => {
-                    orphan.get_or_insert(hash);
-                }
+            None => {
+                orphan.get_or_insert(hash);
             }
-            Ok(())
-        },
-    )?;
+        }
+    }
     if let Some(&first) = wanted.values().filter_map(|refs| refs.first()).min() {
         return Err(BundleError::DanglingObject {
             segment: locs[first].segment.clone(),
@@ -389,129 +435,16 @@ fn load_with(
     })
 }
 
-/// A batch of checksummed object records, in log order.
-type Batch = Vec<(RecordLoc, String)>;
-
-/// What decoding one object gives: its content address, and its visit
-/// when it was parsed.
-type Decoded = Result<(u64, Option<VisitResult>), String>;
-
-/// Scan the next batch of the object log: records until their payloads
-/// reach `batch_bytes`, or the scan stops. Also returns how it stopped:
-/// `Ok(true)` at the end of the log, `Err` at a scan defect.
-fn scan_batch(log: &mut LogScan, batch_bytes: usize) -> (Batch, Result<bool, BundleError>) {
-    let mut batch = Vec::new();
-    let mut bytes = 0;
-    while bytes < batch_bytes {
-        match log.next_record() {
-            Ok(Some((loc, payload))) => {
-                bytes += payload.len();
-                batch.push((loc, payload.to_owned()));
-            }
-            Ok(None) => return (batch, Ok(true)),
-            Err(e) => return (batch, Err(e)),
-        }
-    }
-    (batch, Ok(false))
-}
-
-/// Decode one batch of objects: each payload's content address, then
-/// its visit at the depth `depth_of` names for that address.
-fn decode_batch(batch: &Batch, depth_of: &BTreeMap<u64, Depth>) -> Vec<Decoded> {
-    let _span = wmtree_telemetry::span("bundle.decode");
-    batch
-        .iter()
-        .map(|(_, payload)| {
-            let hash = object_hash(payload.as_bytes());
-            let depth = depth_of.get(&hash).copied().unwrap_or(Depth::Address);
-            decode_at(payload, depth).map(|visit| (hash, visit))
-        })
-        .collect()
-}
-
-/// Decode every committed object of `log` and `apply` each, strictly
-/// in log order. `width` scoped threads decode batches of about
-/// `batch_bytes` payload bytes while the calling thread scans ahead,
-/// with at most `2 × width` batches in flight. The first defect in log
-/// order, whether a scan, decode or `apply` error, is returned.
-fn decode_objects(
-    log: &mut LogScan,
-    depth_of: &BTreeMap<u64, Depth>,
-    width: usize,
-    batch_bytes: usize,
-    mut apply: impl FnMut(RecordLoc, u64, Option<VisitResult>) -> Result<(), BundleError>,
-) -> Result<(), BundleError> {
-    let width = width.max(1);
-    let (to_decode, queue) = mpsc::channel::<(usize, Batch)>();
-    let queue = Mutex::new(queue);
-    let (decoded_tx, decoded) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..width {
-            let (queue, decoded_tx) = (&queue, decoded_tx.clone());
-            scope.spawn(move || loop {
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                let Ok((seq, batch)) = next else { return };
-                // A panic goes back as this batch's result, to be raised
-                // in log order, so the calling thread never waits for a
-                // batch no worker will send.
-                let results = std::panic::catch_unwind(|| decode_batch(&batch, depth_of));
-                if decoded_tx.send((seq, batch, results)).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(decoded_tx);
-        // Owned here, so every way out of this closure closes the queue
-        // and the workers end before the scope joins them.
-        let to_decode = to_decode;
-        let (mut sent, mut applied) = (0, 0);
-        let mut end = Ok(false);
-        let mut ready = BTreeMap::new();
-        loop {
-            while matches!(end, Ok(false)) && sent - applied < 2 * width {
-                let (batch, stop) = scan_batch(log, batch_bytes);
-                end = stop;
-                if !batch.is_empty() {
-                    // The queue's receiver outlives this loop.
-                    let _ = to_decode.send((sent, batch));
-                    sent += 1;
-                }
-            }
-            if applied == sent {
-                // Every record before a scan defect is applied: now it
-                // is the first defect.
-                return end.map(drop);
-            }
-            let (batch, results) = loop {
-                if let Some(next) = ready.remove(&applied) {
-                    break next;
-                }
-                let Ok((seq, batch, results)) = decoded.recv() else {
-                    unreachable!("decode workers run until the queue closes");
-                };
-                ready.insert(seq, (batch, results));
-            };
-            let results = results.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for ((loc, _), result) in batch.into_iter().zip(results) {
-                let (hash, visit) = result.map_err(|d| SegmentDefect::corrupt(&loc, d))?;
-                apply(loc, hash, visit)?;
-            }
-            applied += 1;
-        }
-    })
-}
-
 /// Replay a bundle site by site: load and verify every committed
-/// record of the bundle at `dir` whose `manifest` the caller loaded,
-/// decoding each object only as deep as `plan` asks. `plan` sees every
-/// checkpointed visit record, in log order, before any object is read,
-/// and returns one [`Depth`] per record. Each checkpointed site goes to
-/// `sink`, in log order, as soon as every object its visits reference
-/// is checksummed, content-addressed and decoded: its visits planned
-/// deeper than [`Depth::Address`], in log order. A visit planned at
-/// [`Depth::Header`] arrives with its `requests` and `frames` empty
-/// unless another visit of the same object asked for it in full. Works
-/// on partial bundles too — they replay their checkpointed prefix.
+/// record of the bundle at `dir` whose `manifest` the caller loaded.
+/// `plan` sees every checkpointed visit record, in log order, before
+/// any object is read, and returns one [`Depth`] per record. Each
+/// checkpointed site goes to `sink`, in log order, as soon as every
+/// object its visits reference is checksummed and content-addressed:
+/// its visits planned deeper than [`Depth::Address`], with their
+/// objects still encoded, for [`StoredSite::decode`] to parse as deep
+/// as `plan` asked. Works on partial bundles too — they replay their
+/// checkpointed prefix.
 ///
 /// Every byte is verified whatever the depths, but the checks that need
 /// the whole log (dangling references, counts, orphans, chains, stray
@@ -524,7 +457,7 @@ pub fn read_sites(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
-    sink: impl FnMut(Vec<BundleVisit>) -> Result<(), BundleError>,
+    sink: impl FnMut(StoredSite) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
     load(dir, manifest, plan, sink).map(drop)
 }
@@ -537,20 +470,28 @@ mod tests {
     use crate::object::tests::{header_of, rich_visit};
     use crate::writer::tests::{append_site, forge_object, meta, tmp, visit, write_small};
     use crate::writer::BundleWriter;
+    use wmtree_browser::VisitResult;
 
     /// Every visit planned at `Full`.
     fn full(visits: &[LoggedVisit]) -> Vec<Depth> {
         vec![Depth::Full; visits.len()]
     }
 
-    fn read_all(dir: &Path) -> Result<Vec<BundleVisit>, BundleError> {
+    /// The loader at `depth` for every visit, each site decoded as it
+    /// leaves, as a one-worker replay does: every visit, or the error.
+    fn read_at_depth(dir: &Path, depth: Depth) -> Result<Vec<BundleVisit>, BundleError> {
         let manifest = Manifest::load(dir)?;
         let mut out = Vec::new();
-        read_sites(dir, &manifest, full, |site| {
-            out.extend(site);
+        let plan = |visits: &[LoggedVisit]| vec![depth; visits.len()];
+        read_sites(dir, &manifest, plan, |site| {
+            out.extend(site.decode()?);
             Ok(())
         })?;
         Ok(out)
+    }
+
+    fn read_all(dir: &Path) -> Result<Vec<BundleVisit>, BundleError> {
+        read_at_depth(dir, Depth::Full)
     }
 
     #[test]
@@ -628,19 +569,6 @@ mod tests {
         }
     }
 
-    /// What the loader hands out at decode `width` with batches of
-    /// `batch_bytes`: every visit, or the error's text.
-    fn read_at(dir: &Path, width: usize, batch_bytes: usize) -> Result<Vec<BundleVisit>, String> {
-        let manifest = Manifest::load(dir).map_err(|e| e.to_string())?;
-        let mut out = Vec::new();
-        let sink = |site: Vec<BundleVisit>| {
-            out.extend(site);
-            Ok(())
-        };
-        load_with(dir, &manifest, full, sink, width, batch_bytes).map_err(|e| e.to_string())?;
-        Ok(out)
-    }
-
     /// Eight sites of two distinct visits each: sixteen small objects,
     /// one per line of `objects-000.seg`.
     fn write_many(dir: &Path) {
@@ -658,51 +586,21 @@ mod tests {
         w.finish().unwrap();
     }
 
-    /// The sequential reading (one batch) is what every decode width
-    /// and batch size must reproduce, visits or first error alike.
-    fn assert_width_invariant(dir: &Path) -> Result<Vec<BundleVisit>, String> {
-        let expect = read_at(dir, 1, usize::MAX);
-        // One record per batch, a few per batch, and one batch.
-        for batch_bytes in [1, 600, 1 << 20] {
-            for width in [1, 2, 8] {
-                assert_eq!(
-                    read_at(dir, width, batch_bytes),
-                    expect,
-                    "width {width}, batches of {batch_bytes} bytes"
-                );
-            }
-        }
-        expect
-    }
-
-    #[test]
-    fn decode_width_never_changes_the_visits() {
-        let dir = tmp("reader-widths");
-        write_many(&dir);
-        let all = assert_width_invariant(&dir).unwrap();
-        assert_eq!(all.len(), 16);
-        for (i, bv) in all.iter().enumerate() {
-            assert_eq!(bv.visit, visit(i as u64), "visit {i} in log order");
-        }
-    }
-
-    /// The sites the loader hands out at decode `width` with batches of
-    /// `batch_bytes`, as `(site, visits)` in the order they left, and
-    /// how the load ended.
-    fn stream_at(
-        dir: &Path,
-        width: usize,
-        batch_bytes: usize,
-    ) -> (Vec<(String, usize)>, Result<(), String>) {
+    /// The sites the loader hands out, as `(site, visits)` in the order
+    /// they left, and how the load ended.
+    fn stream(dir: &Path) -> (Vec<(String, usize)>, Result<(), String>) {
         let manifest = Manifest::load(dir).unwrap();
         let mut left = Vec::new();
-        let sink = |site: Vec<BundleVisit>| {
-            assert!(site.iter().all(|bv| bv.site == site[0].site), "one site");
-            left.push((site[0].site.clone(), site.len()));
+        let end = read_sites(dir, &manifest, full, |site| {
+            let visits = site.decode()?;
+            assert!(
+                visits.iter().all(|bv| bv.site == visits[0].site),
+                "one site"
+            );
+            left.push((visits[0].site.clone(), visits.len()));
             Ok(())
-        };
-        let end = load_with(dir, &manifest, full, sink, width, batch_bytes);
-        (left, end.map(drop).map_err(|e| e.to_string()))
+        });
+        (left, end.map_err(|e| e.to_string()))
     }
 
     #[test]
@@ -710,13 +608,11 @@ mod tests {
         let dir = tmp("reader-sites");
         write_many(&dir);
         let expect: Vec<(String, usize)> = (0..8).map(|i| (format!("s{i}.com"), 2)).collect();
-        for batch_bytes in [1, 600, 1 << 20] {
-            for width in [1, 2, 8] {
-                assert_eq!(
-                    stream_at(&dir, width, batch_bytes),
-                    (expect.clone(), Ok(()))
-                );
-            }
+        assert_eq!(stream(&dir), (expect, Ok(())));
+        let all = read_all(&dir).unwrap();
+        assert_eq!(all.len(), 16);
+        for (i, bv) in all.iter().enumerate() {
+            assert_eq!(bv.visit, visit(i as u64), "visit {i} in log order");
         }
     }
 
@@ -733,21 +629,17 @@ mod tests {
         bytes[at] ^= 1;
         std::fs::write(&seg, &bytes).unwrap();
         let early: Vec<(String, usize)> = (0..7).map(|i| (format!("s{i}.com"), 2)).collect();
-        for batch_bytes in [1, 600, 1 << 20] {
-            for width in [1, 2, 8] {
-                let (left, end) = stream_at(&dir, width, batch_bytes);
-                assert_eq!(left, early, "width {width}, batches of {batch_bytes} bytes");
-                let err = end.unwrap_err();
-                assert!(err.contains("objects-000.seg line 16"), "{err}");
-            }
-        }
+        let (left, end) = stream(&dir);
+        assert_eq!(left, early);
+        let err = end.unwrap_err();
+        assert!(err.contains("objects-000.seg line 16"), "{err}");
 
         // An orphan appended to the log: every site leaves, then the
         // end-of-log check fails the load.
         let dir = tmp("reader-late-orphan");
         write_many(&dir);
         forge_object(&dir, &encode(&visit(99)).unwrap());
-        let (left, end) = stream_at(&dir, 2, 600);
+        let (left, end) = stream(&dir);
         assert_eq!(left.len(), 8);
         assert!(end.unwrap_err().contains("never referenced"));
     }
@@ -826,16 +718,50 @@ mod tests {
 
     #[test]
     fn early_corrupt_object_wins_over_a_later_chain_mismatch() {
-        let dir = tmp("reader-widths-address");
+        let dir = tmp("reader-early-corrupt");
         write_many(&dir);
         // Re-address line 2 to a payload that does not decode: the line
         // verifies and its visit record resolves, so the parser is
         // reached, while the segment's chain no longer matches the
         // manifest at its end.
         readdress(&dir, 2, "[[\"https\",\"www.a.com\",\"/\"],7", false);
-        let err = assert_width_invariant(&dir).unwrap_err();
+        let err = read_all(&dir).unwrap_err().to_string();
         assert!(err.contains("objects-000.seg line 2"), "{err}");
         assert!(err.contains("unparseable visit payload"), "{err}");
+    }
+
+    #[test]
+    fn a_site_reports_its_first_undecodable_object_in_log_order() {
+        let dir = tmp("reader-site-order");
+        let mut w = BundleWriter::create(&dir, meta()).unwrap();
+        let (first, second) = (visit(1), visit(2));
+        append_site(
+            &mut w,
+            "a.com",
+            vec![("https://www.a.com/".into(), 0, &first)],
+        );
+        // b.com stores line 2, then references line 1.
+        let page = "https://www.b.com/".to_string();
+        append_site(
+            &mut w,
+            "b.com",
+            vec![(page.clone(), 0, &second), (page, 1, &first)],
+        );
+        w.finish().unwrap();
+        readdress(&dir, 1, "[1]", true);
+        readdress(&dir, 2, "[2]", true);
+        // Only b.com leaves: it decodes line 1 first, though its visits
+        // reference line 2 first.
+        let manifest = Manifest::load(&dir).unwrap();
+        let plan = |visits: &[LoggedVisit]| {
+            let depth = |v: &LoggedVisit| match v.site.as_str() {
+                "b.com" => Depth::Full,
+                _ => Depth::Address,
+            };
+            visits.iter().map(depth).collect()
+        };
+        let err = read_sites(&dir, &manifest, plan, |site| site.decode().map(drop)).unwrap_err();
+        assert!(err.to_string().contains("objects-000.seg line 1"), "{err}");
     }
 
     #[test]
@@ -849,35 +775,21 @@ mod tests {
             objects[1] = encode(&visit(99)).unwrap();
         });
         assert_eq!(payloads.len(), 16);
-        let err = assert_width_invariant(&dir).unwrap_err();
+        let err = read_all(&dir).unwrap_err().to_string();
         assert!(err.contains("visits-000.seg line 2"), "{err}");
         assert!(err.contains("never recorded"), "{err}");
     }
 
     #[test]
-    fn duplicate_across_batches_is_the_first_error() {
-        let dir = tmp("reader-widths-duplicate");
+    fn a_duplicate_object_is_the_first_error() {
+        let dir = tmp("reader-duplicate");
         write_many(&dir);
-        // A second copy of line 1's object as line 17: at one record
-        // per batch, the copies decode in different batches.
+        // A second copy of line 1's object as line 17.
         let (line, _) = forge_object(&dir, &encode(&visit(0)).unwrap());
         assert_eq!(line, 17);
-        let err = assert_width_invariant(&dir).unwrap_err();
+        let err = read_all(&dir).unwrap_err().to_string();
         assert!(err.contains("objects-000.seg line 17"), "{err}");
         assert!(err.contains("duplicate object"), "{err}");
-    }
-
-    /// The loader at `depth` for every visit: each visit handed out, or
-    /// the error.
-    fn read_at_depth(dir: &Path, depth: Depth) -> Result<Vec<BundleVisit>, BundleError> {
-        let manifest = Manifest::load(dir)?;
-        let mut out = Vec::new();
-        let plan = |visits: &[LoggedVisit]| vec![depth; visits.len()];
-        load(dir, &manifest, plan, |site| {
-            out.extend(site);
-            Ok(())
-        })?;
-        Ok(out)
     }
 
     /// One site whose two visits store two rich objects, and a second
@@ -900,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn each_object_decodes_once_at_the_deepest_depth_it_is_planned() {
+    fn each_object_decodes_at_the_deepest_depth_it_is_planned() {
         let dir = tmp("reader-depths");
         let [first, second] = write_rich(&dir);
         let manifest = Manifest::load(&dir).unwrap();
@@ -932,7 +844,7 @@ mod tests {
         for (plan, wanted) in cases {
             let mut out = Vec::new();
             let seen = std::cell::RefCell::new(Vec::new());
-            load(
+            read_sites(
                 &dir,
                 &manifest,
                 |visits| {
@@ -941,7 +853,7 @@ mod tests {
                     plan.to_vec()
                 },
                 |site| {
-                    out.extend(site);
+                    out.extend(site.decode()?);
                     Ok(())
                 },
             )

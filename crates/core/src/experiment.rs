@@ -114,7 +114,7 @@ impl Experiment {
         self.commander()
             .crawl(
                 &progress,
-                |site| self.accumulate(&site, 1, None),
+                |site| self.accumulate(&site, None),
                 |acc| fold.add(acc?),
             )
             .and_then(|()| {
@@ -145,7 +145,7 @@ impl Experiment {
         let _run_span = wmtree_telemetry::span("experiment.run_to_bundle");
         let mut fold = self.fold();
         let progress = self.progress();
-        let stage = |db: CrawlDb| self.accumulate(&db, 1, None);
+        let stage = |db: CrawlDb| self.accumulate(&db, None);
         let outcome = self
             .commander()
             .record(dir, max_sites, &progress, Some(&stage), |acc| {
@@ -239,17 +239,16 @@ impl Experiment {
         fold.finish(None).map_err(cache_fault)
     }
 
-    /// The post-crawl stage over one crawl database, fanned out over
-    /// `workers` threads: [`accumulate_cached`](crate::accumulate_cached)
-    /// with this experiment's roster, filter list, tree options and site
-    /// ranks, except that the records of the sites it rebuilds stay in
-    /// the accumulation: [`Fold::add_bundle`] stores them once the whole
+    /// The post-crawl stage over one crawl database, on the calling
+    /// thread: [`accumulate_cached`](crate::accumulate_cached) with this
+    /// experiment's roster, filter list, tree options and site ranks,
+    /// except that the records of the sites it rebuilds stay in the
+    /// accumulation: [`Fold::add_bundle`] stores them once the whole
     /// bundle has verified. Crawls and replays run it on each site in a
-    /// worker, with one thread.
+    /// worker.
     pub fn accumulate(
         &self,
         db: &CrawlDb,
-        workers: usize,
         cache: Option<&AnalysisCache>,
     ) -> Result<CachedAccumulation, PartialMergeError> {
         accumulate(
@@ -258,7 +257,7 @@ impl Experiment {
             self.filter,
             &self.config.tree,
             &self.site_meta,
-            workers,
+            1,
             cache,
         )
     }
@@ -407,8 +406,8 @@ impl Fold<'_> {
 
     /// Fold the bundle at `dir` in, site by site, through `cache` when
     /// given: the bundle loader hands out each site once its objects
-    /// verify, a worker runs [`Experiment::accumulate`] on it (one
-    /// thread; the cache lookup per site), and each accumulation is
+    /// verify, a worker decodes it and runs [`Experiment::accumulate`]
+    /// on it (the cache lookup per site), and each accumulation is
     /// [`add`](Fold::add)ed in log order; that closes the `read_bundle`
     /// stage. Only once the whole bundle has verified are the rebuilt
     /// sites' records stored, in canonical site order, and the cache
@@ -425,7 +424,7 @@ impl Fold<'_> {
             dir,
             cache,
             exp.config.workers,
-            |db| (db.page_count(), exp.accumulate(&db, 1, cache)),
+            |db| (db.page_count(), exp.accumulate(&db, cache)),
             |(site_pages, acc)| {
                 pages += site_pages;
                 self.add(acc.map_err(cache_fault)?).map_err(cache_fault)

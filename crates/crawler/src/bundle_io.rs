@@ -3,14 +3,15 @@
 //! A finished database can be archived as a complete bundle
 //! ([`write_bundle`]) and a bundle — complete or partial — can be
 //! rebuilt into a database ([`read_bundle`]), or replayed site by site
-//! without one ([`crate::replay_sites`]). Both directions preserve
+//! without one ([`replay_sites`]). Both directions preserve
 //! every `(page, profile)` visit exactly: the round-trip is the
 //! identity (proven by property tests in `tests/`).
 
 use crate::db::{CrawlDb, PageKey};
+use crate::replay_sites;
 use std::path::Path;
 use wmtree_bundle::{
-    read_sites, BundleError, BundleMeta, BundleVisit, BundleWriter, Depth, EncodedSite, Manifest,
+    BundleError, BundleMeta, BundleVisit, BundleWriter, Depth, EncodedSite, LoggedVisit, Manifest,
 };
 
 /// Encode the visits `db` holds on `pages`, all pages of `site`, in the
@@ -47,31 +48,36 @@ pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manife
     writer.finish()
 }
 
-/// Rebuild a database from a bundle through the loader resume shares,
-/// verifying every committed record on the way. Works on partial
-/// bundles too — they rebuild the checkpointed prefix. Nothing is
-/// returned unless the whole bundle verified.
+/// Rebuild a database from a bundle, verifying every committed record
+/// on the way: a replay ([`replay_sites`]) on as many workers as the
+/// host has cores, each site's database merged in log order. Works on
+/// partial bundles too — they rebuild the checkpointed prefix. Nothing
+/// is returned unless the whole bundle verified; a page visited by one
+/// profile under two checkpoints is refused.
 pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
     let _span = wmtree_telemetry::span("bundle.read_db");
-    let manifest = Manifest::load(dir)?;
-    let mut db = CrawlDb::new(manifest.meta.n_profiles);
-    let full = |visits: &[_]| vec![Depth::Full; visits.len()];
-    read_sites(dir, &manifest, full, |site| {
-        insert_visits(&mut db, site);
-        Ok(())
-    })?;
+    let mut db = CrawlDb::new(Manifest::load(dir)?.meta.n_profiles);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let full = |visits: &[LoggedVisit]| vec![Depth::Full; visits.len()];
+    replay_sites(
+        dir,
+        workers,
+        full,
+        |site| site,
+        |site| {
+            db.try_merge(site)
+                .map_err(|conflict| BundleError::ManifestMismatch {
+                    segment: "visits".to_string(),
+                    detail: conflict.to_string(),
+                })
+        },
+    )?;
     Ok(db)
 }
 
-/// The database of one site's visits, as the bundle loader hands them
-/// out.
+/// The database of one site's visits, as a stage worker decodes them.
 pub(crate) fn site_db(n_profiles: usize, visits: Vec<BundleVisit>) -> CrawlDb {
     let mut db = CrawlDb::new(n_profiles);
-    insert_visits(&mut db, visits);
-    db
-}
-
-fn insert_visits(db: &mut CrawlDb, visits: Vec<BundleVisit>) {
     for bv in visits {
         // The loader verified the content address against the payload,
         // so the hash is vouched-for: downstream tree caching keys off
@@ -82,6 +88,7 @@ fn insert_visits(db: &mut CrawlDb, visits: Vec<BundleVisit>) {
         };
         db.insert_hashed(page, bv.profile, bv.visit, bv.object);
     }
+    db
 }
 
 #[cfg(test)]
@@ -172,6 +179,24 @@ mod tests {
         });
         let err = read_bundle(&recased).expect_err("a re-cased checksum must not read back");
         assert!(err.to_string().contains(&name), "{err}");
+    }
+
+    #[test]
+    fn a_page_under_two_checkpoints_is_refused() {
+        let db = small_db();
+        let dir = tmp("twice");
+        let mut writer = BundleWriter::create(&dir, meta()).unwrap();
+        let pages: Vec<&PageKey> = db.pages().collect();
+        let site = &pages[0].site;
+        let first: Vec<&PageKey> = pages.iter().copied().filter(|p| &p.site == site).collect();
+        for _ in 0..2 {
+            writer
+                .append(encode_site(&db, site, first.iter().copied()).unwrap())
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let err = read_bundle(&dir).expect_err("a doubly recorded visit must not read back");
+        assert!(err.to_string().contains("visit conflict"), "{err}");
     }
 
     #[test]

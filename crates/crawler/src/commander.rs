@@ -21,8 +21,10 @@
 //! through a reorder window of at most twice the worker count, so no
 //! worker waits for a slower site of a chunk and the results are the
 //! same for any worker count. Bundle replays run the same loop, fed by
-//! the bundle loader instead of a site index ([`replay_sites`]). Only
-//! [`Commander::run`]'s sink builds a database of the whole crawl.
+//! the bundle loader instead of a site index ([`replay_sites`]): the
+//! worker decodes the site's stored objects, builds its database and
+//! stages it, so a site's visits are allocated and freed on one thread.
+//! Only [`Commander::run`]'s sink builds a database of the whole crawl.
 //!
 //! A window crawl into a bundle ([`Commander::record_window`]) has no
 //! stage: resuming it verifies every committed byte but parses no
@@ -345,22 +347,25 @@ impl<'a> Commander<'a> {
 
 /// Replay the bundle at `dir` site by site, through the crawl's loop
 /// fed by the bundle loader ([`read_sites`]): each checkpointed site
-/// leaves the loader, in log order, once every object its visits
-/// reference is verified and decoded as deep as `plan` asks; one of
-/// `workers` threads builds the site's database and runs `stage` on it;
-/// the calling thread hands the results to `sink` in log order. At
-/// most twice `workers` sites wait between the loader and the sink.
+/// leaves the loader, in log order and still encoded, once every object
+/// its visits reference is verified; one of `workers` threads decodes
+/// those objects as deep as `plan` asks, builds the site's database and
+/// runs `stage` on it; the calling thread hands the results to `sink`
+/// in log order. At most twice `workers` sites wait between the loader
+/// and the sink.
 ///
 /// The loader's end-of-log checks decide the result after the last site
 /// has left, so whatever `sink` derives stays provisional until this
-/// returns `Ok`: any defect, or the first sink error, stops the loop
-/// (no later result reaches the sink) and is returned.
+/// returns `Ok`. A decode defect, or the first sink error, stops the
+/// loop (no later result reaches the sink) and is returned; a defect
+/// the loader finds is returned once every site it handed out before it
+/// has reached the sink, so a decode defect in one of those wins.
 pub fn replay_sites<T: Send>(
     dir: &Path,
     workers: usize,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
     stage: impl Fn(CrawlDb) -> T + Sync,
-    sink: impl FnMut(T) -> Result<(), BundleError>,
+    mut sink: impl FnMut(T) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
     let _span = wmtree_telemetry::span("bundle.replay");
     let manifest = Manifest::load(dir)?;
@@ -368,8 +373,11 @@ pub fn replay_sites<T: Send>(
     ordered(
         workers.max(1),
         |push| read_sites(dir, &manifest, plan, push),
-        |visits, _| stage(site_db(n_profiles, visits)),
-        sink,
+        |site, _| {
+            site.decode()
+                .map(|visits| stage(site_db(n_profiles, visits)))
+        },
+        |staged| sink(staged?),
     )
 }
 
@@ -417,13 +425,16 @@ impl<I, T> Drop for StopOnPanic<'_, I, T> {
 /// the feed runs no further ahead than the window, and memory stays
 /// bounded.
 ///
-/// The first error — from the feed, or from the sink, which `push`
-/// then returns to the feed — stops the loop: workers claim nothing
-/// more, no later result reaches the sink, and the error is returned
-/// once every worker has finished its current item. A panic in `work`
-/// is raised on the calling thread when the sink reaches its item, and
-/// a panic in the feed or the sink propagates as it is; either way the
-/// caller sees the original payload.
+/// The first sink error, which `push` then returns to the feed, stops
+/// the loop: workers claim nothing more, no later result reaches the
+/// sink, and the error is returned once every worker has finished its
+/// current item. The feed's own error ends the feed: every item fed
+/// before it still reaches the sink, and the feed's error is returned
+/// only if none of them fails the sink, so the first error in feed
+/// order wins. A panic in `work` is raised on the calling thread when
+/// the sink reaches its item, and a panic in the feed or the sink
+/// propagates as it is; either way the caller sees the original
+/// payload.
 fn ordered<I: Send, T: Send, E>(
     workers: usize,
     feed: impl FnOnce(&mut dyn FnMut(I) -> Result<(), E>) -> Result<(), E>,
@@ -485,18 +496,21 @@ fn ordered<I: Send, T: Send, E>(
             }
             Ok(())
         };
+        let mut sink_failed = false;
         let fed_all = feed(&mut |item| {
-            drain(fed, reorder - 1)?;
+            drain(fed, reorder - 1).inspect_err(|_| sink_failed = true)?;
             lock(&window).queue.push_back((fed, item));
             fed += 1;
             changed.notify_one();
             Ok(())
         });
-        let outcome = fed_all.and_then(|()| {
+        let outcome = if sink_failed {
+            fed_all
+        } else {
             lock(&window).closed = true;
             changed.notify_all();
-            drain(fed, 0)
-        });
+            drain(fed, 0).and(fed_all)
+        };
         if outcome.is_err() {
             lock(&window).stop = true;
             changed.notify_all();
@@ -802,6 +816,38 @@ mod tests {
             assert_eq!(seen, (0..7).collect::<Vec<_>>(), "no later item is sunk");
             let started = started.load(Ordering::SeqCst);
             assert!(started <= 8 + 2 * workers, "{started} items claimed");
+        }
+    }
+
+    #[test]
+    fn a_feed_error_waits_for_the_items_fed_before_it() {
+        for workers in [1usize, 2, 8] {
+            // Every item fed before the feed's error reaches the sink
+            // first, and a failed one among them is the loop's error.
+            for failing in [Some(6), None] {
+                let mut seen = Vec::new();
+                let result = ordered(
+                    workers,
+                    |push| {
+                        (0..10).try_for_each(&mut *push)?;
+                        Err("the feed failed".to_string())
+                    },
+                    |item, _| match failing {
+                        Some(bad) if item == bad => Err(format!("item {item} failed")),
+                        _ => Ok(item),
+                    },
+                    |result: Result<usize, String>| {
+                        seen.push(result?);
+                        Ok(())
+                    },
+                );
+                let (expect, sunk) = match failing {
+                    Some(bad) => (format!("item {bad} failed"), bad),
+                    None => ("the feed failed".to_string(), 10),
+                };
+                assert_eq!(result, Err(expect), "workers={workers}");
+                assert_eq!(seen, (0..sunk).collect::<Vec<_>>(), "workers={workers}");
+            }
         }
     }
 

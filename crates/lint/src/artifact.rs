@@ -606,25 +606,24 @@ pub fn check_shard_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagno
 }
 
 /// Sites of the bundle at `dir` that survive vetting, counted site by
-/// site as the loader hands them out. Vetting reads only each visit's
+/// site by a replay ([`wmtree_crawler::replay_sites`]) on as many
+/// workers as the host has cores. Vetting reads only each visit's
 /// success flag, so objects decode header-only; every committed byte is
 /// still verified.
 fn vetted_sites(dir: &std::path::Path) -> Result<usize, wmtree_bundle::BundleError> {
-    let manifest = wmtree_bundle::Manifest::load(dir)?;
     let plan = |visits: &[_]| vec![wmtree_bundle::Depth::Header; visits.len()];
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut vetted = 0;
-    wmtree_bundle::read_sites(dir, &manifest, plan, |site| {
-        let mut db = wmtree_crawler::CrawlDb::new(manifest.meta.n_profiles);
-        for bv in site {
-            let page = wmtree_crawler::PageKey {
-                site: bv.site,
-                url: bv.url,
-            };
-            db.insert(page, bv.profile, bv.visit);
-        }
-        vetted += db.vetted_sites().len();
-        Ok(())
-    })?;
+    wmtree_crawler::replay_sites(
+        dir,
+        workers,
+        plan,
+        |site| site.vetted_sites().len(),
+        |site_vetted| {
+            vetted += site_vetted;
+            Ok(())
+        },
+    )?;
     Ok(vetted)
 }
 

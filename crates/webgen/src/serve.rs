@@ -13,7 +13,6 @@
 //! strips query *values* — rotating paths are what make nodes unique
 //! across profiles (§5.1).
 
-use crate::catalog;
 use crate::content::{Condition, Content, Embed};
 use crate::seed::{bounded, chance, stable_hash, SeedMixer};
 use crate::universe::{RankBucket, ServerReply, SiteSpec, VisitCtx, WebUniverse};
@@ -1566,10 +1565,6 @@ fn fontlibrary(url: &Url) -> ServerReply {
     }
     ok(Content::leaf(48_000))
 }
-
-// Imports used only through full paths above.
-#[allow(unused_imports)]
-use catalog as _catalog_inventory;
 
 #[cfg(test)]
 mod tests {

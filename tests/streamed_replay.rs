@@ -3,7 +3,10 @@
 //! checks find — a corrupt last object record, or an orphan object
 //! appended to the log — must still fail the replay with exactly the
 //! error `read_bundle` gives, after sites were staged, and without
-//! committing anything to the tree cache.
+//! committing anything to the tree cache. So must an object of the
+//! first site that does not decode, which a worker finds while the
+//! loader has a later defect still ahead: the first defect in log order
+//! wins at every worker count.
 //!
 //! Tree-cache counters are process-global, so this file owns its
 //! process and runs its cases in one test.
@@ -11,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use wmtree::browser::VisitResult;
-use wmtree::bundle::hash::{chain_fold, from_hex, line_checksum, to_hex};
+use wmtree::bundle::hash::{chain_fold, chain_start, from_hex, line_checksum, object_hash, to_hex};
 use wmtree::bundle::{object, BundleError, Manifest};
 use wmtree::crawler::read_bundle;
 use wmtree::telemetry::MetricValue;
@@ -81,6 +84,56 @@ fn append_orphan(dir: &Path) {
     manifest.store(dir).expect("store manifest");
 }
 
+/// Rewrite the payloads of segment `name` with `edit`, each line framed
+/// with its checksum, and the segment's chain updated in the manifest.
+fn rewrite_segment(dir: &Path, name: &str, edit: impl FnOnce(&mut Vec<String>)) {
+    let text = std::fs::read_to_string(dir.join(name)).expect("read segment");
+    let mut payloads: Vec<String> = text.lines().map(|line| line[17..].to_string()).collect();
+    edit(&mut payloads);
+    let lines: Vec<String> = payloads
+        .iter()
+        .map(|p| format!("{} {p}", to_hex(line_checksum(p.as_bytes()))))
+        .collect();
+    std::fs::write(dir.join(name), lines.join("\n") + "\n").expect("write segment");
+    let chain = lines.iter().fold(chain_start(), |chain, line| {
+        chain_fold(chain, line.as_bytes())
+    });
+    let mut manifest = Manifest::load(dir).expect("manifest");
+    for meta in manifest
+        .visit_segments
+        .iter_mut()
+        .chain(manifest.object_segments.iter_mut())
+        .filter(|meta| meta.name == name)
+    {
+        meta.chain = to_hex(chain);
+    }
+    manifest.store(dir).expect("store manifest");
+}
+
+/// Re-address the first stored object, one of the first site's, to a
+/// framed payload that does not decode, with its line checksum, the
+/// segment's chain and the visit records referencing it updated: only
+/// decoding the object can refuse it. Then corrupt the last object line
+/// as well, a defect the loader finds after the first site has left.
+fn undecodable_first_object(dir: &Path) {
+    let manifest = Manifest::load(dir).expect("manifest");
+    let payload = "[\"not a visit\"]";
+    let mut old = 0;
+    rewrite_segment(dir, &manifest.object_segments[0].name, |objects| {
+        old = object_hash(objects[0].as_bytes());
+        objects[0] = payload.to_string();
+    });
+    let (old, new) = (to_hex(old), to_hex(object_hash(payload.as_bytes())));
+    for meta in &manifest.visit_segments {
+        rewrite_segment(dir, &meta.name, |records| {
+            for record in records.iter_mut() {
+                *record = record.replace(&old, &new);
+            }
+        });
+    }
+    corrupt_last_object(dir);
+}
+
 fn counter(metrics: &wmtree::telemetry::Snapshot, name: &str) -> u64 {
     match metrics.metrics.get(name) {
         Some(MetricValue::Counter(n)) => *n,
@@ -96,7 +149,11 @@ fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
     let cfg = ExperimentConfig::at_scale(Scale::Tiny);
     let exp = Experiment::new(cfg.clone());
     let root = fresh("late-defect");
-    let defects: [Defect; 2] = [("corrupt", corrupt_last_object), ("orphan", append_orphan)];
+    let defects: [Defect; 3] = [
+        ("corrupt", corrupt_last_object),
+        ("orphan", append_orphan),
+        ("undecodable", undecodable_first_object),
+    ];
     for (case, defect) in defects {
         // A cache holding the records of the first three sites: a cold
         // replay of the partial bundle after three sites commits them.
@@ -131,7 +188,48 @@ fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
             ("orphan", BundleError::ManifestMismatch { detail, .. }) => {
                 assert!(detail.contains("never referenced"), "{expect}")
             }
+            (
+                "undecodable",
+                BundleError::Corrupt {
+                    segment: s, line, ..
+                },
+            ) => {
+                let first = &Manifest::load(&bundle).expect("manifest").object_segments[0];
+                assert_eq!((s, *line), (&first.name, 1), "{expect}")
+            }
             _ => panic!("{case}: unexpected {expect:?}"),
+        }
+        let same_error = |err: BundleError, how: &str| {
+            assert_eq!(err.to_string(), expect.to_string(), "{case}: {how}");
+            assert_eq!(
+                std::mem::discriminant(&err),
+                std::mem::discriminant(&expect),
+                "{case}: {how}"
+            );
+        };
+
+        // Cold cached and cache-free replays fail the same way at any
+        // worker count, and the cold cache commits nothing.
+        for workers in [1usize, 2, 8] {
+            let cfg = ExperimentConfig {
+                workers,
+                ..cfg.clone()
+            };
+            let exp = Experiment::new(cfg.clone());
+            let cold_dir = root.join(format!("{case}-cold-{workers}"));
+            let cold = AnalysisCache::open(&cold_dir, &cfg);
+            let how = format!("cold cached replay at {workers} workers");
+            match exp.replay_from_bundle_cached(&bundle, &cold) {
+                Ok(_) => panic!("{case}: {how} succeeded"),
+                Err(err) => same_error(err, &how),
+            }
+            drop(cold);
+            assert!(!cold_dir.join("CACHE.json").exists(), "{case}: {how}");
+            let how = format!("cache-free replay at {workers} workers");
+            match exp.replay_from_bundle(&bundle) {
+                Ok(_) => panic!("{case}: {how} succeeded"),
+                Err(err) => same_error(err, &how),
+            }
         }
 
         let before = files(&cache_dir);
@@ -141,17 +239,16 @@ fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
             .replay_from_bundle_cached(&bundle, &cache)
             .expect_err("the defect fails the replay");
         let metrics = wmtree::telemetry::global().snapshot().since(&metrics);
-        assert_eq!(err.to_string(), expect.to_string(), "{case}");
-        assert_eq!(
-            std::mem::discriminant(&err),
-            std::mem::discriminant(&expect),
-            "{case}"
-        );
-        assert!(
-            counter(&metrics, "tree.cache.site.miss") > 0,
-            "{case}: sites past the cached prefix were staged before the error"
-        );
-        assert!(counter(&metrics, "tree.cache.site.hit") > 0, "{case}");
+        same_error(err, "cached replay");
+        // A late defect lets every site before it be staged; the first
+        // site's own defect stops the replay at that site.
+        if case != "undecodable" {
+            assert!(
+                counter(&metrics, "tree.cache.site.miss") > 0,
+                "{case}: sites past the cached prefix were staged before the error"
+            );
+            assert!(counter(&metrics, "tree.cache.site.hit") > 0, "{case}");
+        }
         drop(cache);
         assert_eq!(files(&cache_dir), before, "{case}: TREECACHE/ is untouched");
         let reopened = TreeCache::open(&cache_dir, cache_fingerprint(&cfg));
