@@ -4,6 +4,7 @@
 use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use wmtree_url::Party;
 
 /// Counts of node categories at one depth.
@@ -49,95 +50,38 @@ pub struct Composition {
     pub third_party_sites: usize,
 }
 
-/// Per-page partial counts for [`composition`], merged in page order.
-struct PageComposition {
-    levels: Vec<DepthComposition>,
-    fp: usize,
-    total: usize,
-    tracking: usize,
-    tp_sites: std::collections::BTreeSet<String>,
-}
-
-/// Compute Fig. 3 / §4.3 composition over all trees.
-///
-/// Pages fan out across `data.workers`; each worker produces integer
-/// counts plus a site set, and the merge is a commutative sum /
-/// set-union, so the result is identical for any worker count. The
-/// third-party site is taken from the page's [`crate::index::PageIndex`]
-/// (one memoized eTLD+1 per distinct URL) instead of re-parsing the URL
-/// at every occurrence.
+/// Compute Fig. 3 / §4.3 composition over all trees, from the page
+/// summaries' per-depth counts (integers, summed per page) and their
+/// third-party sites, counted once each over all pages.
 pub fn composition(data: &ExperimentData, max_depth: usize) -> Composition {
-    let partials = crate::par::par_map(&data.pages, data.workers, |page| {
-        let idx = page.index();
-        let mut levels = vec![DepthComposition::default(); max_depth + 1];
-        let mut fp = 0usize;
-        let mut total = 0usize;
-        let mut tracking = 0usize;
-        let mut tp_sites: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for (tree, ti) in page.trees.iter().zip(idx.trees()) {
-            for (nid, node) in tree.nodes().iter().enumerate().skip(1) {
-                let d = node.depth.min(max_depth);
-                let lvl = &mut levels[d];
-                match node.party {
-                    Party::First => {
-                        lvl.first_party += 1;
-                        fp += 1;
-                    }
-                    Party::Third => {
-                        lvl.third_party += 1;
-                        let site = idx.site_of(ti.arena_id(nid));
-                        if !site.is_empty() && !tp_sites.contains(site) {
-                            tp_sites.insert(site.to_string());
-                        }
-                    }
-                }
-                if node.tracking {
-                    lvl.tracking += 1;
-                    tracking += 1;
-                } else {
-                    lvl.non_tracking += 1;
-                }
-                total += 1;
-            }
-        }
-        PageComposition {
-            levels,
-            fp,
-            total,
-            tracking,
-            tp_sites,
-        }
-    });
-
     let mut levels = vec![DepthComposition::default(); max_depth + 1];
-    let mut fp = 0usize;
-    let mut total = 0usize;
-    let mut tracking = 0usize;
-    let mut tp_sites = std::collections::BTreeSet::new();
-    for p in partials {
-        for (lvl, pl) in levels.iter_mut().zip(&p.levels) {
-            lvl.first_party += pl.first_party;
-            lvl.third_party += pl.third_party;
-            lvl.tracking += pl.tracking;
-            lvl.non_tracking += pl.non_tracking;
+    let mut tp_sites: HashSet<&str> = HashSet::new();
+    for (page, summary) in data.pages.iter().zip(data.summaries()) {
+        // The roots, the only nodes at depth 0, never count.
+        for (depth, level) in summary.levels.iter().enumerate().skip(1) {
+            let lvl = &mut levels[depth.min(max_depth)];
+            lvl.first_party += level.first_party;
+            lvl.third_party += level.nodes - level.first_party;
+            lvl.tracking += level.tracking;
+            lvl.non_tracking += level.nodes - level.tracking;
         }
-        fp += p.fp;
-        total += p.total;
-        tracking += p.tracking;
-        tp_sites.extend(p.tp_sites);
+        let idx = page.index();
+        tp_sites.extend(summary.third_party_sites.iter().map(|&id| idx.site_of(id)));
     }
+    let fp: usize = levels.iter().map(|l| l.first_party).sum();
+    let tracking: usize = levels.iter().map(|l| l.tracking).sum();
+    let total: usize = levels.iter().map(DepthComposition::total).sum();
+    let share = |n: usize| {
+        if total == 0 {
+            0.0
+        } else {
+            n as f64 / total as f64
+        }
+    };
     Composition {
         levels,
-        first_party_share: if total == 0 {
-            0.0
-        } else {
-            fp as f64 / total as f64
-        },
-        tracking_share: if total == 0 {
-            0.0
-        } else {
-            tracking as f64 / total as f64
-        },
+        first_party_share: share(fp),
+        tracking_share: share(tracking),
         third_party_sites: tp_sites.len(),
     }
 }

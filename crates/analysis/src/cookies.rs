@@ -2,10 +2,9 @@
 
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
 use wmtree_net::cookie::{CookieId, SecurityAttributes};
 use wmtree_stats::descriptive::Summary;
-use wmtree_stats::jaccard::pairwise_mean_jaccard;
 
 /// The §5.2 cookie statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,62 +30,71 @@ pub struct CookieStats {
     pub attribute_conflicts: usize,
 }
 
-/// Compute the §5.2 statistics. `noaction` is the index of the profile
-/// without user interaction, if any.
-pub fn cookie_stats(data: &ExperimentData, noaction: Option<usize>) -> CookieStats {
+/// Compute the §5.2 statistics from the page summaries, with the
+/// roster's `NoAction` profile ([`Roles::noaction`]) as the
+/// no-interaction side.
+///
+/// Each page's distinct identities go into a global identity → entry
+/// table, a hash map used for lookup only: an entry records which
+/// profiles observed the cookie and whether its security attributes
+/// ever differed, and every result is a count.
+///
+/// [`Roles::noaction`]: crate::summary::Roles::noaction
+pub fn cookie_stats(data: &ExperimentData) -> CookieStats {
     let k = data.n_profiles();
     let mut per_profile = vec![0usize; k];
     let mut total = 0usize;
 
-    // Distinct cookie → set of profiles that saw it, and the set of
-    // attribute variants observed.
-    let mut presence: BTreeMap<&CookieId, BTreeSet<usize>> = BTreeMap::new();
-    let mut attrs: BTreeMap<&CookieId, BTreeSet<SecurityAttributes>> = BTreeMap::new();
+    // One bit per profile, in `words` words per distinct cookie.
+    let width = data
+        .pages
+        .iter()
+        .map(|p| p.cookies.len())
+        .fold(k, usize::max);
+    let words = width.div_ceil(64).max(1);
+    let mut entry_of: HashMap<&CookieId, usize> = HashMap::new();
+    let mut observed_by: Vec<u64> = Vec::new();
+    // Per distinct cookie: its first attributes, and whether any differ.
+    let mut attrs: Vec<(SecurityAttributes, bool)> = Vec::new();
+    // The entry of each of a page's distinct cookies.
+    let mut entries: Vec<usize> = Vec::new();
 
     let mut page_sims = Vec::new();
     let mut noaction_sims = Vec::new();
-
-    for page in &data.pages {
-        let sets: Vec<BTreeSet<&CookieId>> = page
-            .cookies
-            .iter()
-            .map(|obs| obs.iter().map(|o| &o.id).collect())
-            .collect();
+    for (page, summary) in data.pages.iter().zip(data.summaries()) {
         for (p, obs) in page.cookies.iter().enumerate() {
             per_profile[p] += obs.len();
             total += obs.len();
-            for o in obs {
-                presence.entry(&o.id).or_default().insert(p);
-                attrs.entry(&o.id).or_default().insert(o.attrs);
+        }
+        let cookies = &summary.cookies;
+        entries.clear();
+        for cookie in &cookies.distinct {
+            let id = &page.cookies[cookie.profile as usize][cookie.position as usize].id;
+            let at = *entry_of.entry(id).or_insert_with(|| {
+                attrs.push((cookie.attrs, false));
+                observed_by.resize(observed_by.len() + words, 0);
+                attrs.len() - 1
+            });
+            let (first, differ) = &mut attrs[at];
+            *differ |= cookie.mixed_attrs || *first != cookie.attrs;
+            entries.push(at);
+        }
+        for (p, ids) in cookies.by_profile.iter().enumerate() {
+            for &id in ids {
+                observed_by[entries[id as usize] * words + p / 64] |= 1 << (p % 64);
             }
         }
-        // Pairwise similarity of cookie sets per page (skip pages where
-        // no profile set any cookie).
-        if sets.iter().any(|s| !s.is_empty()) {
-            if let Some(sim) = pairwise_mean_jaccard(&sets) {
-                page_sims.push(sim);
-            }
-            if let Some(na) = noaction {
-                let mut sum = 0.0;
-                let mut n = 0usize;
-                for (p, s) in sets.iter().enumerate() {
-                    if p == na {
-                        continue;
-                    }
-                    sum += wmtree_stats::jaccard::jaccard(s, &sets[na]);
-                    n += 1;
-                }
-                if n > 0 {
-                    noaction_sims.push(sum / n as f64);
-                }
-            }
-        }
+        page_sims.extend(cookies.similarity);
+        noaction_sims.extend(cookies.noaction_similarity);
     }
 
-    let distinct = presence.len();
-    let in_all = presence.values().filter(|s| s.len() == k).count();
-    let in_one = presence.values().filter(|s| s.len() == 1).count();
-    let conflicts = attrs.values().filter(|variants| variants.len() > 1).count();
+    let distinct = attrs.len();
+    let profiles = observed_by
+        .chunks(words)
+        .map(|bits| bits.iter().map(|w| w.count_ones() as usize).sum::<usize>());
+    let in_all = profiles.clone().filter(|&n| n == k).count();
+    let in_one = profiles.filter(|&n| n == 1).count();
+    let conflicts = attrs.iter().filter(|(_, differ)| *differ).count();
     let share = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
 
     CookieStats {
@@ -110,7 +118,7 @@ mod tests {
     fn cookie_stats_shape() {
         let data = experiment();
         let noaction = data.profile_index("NoAction");
-        let s = cookie_stats(data, noaction);
+        let s = cookie_stats(data);
 
         assert!(s.total_observations > 100);
         assert!(s.distinct_cookies > 50);
@@ -160,7 +168,7 @@ mod tests {
             pages: vec![],
             workers: 1,
         };
-        let s = cookie_stats(&data, None);
+        let s = cookie_stats(&data);
         assert_eq!(s.distinct_cookies, 0);
         assert_eq!(s.share_in_all, 0.0);
         assert_eq!(s.per_page_similarity.n, 0);

@@ -1,6 +1,7 @@
 //! The analysis input: vetted pages with one tree per profile.
 
 use crate::index::PageIndex;
+use crate::summary::{PageSummary, Roles};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -40,6 +41,9 @@ pub struct PageAnalysis {
     /// demand after deserialization).
     #[serde(skip)]
     index: OnceLock<PageIndex>,
+    /// Lazily built report inputs (never serialized, like the index).
+    #[serde(skip)]
+    summary: OnceLock<PageSummary>,
 }
 
 impl PageAnalysis {
@@ -60,6 +64,7 @@ impl PageAnalysis {
             trees,
             cookies,
             index: OnceLock::new(),
+            summary: OnceLock::new(),
         }
     }
 
@@ -67,6 +72,23 @@ impl PageAnalysis {
     /// the parallel pipeline's workers).
     pub fn index(&self) -> &PageIndex {
         self.index.get_or_init(|| PageIndex::build(self))
+    }
+
+    /// The page's report inputs for a roster's `roles`, built on first
+    /// use (by the per-site stage, in every mode).
+    ///
+    /// # Panics
+    ///
+    /// If the summary was built for other roles: a page keeps the
+    /// roster of the data it was first summarized in.
+    pub(crate) fn summary(&self, roles: Roles) -> &PageSummary {
+        let summary = self.summary.get_or_init(|| PageSummary::build(self, roles));
+        assert_eq!(
+            summary.roles, roles,
+            "page {} was summarized under another profile roster",
+            self.url
+        );
+        summary
     }
 }
 
@@ -183,6 +205,38 @@ impl ExperimentData {
     /// Total trees (pages × profiles).
     pub fn tree_count(&self) -> usize {
         self.pages.iter().map(|p| p.trees.len()).sum()
+    }
+
+    /// The profiles the report singles out in this roster.
+    pub fn roles(&self) -> Roles {
+        Roles::of(&self.profile_names)
+    }
+
+    /// Build every page summary still missing, fanned out over
+    /// `workers` scoped threads. A no-op once the per-site stage has
+    /// summarized every page.
+    pub fn summarize(&self) {
+        let missing: Vec<&PageAnalysis> = self
+            .pages
+            .iter()
+            .filter(|page| page.summary.get().is_none())
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let _span = wmtree_telemetry::span("analysis.page_summary");
+        let roles = self.roles();
+        crate::par::par_map(&missing, self.workers, |page| {
+            page.summary(roles);
+        });
+    }
+
+    /// Every page's summary, in page order ([`summarize`](Self::summarize)
+    /// first).
+    pub(crate) fn summaries(&self) -> impl Iterator<Item = &PageSummary> {
+        self.summarize();
+        let roles = self.roles();
+        self.pages.iter().map(move |page| page.summary(roles))
     }
 }
 

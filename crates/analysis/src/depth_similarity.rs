@@ -5,8 +5,7 @@ use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
 use wmtree_stats::descriptive::Summary;
-use wmtree_stats::jaccard::{pairwise_mean_jaccard_sorted, SimilarityCategory};
-use wmtree_url::Party;
+use wmtree_stats::jaccard::SimilarityCategory;
 
 /// Which nodes a depth-similarity variant includes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,78 +46,37 @@ pub struct DepthSimilarityRow {
     pub sim: Summary,
 }
 
-/// Per-page Jaccard values for one filter variant: per-depth scores are
-/// averaged *within* a page first ("the arithmetic mean value to state
-/// the similarity for a given page", §3.2), then each page contributes
-/// one value.
-///
-/// Runs on the shared [`PageIndex`](crate::index::PageIndex): per-depth
-/// key sets are the index's pre-sorted id lists (id order = key order),
-/// filtered in place, and the page fan-out uses the deterministic
-/// worker merge — per-page values land in page order regardless of
-/// `data.workers`.
-fn depth_scores(data: &ExperimentData, filter: DepthFilter) -> Vec<f64> {
-    let per_page = crate::par::par_map(&data.pages, data.workers, |page| {
-        if page.trees.is_empty() {
-            return None;
-        }
-        let idx = page.index();
-        let k = page.trees.len();
-        let tis = idx.trees();
-        let max_depth = tis.iter().map(|t| t.max_depth()).max().unwrap_or(0);
-        let mut page_scores: Vec<f64> = Vec::new();
-        let mut sets: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for depth in 1..=max_depth {
-            for (set, (tree, ti)) in sets.iter_mut().zip(page.trees.iter().zip(tis)) {
-                set.clear();
-                set.extend(ti.depth_ids(depth).iter().copied().filter(|&id| {
-                    let nid = ti.node_of(id).expect("depth id resolves"); // wmtree-lint: allow(WM0105)
-                    match filter {
-                        DepthFilter::All => true,
-                        DepthFilter::WithChildren => !ti.children_ids(nid).is_empty(),
-                        DepthFilter::InAllTrees => idx.present_in(id) == k,
-                        DepthFilter::FirstParty => tree.node(nid).party == Party::First,
-                        DepthFilter::ThirdParty => tree.node(nid).party == Party::Third,
-                    }
-                }));
-            }
-            // Skip depths empty in every tree: nothing to compare there
-            // (they would report a vacuous perfect similarity).
-            if sets.iter().all(|s| s.is_empty()) {
-                continue;
-            }
-            if let Some(score) = pairwise_mean_jaccard_sorted(&sets) {
-                page_scores.push(score);
-            }
-        }
-        if page_scores.is_empty() {
-            None
-        } else {
-            Some(page_scores.iter().sum::<f64>() / page_scores.len() as f64)
-        }
-    });
-    per_page.into_iter().flatten().collect()
-}
-
-/// Compute all five rows of Table 3.
-pub fn table3(data: &ExperimentData) -> Vec<DepthSimilarityRow> {
-    [
+impl DepthFilter {
+    /// Every variant, in Table 3's row order.
+    pub const ALL: [DepthFilter; 5] = [
         DepthFilter::All,
         DepthFilter::WithChildren,
         DepthFilter::InAllTrees,
         DepthFilter::FirstParty,
         DepthFilter::ThirdParty,
-    ]
-    .into_iter()
-    .map(|filter| {
-        let sim = Summary::of(&depth_scores(data, filter));
-        DepthSimilarityRow {
-            filter,
-            category: SimilarityCategory::of(sim.mean),
-            sim,
-        }
-    })
-    .collect()
+    ];
+}
+
+/// Compute all five rows of Table 3: per variant, the summary of the
+/// pages' scores. A page's score averages its per-depth Jaccards
+/// *within* the page first ("the arithmetic mean value to state the
+/// similarity for a given page", §3.2), so each page contributes one
+/// value, computed with its [`PageSummary`](crate::summary::PageSummary).
+pub fn table3(data: &ExperimentData) -> Vec<DepthSimilarityRow> {
+    let summaries: Vec<_> = data.summaries().collect();
+    DepthFilter::ALL
+        .into_iter()
+        .enumerate()
+        .map(|(i, filter)| {
+            let scores: Vec<f64> = summaries.iter().filter_map(|s| s.depth_scores[i]).collect();
+            let sim = Summary::of(&scores);
+            DepthSimilarityRow {
+                filter,
+                category: SimilarityCategory::of(sim.mean),
+                sim,
+            }
+        })
+        .collect()
 }
 
 /// Fig. 4: mean child/parent similarity of nodes grouped by depth
@@ -173,6 +131,7 @@ mod tests {
     use super::*;
     use crate::data::testutil::experiment;
     use crate::node_similarity::analyze_all;
+    use wmtree_url::Party;
 
     #[test]
     fn table3_rows_have_paper_ordering() {
@@ -264,17 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_depth_scores_match_reference() {
+    fn summarized_depth_scores_match_reference() {
         let data = experiment();
-        for filter in [
-            DepthFilter::All,
-            DepthFilter::WithChildren,
-            DepthFilter::InAllTrees,
-            DepthFilter::FirstParty,
-            DepthFilter::ThirdParty,
-        ] {
-            let new: Vec<u64> = depth_scores(data, filter)
-                .into_iter()
+        for (i, filter) in DepthFilter::ALL.into_iter().enumerate() {
+            let new: Vec<u64> = data
+                .summaries()
+                .filter_map(|s| s.depth_scores[i])
                 .map(f64::to_bits)
                 .collect();
             let old: Vec<u64> = depth_scores_reference(data, filter)
@@ -306,6 +260,7 @@ mod diag {
     use std::collections::BTreeSet;
     use wmtree_stats::jaccard::pairwise_mean_jaccard;
     use wmtree_tree::DepTree;
+    use wmtree_url::Party;
 
     /// The pre-index per-depth key extraction, kept as a readable
     /// reference for the diagnostics below.

@@ -13,8 +13,8 @@ pub fn depth_breadth_grid(
     max_depth: usize,
 ) -> Histogram2D {
     let mut grid = Histogram2D::new(max_breadth, max_depth);
-    for page in &data.pages {
-        for tree in &page.trees {
+    for summary in data.summaries() {
+        for tree in &summary.trees {
             let m = tree.metrics();
             grid.push(m.breadth, m.depth);
         }
@@ -66,56 +66,44 @@ pub struct ChildrenByDepth {
     pub share_leafish: f64,
 }
 
-/// Compute Fig. 8 data.
+/// Compute Fig. 8 data from the page summaries' per-depth counts.
+/// Every count is an integer, so the per-depth sums come out as the
+/// same floats whether they are added per node or per page.
 pub fn children_by_depth(data: &ExperimentData, max_depth: usize) -> ChildrenByDepth {
-    let mut sum = vec![0.0f64; max_depth + 1];
+    let mut sum = vec![0usize; max_depth + 1];
     let mut cnt = vec![0usize; max_depth + 1];
-    let mut sum_nl = vec![0.0f64; max_depth + 1];
     let mut cnt_nl = vec![0usize; max_depth + 1];
     let mut total_children = 0usize;
     let mut total_nodes = 0usize;
     let mut root_children = 0usize;
     let mut root_count = 0usize;
     let mut leafish = 0usize;
-    let mut nonroot = 0usize;
 
-    for page in &data.pages {
-        for tree in &page.trees {
-            for node in tree.nodes() {
-                let d = node.depth.min(max_depth);
-                let c = node.children.len();
-                sum[d] += c as f64;
-                cnt[d] += 1;
-                if c > 0 {
-                    sum_nl[d] += c as f64;
-                    cnt_nl[d] += 1;
-                }
-                if node.depth == 0 {
-                    root_children += c;
-                    root_count += 1;
-                } else {
-                    nonroot += 1;
-                    if c <= 1 {
-                        leafish += 1;
-                    }
-                    total_children += c;
-                    total_nodes += 1;
-                }
+    for summary in data.summaries() {
+        for (depth, level) in summary.levels.iter().enumerate() {
+            let d = depth.min(max_depth);
+            sum[d] += level.children;
+            cnt[d] += level.nodes;
+            cnt_nl[d] += level.parents;
+            if depth == 0 {
+                root_children += level.children;
+                root_count += level.nodes;
+            } else {
+                total_children += level.children;
+                total_nodes += level.nodes;
             }
         }
+        leafish += summary.leafish;
     }
 
-    let div = |s: f64, n: usize| if n == 0 { 0.0 } else { s / n as f64 };
+    let div = |s: usize, n: usize| if n == 0 { 0.0 } else { s as f64 / n as f64 };
     ChildrenByDepth {
-        mean_children: sum.iter().zip(&cnt).map(|(s, &n)| div(*s, n)).collect(),
-        mean_children_nonleaf: sum_nl
-            .iter()
-            .zip(&cnt_nl)
-            .map(|(s, &n)| div(*s, n))
-            .collect(),
-        overall_mean: div(total_children as f64, total_nodes),
-        root_mean: div(root_children as f64, root_count),
-        share_leafish: div(leafish as f64, nonroot),
+        mean_children: sum.iter().zip(&cnt).map(|(&s, &n)| div(s, n)).collect(),
+        // Childless nodes add nothing, so non-leaf nodes hold every child.
+        mean_children_nonleaf: sum.iter().zip(&cnt_nl).map(|(&s, &n)| div(s, n)).collect(),
+        overall_mean: div(total_children, total_nodes),
+        root_mean: div(root_children, root_count),
+        share_leafish: div(leafish, total_nodes),
     }
 }
 

@@ -349,6 +349,18 @@ impl PageIndex {
         &self.sites[self.site_of[id as usize] as usize]
     }
 
+    /// Which of the page's parsed sites a key's is, below
+    /// [`site_slots`](Self::site_slots): keys in one slot share a site,
+    /// though one site may fill several slots.
+    pub(crate) fn site_slot(&self, id: u32) -> usize {
+        self.site_of[id as usize] as usize
+    }
+
+    /// Number of site slots.
+    pub(crate) fn site_slots(&self) -> usize {
+        self.sites.len()
+    }
+
     /// Per-tree views, in profile order.
     pub fn trees(&self) -> &[TreeIndex] {
         &self.trees

@@ -21,6 +21,7 @@
 //! | [`popularity`] | Table 7 (rank buckets + Kruskal-Wallis) |
 //! | [`stability`] | the §8 future-work variance metrics (stability index, accumulation curves) |
 //! | [`significance`] | the Wilcoxon / Mann-Whitney / Kruskal-Wallis calls in §4 |
+//! | [`summary`] | every page's inputs to the data-side artifacts above, computed once |
 //!
 //! Every result type is `serde`-serializable so the bench harness can
 //! export the reproduced tables alongside the paper's values.
@@ -43,6 +44,7 @@ pub mod presence;
 pub mod profiles;
 pub mod significance;
 pub mod stability;
+pub mod summary;
 pub mod tracking;
 pub mod type_similarity;
 pub mod unique_nodes;
@@ -50,3 +52,4 @@ pub mod unique_nodes;
 pub use data::{build_trees, CookieObservation, ExperimentData, PageAnalysis};
 pub use node_similarity::{NodeSimilarity, PageNodeSimilarities};
 pub use partial::{MergeDigest, MergedAnalysis, PartialAccumulators, PartialMergeError};
+pub use summary::Roles;

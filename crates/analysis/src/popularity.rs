@@ -54,12 +54,12 @@ pub fn popularity(data: &ExperimentData, sims: &[PageNodeSimilarities]) -> Popul
         "250,001-500k",
     ];
 
-    for (page, sim) in data.pages.iter().zip(sims) {
+    for ((page, summary), sim) in data.pages.iter().zip(data.summaries()).zip(sims) {
         let Some(bucket) = &page.bucket else { continue };
         let acc = buckets.entry(std::sync::Arc::clone(bucket)).or_default();
         acc.pages += 1;
-        for tree in &page.trees {
-            acc.nodes.push((tree.node_count() - 1) as f64);
+        for tree in &summary.trees {
+            acc.nodes.push((tree.metrics().nodes - 1) as f64);
         }
         for n in &sim.nodes {
             if let Some(s) = n.child_similarity {

@@ -27,15 +27,16 @@ pub struct TreeOverview {
     pub share_small: f64,
 }
 
-/// Compute Table 2 from the experiment and the per-node similarities.
+/// Compute Table 2 from the page summaries' tree metrics and the
+/// per-node similarities.
 pub fn tree_overview(data: &ExperimentData, sims: &[PageNodeSimilarities]) -> TreeOverview {
     let mut nodes = Vec::new();
     let mut depths = Vec::new();
     let mut breadths = Vec::new();
     let mut small = 0usize;
     let mut total_trees = 0usize;
-    for page in &data.pages {
-        for tree in &page.trees {
+    for summary in data.summaries() {
+        for tree in &summary.trees {
             let m = tree.metrics();
             nodes.push(m.nodes as f64);
             depths.push(m.depth as f64);

@@ -1,10 +1,9 @@
 //! Table 5 (per-profile totals) and Table 6 (pairwise comparison against
 //! the reference profile Sim1), plus the §4.4 setup-implication stats.
 
+use crate::summary::Tally;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use wmtree_stats::jaccard::jaccard_sorted;
-use wmtree_url::Party;
 
 /// One row of Table 5.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -23,32 +22,9 @@ pub struct ProfileRow {
     pub max_breadth: usize,
 }
 
-/// Compute Table 5.
-///
-/// Pages fan out across `data.workers`; the merge is integer
-/// sums/maxima, so the result is exact and identical for any worker
-/// count.
+/// Compute Table 5: integer sums and maxima of the page summaries'
+/// per-tree counts.
 pub fn table5(data: &ExperimentData) -> Vec<ProfileRow> {
-    let k = data.n_profiles();
-    let partials = crate::par::par_map(&data.pages, data.workers, |page| {
-        let mut counts = vec![[0usize; 5]; k]; // nodes, tp, tracker, depth, breadth
-        for (p, row) in counts.iter_mut().enumerate().take(k) {
-            let tree = &page.trees[p];
-            let m = tree.metrics();
-            row[0] += m.nodes - 1; // root excluded: count loaded resources
-            row[3] = row[3].max(m.depth);
-            row[4] = row[4].max(m.breadth);
-            for n in tree.nodes().iter().skip(1) {
-                if n.party == Party::Third {
-                    row[1] += 1;
-                }
-                if n.tracking {
-                    row[2] += 1;
-                }
-            }
-        }
-        counts
-    });
     let mut rows: Vec<ProfileRow> = data
         .profile_names
         .iter()
@@ -61,13 +37,14 @@ pub fn table5(data: &ExperimentData) -> Vec<ProfileRow> {
             max_breadth: 0,
         })
         .collect();
-    for counts in partials {
-        for (row, c) in rows.iter_mut().zip(counts) {
-            row.nodes += c[0];
-            row.third_party += c[1];
-            row.tracker += c[2];
-            row.max_depth = row.max_depth.max(c[3]);
-            row.max_breadth = row.max_breadth.max(c[4]);
+    for summary in data.summaries() {
+        for (row, tree) in rows.iter_mut().zip(&summary.trees) {
+            let m = tree.metrics();
+            row.nodes += m.nodes - 1; // root excluded: count loaded resources
+            row.third_party += tree.third_party;
+            row.tracker += tree.tracker;
+            row.max_depth = row.max_depth.max(m.depth);
+            row.max_breadth = row.max_breadth.max(m.breadth);
         }
     }
     rows
@@ -100,92 +77,69 @@ pub struct ProfileComparison {
     pub child_sim_mean: f64,
 }
 
-/// Compute Table 6: every profile against `reference` (Sim1 = index 1 in
-/// the standard order).
-pub fn table6(data: &ExperimentData, reference: usize) -> Vec<ProfileComparison> {
-    let k = data.n_profiles();
-    // Fan out over profile pairs: each pair keeps its sequential
-    // page-order accumulation, so every column is bit-identical to the
-    // single-threaded result for any worker count.
-    let pairs: Vec<usize> = (0..k).filter(|&p| p != reference).collect();
-    crate::par::par_map(&pairs, data.workers, |&p| compare_pair(data, reference, p))
-}
-
-/// Compare two profiles over all vetted pages.
-pub fn compare_pair(data: &ExperimentData, a: usize, b: usize) -> ProfileComparison {
-    // (perfect, none, total) for children and parents, split by party.
-    let mut child = [(0usize, 0usize, 0usize); 2]; // [fp, tp]
-    let mut parent = [(0usize, 0usize, 0usize); 2];
-    let mut parent_sim = (0.0f64, 0usize);
-    let mut child_sim = (0.0f64, 0usize);
-
-    for page in &data.pages {
-        let ta = &page.trees[a];
-        let idx = page.index();
-        let tia = &idx.trees()[a];
-        let tib = &idx.trees()[b];
-        // Nodes present in both trees. The index resolves tree-b lookups
-        // and children/parent comparisons over interned ids: the
-        // per-node BTreeSet rebuilds of the pre-index version become
-        // two-pointer walks over pre-sorted id slices.
-        for (ida, node) in ta.nodes().iter().enumerate().skip(1) {
-            let Some(idb) = tib.node_of(tia.arena_id(ida)) else {
-                continue;
-            };
-            let party_idx = match node.party {
-                Party::First => 0,
-                Party::Third => 1,
-            };
-
-            // Children comparison (nodes with ≥1 child in either tree).
-            let ca = tia.children_ids(ida);
-            let cb = tib.children_ids(idb);
-            if !ca.is_empty() || !cb.is_empty() {
-                let j = jaccard_sorted(ca, cb);
-                let slot = &mut child[party_idx];
-                slot.2 += 1;
-                if j == 1.0 {
-                    slot.0 += 1;
-                } else if j == 0.0 {
-                    slot.1 += 1;
-                }
-                child_sim.0 += j;
-                child_sim.1 += 1;
+/// Compute Table 6: every profile against the roster's reference
+/// ([`Roles::reference`](crate::summary::Roles::reference), Sim1 in
+/// the standard order), from the page summaries' pair comparisons.
+/// Each pair's child Jaccards are added one by one, page by page, in
+/// node order; everything else is an integer count.
+pub fn table6(data: &ExperimentData) -> Vec<ProfileComparison> {
+    let reference = data.roles().reference;
+    let mut pairs: Vec<(usize, PairTotals)> = (0..data.n_profiles())
+        .filter(|&p| p != reference)
+        .map(|p| (p, PairTotals::default()))
+        .collect();
+    for summary in data.summaries() {
+        for ((_, totals), pair) in pairs.iter_mut().zip(&summary.pairs) {
+            for (ours, theirs) in totals.children.iter_mut().zip(&pair.children) {
+                ours.add(theirs);
             }
-
-            // Parent comparison (interned ids ⇔ key strings).
-            let pa = tia.parent_key_id(ida);
-            let pb = tib.parent_key_id(idb);
-            if let (Some(pa), Some(pb)) = (pa, pb) {
-                let slot = &mut parent[party_idx];
-                slot.2 += 1;
-                if pa == pb {
-                    slot.0 += 1;
-                } else {
-                    slot.1 += 1;
-                }
-                if node.depth >= 2 {
-                    parent_sim.0 += if pa == pb { 1.0 } else { 0.0 };
-                    parent_sim.1 += 1;
-                }
+            for (ours, theirs) in totals.parents.iter_mut().zip(&pair.parents) {
+                ours.add(theirs);
             }
+            totals.deep_parents.0 += pair.deep_parents.0;
+            totals.deep_parents.1 += pair.deep_parents.1;
+            for &j in &pair.child_jaccards {
+                totals.child_sim.0 += j;
+            }
+            totals.child_sim.1 += pair.child_jaccards.len();
         }
     }
 
     let share = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     let mean = |(s, n): (f64, usize)| if n == 0 { 0.0 } else { s / n as f64 };
-    ProfileComparison {
-        name: data.profile_names[b].clone(),
-        fp_children_perfect: share(child[0].0, child[0].2),
-        fp_children_none: share(child[0].1, child[0].2),
-        tp_children_perfect: share(child[1].0, child[1].2),
-        tp_children_none: share(child[1].1, child[1].2),
-        fp_parent_perfect: share(parent[0].0, parent[0].2),
-        fp_parent_none: share(parent[0].1, parent[0].2),
-        tp_parent_perfect: share(parent[1].0, parent[1].2),
-        tp_parent_none: share(parent[1].1, parent[1].2),
-        parent_sim_mean: mean(parent_sim),
-        child_sim_mean: mean(child_sim),
+    pairs
+        .into_iter()
+        .map(|(p, t)| ProfileComparison {
+            name: data.profile_names[p].clone(),
+            fp_children_perfect: share(t.children[0].perfect, t.children[0].total),
+            fp_children_none: share(t.children[0].none, t.children[0].total),
+            tp_children_perfect: share(t.children[1].perfect, t.children[1].total),
+            tp_children_none: share(t.children[1].none, t.children[1].total),
+            fp_parent_perfect: share(t.parents[0].perfect, t.parents[0].total),
+            fp_parent_none: share(t.parents[0].none, t.parents[0].total),
+            tp_parent_perfect: share(t.parents[1].perfect, t.parents[1].total),
+            tp_parent_none: share(t.parents[1].none, t.parents[1].total),
+            // A same-parent count is the sum of as many 1.0s, exactly.
+            parent_sim_mean: mean((t.deep_parents.0 as f64, t.deep_parents.1)),
+            child_sim_mean: mean(t.child_sim),
+        })
+        .collect()
+}
+
+/// One Table 6 column on its way through the pages.
+#[derive(Default)]
+struct PairTotals {
+    children: [Tally; 2],
+    parents: [Tally; 2],
+    deep_parents: (usize, usize),
+    child_sim: (f64, usize),
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.perfect += other.perfect;
+        self.none += other.none;
+        self.total += other.total;
     }
 }
 
@@ -200,27 +154,14 @@ pub struct LevelSplitSimilarity {
     pub deep: f64,
 }
 
-/// Compute the shallow/deep split similarity between two profiles.
-pub fn level_split_similarity(
-    data: &ExperimentData,
-    a: usize,
-    b: usize,
-    split: usize,
-) -> LevelSplitSimilarity {
+/// Compute the shallow/deep split similarity between the reference
+/// and Sim2 ([`Roles`](crate::summary::Roles)), from the page
+/// summaries' per-depth Jaccards, added in page and depth order.
+pub fn level_split_similarity(data: &ExperimentData, split: usize) -> LevelSplitSimilarity {
     let mut shallow = (0.0f64, 0usize);
     let mut deep = (0.0f64, 0usize);
-    for page in &data.pages {
-        let idx = page.index();
-        let ta = &idx.trees()[a];
-        let tb = &idx.trees()[b];
-        let max_depth = ta.max_depth().max(tb.max_depth());
-        for depth in 1..=max_depth {
-            let sa = ta.depth_ids(depth);
-            let sb = tb.depth_ids(depth);
-            if sa.is_empty() && sb.is_empty() {
-                continue;
-            }
-            let j = jaccard_sorted(sa, sb);
+    for summary in data.summaries() {
+        for &(depth, j) in &summary.split {
             let slot = if depth <= split {
                 &mut shallow
             } else {
@@ -243,6 +184,7 @@ mod tests {
     use crate::data::testutil::experiment;
     use std::collections::BTreeSet;
     use wmtree_stats::jaccard::jaccard;
+    use wmtree_url::Party;
 
     /// The pre-index `compare_pair`, kept verbatim as a test oracle.
     fn compare_pair_reference(data: &ExperimentData, a: usize, b: usize) -> ProfileComparison {
@@ -310,10 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn index_backed_compare_pair_matches_reference() {
+    fn summarized_table6_matches_reference() {
         let data = experiment();
-        for b in [0usize, 2, 3, 4] {
-            let new = compare_pair(data, 1, b);
+        for (new, b) in table6(data).into_iter().zip([0usize, 2, 3, 4]) {
             let old = compare_pair_reference(data, 1, b);
             assert_eq!(
                 new.child_sim_mean.to_bits(),
@@ -349,7 +290,7 @@ mod tests {
     #[test]
     fn table6_sim2_close_noaction_far() {
         let data = experiment();
-        let comps = table6(data, 1);
+        let comps = table6(data);
         assert_eq!(comps.len(), 4);
         let by_name = |n: &str| comps.iter().find(|c| c.name == n).unwrap();
         let sim2 = by_name("Sim2");
@@ -380,7 +321,7 @@ mod tests {
     #[test]
     fn level_split_shallow_more_similar() {
         let data = experiment();
-        let s = level_split_similarity(data, 1, 2, 5);
+        let s = level_split_similarity(data, 5);
         assert!(s.shallow > s.deep, "shallow {} deep {}", s.shallow, s.deep);
         assert!(s.shallow > 0.6);
     }

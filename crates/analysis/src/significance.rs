@@ -5,7 +5,7 @@ use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use wmtree_stats::kruskal::{kruskal_wallis, KruskalResult};
-use wmtree_stats::mannwhitney::u_test;
+use wmtree_stats::mannwhitney::u_test_counts;
 use wmtree_stats::spearman::{spearman, SpearmanResult};
 use wmtree_stats::wilcoxon::signed_rank;
 use wmtree_stats::TestResult;
@@ -71,21 +71,29 @@ pub fn significance(
     };
 
     // --- Mann-Whitney: depth with vs without interaction --------------
-    let mut depths_with = Vec::new();
-    let mut depths_without = Vec::new();
-    for page in &data.pages {
-        for &p in interaction_profiles {
-            for node in page.trees[p].nodes().iter().skip(1) {
-                depths_with.push(node.depth as f64);
-            }
-        }
-        for &p in no_interaction_profiles {
-            for node in page.trees[p].nodes().iter().skip(1) {
-                depths_without.push(node.depth as f64);
+    // Node depths as counts per depth, from the page summaries' tree
+    // widths: the counts form of the test returns the bits the test
+    // returns on the depths themselves.
+    let mut with: Vec<usize> = Vec::new();
+    let mut without: Vec<usize> = Vec::new();
+    for summary in data.summaries() {
+        for (profiles, counts) in [
+            (interaction_profiles, &mut with),
+            (no_interaction_profiles, &mut without),
+        ] {
+            for &p in profiles {
+                let widths = &summary.trees[p].widths;
+                if counts.len() < widths.len() {
+                    counts.resize(widths.len(), 0);
+                }
+                // Depth 0 holds only the root.
+                for (count, &width) in counts.iter_mut().zip(widths).skip(1) {
+                    *count += width;
+                }
             }
         }
     }
-    let interaction_vs_depth = u_test(&depths_with, &depths_without).ok();
+    let interaction_vs_depth = u_test_counts(&with, &without).ok();
 
     // --- Kruskal-Wallis: resource type vs child similarity ------------
     let mut by_type: BTreeMap<wmtree_net::ResourceType, Vec<f64>> = BTreeMap::new();

@@ -10,16 +10,21 @@
 //! This module implements that metric suite on top of the cross-profile
 //! data the pipeline already produces:
 //!
-//! * [`single_profile_recall`] — what fraction of the observable node
-//!   population does a *single* measurement capture? (the paper's
-//!   "a single measurement of a page will only capture a limited
-//!   snapshot").
-//! * [`accumulation_curve`] — how does coverage grow with each
-//!   additional profile (a species-accumulation curve over profiles)?
-//!   Its saturation answers "how many measurements are enough".
+//! * single-profile recall ([`StabilityReport::recall`]) — what
+//!   fraction of the observable node population does a *single*
+//!   measurement capture? (the paper's "a single measurement of a page
+//!   will only capture a limited snapshot").
+//! * the accumulation curve ([`StabilityReport::accumulation`]) — how
+//!   does coverage grow with each additional profile (a
+//!   species-accumulation curve over profiles)? Its saturation answers
+//!   "how many measurements are enough".
 //! * [`page_stability_index`] / [`experiment_stability`] — a composite
 //!   0–1 score combining presence-, child-, and parent-stability, the
 //!   "expected measurement fluctuation" figure a study could report.
+//!
+//! Recall and accumulation read each page's
+//! [`PageSummary`](crate::summary::PageSummary): its trees' node counts,
+//! its record-key union and the keys its first `i + 1` trees cover.
 
 use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
@@ -37,23 +42,20 @@ pub struct SingleProfileRecall {
 }
 
 /// Fraction of the page's observable nodes (union over all profiles)
-/// each single profile captured.
-///
-/// Read off the [`PageIndex`](crate::index::PageIndex): the union is
-/// its record keys, and a tree's non-root key count is its node count
-/// minus the root, because keys are unique within a tree.
-pub fn single_profile_recall(data: &ExperimentData) -> SingleProfileRecall {
+/// each single profile captured. A tree's non-root key count is its
+/// node count minus the root, because keys are unique within a tree.
+fn single_profile_recall(data: &ExperimentData) -> SingleProfileRecall {
     let k = data.n_profiles();
     let mut per_profile_sum = vec![0.0f64; k];
     let mut per_profile_n = vec![0usize; k];
     let mut all = Vec::new();
-    for page in &data.pages {
-        let union = page.index().record_keys().len();
+    for summary in data.summaries() {
+        let union = summary.key_depths.len();
         if union == 0 {
             continue;
         }
-        for (p, tree) in page.trees.iter().enumerate() {
-            let recall = (tree.node_count() - 1) as f64 / union as f64;
+        for (p, tree) in summary.trees.iter().enumerate() {
+            let recall = (tree.metrics().nodes - 1) as f64 / union as f64;
             per_profile_sum[p] += recall;
             per_profile_n[p] += 1;
             all.push(recall);
@@ -70,38 +72,23 @@ pub fn single_profile_recall(data: &ExperimentData) -> SingleProfileRecall {
 }
 
 /// The accumulation curve: mean coverage of the node union after
-/// combining the first `i+1` profiles (in profile order — the paper's
+/// combining the first `i+1` profiles, in profile order (the paper's
 /// recommendation is order-free, but a fixed order keeps the metric
-/// deterministic; pass a permutation to reorder). An index past the
-/// page's profiles adds nothing.
-///
-/// Per page, each profile in `order` walks the record keys once and
-/// counts the keys its tree holds that no earlier profile did.
-pub fn accumulation_curve(data: &ExperimentData, order: &[usize]) -> Vec<f64> {
-    let k = order.len();
+/// deterministic). A page with fewer trees covers nothing more past
+/// its last.
+fn accumulation_curve(data: &ExperimentData) -> Vec<f64> {
+    let k = data.n_profiles();
     let mut sums = vec![0.0f64; k];
     let mut pages = 0usize;
-    let mut seen: Vec<bool> = Vec::new();
-    for page in &data.pages {
-        let index = page.index();
-        let keys = index.record_keys();
-        if keys.is_empty() {
+    for summary in data.summaries() {
+        let union = summary.key_depths.len();
+        if union == 0 {
             continue;
         }
         pages += 1;
-        seen.clear();
-        seen.resize(keys.len(), false);
-        let mut covered = 0usize;
-        for (i, &p) in order.iter().enumerate() {
-            if let Some(tree) = index.trees().get(p) {
-                for (seen, &id) in seen.iter_mut().zip(keys) {
-                    if !*seen && tree.non_root_node_of(id).is_some() {
-                        *seen = true;
-                        covered += 1;
-                    }
-                }
-            }
-            sums[i] += covered as f64 / keys.len() as f64;
+        for (i, sum) in sums.iter_mut().enumerate() {
+            let covered = summary.coverage.get(i).or(summary.coverage.last());
+            *sum += covered.copied().unwrap_or(0) as f64 / union as f64;
         }
     }
     sums.into_iter()
@@ -166,8 +153,7 @@ pub fn experiment_stability(
     sims: &[PageNodeSimilarities],
 ) -> StabilityReport {
     let indices: Vec<f64> = sims.iter().map(page_stability_index).collect();
-    let order: Vec<usize> = (0..data.n_profiles()).collect();
-    let accumulation = accumulation_curve(data, &order);
+    let accumulation = accumulation_curve(data);
     let marginal_gain_last = match accumulation.len() {
         0 => 0.0,
         1 => accumulation[0],
@@ -279,17 +265,9 @@ mod tests {
     #[test]
     fn accumulation_matches_the_string_set_oracle_bit_for_bit() {
         let data = experiment();
-        let orders: [&[usize]; 4] = [
-            &[0, 1, 2, 3, 4],
-            &[3, 1, 4, 0, 2],
-            &[2, 2, 0, 2],
-            &[1, 7, 0, 5, 4],
-        ];
-        for order in orders {
-            let got = accumulation_curve(data, order);
-            let want = oracle_accumulation(data, order);
-            assert_eq!(bits(&got), bits(&want), "order {order:?}");
-        }
+        let got = accumulation_curve(data);
+        let want = oracle_accumulation(data, &[0, 1, 2, 3, 4]);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -320,8 +298,7 @@ mod tests {
     #[test]
     fn accumulation_is_monotone_to_one() {
         let data = experiment();
-        let order: Vec<usize> = (0..5).collect();
-        let curve = accumulation_curve(data, &order);
+        let curve = accumulation_curve(data);
         assert_eq!(curve.len(), 5);
         for w in curve.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "curve must be monotone: {curve:?}");

@@ -3,7 +3,6 @@
 use crate::node_similarity::PageNodeSimilarities;
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use wmtree_net::ResourceType;
 use wmtree_stats::descriptive::Summary;
 use wmtree_url::Party;
 
@@ -37,8 +36,8 @@ pub struct TrackingStats {
     pub parent_type_shares: [f64; 4],
 }
 
-/// Compute §5.3. Needs both the experiment (for parent lookups) and the
-/// node similarities.
+/// Compute §5.3 from the node similarities and the page summaries'
+/// tree-side counts.
 pub fn tracking_stats(data: &ExperimentData, sims: &[PageNodeSimilarities]) -> TrackingStats {
     let mut tracking_child = Vec::new();
     let mut non_tracking_child = Vec::new();
@@ -81,42 +80,19 @@ pub fn tracking_stats(data: &ExperimentData, sims: &[PageNodeSimilarities]) -> T
         }
     }
 
-    // Children counts & parent classification need the trees.
-    let mut t_children = (0usize, 0usize);
-    let mut nt_children = (0usize, 0usize);
-    let mut tracker_parent = 0usize;
-    let mut parent_total = 0usize;
-    let mut parent_types = [0usize; 4]; // script, subframe, mainframe, other
-    for page in &data.pages {
-        for tree in &page.trees {
-            for node in tree.nodes().iter().skip(1) {
-                let c = node.children.len();
-                if c > 0 {
-                    let slot = if node.tracking {
-                        &mut t_children
-                    } else {
-                        &mut nt_children
-                    };
-                    slot.0 += c;
-                    slot.1 += 1;
-                }
-                if node.tracking {
-                    if let Some(pid) = node.parent {
-                        let parent = tree.node(pid);
-                        parent_total += 1;
-                        if parent.tracking {
-                            tracker_parent += 1;
-                        }
-                        let idx = match parent.resource_type {
-                            ResourceType::Script | ResourceType::Xhr => 0,
-                            ResourceType::SubFrame => 1,
-                            ResourceType::MainFrame => 2,
-                            _ => 3,
-                        };
-                        parent_types[idx] += 1;
-                    }
-                }
-            }
+    // Children counts and parent classification, from the page
+    // summaries' integer counts.
+    let mut counts = crate::summary::TrackingCounts::default();
+    for summary in data.summaries() {
+        let page = &summary.tracking;
+        counts.tracking_children.0 += page.tracking_children.0;
+        counts.tracking_children.1 += page.tracking_children.1;
+        counts.other_children.0 += page.other_children.0;
+        counts.other_children.1 += page.other_children.1;
+        counts.parented += page.parented;
+        counts.tracker_parent += page.tracker_parent;
+        for (ours, theirs) in counts.parent_types.iter_mut().zip(page.parent_types) {
+            *ours += theirs;
         }
     }
 
@@ -130,12 +106,12 @@ pub fn tracking_stats(data: &ExperimentData, sims: &[PageNodeSimilarities]) -> T
         non_tracking_child_sim: Summary::of(&non_tracking_child),
         tracking_parent_sim: Summary::of(&tracking_parent),
         non_tracking_parent_sim: Summary::of(&non_tracking_parent),
-        tracking_mean_children: mean(t_children),
-        non_tracking_mean_children: mean(nt_children),
+        tracking_mean_children: mean(counts.tracking_children),
+        non_tracking_mean_children: mean(counts.other_children),
         depth_shares: depth_counts.map(|c| share(c, depth_total)),
-        tracker_parent_share: share(tracker_parent, parent_total),
+        tracker_parent_share: share(counts.tracker_parent, counts.parented),
         third_party_share: share(tp_context, n_tracking),
-        parent_type_shares: parent_types.map(|c| share(c, parent_total)),
+        parent_type_shares: counts.parent_types.map(|c| share(c, counts.parented)),
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::ExperimentData;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use wmtree_net::ResourceType;
 use wmtree_stats::descriptive::Summary;
 use wmtree_url::Party;
@@ -35,15 +35,18 @@ pub struct UniqueNodeStats {
 
 /// Compute the §5.1 statistics.
 ///
-/// The global occurrence map is fed from each page's
-/// [`crate::index::PageIndex`]: a page contributes one entry per
-/// distinct key (with its per-page occurrence count) instead of one
-/// map probe per node, and sites/metadata come from the index's
-/// memoized values instead of re-parsing every URL.
+/// One pass over the pages counts every record key of each page's
+/// [`crate::index::PageIndex`] (with its per-page occurrence count)
+/// into a global key → entry table, the entry taking its metadata from
+/// the key's first page, its depth from that page's
+/// [`PageSummary`](crate::summary::PageSummary). The table is a hash
+/// map used for lookup only: the unique keys are sorted once, so their
+/// depths feed the summary in key order.
 pub fn unique_node_stats(data: &ExperimentData, top_hosts: usize) -> UniqueNodeStats {
     // Global occurrence count per node URL, plus metadata from the first
     // occurrence.
     struct Meta<'a> {
+        key: &'a str,
         count: usize,
         tracking: bool,
         party: Party,
@@ -51,45 +54,41 @@ pub fn unique_node_stats(data: &ExperimentData, top_hosts: usize) -> UniqueNodeS
         resource_type: ResourceType,
         site: &'a str,
     }
-    // BTreeMap: deterministic iteration order keeps floating-point
-    // summation (and thus the serialized report) byte-stable.
-    let mut occurrences: BTreeMap<&str, Meta> = BTreeMap::new();
+    let mut entry_of: HashMap<&str, u32> = HashMap::new();
+    let mut entries: Vec<Meta> = Vec::new();
+    // Per page, the entry of each record key.
+    let mut page_entries: Vec<Vec<u32>> = Vec::with_capacity(data.pages.len());
     let mut total_trees = 0usize;
-    for page in &data.pages {
+    for (page, summary) in data.pages.iter().zip(data.summaries()) {
         let idx = page.index();
         total_trees += page.trees.len();
-        for &id in idx.record_keys() {
+        let keys = idx.record_keys();
+        let mut ids = Vec::with_capacity(keys.len());
+        for (&id, &depth) in keys.iter().zip(&summary.key_depths) {
+            let key = idx.key(id);
             let count = idx.present_in(id);
-            occurrences
-                .entry(idx.key(id))
-                .and_modify(|m| m.count += count)
-                .or_insert_with(|| {
-                    let meta = idx.meta(id);
-                    // Depth at the first tree containing the key, to
-                    // match the first-occurrence semantics of the
-                    // pre-index implementation.
-                    let depth = idx
-                        .trees()
-                        .iter()
-                        .zip(&page.trees)
-                        .find_map(|(ti, tree)| {
-                            ti.non_root_node_of(id).map(|nid| tree.node(nid).depth)
-                        })
-                        .unwrap_or(0);
-                    Meta {
-                        count,
-                        tracking: meta.tracking,
-                        party: meta.party,
-                        depth,
-                        resource_type: meta.resource_type,
-                        site: idx.site_of(id),
-                    }
+            let at = *entry_of.entry(key).or_insert_with(|| {
+                let meta = idx.meta(id);
+                entries.push(Meta {
+                    key,
+                    count: 0,
+                    tracking: meta.tracking,
+                    party: meta.party,
+                    depth: depth as usize,
+                    resource_type: meta.resource_type,
+                    site: idx.site_of(id),
                 });
+                (entries.len() - 1) as u32
+            });
+            entries[at as usize].count += count;
+            ids.push(at);
         }
+        page_entries.push(ids);
     }
 
-    let distinct = occurrences.len();
-    let uniques: Vec<&Meta> = occurrences.values().filter(|m| m.count == 1).collect();
+    let distinct = entries.len();
+    let mut uniques: Vec<&Meta> = entries.iter().filter(|m| m.count == 1).collect();
+    uniques.sort_unstable_by_key(|m| m.key);
     let n_unique = uniques.len();
     let share = |n: usize, d: usize| if d == 0 { 0.0 } else { n as f64 / d as f64 };
 
@@ -117,15 +116,15 @@ pub fn unique_node_stats(data: &ExperimentData, top_hosts: usize) -> UniqueNodeS
 
     // Per-tree unique share: unique nodes in a tree / its node count.
     let mut per_tree = Vec::with_capacity(total_trees);
-    for page in &data.pages {
+    for (page, ids) in data.pages.iter().zip(&page_entries) {
         let idx = page.index();
-        // Globally-unique keys of this page, resolved once per page
-        // instead of once per node occurrence.
+        // Globally-unique keys of this page.
         let unique_ids: Vec<u32> = idx
             .record_keys()
             .iter()
-            .copied()
-            .filter(|&id| occurrences[idx.key(id)].count == 1)
+            .zip(ids)
+            .filter(|&(_, &at)| entries[at as usize].count == 1)
+            .map(|(&id, _)| id)
             .collect();
         for (tree, ti) in page.trees.iter().zip(idx.trees()) {
             let n = tree.node_count().saturating_sub(1);

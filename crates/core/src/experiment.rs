@@ -11,7 +11,9 @@ use std::time::Duration;
 use wmtree_analysis::node_similarity::PageNodeSimilarities;
 use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialAccumulators, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
-use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
+use wmtree_crawler::{
+    Commander, CrawlDb, CrawlOptions, MergeError, PageKey, ProfileStats, ResumableOutcome,
+};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::{
@@ -149,13 +151,13 @@ impl Experiment {
         let outcome = self
             .commander()
             .record(dir, max_sites, &progress, Some(&stage), |acc| {
-                acc.and_then(|acc| fold.add(acc)).map_err(cache_fault)
+                acc.and_then(|acc| fold.add(acc)).map_err(visit_fault)
             })?;
         fold.lap("crawl");
 
         match outcome {
             ResumableOutcome::Complete { manifest: bundle } => {
-                let run = fold.finish(Some(&progress)).map_err(cache_fault)?;
+                let run = fold.finish(Some(&progress)).map_err(visit_fault)?;
                 Ok(BundleRun::Complete {
                     results: Box::new(run.results),
                     bundle,
@@ -236,7 +238,7 @@ impl Experiment {
         let mut fold = self.fold();
         Manifest::load(dir)?.check_meta(&self.commander().bundle_meta())?;
         fold.add_bundle(dir, cache)?;
-        fold.finish(None).map_err(cache_fault)
+        fold.finish(None).map_err(visit_fault)
     }
 
     /// The post-crawl stage over one crawl database, on the calling
@@ -335,14 +337,61 @@ impl Experiment {
     }
 }
 
-/// The accumulations of one experiment share its roster and never
-/// repeat a page, so their fold has nothing to conflict on; should one
-/// fail regardless, the run reports it against its derived state rather
-/// than panicking.
-fn cache_fault(e: PartialMergeError) -> BundleError {
+/// The accumulations of one experiment share its roster, so a fold
+/// conflict within one bundle can only be a page its visit log records
+/// under more than one checkpoint: the run reports it against the log.
+fn visit_fault(e: PartialMergeError) -> BundleError {
+    let detail = match e {
+        PartialMergeError::DuplicatePage { site, url } => {
+            format!("page {site} / {url} is recorded under more than one checkpoint")
+        }
+        other => other.to_string(),
+    };
     BundleError::ManifestMismatch {
-        segment: wmtree_tree::cache::CACHE_DIR_NAME.to_string(),
-        detail: e.to_string(),
+        segment: "visits".to_string(),
+        detail,
+    }
+}
+
+/// The visits the sites of one bundle staged so far hold, per page and
+/// profile: a page one profile visited under two checkpoints is a
+/// visit-log defect, refused with the error `read_bundle` gives.
+#[derive(Default)]
+struct Visited(BTreeMap<PageKey, Vec<bool>>);
+
+impl Visited {
+    /// Each page of one site's database, with the profiles that
+    /// visited it.
+    fn of(db: &CrawlDb) -> Vec<(PageKey, Vec<bool>)> {
+        db.pages()
+            .map(|page| {
+                let profiles = (0..db.n_profiles())
+                    .map(|profile| db.visit_any(page, profile).is_some())
+                    .collect();
+                (page.clone(), profiles)
+            })
+            .collect()
+    }
+
+    /// Add one staged site's visits, in page order, refusing the first
+    /// that an earlier site holds.
+    fn add(&mut self, site: Vec<(PageKey, Vec<bool>)>) -> Result<(), BundleError> {
+        for (page, profiles) in site {
+            let Some(held) = self.0.get_mut(&page) else {
+                self.0.insert(page, profiles);
+                continue;
+            };
+            if let Some(profile) = held.iter().zip(&profiles).position(|(&a, &b)| a && b) {
+                return Err(BundleError::ManifestMismatch {
+                    segment: "visits".to_string(),
+                    detail: MergeError::VisitConflict { page, profile }.to_string(),
+                });
+            }
+            for (held, visited) in held.iter_mut().zip(profiles) {
+                *held |= visited;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -409,25 +458,29 @@ impl Fold<'_> {
     /// verify, a worker decodes it and runs [`Experiment::accumulate`]
     /// on it (the cache lookup per site), and each accumulation is
     /// [`add`](Fold::add)ed in log order; that closes the `read_bundle`
-    /// stage. Only once the whole bundle has verified are the rebuilt
-    /// sites' records stored, in canonical site order, and the cache
-    /// committed. Returns the bundle's page count. On an error the fold
-    /// holds part of the bundle and must be dropped.
+    /// stage. A page one profile visited under two of the bundle's
+    /// checkpoints fails the fold with the error `read_bundle` gives
+    /// (against `visits`). Only once the whole bundle has verified are
+    /// the rebuilt sites' records stored, in canonical site order, and
+    /// the cache committed. Returns the bundle's page count. On an error
+    /// the fold holds part of the bundle and must be dropped.
     pub fn add_bundle(
         &mut self,
         dir: &Path,
         cache: Option<&AnalysisCache>,
     ) -> Result<usize, BundleError> {
         let exp = self.exp;
+        let mut visited = Visited::default();
         let mut pages = 0;
         replay_cached(
             dir,
             cache,
             exp.config.workers,
-            |db| (db.page_count(), exp.accumulate(&db, cache)),
-            |(site_pages, acc)| {
-                pages += site_pages;
-                self.add(acc.map_err(cache_fault)?).map_err(cache_fault)
+            |db| (Visited::of(&db), exp.accumulate(&db, cache)),
+            |(site, acc)| {
+                pages += site.len();
+                visited.add(site)?;
+                self.add(acc.map_err(visit_fault)?).map_err(visit_fault)
             },
         )?;
         self.lap("read_bundle");

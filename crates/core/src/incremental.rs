@@ -423,6 +423,7 @@ pub(crate) fn accumulate(
     drop(build_span);
 
     let sims = analyze_all(&data);
+    data.summarize();
     let acc = PartialAccumulators::from_shard(
         data,
         sims,

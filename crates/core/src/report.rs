@@ -92,13 +92,14 @@ pub struct CrawlSummary {
 }
 
 impl Report {
-    /// Compute every artifact from a run's results.
+    /// Compute every artifact from a run's results: the data-side
+    /// artifacts fold the pages' summaries in page order (the per-site
+    /// stage built them; any still missing are built first, over
+    /// `data.workers` threads), the rest read the node similarities.
     pub fn generate(results: &ExperimentResults) -> Report {
         let data = &results.data;
         let sims = &results.sims;
-        let reference = data.profile_index("Sim1").unwrap_or(0);
-        let sim2 = data.profile_index("Sim2").unwrap_or(reference);
-        let noaction = data.profile_index("NoAction");
+        data.summarize();
         let interaction: Vec<usize> = data
             .profile_names
             .iter()
@@ -106,7 +107,7 @@ impl Report {
             .filter(|(_, n)| n.as_str() != "NoAction")
             .map(|(i, _)| i)
             .collect();
-        let no_interaction: Vec<usize> = noaction.into_iter().collect();
+        let no_interaction: Vec<usize> = data.roles().noaction.into_iter().collect();
 
         // Wall-time each artifact under `report.<artifact>` so slow
         // tables show up in the run manifest's timing section.
@@ -133,7 +134,7 @@ impl Report {
             table4a: timed("report.table4a", || chains::table4a(sims, 5)),
             table4b: timed("report.table4b", || chains::table4b(sims, 5)),
             table5: timed("report.table5", || profiles::table5(data)),
-            table6: timed("report.table6", || profiles::table6(data, reference)),
+            table6: timed("report.table6", || profiles::table6(data)),
             table7: timed("report.table7", || popularity::popularity(data, sims)),
             fig1: timed("report.fig1", || {
                 distributions::depth_breadth_grid(data, 60, 30)
@@ -171,12 +172,12 @@ impl Report {
                 composition::party_presence(sims)
             }),
             sim1_sim2_split: timed("report.sim1_sim2", || {
-                profiles::level_split_similarity(data, reference, sim2, 5)
+                profiles::level_split_similarity(data, 5)
             }),
             unique_nodes: timed("report.unique_nodes", || {
                 unique_nodes::unique_node_stats(data, 5)
             }),
-            cookie_stats: timed("report.cookies", || cookies::cookie_stats(data, noaction)),
+            cookie_stats: timed("report.cookies", || cookies::cookie_stats(data)),
             tracking_stats: timed("report.tracking", || tracking::tracking_stats(data, sims)),
             significance: timed("report.significance", || {
                 significance::significance(data, sims, &interaction, &no_interaction)

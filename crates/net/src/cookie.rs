@@ -70,61 +70,75 @@ impl Cookie {
     /// Parse a `Set-Cookie` header value in the context of the URL that
     /// set it. Returns `None` for nameless/empty cookies (which user
     /// agents ignore).
+    ///
+    /// Attribute names match case-insensitively in place; the strings
+    /// allocated are the ones the cookie keeps: a `Domain` value is
+    /// lowercased into its own string, and the default domain and path
+    /// are built only when no attribute replaces them.
     pub fn parse(header: &str, setting_url: &Url) -> Option<Cookie> {
         let mut parts = header.split(';');
         let nv = parts.next()?.trim();
         let eq = nv.find('=')?;
-        let name = nv[..eq].trim().to_string();
+        let name = nv[..eq].trim();
         if name.is_empty() {
             return None;
         }
-        let value = nv[eq + 1..].trim().to_string();
+        let value = nv[eq + 1..].trim();
 
-        let mut cookie = Cookie {
-            name,
-            value,
-            domain: setting_url.host().to_string(),
-            host_only: true,
-            path: default_path(setting_url),
-            secure: false,
-            http_only: false,
-            same_site: None,
-            max_age: None,
-            expires: None,
-        };
-
+        let mut domain = None;
+        let mut path = None;
+        let mut expires = None;
+        let (mut secure, mut http_only, mut same_site, mut max_age) = (false, false, None, None);
         for attr in parts {
             let attr = attr.trim();
             let (key, val) = match attr.find('=') {
                 Some(i) => (&attr[..i], attr[i + 1..].trim()),
                 None => (attr, ""),
             };
-            match key.to_ascii_lowercase().as_str() {
-                "domain" => {
-                    let d = val.trim_start_matches('.').to_ascii_lowercase();
-                    if !d.is_empty() {
-                        cookie.domain = d;
-                        cookie.host_only = false;
-                    }
+            let is = |name: &str| key.eq_ignore_ascii_case(name);
+            if is("domain") {
+                let d = val.trim_start_matches('.');
+                if !d.is_empty() {
+                    domain = Some(d);
                 }
-                "path" if val.starts_with('/') => cookie.path = val.to_string(),
-                "path" => {}
-                "secure" => cookie.secure = true,
-                "httponly" => cookie.http_only = true,
-                "samesite" => {
-                    cookie.same_site = match val.to_ascii_lowercase().as_str() {
-                        "strict" => Some(SameSite::Strict),
-                        "lax" => Some(SameSite::Lax),
-                        "none" => Some(SameSite::None),
-                        _ => None,
-                    }
+            } else if is("path") {
+                if val.starts_with('/') {
+                    path = Some(val);
                 }
-                "max-age" => cookie.max_age = val.parse().ok(),
-                "expires" => cookie.expires = Some(val.to_string()),
-                _ => {}
+            } else if is("secure") {
+                secure = true;
+            } else if is("httponly") {
+                http_only = true;
+            } else if is("samesite") {
+                same_site = [
+                    ("strict", SameSite::Strict),
+                    ("lax", SameSite::Lax),
+                    ("none", SameSite::None),
+                ]
+                .into_iter()
+                .find_map(|(v, s)| val.eq_ignore_ascii_case(v).then_some(s));
+            } else if is("max-age") {
+                max_age = val.parse().ok();
+            } else if is("expires") {
+                expires = Some(val);
             }
         }
-        Some(cookie)
+        Some(Cookie {
+            name: name.to_string(),
+            value: value.to_string(),
+            host_only: domain.is_none(),
+            domain: match domain {
+                Some(d) if d.bytes().any(|b| b.is_ascii_uppercase()) => d.to_ascii_lowercase(),
+                Some(d) => d.to_string(),
+                None => setting_url.host().to_string(),
+            },
+            path: path.map_or_else(|| default_path(setting_url), str::to_string),
+            secure,
+            http_only,
+            same_site,
+            max_age,
+            expires: expires.map(str::to_string),
+        })
     }
 
     /// The RFC 6265 identity `(name, domain, path)`.

@@ -13,9 +13,18 @@ pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let inter = a.intersection(b).count();
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    jaccard_of_counts(a.intersection(b).count(), a.len(), b.len())
+}
+
+/// Jaccard index of two sets of sizes `a` and `b` sharing `inter`
+/// elements: the one expression every Jaccard of this module
+/// evaluates, so a caller that counts intersections its own way gets
+/// bit-identical values.
+pub fn jaccard_of_counts(inter: usize, a: usize, b: usize) -> f64 {
+    if a == 0 && b == 0 {
+        return 1.0;
+    }
+    inter as f64 / (a + b - inter) as f64
 }
 
 /// Jaccard index of two slices, deduplicating internally.
@@ -61,9 +70,7 @@ pub fn jaccard_sorted<T: Ord>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let inter = sorted_intersection_count(a, b);
-    let union = a.len() + b.len() - inter;
-    inter as f64 / union as f64
+    jaccard_of_counts(sorted_intersection_count(a, b), a.len(), b.len())
 }
 
 /// [`pairwise_mean_jaccard`] over sorted, duplicate-free slices, with

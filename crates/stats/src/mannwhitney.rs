@@ -29,33 +29,81 @@ pub fn u_test(x: &[f64], y: &[f64]) -> Result<TestResult, MannWhitneyError> {
     if x.is_empty() || y.is_empty() {
         return Err(MannWhitneyError::EmptySample);
     }
-    let n1 = x.len() as f64;
-    let n2 = y.len() as f64;
     let mut combined: Vec<f64> = Vec::with_capacity(x.len() + y.len());
     combined.extend_from_slice(x);
     combined.extend_from_slice(y);
     let ranks = midranks(&combined);
     let r1: f64 = ranks[..x.len()].iter().sum();
+    Ok(u_of_ranks(
+        r1,
+        x.len(),
+        y.len(),
+        tie_correction_sum(&combined),
+    ))
+}
+
+/// [`u_test`] over two samples of small non-negative integers given as
+/// counts: `x[v]` of the first sample's values equal `v`, and so for
+/// `y`. In time linear in the largest value, it returns the very bits
+/// `u_test` returns on the samples in any order: `x`'s rank sum adds
+/// midranks, which are half-integers, so every order of adding them is
+/// exact, and the tie-correction terms are summed in value order, as
+/// `u_test`'s sort does.
+pub fn u_test_counts(x: &[usize], y: &[usize]) -> Result<TestResult, MannWhitneyError> {
+    let (n1, n2) = (x.iter().sum::<usize>(), y.iter().sum::<usize>());
+    if n1 == 0 || n2 == 0 {
+        return Err(MannWhitneyError::EmptySample);
+    }
+    let (mut r1, mut below) = (0.0, 0usize);
+    let mut ties = Vec::new();
+    for v in 0..x.len().max(y.len()) {
+        let a = x.get(v).copied().unwrap_or(0);
+        let t = a + y.get(v).copied().unwrap_or(0);
+        if t == 0 {
+            continue;
+        }
+        // Positions below..below + t share the mean of their 1-based ranks.
+        let midrank = (2 * below + t + 1) as f64 / 2.0;
+        r1 += a as f64 * midrank;
+        if t > 1 {
+            ties.push(t);
+        }
+        below += t;
+    }
+    let tie_sum = ties
+        .into_iter()
+        .map(|t| {
+            let t = t as f64;
+            t * t * t - t
+        })
+        .sum();
+    Ok(u_of_ranks(r1, n1, n2, tie_sum))
+}
+
+/// The U statistic and its p-value from the first sample's rank sum
+/// `r1`, the sample sizes and the tie-correction sum.
+fn u_of_ranks(r1: f64, n1: usize, n2: usize, tie_sum: f64) -> TestResult {
+    let n1 = n1 as f64;
+    let n2 = n2 as f64;
     let u1 = r1 - n1 * (n1 + 1.0) / 2.0;
     let u2 = n1 * n2 - u1;
     let u = u1.min(u2);
 
     let n = n1 + n2;
-    let tie_sum = tie_correction_sum(&combined);
     let var = n1 * n2 / 12.0 * ((n + 1.0) - tie_sum / (n * (n - 1.0)));
     if var <= 0.0 {
-        return Ok(TestResult {
+        return TestResult {
             statistic: u,
             p_value: 1.0,
-        });
+        };
     }
     let mean = n1 * n2 / 2.0;
     let num = ((u - mean).abs() - 0.5).max(0.0);
     let z = num / var.sqrt();
-    Ok(TestResult {
+    TestResult {
         statistic: u,
         p_value: normal_two_sided_p(z),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use wmtree_stats::descriptive::{Accumulator, Summary};
 use wmtree_stats::jaccard::{jaccard, pairwise_mean_jaccard};
 use wmtree_stats::kruskal::kruskal_wallis;
-use wmtree_stats::mannwhitney::u_test;
+use wmtree_stats::mannwhitney::{u_test, u_test_counts};
 use wmtree_stats::ranks::midranks;
 use wmtree_stats::wilcoxon::signed_rank;
 
@@ -17,7 +17,42 @@ fn set() -> impl Strategy<Value = BTreeSet<u8>> {
     prop::collection::btree_set(any::<u8>(), 0..20)
 }
 
+/// The values `counts` describes (`counts[v]` copies of `v`), in an
+/// order `seed` scrambles.
+fn values_of(counts: &[usize], seed: u64) -> Vec<f64> {
+    let mut values: Vec<f64> = counts
+        .iter()
+        .enumerate()
+        .flat_map(|(v, &n)| std::iter::repeat_n(v as f64, n))
+        .collect();
+    let mut state = seed | 1;
+    for i in (1..values.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        values.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    values
+}
+
 proptest! {
+    /// The counts form of the U test returns `u_test`'s bits on the
+    /// same values in any order, ties and empty samples included.
+    #[test]
+    fn u_test_counts_is_u_test(
+        x in prop::collection::vec(0usize..40, 0..12),
+        y in prop::collection::vec(0usize..40, 0..12),
+        seed in any::<u64>(),
+    ) {
+        let bits = |r: Result<wmtree_stats::TestResult, _>| {
+            r.map(|t| (t.statistic.to_bits(), t.p_value.to_bits())).ok()
+        };
+        prop_assert_eq!(
+            bits(u_test_counts(&x, &y)),
+            bits(u_test(&values_of(&x, seed), &values_of(&y, !seed)))
+        );
+    }
+
     /// Jaccard is symmetric, bounded, and 1 exactly on equal sets.
     #[test]
     fn jaccard_axioms(a in set(), b in set()) {

@@ -14,7 +14,7 @@ fn main() {
     let results = Experiment::new(ExperimentConfig::at_scale(Scale::Tiny)).run();
     let data = &results.data;
 
-    let stats = cookie_stats(data, data.profile_index("NoAction"));
+    let stats = cookie_stats(data);
     println!("== Cookie audit over {} vetted pages ==", data.pages.len());
     println!("total observations: {}", stats.total_observations);
     println!(

@@ -8,15 +8,20 @@
 //! loader has a later defect still ahead: the first defect in log order
 //! wins at every worker count.
 //!
+//!
+//! A page one profile visited under two checkpoints is a defect of the
+//! visit log too: every replay refuses it with `read_bundle`'s error,
+//! naming the page and the log, and commits no cache.
+//!
 //! Tree-cache counters are process-global, so this file owns its
-//! process and runs its cases in one test.
+//! process and runs the cases that read them in one test.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use wmtree::browser::VisitResult;
 use wmtree::bundle::hash::{chain_fold, chain_start, from_hex, line_checksum, object_hash, to_hex};
-use wmtree::bundle::{object, BundleError, Manifest};
-use wmtree::crawler::read_bundle;
+use wmtree::bundle::{object, BundleError, BundleWriter, EncodedSite, Manifest};
+use wmtree::crawler::{read_bundle, PageKey};
 use wmtree::telemetry::MetricValue;
 use wmtree::tree::cache::TreeCache;
 use wmtree::url::Url;
@@ -253,6 +258,75 @@ fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
         assert_eq!(files(&cache_dir), before, "{case}: TREECACHE/ is untouched");
         let reopened = TreeCache::open(&cache_dir, cache_fingerprint(&cfg));
         assert_eq!(reopened.site_count(), committed, "{case}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Write the sites of the bundle at `from` into a new bundle at `to`,
+/// one checkpoint each in site order, the first site twice; returns
+/// that site's first page.
+fn first_site_twice(from: &Path, to: &Path) -> PageKey {
+    let db = read_bundle(from).expect("read the recording");
+    let meta = Manifest::load(from).expect("manifest").meta;
+    let mut writer = BundleWriter::create(to, meta).expect("create the bundle");
+    let pages: Vec<&PageKey> = db.pages().collect();
+    let sites: Vec<&[&PageKey]> = pages.chunk_by(|a, b| a.site == b.site).collect();
+    for site in std::iter::once(sites[0]).chain(sites.iter().copied()) {
+        let db = &db;
+        let visits = site.iter().flat_map(|&page| {
+            (0..db.n_profiles()).filter_map(move |profile| {
+                let visit = db.visit_any(page, profile)?;
+                Some((page.url.clone(), profile, visit))
+            })
+        });
+        let encoded = EncodedSite::encode(&site[0].site, visits).expect("encode the site");
+        writer.append(encoded).expect("append the site");
+    }
+    writer.finish().expect("finish the bundle");
+    sites[0][0].clone()
+}
+
+#[test]
+fn a_page_recorded_twice_fails_every_replay_against_the_visit_log() {
+    let cfg = ExperimentConfig::at_scale(Scale::Tiny);
+    let root = fresh("recorded-twice");
+    let recorded = root.join("recorded");
+    match Experiment::new(cfg.clone()).run_to_bundle(&recorded, None) {
+        Ok(BundleRun::Complete { .. }) => {}
+        other => panic!("the record completes: {other:?}"),
+    }
+    let bundle = root.join("twice");
+    let page = first_site_twice(&recorded, &bundle);
+    let expect = read_bundle(&bundle).expect_err("read_bundle refuses the second visit");
+    let text = expect.to_string();
+    assert!(
+        text.starts_with("manifest disagrees with visits: visit conflict")
+            && text.contains(&format!("{} / {}", page.site, page.url)),
+        "{text}"
+    );
+
+    for workers in [1usize, 2, 8] {
+        let cfg = ExperimentConfig {
+            workers,
+            ..cfg.clone()
+        };
+        let exp = Experiment::new(cfg.clone());
+        let cache_dir = root.join(format!("cache-{workers}"));
+        let cache = AnalysisCache::open(&cache_dir, &cfg);
+        let cached = exp.replay_from_bundle_cached(&bundle, &cache);
+        drop(cache);
+        let plain = exp.replay_from_bundle(&bundle);
+        for (how, result) in [("cached", cached.err()), ("cache-free", plain.err())] {
+            let err =
+                result.unwrap_or_else(|| panic!("{how} replay at {workers} workers succeeded"));
+            assert!(!err.to_string().contains("TREECACHE"), "{how}: {err}");
+            assert_eq!(err.to_string(), text, "{how} replay at {workers} workers");
+            assert!(matches!(err, BundleError::ManifestMismatch { .. }), "{how}");
+        }
+        assert!(
+            !cache_dir.join("CACHE.json").exists(),
+            "the cached replay at {workers} workers committed its cache"
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -36,6 +36,18 @@ fn manifest_covers_the_pipeline_and_counters_are_deterministic() {
     ] {
         assert!(timings.contains_key(span), "missing span {span}");
     }
+    // The per-site stage summarizes each site's pages for the report,
+    // within its `analyze` time: once per crawled site with pages (the
+    // report finds every summary built, so it records none).
+    let summaries = timings
+        .get("analysis.page_summary")
+        .expect("missing span analysis.page_summary");
+    let analyzed = timings["analysis.node_similarity"].count;
+    assert!(
+        summaries.count > 0 && summaries.count <= analyzed,
+        "{} page-summary spans, {analyzed} analysed sites",
+        summaries.count
+    );
     // The `experiment.build_trees` span times what the `build_trees`
     // stage times (vetting, trees, page indexes), not the analyses after
     // it: over both runs, its total is the stage's to well within the
