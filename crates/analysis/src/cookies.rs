@@ -166,7 +166,6 @@ mod tests {
         let data = ExperimentData {
             profile_names: vec!["a".into(), "b".into()],
             pages: vec![],
-            workers: 1,
         };
         let s = cookie_stats(&data);
         assert_eq!(s.distinct_cookies, 0);

@@ -68,8 +68,8 @@ impl PageAnalysis {
         }
     }
 
-    /// The shared per-page index, built on first use (and pre-warmed by
-    /// the parallel pipeline's workers).
+    /// The shared per-page index, built on first use (by the per-site
+    /// stage, in every mode).
     pub fn index(&self) -> &PageIndex {
         self.index.get_or_init(|| PageIndex::build(self))
     }
@@ -99,19 +99,14 @@ pub struct ExperimentData {
     pub profile_names: Vec<String>,
     /// All vetted pages.
     pub pages: Vec<PageAnalysis>,
-    /// Worker threads the per-page analysis passes may fan out over.
-    /// Not serialized (it must never influence results — the
-    /// deterministic-merge rule in DESIGN.md §9); `0` means sequential.
-    #[serde(skip)]
-    pub workers: usize,
 }
 
 impl ExperimentData {
-    /// Build the analysis input from a crawl database: apply the
-    /// all-profiles vetting rule, construct every tree
-    /// ([`build_trees`]), and assemble the pages
-    /// ([`from_vetted`](Self::from_vetted)). Results are identical for
-    /// any worker count.
+    /// Build the analysis input from a crawl database on the calling
+    /// thread: apply the all-profiles vetting rule, build every vetted
+    /// visit's tree, and assemble the pages
+    /// ([`from_vetted`](Self::from_vetted)). `workers` is unused: it
+    /// stays only until the benchmark harness stops calling this.
     ///
     /// `site_meta` optionally maps a site to `(rank, bucket label)` for
     /// the popularity analysis.
@@ -121,74 +116,67 @@ impl ExperimentData {
         filter_list: Option<&FilterList>,
         tree_config: &TreeConfig,
         site_meta: &BTreeMap<String, (u32, String)>,
-        workers: usize,
+        _workers: usize,
     ) -> ExperimentData {
         let vetted = db.vetted_pages();
-        let visits: Vec<&VisitResult> =
-            vetted.iter().flat_map(|(_, v)| v.iter().copied()).collect();
-        let trees = build_trees(&visits, filter_list, tree_config, workers);
-        Self::from_vetted(&vetted, trees, profile_names, site_meta, workers)
+        let trees = vetted
+            .iter()
+            .flat_map(|(_, visits)| visits.iter())
+            .map(|visit| build_tree(visit, filter_list, tree_config))
+            .collect();
+        Self::from_vetted(&vetted, trees, profile_names, site_meta)
     }
 
     /// Assemble the analysis input from vetted pages — a database's
     /// [`vetted_pages`](CrawlDb::vetted_pages), in its order — and the
     /// trees of their visits in (page, profile) order: cookies, site
-    /// metadata, and the per-page index, pre-warmed in parallel over
-    /// `workers` scoped threads.
+    /// metadata, and the per-page index.
     pub fn from_vetted(
         vetted: &[(&PageKey, Vec<&VisitResult>)],
         trees: Vec<DepTree>,
         profile_names: Vec<String>,
         site_meta: &BTreeMap<String, (u32, String)>,
-        workers: usize,
     ) -> ExperimentData {
-        // Intern each site's strings once, up front, so workers share
-        // one `Arc` per site instead of cloning per page.
+        // Intern each site's strings once, so its pages share one `Arc`.
         type InternedSite = (Arc<str>, Option<(u32, Arc<str>)>);
         let mut interned: BTreeMap<&str, InternedSite> = BTreeMap::new();
-        for (page, _) in vetted {
-            interned.entry(page.site.as_str()).or_insert_with(|| {
-                let meta = site_meta
-                    .get(&page.site)
-                    .map(|(r, b)| (*r, Arc::from(b.as_str())));
-                (Arc::from(page.site.as_str()), meta)
-            });
-        }
-
         let mut trees = trees.into_iter();
-        let page_inputs: Vec<_> = vetted
+        let pages = vetted
             .iter()
-            .map(|(page, visits)| (page, visits, trees.by_ref().take(visits.len()).collect()))
+            .map(|(page, visits)| {
+                let (site, meta) = interned.entry(page.site.as_str()).or_insert_with(|| {
+                    let meta = site_meta
+                        .get(&page.site)
+                        .map(|(r, b)| (*r, Arc::from(b.as_str())));
+                    (Arc::from(page.site.as_str()), meta)
+                });
+                let cookies: Vec<Vec<CookieObservation>> = visits
+                    .iter()
+                    .map(|v| {
+                        v.cookies
+                            .iter()
+                            .map(|c| CookieObservation {
+                                id: c.id(),
+                                attrs: c.security_attributes(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let analysis = PageAnalysis::new(
+                    Arc::clone(site),
+                    page.url.clone(),
+                    meta.as_ref().map(|(r, _)| *r),
+                    meta.as_ref().map(|(_, b)| Arc::clone(b)),
+                    trees.by_ref().take(visits.len()).collect(),
+                    cookies,
+                );
+                analysis.index(); // inside the caller's tree-stage time
+                analysis
+            })
             .collect();
-        let pages = crate::par::par_map(&page_inputs, workers, |(page, visits, trees)| {
-            let cookies: Vec<Vec<CookieObservation>> = visits
-                .iter()
-                .map(|v| {
-                    v.cookies
-                        .iter()
-                        .map(|c| CookieObservation {
-                            id: c.id(),
-                            attrs: c.security_attributes(),
-                        })
-                        .collect()
-                })
-                .collect();
-            let (site, meta) = &interned[page.site.as_str()];
-            let analysis = PageAnalysis::new(
-                Arc::clone(site),
-                page.url.clone(),
-                meta.as_ref().map(|(r, _)| *r),
-                meta.as_ref().map(|(_, b)| Arc::clone(b)),
-                Vec::clone(trees),
-                cookies,
-            );
-            analysis.index(); // pre-warm in the worker
-            analysis
-        });
         ExperimentData {
             profile_names,
             pages,
-            workers,
         }
     }
 
@@ -212,23 +200,22 @@ impl ExperimentData {
         Roles::of(&self.profile_names)
     }
 
-    /// Build every page summary still missing, fanned out over
-    /// `workers` scoped threads. A no-op once the per-site stage has
-    /// summarized every page.
+    /// Build every page summary still missing. A no-op once the
+    /// per-site stage has summarized every page.
     pub fn summarize(&self) {
-        let missing: Vec<&PageAnalysis> = self
+        let mut missing = self
             .pages
             .iter()
             .filter(|page| page.summary.get().is_none())
-            .collect();
-        if missing.is_empty() {
+            .peekable();
+        if missing.peek().is_none() {
             return;
         }
         let _span = wmtree_telemetry::span("analysis.page_summary");
         let roles = self.roles();
-        crate::par::par_map(&missing, self.workers, |page| {
+        for page in missing {
             page.summary(roles);
-        });
+        }
     }
 
     /// Every page's summary, in page order ([`summarize`](Self::summarize)
@@ -238,21 +225,6 @@ impl ExperimentData {
         let roles = self.roles();
         self.pages.iter().map(move |page| page.summary(roles))
     }
-}
-
-/// Build one tree per visit, in order, fanned out over `workers` scoped
-/// threads. The fan-out unit is the visit — ~n_profiles× more items
-/// than pages and far more uniform (one tree each) — so it engages at
-/// smaller scales and no worker gets stuck behind a heavyweight page.
-pub fn build_trees(
-    visits: &[&VisitResult],
-    filter_list: Option<&FilterList>,
-    tree_config: &TreeConfig,
-    workers: usize,
-) -> Vec<DepTree> {
-    crate::par::par_map_min(visits, workers, crate::par::MIN_VISITS_PER_WORKER, |v| {
-        build_tree(v, filter_list, tree_config)
-    })
 }
 
 #[cfg(test)]
@@ -339,68 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_from_db_matches_sequential() {
-        // Rebuild the fixture's input at several worker counts; every
-        // page (and its site/bucket sharing) must be identical.
-        let data = testutil::experiment();
-        let universe = wmtree_webgen::WebUniverse::generate(wmtree_webgen::UniverseConfig {
-            seed: 61,
-            sites_per_bucket: [10, 6, 6, 6, 6],
-            max_subpages: 6,
-        });
-        let profiles = wmtree_crawler::standard_profiles();
-        let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-        let db = wmtree_crawler::Commander::new(
-            &universe,
-            profiles,
-            wmtree_crawler::CrawlOptions {
-                max_pages_per_site: 5,
-                workers: 4,
-                experiment_seed: 17,
-                reliable: true,
-                stateful: false,
-            },
-        )
-        .run();
-        let site_meta: BTreeMap<String, (u32, String)> = universe
-            .sites()
-            .iter()
-            .map(|s| (s.domain.clone(), (s.rank, s.bucket.label().to_string())))
-            .collect();
-        for workers in [2usize, 8] {
-            let par = ExperimentData::from_db_parallel(
-                &db,
-                names.clone(),
-                Some(wmtree_filterlist::embedded::tracking_list()),
-                &wmtree_tree::TreeConfig::default(),
-                &site_meta,
-                workers,
-            );
-            assert_eq!(par.pages.len(), data.pages.len());
-            for (a, b) in par.pages.iter().zip(&data.pages) {
-                assert_eq!(a.site, b.site);
-                assert_eq!(a.url, b.url);
-                assert_eq!(a.rank, b.rank);
-                assert_eq!(a.bucket, b.bucket);
-                assert_eq!(a.cookies, b.cookies);
-                assert_eq!(a.trees.len(), b.trees.len());
-                for (ta, tb) in a.trees.iter().zip(&b.trees) {
-                    assert_eq!(ta.node_count(), tb.node_count());
-                    for (na, nb) in ta.nodes().iter().zip(tb.nodes()) {
-                        assert_eq!(na.key, nb.key);
-                        assert_eq!(na.depth, nb.depth);
-                        assert_eq!(na.tracking, nb.tracking);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cached_build_matches_cold_for_any_worker_count() {
+    fn prebuilt_trees_assemble_like_fresh_ones() {
         // A cache hit hands `from_vetted` trees built by an earlier run:
         // the pages it assembles from them must be indistinguishable from
-        // a fresh build's, at any worker count.
+        // a fresh build's.
         let data = testutil::experiment();
         let universe = wmtree_webgen::WebUniverse::generate(wmtree_webgen::UniverseConfig {
             seed: 61,
@@ -432,23 +346,15 @@ mod tests {
             .iter()
             .flat_map(|p| p.trees.iter().cloned())
             .collect();
-        for workers in [1usize, 2, 8] {
-            let cached = ExperimentData::from_vetted(
-                &vetted,
-                prebuilt.clone(),
-                names.clone(),
-                &site_meta,
-                workers,
-            );
-            assert_eq!(cached.pages.len(), data.pages.len());
-            for (a, b) in cached.pages.iter().zip(&data.pages) {
-                assert_eq!(a.site, b.site, "workers {workers}");
-                assert_eq!(a.url, b.url);
-                assert_eq!(a.rank, b.rank);
-                assert_eq!(a.bucket, b.bucket);
-                assert_eq!(a.cookies, b.cookies);
-                assert_eq!(a.trees, b.trees, "workers {workers}");
-            }
+        let cached = ExperimentData::from_vetted(&vetted, prebuilt, names, &site_meta);
+        assert_eq!(cached.pages.len(), data.pages.len());
+        for (a, b) in cached.pages.iter().zip(&data.pages) {
+            assert_eq!(a.site, b.site);
+            assert_eq!(a.url, b.url);
+            assert_eq!(a.rank, b.rank);
+            assert_eq!(a.bucket, b.bucket);
+            assert_eq!(a.cookies, b.cookies);
+            assert_eq!(a.trees, b.trees);
         }
     }
 }

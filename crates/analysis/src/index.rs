@@ -29,8 +29,8 @@
 //! once per key.
 //!
 //! The index is built lazily via [`PageAnalysis::index`] behind a
-//! `OnceLock`, so worker threads can pre-warm it during the parallel
-//! fan-out and sequential consumers get it for free afterwards.
+//! `OnceLock`: the per-site stage builds it as it assembles each page,
+//! in its worker, and every pass after reads it.
 //!
 //! [`PageAnalysis::index`]: crate::data::PageAnalysis::index
 

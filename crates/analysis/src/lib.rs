@@ -37,7 +37,6 @@ pub mod depth_similarity;
 pub mod distributions;
 pub mod index;
 pub mod node_similarity;
-pub mod par;
 pub mod partial;
 pub mod popularity;
 pub mod presence;
@@ -49,7 +48,7 @@ pub mod tracking;
 pub mod type_similarity;
 pub mod unique_nodes;
 
-pub use data::{build_trees, CookieObservation, ExperimentData, PageAnalysis};
+pub use data::{CookieObservation, ExperimentData, PageAnalysis};
 pub use node_similarity::{NodeSimilarity, PageNodeSimilarities};
 pub use partial::{MergeDigest, MergedAnalysis, PartialAccumulators, PartialMergeError};
 pub use summary::Roles;

@@ -187,13 +187,11 @@ pub fn analyze_page(page: &PageAnalysis) -> PageNodeSimilarities {
     }
 }
 
-/// Analyze every page of an experiment, fanning the per-page work out
-/// over `data.workers` scoped threads (results merge in page order, so
-/// the output is identical for any worker count).
+/// Analyze every page of an experiment, in page order.
 pub fn analyze_all(data: &crate::ExperimentData) -> Vec<PageNodeSimilarities> {
     let _span = wmtree_telemetry::span("analysis.node_similarity");
     wmtree_telemetry::counter!("analysis.pages_analyzed").add(data.pages.len() as u64);
-    crate::par::par_map(&data.pages, data.workers, analyze_page)
+    data.pages.iter().map(analyze_page).collect()
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! canonical `(site, url)` page order, so every downstream artifact —
 //! report, CSVs, significance tests — is byte-identical.
 //!
-//! This is the same deterministic-merge rule the scoped-thread fan-out
-//! in [`crate::par`] applies within one process (DESIGN.md §9), lifted
-//! to whole shards: each page's results are computed independently and
+//! This is the same deterministic-merge rule the ordered crawl loop
+//! applies to sites within one process (DESIGN.md §9), lifted to whole
+//! shards: each page's results are computed independently and
 //! land at the page's own canonical position, so the merge commutes and
 //! associates. The ordered floating-point accumulation of the analyses
 //! happens *after* the merge, over the canonically ordered pages, never
@@ -189,11 +189,10 @@ impl PartialAccumulators {
     }
 
     /// Restore the canonical `(site, url)` page order and emit the
-    /// merged analysis. `workers` seeds the resulting
-    /// [`ExperimentData::workers`] fan-out width (it never influences
-    /// values). Rejects duplicate pages — the fingerprint of
-    /// overlapping shards.
-    pub fn finish(mut self, workers: usize) -> Result<MergedAnalysis, PartialMergeError> {
+    /// merged analysis. Rejects duplicate pages — the fingerprint of
+    /// overlapping shards. `workers` is unused: it stays only until the
+    /// benchmark harness stops passing it.
+    pub fn finish(mut self, _workers: usize) -> Result<MergedAnalysis, PartialMergeError> {
         let _span = wmtree_telemetry::span("analysis.partial.finish");
         self.pairs
             .sort_by(|(a, _), (b, _)| (&*a.site, &a.url).cmp(&(&*b.site, &b.url)));
@@ -217,7 +216,6 @@ impl PartialAccumulators {
             data: ExperimentData {
                 profile_names: self.profile_names,
                 pages,
-                workers,
             },
             sims,
             profile_stats: self.profile_stats,
@@ -281,7 +279,6 @@ mod tests {
         ExperimentData {
             profile_names: names(),
             pages,
-            workers: 0,
         }
     }
 

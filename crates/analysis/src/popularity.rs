@@ -157,7 +157,6 @@ mod tests {
         let data = ExperimentData {
             profile_names: vec!["a".into()],
             pages: vec![],
-            workers: 1,
         };
         let pop = popularity(&data, &[]);
         assert!(pop.rows.is_empty());

@@ -122,7 +122,6 @@ mod tests {
         let data = ExperimentData {
             profile_names: vec!["a".into()],
             pages: vec![],
-            workers: 1,
         };
         let t2 = tree_overview(&data, &[]);
         assert_eq!(t2.nodes.n, 0);

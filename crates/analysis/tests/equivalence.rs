@@ -431,7 +431,6 @@ fn experiment(roster: u8, pages: Vec<PageSpec>) -> ExperimentData {
     ExperimentData {
         profile_names: names,
         pages,
-        workers: 1,
     }
 }
 

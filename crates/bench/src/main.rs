@@ -14,7 +14,8 @@
 //! repro --bundle DIR --resume        # continue an interrupted bundle crawl
 //! repro --bundle DIR --max-sites 10  # stop (resumably) after 10 sites
 //! repro --from-bundle DIR    # skip crawling; analyze a recorded bundle
-//! repro --workers 8          # post-crawl pipeline fan-out width
+//! repro --ablations          # the seven methodology ablations (Tiny)
+//! repro --workers 8          # worker threads of the site loop
 //! repro --shards 5 --shard-dir DIR          # plan + crawl all shards + merge
 //! repro --shards 5 --shard-dir DIR --plan-only   # write SHARDS.json only
 //! repro --shard-dir DIR --shard-id 2        # crawl (or resume) one shard
@@ -32,7 +33,10 @@
 //!
 //! Unless `--no-telemetry` is given, every run ends with a telemetry
 //! summary on stderr, and `--telemetry DIR` (or `--csv DIR`) writes the
-//! machine-readable manifest next to the exported tables. An unknown
+//! machine-readable manifest next to the exported tables. `--ablations`
+//! runs only the ablations, on reliable Tiny universes and `--workers`
+//! threads, whatever `--scale` says: it makes no report, so `--json`,
+//! `--csv` and `--telemetry` write nothing alongside it. An unknown
 //! flag, a value flag without a value, or a numeric flag whose value is
 //! not a number exits 2 naming the flag. `--help` (or `-h`) prints the
 //! usage of `repro`, or of `repro serve`, rendered from the command's
@@ -168,6 +172,29 @@ fn main() {
         }
         cfg
     };
+
+    // The ablations crawl reliable Tiny universes of their own, on
+    // `--workers` threads: no experiment runs at `--scale`, and no
+    // report, so `--json`, `--csv` and `--telemetry` write nothing.
+    if args.iter().any(|a| a == "--ablations") {
+        eprintln!("[repro] running methodology ablations (re-crawls several times)...");
+        let cfg = config(Scale::Tiny).reliable();
+        for outcome in [
+            wmtree::ablation::url_normalization(&cfg),
+            wmtree::ablation::callstack_mode(&cfg),
+            wmtree::ablation::vetting(&cfg),
+            wmtree::ablation::interaction_variants(&cfg),
+            wmtree::ablation::tree_metric(&cfg),
+            wmtree::ablation::statefulness(&cfg),
+            wmtree::ablation::filter_lists(&cfg),
+        ] {
+            println!("== {} ==", outcome.knob);
+            for (label, value) in &outcome.arms {
+                println!("  {label:<40} {value:.3}");
+            }
+        }
+        return;
+    }
 
     // One-shard crawl: `--shard-dir DIR --shard-id K`. Crawls (or
     // resumes) that shard's bundle and exits — the report comes later,
@@ -391,25 +418,6 @@ fn main() {
             other => format!("unknown figure {other}\n"),
         };
         print!("{out}");
-        return;
-    }
-    if args.iter().any(|a| a == "--ablations") {
-        eprintln!("[repro] running methodology ablations (re-crawls several times)...");
-        let cfg = ExperimentConfig::at_scale(Scale::Tiny).reliable();
-        for outcome in [
-            wmtree::ablation::url_normalization(&cfg),
-            wmtree::ablation::callstack_mode(&cfg),
-            wmtree::ablation::vetting(&cfg),
-            wmtree::ablation::interaction_variants(&cfg),
-            wmtree::ablation::tree_metric(&cfg),
-            wmtree::ablation::statefulness(&cfg),
-            wmtree::ablation::filter_lists(&cfg),
-        ] {
-            println!("== {} ==", outcome.knob);
-            for (label, value) in &outcome.arms {
-                println!("  {label:<40} {value:.3}");
-            }
-        }
         return;
     }
     if let Some(case) = get("--case") {

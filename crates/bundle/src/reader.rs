@@ -28,7 +28,7 @@ use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
 use crate::manifest::Manifest;
 use crate::object::{decode_at, Depth};
-use crate::record::{duplicate_object, BadRecord, BundleVisit, LogEntry, Record};
+use crate::record::{duplicate_object, BadRecord, BundleVisit, LogEntry, Record, SiteRule};
 use crate::segment::{LogScan, RecordLoc, SegmentDefect};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
@@ -326,10 +326,10 @@ impl<'v> SiteStream<'v> {
 }
 
 /// Read and verify every committed record of the bundle at `dir`:
-/// checksums, chains, content addresses, profile indices, references,
-/// counts and the checkpoint boundary. `plan` sees the checkpointed
-/// visits, in log order, before any object is read, and names the
-/// depth each one needs. Each checkpointed site goes to `sink`, in log
+/// checksums, chains, content addresses, profile indices, the visit
+/// log's site rule, references, counts and the checkpoint boundary.
+/// `plan` sees the checkpointed visits, in log order, before any object
+/// is read, and names the depth each one needs. Each checkpointed site goes to `sink`, in log
 /// order, as soon as the objects its visits reference are scanned: its
 /// visits planned deeper than [`Depth::Address`], with those objects
 /// still encoded (a site with none is skipped). Crash leftovers past
@@ -348,11 +348,14 @@ pub(crate) fn load(
     let mut locs: Vec<RecordLoc> = Vec::new();
     // The visit count at each checkpoint.
     let mut ends = Vec::new();
-    let mut sites = BTreeSet::new();
+    let mut rule = SiteRule::default();
     let mut tally = Tally::default();
     while let Some((loc, payload)) = visit_log.next_record()? {
+        let located = |detail| SegmentDefect::corrupt(&loc, detail);
         match Record::decode(payload, n_profiles) {
             Ok(LogEntry::Visit(visit, object)) => {
+                rule.visit(&visit.site, &visit.url, visit.profile)
+                    .map_err(located)?;
                 visits.push(LoggedVisit {
                     site: visit.site,
                     url: visit.url,
@@ -362,8 +365,8 @@ pub(crate) fn load(
                 locs.push(loc);
             }
             Ok(LogEntry::Checkpoint(cp)) => {
+                rule.checkpoint(&cp).map_err(located)?;
                 tally.checkpoints += 1;
-                sites.insert(cp.site);
                 ends.push(visits.len());
             }
             Err(BadRecord::Corrupt(detail)) => {
@@ -429,7 +432,7 @@ pub(crate) fn load(
         });
     }
     Ok(Loaded {
-        sites,
+        sites: rule.closed,
         index,
         logs: [visit_log, object_log],
     })
@@ -714,6 +717,64 @@ mod tests {
                 *r = r.replace(&to_hex(old), &to_hex(new));
             }
         });
+    }
+
+    #[test]
+    fn the_site_rule_locates_its_first_defect_for_the_loader_and_the_audit() {
+        // `write_small`'s visit log: a.com's two visits (profiles 0 and
+        // 1) and its checkpoint, then b.com's one visit and checkpoint.
+        type Edit = fn(&mut Vec<String>);
+        let cases: [(&str, usize, &str, Edit); 5] = [
+            ("count", 3, "counts 3 visit record(s), closes 2", |log| {
+                log[2] = log[2].replace("\"visits\":2", "\"visits\":3")
+            }),
+            ("foreign", 2, "among the visit records of a.com", |log| {
+                log[1] = log[1].replace("a.com\"", "b.com\"")
+            }),
+            (
+                "twice",
+                2,
+                "second visit of a.com / https://www.a.com/ by profile 0",
+                |log| log[1] = log[1].replace("\"profile\":1", "\"profile\":0"),
+            ),
+            (
+                "closed",
+                4,
+                "follows the checkpoint that closed a.com",
+                |log| {
+                    for record in &mut log[3..] {
+                        *record = record.replace("b.com", "a.com");
+                    }
+                },
+            ),
+            (
+                "relabeled",
+                3,
+                "checkpoint of c.com closes the visit records of a.com",
+                |log| log[2] = log[2].replace("a.com", "c.com"),
+            ),
+        ];
+        for (case, line, detail, edit) in cases {
+            let dir = tmp(&format!("reader-site-rule-{case}"));
+            write_small(&dir, true);
+            rewrite(&dir, "visits-000.seg", true, edit);
+            let err = read_all(&dir).expect_err(case);
+            let located = |segment: &str, at: usize, what: &str| {
+                segment == "visits-000.seg" && at == line && what.contains(detail)
+            };
+            assert!(
+                matches!(&err, BundleError::Corrupt { segment, line, detail, .. }
+                    if located(segment, *line, detail)),
+                "{case}: {err}"
+            );
+            let issues = crate::verify_bundle(&dir).unwrap().issues;
+            assert!(
+                matches!(issues.as_slice(),
+                    [crate::VerifyIssue::Segment(SegmentDefect::Corrupt { segment, line, detail, .. })]
+                        if located(segment, *line, detail)),
+                "{case}: {issues:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::hash::{from_hex, to_hex};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use wmtree_browser::VisitResult;
 
 /// One record of the visit log.
@@ -38,6 +39,76 @@ pub struct Checkpoint {
     pub site: String,
     /// Number of visit records the site contributed.
     pub visits: usize,
+}
+
+/// The visit log's one site rule, checked record by record, in log
+/// order, by the loader and by `verify_bundle` alike: a checkpoint
+/// closes exactly the visit records it counts, each of them names the
+/// checkpoint's site, no earlier checkpoint named that site, and no
+/// `(url, profile)` appears twice among them. So no page is visited
+/// twice by one profile, and every site's visits are one checkpoint's.
+/// Each checkpoint's records are reported at their first defect only.
+#[derive(Debug, Default)]
+pub(crate) struct SiteRule {
+    /// The sites the checkpoints so far closed.
+    pub(crate) closed: BTreeSet<String>,
+    /// The site the records since the last checkpoint name.
+    open: Option<String>,
+    /// Those records, counted.
+    records: usize,
+    /// Their `(url, profile)` pairs.
+    visits: BTreeSet<(String, usize)>,
+    /// One of them, or their checkpoint, was reported.
+    reported: bool,
+}
+
+impl SiteRule {
+    /// Check the next visit record: `profile`'s visit of page `url` of
+    /// `site`. The error is what is wrong with it.
+    pub(crate) fn visit(&mut self, site: &str, url: &str, profile: usize) -> Result<(), String> {
+        self.records += 1;
+        let open = self.open.get_or_insert_with(|| site.to_string());
+        let defect = if self.closed.contains(site) {
+            format!("visit of {site} / {url} follows the checkpoint that closed {site}")
+        } else if open != site {
+            format!("visit of {site} / {url} among the visit records of {open}")
+        } else if !self.visits.insert((url.to_string(), profile)) {
+            format!("second visit of {site} / {url} by profile {profile}")
+        } else {
+            return Ok(());
+        };
+        if std::mem::replace(&mut self.reported, true) {
+            Ok(())
+        } else {
+            Err(defect)
+        }
+    }
+
+    /// Check the next checkpoint record, which closes the visit records
+    /// since the last one.
+    pub(crate) fn checkpoint(&mut self, cp: &Checkpoint) -> Result<(), String> {
+        let (open, records) = (self.open.take(), std::mem::take(&mut self.records));
+        let reported = std::mem::take(&mut self.reported);
+        self.visits.clear();
+        let site = &cp.site;
+        let defect = if !self.closed.insert(site.clone()) {
+            format!("second checkpoint of {site}")
+        } else if let Some(open) = open.filter(|open| open != site) {
+            format!("checkpoint of {site} closes the visit records of {open}")
+        } else if cp.visits != records {
+            format!(
+                "checkpoint of {site} counts {} visit record(s), closes {records}",
+                cp.visits
+            )
+        } else {
+            return Ok(());
+        };
+        if reported {
+            Ok(())
+        } else {
+            Err(defect)
+        }
+    }
 }
 
 /// The defect of an object whose address is already stored.

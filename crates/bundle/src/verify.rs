@@ -11,7 +11,7 @@ use crate::hash::{object_hash, to_hex};
 use crate::manifest::Manifest;
 use crate::object::{decode_at, Depth};
 use crate::reader::Tally;
-use crate::record::{duplicate_object, BadRecord, LogEntry, Record};
+use crate::record::{duplicate_object, BadRecord, LogEntry, Record, SiteRule};
 use crate::segment::{LogScan, RecordLoc, Scanned, SegmentDefect};
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::BTreeSet;
@@ -83,9 +83,10 @@ impl VerifyReport {
 }
 
 /// Verify a bundle end to end: per-record checksums, per-segment chains
-/// against the manifest, object-store content addresses, referential
-/// integrity (no dangling references), orphan detection, checkpoint
-/// structure, count agreement, and leftovers past the committed set.
+/// against the manifest, object-store content addresses, the visit
+/// log's site rule (the loader's), referential integrity (no dangling
+/// references), orphan detection, checkpoint structure, count
+/// agreement, and leftovers past the committed set.
 /// I/O failures (unreadable files) are `Err`; every *integrity* defect
 /// lands in the report.
 pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
@@ -116,8 +117,10 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
         }
     }
 
-    // Pass 2 — visit log: structure, references, checkpoint shape.
+    // Pass 2 — visit log: structure, the site rule, references,
+    // checkpoint shape.
     let mut referenced: BTreeSet<u64> = BTreeSet::new();
+    let mut rule = SiteRule::default();
     let mut tally = Tally {
         objects: stored.len() as u64,
         ..Tally::default()
@@ -133,7 +136,10 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
         };
         match Record::decode(payload, manifest.meta.n_profiles) {
             Err(BadRecord::Corrupt(detail)) => issues.push(corrupt(&loc, detail)),
-            Ok(LogEntry::Checkpoint(_)) => {
+            Ok(LogEntry::Checkpoint(cp)) => {
+                if let Err(detail) = rule.checkpoint(&cp) {
+                    issues.push(corrupt(&loc, detail));
+                }
                 tally.checkpoints += 1;
                 tally.pending = 0;
             }
@@ -149,6 +155,9 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
             Ok(LogEntry::Visit(vr, hash)) => {
                 tally.visit_records += 1;
                 tally.pending += 1;
+                if let Err(detail) = rule.visit(&vr.site, &vr.url, vr.profile) {
+                    issues.push(corrupt(&loc, detail));
+                }
                 if stored.contains(&hash) {
                     referenced.insert(hash);
                 } else {

@@ -9,11 +9,16 @@
 //! * [`vetting`] — §3.2: all-profiles vetting vs. at-least-k.
 //! * [`interaction_variants`] — §3.1.1: no / full simulated interaction.
 //! * [`tree_metric`] — §3.2: node-set Jaccard vs. whole-tree distance.
+//!
+//! The ablations that vary tree building or tracking classification
+//! crawl once and analyse every arm in the per-site stage that a run
+//! uses: the worker that crawls a site accumulates it once per arm, and
+//! each arm folds into its own results.
 
-use crate::{Experiment, ExperimentConfig};
+use crate::incremental::accumulate;
+use crate::{Experiment, ExperimentConfig, ExperimentResults};
 use serde::{Deserialize, Serialize};
-use wmtree_analysis::node_similarity::analyze_all;
-use wmtree_analysis::ExperimentData;
+use wmtree_analysis::{ExperimentData, PageNodeSimilarities};
 use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, Profile};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_filterlist::FilterList;
@@ -29,34 +34,54 @@ pub struct AblationOutcome {
     pub arms: Vec<(String, f64)>,
 }
 
-fn crawl(config: &ExperimentConfig) -> (Experiment, CrawlDb) {
-    let experiment = Experiment::new(config.clone());
-    let db = experiment.commander().run();
-    (experiment, db)
+fn crawl(config: &ExperimentConfig) -> CrawlDb {
+    Experiment::new(config.clone()).commander().run()
 }
 
-/// Vetted pages with trees built under `tree`, classifying tracking
-/// with `filter`.
-fn data_with(
-    experiment: &Experiment,
-    db: &CrawlDb,
-    filter: &FilterList,
-    tree: &TreeConfig,
-) -> ExperimentData {
-    ExperimentData::from_db_parallel(
-        db,
-        experiment.names.clone(),
-        Some(filter),
-        tree,
-        &experiment.site_meta,
-        experiment.config().workers,
-    )
+/// Crawl `config`'s universe once, analysing each site once per arm —
+/// with the arm's filter list classifying tracking and its tree
+/// options — in the worker that crawled it, each arm into its own fold.
+/// Returns the arms' results, in arm order.
+fn crawl_arms(
+    config: &ExperimentConfig,
+    arms: &[(&FilterList, TreeConfig)],
+) -> Vec<ExperimentResults> {
+    let exp = Experiment::new(config.clone());
+    let mut folds: Vec<_> = arms.iter().map(|_| exp.fold()).collect();
+    let stage = |site: CrawlDb| -> Result<Vec<_>, _> {
+        arms.iter()
+            .map(|(filter, tree)| {
+                accumulate(&site, &exp.names, Some(filter), tree, &exp.site_meta, None)
+            })
+            .collect()
+    };
+    exp.commander()
+        .crawl(&exp.progress(), stage, |accs| {
+            folds
+                .iter_mut()
+                .zip(accs?)
+                .try_for_each(|(fold, acc)| fold.add(acc))
+        })
+        .and_then(|()| {
+            folds
+                .into_iter()
+                .map(|fold| fold.finish(None).map(|run| run.results))
+                .collect()
+        })
+        // Every site is crawled once, under one profile roster, so no
+        // arm's fold has anything to conflict on.
+        .expect("each arm folds cleanly") // wmtree-lint: allow(WM0105)
 }
 
-/// Mean per-node child similarity of an experiment — the headline
-/// similarity metric most ablations move.
-pub fn mean_child_similarity(data: &ExperimentData) -> f64 {
-    let sims = analyze_all(data);
+/// The one arm of the paper's own setup: the tracking list and the
+/// default tree options.
+fn paper_arm() -> (&'static FilterList, TreeConfig) {
+    (tracking_list(), TreeConfig::default())
+}
+
+/// Mean per-node child similarity of an experiment's node similarities
+/// — the headline similarity metric most ablations move.
+pub fn mean_child_similarity(sims: &[PageNodeSimilarities]) -> f64 {
     let values: Vec<f64> = sims
         .iter()
         .flat_map(|p| &p.nodes)
@@ -86,50 +111,35 @@ fn distinct_nodes(data: &ExperimentData) -> f64 {
 /// space and deflate similarity ("will (unrealistically) increase the
 /// observed differences").
 pub fn url_normalization(config: &ExperimentConfig) -> AblationOutcome {
-    let (exp, db) = crawl(config);
-    let on = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
-    let off = data_with(
-        &exp,
-        &db,
-        tracking_list(),
-        &TreeConfig {
-            normalize_urls: false,
-            ..TreeConfig::default()
-        },
-    );
+    let raw = TreeConfig {
+        normalize_urls: false,
+        ..TreeConfig::default()
+    };
+    let arms = crawl_arms(config, &[paper_arm(), (tracking_list(), raw)]);
+    let arm = |label: &str, results: &ExperimentResults| {
+        (
+            format!("{label} ({} nodes)", distinct_nodes(&results.data) as u64),
+            mean_child_similarity(&results.sims),
+        )
+    };
     AblationOutcome {
         knob: "url-normalization (mean child similarity)".into(),
-        arms: vec![
-            (
-                format!("normalized ({} nodes)", distinct_nodes(&on) as u64),
-                mean_child_similarity(&on),
-            ),
-            (
-                format!("raw ({} nodes)", distinct_nodes(&off) as u64),
-                mean_child_similarity(&off),
-            ),
-        ],
+        arms: vec![arm("normalized", &arms[0]), arm("raw", &arms[1])],
     }
 }
 
 /// §3.2 ablation: latest-entry vs. full-stack-walk call-stack parents.
 pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
-    let (exp, db) = crawl(config);
-    let latest = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
-    let walk = data_with(
-        &exp,
-        &db,
-        tracking_list(),
-        &TreeConfig {
-            call_stack_mode: CallStackMode::FullWalk,
-            ..TreeConfig::default()
-        },
-    );
+    let walk = TreeConfig {
+        call_stack_mode: CallStackMode::FullWalk,
+        ..TreeConfig::default()
+    };
+    let arms = crawl_arms(config, &[paper_arm(), (tracking_list(), walk)]);
     AblationOutcome {
         knob: "callstack-attribution (mean child similarity)".into(),
         arms: vec![
-            ("latest-entry".into(), mean_child_similarity(&latest)),
-            ("full-walk".into(), mean_child_similarity(&walk)),
+            ("latest-entry".into(), mean_child_similarity(&arms[0].sims)),
+            ("full-walk".into(), mean_child_similarity(&arms[1].sims)),
         ],
     }
 }
@@ -137,7 +147,7 @@ pub fn callstack_mode(config: &ExperimentConfig) -> AblationOutcome {
 /// §3.2 ablation: the all-profiles vetting rule vs. at-least-k. Relaxed
 /// vetting keeps more pages but compares incomplete profile sets.
 pub fn vetting(config: &ExperimentConfig) -> AblationOutcome {
-    let (_, db) = crawl(config);
+    let db = crawl(config);
     let k_all = db.vetted_pages().len() as f64;
     let arms = (1..=db.n_profiles())
         .map(|k| (format!("k≥{k}"), db.vetted_pages_k(k).len() as f64))
@@ -156,9 +166,9 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
     let mut without = config.clone();
     without.profiles = vec![Profile::new("Without", 95, false, true)];
     let nodes = |cfg: &ExperimentConfig| {
-        let (exp, db) = crawl(cfg);
-        let data = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
-        data.pages
+        crawl_arms(cfg, &[paper_arm()])[0]
+            .data
+            .pages
             .iter()
             .flat_map(|p| &p.trees)
             .map(|t| t.node_count() as f64 - 1.0)
@@ -178,10 +188,12 @@ pub fn interaction_variants(config: &ExperimentConfig) -> AblationOutcome {
 /// tracking — comprehensiveness up, comparability with single-list
 /// studies down.
 pub fn filter_lists(config: &ExperimentConfig) -> AblationOutcome {
-    use wmtree_filterlist::embedded;
-    let (exp, db) = crawl(config);
-    let share = |list: &FilterList| -> f64 {
-        let data = data_with(&exp, &db, list, &TreeConfig::default());
+    let combined = (
+        wmtree_filterlist::embedded::combined_list(),
+        TreeConfig::default(),
+    );
+    let arms = crawl_arms(config, &[paper_arm(), combined]);
+    let share = |data: &ExperimentData| -> f64 {
         let mut tracking = 0usize;
         let mut total = 0usize;
         for page in &data.pages {
@@ -203,14 +215,8 @@ pub fn filter_lists(config: &ExperimentConfig) -> AblationOutcome {
     AblationOutcome {
         knob: "filter-lists (tracking node share)".into(),
         arms: vec![
-            (
-                "EasyList analogue (paper)".into(),
-                share(embedded::tracking_list()),
-            ),
-            (
-                "+ EasyPrivacy analogue".into(),
-                share(embedded::combined_list()),
-            ),
+            ("EasyList analogue (paper)".into(), share(&arms[0].data)),
+            ("+ EasyPrivacy analogue".into(), share(&arms[1].data)),
         ],
     }
 }
@@ -254,8 +260,7 @@ pub fn statefulness(config: &ExperimentConfig) -> AblationOutcome {
 /// edit-distance-style metric (rejected because it hides *where* trees
 /// differ). We compute both between Sim1 and Sim2 trees.
 pub fn tree_metric(config: &ExperimentConfig) -> AblationOutcome {
-    let (exp, db) = crawl(config);
-    let data = data_with(&exp, &db, tracking_list(), &TreeConfig::default());
+    let data = &crawl_arms(config, &[paper_arm()])[0].data;
     let a = data.profile_index("Sim1").unwrap_or(0);
     let b = data.profile_index("Sim2").unwrap_or(1);
     let mut node_set = Vec::new();

@@ -105,7 +105,11 @@ pub struct ExperimentConfig {
     pub profiles: Vec<Profile>,
     /// Maximum pages per site (paper: 25).
     pub max_pages_per_site: usize,
-    /// Worker threads for the crawl.
+    /// Worker threads of the one ordered site loop that crawls, records
+    /// and replays: each worker crawls a site (in a replay, decodes it)
+    /// and runs the per-site stage on it — trees, page indexes, node
+    /// similarities and page summaries — while the calling thread folds
+    /// the results in site order. Results are identical for any value.
     pub workers: usize,
     /// Experiment seed (drives visit seeds).
     pub experiment_seed: u64,

@@ -11,9 +11,7 @@ use std::time::Duration;
 use wmtree_analysis::node_similarity::PageNodeSimilarities;
 use wmtree_analysis::{ExperimentData, MergedAnalysis, PartialAccumulators, PartialMergeError};
 use wmtree_bundle::{BundleError, Manifest};
-use wmtree_crawler::{
-    Commander, CrawlDb, CrawlOptions, MergeError, PageKey, ProfileStats, ResumableOutcome,
-};
+use wmtree_crawler::{Commander, CrawlDb, CrawlOptions, ProfileStats, ResumableOutcome};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::{
@@ -259,7 +257,6 @@ impl Experiment {
             self.filter,
             &self.config.tree,
             &self.site_meta,
-            1,
             cache,
         )
     }
@@ -332,14 +329,15 @@ impl Experiment {
     }
 
     /// A progress tracker for a crawl of the whole universe.
-    fn progress(&self) -> ProgressTracker {
+    pub(crate) fn progress(&self) -> ProgressTracker {
         ProgressTracker::new(self.universe.sites().len(), self.config.workers.max(1))
     }
 }
 
 /// The accumulations of one experiment share its roster, so a fold
 /// conflict within one bundle can only be a page its visit log records
-/// under more than one checkpoint: the run reports it against the log.
+/// under more than one checkpoint, which the bundle loader refuses
+/// first; a run reports any conflict against the log.
 fn visit_fault(e: PartialMergeError) -> BundleError {
     let detail = match e {
         PartialMergeError::DuplicatePage { site, url } => {
@@ -350,48 +348,6 @@ fn visit_fault(e: PartialMergeError) -> BundleError {
     BundleError::ManifestMismatch {
         segment: "visits".to_string(),
         detail,
-    }
-}
-
-/// The visits the sites of one bundle staged so far hold, per page and
-/// profile: a page one profile visited under two checkpoints is a
-/// visit-log defect, refused with the error `read_bundle` gives.
-#[derive(Default)]
-struct Visited(BTreeMap<PageKey, Vec<bool>>);
-
-impl Visited {
-    /// Each page of one site's database, with the profiles that
-    /// visited it.
-    fn of(db: &CrawlDb) -> Vec<(PageKey, Vec<bool>)> {
-        db.pages()
-            .map(|page| {
-                let profiles = (0..db.n_profiles())
-                    .map(|profile| db.visit_any(page, profile).is_some())
-                    .collect();
-                (page.clone(), profiles)
-            })
-            .collect()
-    }
-
-    /// Add one staged site's visits, in page order, refusing the first
-    /// that an earlier site holds.
-    fn add(&mut self, site: Vec<(PageKey, Vec<bool>)>) -> Result<(), BundleError> {
-        for (page, profiles) in site {
-            let Some(held) = self.0.get_mut(&page) else {
-                self.0.insert(page, profiles);
-                continue;
-            };
-            if let Some(profile) = held.iter().zip(&profiles).position(|(&a, &b)| a && b) {
-                return Err(BundleError::ManifestMismatch {
-                    segment: "visits".to_string(),
-                    detail: MergeError::VisitConflict { page, profile }.to_string(),
-                });
-            }
-            for (held, visited) in held.iter_mut().zip(profiles) {
-                *held |= visited;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -458,30 +414,23 @@ impl Fold<'_> {
     /// verify, a worker decodes it and runs [`Experiment::accumulate`]
     /// on it (the cache lookup per site), and each accumulation is
     /// [`add`](Fold::add)ed in log order; that closes the `read_bundle`
-    /// stage. A page one profile visited under two of the bundle's
-    /// checkpoints fails the fold with the error `read_bundle` gives
-    /// (against `visits`). Only once the whole bundle has verified are
-    /// the rebuilt sites' records stored, in canonical site order, and
-    /// the cache committed. Returns the bundle's page count. On an error
-    /// the fold holds part of the bundle and must be dropped.
+    /// stage. Only once the whole bundle has verified are the rebuilt
+    /// sites' records stored, in canonical site order, and the cache
+    /// committed. Returns the bundle's page count. On an error the fold
+    /// holds part of the bundle and must be dropped.
     pub fn add_bundle(
         &mut self,
         dir: &Path,
         cache: Option<&AnalysisCache>,
     ) -> Result<usize, BundleError> {
         let exp = self.exp;
-        let mut visited = Visited::default();
-        let mut pages = 0;
+        let before = self.acc.digest().pages_discovered;
         replay_cached(
             dir,
             cache,
             exp.config.workers,
-            |db| (Visited::of(&db), exp.accumulate(&db, cache)),
-            |(site, acc)| {
-                pages += site.len();
-                visited.add(site)?;
-                self.add(acc.map_err(visit_fault)?).map_err(visit_fault)
-            },
+            |db| exp.accumulate(&db, cache),
+            |acc| self.add(acc.map_err(visit_fault)?).map_err(visit_fault),
         )?;
         self.lap("read_bundle");
         if let Some(cache) = cache {
@@ -492,7 +441,7 @@ impl Fold<'_> {
             }
         }
         self.tail_wall += self.sw.lap();
-        Ok(pages)
+        Ok(self.acc.digest().pages_discovered - before)
     }
 
     /// Finish the run: restore the canonical `(site, url)` page order,

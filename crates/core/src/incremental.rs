@@ -31,14 +31,14 @@ use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
 use wmtree_analysis::node_similarity::analyze_all;
-use wmtree_analysis::{build_trees, ExperimentData, PartialAccumulators, PartialMergeError};
+use wmtree_analysis::{ExperimentData, PartialAccumulators, PartialMergeError};
 use wmtree_browser::VisitResult;
 use wmtree_bundle::hash::{object_hash, to_hex};
 use wmtree_bundle::{BundleError, Depth, LoggedVisit, Manifest};
 use wmtree_crawler::{replay_sites, CrawlDb, PageKey};
 use wmtree_filterlist::FilterList;
 use wmtree_telemetry::Stopwatch;
-use wmtree_tree::{CallStackMode, DepTree, TreeCache, TreeConfig};
+use wmtree_tree::{build_tree, CallStackMode, DepTree, TreeCache, TreeConfig};
 
 /// The cache fingerprint of a configuration: a content hash over
 /// everything a cached tree depends on *besides* the visit payloads —
@@ -310,14 +310,15 @@ pub struct CachedAccumulation {
 /// the site's trees from its record, a miss builds them and records
 /// them for next time. Without one, no key is computed, no lookup made,
 /// and every tree is built. Everything after the trees is the same
-/// either way.
+/// either way, and all of it runs on the calling thread: `workers` is
+/// unused, and stays only until the benchmark harness stops passing it.
 pub fn accumulate_cached<'c>(
     db: &CrawlDb,
     profile_names: &[String],
     filter_list: Option<&FilterList>,
     tree_config: &TreeConfig,
     site_meta: &BTreeMap<String, (u32, String)>,
-    workers: usize,
+    _workers: usize,
     cache: impl Into<Option<&'c AnalysisCache>>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
     let cache = cache.into();
@@ -327,7 +328,6 @@ pub fn accumulate_cached<'c>(
         filter_list,
         tree_config,
         site_meta,
-        workers,
         cache,
     )?;
     if let Some(cache) = cache {
@@ -344,7 +344,6 @@ pub(crate) fn accumulate(
     filter_list: Option<&FilterList>,
     tree_config: &TreeConfig,
     site_meta: &BTreeMap<String, (u32, String)>,
-    workers: usize,
     cache: Option<&AnalysisCache>,
 ) -> Result<CachedAccumulation, PartialMergeError> {
     let cache = cache.map(|cache| &cache.trees);
@@ -354,71 +353,53 @@ pub(crate) fn accumulate(
     let mut sw = Stopwatch::start();
 
     // Group the database's pages by site (pages iterate in canonical
-    // (site, url) order, so sites come out sorted and contiguous), and
-    // flatten the vetted visits, in the same order: each site's vetted
-    // visits are one contiguous run of `visits`.
+    // (site, url) order, so sites come out sorted and contiguous, and so
+    // does each site's run of vetted pages).
     let mut by_site: BTreeMap<&str, Vec<&PageKey>> = BTreeMap::new();
     for page in db.pages() {
         by_site.entry(page.site.as_str()).or_default().push(page);
     }
     let vetted = db.vetted_pages();
-    let visits: Vec<&VisitResult> = vetted.iter().flat_map(|(_, v)| v.iter().copied()).collect();
 
     // Resolve every site against the cache in canonical site order
-    // (deterministic hit/miss counters and record order).
-    let mut trees: Vec<Option<DepTree>> = vec![None; visits.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    let mut to_record: Vec<(&str, u64, std::ops::Range<usize>)> = Vec::new();
+    // (deterministic hit/miss counters and record order); a site the
+    // cache misses builds its trees here and keeps them as its record.
+    let mut trees: Vec<DepTree> = Vec::new();
+    let mut records = Vec::new();
     let mut vetted_pages = vetted.iter().peekable();
-    let mut end = 0usize;
-    let mut sites_rebuilt = 0usize;
+    let (mut sites_rebuilt, mut built) = (0usize, 0usize);
     for (site, pages) in &by_site {
-        let start = end;
+        let mut visits: Vec<&VisitResult> = Vec::new();
         while let Some((_, page_visits)) = vetted_pages.next_if(|(page, _)| page.site == *site) {
-            end += page_visits.len();
+            visits.extend(page_visits);
         }
         let key = cache.and_then(|_| site_delta_key(db, pages));
         match cache
             .zip(key)
-            .and_then(|(cache, key)| cache.get_site(key, end - start))
+            .and_then(|(cache, key)| cache.get_site(key, visits.len()))
         {
-            Some(record) => {
-                for (slot, tree) in trees[start..end].iter_mut().zip(record) {
-                    *slot = Some(tree);
-                }
-            }
+            Some(record) => trees.extend(record),
             None => {
                 sites_rebuilt += 1;
-                missing.extend(start..end);
-                to_record.extend(key.map(|key| (*site, key, start..end)));
+                built += visits.len();
+                let start = trees.len();
+                trees.extend(
+                    visits
+                        .iter()
+                        .map(|v| build_tree(v, filter_list, tree_config)),
+                );
+                records.extend(key.map(|key| SiteRecord {
+                    site: site.to_string(),
+                    key,
+                    trees: trees[start..].to_vec(),
+                }));
             }
         }
     }
-
-    // Build the missing trees in one fan-out over every rebuilt site,
-    // then keep each rebuilt site's trees as its record.
-    let missing_visits: Vec<&VisitResult> = missing.iter().map(|&i| visits[i]).collect();
-    let built = build_trees(&missing_visits, filter_list, tree_config, workers);
-    for (&i, tree) in missing.iter().zip(built) {
-        trees[i] = Some(tree);
-    }
-    let trees: Vec<DepTree> = trees
-        .into_iter()
-        .map(|tree| tree.expect("every vetted visit's tree is served or built")) // wmtree-lint: allow(WM0105)
-        .collect();
     if cache.is_some() {
-        wmtree_telemetry::counter!("tree.cache.miss").add(missing.len() as u64);
+        wmtree_telemetry::counter!("tree.cache.miss").add(built as u64);
     }
-    let records = to_record
-        .into_iter()
-        .map(|(site, key, run)| SiteRecord {
-            site: site.to_string(),
-            key,
-            trees: trees[run].to_vec(),
-        })
-        .collect();
-    let data =
-        ExperimentData::from_vetted(&vetted, trees, profile_names.to_vec(), site_meta, workers);
+    let data = ExperimentData::from_vetted(&vetted, trees, profile_names.to_vec(), site_meta);
     let build_wall = sw.lap();
     drop(build_span);
 
@@ -483,7 +464,10 @@ mod tests {
             .filter(|(page, _)| page.site == site)
             .flat_map(|(_, v)| v.iter().copied())
             .collect();
-        let trees = build_trees(&visits, Some(tracking_list()), &cfg.tree, 1);
+        let trees = visits
+            .iter()
+            .map(|v| build_tree(v, Some(tracking_list()), &cfg.tree))
+            .collect();
         drop(vetted);
         (cfg, db, site, key, trees)
     }

@@ -94,8 +94,8 @@ pub struct CrawlSummary {
 impl Report {
     /// Compute every artifact from a run's results: the data-side
     /// artifacts fold the pages' summaries in page order (the per-site
-    /// stage built them; any still missing are built first, over
-    /// `data.workers` threads), the rest read the node similarities.
+    /// stage built them; any still missing are built first), the rest
+    /// read the node similarities.
     pub fn generate(results: &ExperimentResults) -> Report {
         let data = &results.data;
         let sims = &results.sims;

@@ -52,8 +52,9 @@ pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manife
 /// on the way: a replay ([`replay_sites`]) on as many workers as the
 /// host has cores, each site's database merged in log order. Works on
 /// partial bundles too — they rebuild the checkpointed prefix. Nothing
-/// is returned unless the whole bundle verified; a page visited by one
-/// profile under two checkpoints is refused.
+/// is returned unless the whole bundle verified; the loader refuses a
+/// site under two checkpoints and a page one profile visited twice, so
+/// the sites' databases never overlap.
 pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
     let _span = wmtree_telemetry::span("bundle.read_db");
     let mut db = CrawlDb::new(Manifest::load(dir)?.meta.n_profiles);
@@ -65,11 +66,8 @@ pub fn read_bundle(dir: &Path) -> Result<CrawlDb, BundleError> {
         full,
         |site| site,
         |site| {
-            db.try_merge(site)
-                .map_err(|conflict| BundleError::ManifestMismatch {
-                    segment: "visits".to_string(),
-                    detail: conflict.to_string(),
-                })
+            db.merge(site);
+            Ok(())
         },
     )?;
     Ok(db)
@@ -196,7 +194,19 @@ mod tests {
         }
         writer.finish().unwrap();
         let err = read_bundle(&dir).expect_err("a doubly recorded visit must not read back");
-        assert!(err.to_string().contains("visit conflict"), "{err}");
+        // The site's first record under its second checkpoint is the
+        // defect: its first run of records and their checkpoint precede it.
+        let records = first
+            .iter()
+            .flat_map(|&page| (0..db.n_profiles()).filter_map(|p| db.visit_any(page, p)))
+            .count();
+        assert!(
+            matches!(&err, BundleError::Corrupt { segment, line, .. }
+                if segment == "visits-000.seg" && *line == records + 2),
+            "{err}"
+        );
+        let page = format!("{site} / {}", first[0].url);
+        assert!(err.to_string().contains(&page), "{err}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! filtering.
 //!
 //! Per-file work (lex → layer-1 rules → fact extraction) fans out over
-//! `wmtree_analysis::par::par_map_min` with the slot-per-item merge, so
-//! the output is byte-identical for every worker count — the engine
-//! dogfoods the same deterministic-merge rule it lints for. With
+//! `par_map_min` with the slot-per-item merge, so the output is
+//! byte-identical for every worker count — the engine dogfoods the same
+//! deterministic-merge rule it lints for. With
 //! [`LintOptions::use_cache`], per-file results are keyed by a
 //! `stable_hash` of the file's bytes ([`crate::cache`]); the cross-file
 //! taint pass always re-runs over the (possibly cached) facts.
@@ -15,11 +15,11 @@ use crate::cache::{content_hash, Cache, CacheEntry, CachedDiag, DEFAULT_CACHE_PA
 use crate::diag::{sort_diagnostics, Diagnostic, Location};
 use crate::graph::FileFacts;
 use crate::lexer::SourceFile;
+use crate::par::par_map_min;
 use crate::rules::{all_rules, Rule};
 use crate::taint;
 use std::io;
 use std::path::{Path, PathBuf};
-use wmtree_analysis::par::par_map_min;
 
 /// One file scheduled for linting.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -243,7 +243,7 @@ pub fn lint_workspace_with(
     let work: Vec<(usize, &LintTarget)> = targets.iter().enumerate().collect();
     let cache_ref = cache.as_ref();
     // Floor of 8 files per worker: a file is milliseconds of lexing and
-    // rule dispatch, so fan-out pays off far below the per-page default.
+    // rule dispatch, so a fan-out pays for its spawn and join early.
     let results: Vec<FileResult> = par_map_min(&work, options.workers, 8, |&(i, target)| {
         process_file(target, &contents[i], cache_ref)
     });

@@ -27,8 +27,9 @@
 //!   cannot flow through function calls into serializing sinks,
 //!   rendering the full source→…→sink call path when one does.
 //!
-//! The engine fans per-file work out via `wmtree_analysis::par::par_map`
-//! with a deterministic slot-per-item merge, and caches per-file facts
+//! The engine fans per-file work out over scoped threads with a
+//! deterministic slot-per-item merge (`par_map_min`, the workspace's
+//! only per-item fan-out), and caches per-file facts
 //! keyed by a `stable_hash` of contents ([`cache`]) so unchanged files
 //! skip lexing. Findings also render as SARIF 2.1.0 ([`sarif`]) for CI
 //! annotation.
@@ -59,6 +60,7 @@ pub mod diag;
 pub mod engine;
 pub mod graph;
 pub mod lexer;
+mod par;
 pub mod render;
 pub mod rules;
 pub mod sarif;

@@ -5,10 +5,10 @@ use crate::diag::{Code, Diagnostic, Severity};
 use crate::lexer::SourceFile;
 
 /// Flags raw `thread::spawn(..)` anywhere in the workspace. All
-/// parallelism must go through the scoped worker-pool helpers
-/// (`wmtree_analysis::par::par_map`, the crawler's commander pool, the
-/// telemetry flusher), which join their workers and merge results in a
-/// deterministic order. A detached spawn can outlive the stage that
+/// parallelism must go through the scoped worker pools (the crawler's
+/// ordered crawl/replay loop, the lint engine's per-file map, the
+/// server's joined threads), which join their workers and merge results
+/// in a deterministic order. A detached spawn can outlive the stage that
 /// started it, race result merging, and silently reorder output —
 /// exactly the class of bug the worker-count byte-identity tests exist
 /// to catch. Scoped `scope.spawn(..)` is not flagged: `thread::scope`
@@ -20,8 +20,8 @@ const META: RuleMeta = RuleMeta {
     name: "thread-spawn",
     summary: "raw `thread::spawn` outside the sanctioned worker pools",
     rationale: "detached threads outlive their stage and race deterministic \
-                result merging; use a scoped pool (`par::par_map`, the \
-                commander) that joins and merges in input order",
+                result merging; run the work as a per-site stage of the \
+                crawler's ordered loop, which joins and merges in input order",
     only: None,
     exempt: &[],
     // Test code must not leak threads either — a detached thread in a
@@ -50,10 +50,10 @@ impl Rule for ThreadSpawn {
                     "detached `thread::spawn` outside a sanctioned worker pool".to_string(),
                 )
                 .with_note(
-                    "spawn through a joining scope instead: \
-                     `wmtree_analysis::par::par_map` for per-item fan-out, or \
-                     `std::thread::scope` with handles joined before the stage \
-                     returns",
+                    "spawn through a joining scope instead: a per-site stage of \
+                     the crawler's ordered loop (`Commander::crawl`, \
+                     `replay_sites`), or `std::thread::scope` with handles \
+                     joined before the stage returns",
                 );
                 out.push(d);
             }

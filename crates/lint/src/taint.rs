@@ -215,7 +215,8 @@ pub fn catalog() -> Vec<TaintMeta> {
             name: "spawn-to-sink",
             summary: "detached-thread scheduling flows into a serializing function",
             rationale: "a detached spawn races deterministic merge order; only \
-                        joining pools (par_map, the commander) may feed sinks",
+                        joining pools (the ordered crawl loop, the lint's \
+                        per-file map) may feed sinks",
             severity: Severity::Error,
         },
         TaintMeta {

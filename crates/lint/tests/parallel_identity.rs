@@ -1,8 +1,8 @@
 //! Satellite: `wmtree-lint lint --workers {1,2,8}` produces
 //! byte-identical pretty and JSON output.
 //!
-//! The engine fans per-file work out over
-//! `wmtree_analysis::par::par_map_min` with a slot-per-item merge, so
+//! The engine fans per-file work out over its scoped `par_map_min`
+//! with a slot-per-item merge, so
 //! worker count must be invisible in the bytes — the same invariant the
 //! lint itself enforces on the pipeline.
 

@@ -176,11 +176,6 @@ impl ShardPlan {
         })
     }
 
-    /// Absolute bundle directory of a shard under the plan directory.
-    pub fn shard_dir(&self, plan_dir: &Path, id: usize) -> Result<PathBuf, ShardError> {
-        Ok(plan_dir.join(&self.shard(id)?.dir))
-    }
-
     /// Every way the shards fail to partition the universe: ids must be
     /// dense `0..n` in order, and the site windows non-empty, contiguous
     /// and covering `[0, total_sites)`, with ascending, disjoint rank

@@ -57,12 +57,6 @@ impl Summary {
             median,
         }
     }
-
-    /// Summarize integer counts.
-    pub fn of_counts<I: IntoIterator<Item = usize>>(counts: I) -> Summary {
-        let values: Vec<f64> = counts.into_iter().map(|c| c as f64).collect();
-        Summary::of(&values)
-    }
 }
 
 /// Streaming mean/SD/min/max accumulator (Welford), for passes over data
@@ -198,12 +192,6 @@ mod tests {
     fn summary_odd_median() {
         let s = Summary::of(&[5.0, 1.0, 3.0]);
         assert_eq!(s.median, 3.0);
-    }
-
-    #[test]
-    fn counts_helper() {
-        let s = Summary::of_counts([1usize, 2, 3]);
-        assert!((s.mean - 2.0).abs() < 1e-12);
     }
 
     #[test]

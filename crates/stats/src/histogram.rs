@@ -132,28 +132,6 @@ impl Histogram2D {
         self.max_y + 1
     }
 
-    /// Marginal distribution over x.
-    pub fn marginal_x(&self) -> Vec<u64> {
-        let mut m = vec![0; self.width()];
-        for y in 0..self.height() {
-            for (x, slot) in m.iter_mut().enumerate() {
-                *slot += self.get(x, y);
-            }
-        }
-        m
-    }
-
-    /// Marginal distribution over y.
-    pub fn marginal_y(&self) -> Vec<u64> {
-        let mut m = vec![0; self.height()];
-        for (y, slot) in m.iter_mut().enumerate() {
-            for x in 0..self.width() {
-                *slot += self.get(x, y);
-            }
-        }
-        m
-    }
-
     /// Merge a compatible grid.
     pub fn merge(&mut self, other: &Histogram2D) {
         assert_eq!(self.counts.len(), other.counts.len(), "grid shape mismatch");
@@ -237,16 +215,6 @@ mod tests {
         let mut g = Histogram2D::new(4, 4);
         g.push(100, 100);
         assert_eq!(g.get(4, 4), 1);
-    }
-
-    #[test]
-    fn grid_marginals() {
-        let mut g = Histogram2D::new(2, 2);
-        g.push(0, 0);
-        g.push(1, 0);
-        g.push(1, 2);
-        assert_eq!(g.marginal_x(), vec![1, 2, 0]);
-        assert_eq!(g.marginal_y(), vec![2, 0, 1]);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::hash::Hash;
 
 /// Jaccard index of two sets: `|A ∩ B| / |A ∪ B|`.
 ///
@@ -25,13 +24,6 @@ pub fn jaccard_of_counts(inter: usize, a: usize, b: usize) -> f64 {
         return 1.0;
     }
     inter as f64 / (a + b - inter) as f64
-}
-
-/// Jaccard index of two slices, deduplicating internally.
-pub fn jaccard_slices<T: Ord + Clone>(a: &[T], b: &[T]) -> f64 {
-    let sa: BTreeSet<T> = a.iter().cloned().collect();
-    let sb: BTreeSet<T> = b.iter().cloned().collect();
-    jaccard(&sa, &sb)
 }
 
 /// Size of the intersection of two sorted, duplicate-free slices
@@ -108,19 +100,6 @@ pub fn pairwise_mean_jaccard<T: Ord>(sets: &[BTreeSet<T>]) -> Option<f64> {
         }
     }
     Some(sum / n as f64)
-}
-
-/// Convenience over hashable items: collects each group into a set first.
-pub fn pairwise_mean_jaccard_items<T, I>(groups: &[I]) -> Option<f64>
-where
-    T: Ord + Clone + Hash,
-    I: AsRef<[T]>,
-{
-    let sets: Vec<BTreeSet<T>> = groups
-        .iter()
-        .map(|g| g.as_ref().iter().cloned().collect())
-        .collect();
-    pairwise_mean_jaccard(&sets)
 }
 
 /// The paper's three interpretation bands for similarity scores
@@ -292,12 +271,6 @@ mod tests {
         assert_eq!(sorted_intersection_count(&[1u32, 2, 3], &[2, 3, 4]), 2);
         assert_eq!(sorted_intersection_count::<u32>(&[], &[1, 2]), 0);
         assert_eq!(sorted_intersection_count(&[5u32], &[5]), 1);
-    }
-
-    #[test]
-    fn slices_dedupe() {
-        let j = jaccard_slices(&["a", "a", "b"], &["b", "b", "a"]);
-        assert_eq!(j, 1.0);
     }
 
     #[test]

@@ -172,15 +172,6 @@ pub fn build_tree(
     tree
 }
 
-/// Convenience: build with the default config and the embedded list.
-pub fn build_tree_default(visit: &VisitResult) -> DepTree {
-    build_tree(
-        visit,
-        Some(wmtree_filterlist::embedded::tracking_list()),
-        &TreeConfig::default(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -77,16 +77,6 @@ impl TreeDiff {
             shared as f64 / union as f64
         }
     }
-
-    /// Share of shared nodes whose position is identical.
-    pub fn positional_agreement(&self) -> f64 {
-        let shared = self.stable + self.reparented + self.moved;
-        if shared == 0 {
-            1.0
-        } else {
-            self.stable as f64 / shared as f64
-        }
-    }
 }
 
 /// Diff two trees of the same page (roots excluded — they are the page).
@@ -215,7 +205,6 @@ mod tests {
         assert_eq!(d.stable, 2);
         assert_eq!(d.total(), 2);
         assert_eq!(d.node_jaccard(), 1.0);
-        assert_eq!(d.positional_agreement(), 1.0);
     }
 
     #[test]

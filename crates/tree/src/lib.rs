@@ -29,7 +29,7 @@ pub mod cache;
 pub mod diff;
 mod tree;
 
-pub use build::{build_tree, build_tree_default, CallStackMode, TreeConfig};
+pub use build::{build_tree, CallStackMode, TreeConfig};
 pub use cache::{verify_cache, CacheVerifyIssue, CacheVerifyReport, TreeCache};
 pub use diff::{diff_trees, DiffEntry, NodeDisposition, TreeDiff};
 pub use tree::{DepTree, Node, NodeId, TreeMetrics};

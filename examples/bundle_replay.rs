@@ -11,7 +11,6 @@
 //! cargo run --release --example bundle_replay -- /tmp/wmtree-bundle-replay
 //! ```
 
-use wmtree::analysis::node_similarity::analyze_all;
 use wmtree::telemetry::MetricValue;
 use wmtree::{BundleRun, Experiment, ExperimentConfig, Report, Scale};
 
@@ -72,9 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let replayed = exp.replay_from_bundle(&dir)?;
 
     // Analysis A: node-presence census across the five profiles.
-    let sims = analyze_all(&replayed.data);
+    let sims = &replayed.sims;
     let (mut nodes, mut in_all, mut in_one) = (0usize, 0usize, 0usize);
-    for page in &sims {
+    for page in sims {
         for node in &page.nodes {
             nodes += 1;
             if node.present_in == page.n_trees {

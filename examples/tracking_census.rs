@@ -10,13 +10,12 @@
 //! ```
 
 use std::collections::BTreeMap;
-use wmtree::analysis::node_similarity::analyze_all;
 use wmtree::{Experiment, ExperimentConfig, Scale};
 use wmtree_url::Url;
 
 fn main() {
     let results = Experiment::new(ExperimentConfig::at_scale(Scale::Tiny)).run();
-    let sims = analyze_all(&results.data);
+    let sims = &results.sims;
 
     // Census: tracking nodes per third-party site, with presence stats.
     #[derive(Default)]
@@ -28,7 +27,7 @@ fn main() {
     }
     let mut census: BTreeMap<String, Entry> = BTreeMap::new();
 
-    for page in &sims {
+    for page in sims {
         for node in &page.nodes {
             if !node.tracking {
                 continue;

@@ -9,9 +9,11 @@
 //! wins at every worker count.
 //!
 //!
-//! A page one profile visited under two checkpoints is a defect of the
-//! visit log too: every replay refuses it with `read_bundle`'s error,
-//! naming the page and the log, and commits no cache.
+//! A site recorded under two checkpoints, whole or split between them,
+//! is a defect of the visit log too: `verify_bundle` reports it, and
+//! every replay refuses it with `read_bundle`'s error, located at the
+//! site's first record under its second checkpoint and naming the page,
+//! and commits no cache.
 //!
 //! Tree-cache counters are process-global, so this file owns its
 //! process and runs the cases that read them in one test.
@@ -20,7 +22,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use wmtree::browser::VisitResult;
 use wmtree::bundle::hash::{chain_fold, chain_start, from_hex, line_checksum, object_hash, to_hex};
-use wmtree::bundle::{object, BundleError, BundleWriter, EncodedSite, Manifest};
+use wmtree::bundle::{
+    object, verify_bundle, BundleError, BundleWriter, EncodedSite, Manifest, SegmentDefect,
+    VerifyIssue,
+};
 use wmtree::crawler::{read_bundle, PageKey};
 use wmtree::telemetry::MetricValue;
 use wmtree::tree::cache::TreeCache;
@@ -263,28 +268,56 @@ fn a_late_defect_fails_a_streamed_replay_and_commits_nothing() {
 }
 
 /// Write the sites of the bundle at `from` into a new bundle at `to`,
-/// one checkpoint each in site order, the first site twice; returns
-/// that site's first page.
-fn first_site_twice(from: &Path, to: &Path) -> PageKey {
+/// one checkpoint each in site order, except that `split` decides
+/// which of the first site's profiles each of its checkpoints holds.
+/// Returns the first page of the first site and the line, in the visit
+/// log, of that site's first record under its second checkpoint.
+fn rewrite_sites(from: &Path, to: &Path, split: &[fn(usize) -> bool]) -> (PageKey, usize) {
     let db = read_bundle(from).expect("read the recording");
     let meta = Manifest::load(from).expect("manifest").meta;
     let mut writer = BundleWriter::create(to, meta).expect("create the bundle");
     let pages: Vec<&PageKey> = db.pages().collect();
     let sites: Vec<&[&PageKey]> = pages.chunk_by(|a, b| a.site == b.site).collect();
-    for site in std::iter::once(sites[0]).chain(sites.iter().copied()) {
+    let all: fn(usize) -> bool = |_| true;
+    let firsts = split.iter().map(|&keep| (sites[0], keep));
+    let mut line = 1;
+    for (i, (site, keep)) in firsts
+        .chain(sites[1..].iter().map(|&s| (s, all)))
+        .enumerate()
+    {
         let db = &db;
-        let visits = site.iter().flat_map(|&page| {
-            (0..db.n_profiles()).filter_map(move |profile| {
-                let visit = db.visit_any(page, profile)?;
-                Some((page.url.clone(), profile, visit))
+        let visits: Vec<_> = site
+            .iter()
+            .flat_map(|&page| {
+                (0..db.n_profiles()).filter_map(move |profile| {
+                    let visit = db.visit_any(page, profile)?;
+                    keep(profile).then(|| (page.url.clone(), profile, visit))
+                })
             })
-        });
+            .collect();
+        if i == 0 {
+            line += visits.len() + 1;
+        }
         let encoded = EncodedSite::encode(&site[0].site, visits).expect("encode the site");
         writer.append(encoded).expect("append the site");
     }
     writer.finish().expect("finish the bundle");
-    sites[0][0].clone()
+    (sites[0][0].clone(), line)
 }
+
+/// The first site twice, whole.
+fn first_site_twice(from: &Path, to: &Path) -> (PageKey, usize) {
+    rewrite_sites(from, to, &[|_| true, |_| true])
+}
+
+/// The first site split over two checkpoints: profile 0's visits, then
+/// the other profiles'.
+fn first_site_split(from: &Path, to: &Path) -> (PageKey, usize) {
+    rewrite_sites(from, to, &[|p| p == 0, |p| p != 0])
+}
+
+/// A named way to record the first site under two checkpoints.
+type Doubling = (&'static str, fn(&Path, &Path) -> (PageKey, usize));
 
 #[test]
 fn a_page_recorded_twice_fails_every_replay_against_the_visit_log() {
@@ -295,38 +328,57 @@ fn a_page_recorded_twice_fails_every_replay_against_the_visit_log() {
         Ok(BundleRun::Complete { .. }) => {}
         other => panic!("the record completes: {other:?}"),
     }
-    let bundle = root.join("twice");
-    let page = first_site_twice(&recorded, &bundle);
-    let expect = read_bundle(&bundle).expect_err("read_bundle refuses the second visit");
-    let text = expect.to_string();
-    assert!(
-        text.starts_with("manifest disagrees with visits: visit conflict")
-            && text.contains(&format!("{} / {}", page.site, page.url)),
-        "{text}"
-    );
+    let doublings: [Doubling; 2] = [("twice", first_site_twice), ("split", first_site_split)];
+    for (case, doubling) in doublings {
+        let bundle = root.join(case);
+        let (page, line) = doubling(&recorded, &bundle);
+        let located = |segment: &str, at: usize| segment == "visits-000.seg" && at == line;
 
-    for workers in [1usize, 2, 8] {
-        let cfg = ExperimentConfig {
-            workers,
-            ..cfg.clone()
-        };
-        let exp = Experiment::new(cfg.clone());
-        let cache_dir = root.join(format!("cache-{workers}"));
-        let cache = AnalysisCache::open(&cache_dir, &cfg);
-        let cached = exp.replay_from_bundle_cached(&bundle, &cache);
-        drop(cache);
-        let plain = exp.replay_from_bundle(&bundle);
-        for (how, result) in [("cached", cached.err()), ("cache-free", plain.err())] {
-            let err =
-                result.unwrap_or_else(|| panic!("{how} replay at {workers} workers succeeded"));
-            assert!(!err.to_string().contains("TREECACHE"), "{how}: {err}");
-            assert_eq!(err.to_string(), text, "{how} replay at {workers} workers");
-            assert!(matches!(err, BundleError::ManifestMismatch { .. }), "{how}");
-        }
+        // The audit behind `check-artifacts` reports the record.
+        let report = verify_bundle(&bundle).expect("verify the bundle");
         assert!(
-            !cache_dir.join("CACHE.json").exists(),
-            "the cached replay at {workers} workers committed its cache"
+            matches!(report.issues.as_slice(),
+                [VerifyIssue::Segment(SegmentDefect::Corrupt { segment, line, .. })]
+                    if located(segment, *line)),
+            "{case}: {:?}",
+            report.issues
         );
+
+        let expect = read_bundle(&bundle).expect_err("read_bundle refuses the second checkpoint");
+        let text = expect.to_string();
+        assert!(
+            matches!(&expect, BundleError::Corrupt { segment, line, .. } if located(segment, *line))
+                && text.contains(&format!("{} / {}", page.site, page.url)),
+            "{case}: {text}"
+        );
+
+        for workers in [1usize, 2, 8] {
+            let cfg = ExperimentConfig {
+                workers,
+                ..cfg.clone()
+            };
+            let exp = Experiment::new(cfg.clone());
+            let cache_dir = root.join(format!("{case}-cache-{workers}"));
+            let cache = AnalysisCache::open(&cache_dir, &cfg);
+            let cached = exp.replay_from_bundle_cached(&bundle, &cache);
+            drop(cache);
+            let plain = exp.replay_from_bundle(&bundle);
+            for (how, result) in [("cached", cached.err()), ("cache-free", plain.err())] {
+                let err = result.unwrap_or_else(|| {
+                    panic!("{case}: {how} replay at {workers} workers succeeded")
+                });
+                assert_eq!(
+                    err.to_string(),
+                    text,
+                    "{case}: {how} replay at {workers} workers"
+                );
+                assert!(matches!(err, BundleError::Corrupt { .. }), "{case}: {how}");
+            }
+            assert!(
+                !cache_dir.join("CACHE.json").exists(),
+                "{case}: the cached replay at {workers} workers committed its cache"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
