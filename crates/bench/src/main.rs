@@ -37,10 +37,12 @@
 //! runs only the ablations, on reliable Tiny universes and `--workers`
 //! threads, whatever `--scale` says: it makes no report, so `--json`,
 //! `--csv` and `--telemetry` write nothing alongside it. An unknown
-//! flag, a value flag without a value, or a numeric flag whose value is
-//! not a number exits 2 naming the flag. `--help` (or `-h`) prints the
-//! usage of `repro`, or of `repro serve`, rendered from the command's
-//! flag table, and exits 0.
+//! flag, a value flag without a value, a numeric flag whose value is
+//! not a number, or a `--table`, `--fig` or `--case` value that names
+//! no artifact exits 2 naming the flag, before anything runs. `--help`
+//! (or `-h`) prints the usage of `repro`, or of `repro serve`, rendered
+//! from the command's flag table, and exits 0. `--table 1` and `--fig 6`
+//! print configuration and a worked example, with no crawl.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,6 +91,65 @@ fn parse_n(args: &[String], flag: &str) -> Option<usize> {
     })
 }
 
+/// How one `--table`, `--fig` or `--case` value renders: with no
+/// crawl, or from the run's report.
+#[derive(Clone, Copy)]
+enum Render {
+    Fixed(fn() -> String),
+    Report(fn(&Report) -> String),
+}
+
+/// Every value of `--table`, `--fig` and `--case`, with its renderer.
+/// The value check and the printing both read this table; when several
+/// are asked for, the first listed prints.
+const ARTIFACTS: &[(&str, &str, Render)] = &[
+    ("--table", "1", Render::Fixed(table1)),
+    ("--table", "2", Render::Report(Report::render_table2)),
+    ("--table", "3", Render::Report(Report::render_table3)),
+    ("--table", "4", Render::Report(Report::render_table4)),
+    ("--table", "5", Render::Report(Report::render_table5)),
+    ("--table", "6", Render::Report(Report::render_table6)),
+    ("--table", "7", Render::Report(Report::render_table7)),
+    ("--fig", "1", Render::Report(Report::render_fig1)),
+    ("--fig", "2", Render::Report(Report::render_fig2)),
+    ("--fig", "3", Render::Report(Report::render_fig3)),
+    ("--fig", "4", Render::Report(Report::render_fig4)),
+    ("--fig", "5", Render::Report(Report::render_fig5)),
+    ("--fig", "6", Render::Fixed(appendix_d)),
+    ("--fig", "7", Render::Report(Report::render_fig7)),
+    ("--fig", "8", Render::Report(Report::render_fig8)),
+    (
+        "--case",
+        "unique-nodes",
+        Render::Report(|r| case(r, "§5.1")),
+    ),
+    ("--case", "cookies", Render::Report(|r| case(r, "§5.2"))),
+    ("--case", "tracking", Render::Report(|r| case(r, "§5.3"))),
+];
+
+/// The renderer of the artifact `args` ask for, if any: the first
+/// listed whose flag has its value. A `--table`, `--fig` or `--case`
+/// value that [`ARTIFACTS`] does not list exits 2 naming the flag and
+/// its values.
+fn artifact(args: &[String]) -> Option<Render> {
+    let values = |flag| ARTIFACTS.iter().filter(move |a| a.0 == flag);
+    for (flag, value) in ARTIFACTS
+        .iter()
+        .filter_map(|a| Some((a.0, flag_value(args, a.0)?)))
+    {
+        if !values(flag).any(|a| a.1 == value) {
+            let values: Vec<&str> = values(flag).map(|a| a.1).collect();
+            eprintln!(
+                "[repro] {flag} must be one of {}, got {value:?}",
+                values.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
+    let asked = |a: &&(&str, &str, Render)| flag_value(args, a.0).as_deref() == Some(a.1);
+    ARTIFACTS.iter().find(asked).map(|a| a.2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let get = |flag: &str| flag_value(&args, flag);
@@ -121,9 +182,11 @@ fn main() {
         wmtree::telemetry::set_enabled(false);
     }
 
-    // Fig. 6 (Appendix D) is a worked example, not a crawl artifact.
-    if get("--fig").as_deref() == Some("6") {
-        print_appendix_d();
+    // The artifact values are checked before anything runs, and an
+    // artifact that needs no crawl prints right away.
+    let artifact = artifact(&args);
+    if let Some(Render::Fixed(render)) = artifact {
+        print!("{}", render());
         return;
     }
 
@@ -177,17 +240,8 @@ fn main() {
     // `--workers` threads: no experiment runs at `--scale`, and no
     // report, so `--json`, `--csv` and `--telemetry` write nothing.
     if args.iter().any(|a| a == "--ablations") {
-        eprintln!("[repro] running methodology ablations (re-crawls several times)...");
-        let cfg = config(Scale::Tiny).reliable();
-        for outcome in [
-            wmtree::ablation::url_normalization(&cfg),
-            wmtree::ablation::callstack_mode(&cfg),
-            wmtree::ablation::vetting(&cfg),
-            wmtree::ablation::interaction_variants(&cfg),
-            wmtree::ablation::tree_metric(&cfg),
-            wmtree::ablation::statefulness(&cfg),
-            wmtree::ablation::filter_lists(&cfg),
-        ] {
+        eprintln!("[repro] running methodology ablations (four crawls)...");
+        for outcome in wmtree::ablation::all(&config(Scale::Tiny).reliable()) {
             println!("== {} ==", outcome.knob);
             for (label, value) in &outcome.arms {
                 println!("  {label:<40} {value:.3}");
@@ -392,59 +446,11 @@ fn main() {
         get("--telemetry").or_else(|| get("--csv")),
     );
 
-    if let Some(table) = get("--table") {
-        let out = match table.as_str() {
-            "1" => table1(),
-            "2" => report.render_table2(),
-            "3" => report.render_table3(),
-            "4" => report.render_table4(),
-            "5" => report.render_table5(),
-            "6" => report.render_table6(),
-            "7" => report.render_table7(),
-            other => format!("unknown table {other}\n"),
-        };
-        print!("{out}");
-        return;
-    }
-    if let Some(fig) = get("--fig") {
-        let out = match fig.as_str() {
-            "1" => report.render_fig1(),
-            "2" => report.render_fig2(),
-            "3" => report.render_fig3(),
-            "4" => report.render_fig4(),
-            "5" => report.render_fig5(),
-            "7" => report.render_fig7(),
-            "8" => report.render_fig8(),
-            other => format!("unknown figure {other}\n"),
-        };
-        print!("{out}");
-        return;
-    }
-    if let Some(case) = get("--case") {
-        let full = report.render_case_studies();
-        // Sections are delimited by "== " headers; print the matching one.
-        let wanted = match case.as_str() {
-            "unique-nodes" => "§5.1",
-            "cookies" => "§5.2",
-            "tracking" => "§5.3",
-            _ => {
-                print!("{full}");
-                return;
-            }
-        };
-        let mut printing = false;
-        for line in full.lines() {
-            if line.starts_with("== ") {
-                printing = line.contains(wanted);
-            }
-            if printing {
-                println!("{line}");
-            }
-        }
-        return;
-    }
-
-    print!("{}", report.render());
+    let render = match artifact {
+        Some(Render::Report(render)) => render,
+        _ => Report::render,
+    };
+    print!("{}", render(&report));
 }
 
 /// Unless telemetry is off, write the run manifest's `telemetry.json`
@@ -497,6 +503,19 @@ fn serve(args: &[String]) {
     eprintln!("[repro] server drained; job store {root} is consistent");
 }
 
+/// The §5 case study whose `== ` header names `section`.
+fn case(report: &Report, section: &str) -> String {
+    let full = report.render_case_studies();
+    let mut printing = false;
+    let lines = full.lines().filter(|line| {
+        if line.starts_with("== ") {
+            printing = line.contains(section);
+        }
+        printing
+    });
+    lines.map(|line| format!("{line}\n")).collect()
+}
+
 /// Table 1 is configuration, not measurement — print the profile matrix.
 fn table1() -> String {
     let mut s = String::from("== Table 1: overview of the used profiles ==\n");
@@ -517,13 +536,12 @@ fn table1() -> String {
 
 /// Appendix D: the worked three-tree example, computed by the real
 /// Jaccard machinery.
-fn print_appendix_d() {
+fn appendix_d() -> String {
     use std::collections::BTreeSet;
     use wmtree::stats::jaccard::{jaccard, pairwise_mean_jaccard};
 
     let set =
         |items: &[&str]| -> BTreeSet<String> { items.iter().map(|s| s.to_string()).collect() };
-    println!("== Appendix D: worked comparison example ==");
 
     // Horizontal, depth one: {a,b,c}, {a,c}, {a,b,c} → .77
     let d1 = vec![
@@ -531,30 +549,25 @@ fn print_appendix_d() {
         set(&["a", "c"]),
         set(&["a", "b", "c"]),
     ];
-    println!(
-        "depth-1 Jaccard (2/3 + 1 + 2/3)/3 = {:.2}   (paper: .77)",
-        pairwise_mean_jaccard(&d1).unwrap()
-    );
-
     // All nodes: sets realizing pairwise 6/7, 5/7, 5/6 → .8
     let all = vec![
         set(&["a", "b", "c", "d", "e", "x", "y"]),
         set(&["a", "b", "c", "d", "e", "x"]),
         set(&["a", "b", "c", "d", "e"]),
     ];
-    println!(
-        "all-nodes Jaccard (6/7 + 5/7 + 5/6)/3 = {:.2}   (paper: .8)",
-        pairwise_mean_jaccard(&all).unwrap()
-    );
-
     // Vertical, parent of e: present in trees 1 and 3 under d, absent
     // in 2 → (1 + 0 + 0)/3 = .33.
     let p1 = set(&["d"]);
     let p2: BTreeSet<String> = BTreeSet::new();
     let p3 = set(&["d"]);
     let scores = [jaccard(&p1, &p3), jaccard(&p1, &p2), jaccard(&p3, &p2)];
-    println!(
-        "parent-of-e Jaccard (1 + 0 + 0)/3 = {:.2}   (paper: .3)",
+    format!(
+        "== Appendix D: worked comparison example ==\n\
+         depth-1 Jaccard (2/3 + 1 + 2/3)/3 = {:.2}   (paper: .77)\n\
+         all-nodes Jaccard (6/7 + 5/7 + 5/6)/3 = {:.2}   (paper: .8)\n\
+         parent-of-e Jaccard (1 + 0 + 0)/3 = {:.2}   (paper: .3)\n",
+        pairwise_mean_jaccard(&d1).unwrap(),
+        pairwise_mean_jaccard(&all).unwrap(),
         scores.iter().sum::<f64>() / 3.0
-    );
+    )
 }

@@ -1,8 +1,9 @@
 //! `repro` flag validation at the process boundary: an unknown flag, a
 //! value flag without its value, or a numeric flag with a value that is
-//! not a number must stop the run with exit code 2 and a message naming
-//! the flag, not fall back to a default. `--help` exits 0 and names
-//! every flag its command accepts.
+//! not a number, or an artifact flag whose value names no artifact, must
+//! stop the run with exit code 2 and a message naming the flag, not fall
+//! back to a default. `--help` exits 0 and names every flag its command
+//! accepts.
 
 use std::process::{Command, Output};
 use wmtree_bench::{FlagTable, FLAGS, SERVE_FLAGS};
@@ -43,6 +44,10 @@ fn unknown_flag_exits_2_naming_the_flag() {
         &["serve", "--root", "store", "--cahce", "2"],
     );
     assert_rejected(&out, "--cahce");
+    for (flag, value) in [("--table", "9"), ("--fig", "9"), ("--case", "cookie")] {
+        let (out, _) = repro(&format!("unknown{flag}"), &["--scale", "tiny", flag, value]);
+        assert_rejected(&out, flag);
+    }
 }
 
 #[test]
@@ -61,6 +66,15 @@ fn value_flag_followed_by_a_flag_exits_2_naming_it() {
     );
     let (out, _) = repro("trailing-value", &["--scale", "tiny", "--workers"]);
     assert_rejected(&out, "--workers");
+}
+
+#[test]
+fn table_1_prints_without_a_crawl() {
+    let (out, _) = repro("table-1", &["--scale", "tiny", "--table", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "stderr: {stderr}");
+    assert!(out.stdout.starts_with(b"== Table 1"));
 }
 
 /// `repro` run with `args` must print a usage naming every flag of

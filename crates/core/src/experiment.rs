@@ -115,7 +115,7 @@ impl Experiment {
             .crawl(
                 &progress,
                 |site| self.accumulate(&site, None),
-                |acc| fold.add(acc?),
+                |acc| fold.add(acc),
             )
             .and_then(|()| {
                 fold.lap("crawl");
@@ -149,7 +149,7 @@ impl Experiment {
         let outcome = self
             .commander()
             .record(dir, max_sites, &progress, Some(&stage), |acc| {
-                acc.and_then(|acc| fold.add(acc)).map_err(visit_fault)
+                fold.add(acc).map_err(visit_fault)
             })?;
         fold.lap("crawl");
 
@@ -246,11 +246,7 @@ impl Experiment {
     /// accumulation: [`Fold::add_bundle`] stores them once the whole
     /// bundle has verified. Crawls and replays run it on each site in a
     /// worker.
-    pub fn accumulate(
-        &self,
-        db: &CrawlDb,
-        cache: Option<&AnalysisCache>,
-    ) -> Result<CachedAccumulation, PartialMergeError> {
+    pub fn accumulate(&self, db: &CrawlDb, cache: Option<&AnalysisCache>) -> CachedAccumulation {
         accumulate(
             db,
             &self.names,
@@ -430,7 +426,7 @@ impl Fold<'_> {
             cache,
             exp.config.workers,
             |db| exp.accumulate(&db, cache),
-            |acc| self.add(acc.map_err(visit_fault)?).map_err(visit_fault),
+            |acc| self.add(acc).map_err(visit_fault),
         )?;
         self.lap("read_bundle");
         if let Some(cache) = cache {

@@ -329,7 +329,7 @@ pub fn accumulate_cached<'c>(
         tree_config,
         site_meta,
         cache,
-    )?;
+    );
     if let Some(cache) = cache {
         cache.store(acc.records.drain(..));
     }
@@ -345,7 +345,7 @@ pub(crate) fn accumulate(
     tree_config: &TreeConfig,
     site_meta: &BTreeMap<String, (u32, String)>,
     cache: Option<&AnalysisCache>,
-) -> Result<CachedAccumulation, PartialMergeError> {
+) -> CachedAccumulation {
     let cache = cache.map(|cache| &cache.trees);
     // The span covers exactly what the `build_trees` stage times: up to
     // and including the page indexes, not the analyses after them.
@@ -413,7 +413,7 @@ pub(crate) fn accumulate(
         db.total_successful_visits(),
         db.vetted_sites().len(),
     );
-    Ok(CachedAccumulation {
+    CachedAccumulation {
         acc,
         sites_total: by_site.len(),
         sites_rebuilt,
@@ -421,7 +421,7 @@ pub(crate) fn accumulate(
         build_wall,
         analyze_wall: sw.lap(),
         records,
-    })
+    }
 }
 
 /// A run's results plus how much of the work a cache absorbed.

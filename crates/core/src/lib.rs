@@ -29,11 +29,14 @@
 //!
 //! 1. [`WebUniverse::generate`](wmtree_webgen::WebUniverse::generate) —
 //!    a deterministic rank-listed universe of sites.
-//! 2. [`Commander::run`](wmtree_crawler::Commander::run) — the
-//!    semi-parallel five-profile crawl (Table 1 profiles).
-//! 3. [`Fold`] — vetting, dependency-tree construction (§3.2), with
-//!    unchanged sites' trees taken from an optional [`AnalysisCache`],
-//!    and the per-node analyses.
+//! 2. [`Commander::crawl`](wmtree_crawler::Commander::crawl), or
+//!    `record` into a bundle — the semi-parallel five-profile crawl
+//!    (Table 1 profiles). The worker that crawls a site runs the
+//!    per-site stage ([`Experiment::accumulate`]) on it: vetting,
+//!    dependency trees (§3.2) and the per-node analyses.
+//! 3. [`Fold`] — the per-site results in universe order; replays feed
+//!    it the same stage, taking unchanged sites' trees from an optional
+//!    [`AnalysisCache`].
 //! 4. [`Report::generate`] — every table/figure of §4, §5, and the
 //!    appendices.
 

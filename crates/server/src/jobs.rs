@@ -39,7 +39,8 @@ pub struct JobSpec {
     pub scale: String,
     /// Universe seed override (default: the scale preset's seed).
     pub seed: Option<u64>,
-    /// Crawl worker threads override. Never affects results — crawls
+    /// Crawl worker threads override, clamped to `1..=` the scale's
+    /// default, the host's parallelism. Never affects results — crawls
     /// are deterministic across worker counts — only wall time.
     pub workers: Option<usize>,
 }
@@ -54,7 +55,7 @@ impl JobSpec {
             config.universe.seed = seed;
         }
         if let Some(workers) = self.workers {
-            config.workers = workers.max(1);
+            config.workers = workers.clamp(1, config.workers);
         }
         Ok(config)
     }
@@ -346,6 +347,16 @@ mod tests {
         // Reopen from disk: same contents.
         let (store2, _) = JobStore::open(&root).unwrap();
         assert_eq!(store2.list(), store.list());
+    }
+
+    #[test]
+    fn workers_clamp_to_the_scale_default() {
+        let default = ExperimentConfig::at_scale(Scale::Tiny).workers;
+        for (asked, got) in [(usize::MAX, default), (0, 1)] {
+            let mut spec = spec("tiny");
+            spec.workers = Some(asked);
+            assert_eq!(spec.config().unwrap().workers, got, "{asked}");
+        }
     }
 
     #[test]

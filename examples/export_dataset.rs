@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Aggregated report (JSON) + figure CSVs, from the same database.
     let mut fold = experiment.fold();
-    fold.add(experiment.accumulate(&db, None)?)?;
+    fold.add(experiment.accumulate(&db, None))?;
     let results = fold.finish(None)?.results;
     let report = Report::generate(&results);
     std::fs::write(out_dir.join("report.json"), report.to_json())?;

@@ -11,16 +11,8 @@ use wmtree::{ExperimentConfig, Scale};
 fn main() {
     let config = ExperimentConfig::at_scale(Scale::Tiny).reliable();
 
-    println!("Running seven methodology ablations (each re-analyzes or re-crawls)...\n");
-    for outcome in [
-        ablation::url_normalization(&config),
-        ablation::callstack_mode(&config),
-        ablation::vetting(&config),
-        ablation::interaction_variants(&config),
-        ablation::tree_metric(&config),
-        ablation::statefulness(&config),
-        ablation::filter_lists(&config),
-    ] {
+    println!("Running seven methodology ablations (four crawls, every arm analysed per site)...\n");
+    for outcome in ablation::all(&config) {
         println!("== {} ==", outcome.knob);
         for (label, value) in &outcome.arms {
             println!("  {label:<32} {value:.3}");

@@ -5,7 +5,8 @@
 //! least as similar as raw, …); these constants hold every arm's label
 //! and `f64` bits still across commits and worker counts, so a change to
 //! how the ablations crawl, build trees or analyse that moves any arm's
-//! last bit fails here.
+//! last bit fails here. One sweep ([`ablation::all`]) must also crawl
+//! the universe exactly four times, once per crawl setting.
 //!
 //! The constants move only with a deliberate change to what the crawl
 //! records (see `tests/crawl_pin.rs`) or to what an ablation measures.
@@ -38,6 +39,8 @@ fn digest(outcome: &AblationOutcome) -> String {
     format!("{:016x}", stable_hash(0, text.as_bytes()))
 }
 
+/// The only test of this binary: the crawl counter it reads is
+/// process-global.
 #[test]
 fn tiny_ablations_reproduce_the_pinned_bits() {
     let want: Vec<(&str, String)> = DIGESTS
@@ -47,30 +50,27 @@ fn tiny_ablations_reproduce_the_pinned_bits() {
     for workers in [1, 2] {
         let mut config = ExperimentConfig::at_scale(Scale::Tiny).reliable();
         config.workers = workers;
-        let normalization = ablation::url_normalization(&config);
+        let crawled = || wmtree::telemetry::counter!("crawler.sites.crawled").get();
+        let before = crawled();
+        let outcomes = ablation::all(&config);
+        // One crawl of the 30 Tiny sites each: the paper's setting with
+        // every tree and filter arm, the stateful setting, and the two
+        // interaction profiles.
+        assert_eq!(crawled() - before, 4 * 30, "workers {workers}");
         assert_eq!(
-            normalization.arms[0],
+            outcomes[0].arms[0],
             (
                 "normalized (2492 nodes)".to_string(),
                 f64::from_bits(0x3fea5e4e53470b17)
             ),
             "workers {workers}"
         );
-        let got: Vec<(&str, String)> = [
-            ("url_normalization", normalization),
-            ("callstack_mode", ablation::callstack_mode(&config)),
-            ("vetting", ablation::vetting(&config)),
-            (
-                "interaction_variants",
-                ablation::interaction_variants(&config),
-            ),
-            ("tree_metric", ablation::tree_metric(&config)),
-            ("statefulness", ablation::statefulness(&config)),
-            ("filter_lists", ablation::filter_lists(&config)),
-        ]
-        .iter()
-        .map(|(name, outcome)| (*name, digest(outcome)))
-        .collect();
+        assert_eq!(outcomes.len(), DIGESTS.len());
+        let got: Vec<(&str, String)> = DIGESTS
+            .iter()
+            .zip(&outcomes)
+            .map(|(&(name, _), outcome)| (name, digest(outcome)))
+            .collect();
         assert_eq!(got, want, "workers {workers}");
     }
 }
