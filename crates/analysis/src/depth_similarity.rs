@@ -61,7 +61,7 @@ impl DepthFilter {
 /// pages' scores. A page's score averages its per-depth Jaccards
 /// *within* the page first ("the arithmetic mean value to state the
 /// similarity for a given page", §3.2), so each page contributes one
-/// value, computed with its [`PageSummary`](crate::summary::PageSummary).
+/// value, computed with its `PageSummary`.
 pub fn table3(data: &ExperimentData) -> Vec<DepthSimilarityRow> {
     let summaries: Vec<_> = data.summaries().collect();
     DepthFilter::ALL

@@ -23,7 +23,7 @@
 //!   "expected measurement fluctuation" figure a study could report.
 //!
 //! Recall and accumulation read each page's
-//! [`PageSummary`](crate::summary::PageSummary): its trees' node counts,
+//! `PageSummary`: its trees' node counts,
 //! its record-key union and the keys its first `i + 1` trees cover.
 
 use crate::node_similarity::PageNodeSimilarities;

@@ -39,7 +39,7 @@ pub struct UniqueNodeStats {
 /// [`crate::index::PageIndex`] (with its per-page occurrence count)
 /// into a global key → entry table, the entry taking its metadata from
 /// the key's first page, its depth from that page's
-/// [`PageSummary`](crate::summary::PageSummary). The table is a hash
+/// `PageSummary`. The table is a hash
 /// map used for lookup only: the unique keys are sorted once, so their
 /// depths feed the summary in key order.
 pub fn unique_node_stats(data: &ExperimentData, top_hosts: usize) -> UniqueNodeStats {

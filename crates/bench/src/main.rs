@@ -38,11 +38,12 @@
 //! threads, whatever `--scale` says: it makes no report, so `--json`,
 //! `--csv` and `--telemetry` write nothing alongside it. An unknown
 //! flag, a value flag without a value, a numeric flag whose value is
-//! not a number, or a `--table`, `--fig` or `--case` value that names
-//! no artifact exits 2 naming the flag, before anything runs. `--help`
-//! (or `-h`) prints the usage of `repro`, or of `repro serve`, rendered
-//! from the command's flag table, and exits 0. `--table 1` and `--fig 6`
-//! print configuration and a worked example, with no crawl.
+//! not a number, an unknown `--scale`, or a `--table`, `--fig` or
+//! `--case` value that names no artifact exits 2 naming the flag,
+//! before anything prints or runs. `--help` (or `-h`) prints the usage
+//! of `repro`, or of `repro serve`, rendered from the command's flag
+//! table, and exits 0. `--table 1` and `--fig 6` print configuration
+//! and a worked example, with no crawl.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -182,9 +183,21 @@ fn main() {
         wmtree::telemetry::set_enabled(false);
     }
 
-    // The artifact values are checked before anything runs, and an
-    // artifact that needs no crawl prints right away.
+    // Every value is checked before anything prints or runs: the
+    // artifact names, the scale and the numeric flags. Then an artifact
+    // that needs no crawl prints right away.
     let artifact = artifact(&args);
+    let scale = match get("--scale") {
+        Some(name) => Scale::parse(&name).unwrap_or_else(|e| {
+            eprintln!("[repro] --scale: {e}");
+            std::process::exit(2);
+        }),
+        None => Scale::Small,
+    };
+    let workers = parse_n(&args, "--workers");
+    let shard_id = parse_n(&args, "--shard-id");
+    let shards = parse_n(&args, "--shards");
+    let max_sites = parse_n(&args, "--max-sites");
     if let Some(Render::Fixed(render)) = artifact {
         print!("{}", render());
         return;
@@ -220,14 +233,6 @@ fn main() {
         return;
     }
 
-    let scale = match get("--scale") {
-        Some(name) => Scale::parse(&name).unwrap_or_else(|e| {
-            eprintln!("[repro] {e}");
-            std::process::exit(2);
-        }),
-        None => Scale::Small,
-    };
-    let workers = parse_n(&args, "--workers");
     let config = |scale: Scale| {
         let mut cfg = ExperimentConfig::at_scale(scale);
         if let Some(w) = workers {
@@ -253,13 +258,12 @@ fn main() {
     // One-shard crawl: `--shard-dir DIR --shard-id K`. Crawls (or
     // resumes) that shard's bundle and exits — the report comes later,
     // from `--merge-shards`.
-    if let Some(id) = parse_n(&args, "--shard-id") {
+    if let Some(id) = shard_id {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shard-id needs --shard-dir DIR (where SHARDS.json lives)");
             std::process::exit(2);
         });
         let plan_dir = std::path::Path::new(&dir);
-        let max_sites = parse_n(&args, "--max-sites");
         eprintln!("[repro] crawling shard {id} of plan {dir} at {scale:?} scale...");
         let exp = Experiment::new(config(scale));
         match wmtree_shard::crawl_shard(&exp, plan_dir, id, max_sites) {
@@ -293,7 +297,7 @@ fn main() {
     // the streaming merge (and the normal report path) once every
     // shard is crawled.
     let mut merge_dir = get("--merge-shards");
-    if let Some(n) = parse_n(&args, "--shards") {
+    if let Some(n) = shards {
         let dir = get("--shard-dir").unwrap_or_else(|| {
             eprintln!("[repro] --shards needs --shard-dir DIR");
             std::process::exit(2);
@@ -380,7 +384,6 @@ fn main() {
             eprintln!("[repro] {dir} already holds a bundle; pass --resume to continue it");
             std::process::exit(2);
         }
-        let max_sites = parse_n(&args, "--max-sites");
         eprintln!(
             "[repro] running the five-profile experiment at {scale:?} scale into bundle {dir}..."
         );

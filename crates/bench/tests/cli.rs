@@ -36,6 +36,19 @@ fn non_numeric_workers_exits_2_naming_the_flag() {
 }
 
 #[test]
+fn every_value_is_checked_before_an_artifact_prints() {
+    let (out, _) = repro("fig-6-workers", &["--fig", "6", "--workers", "abc"]);
+    assert_rejected(&out, "--workers");
+    let (out, _) = repro("table-1-scale", &["--table", "1", "--scale", "bogus"]);
+    assert_rejected(&out, "--scale");
+    let (out, _) = repro(
+        "list-max-sites",
+        &["--list-bundles", ".", "--max-sites", "x"],
+    );
+    assert_rejected(&out, "--max-sites");
+}
+
+#[test]
 fn unknown_flag_exits_2_naming_the_flag() {
     let (out, _) = repro("unknown", &["--scale", "tiny", "--wokers", "2"]);
     assert_rejected(&out, "--wokers");

@@ -25,20 +25,22 @@
 //! run.
 //!
 //! Segment logs have one reader, [`segment::LogScan`], which yields
-//! records and framing defects alike. Replay ([`read_sites`]) and
-//! [`BundleWriter::resume`] share one fail-fast loader over it, which
-//! reads each log once on the calling thread, parses no object, and
-//! hands out each checkpointed site, in log order, as soon as its
+//! records and framing defects alike, and bundles one loader over it,
+//! which reads each log once on the calling thread, parses no object,
+//! and hands out each checkpointed site, in log order, as soon as its
 //! objects are verified, still encoded ([`StoredSite`]): each payload
 //! it needs, moved to the last site that needs it, with the deepest
 //! [`Depth`] planned for it (the address alone, the header, or the
 //! whole visit). [`StoredSite::decode`] parses a site's objects on
 //! whichever thread takes the site — in a replay, the worker that
 //! analyses it. The checks that need the whole log decide the result
-//! at its end. The first defect surfaces as an error naming the
-//! segment, line, and byte offset. [`verify_bundle`], the check behind
-//! `wmtree-lint check-artifacts`, scans the same way but leniently,
-//! decoding every object in full and collecting every defect.
+//! at its end. The loader hands every defect it finds, in its one scan
+//! order, to its caller: replay ([`read_sites`]) and
+//! [`BundleWriter::resume`] stop at the first that is not a crash
+//! leftover, an error naming the segment, line, and byte offset;
+//! [`verify_bundle`], the check behind `wmtree-lint check-artifacts`,
+//! runs it to the end, decoding every object in full and collecting
+//! every defect.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,16 +1,20 @@
 //! The one bundle loader, shared by replay ([`read_sites`], which feeds
-//! the stage workers of `wmtree-crawler`'s `replay_sites`) and by
-//! [`BundleWriter::resume`](crate::BundleWriter::resume). It runs on the
-//! calling thread and parses no object.
+//! the stage workers of `wmtree-crawler`'s `replay_sites`), by
+//! [`BundleWriter::resume`](crate::BundleWriter::resume) and by
+//! [`verify_bundle`](crate::verify_bundle). It runs on the calling
+//! thread and parses no object.
 //!
-//! Both logs are read fail-fast through [`LogScan`], each exactly once.
-//! The visit log comes first: it is small (coordinates and content
-//! addresses only), and reading it whole tells the loader which visits
-//! reference each object and which visits each checkpoint closes. The
-//! caller's plan then names the [`Depth`] each checkpointed visit
-//! needs; an object's depth is the deepest of the visits that reference
-//! it. The object log comes next: each record's checksum, chain and
-//! content address, and the duplicate check.
+//! Both logs are read through [`LogScan`], each exactly once, and every
+//! defect found goes to the caller's handler in this one scan order:
+//! replay and resume stop at the first that is not a crash leftover,
+//! verification collects them all. The visit log comes first: it is
+//! small (coordinates and content addresses only), and reading it whole
+//! tells the loader which visits reference each object and which visits
+//! each checkpoint closes. The caller's plan then names the [`Depth`]
+//! each checkpointed visit needs; an object's depth is the deepest of
+//! the visits that reference it. The object log comes next: each
+//! record's checksum, chain and content address, and the duplicate
+//! check.
 //!
 //! A site leaves as soon as every object its visits reference has been
 //! scanned, in log order and still encoded ([`StoredSite`]): each
@@ -28,8 +32,9 @@ use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
 use crate::manifest::Manifest;
 use crate::object::{decode_at, Depth};
-use crate::record::{duplicate_object, BadRecord, BundleVisit, LogEntry, Record, SiteRule};
-use crate::segment::{LogScan, RecordLoc, SegmentDefect};
+use crate::record::{duplicate_object, BundleVisit, LogEntry, Record, SiteRule};
+use crate::segment::{LogScan, RecordLoc, Scanned, SegmentDefect};
+use crate::verify::VerifyIssue;
 use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -185,6 +190,8 @@ pub(crate) struct Loaded {
     pub(crate) sites: BTreeSet<String>,
     /// Content addresses of every stored object.
     pub(crate) index: BTreeSet<u64>,
+    /// What the committed logs hold.
+    pub(crate) tally: Tally,
     /// The finished scans of the visit and object logs, for recovery.
     pub(crate) logs: [LogScan; 2],
 }
@@ -325,37 +332,58 @@ impl<'v> SiteStream<'v> {
     }
 }
 
-/// Read and verify every committed record of the bundle at `dir`:
-/// checksums, chains, content addresses, profile indices, the visit
-/// log's site rule, references, counts and the checkpoint boundary.
-/// `plan` sees the checkpointed visits, in log order, before any object
-/// is read, and names the depth each one needs. Each checkpointed site goes to `sink`, in log
-/// order, as soon as the objects its visits reference are scanned: its
-/// visits planned deeper than [`Depth::Address`], with those objects
-/// still encoded (a site with none is skipped). Crash leftovers past
-/// the committed region are skipped; any other defect, or the first
-/// `sink` error, is the error, naming where it is.
+/// Read and check every committed record of the bundle at `dir`:
+/// checksums, chains, the visit log's site rule, profile indices,
+/// content addresses, duplicates, references, counts, the checkpoint
+/// boundary and orphans. `plan` sees the checkpointed visits, in log
+/// order, before any object is read, and names the depth each one
+/// needs. Each checkpointed site goes to `sink`, in log order, as soon
+/// as the objects its visits reference are scanned: its visits planned
+/// deeper than [`Depth::Address`], with those objects still encoded (a
+/// site with none is skipped). `check` sees each stored object's
+/// payload as it is scanned; what it finds wrong is a `Corrupt` defect
+/// at the object's record. Every defect goes to `report`, in scan
+/// order; its first error, or the first `sink` error, stops the load
+/// and is the error.
 pub(crate) fn load(
     dir: &Path,
     manifest: &Manifest,
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
     mut sink: impl FnMut(StoredSite) -> Result<(), BundleError>,
+    mut check: impl FnMut(&str) -> Result<(), String>,
+    mut report: impl FnMut(VerifyIssue) -> Result<(), BundleError>,
 ) -> Result<Loaded, BundleError> {
     let mut visit_log = LogScan::new(dir, VISITS_PREFIX, &manifest.visit_segments);
     let mut object_log = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
-    let n_profiles = manifest.meta.n_profiles;
+    let corrupt =
+        |loc: &RecordLoc, detail| VerifyIssue::Segment(SegmentDefect::corrupt(loc, detail));
     let mut visits: Vec<LoggedVisit> = Vec::new();
     let mut locs: Vec<RecordLoc> = Vec::new();
     // The visit count at each checkpoint.
     let mut ends = Vec::new();
     let mut rule = SiteRule::default();
     let mut tally = Tally::default();
-    while let Some((loc, payload)) = visit_log.next_record()? {
-        let located = |detail| SegmentDefect::corrupt(&loc, detail);
-        match Record::decode(payload, n_profiles) {
+    while let Some(item) = visit_log.next_item() {
+        let (loc, payload) = match item? {
+            Scanned::Defect(defect) => {
+                report(VerifyIssue::Segment(defect))?;
+                continue;
+            }
+            Scanned::Record(loc, payload) => (loc, payload),
+        };
+        match Record::decode(payload) {
             Ok(LogEntry::Visit(visit, object)) => {
-                rule.visit(&visit.site, &visit.url, visit.profile)
-                    .map_err(located)?;
+                if visit.profile >= manifest.meta.n_profiles {
+                    report(VerifyIssue::ProfileOutOfRange {
+                        segment: loc.segment.clone(),
+                        line: loc.line,
+                        offset: loc.offset,
+                        profile: visit.profile,
+                    })?;
+                }
+                if let Err(detail) = rule.visit(&visit.site, &visit.url, visit.profile) {
+                    report(corrupt(&loc, detail))?;
+                }
                 visits.push(LoggedVisit {
                     site: visit.site,
                     url: visit.url,
@@ -365,19 +393,13 @@ pub(crate) fn load(
                 locs.push(loc);
             }
             Ok(LogEntry::Checkpoint(cp)) => {
-                rule.checkpoint(&cp).map_err(located)?;
+                if let Err(detail) = rule.checkpoint(&cp) {
+                    report(corrupt(&loc, detail))?;
+                }
                 tally.checkpoints += 1;
                 ends.push(visits.len());
             }
-            Err(BadRecord::Corrupt(detail)) => {
-                return Err(SegmentDefect::corrupt(&loc, detail).into())
-            }
-            Err(BadRecord::ProfileOutOfRange(profile)) => {
-                let detail = format!(
-                    "profile index {profile} out of range (bundle has {n_profiles} profiles)"
-                );
-                return Err(SegmentDefect::corrupt(&loc, detail).into());
-            }
+            Err(detail) => report(corrupt(&loc, detail))?,
         }
     }
     // Visits before the last checkpoint.
@@ -398,44 +420,64 @@ pub(crate) fn load(
     // Sites with no visit wait for nothing.
     stream.flush(&mut sink)?;
     let mut index = BTreeSet::new();
-    let mut orphan = None;
-    while let Some((loc, payload)) = object_log.next_record()? {
+    let mut orphans = Vec::new();
+    while let Some(item) = object_log.next_item() {
+        let (loc, payload) = match item? {
+            Scanned::Defect(defect) => {
+                report(VerifyIssue::Segment(defect))?;
+                continue;
+            }
+            Scanned::Record(loc, payload) => (loc, payload),
+        };
         let hash = object_hash(payload.as_bytes());
         if !index.insert(hash) {
-            return Err(SegmentDefect::corrupt(&loc, duplicate_object(hash)).into());
+            report(corrupt(&loc, duplicate_object(hash)))?;
+            continue;
+        }
+        if let Err(detail) = check(payload) {
+            report(corrupt(&loc, detail))?;
         }
         match wanted.remove(&hash) {
             Some(refs) => {
                 stream.apply(hash, &refs, index.len(), loc, payload);
                 stream.flush(&mut sink)?;
             }
-            None => {
-                orphan.get_or_insert(hash);
-            }
+            None => orphans.push(hash),
         }
     }
-    if let Some(&first) = wanted.values().filter_map(|refs| refs.first()).min() {
-        return Err(BundleError::DanglingObject {
-            segment: locs[first].segment.clone(),
-            line: locs[first].line,
-            object: to_hex(visits[first].object),
-        });
+    // Every visit whose object was never stored, in log order.
+    let mut dangling: Vec<usize> = wanted.into_values().flatten().collect();
+    dangling.sort_unstable();
+    for i in dangling {
+        report(VerifyIssue::DanglingObject {
+            segment: locs[i].segment.clone(),
+            line: locs[i].line,
+            object: to_hex(visits[i].object),
+        })?;
     }
     tally.objects = index.len() as u64;
-    if let Some(defect) = tally.defects(manifest).into_iter().next() {
-        return Err(defect.into());
+    for defect in tally.defects(manifest) {
+        report(VerifyIssue::Segment(defect))?;
     }
-    if let Some(orphan) = orphan {
-        return Err(BundleError::ManifestMismatch {
-            segment: OBJECTS_PREFIX.to_string(),
-            detail: format!("object {} is stored but never referenced", to_hex(orphan)),
-        });
+    for orphan in orphans {
+        report(VerifyIssue::OrphanObject {
+            object: to_hex(orphan),
+        })?;
     }
     Ok(Loaded {
         sites: rule.closed,
         index,
+        tally,
         logs: [visit_log, object_log],
     })
+}
+
+/// The handler of every reader of a bundle whose `manifest` the caller
+/// loaded: stop at the first defect that is not a crash leftover, with
+/// its error.
+pub(crate) fn fail_fast(manifest: &Manifest) -> impl FnMut(VerifyIssue) -> Result<(), BundleError> {
+    let n_profiles = manifest.meta.n_profiles;
+    move |issue| issue.into_error(n_profiles).map_or(Ok(()), Err)
 }
 
 /// Replay a bundle site by site: load and verify every committed
@@ -462,7 +504,7 @@ pub fn read_sites(
     plan: impl FnOnce(&[LoggedVisit]) -> Vec<Depth>,
     sink: impl FnMut(StoredSite) -> Result<(), BundleError>,
 ) -> Result<(), BundleError> {
-    load(dir, manifest, plan, sink).map(drop)
+    load(dir, manifest, plan, sink, |_| Ok(()), fail_fast(manifest)).map(drop)
 }
 
 #[cfg(test)]

@@ -42,11 +42,11 @@ pub struct Checkpoint {
 }
 
 /// The visit log's one site rule, checked record by record, in log
-/// order, by the loader and by `verify_bundle` alike: a checkpoint
-/// closes exactly the visit records it counts, each of them names the
-/// checkpoint's site, no earlier checkpoint named that site, and no
-/// `(url, profile)` appears twice among them. So no page is visited
-/// twice by one profile, and every site's visits are one checkpoint's.
+/// order, by the loader: a checkpoint closes exactly the visit records
+/// it counts, each of them names the checkpoint's site, no earlier
+/// checkpoint named that site, and no `(url, profile)` appears twice
+/// among them. So no page is visited twice by one profile, and every
+/// site's visits are one checkpoint's.
 /// Each checkpoint's records are reported at their first defect only.
 #[derive(Debug, Default)]
 pub(crate) struct SiteRule {
@@ -127,35 +127,18 @@ pub(crate) enum LogEntry {
     Checkpoint(Checkpoint),
 }
 
-/// Why [`Record::decode`] rejected a visit-log payload.
-pub(crate) enum BadRecord {
-    /// Unparseable, or a malformed object hash.
-    Corrupt(String),
-    /// A visit by a profile index the bundle does not have.
-    ProfileOutOfRange(usize),
-}
-
 impl Record {
     /// Decode one visit-log payload: parse the record, then a visit's
-    /// object hash, then check its profile index against the bundle's
-    /// `n_profiles`.
-    pub(crate) fn decode(payload: &str, n_profiles: usize) -> Result<LogEntry, BadRecord> {
-        let record: Record = serde_json::from_str(payload)
-            .map_err(|e| BadRecord::Corrupt(format!("unparseable record: {e}")))?;
+    /// object hash. The error is what is wrong with it.
+    pub(crate) fn decode(payload: &str) -> Result<LogEntry, String> {
+        let record: Record =
+            serde_json::from_str(payload).map_err(|e| format!("unparseable record: {e}"))?;
         match record {
             Record::Checkpoint(cp) => Ok(LogEntry::Checkpoint(cp)),
-            Record::Visit(vr) => {
-                let Some(hash) = from_hex(&vr.object) else {
-                    return Err(BadRecord::Corrupt(format!(
-                        "malformed object hash `{}`",
-                        vr.object
-                    )));
-                };
-                if vr.profile >= n_profiles {
-                    return Err(BadRecord::ProfileOutOfRange(vr.profile));
-                }
-                Ok(LogEntry::Visit(vr, hash))
-            }
+            Record::Visit(vr) => match from_hex(&vr.object) {
+                Some(hash) => Ok(LogEntry::Visit(vr, hash)),
+                None => Err(format!("malformed object hash `{}`", vr.object)),
+            },
         }
     }
 }

@@ -15,11 +15,10 @@
 //!
 //! [`LogWriter`] appends; [`LogScan`] is the one reader. It consumes
 //! exactly the records the manifest declares and yields every framing
-//! defect as an item, so each caller picks its own policy in its own
-//! loop: fail-fast readers stop at the first real defect
-//! ([`LogScan::next_record`]), lenient verifiers collect them all
-//! ([`LogScan::next_item`]), and recovering callers cut crash leftovers
-//! away afterwards ([`LogScan::truncate`]).
+//! defect as an item ([`LogScan::next_item`]), in scan order, so one
+//! loop serves every caller: readers stop at the first defect that is
+//! not a crash leftover, verifiers collect them all, and recovering
+//! callers cut crash leftovers away afterwards ([`LogScan::truncate`]).
 
 use crate::error::BundleError;
 use crate::hash::{chain_fold, chain_start, from_hex, line_checksum, to_hex};
@@ -334,28 +333,13 @@ impl LogScan {
         }
     }
 
-    /// Lenient reading: the next record or defect, `None` once the log
-    /// is exhausted.
+    /// The next record or defect, `None` once the log is exhausted.
     pub fn next_item(&mut self) -> Option<Result<Scanned<'_>, BundleError>> {
         Some(match self.step()? {
             Ok(Step::Record(loc)) => Ok(Scanned::Record(loc, self.payload())),
             Ok(Step::Defect(defect)) => Ok(Scanned::Defect(defect)),
             Err(e) => Err(e),
         })
-    }
-
-    /// Fail-fast reading: the next committed record, `None` at the end.
-    /// Crash leftovers are skipped; any other defect is an error.
-    pub fn next_record(&mut self) -> Result<Option<(RecordLoc, &str)>, BundleError> {
-        loop {
-            match self.step() {
-                None => return Ok(None),
-                Some(Err(e)) => return Err(e),
-                Some(Ok(Step::Defect(SegmentDefect::TrailingBytes { .. }))) => {}
-                Some(Ok(Step::Defect(defect))) => return Err(defect.into()),
-                Some(Ok(Step::Record(loc))) => return Ok(Some((loc, self.payload()))),
-            }
-        }
     }
 
     /// Recovery after a scan that found no defect but crash leftovers:
@@ -525,11 +509,25 @@ mod tests {
         w
     }
 
+    /// A reader's policy over the scan: the next committed record,
+    /// `None` at the end; crash leftovers are skipped, any other defect
+    /// is an error.
+    fn next_record(scan: &mut LogScan) -> Result<Option<(RecordLoc, String)>, BundleError> {
+        loop {
+            match scan.next_item().transpose()? {
+                None => return Ok(None),
+                Some(Scanned::Defect(SegmentDefect::TrailingBytes { .. })) => {}
+                Some(Scanned::Defect(defect)) => return Err(defect.into()),
+                Some(Scanned::Record(loc, payload)) => return Ok(Some((loc, payload.to_string()))),
+            }
+        }
+    }
+
     fn drain(dir: &Path, metas: &[SegmentMeta]) -> Vec<String> {
         let mut scan = LogScan::new(dir, "visits", metas);
         let mut out = Vec::new();
-        while let Some((_, payload)) = scan.next_record().unwrap() {
-            out.push(payload.to_string());
+        while let Some((_, payload)) = next_record(&mut scan).unwrap() {
+            out.push(payload);
         }
         out
     }
@@ -568,9 +566,9 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut scan = LogScan::new(&dir, "visits", w.metas());
-        scan.next_record().unwrap().unwrap();
-        scan.next_record().unwrap().unwrap();
-        match scan.next_record().unwrap_err() {
+        next_record(&mut scan).unwrap().unwrap();
+        next_record(&mut scan).unwrap().unwrap();
+        match next_record(&mut scan).unwrap_err() {
             BundleError::Corrupt {
                 segment,
                 line,
@@ -584,7 +582,7 @@ mod tests {
             other => panic!("expected Corrupt, got {other}"),
         }
         // Stopping is the caller's choice: the scan itself goes on.
-        let (loc, _) = scan.next_record().unwrap().unwrap();
+        let (loc, _) = next_record(&mut scan).unwrap().unwrap();
         assert_eq!(loc.line, 4);
     }
 
@@ -598,8 +596,8 @@ mod tests {
         std::fs::write(&path, &bytes[..keep]).unwrap();
 
         let mut scan = LogScan::new(&dir, "visits", w.metas());
-        scan.next_record().unwrap().unwrap();
-        let err = scan.next_record().unwrap_err();
+        next_record(&mut scan).unwrap().unwrap();
+        let err = next_record(&mut scan).unwrap_err();
         assert!(matches!(err, BundleError::ManifestMismatch { .. }), "{err}");
         // A missing segment is the shortest file of all.
         std::fs::remove_file(&path).unwrap();
@@ -669,7 +667,7 @@ mod tests {
 
         let mut scan = LogScan::new(&dir, "visits", &committed);
         let mut seen = 0;
-        while scan.next_record().unwrap().is_some() {
+        while next_record(&mut scan).unwrap().is_some() {
             seen += 1;
         }
         assert_eq!(seen, 3);

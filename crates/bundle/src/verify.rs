@@ -2,22 +2,22 @@
 //! `wmtree-lint check-artifacts` on bundle directories and the CI
 //! integrity gate.
 //!
-//! Unlike the fail-fast loader, verification is *lenient*: it walks the
-//! same [`LogScan`] as replay but collects every defect it finds, so one
-//! flipped byte does not hide an unrelated dangling reference further on.
+//! Verification is the bundle loader run to the end: the same scan,
+//! in the same order, as every replay, only collecting each defect
+//! instead of stopping at the first, so one flipped byte does not hide
+//! an unrelated dangling reference further on, and a bundle verifies
+//! clean exactly when every replay reads it.
 
 use crate::error::BundleError;
-use crate::hash::{object_hash, to_hex};
 use crate::manifest::Manifest;
 use crate::object::{decode_at, Depth};
-use crate::reader::Tally;
-use crate::record::{duplicate_object, BadRecord, LogEntry, Record, SiteRule};
-use crate::segment::{LogScan, RecordLoc, Scanned, SegmentDefect};
-use crate::writer::{OBJECTS_PREFIX, VISITS_PREFIX};
-use std::collections::BTreeSet;
+use crate::reader::{load, LoggedVisit};
+use crate::segment::SegmentDefect;
+use crate::writer::OBJECTS_PREFIX;
 use std::path::Path;
 
-/// One defect found by [`verify_bundle`].
+/// One defect found by the bundle loader, as [`verify_bundle`] reports
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyIssue {
     /// A segment-log defect: a record that fails its checksum or does
@@ -45,6 +45,8 @@ pub enum VerifyIssue {
         segment: String,
         /// One-based line number.
         line: usize,
+        /// Byte offset of the record start.
+        offset: u64,
         /// The offending profile index.
         profile: usize,
     },
@@ -52,10 +54,50 @@ pub enum VerifyIssue {
     Incomplete,
 }
 
+impl VerifyIssue {
+    /// The error a reader stops at for this issue, or `None` for a state
+    /// that is no defect: an unfinished crawl, or crash leftovers.
+    /// `n_profiles` is the bundle's profile count.
+    pub(crate) fn into_error(self, n_profiles: usize) -> Option<BundleError> {
+        Some(match self {
+            VerifyIssue::Incomplete | VerifyIssue::Segment(SegmentDefect::TrailingBytes { .. }) => {
+                return None
+            }
+            VerifyIssue::Segment(defect) => defect.into(),
+            VerifyIssue::DanglingObject {
+                segment,
+                line,
+                object,
+            } => BundleError::DanglingObject {
+                segment,
+                line,
+                object,
+            },
+            VerifyIssue::OrphanObject { object } => BundleError::ManifestMismatch {
+                segment: OBJECTS_PREFIX.to_string(),
+                detail: format!("object {object} is stored but never referenced"),
+            },
+            VerifyIssue::ProfileOutOfRange {
+                segment,
+                line,
+                offset,
+                profile,
+            } => BundleError::Corrupt {
+                segment,
+                line,
+                offset,
+                detail: format!(
+                    "profile index {profile} out of range (bundle has {n_profiles} profiles)"
+                ),
+            },
+        })
+    }
+}
+
 /// The outcome of [`verify_bundle`].
 #[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
-    /// Every defect found, in scan order.
+    /// Every defect found, in the loader's scan order.
     pub issues: Vec<VerifyIssue>,
     /// Visit records actually present and parseable.
     pub visit_records: u64,
@@ -71,7 +113,7 @@ impl VerifyReport {
     /// No integrity defects. [`VerifyIssue::Incomplete`] and
     /// [`SegmentDefect::TrailingBytes`] are *states*, not corruption,
     /// and do not count against cleanliness. A bundle is clean exactly
-    /// when the fail-fast loader reads it.
+    /// when every replay reads it.
     pub fn is_clean(&self) -> bool {
         self.issues.iter().all(|i| {
             matches!(
@@ -82,13 +124,15 @@ impl VerifyReport {
     }
 }
 
-/// Verify a bundle end to end: per-record checksums, per-segment chains
-/// against the manifest, object-store content addresses, the visit
-/// log's site rule (the loader's), referential integrity (no dangling
-/// references), orphan detection, checkpoint structure, count
-/// agreement, and leftovers past the committed set.
+/// Verify a bundle end to end: run the loader every replay runs —
+/// per-record checksums, per-segment chains against the manifest, the
+/// visit log's site rule, profile indices, content addresses and
+/// duplicates, references, counts, the checkpoint boundary, orphans,
+/// and leftovers past the committed set — to the end, with every visit
+/// planned at [`Depth::Address`] and every stored object, orphans
+/// included, decoded in full as it is scanned. Nothing is truncated.
 /// I/O failures (unreadable files) are `Err`; every *integrity* defect
-/// lands in the report.
+/// lands in the report, in the loader's scan order.
 pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
     let _span = wmtree_telemetry::span("bundle.verify");
     let manifest = Manifest::load(dir)?;
@@ -96,96 +140,24 @@ pub fn verify_bundle(dir: &Path) -> Result<VerifyReport, BundleError> {
     if !manifest.complete {
         issues.push(VerifyIssue::Incomplete);
     }
-    let corrupt =
-        |loc: &RecordLoc, detail: String| VerifyIssue::Segment(SegmentDefect::corrupt(loc, detail));
-
-    // Pass 1 — object store: every payload decodes in full, and no
-    // content address is stored twice.
-    let mut stored: BTreeSet<u64> = BTreeSet::new();
-    let mut objects = LogScan::new(dir, OBJECTS_PREFIX, &manifest.object_segments);
-    while let Some(item) = objects.next_item() {
-        match item? {
-            Scanned::Defect(defect) => issues.push(VerifyIssue::Segment(defect)),
-            Scanned::Record(loc, payload) => {
-                let hash = object_hash(payload.as_bytes());
-                if let Err(detail) = decode_at(payload, Depth::Full) {
-                    issues.push(corrupt(&loc, detail));
-                } else if !stored.insert(hash) {
-                    issues.push(corrupt(&loc, duplicate_object(hash)));
-                }
-            }
-        }
-    }
-
-    // Pass 2 — visit log: structure, the site rule, references,
-    // checkpoint shape.
-    let mut referenced: BTreeSet<u64> = BTreeSet::new();
-    let mut rule = SiteRule::default();
-    let mut tally = Tally {
-        objects: stored.len() as u64,
-        ..Tally::default()
-    };
-    let mut visits = LogScan::new(dir, VISITS_PREFIX, &manifest.visit_segments);
-    while let Some(item) = visits.next_item() {
-        let (loc, payload) = match item? {
-            Scanned::Defect(defect) => {
-                issues.push(VerifyIssue::Segment(defect));
-                continue;
-            }
-            Scanned::Record(loc, payload) => (loc, payload),
-        };
-        match Record::decode(payload, manifest.meta.n_profiles) {
-            Err(BadRecord::Corrupt(detail)) => issues.push(corrupt(&loc, detail)),
-            Ok(LogEntry::Checkpoint(cp)) => {
-                if let Err(detail) = rule.checkpoint(&cp) {
-                    issues.push(corrupt(&loc, detail));
-                }
-                tally.checkpoints += 1;
-                tally.pending = 0;
-            }
-            Err(BadRecord::ProfileOutOfRange(profile)) => {
-                tally.visit_records += 1;
-                tally.pending += 1;
-                issues.push(VerifyIssue::ProfileOutOfRange {
-                    segment: loc.segment,
-                    line: loc.line,
-                    profile,
-                });
-            }
-            Ok(LogEntry::Visit(vr, hash)) => {
-                tally.visit_records += 1;
-                tally.pending += 1;
-                if let Err(detail) = rule.visit(&vr.site, &vr.url, vr.profile) {
-                    issues.push(corrupt(&loc, detail));
-                }
-                if stored.contains(&hash) {
-                    referenced.insert(hash);
-                } else {
-                    issues.push(VerifyIssue::DanglingObject {
-                        segment: loc.segment,
-                        line: loc.line,
-                        object: vr.object,
-                    });
-                }
-            }
-        }
-    }
-    issues.extend(
-        tally
-            .defects(&manifest)
-            .into_iter()
-            .map(VerifyIssue::Segment),
-    );
-    for orphan in stored.difference(&referenced) {
-        issues.push(VerifyIssue::OrphanObject {
-            object: to_hex(*orphan),
-        });
-    }
+    let plan = |visits: &[LoggedVisit]| vec![Depth::Address; visits.len()];
+    let decode = |payload: &str| decode_at(payload, Depth::Full).map(drop);
+    let loaded = load(
+        dir,
+        &manifest,
+        plan,
+        |_| Ok(()),
+        decode,
+        |issue| {
+            issues.push(issue);
+            Ok(())
+        },
+    )?;
     Ok(VerifyReport {
         issues,
-        visit_records: tally.visit_records,
-        checkpoints: tally.checkpoints,
-        objects: tally.objects,
+        visit_records: loaded.tally.visit_records,
+        checkpoints: loaded.tally.checkpoints,
+        objects: loaded.tally.objects,
         complete: manifest.complete,
     })
 }

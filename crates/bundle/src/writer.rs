@@ -27,7 +27,7 @@ use crate::error::BundleError;
 use crate::hash::{object_hash, to_hex};
 use crate::manifest::{BundleMeta, Manifest, DEFAULT_SEGMENT_CAPACITY};
 use crate::object::{self, Depth};
-use crate::reader::load;
+use crate::reader::{fail_fast, load};
 use crate::record::{Checkpoint, Record, VisitRef};
 use crate::segment::LogWriter;
 use std::collections::BTreeSet;
@@ -152,7 +152,14 @@ impl BundleWriter {
         let manifest = Manifest::load(dir)?;
         manifest.check_meta(&meta)?;
         let plan = |logged: &[_]| vec![Depth::Address; logged.len()];
-        let loaded = load(dir, &manifest, plan, |_| Ok(()))?;
+        let loaded = load(
+            dir,
+            &manifest,
+            plan,
+            |_| Ok(()),
+            |_| Ok(()),
+            fail_fast(&manifest),
+        )?;
         for log in &loaded.logs {
             log.truncate()?;
         }

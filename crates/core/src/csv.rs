@@ -2,7 +2,7 @@
 //! plotting pipeline (matplotlib, gnuplot, R) consumes to redraw the
 //! paper's charts.
 
-use crate::report::Report;
+use crate::report::{Report, CSVS};
 use std::fmt::Write as _;
 
 /// Escape a CSV field (quotes fields containing commas/quotes).
@@ -146,23 +146,13 @@ impl Report {
         out
     }
 
-    /// Write every CSV into a directory (one file per artifact).
+    /// Write every CSV export ([`CSVS`]) into a directory, one file each.
     pub fn write_csv_dir(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
         std::fs::create_dir_all(dir)?;
-        let files = [
-            ("fig1_depth_breadth.csv", self.fig1_csv()),
-            ("fig2_similarity_distributions.csv", self.fig2_csv()),
-            ("fig3_composition.csv", self.fig3_csv()),
-            ("fig4_similarity_by_depth.csv", self.fig4_csv()),
-            ("fig7_type_depth.csv", self.fig7_csv()),
-            ("fig8_children_by_depth.csv", self.fig8_csv()),
-            ("table5_profiles.csv", self.table5_csv()),
-            ("table7_popularity.csv", self.table7_csv()),
-        ];
         let mut written = Vec::new();
-        for (name, content) in files {
-            let path = dir.join(name);
-            std::fs::write(&path, content)?;
+        for (_, file, to_csv) in CSVS {
+            let path = dir.join(file);
+            std::fs::write(&path, to_csv(self))?;
             written.push(path);
         }
         Ok(written)

@@ -6,7 +6,8 @@
 //! self-contained record per site under the site's *delta key*, so a
 //! site whose visits are unchanged between two replays takes its trees
 //! from its record instead of building them — and, replayed through the
-//! cache ([`replay_cached`]), decodes only its visits' headers.
+//! cache ([`Experiment::replay_from_bundle_cached`](crate::Experiment::replay_from_bundle_cached)),
+//! decodes only its visits' headers.
 //! Everything after the trees — page assembly, analyses, crawl
 //! accounting — is the same per-site stage with or without a cache, so
 //! cached, incremental and cold runs render byte-identical reports

@@ -21,6 +21,27 @@ use wmtree_analysis::type_similarity::{
 use wmtree_analysis::unique_nodes::{self, UniqueNodeStats};
 use wmtree_stats::histogram::Histogram2D;
 
+/// Renders one CSV export of a report.
+pub type CsvRenderer = fn(&Report) -> String;
+
+/// The report's CSV exports, in order: the name each is served under
+/// (`csv/{name}`), its file in a CSV directory
+/// ([`Report::write_csv_dir`]) and its renderer.
+pub const CSVS: [(&str, &str, CsvRenderer); 8] = [
+    ("fig1", "fig1_depth_breadth.csv", Report::fig1_csv),
+    (
+        "fig2",
+        "fig2_similarity_distributions.csv",
+        Report::fig2_csv,
+    ),
+    ("fig3", "fig3_composition.csv", Report::fig3_csv),
+    ("fig4", "fig4_similarity_by_depth.csv", Report::fig4_csv),
+    ("fig7", "fig7_type_depth.csv", Report::fig7_csv),
+    ("fig8", "fig8_children_by_depth.csv", Report::fig8_csv),
+    ("table5", "table5_profiles.csv", Report::table5_csv),
+    ("table7", "table7_popularity.csv", Report::table7_csv),
+];
+
 /// Every reproduced artifact of the paper, in one structure.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Report {

@@ -73,7 +73,7 @@ pub const ARTIFACT_CHECKS: &[(&str, &str, &str)] = &[
     (
         "WM0233",
         "bundle-orphans",
-        "no object is stored without a referencing visit record (warning)",
+        "no object is stored without a referencing visit record",
     ),
     (
         "WM0234",
@@ -301,12 +301,11 @@ pub fn check_crawl_db(db: &CrawlDb, origin: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// Check a bundle directory (`WM023x`): runs the lenient full-archive
-/// verification of `wmtree-bundle` — per-record checksums, segment
-/// chains against the manifest, object-store content addresses and
-/// referential integrity — and maps every defect to a diagnostic.
-/// `Err` means the directory could not be scanned at all (no manifest,
-/// unreadable files).
+/// Check a bundle directory (`WM023x`): runs the bundle loader every
+/// replay runs, to the end (`wmtree_bundle::verify_bundle`), and maps
+/// every defect it finds to a diagnostic, so it fails exactly the
+/// bundles a replay refuses. `Err` means the directory could not be
+/// scanned at all (no manifest, unreadable files).
 pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnostic>, String> {
     let report = wmtree_bundle::verify_bundle(dir).map_err(|e| e.to_string())?;
     let mut out = Vec::new();
@@ -335,6 +334,7 @@ pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnosti
                 segment,
                 line,
                 profile,
+                ..
             } => out.push(Diagnostic::artifact(
                 Code("WM0232"),
                 Severity::Error,
@@ -344,11 +344,11 @@ pub fn check_bundle(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnosti
             wmtree_bundle::VerifyIssue::OrphanObject { object } => out.push(
                 Diagnostic::artifact(
                     Code("WM0233"),
-                    Severity::Warning,
+                    Severity::Error,
                     format!("{origin}:objects"),
                     format!("object {object} is stored but never referenced"),
                 )
-                .with_note("the writer only stores payloads on first reference; an orphan means tampering or a writer bug"),
+                .with_note("the writer only stores payloads on first reference; an orphan means tampering or a writer bug, and every replay refuses it"),
             ),
             wmtree_bundle::VerifyIssue::Incomplete => out.push(
                 Diagnostic::artifact(
@@ -651,35 +651,18 @@ pub fn check_jobs_dir(dir: &std::path::Path, origin: &str) -> Result<Vec<Diagnos
     let at_file = format!("{origin}:{JOBS_FILE}");
     let mut out = Vec::new();
 
-    // WM0241 — dense ids in submission order, bundle dirs unique.
-    let mut dirs_seen = std::collections::BTreeMap::new();
-    for (i, job) in file.jobs.iter().enumerate() {
-        let at = format!("{at_file}:job[{i}]");
-        if job.id != i {
-            out.push(Diagnostic::artifact(
+    // WM0241 — what `JobStore::open` refuses: ids dense in submission
+    // order, bundle dirs unique.
+    for (i, detail) in file.defects() {
+        out.push(
+            Diagnostic::artifact(
                 Code("WM0241"),
                 Severity::Error,
-                at.clone(),
-                format!(
-                    "job ids must be dense 0..{}, found id {}",
-                    file.jobs.len(),
-                    job.id
-                ),
-            ));
-        }
-        if let Some(&other) = dirs_seen.get(&job.dir) {
-            out.push(
-                Diagnostic::artifact(
-                    Code("WM0241"),
-                    Severity::Error,
-                    at,
-                    format!("bundle dir `{}` is shared with job {other}", job.dir),
-                )
-                .with_note("two jobs writing one archive corrupt each other's checkpoints"),
-            );
-        } else {
-            dirs_seen.insert(job.dir.clone(), job.id);
-        }
+                format!("{at_file}:job[{i}]"),
+                detail,
+            )
+            .with_note("the server refuses to open this job store"),
+        );
     }
 
     // WM0242 — field/state coherence.
@@ -1060,6 +1043,42 @@ mod tests {
     }
 
     #[test]
+    fn orphan_object_is_a_wm0233_error() {
+        // A well-framed object no visit references, pinned in the
+        // manifest: only the end-of-log orphan check can refuse it, and
+        // every replay does.
+        let dir = small_bundle("orphan", true);
+        let mut manifest = wmtree_bundle::Manifest::load(&dir).expect("load manifest");
+        let orphan = wmtree_browser::VisitResult::failed(
+            wmtree_url::Url::parse("https://orphan.example/").expect("test url"),
+        );
+        let payload = wmtree_bundle::object::encode(&orphan).expect("encode the orphan");
+        let line = format!(
+            "{} {payload}",
+            wmtree_bundle::hash::to_hex(wmtree_bundle::hash::line_checksum(payload.as_bytes()))
+        );
+        let meta = manifest
+            .object_segments
+            .last_mut()
+            .expect("an object segment");
+        let seg = dir.join(&meta.name);
+        let mut bytes = std::fs::read(&seg).expect("read object segment");
+        bytes.extend_from_slice(format!("{line}\n").as_bytes());
+        std::fs::write(&seg, bytes).expect("write object segment");
+        let chain = wmtree_bundle::hash::from_hex(&meta.chain).expect("hex chain");
+        meta.chain =
+            wmtree_bundle::hash::to_hex(wmtree_bundle::hash::chain_fold(chain, line.as_bytes()));
+        meta.records += 1;
+        manifest.objects += 1;
+        manifest.store(&dir).expect("store manifest");
+        let diags = check_bundle(&dir, "b").expect("scan");
+        assert!(
+            matches!(diags.as_slice(), [d] if d.code.as_str() == "WM0233" && d.severity == Severity::Error),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
     fn corrupt_bundle_reports_wm0231_with_location() {
         let dir = small_bundle("corrupt", true);
         let seg = dir.join("visits-000.seg");
@@ -1130,14 +1149,28 @@ mod tests {
             std::fs::write(&manifest_path, format!("{body}\n")).expect("write cache manifest");
         };
 
-        // A duplicate site key: WM0246.
-        let first = String::from_utf8(committed).expect("utf8 segment");
+        // A duplicate site key: WM0246, and the cache's own open
+        // discards the cache rather than serve either record.
+        let manifest = std::fs::read(&manifest_path).expect("read cache manifest");
+        let first = String::from_utf8(committed.clone()).expect("utf8 segment");
         append(&first.lines().next().expect("one record")[17..]);
         let diags = check_tree_cache(&cache_dir, "c").expect("scan");
         assert!(
             diags.iter().any(|d| d.code.as_str() == "WM0246"),
             "{diags:?}"
         );
+        let discards = || {
+            let snapshot = wmtree::telemetry::global().snapshot();
+            match snapshot.metrics.get("tree.cache.discard") {
+                Some(wmtree::telemetry::MetricValue::Counter(n)) => *n,
+                _ => 0,
+            }
+        };
+        let before = discards();
+        assert_eq!(wmtree_tree::TreeCache::open(&cache_dir, 5).site_count(), 0);
+        assert!(discards() > before, "the open counts its discard");
+        std::fs::write(&seg, &committed).expect("restore cache segment");
+        std::fs::write(&manifest_path, manifest).expect("restore cache manifest");
 
         // A record that does not decode: WM0245.
         append("not-hex no-payload");

@@ -18,23 +18,9 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wmtree::report::CSVS;
 use wmtree::{ExperimentResults, Report};
 use wmtree_telemetry::counter;
-
-/// Renders one CSV export of a report.
-type CsvRenderer = fn(&Report) -> String;
-
-/// The CSV exports served by name, each with its renderer.
-const CSVS: [(&str, CsvRenderer); 8] = [
-    ("fig1", Report::fig1_csv),
-    ("fig2", Report::fig2_csv),
-    ("fig3", Report::fig3_csv),
-    ("fig4", Report::fig4_csv),
-    ("fig7", Report::fig7_csv),
-    ("fig8", Report::fig8_csv),
-    ("table5", Report::table5_csv),
-    ("table7", Report::table7_csv),
-];
 
 /// One cached replay: the results and the response bodies rendered
 /// from their report.
@@ -63,7 +49,7 @@ impl CachedReplay {
             json: report.to_json(),
             csvs: CSVS
                 .iter()
-                .map(|&(name, render)| (name, render(&report)))
+                .map(|&(name, _, render)| (name, render(&report)))
                 .collect(),
             results,
         }
@@ -79,7 +65,7 @@ impl CachedReplay {
 
     /// The names [`csv`](Self::csv) knows, comma-separated.
     pub fn csv_names() -> String {
-        CSVS.map(|(name, _)| name).join(", ")
+        CSVS.map(|(name, _, _)| name).join(", ")
     }
 }
 

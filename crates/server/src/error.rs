@@ -31,6 +31,16 @@ pub enum ServerError {
         /// Version this build supports.
         supported: u32,
     },
+    /// `JOBS.json` lists a job the store cannot address by its id: its
+    /// id is not its position, or its bundle dir is an earlier job's.
+    BadJob {
+        /// The `JOBS.json` path.
+        path: PathBuf,
+        /// The job's position in the list.
+        at: usize,
+        /// What is wrong with it.
+        detail: String,
+    },
     /// A request referenced a job id the store does not hold.
     UnknownJob {
         /// The requested id.
@@ -99,6 +109,9 @@ impl fmt::Display for ServerError {
                 f,
                 "unsupported JOBS.json version {found} (this build reads version {supported})"
             ),
+            ServerError::BadJob { path, at, detail } => {
+                write!(f, "{} job[{at}]: {detail}", path.display())
+            }
             ServerError::UnknownJob { id, n_jobs } => {
                 write!(f, "no such job {id} (store holds {n_jobs} jobs)")
             }

@@ -129,6 +129,35 @@ pub struct JobsFile {
     pub jobs: Vec<JobRecord>,
 }
 
+impl JobsFile {
+    /// What [`JobStore::open`] refuses and `check-artifacts` reports as
+    /// WM0241, in list order: each job, by position, whose id is not
+    /// that position (jobs are addressed by id, ids are `0..n`) or
+    /// whose bundle dir an earlier job has, with what is wrong.
+    pub fn defects(&self) -> Vec<(usize, String)> {
+        let mut dirs = std::collections::BTreeMap::new();
+        let mut out = Vec::new();
+        for (i, job) in self.jobs.iter().enumerate() {
+            if job.id != i {
+                let n = self.jobs.len();
+                let detail = format!("job ids must be dense 0..{n}, found id {}", job.id);
+                out.push((i, detail));
+            }
+            if let Some(other) = dirs.get(&job.dir) {
+                let detail = format!(
+                    "bundle dir `{}` is shared with job {other}: two jobs writing one \
+                     archive corrupt each other's checkpoints",
+                    job.dir
+                );
+                out.push((i, detail));
+            } else {
+                dirs.insert(&job.dir, job.id);
+            }
+        }
+        out
+    }
+}
+
 /// The persistent job queue over one store root.
 #[derive(Debug)]
 pub struct JobStore {
@@ -146,7 +175,10 @@ impl JobStore {
     }
 
     /// Open (or initialize) the job store at `root`, creating the
-    /// directory if needed. Jobs left `Running` by a dead process are
+    /// directory if needed. A `JOBS.json` with a job whose id is not its
+    /// position, or whose bundle dir an earlier job has
+    /// ([`JobsFile::defects`]), is refused, naming the first such job,
+    /// and left as it is. Jobs left `Running` by a dead process are
     /// flipped to `Interrupted` so they get claimed and resumed;
     /// returns the store and how many jobs were recovered that way.
     pub fn open(root: &Path) -> Result<(JobStore, usize), ServerError> {
@@ -167,6 +199,9 @@ impl JobStore {
                     found: file.version,
                     supported: JOBS_VERSION,
                 });
+            }
+            if let Some((at, detail)) = file.defects().into_iter().next() {
+                return Err(ServerError::BadJob { path, at, detail });
             }
             file
         } else {
@@ -405,6 +440,53 @@ mod tests {
         let err = store.get(7).unwrap_err();
         assert!(matches!(err, ServerError::UnknownJob { id: 7, n_jobs: 1 }));
         assert!(err.to_string().contains("no such job 7"), "{err}");
+    }
+
+    #[test]
+    fn open_refuses_jobs_it_cannot_address_by_id() {
+        let root = tmp("non-dense");
+        let (store, _) = JobStore::open(&root).unwrap();
+        store.submit(spec("tiny")).unwrap();
+        store.submit(spec("tiny")).unwrap();
+        let jobs = store.list();
+        drop(store);
+        let path = JobStore::jobs_path(&root);
+        let write = |jobs: Vec<JobRecord>| {
+            let file = JobsFile {
+                version: JOBS_VERSION,
+                jobs,
+            };
+            let text = serde_json::to_string(&file).unwrap();
+            std::fs::write(&path, &text).unwrap();
+            text
+        };
+        // Positions 0 and 1 hold ids 1 and 0: `get` and `update` would
+        // address each job by the other's id. Then two jobs that would
+        // write one archive.
+        let swapped = vec![jobs[1].clone(), jobs[0].clone()];
+        let mut shared = jobs.clone();
+        shared[1].dir = shared[0].dir.clone();
+        for (jobs, at, detail) in [
+            (swapped, 0, "job ids must be dense 0..2, found id 1"),
+            (shared, 1, "bundle dir `job-000` is shared with job 0"),
+        ] {
+            let text = write(jobs);
+            let err = JobStore::open(&root).unwrap_err();
+            assert!(
+                matches!(&err, ServerError::BadJob { at: a, .. } if *a == at),
+                "{err}"
+            );
+            assert!(
+                err.to_string()
+                    .contains(&format!("JOBS.json job[{at}]: {detail}")),
+                "{err}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "a refused store is left as it is"
+            );
+        }
     }
 
     #[test]

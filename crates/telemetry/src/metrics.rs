@@ -2,7 +2,7 @@
 //! histograms behind a sharded lock.
 //!
 //! All record paths are lock-free after the first lookup (handles are
-//! `Arc`s over atomics) and honour the global [enabled][crate::enabled]
+//! `Arc`s over atomics) and honour the global [enabled]
 //! switch with a single relaxed load, so instrumentation can stay in
 //! hot paths permanently.
 

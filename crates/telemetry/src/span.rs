@@ -132,7 +132,7 @@ impl Timings {
 }
 
 /// RAII wall-clock span: created by [`Timings::span`] (usually via
-/// [`crate::span`]), records its elapsed time when dropped.
+/// [`crate::span()`]), records its elapsed time when dropped.
 ///
 /// ```
 /// let _guard = wmtree_telemetry::span("crawl.site");

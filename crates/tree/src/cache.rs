@@ -21,13 +21,13 @@
 use crate::tree::{DepTree, NodeId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use wmtree_bundle::atomic::{atomic_replace, temp_sibling};
 use wmtree_bundle::error::BundleError;
 use wmtree_bundle::hash::{from_hex, to_hex};
 use wmtree_bundle::manifest::DEFAULT_SEGMENT_CAPACITY;
-use wmtree_bundle::segment::{LogScan, LogWriter, RecordLoc, Scanned};
+use wmtree_bundle::segment::{LogScan, LogWriter, Scanned};
 use wmtree_bundle::{SegmentDefect, SegmentMeta};
 use wmtree_net::ResourceType;
 use wmtree_url::Party;
@@ -111,12 +111,12 @@ impl std::fmt::Debug for TreeCache {
 
 impl TreeCache {
     /// Open (or create) the cache at `dir`. Never fails: a missing
-    /// directory is created; a corrupt, version-skewed, or
-    /// fingerprint-mismatched cache is *discarded* and recreated empty
-    /// (counted by `tree.cache.discard`) — the cache holds derived
-    /// data, so discarding is always safe. Crash leftovers past the
-    /// committed manifest are truncated away, exactly as bundle resume
-    /// does.
+    /// directory is created; a cache with any defect [`verify_cache`]
+    /// reports but crash leftovers (a duplicate key included), or a
+    /// fingerprint mismatch, is *discarded* and recreated empty (counted
+    /// by `tree.cache.discard`) — it holds derived data, so discarding
+    /// is always safe. Crash leftovers past the committed manifest are
+    /// truncated away, exactly as bundle resume does.
     pub fn open(dir: &Path, fingerprint: u64) -> TreeCache {
         match Self::try_open(dir, fingerprint) {
             Ok(cache) => cache,
@@ -138,46 +138,19 @@ impl TreeCache {
         }
     }
 
-    fn try_open(dir: &Path, fingerprint: u64) -> Result<TreeCache, BundleError> {
-        std::fs::create_dir_all(dir).map_err(|e| BundleError::io(dir, e))?;
-        let manifest_path = dir.join(CACHE_MANIFEST_FILE);
-        let metas = match std::fs::read_to_string(&manifest_path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(BundleError::io(&manifest_path, e)),
-            Ok(text) => {
-                let manifest: CacheManifest = serde_json::from_str(&text)
-                    .map_err(|e| BundleError::json(manifest_path.display().to_string(), e))?;
-                if manifest.version != CACHE_VERSION {
-                    return Err(BundleError::UnsupportedVersion {
-                        found: manifest.version,
-                        supported: CACHE_VERSION,
-                    });
-                }
-                if from_hex(&manifest.fingerprint) != Some(fingerprint) {
-                    return Err(BundleError::Corrupt {
-                        segment: CACHE_MANIFEST_FILE.to_string(),
-                        line: 1,
-                        offset: 0,
-                        detail: format!(
-                            "cache fingerprint {} does not match requested {}",
-                            manifest.fingerprint,
-                            to_hex(fingerprint)
-                        ),
-                    });
-                }
-                manifest.sites
-            }
+    fn try_open(dir: &Path, fingerprint: u64) -> Result<TreeCache, String> {
+        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
+        // Leftovers are cut only once the log verified.
+        let mut refuse = |issue| match issue {
+            CacheVerifyIssue::Segment(SegmentDefect::TrailingBytes { .. }) => Ok(()),
+            other => Err(format!("{other:?}")),
         };
-
-        // Fail-fast: leftovers are cut only once the log verified, and
-        // any defect discards the cache.
-        let mut sites = HashMap::new();
-        let mut log = LogScan::new(dir, SITES_PREFIX, &metas);
-        while let Some((loc, payload)) = log.next_record()? {
-            let (key, trees) = decode_site(payload).map_err(|d| SegmentDefect::corrupt(&loc, d))?;
-            sites.insert(key, trees);
+        let (found, metas) = read_manifest(dir, &mut refuse)?;
+        if found.is_some_and(|found| found != fingerprint) {
+            return Err(format!("cache fingerprint does not match {fingerprint:x}"));
         }
-        log.truncate()?;
+        let (sites, log) = read_log(dir, &metas, &mut refuse)?;
+        log.truncate().map_err(|e| e.to_string())?;
         Ok(TreeCache {
             dir: dir.to_path_buf(),
             state: Mutex::new(CacheState {
@@ -477,10 +450,9 @@ pub enum CacheVerifyIssue {
 /// Read-only scan report of a cache directory ([`verify_cache`]).
 #[derive(Debug, Default)]
 pub struct CacheVerifyReport {
-    /// Valid site records decoded.
+    /// Valid site records decoded, a duplicate key counted once.
     pub site_records: usize,
-    /// Every defect found — the scan is lenient (collects instead of
-    /// failing fast), like `wmtree_bundle::verify_bundle`.
+    /// Every defect found, in scan order.
     pub issues: Vec<CacheVerifyIssue>,
 }
 
@@ -492,77 +464,102 @@ impl CacheVerifyReport {
 }
 
 /// Read-only integrity + semantic scan of a cache directory, for
-/// `wmtree-lint check-artifacts` (WM0244–WM0246). Unlike
-/// [`TreeCache::open`], nothing is truncated or discarded — every
-/// defect is reported: checksum/chain/count disagreements with
-/// `CACHE.json`, records that do not decode, and duplicate keys. A
-/// missing `CACHE.json` is treated as an empty committed set (any
-/// segments present are uncommitted leftovers). `Err` means the
-/// directory cannot be scanned at all.
+/// `wmtree-lint check-artifacts` (WM0244–WM0246): [`TreeCache::open`]'s
+/// scan, run to the end. Nothing is truncated or discarded — every
+/// defect is reported, in scan order: checksum/chain/count
+/// disagreements with `CACHE.json`, records that do not decode, and
+/// duplicate keys. A missing `CACHE.json` is treated as an empty
+/// committed set (any segments present are uncommitted leftovers).
+/// `Err` means the directory cannot be scanned at all.
 pub fn verify_cache(dir: &Path) -> Result<CacheVerifyReport, String> {
     if !dir.is_dir() {
         return Err(format!("{} is not a directory", dir.display()));
     }
-    let mut report = CacheVerifyReport::default();
-    let manifest_path = dir.join(CACHE_MANIFEST_FILE);
-    let manifest: Option<CacheManifest> = match std::fs::read_to_string(&manifest_path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(format!("cannot read {}: {e}", manifest_path.display())),
+    let mut issues = Vec::new();
+    let mut collect = |issue| {
+        issues.push(issue);
+        Ok(())
+    };
+    let (_, metas) = read_manifest(dir, &mut collect)?;
+    let (sites, _) = read_log(dir, &metas, &mut collect)?;
+    Ok(CacheVerifyReport {
+        site_records: sites.len(),
+        issues,
+    })
+}
+
+/// The fingerprint and committed segments `CACHE.json` at `dir` pins,
+/// none without a manifest that parses. Each defect (no parse, a version
+/// this build does not read, a malformed fingerprint) goes to `report`,
+/// whose error stops the scan, as an I/O failure does.
+fn read_manifest(
+    dir: &Path,
+    report: &mut impl FnMut(CacheVerifyIssue) -> Result<(), String>,
+) -> Result<(Option<u64>, Vec<SegmentMeta>), String> {
+    let path = dir.join(CACHE_MANIFEST_FILE);
+    let manifest: CacheManifest = match std::fs::read_to_string(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((None, Vec::new())),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
         Ok(text) => match serde_json::from_str(&text) {
-            Ok(m) => Some(m),
+            Ok(manifest) => manifest,
             Err(e) => {
-                report.issues.push(manifest_defect(format!(
+                report(manifest_defect(format!(
                     "cache manifest does not parse: {e}"
-                )));
-                None
+                )))?;
+                return Ok((None, Vec::new()));
             }
         },
     };
-    let metas = match manifest {
-        Some(m) => {
-            if m.version != CACHE_VERSION {
-                report.issues.push(manifest_defect(format!(
-                    "cache format version {} (this build reads {CACHE_VERSION})",
-                    m.version
-                )));
-            }
-            if from_hex(&m.fingerprint).is_none() {
-                report.issues.push(manifest_defect(format!(
-                    "malformed cache fingerprint {:?}",
-                    m.fingerprint
-                )));
-            }
-            m.sites
-        }
-        None => Vec::new(),
-    };
+    if manifest.version != CACHE_VERSION {
+        report(manifest_defect(format!(
+            "cache format version {} (this build reads {CACHE_VERSION})",
+            manifest.version
+        )))?;
+    }
+    let fingerprint = from_hex(&manifest.fingerprint);
+    if fingerprint.is_none() {
+        report(manifest_defect(format!(
+            "malformed cache fingerprint {:?}",
+            manifest.fingerprint
+        )))?;
+    }
+    Ok((fingerprint, manifest.sites))
+}
 
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut log = LogScan::new(dir, SITES_PREFIX, &metas);
+/// Every committed site record of the log `metas` describes, by key,
+/// and the finished scan, for recovery. Each defect goes to `report`,
+/// in scan order: a framing defect, a record that does not decode, or a
+/// second record under a key already held (not kept).
+fn read_log(
+    dir: &Path,
+    metas: &[SegmentMeta],
+    report: &mut impl FnMut(CacheVerifyIssue) -> Result<(), String>,
+) -> Result<(HashMap<u64, Vec<DepTree>>, LogScan), String> {
+    let mut sites = HashMap::new();
+    let mut log = LogScan::new(dir, SITES_PREFIX, metas);
     while let Some(item) = log.next_item() {
-        let (loc, payload) = match item.map_err(|e| e.to_string())? {
+        let (segment, line, payload) = match item.map_err(|e| e.to_string())? {
             Scanned::Defect(defect) => {
-                report.issues.push(CacheVerifyIssue::Segment(defect));
+                report(CacheVerifyIssue::Segment(defect))?;
                 continue;
             }
-            Scanned::Record(loc, payload) => (loc, payload),
+            Scanned::Record(loc, payload) => (loc.segment, loc.line, payload),
         };
-        let RecordLoc { segment, line, .. } = loc;
         match decode_site(payload) {
-            Err(detail) => report.issues.push(CacheVerifyIssue::BadRecord {
+            Err(detail) => report(CacheVerifyIssue::BadRecord {
                 segment,
                 line,
                 detail,
-            }),
-            Ok((key, _)) if !seen.insert(key) => report.issues.push(CacheVerifyIssue::Duplicate {
+            })?,
+            Ok((key, _)) if sites.contains_key(&key) => report(CacheVerifyIssue::Duplicate {
                 segment,
                 line,
                 detail: format!("duplicate site record for key {}", to_hex(key)),
-            }),
-            Ok(_) => report.site_records += 1,
+            })?,
+            Ok((key, trees)) => drop(sites.insert(key, trees)),
         }
     }
-    Ok(report)
+    Ok((sites, log))
 }
 
 /// A defect of `CACHE.json` itself, located at its one line.

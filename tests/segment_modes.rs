@@ -1,22 +1,29 @@
-//! Fail-fast and lenient readers of segment logs agree. One random
-//! mutation of one segment file — a flipped bit, a truncation, appended
-//! junk, or two swapped lines — must never panic either reader, and:
+//! Each on-disk log has one reader, which stops at the first defect
+//! for a replay or a cache open and runs to the end for the audit
+//! behind `check-artifacts`; both uses must agree. One random mutation
+//! of one segment file — a flipped bit, a truncation, appended junk, or
+//! two swapped lines — must never panic the reader, and:
 //!
 //! * a bundle fails `read_bundle` exactly when `verify_bundle` finds a
 //!   defect other than a crash leftover or an unfinished crawl, and a
 //!   cached replay, which analyses sites as they stream out, fails
 //!   exactly when `read_bundle` does, with the same error;
-//! * a tree cache opens empty whenever `verify_cache` finds a framing
-//!   defect, and keeps every committed record when it finds none.
+//! * a tree cache opens empty whenever `verify_cache` finds a defect
+//!   other than a crash leftover — a committed duplicate of a site
+//!   record included — and keeps every committed record when it finds
+//!   none.
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use wmtree::browser::VisitResult;
-use wmtree::bundle::{verify_bundle, BundleMeta, SegmentDefect};
+use wmtree::bundle::segment::LogWriter;
+use wmtree::bundle::{verify_bundle, BundleMeta, SegmentDefect, DEFAULT_SEGMENT_CAPACITY};
 use wmtree::crawler::{read_bundle, standard_profiles, write_bundle, CrawlDb, PageKey};
 use wmtree::net::ResourceType;
-use wmtree::tree::cache::{verify_cache, CacheVerifyIssue, TreeCache};
+use wmtree::tree::cache::{
+    verify_cache, CacheManifest, CacheVerifyIssue, TreeCache, CACHE_MANIFEST_FILE, SITES_PREFIX,
+};
 use wmtree::tree::DepTree;
 use wmtree::url::{Party, Url};
 use wmtree::{AnalysisCache, Experiment, ExperimentConfig, Scale};
@@ -108,6 +115,23 @@ fn small_cache(dir: &Path) -> usize {
     n
 }
 
+/// Append a copy of the first site record of the cache at `dir` as a
+/// committed record, framed and pinned in `CACHE.json`: only the
+/// duplicate-key check can refuse it.
+fn duplicate_first_record(dir: &Path) {
+    let path = dir.join(CACHE_MANIFEST_FILE);
+    let text = std::fs::read_to_string(&path).expect("read cache manifest");
+    let mut manifest: CacheManifest = serde_json::from_str(&text).expect("parse cache manifest");
+    let log = std::fs::read_to_string(dir.join("sites-000.seg")).expect("read site log");
+    let first = log.lines().next().expect("a record");
+    let mut writer = LogWriter::resume(dir, SITES_PREFIX, DEFAULT_SEGMENT_CAPACITY, manifest.sites);
+    writer.append(&first[17..]).expect("append the copy");
+    writer.flush().expect("flush the copy");
+    manifest.sites = writer.metas().to_vec();
+    let body = serde_json::to_string(&manifest).expect("serialize cache manifest");
+    std::fs::write(&path, format!("{body}\n")).expect("write cache manifest");
+}
+
 proptest! {
     #[test]
     fn bundle_readers_agree(file in 0usize..2, kind in 0u8..4, a in 0usize..100_000, b in 0usize..100_000, bit in 0u8..8) {
@@ -141,25 +165,22 @@ proptest! {
     }
 
     #[test]
-    fn cache_open_discards_whenever_verify_finds_a_framing_defect(kind in 0u8..4, a in 0usize..100_000, b in 0usize..100_000, bit in 0u8..8) {
+    fn cache_open_discards_whenever_verify_finds_a_framing_defect(kind in 0u8..5, a in 0usize..100_000, b in 0usize..100_000, bit in 0u8..8) {
         let dir = tmp(&format!("cache-{kind}-{a}-{b}-{bit}"));
         let n = small_cache(&dir);
-        mutate(&dir.join("sites-000.seg"), kind, a, b, bit);
+        if kind == 4 {
+            duplicate_first_record(&dir);
+        } else {
+            mutate(&dir.join("sites-000.seg"), kind, a, b, bit);
+        }
 
         let report = verify_cache(&dir).expect("cache dir stays scannable");
-        let framing = report.issues.iter().any(|i| {
-            matches!(i, CacheVerifyIssue::Segment(d) if !matches!(d, SegmentDefect::TrailingBytes { .. }))
-        });
         let only_leftovers = report.issues.iter().all(|i| {
             matches!(i, CacheVerifyIssue::Segment(SegmentDefect::TrailingBytes { .. }))
         });
         let cache = TreeCache::open(&dir, 9);
-        if framing {
-            prop_assert_eq!(cache.site_count(), 0, "{:?}", report.issues);
-        }
-        if only_leftovers {
-            prop_assert_eq!(cache.site_count(), n, "{:?}", report.issues);
-        }
+        let kept = if only_leftovers { n } else { 0 };
+        prop_assert_eq!(cache.site_count(), kept, "{:?}", report.issues);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
