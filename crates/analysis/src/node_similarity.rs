@@ -201,7 +201,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
     use wmtree_stats::jaccard::jaccard;
-    use wmtree_tree::DepTree;
+    use wmtree_tree::{DepTree, TreeBuilder};
 
     /// Build a PageAnalysis from hand-made trees.
     fn page_of(trees: Vec<DepTree>) -> PageAnalysis {
@@ -217,7 +217,7 @@ mod tests {
     }
 
     fn tree(edges: &[(&str, &str)]) -> DepTree {
-        let mut t = DepTree::new_rooted("root".into());
+        let mut t = TreeBuilder::new("root".into());
         for (parent, child) in edges {
             let pid = if *parent == "root" {
                 0
@@ -232,7 +232,7 @@ mod tests {
                 false,
             );
         }
-        t
+        t.finish()
     }
 
     /// The pre-index implementation, kept verbatim as the oracle the
@@ -394,9 +394,10 @@ mod tests {
             let built: Vec<DepTree> = trees
                 .into_iter()
                 .map(|ops| {
-                    let mut t = DepTree::new_rooted("https://page.example/".into());
+                    let mut t = TreeBuilder::new("https://page.example/".into());
+                    let mut nodes = 1;
                     for (parent_hint, key) in ops {
-                        let pid = parent_hint as usize % t.node_count();
+                        let pid = parent_hint as usize % nodes;
                         let ty = match key % 3 {
                             0 => ResourceType::Script,
                             1 => ResourceType::Image,
@@ -407,15 +408,16 @@ mod tests {
                         } else {
                             Party::Third
                         };
-                        t.attach(
+                        let id = t.attach(
                             pid,
                             format!("https://h{}.example/r/{}", key % 4, key),
                             ty,
                             party,
                             key % 5 == 0,
                         );
+                        nodes = nodes.max(id + 1);
                     }
-                    t
+                    t.finish()
                 })
                 .collect();
             page_of(built)

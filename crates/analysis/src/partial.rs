@@ -244,7 +244,7 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::Arc;
     use wmtree_net::ResourceType;
-    use wmtree_tree::DepTree;
+    use wmtree_tree::{DepTree, TreeBuilder};
     use wmtree_url::Party;
 
     /// A small deterministic synthetic page: `spec` seeds the tree
@@ -253,7 +253,7 @@ mod tests {
         let url = format!("https://www.{site}/page/{path}");
         let trees: Vec<DepTree> = (0..3)
             .map(|p| {
-                let mut t = DepTree::new_rooted(url.clone());
+                let mut t = TreeBuilder::new(url.clone());
                 let n = 1 + ((spec + p) % 3) as usize;
                 for c in 0..n {
                     t.attach(
@@ -264,7 +264,7 @@ mod tests {
                         false,
                     );
                 }
-                t
+                t.finish()
             })
             .collect();
         let cookies = vec![Vec::new(); 3];

@@ -182,7 +182,7 @@ pub fn level_split_similarity(data: &ExperimentData, split: usize) -> LevelSplit
 mod tests {
     use super::*;
     use crate::data::testutil::experiment;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use wmtree_stats::jaccard::jaccard;
     use wmtree_url::Party;
 
@@ -195,8 +195,14 @@ mod tests {
         for page in &data.pages {
             let ta = &page.trees[a];
             let tb = &page.trees[b];
+            let ids_b: BTreeMap<&str, usize> = tb
+                .nodes()
+                .iter()
+                .enumerate()
+                .map(|(id, n)| (n.key.as_str(), id))
+                .collect();
             for (ida, node) in ta.nodes().iter().enumerate().skip(1) {
-                let Some(idb) = tb.find(&node.key) else {
+                let Some(&idb) = ids_b.get(node.key.as_str()) else {
                     continue;
                 };
                 let party_idx = match node.party {

@@ -26,7 +26,7 @@ use wmtree_crawler::{standard_profiles, Commander, CrawlOptions};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_net::cookie::{CookieId, SameSite, SecurityAttributes};
 use wmtree_net::ResourceType;
-use wmtree_tree::{DepTree, TreeConfig};
+use wmtree_tree::{DepTree, TreeBuilder, TreeConfig};
 use wmtree_url::{Party, Url};
 use wmtree_webgen::{UniverseConfig, WebUniverse};
 
@@ -48,7 +48,7 @@ fn assert_sites(idx: &PageIndex) {
 
 /// A page whose single tree holds `keys` (the first is the root).
 fn page_of(keys: &[String]) -> PageAnalysis {
-    let mut tree = DepTree::new_rooted(keys[0].clone());
+    let mut tree = TreeBuilder::new(keys[0].clone());
     for key in &keys[1..] {
         tree.attach(0, key.clone(), ResourceType::Image, Party::Third, false);
     }
@@ -57,7 +57,7 @@ fn page_of(keys: &[String]) -> PageAnalysis {
         keys[0].clone(),
         None,
         None,
-        vec![tree],
+        vec![tree.finish()],
         vec![Vec::new()],
     )
 }
@@ -334,10 +334,11 @@ const ROSTERS: [&[&str]; 4] = [
     &["NoAction", "Sim1"],
 ];
 
-/// One node of a generated tree: a key from a small pool, so that trees
-/// share keys at other depths and under other parents.
-fn attach(tree: &mut DepTree, parent_hint: u8, key: u8) {
-    let parent = parent_hint as usize % tree.node_count();
+/// One node of a generated tree of `*nodes` nodes so far: a key from a
+/// small pool, so that trees share keys at other depths and under other
+/// parents.
+fn attach(tree: &mut TreeBuilder, nodes: &mut usize, parent_hint: u8, key: u8) {
+    let parent = parent_hint as usize % *nodes;
     let ty = [
         ResourceType::Script,
         ResourceType::Image,
@@ -364,7 +365,8 @@ fn attach(tree: &mut DepTree, parent_hint: u8, key: u8) {
     } else {
         format!("https://{host}/r/{key}")
     };
-    tree.attach(parent, key_text, ty, party, key.is_multiple_of(4));
+    let id = tree.attach(parent, key_text, ty, party, key.is_multiple_of(4));
+    *nodes = (*nodes).max(id + 1);
 }
 
 fn cookie(index: u8, variant: u8) -> CookieObservation {
@@ -409,11 +411,12 @@ fn experiment(roster: u8, pages: Vec<PageSpec>) -> ExperimentData {
                     } else {
                         url.clone()
                     };
-                    let mut tree = DepTree::new_rooted(root);
+                    let mut tree = TreeBuilder::new(root);
+                    let mut nodes = 1;
                     for (parent, key) in ops {
-                        attach(&mut tree, parent, key);
+                        attach(&mut tree, &mut nodes, parent, key);
                     }
-                    tree
+                    tree.finish()
                 })
                 .collect();
             let cookies: Vec<Vec<CookieObservation>> = cookies

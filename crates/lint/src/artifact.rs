@@ -7,6 +7,7 @@
 //! actually hold the invariants the analysis assumes.
 
 use crate::diag::{Code, Diagnostic, Severity};
+use std::collections::BTreeMap;
 use wmtree::ExperimentConfig;
 use wmtree_browser::BrowserConfig;
 use wmtree_crawler::CrawlDb;
@@ -33,7 +34,7 @@ pub const ARTIFACT_CHECKS: &[(&str, &str, &str)] = &[
     (
         "WM0203",
         "deptree-keys",
-        "node keys are unique normalized URLs and the key index is consistent",
+        "node keys are unique normalized URLs: no two nodes of a tree share one",
     ),
     (
         "WM0211",
@@ -146,6 +147,12 @@ pub fn check_dep_tree(tree: &DepTree, origin: &str) -> Vec<Diagnostic> {
         ));
         return out;
     }
+    // Each key resolves to the first node holding it, so a repeated key
+    // cannot resolve back to its own node.
+    let mut first_of_key: BTreeMap<&str, usize> = BTreeMap::new();
+    for (id, node) in nodes.iter().enumerate() {
+        first_of_key.entry(node.key.as_str()).or_insert(id);
+    }
     for (id, node) in nodes.iter().enumerate() {
         let at = format!("{origin}:node[{id}]");
         match node.parent {
@@ -207,15 +214,14 @@ pub fn check_dep_tree(tree: &DepTree, origin: &str) -> Vec<Diagnostic> {
                 }
             }
         }
-        // Key-index consistency doubles as uniqueness: duplicate keys
-        // cannot both map back to their own id.
-        if tree.find(&node.key) != Some(id) {
+        let first = first_of_key[node.key.as_str()];
+        if first != id {
             out.push(
                 Diagnostic::artifact(
                     Code("WM0203"),
                     Severity::Error,
                     at,
-                    format!("key `{}` does not resolve back to node {id}", node.key),
+                    format!("key `{}` of node {id} is already node {first}'s", node.key),
                 )
                 .with_note("node keys must be unique normalized URLs (§3.2)"),
             );
@@ -893,7 +899,7 @@ mod tests {
     use wmtree_url::Party;
 
     fn good_tree() -> DepTree {
-        let mut t = DepTree::new_rooted("https://www.a.com/".into());
+        let mut t = wmtree_tree::TreeBuilder::new("https://www.a.com/".into());
         let s = t.attach(
             0,
             "https://cdn.a.com/app.js".into(),
@@ -908,7 +914,7 @@ mod tests {
             Party::Third,
             true,
         );
-        t
+        t.finish()
     }
 
     #[test]
@@ -1099,7 +1105,7 @@ mod tests {
         let dir = small_bundle("treecache", true);
         let cache_dir = dir.join(wmtree_tree::cache::CACHE_DIR_NAME);
         let cache = wmtree_tree::TreeCache::open(&cache_dir, 5);
-        let mut tree = wmtree_tree::DepTree::new_rooted("https://www.a.com/".into());
+        let mut tree = wmtree_tree::TreeBuilder::new("https://www.a.com/".into());
         tree.attach(
             0,
             "https://cdn.a.com/app.js".into(),
@@ -1107,7 +1113,7 @@ mod tests {
             wmtree_url::Party::Third,
             false,
         );
-        cache.insert_site(3, &[tree]);
+        cache.insert_site(3, &[tree.finish()]);
         cache.insert_site(9, &[]);
         cache.commit().expect("commit cache");
         assert!(check_bundle(&dir, "b").expect("scan").is_empty());

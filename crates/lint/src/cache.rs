@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 /// Bumped whenever the cached representation or any rule's semantics
 /// change, so stale caches self-invalidate.
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 /// Default cache location relative to the workspace root.
 pub const DEFAULT_CACHE_PATH: &str = "target/wmtree-lint-cache.json";

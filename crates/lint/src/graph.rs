@@ -196,6 +196,13 @@ impl FileFacts {
                     span: span.clone(),
                 });
             }
+            // A plain call of a name the body binds calls that local,
+            // whatever fn shares its name: it gets no edge.
+            if let [name] = &call.segments[..] {
+                if !call.is_method && symbols.fns[sym_idx].binds(name, call.start_idx) {
+                    continue;
+                }
+            }
             fns[fact_idx].calls.push(CallRef {
                 segments: call.segments.clone(),
                 is_method: call.is_method,
@@ -367,11 +374,11 @@ pub fn build_graph(facts: &[FileFacts]) -> CallGraph {
         .collect();
 
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut by_key: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut by_path: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (n, &(fi, fni)) in nodes.iter().enumerate() {
         let f = &facts[fi].fns[fni];
         by_name.entry(f.name.as_str()).or_default().push(n);
-        by_key.entry(f.key.as_str()).or_default().push(n);
+        by_path.entry(f.key.as_str()).or_default().push(n);
     }
 
     let mut fwd: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
@@ -382,7 +389,7 @@ pub fn build_graph(facts: &[FileFacts]) -> CallGraph {
         let caller = &facts[fi].fns[fni];
         let file = &facts[fi];
         for (ci, call) in caller.calls.iter().enumerate() {
-            let target = resolve(call, caller, file, fi, &nodes, facts, &by_name, &by_key);
+            let target = resolve(call, caller, file, fi, &nodes, facts, &by_name, &by_path);
             resolved[n].push(target);
             if let Some(m) = target {
                 if m != n {
@@ -420,7 +427,7 @@ fn resolve(
     nodes: &[(usize, usize)],
     facts: &[FileFacts],
     by_name: &BTreeMap<&str, Vec<usize>>,
-    by_key: &BTreeMap<&str, Vec<usize>>,
+    by_path: &BTreeMap<&str, Vec<usize>>,
 ) -> Option<usize> {
     let name = call.segments.last()?;
     let candidates = by_name.get(name.as_str())?;
@@ -437,7 +444,7 @@ fn resolve(
             s.push(name.clone());
             s.join("::")
         };
-        if let Some(hits) = by_key.get(sibling.as_str()) {
+        if let Some(hits) = by_path.get(sibling.as_str()) {
             if hits.len() == 1 {
                 return Some(hits[0]);
             }
@@ -449,7 +456,7 @@ fn resolve(
             s.push(name.clone());
             s.join("::")
         };
-        if let Some(hits) = by_key.get(module_key.as_str()) {
+        if let Some(hits) = by_path.get(module_key.as_str()) {
             if hits.len() == 1 {
                 return Some(hits[0]);
             }

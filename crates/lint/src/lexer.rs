@@ -504,6 +504,18 @@ pub struct FnDef {
     /// Token-index range of the braced body: `(open, close)` inclusive.
     /// `None` for a bodyless trait signature.
     pub body: Option<(usize, usize)>,
+    /// The names the fn binds locally (parameters, `let`, `for` and
+    /// closure-parameter patterns), each with the token index from
+    /// which it is in scope. Empty for a bodyless signature.
+    pub locals: Vec<(String, usize)>,
+}
+
+impl FnDef {
+    /// Does the body bind `name` before token `at`? A plain call of
+    /// such a name calls the local (a closure, a fn pointer), not a fn.
+    pub fn binds(&self, name: &str, at: usize) -> bool {
+        self.locals.iter().any(|(n, from)| n == name && *from < at)
+    }
 }
 
 /// One `use` import: `use a::b::c as d;` → segments `[a, b, c]`,
@@ -677,6 +689,9 @@ pub fn extract_symbols(tokens: &[Token]) -> SymbolTable {
                 line: name_tok.line,
                 col: name_tok.col,
                 body,
+                locals: body
+                    .map(|(open, close)| local_bindings(tokens, i + 2, open, close))
+                    .unwrap_or_default(),
             });
             // Keep scanning from after the name so the body's own items
             // and call sites are still visited by this loop.
@@ -708,6 +723,125 @@ pub fn extract_symbols(tokens: &[Token]) -> SymbolTable {
         i += 1;
     }
     table
+}
+
+/// The names a fn binds, each with the token index from which it is in
+/// scope: its parameters (from the body's `{`, `sig` being the first
+/// token after the fn's name), `let` patterns (from the statement's
+/// `;`, or the block of an `if let` / `while let`), `for` patterns
+/// (from `in`) and closure parameters (from the closing `|`). A scope
+/// is never closed: a name stays bound to the end of the body, which
+/// can only drop an edge, never invent one.
+fn local_bindings(tokens: &[Token], sig: usize, open: usize, close: usize) -> Vec<(String, usize)> {
+    let mut out = Vec::new();
+    let mut bind = |names: &[Token], from: usize| {
+        for name in pattern_names(names) {
+            out.push((name, from));
+        }
+    };
+    // Parameters: the first `(` after the generics.
+    let mut angle = 0usize;
+    for k in sig..open {
+        let t = &tokens[k];
+        if t.is_punct("<") {
+            angle += 1;
+        } else if t.is_punct(">") && !tokens[k - 1].is_punct("-") {
+            angle = angle.saturating_sub(1);
+        } else if t.is_punct("(") && angle == 0 {
+            bind(&tokens[k + 1..pattern_end(tokens, k + 1, open, &[])], open);
+            break;
+        }
+    }
+    let mut k = open + 1;
+    while k < close {
+        let t = &tokens[k];
+        let prev = &tokens[k - 1];
+        if t.is_ident("let") {
+            let eq = pattern_end(tokens, k + 1, close, &["=", ";"]);
+            // An `if let` / `while let` binds in its block, a statement
+            // after its `;`.
+            let scoped = prev.is_ident("if") || prev.is_ident("while") || prev.is_punct("&");
+            let from = pattern_end(tokens, eq, close, if scoped { &["{"] } else { &[";"] });
+            bind(&tokens[k + 1..eq], from);
+            k = eq;
+        } else if t.is_ident("for") && !tokens[k + 1].is_punct("<") {
+            let kw = pattern_end(tokens, k + 1, close, &["in"]);
+            bind(&tokens[k + 1..kw], kw);
+            k = kw;
+        } else if t.is_punct("|")
+            && (prev.is_ident("move")
+                || prev.is_ident("return")
+                || (prev.kind == TokenKind::Punct
+                    && !matches!(prev.text.as_str(), ")" | "]" | "}" | "?" | "|")))
+        {
+            let bar = pattern_end(tokens, k + 1, close, &["|"]);
+            bind(&tokens[k + 1..bar], bar);
+            k = bar;
+        }
+        k += 1;
+    }
+    out
+}
+
+/// Index of the first token in `from..end` whose text is one of `stops`
+/// outside any bracket (or of the bracket that closes the group around
+/// `from`; `end` if neither comes).
+fn pattern_end(tokens: &[Token], from: usize, end: usize, stops: &[&str]) -> usize {
+    let mut depth = 0usize;
+    for (k, t) in tokens.iter().enumerate().take(end).skip(from) {
+        if depth == 0 && stops.contains(&t.text.as_str()) {
+            return k;
+        }
+        if matches!(t.text.as_str(), "(" | "[" | "{") && t.kind == TokenKind::Punct {
+            depth += 1;
+        } else if matches!(t.text.as_str(), ")" | "]" | "}") && t.kind == TokenKind::Punct {
+            if depth == 0 {
+                return k;
+            }
+            depth -= 1;
+        }
+    }
+    end
+}
+
+/// The names a comma-separated list of patterns binds, each pattern
+/// optionally typed (`pat: Type`).
+fn pattern_names(tokens: &[Token]) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut depth = 0usize;
+    let mut in_type = false;
+    for (k, t) in tokens.iter().enumerate() {
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Punct, "(" | "[" | "{" | "<") => depth += 1,
+            (TokenKind::Punct, ")" | "]" | "}") => depth = depth.saturating_sub(1),
+            (TokenKind::Punct, ">") if k == 0 || !tokens[k - 1].is_punct("-") => {
+                depth = depth.saturating_sub(1)
+            }
+            (TokenKind::Punct, ",") if depth == 0 => in_type = false,
+            (TokenKind::Punct, ":") if depth == 0 => in_type = true,
+            (TokenKind::Ident, name) if !in_type && is_binding(tokens, k, depth) => {
+                names.push(name.to_string())
+            }
+            _ => {}
+        }
+    }
+    names
+}
+
+/// Is the identifier at `k`, `depth` brackets deep in a pattern, a
+/// binding? Keywords, path segments, struct and variant names, and the
+/// field names of a struct pattern (`field: binding`) are not.
+fn is_binding(tokens: &[Token], k: usize, depth: usize) -> bool {
+    let keyword = matches!(
+        tokens[k].text.as_str(),
+        "mut" | "ref" | "box" | "self" | "Self" | "_"
+    );
+    let path_segment = k > 0 && tokens[k - 1].is_punct("::");
+    let names_a_type_or_field = tokens.get(k + 1).is_some_and(|n| {
+        n.kind == TokenKind::Punct
+            && (matches!(n.text.as_str(), "(" | "{" | "::" | "!") || (n.text == ":" && depth > 0))
+    });
+    !keyword && !path_segment && !names_a_type_or_field
 }
 
 /// Token index just past the terminating `;` (or end of stream).
@@ -992,6 +1126,54 @@ fn b() {}";
         for c in &t.calls {
             assert_eq!(t.enclosing_fn(c.end_idx), Some(0), "{:?}", c.segments);
         }
+    }
+
+    #[test]
+    fn symbols_locals_bind_from_where_their_scope_starts() {
+        let src = "\
+fn a<F: Fn() -> u8>(f: F, (g, mut h): (u8, u8), s: &S) -> u8 {
+    let x = x();
+    if let Some(y) = y() { y(); }
+    for &(n, _, r) in rs() { r(n); }
+    v.map(|k: Vec<u8>, Pt { p: q, .. }| k(q)).any(|| w(a || b));
+    let Some(z) = z() else { return };
+    0
+}";
+        let f = SourceFile::parse("t.rs", "t", src, false);
+        let t = extract_symbols(&f.tokens);
+        let def = &t.fns[0];
+        let mut names: Vec<&str> = def.locals.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["f", "g", "h", "k", "n", "q", "r", "s", "x", "y", "z"]
+        );
+        // Each plain call: is it a call of a local?
+        let local: Vec<(&str, bool)> = t
+            .calls
+            .iter()
+            .filter(|c| !c.is_method)
+            .map(|c| {
+                let name = c.segments[0].as_str();
+                (name, def.binds(name, c.start_idx))
+            })
+            .collect();
+        assert_eq!(
+            local,
+            [
+                ("Fn", false),
+                ("x", false),
+                ("Some", false),
+                ("y", false),
+                ("y", true),
+                ("rs", false),
+                ("r", true),
+                ("k", true),
+                ("w", false),
+                ("Some", false),
+                ("z", false),
+            ]
+        );
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn check_artifact_file(path: &Path, text: &str) -> Result<Vec<Diagnostic>, Strin
     let origin = path.display().to_string();
     let value: serde_json::Value =
         serde_json::from_str(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if value.get("by_key").is_some() && value.get("nodes").is_some() {
+    if value.get("nodes").is_some() {
         let tree: wmtree_tree::DepTree =
             serde_json::from_str(text).map_err(|e| format!("not a DepTree: {e}"))?;
         return Ok(artifact::check_dep_tree(&tree, &origin));

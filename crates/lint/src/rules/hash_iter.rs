@@ -426,9 +426,9 @@ mod tests {
     fn negative_lookup_only_use() {
         let src = r#"
             fn f() {
-                let by_key: HashMap<String, usize> = HashMap::new();
-                let id = by_key.get("k").copied();
-                by_key.len();
+                let ids: HashMap<String, usize> = HashMap::new();
+                let id = ids.get("k").copied();
+                ids.len();
             }
         "#;
         assert!(lint(src).is_empty());

@@ -13,7 +13,7 @@ use wmtree_browser::{Browser, BrowserConfig};
 use wmtree_filterlist::embedded::tracking_list;
 use wmtree_lint::artifact::check_dep_tree;
 use wmtree_net::ResourceType;
-use wmtree_tree::{build_tree, CallStackMode, DepTree, TreeConfig};
+use wmtree_tree::{build_tree, CallStackMode, DepTree, TreeBuilder, TreeConfig};
 use wmtree_url::Party;
 use wmtree_webgen::{UniverseConfig, WebUniverse};
 
@@ -55,7 +55,7 @@ proptest! {
 
 /// A small valid tree: root → script → tracking pixel.
 fn good_tree() -> DepTree {
-    let mut t = DepTree::new_rooted("https://www.a.com/".into());
+    let mut t = TreeBuilder::new("https://www.a.com/".into());
     let s = t.attach(
         0,
         "https://cdn.a.com/app.js".into(),
@@ -70,7 +70,7 @@ fn good_tree() -> DepTree {
         Party::Third,
         true,
     );
-    t
+    t.finish()
 }
 
 /// Serialize `tree`, apply `f` to the field map of node `node`, and
@@ -154,8 +154,8 @@ fn orphaned_non_root_is_wm0201() {
 
 #[test]
 fn duplicate_key_is_wm0203() {
-    // Node 2 claims the root's key; the key index can no longer resolve
-    // it back to node 2.
+    // Node 2 claims the root's key, which resolves to the root, not
+    // back to node 2.
     let bad = corrupt_node(&good_tree(), 2, |n| {
         set_field(n, "key", Value::Str("https://www.a.com/".into()))
     });

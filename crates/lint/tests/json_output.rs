@@ -122,7 +122,7 @@ fn check_artifacts_accepts_known_good_tree() {
     use wmtree_net::ResourceType;
     use wmtree_url::Party;
 
-    let mut t = wmtree_tree::DepTree::new_rooted("https://www.a.com/".into());
+    let mut t = wmtree_tree::TreeBuilder::new("https://www.a.com/".into());
     let s = t.attach(
         0,
         "https://cdn.a.com/app.js".into(),
@@ -140,7 +140,11 @@ fn check_artifacts_accepts_known_good_tree() {
     let dir = std::env::temp_dir().join("wmtree-lint-artifact-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("tree.json");
-    std::fs::write(&path, serde_json::to_string(&t).expect("serialize")).expect("write fixture");
+    std::fs::write(
+        &path,
+        serde_json::to_string(&t.finish()).expect("serialize"),
+    )
+    .expect("write fixture");
 
     let out = run(&["check-artifacts", path.to_str().expect("utf8 path")]);
     assert!(
@@ -149,4 +153,42 @@ fn check_artifacts_accepts_known_good_tree() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// Write `doc` as `tree.json` in a fresh temp dir named `tag` and run
+/// `check-artifacts` on it.
+fn check_tree_doc(tag: &str, doc: &str) -> Output {
+    let dir = std::env::temp_dir().join(format!("wmtree-lint-tree-{tag}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("tree.json");
+    std::fs::write(&path, doc).expect("write fixture");
+    run(&["check-artifacts", path.to_str().expect("utf8 path")])
+}
+
+#[test]
+fn check_artifacts_reads_the_old_tree_layout() {
+    // Trees once serialized their key index beside the nodes; the
+    // index is skipped and the nodes check as before.
+    let out = check_tree_doc(
+        "old-layout",
+        r#"{"nodes":[{"key":"https://www.a.com/","resource_type":"MainFrame","party":"First","tracking":false,"depth":0,"parent":null,"children":[1]},{"key":"https://cdn.a.com/app.js","resource_type":"Script","party":"First","tracking":false,"depth":1,"parent":0,"children":[2]},{"key":"https://ads.b.net/px.gif","resource_type":"Image","party":"Third","tracking":true,"depth":2,"parent":1,"children":[]}],"by_key":{"https://ads.b.net/px.gif":2,"https://cdn.a.com/app.js":1,"https://www.a.com/":0}}"#,
+    );
+    assert!(
+        out.status.success(),
+        "stdout: {} stderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn check_artifacts_flags_a_repeated_node_key() {
+    let out = check_tree_doc(
+        "repeated-key",
+        r#"{"nodes":[{"key":"https://www.a.com/","resource_type":"MainFrame","party":"First","tracking":false,"depth":0,"parent":null,"children":[1]},{"key":"https://www.a.com/","resource_type":"Script","party":"First","tracking":false,"depth":1,"parent":0,"children":[]}]}"#,
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(stdout.contains("WM0203"), "{stdout}");
+    assert!(stdout.contains("node[1]"), "{stdout}");
 }

@@ -164,3 +164,69 @@ fn stale_allow_is_flagged_unused() {
     assert_eq!(stale[0].severity, Severity::Warning);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// Write a workspace of `(path, source)` files and return its root.
+fn workspace(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("wmtree-lint-taint-fixture-{tag}"));
+    let _ = std::fs::remove_dir_all(&root);
+    for (rel, src) in files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+        std::fs::write(&path, src).expect("write fixture");
+    }
+    root
+}
+
+/// The WM0301 flows of a workspace, pretty-rendered.
+fn flows(root: &std::path::Path) -> Vec<String> {
+    let outcome = lint_workspace(root, &Baseline::empty()).expect("scan fixture");
+    outcome
+        .findings
+        .iter()
+        .filter(|d| d.code.as_str() == "WM0301")
+        .map(|d| render_pretty(std::slice::from_ref(d)))
+        .collect()
+}
+
+#[test]
+fn a_call_through_a_local_binding_is_no_call_of_a_same_named_fn() {
+    // `Report::render` reads the clock through telemetry's `stamp`; the
+    // CSV writer calls each table's renderer through a loop binding
+    // that happens to be called `render` too.
+    let clock = (
+        "crates/telemetry/src/clock.rs",
+        "pub fn stamp() -> u64 {\n    let t = Instant::now();\n    0\n}\n",
+    );
+    let report = (
+        "crates/core/src/report.rs",
+        "use wmtree_telemetry::clock::stamp;\n\n\
+         impl Report {\n    pub fn render(&self) -> String {\n        \
+         let at = stamp();\n        String::new()\n    }\n}\n",
+    );
+    let export = |body: &str| {
+        format!("impl Report {{\n    pub fn write_csv_dir(&self) {{\n        {body}\n    }}\n}}\n")
+    };
+    let bound = export("for &(name, render) in CSVS.iter() { fs::write(name, render(self)); }");
+    let root = workspace(
+        "local-binding",
+        &[clock, report, ("crates/core/src/export.rs", &bound)],
+    );
+    let found = flows(&root);
+    assert!(found.is_empty(), "{}", found.join("\n"));
+    std::fs::remove_dir_all(&root).ok();
+
+    // The same loop calling `Report::render` itself is a real flow.
+    let direct = export("for name in NAMES.iter() { fs::write(name, self.render()); }");
+    let root = workspace(
+        "local-binding-control",
+        &[clock, report, ("crates/core/src/export.rs", &direct)],
+    );
+    let found = flows(&root);
+    assert_eq!(found.len(), 1, "{}", found.join("\n"));
+    assert!(
+        found[0].contains("core::export::Report::write_csv_dir"),
+        "{}",
+        found[0]
+    );
+    std::fs::remove_dir_all(&root).ok();
+}

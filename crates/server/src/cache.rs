@@ -26,8 +26,6 @@ use wmtree_telemetry::counter;
 /// from their report.
 #[derive(Debug)]
 pub struct CachedReplay {
-    /// Quoted strong ETag: the bundle content hash in double quotes.
-    pub etag: String,
     /// The replayed experiment results (for diff endpoints).
     pub results: ExperimentResults,
     /// The rendered text report (`report`).
@@ -41,10 +39,9 @@ pub struct CachedReplay {
 impl CachedReplay {
     /// Generate the report of `results` and render every body served
     /// from it. The report itself is not kept.
-    pub fn render(hash: &str, results: ExperimentResults) -> CachedReplay {
+    pub fn render(results: ExperimentResults) -> CachedReplay {
         let report = Report::generate(&results);
         CachedReplay {
-            etag: format!("\"{hash}\""),
             text: report.render(),
             json: report.to_json(),
             csvs: CSVS
@@ -158,7 +155,7 @@ mod tests {
 
     /// One shared Tiny run — the cache only cares about keys and
     /// `Arc` identity, not which results an entry holds.
-    fn replay(etag: &str) -> Arc<CachedReplay> {
+    fn replay() -> Arc<CachedReplay> {
         static RESULTS: std::sync::OnceLock<ExperimentResults> = std::sync::OnceLock::new();
         let results = RESULTS
             .get_or_init(|| {
@@ -166,16 +163,16 @@ mod tests {
                     .run()
             })
             .clone();
-        Arc::new(CachedReplay::render(etag, results))
+        Arc::new(CachedReplay::render(results))
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = ReplayCache::new(2);
-        cache.insert("a".into(), replay("a"));
-        cache.insert("b".into(), replay("b"));
+        cache.insert("a".into(), replay());
+        cache.insert("b".into(), replay());
         assert!(cache.lookup("a").is_some()); // refresh a
-        cache.insert("c".into(), replay("c")); // evicts b
+        cache.insert("c".into(), replay()); // evicts b
         assert_eq!(cache.len(), 2);
         assert!(cache.lookup("a").is_some());
         assert!(cache.lookup("b").is_none());
@@ -185,8 +182,8 @@ mod tests {
     #[test]
     fn racing_inserts_share_one_snapshot() {
         let cache = ReplayCache::new(2);
-        let first = cache.insert("a".into(), replay("a"));
-        let second = cache.insert("a".into(), replay("a"));
+        let first = cache.insert("a".into(), replay());
+        let second = cache.insert("a".into(), replay());
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
     }

@@ -536,10 +536,9 @@ fn replay_job(
     let results = experiment
         .replay_from_bundle_cached(&bundle_dir, &tree_cache)?
         .results;
-    Ok(shared.cache.insert(
-        hash.to_string(),
-        Arc::new(CachedReplay::render(hash, results)),
-    ))
+    Ok(shared
+        .cache
+        .insert(hash.to_string(), Arc::new(CachedReplay::render(results))))
 }
 
 /// Per-profile tree diff of one page against the baseline profile.

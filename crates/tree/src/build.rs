@@ -1,6 +1,6 @@
 //! Building dependency trees from a visit's request records.
 
-use crate::tree::DepTree;
+use crate::tree::{DepTree, TreeBuilder};
 use std::collections::HashMap;
 use wmtree_browser::VisitResult;
 use wmtree_filterlist::{FilterList, RequestInfo};
@@ -89,7 +89,7 @@ pub fn build_tree(
     let page_site = page_url.site();
     let mut key = String::new();
     config.write_key(page_url, &mut key);
-    let mut tree = DepTree::new_rooted(key.clone());
+    let mut tree = TreeBuilder::new(key.clone());
 
     // Frame id → (document key, parent frame id).
     let frame_of: HashMap<u32, (String, Option<u32>)> = visit
@@ -151,7 +151,7 @@ pub fn build_tree(
         // Resolve the parent node; anything unattributable goes to the
         // root, as the paper prescribes. A parent key equal to the
         // request's own cannot be in the tree yet, so it goes there too.
-        let parent_id = parent_key.and_then(|p| tree.find(p)).unwrap_or(tree.root());
+        let parent_id = parent_key.and_then(|p| tree.find(p)).unwrap_or(0);
 
         let party = *parties.entry(req.url.host()).or_insert_with(|| {
             if psl::host_in_site(req.url.host(), &page_site) {
@@ -169,7 +169,7 @@ pub fn build_tree(
         });
         tree.attach(parent_id, key.clone(), req.resource_type, party, tracking);
     }
-    tree
+    tree.finish()
 }
 
 #[cfg(test)]
@@ -212,13 +212,20 @@ mod tests {
     fn script_loads_attach_to_script() {
         let (_u, v) = crawl_one();
         let t = build_tree(&v, None, &TreeConfig::default());
+        let ids: HashMap<&str, usize> = t
+            .nodes()
+            .iter()
+            .enumerate()
+            .map(|(id, n)| (n.key.as_str(), id))
+            .collect();
+        let find = |key: &str| ids.get(key).copied();
         // Every request with a call stack should hang under the stack's
         // latest entry (when that node exists).
         for req in &v.requests {
             if let Some(top) = req.call_stack.last() {
                 let key = normalize_url_str(req.url.as_str());
                 let expect_parent = normalize_url_str(&top.url);
-                if let (Some(id), Some(_)) = (t.find(&key), t.find(&expect_parent)) {
+                if let (Some(id), Some(_)) = (find(&key), find(&expect_parent)) {
                     let actual = t.parent_key(id).unwrap();
                     // First attribution wins, so a merged node may have
                     // another parent; accept either the stack parent or

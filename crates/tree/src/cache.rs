@@ -18,7 +18,7 @@
 //! any corruption, version skew or fingerprint mismatch discards the
 //! cache (it is derived data — a rebuild is always safe).
 
-use crate::tree::{DepTree, NodeId};
+use crate::tree::{DepTree, NodeId, TreeBuilder};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -320,10 +320,10 @@ fn resource_from_code(c: &str) -> Option<ResourceType> {
 /// Encode one site record as a single log line: `<key> <tree-count>`,
 /// then `\x1d<tree>` per tree, each tree as `<node-count> <node>\x1e<node>...`
 /// with each node as `<parent|r>\x1f<type>\x1f<party>\x1f<tracking>\x1f<key>`
-/// in attachment order. Children, depths, and the key index are derived
-/// on decode, so only the irreducible structure is stored (≈10× denser
-/// than the JSON form). Returns `None` when a node key would collide
-/// with the framing (separator bytes or newline).
+/// in attachment order. Children and depths are derived on decode, so
+/// only the irreducible structure is stored (≈10× denser than the JSON
+/// form). Returns `None` when a node key would collide with the framing
+/// (separator bytes or newline).
 fn encode_site(key: u64, trees: &[DepTree]) -> Option<String> {
     let nodes: usize = trees.iter().map(DepTree::node_count).sum();
     let mut out = String::with_capacity(24 + nodes * 32);
@@ -383,39 +383,62 @@ fn decode_site(payload: &str) -> Result<(u64, Vec<DepTree>), String> {
     Ok((key, trees))
 }
 
-/// Decode one `<node-count> <nodes>` tree of a site record.
+/// Decode one `<node-count> <nodes>` tree of a site record. Depths and
+/// child lists are derived, which makes them correct by construction;
+/// everything else (node 0 is the parentless, untracked first-party
+/// main frame every built tree has as its root, parents precede
+/// children, keys are unique) is validated rather than trusted.
 fn decode_tree(text: &str) -> Result<DepTree, String> {
     let (count, body) = text.split_once(' ').ok_or("truncated tree")?;
     let count: usize = count.parse().map_err(|_| "malformed tree node count")?;
-    let mut parts = Vec::new();
-    for node in body.split(NODE_SEP) {
-        let mut fields = node.splitn(5, FIELD_SEP);
-        let parent = match fields.next().ok_or("missing parent field")? {
-            "r" => None,
-            p => Some(p.parse::<NodeId>().map_err(|_| "malformed parent id")?),
-        };
-        let rt = resource_from_code(fields.next().ok_or("missing type field")?)
-            .ok_or("unknown resource type code")?;
-        let party = match fields.next().ok_or("missing party field")? {
-            "1" => Party::First,
-            "3" => Party::Third,
-            _ => return Err("unknown party code".into()),
-        };
-        let tracking = match fields.next().ok_or("missing tracking field")? {
-            "0" => false,
-            "1" => true,
-            _ => return Err("unknown tracking flag".into()),
-        };
-        let key = fields.next().ok_or("missing key field")?.to_string();
-        parts.push((key, rt, party, tracking, parent));
+    let mut nodes = body.split(NODE_SEP).map(decode_node);
+    let mut tree = match nodes.next().ok_or("empty node arena")?? {
+        (None, ResourceType::MainFrame, Party::First, false, key) => TreeBuilder::new(key),
+        (None, ..) => return Err("root node is not an untracked first-party main frame".into()),
+        (Some(_), ..) => return Err("root node has a parent".into()),
+    };
+    let mut found = 1;
+    for node in nodes {
+        let id = found;
+        found += 1;
+        let (parent, rt, party, tracking, key) = node?;
+        let p = parent.ok_or_else(|| format!("non-root node {id} has no parent"))?;
+        if p >= id {
+            return Err(format!("parent {p} of node {id} not earlier in arena"));
+        }
+        let attached = tree.attach(p, key, rt, party, tracking);
+        if attached != id {
+            return Err(format!("node {id} repeats the key of node {attached}"));
+        }
     }
-    if parts.len() != count {
-        return Err(format!(
-            "tree declares {count} nodes, found {}",
-            parts.len()
-        ));
+    if found != count {
+        return Err(format!("tree declares {count} nodes, found {found}"));
     }
-    DepTree::from_parts(parts)
+    Ok(tree.finish())
+}
+
+/// Decode one `<parent|r>\x1f<type>\x1f<party>\x1f<tracking>\x1f<key>`
+/// node of a tree.
+fn decode_node(text: &str) -> Result<(Option<NodeId>, ResourceType, Party, bool, String), String> {
+    let mut fields = text.splitn(5, FIELD_SEP);
+    let parent = match fields.next().ok_or("missing parent field")? {
+        "r" => None,
+        p => Some(p.parse::<NodeId>().map_err(|_| "malformed parent id")?),
+    };
+    let rt = resource_from_code(fields.next().ok_or("missing type field")?)
+        .ok_or("unknown resource type code")?;
+    let party = match fields.next().ok_or("missing party field")? {
+        "1" => Party::First,
+        "3" => Party::Third,
+        _ => return Err("unknown party code".into()),
+    };
+    let tracking = match fields.next().ok_or("missing tracking field")? {
+        "0" => false,
+        "1" => true,
+        _ => return Err("unknown tracking flag".into()),
+    };
+    let key = fields.next().ok_or("missing key field")?.to_string();
+    Ok((parent, rt, party, tracking, key))
 }
 
 /// One defect found by [`verify_cache`].
@@ -637,9 +660,30 @@ mod tests {
     }
 
     #[test]
+    fn decoder_refuses_trees_no_builder_makes() {
+        let (f, n) = (FIELD_SEP, NODE_SEP);
+        let site = |tree: String| {
+            decode_site(&format!("{} 1{TREE_SEP}{tree}", to_hex(7))).map(|(_, trees)| trees.len())
+        };
+        let root = format!("r{f}M{f}1{f}0{f}https://p/");
+        assert_eq!(
+            site(format!("2 {root}{n}0{f}S{f}3{f}1{f}https://x/")),
+            Ok(1)
+        );
+        assert_eq!(
+            site(format!("2 {root}{n}0{f}S{f}3{f}1{f}https://p/")),
+            Err("node 1 repeats the key of node 0".to_string())
+        );
+        assert_eq!(
+            site(format!("1 r{f}S{f}1{f}0{f}https://p/")),
+            Err("root node is not an untracked first-party main frame".to_string())
+        );
+    }
+
+    #[test]
     fn codec_refuses_separator_keys() {
         for sep in [FIELD_SEP, NODE_SEP, TREE_SEP] {
-            let mut t = DepTree::new_rooted("https://p/".into());
+            let mut t = TreeBuilder::new("https://p/".into());
             t.attach(
                 0,
                 format!("bad{sep}key"),
@@ -647,7 +691,7 @@ mod tests {
                 Party::First,
                 false,
             );
-            assert!(encode_site(1, &[t]).is_none());
+            assert!(encode_site(1, &[t.finish()]).is_none());
         }
     }
 
@@ -839,9 +883,10 @@ mod tests {
     fn arb_tree() -> impl Strategy<Value = DepTree> {
         let node = (0usize..8, 0u8..13, any::<bool>(), any::<bool>());
         proptest::collection::vec(node, 0..40).prop_map(|nodes| {
-            let mut tree = DepTree::new_rooted("https://root.example/".to_string());
+            let mut tree = TreeBuilder::new("https://root.example/".to_string());
             for (i, (parent_seed, rt, third, tracking)) in nodes.iter().enumerate() {
-                let parent = parent_seed % tree.node_count();
+                // Every key is new, so nodes 0..=i exist.
+                let parent = parent_seed % (i + 1);
                 let rt = [
                     ResourceType::MainFrame,
                     ResourceType::SubFrame,
@@ -866,7 +911,7 @@ mod tests {
                     *tracking,
                 );
             }
-            tree
+            tree.finish()
         })
     }
 

@@ -176,11 +176,12 @@ pub fn diff_trees(left: &DepTree, right: &DepTree) -> TreeDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreeBuilder;
     use wmtree_net::ResourceType;
     use wmtree_url::Party;
 
     fn tree(edges: &[(&str, &str)]) -> DepTree {
-        let mut t = DepTree::new_rooted("root".into());
+        let mut t = TreeBuilder::new("root".into());
         for (parent, child) in edges {
             let pid = if *parent == "root" {
                 0
@@ -195,7 +196,7 @@ mod tests {
                 false,
             );
         }
-        t
+        t.finish()
     }
 
     #[test]
@@ -245,8 +246,8 @@ mod tests {
 
     #[test]
     fn empty_trees() {
-        let l = DepTree::new_rooted("root".into());
-        let r = DepTree::new_rooted("root".into());
+        let l = TreeBuilder::new("root".into()).finish();
+        let r = TreeBuilder::new("root".into()).finish();
         let d = diff_trees(&l, &r);
         assert_eq!(d.total(), 0);
         assert_eq!(d.node_jaccard(), 1.0);

@@ -32,4 +32,4 @@ mod tree;
 pub use build::{build_tree, CallStackMode, TreeConfig};
 pub use cache::{verify_cache, CacheVerifyIssue, CacheVerifyReport, TreeCache};
 pub use diff::{diff_trees, DiffEntry, NodeDisposition, TreeDiff};
-pub use tree::{DepTree, Node, NodeId, TreeMetrics};
+pub use tree::{DepTree, Node, NodeId, TreeBuilder, TreeMetrics};

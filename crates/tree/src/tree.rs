@@ -40,139 +40,69 @@ pub struct TreeMetrics {
     pub breadth: usize,
 }
 
-/// The owned body of a [`DepTree`]. Kept behind an `Arc` so cloning a
-/// tree — the hot operation of the memoized replay path, where one
-/// built tree fans out to every identical visit — is a reference-count
-/// bump, not a deep copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct TreeInner {
-    nodes: Vec<Node>,
-    by_key: HashMap<String, NodeId>,
-}
-
-/// A dependency tree of one page visit.
+/// A dependency tree of one page visit: an immutable node arena, root
+/// first, parents before their children. [`TreeBuilder::finish`] or
+/// deserialization makes one; nothing changes it after.
 ///
-/// `Clone` is O(1): the node arena is shared behind an `Arc` and only
-/// copied when a clone is mutated ([`attach`](DepTree::attach) uses
-/// copy-on-write).
-#[derive(Debug, Clone, PartialEq)]
+/// `Clone` is O(1): the arena is shared behind an `Arc`. Trees are
+/// cloned where the per-site stage keeps a rebuilt site's trees as its
+/// cache record, and where a cache hit hands a record's trees out.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DepTree {
-    inner: Arc<TreeInner>,
+    nodes: Arc<[Node]>,
 }
 
-// Hand-written delegation so the serialized form stays exactly the
-// pre-`Arc` layout: a map with `nodes` and `by_key`.
-impl Serialize for DepTree {
-    fn serialize(&self, out: &mut serde::Writer) {
-        self.inner.serialize(out);
-    }
+/// The serialized form of a [`DepTree`], `{"nodes": [...]}`. Unknown
+/// fields are skipped, so a tree written with a key index beside its
+/// nodes still reads.
+#[derive(Deserialize)]
+struct TreeBody {
+    nodes: Vec<Node>,
 }
 
 impl Deserialize for DepTree {
     fn deserialize(input: &mut serde::Reader<'_>) -> Result<DepTree, serde::Error> {
-        TreeInner::deserialize(input).map(|inner| DepTree {
-            inner: Arc::new(inner),
+        TreeBody::deserialize(input).map(|body| DepTree {
+            nodes: body.nodes.into(),
         })
     }
 }
 
-impl DepTree {
-    /// Create a tree with only the root (the visited page).
-    pub fn new_rooted(root_key: String) -> DepTree {
-        let root = Node {
-            key: root_key.clone(),
-            resource_type: ResourceType::MainFrame,
-            party: Party::First,
-            tracking: false,
-            depth: 0,
-            parent: None,
-            children: Vec::new(),
-        };
-        let mut by_key = HashMap::new();
-        by_key.insert(root_key, 0);
-        DepTree {
-            inner: Arc::new(TreeInner {
-                nodes: vec![root],
-                by_key,
-            }),
-        }
-    }
+/// Builds one [`DepTree`]: holds the key → node index that lookups by
+/// key need while requests attach, and only until [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct TreeBuilder {
+    /// The arena; a node's key stays empty until `finish`.
+    nodes: Vec<Node>,
+    /// Every node's key, held here alone while the tree is built.
+    index: HashMap<String, NodeId>,
+}
 
-    /// Reassemble a tree from `(key, type, party, tracking, parent)`
-    /// records in attachment order — the decode half of the cache
-    /// codec. Depths, child lists, and the key index are derived, which
-    /// makes them correct by construction; everything else (node 0 is
-    /// the parentless root, parents precede children, keys unique) is
-    /// validated rather than trusted.
-    pub(crate) fn from_parts(
-        parts: Vec<(String, ResourceType, Party, bool, Option<NodeId>)>,
-    ) -> Result<DepTree, String> {
-        let mut nodes: Vec<Node> = Vec::with_capacity(parts.len());
-        let mut by_key: HashMap<String, NodeId> = HashMap::with_capacity(parts.len());
-        for (id, (key, resource_type, party, tracking, parent)) in parts.into_iter().enumerate() {
-            let depth = match parent {
-                None => {
-                    if id != 0 {
-                        return Err(format!("non-root node {id} has no parent"));
-                    }
-                    0
-                }
-                Some(p) => {
-                    if id == 0 {
-                        return Err("root node has a parent".into());
-                    }
-                    if p >= id {
-                        return Err(format!("parent {p} of node {id} not earlier in arena"));
-                    }
-                    nodes[p].depth + 1
-                }
-            };
-            if by_key.insert(key.clone(), id).is_some() {
-                return Err(format!("duplicate node key `{key}`"));
-            }
-            if let Some(p) = parent {
-                nodes[p].children.push(id);
-            }
-            nodes.push(Node {
-                key,
-                resource_type,
-                party,
-                tracking,
-                depth,
-                parent,
+impl TreeBuilder {
+    /// Start a tree with only the root (the visited page).
+    pub fn new(root_key: String) -> TreeBuilder {
+        TreeBuilder {
+            nodes: vec![Node {
+                key: String::new(),
+                resource_type: ResourceType::MainFrame,
+                party: Party::First,
+                tracking: false,
+                depth: 0,
+                parent: None,
                 children: Vec::new(),
-            });
+            }],
+            index: HashMap::from([(root_key, 0)]),
         }
-        if nodes.is_empty() {
-            return Err("empty node arena".into());
-        }
-        Ok(DepTree {
-            inner: Arc::new(TreeInner { nodes, by_key }),
-        })
     }
 
-    /// The root node id (always 0).
-    pub fn root(&self) -> NodeId {
-        0
-    }
-
-    /// All nodes, root first.
-    pub fn nodes(&self) -> &[Node] {
-        &self.inner.nodes
-    }
-
-    /// A node by id.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.inner.nodes[id]
-    }
-
-    /// Find a node by key.
+    /// The node holding `key`, if any.
     pub fn find(&self, key: &str) -> Option<NodeId> {
-        self.inner.by_key.get(key).copied()
+        self.index.get(key).copied()
     }
 
-    /// Attach a new node under `parent`. Returns the existing id if the
-    /// key is already present (first attribution wins, §3.2/§6).
+    /// Attach a new node under `parent` (an id this builder returned).
+    /// Returns the existing id if the key is already present (first
+    /// attribution wins, §3.2/§6).
     pub fn attach(
         &mut self,
         parent: NodeId,
@@ -181,43 +111,65 @@ impl DepTree {
         party: Party,
         tracking: bool,
     ) -> NodeId {
-        // A shared tree is only copied when it really changes.
-        if Arc::get_mut(&mut self.inner).is_none() {
-            if let Some(existing) = self.find(&key) {
-                return existing;
-            }
-        }
-        let TreeInner { nodes, by_key } = Arc::make_mut(&mut self.inner);
-        let id = nodes.len();
-        let entry = match by_key.entry(key) {
+        let id = self.nodes.len();
+        match self.index.entry(key) {
             Entry::Occupied(existing) => return *existing.get(),
-            Entry::Vacant(entry) => entry,
+            Entry::Vacant(entry) => entry.insert(id),
         };
-        nodes.push(Node {
-            key: entry.key().clone(),
+        self.nodes.push(Node {
+            key: String::new(),
             resource_type,
             party,
             tracking,
-            depth: nodes[parent].depth + 1,
+            depth: self.nodes[parent].depth + 1,
             parent: Some(parent),
             children: Vec::new(),
         });
-        nodes[parent].children.push(id);
-        entry.insert(id);
+        self.nodes[parent].children.push(id);
         id
+    }
+
+    /// The finished tree: each key moves out of the index into its node.
+    pub fn finish(self) -> DepTree {
+        let mut nodes = self.nodes;
+        // Each key lands in its own node, so the visiting order cannot
+        // show. wmtree-lint: allow(WM0102)
+        for (key, id) in self.index {
+            nodes[id].key = key;
+        }
+        DepTree {
+            nodes: nodes.into(),
+        }
+    }
+}
+
+impl DepTree {
+    /// The root node id (always 0).
+    pub fn root(&self) -> NodeId {
+        0
+    }
+
+    /// All nodes, root first.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// A node by id.
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id]
     }
 
     /// Number of nodes (root included).
     pub fn node_count(&self) -> usize {
-        self.inner.nodes.len()
+        self.nodes.len()
     }
 
     /// The keys of a node's direct children.
     pub fn children_keys(&self, id: NodeId) -> Vec<&str> {
-        self.inner.nodes[id]
+        self.nodes[id]
             .children
             .iter()
-            .map(|&c| self.inner.nodes[c].key.as_str())
+            .map(|&c| self.nodes[c].key.as_str())
             .collect()
     }
 
@@ -225,31 +177,29 @@ impl DepTree {
     /// parent first, ending at the root.
     pub fn dependency_chain(&self, id: NodeId) -> Vec<&str> {
         let mut chain = Vec::new();
-        let mut cur = self.inner.nodes[id].parent;
+        let mut cur = self.nodes[id].parent;
         while let Some(p) = cur {
-            chain.push(self.inner.nodes[p].key.as_str());
-            cur = self.inner.nodes[p].parent;
+            chain.push(self.nodes[p].key.as_str());
+            cur = self.nodes[p].parent;
         }
         chain
     }
 
     /// The parent key of a node, if any.
     pub fn parent_key(&self, id: NodeId) -> Option<&str> {
-        self.inner.nodes[id]
-            .parent
-            .map(|p| self.inner.nodes[p].key.as_str())
+        self.nodes[id].parent.map(|p| self.nodes[p].key.as_str())
     }
 
     /// Nodes at a given depth.
     pub fn nodes_at_depth(&self, depth: usize) -> impl Iterator<Item = &Node> {
-        self.inner.nodes.iter().filter(move |n| n.depth == depth)
+        self.nodes.iter().filter(move |n| n.depth == depth)
     }
 
     /// Width of every depth level, index = depth.
     pub fn level_widths(&self) -> Vec<usize> {
-        let max_depth = self.inner.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
+        let max_depth = self.nodes.iter().map(|n| n.depth).max().unwrap_or(0);
         let mut widths = vec![0usize; max_depth + 1];
-        for n in &self.inner.nodes {
+        for n in self.nodes.iter() {
             widths[n.depth] += 1;
         }
         widths
@@ -259,16 +209,17 @@ impl DepTree {
     pub fn metrics(&self) -> TreeMetrics {
         let widths = self.level_widths();
         TreeMetrics {
-            nodes: self.inner.nodes.len(),
+            nodes: self.nodes.len(),
             depth: widths.len() - 1,
             breadth: widths.iter().copied().max().unwrap_or(1),
         }
     }
 
     /// Verify structural invariants (acyclic by construction; checks
-    /// parent/child symmetry and depth consistency). Used by tests.
+    /// parent/child symmetry, depth consistency and key uniqueness).
+    /// Used by tests.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (id, n) in self.inner.nodes.iter().enumerate() {
+        for (id, n) in self.nodes.iter().enumerate() {
             match n.parent {
                 None => {
                     if id != 0 {
@@ -282,19 +233,21 @@ impl DepTree {
                     if p >= id {
                         return Err(format!("parent {p} of node {id} not earlier in arena"));
                     }
-                    if self.inner.nodes[p].depth + 1 != n.depth {
+                    if self.nodes[p].depth + 1 != n.depth {
                         return Err(format!("depth mismatch at node {id}"));
                     }
-                    if !self.inner.nodes[p].children.contains(&id) {
+                    if !self.nodes[p].children.contains(&id) {
                         return Err(format!("parent {p} does not list child {id}"));
                     }
                 }
             }
         }
-        if self.inner.by_key.len() != self.inner.nodes.len() {
-            return Err("key index size mismatch".into());
+        let mut keys: Vec<&str> = self.nodes.iter().map(|n| n.key.as_str()).collect();
+        keys.sort_unstable();
+        match keys.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(format!("duplicate node key `{}`", pair[0])),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -303,12 +256,16 @@ mod tests {
     use super::*;
 
     fn sample() -> DepTree {
-        let mut t = DepTree::new_rooted("https://page/".into());
-        let a = t.attach(0, "a".into(), ResourceType::Script, Party::First, false);
-        let _b = t.attach(0, "b".into(), ResourceType::Image, Party::Third, true);
-        let c = t.attach(a, "c".into(), ResourceType::Xhr, Party::Third, false);
-        t.attach(c, "d".into(), ResourceType::Image, Party::Third, true);
-        t
+        let mut b = TreeBuilder::new("https://page/".into());
+        let a = b.attach(0, "a".into(), ResourceType::Script, Party::First, false);
+        let _b = b.attach(0, "b".into(), ResourceType::Image, Party::Third, true);
+        let c = b.attach(a, "c".into(), ResourceType::Xhr, Party::Third, false);
+        b.attach(c, "d".into(), ResourceType::Image, Party::Third, true);
+        b.finish()
+    }
+
+    fn find(t: &DepTree, key: &str) -> Option<NodeId> {
+        t.nodes().iter().position(|n| n.key == key)
     }
 
     #[test]
@@ -324,32 +281,57 @@ mod tests {
 
     #[test]
     fn root_only_tree() {
-        let t = DepTree::new_rooted("https://p/".into());
+        let t = TreeBuilder::new("https://p/".into()).finish();
         let m = t.metrics();
         assert_eq!(m.nodes, 1);
         assert_eq!(m.depth, 0);
         assert_eq!(m.breadth, 1);
+        assert_eq!(t.node(0).key, "https://p/");
         t.check_invariants().unwrap();
     }
 
     #[test]
     fn duplicate_key_returns_existing() {
-        let mut t = DepTree::new_rooted("r".into());
-        let a1 = t.attach(0, "a".into(), ResourceType::Script, Party::First, false);
-        let a2 = t.attach(0, "a".into(), ResourceType::Image, Party::Third, true);
+        let mut b = TreeBuilder::new("r".into());
+        let a1 = b.attach(0, "a".into(), ResourceType::Script, Party::First, false);
+        let a2 = b.attach(0, "a".into(), ResourceType::Image, Party::Third, true);
         assert_eq!(a1, a2);
+        assert_eq!(
+            b.attach(a1, "r".into(), ResourceType::Image, Party::Third, true),
+            0
+        );
+        assert_eq!(b.find("a"), Some(a1));
+        let t = b.finish();
         assert_eq!(t.node_count(), 2);
         // First attribution wins: type stays Script.
         assert_eq!(t.node(a1).resource_type, ResourceType::Script);
     }
 
     #[test]
+    fn finish_gives_every_node_its_key() {
+        let t = sample();
+        let keys: Vec<&str> = t.nodes().iter().map(|n| n.key.as_str()).collect();
+        assert_eq!(keys, ["https://page/", "a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn duplicate_keys_fail_the_invariants() {
+        let json = serde_json::to_string(&sample()).unwrap();
+        let t: DepTree =
+            serde_json::from_str(&json.replace(r#""key":"d""#, r#""key":"b""#)).unwrap();
+        assert_eq!(
+            t.check_invariants(),
+            Err("duplicate node key `b`".to_string())
+        );
+    }
+
+    #[test]
     fn chains_and_children() {
         let t = sample();
-        let d = t.find("d").unwrap();
+        let d = find(&t, "d").unwrap();
         assert_eq!(t.dependency_chain(d), vec!["c", "a", "https://page/"]);
         assert_eq!(t.parent_key(d), Some("c"));
-        let a = t.find("a").unwrap();
+        let a = find(&t, "a").unwrap();
         assert_eq!(t.children_keys(a), vec!["c"]);
         assert_eq!(t.children_keys(0), vec!["a", "b"]);
     }
@@ -365,6 +347,10 @@ mod tests {
     fn serde_roundtrip() {
         let t = sample();
         let json = serde_json::to_string(&t).unwrap();
+        assert!(
+            json.starts_with(r#"{"nodes":[{"key":"https://page/","#),
+            "{json}"
+        );
         let back: DepTree = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
     }

@@ -1,6 +1,6 @@
 //! `build_tree` against the straightforward algorithm it replaced, kept
 //! here as the oracle: every request parsed, attributed and classified
-//! on its own, the linear filter-list scan, and `DepTree::attach`
+//! on its own, the linear filter-list scan, and `TreeBuilder::attach`
 //! dropping a repeated key last. Generated visits cover what the
 //! per-visit memos and the early skip of repeated keys must not change;
 //! a Tiny crawl covers the traffic the pipeline sees.
@@ -12,7 +12,7 @@ use wmtree_crawler::{standard_profiles, Commander, CrawlOptions};
 use wmtree_filterlist::embedded::{combined_list, tracking_list};
 use wmtree_filterlist::{FilterList, RequestInfo};
 use wmtree_net::{ResourceType, Status};
-use wmtree_tree::{build_tree, CallStackMode, DepTree, TreeConfig};
+use wmtree_tree::{build_tree, CallStackMode, DepTree, TreeBuilder, TreeConfig};
 use wmtree_url::{normalize_url_str, psl, Party, Url};
 use wmtree_webgen::{UniverseConfig, WebUniverse};
 
@@ -45,7 +45,7 @@ fn oracle_build_tree(
     let page_url = &visit.page_url;
     let root_key = oracle_key_of_url(config, page_url);
     let page_site = page_url.site();
-    let mut tree = DepTree::new_rooted(root_key.clone());
+    let mut tree = TreeBuilder::new(root_key.clone());
     let frame_doc: HashMap<u32, String> = visit
         .frames
         .iter()
@@ -83,7 +83,7 @@ fn oracle_build_tree(
         let parent_id = parent_key
             .filter(|p| *p != key)
             .and_then(|p| tree.find(&p))
-            .unwrap_or(tree.root());
+            .unwrap_or(0);
         let party = if psl::host_in_site(req.url.host(), &page_site) {
             Party::First
         } else {
@@ -96,7 +96,7 @@ fn oracle_build_tree(
             .unwrap_or(false);
         tree.attach(parent_id, key, req.resource_type, party, tracking);
     }
-    tree
+    tree.finish()
 }
 
 fn configs() -> [TreeConfig; 3] {

@@ -24,7 +24,7 @@ use wmtree::net::ResourceType;
 use wmtree::tree::cache::{
     verify_cache, CacheManifest, CacheVerifyIssue, TreeCache, CACHE_MANIFEST_FILE, SITES_PREFIX,
 };
-use wmtree::tree::DepTree;
+use wmtree::tree::TreeBuilder;
 use wmtree::url::{Party, Url};
 use wmtree::{AnalysisCache, Experiment, ExperimentConfig, Scale};
 
@@ -101,7 +101,7 @@ fn small_cache(dir: &Path) -> usize {
     let cache = TreeCache::open(dir, 9);
     let n = 3;
     for i in 0..n {
-        let mut tree = DepTree::new_rooted(format!("https://www.s{i}.com/"));
+        let mut tree = TreeBuilder::new(format!("https://www.s{i}.com/"));
         tree.attach(
             0,
             format!("https://cdn.s{i}.com/app.js"),
@@ -109,7 +109,7 @@ fn small_cache(dir: &Path) -> usize {
             Party::Third,
             i % 2 == 0,
         );
-        cache.insert_site(i as u64 + 100, &vec![tree; i]);
+        cache.insert_site(i as u64 + 100, &vec![tree.finish(); i]);
     }
     cache.commit().expect("commit cache");
     n
