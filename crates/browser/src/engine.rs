@@ -1,4 +1,13 @@
 //! The visit engine: a virtual-clock event loop over the fetch pipeline.
+//!
+//! A visit is a navigation and a load. The navigation decides whether
+//! the visit succeeds: the crawler-level failure roll, then the main
+//! document's fetch, which must fit under the request cap and the page
+//! timeout, parse and arrive. The load fetches the main document's
+//! response and everything it embeds, and records the traffic. A
+//! [`Browser::visit`] is [`Browser::navigate`] followed by
+//! [`Navigation::load`], so a crawler that needs only the outcome of a
+//! visit can navigate and never load.
 
 use crate::config::BrowserConfig;
 use crate::placeholder::VisitIds;
@@ -34,7 +43,10 @@ impl<'a> Browser<'a> {
     /// parallel profiles different seeds and they see different ad
     /// rotations, like the paper's Sim1/Sim2 pair.
     pub fn visit(&self, page_url: &Url, visit_seed: u64) -> VisitResult {
-        visit_page(self.universe, &self.config, page_url, visit_seed)
+        match self.navigate(page_url, visit_seed) {
+            Some(navigation) => navigation.load(),
+            None => VisitResult::failed(page_url.clone()),
+        }
     }
 
     /// Stateful visit: start from an existing cookie jar (carried over
@@ -47,14 +59,203 @@ impl<'a> Browser<'a> {
         visit_seed: u64,
         jar: &mut CookieJar,
     ) -> VisitResult {
-        visit_page_with_jar(self.universe, &self.config, page_url, visit_seed, jar)
+        match self.navigate(page_url, visit_seed) {
+            Some(navigation) => navigation.load_stateful(jar),
+            None => VisitResult::failed(page_url.clone()),
+        }
+    }
+
+    /// The first step of every visit: navigate to the page and fetch
+    /// its main document. `None` is a failed visit, whose result is
+    /// [`VisitResult::failed`]; a navigation is a successful one, whose
+    /// traffic [`Navigation::load`] records. Counts the visit as
+    /// started, and as ok or failed.
+    pub fn navigate<'n>(&'n self, page_url: &'n Url, visit_seed: u64) -> Option<Navigation<'n>> {
+        wmtree_telemetry::counter!("browser.visit.started").inc();
+        let navigation = self.navigation(page_url, visit_seed);
+        match navigation {
+            Some(_) => wmtree_telemetry::counter!("browser.visit.ok").inc(),
+            None => wmtree_telemetry::counter!("browser.visit.failed").inc(),
+        }
+        navigation
+    }
+
+    fn navigation<'n>(&'n self, page_url: &'n Url, visit_seed: u64) -> Option<Navigation<'n>> {
+        let config = &self.config;
+        // Crawler-level failure (bot blocks, crashes, unreachable hosts).
+        let fail_roll = stable_hash(visit_seed, b"visit-fail") as f64 / u64::MAX as f64;
+        if fail_roll < config.visit_failure_rate {
+            return None;
+        }
+        // The main document is the visit's first fetch, at virtual time
+        // 0: it needs room under the request cap and the page timeout, a
+        // URL that parses, and a response that arrives.
+        if config.max_requests == 0 || config.page_timeout_ms == 0 {
+            return None;
+        }
+        let document = page_url.to_string();
+        let url = Url::parse(&document).ok()?;
+        match config.network.sample(visit_seed, &url) {
+            FetchOutcome::Arrived { latency_ms } => Some(Navigation {
+                universe: self.universe,
+                config,
+                page_url,
+                visit_seed,
+                document,
+                url,
+                latency_ms,
+            }),
+            FetchOutcome::Failed | FetchOutcome::Stalled => None,
+        }
     }
 }
 
-/// A pending fetch in the virtual event queue.
+/// A page [navigated](Browser::navigate) to: its main document arrived,
+/// so the visit succeeded. Loading it records the visit's traffic.
+#[derive(Debug)]
+pub struct Navigation<'n> {
+    universe: &'n WebUniverse,
+    config: &'n BrowserConfig,
+    page_url: &'n Url,
+    visit_seed: u64,
+    /// The main document's URL as requested: the page URL's
+    /// serialization.
+    document: String,
+    /// `document`, parsed.
+    url: Url,
+    /// When the main document's response arrived.
+    latency_ms: u64,
+}
+
+impl Navigation<'_> {
+    /// Load the page with a fresh cookie jar (stateless crawling) and
+    /// return the visit, with the jar it leaves as its cookies.
+    pub fn load(self) -> VisitResult {
+        let mut jar = CookieJar::new();
+        let mut visit = self.load_into(&mut jar);
+        visit.cookies = jar.into_cookies();
+        visit
+    }
+
+    /// Load the page starting from (and updating) an existing cookie
+    /// jar, and return the visit, with the jar's contents as its
+    /// cookies.
+    fn load_stateful(self, jar: &mut CookieJar) -> VisitResult {
+        let mut visit = self.load_into(jar);
+        visit.cookies = jar.iter().cloned().collect();
+        visit
+    }
+
+    /// Load the page, updating `jar`. The result's `cookies` are left
+    /// empty for the caller to fill from the jar.
+    fn load_into(self, jar: &mut CookieJar) -> VisitResult {
+        let Navigation {
+            universe,
+            config,
+            page_url,
+            visit_seed,
+            document,
+            url,
+            latency_ms,
+        } = self;
+        let ctx = VisitCtx {
+            visit_seed,
+            browser_version: config.version,
+            interaction: config.interaction,
+            headless: config.headless,
+            // A jar that already matches this page means we were here (or
+            // on a sibling page) before.
+            returning_visitor: jar.matching(page_url).iter().any(|c| !c.value.is_empty()),
+        };
+        let mut load = Load {
+            universe,
+            config,
+            visit_seed,
+            ctx,
+            ids: VisitIds::new(visit_seed),
+            jar,
+            requests: Vec::new(),
+            frames: Vec::new(),
+            seen_urls: HashSet::new(),
+            queue: BinaryHeap::new(),
+            seq: 0,
+            next_frame_id: 1,
+            timed_out: false,
+            last_completed: 0,
+            interaction_time: None,
+        };
+        let main_document = Pending {
+            resource_type: ResourceType::MainFrame,
+            frame_id: 0,
+            call_stack: Vec::new(),
+            trigger: TriggerSource::Navigation,
+            redirect_from: None,
+            frame_navigation: Some(FrameNav {
+                frame_id: 0,
+                parent_frame_id: None,
+            }),
+        };
+        let respelled = (url.as_str() != document).then(|| document.clone());
+        load.seen_urls.insert(document);
+        load.fetch(0, main_document, url, respelled, latency_ms);
+
+        while let Some(Reverse((at, _, TaskBox(task)))) = load.queue.pop() {
+            if load.requests.len() >= config.max_requests {
+                break;
+            }
+            if at >= config.page_timeout_ms {
+                load.timed_out = true;
+                continue;
+            }
+            // Parse the concrete URL; templates were materialized at
+            // scheduling time.
+            let Ok(url) = Url::parse(&task.url) else {
+                continue;
+            };
+            // The URL as materialized is what the per-visit cache keys
+            // on and what frames, call stacks and triggers record: the
+            // parsed URL's serialization, unless parsing respelled it.
+            let respelled = (url.as_str() != task.url).then(|| task.url.clone());
+            // Per-visit cache: each distinct URL is fetched once.
+            if !load.seen_urls.insert(task.url) {
+                continue;
+            }
+            // A subresource that fails or stalls is simply missing.
+            if let FetchOutcome::Arrived { latency_ms } = config.network.sample(visit_seed, &url) {
+                load.fetch(at, task.request, url, respelled, latency_ms);
+            }
+        }
+
+        if load.timed_out {
+            wmtree_telemetry::counter!("browser.visit.timeout").inc();
+        }
+        // Both are virtual-clock quantities — deterministic per seed.
+        wmtree_telemetry::histogram!("browser.visit.requests").record(load.requests.len() as u64);
+        wmtree_telemetry::histogram!("browser.visit.duration_ms").record(load.last_completed);
+
+        VisitResult {
+            page_url: page_url.clone(),
+            success: true,
+            timed_out: load.timed_out,
+            requests: load.requests,
+            frames: load.frames,
+            cookies: Vec::new(),
+            duration_ms: load.last_completed,
+        }
+    }
+}
+
+/// A pending fetch in the virtual event queue: its URL as materialized
+/// and the request it records if it arrives.
 #[derive(Debug, Clone)]
 struct FetchTask {
     url: String,
+    request: Pending,
+}
+
+/// What a fetch records besides its URL.
+#[derive(Debug, Clone)]
+struct Pending {
     resource_type: ResourceType,
     frame_id: u32,
     call_stack: Vec<StackEntry>,
@@ -70,142 +271,52 @@ struct FrameNav {
     parent_frame_id: Option<u32>,
 }
 
-/// Visit one page with one configuration, stateless (fresh cookie jar).
-/// Deterministic in all inputs.
-pub fn visit_page(
-    universe: &WebUniverse,
-    config: &BrowserConfig,
-    page_url: &Url,
+/// One page load in progress: what the visit has recorded so far and
+/// the fetches still scheduled on the virtual clock.
+struct Load<'v> {
+    universe: &'v WebUniverse,
+    config: &'v BrowserConfig,
     visit_seed: u64,
-) -> VisitResult {
-    let mut jar = CookieJar::new();
-    let mut visit = run_visit(universe, config, page_url, visit_seed, &mut jar);
-    if visit.success {
-        visit.cookies = jar.into_cookies();
-    }
-    visit
+    ctx: VisitCtx,
+    ids: VisitIds,
+    jar: &'v mut CookieJar,
+    requests: Vec<RequestRecord>,
+    frames: Vec<FrameRecord>,
+    /// Every URL fetched so far, as materialized.
+    seen_urls: HashSet<String>,
+    /// Min-heap of (scheduled time, sequence) → task.
+    queue: BinaryHeap<Reverse<(u64, u64, TaskBox)>>,
+    seq: u64,
+    next_frame_id: u32,
+    timed_out: bool,
+    last_completed: u64,
+    /// Interaction fires a fixed delay after the main document
+    /// completes; the absolute time is resolved once it arrives.
+    interaction_time: Option<u64>,
 }
 
-/// Visit one page starting from (and updating) an existing cookie jar.
-pub fn visit_page_with_jar(
-    universe: &WebUniverse,
-    config: &BrowserConfig,
-    page_url: &Url,
-    visit_seed: u64,
-    jar: &mut CookieJar,
-) -> VisitResult {
-    let mut visit = run_visit(universe, config, page_url, visit_seed, jar);
-    if visit.success {
-        visit.cookies = jar.iter().cloned().collect();
-    }
-    visit
-}
-
-/// Visit one page, updating `jar`. The result's `cookies` are left
-/// empty: the caller fills them from the jar when the visit succeeded.
-fn run_visit(
-    universe: &WebUniverse,
-    config: &BrowserConfig,
-    page_url: &Url,
-    visit_seed: u64,
-    jar: &mut CookieJar,
-) -> VisitResult {
-    wmtree_telemetry::counter!("browser.visit.started").inc();
-    let failed = || {
-        wmtree_telemetry::counter!("browser.visit.failed").inc();
-        VisitResult::failed(page_url.clone())
-    };
-    // Crawler-level failure (bot blocks, crashes, unreachable hosts).
-    let fail_roll = stable_hash(visit_seed, b"visit-fail") as f64 / u64::MAX as f64;
-    if fail_roll < config.visit_failure_rate {
-        return failed();
-    }
-
-    let ctx = VisitCtx {
-        visit_seed,
-        browser_version: config.version,
-        interaction: config.interaction,
-        headless: config.headless,
-        // A jar that already matches this page means we were here (or on
-        // a sibling page) before.
-        returning_visitor: jar.matching(page_url).iter().any(|c| !c.value.is_empty()),
-    };
-    let mut ids = VisitIds::new(visit_seed);
-    let mut requests: Vec<RequestRecord> = Vec::new();
-    let mut frames: Vec<FrameRecord> = Vec::new();
-    let mut seen_urls: HashSet<String> = HashSet::new();
-    let mut next_frame_id: u32 = 1;
-    let mut next_req_id: u64 = 0;
-    let mut seq: u64 = 0;
-    let mut timed_out = false;
-    let mut last_completed = 0u64;
-
-    // Min-heap of (scheduled time, sequence) → task.
-    let mut queue: BinaryHeap<Reverse<(u64, u64, TaskBox)>> = BinaryHeap::new();
-
-    // Interaction fires a fixed delay after the main document completes;
-    // we resolve the absolute time once the document arrives.
-    let mut interaction_time: Option<u64> = None;
-
-    let root_task = FetchTask {
-        url: page_url.to_string(),
-        resource_type: ResourceType::MainFrame,
-        frame_id: 0,
-        call_stack: Vec::new(),
-        trigger: TriggerSource::Navigation,
-        redirect_from: None,
-        frame_navigation: Some(FrameNav {
-            frame_id: 0,
-            parent_frame_id: None,
-        }),
-    };
-    queue.push(Reverse((0, seq, TaskBox(root_task))));
-    seq += 1;
-
-    let mut main_doc_loaded = false;
-
-    while let Some(Reverse((at, _, TaskBox(task)))) = queue.pop() {
-        if requests.len() >= config.max_requests {
-            break;
-        }
-        if at >= config.page_timeout_ms {
-            timed_out = true;
-            continue;
-        }
-        // Parse the concrete URL; templates were materialized at
-        // scheduling time.
-        let Ok(url) = Url::parse(&task.url) else {
-            continue;
-        };
-        // The URL as materialized is what the per-visit cache keys on
-        // and what frames, call stacks and triggers record: the parsed
-        // URL's serialization, unless parsing respelled it.
-        let respelled = (url.as_str() != task.url).then(|| task.url.clone());
-
-        // Per-visit cache: each distinct URL is fetched once.
-        if !seen_urls.insert(task.url) {
-            continue;
-        }
-
-        let outcome = config.network.sample(visit_seed, &url);
-        let latency = match outcome {
-            FetchOutcome::Arrived { latency_ms } => latency_ms,
-            FetchOutcome::Failed | FetchOutcome::Stalled => {
-                if task.frame_id == 0 && matches!(task.trigger, TriggerSource::Navigation) {
-                    // Main document unreachable: the visit fails.
-                    return failed();
-                }
-                continue;
-            }
-        };
+impl Load<'_> {
+    /// Record the fetch of `request` from `url`, issued at `at` and
+    /// answered `latency` ms later, and schedule what its response
+    /// embeds. `respelled` is the URL as materialized, when parsing
+    /// respelled it.
+    fn fetch(
+        &mut self,
+        at: u64,
+        request: Pending,
+        url: Url,
+        respelled: Option<String>,
+        latency: u64,
+    ) {
+        let config = self.config;
         let completed = at + latency;
         let completed_clamped = completed.min(config.page_timeout_ms);
         if completed > config.page_timeout_ms {
-            timed_out = true;
+            self.timed_out = true;
         }
-        last_completed = last_completed.max(completed_clamped);
+        self.last_completed = self.last_completed.max(completed_clamped);
 
-        let reply = universe.serve(&url, &ctx);
+        let reply = self.universe.serve(&url, &self.ctx);
 
         // Record the request: the task's URL, stack, redirect origin and
         // trigger move into it.
@@ -213,24 +324,23 @@ fn run_visit(
             .content
             .set_cookies()
             .iter()
-            .map(|line| ids.materialize(line))
+            .map(|line| self.ids.materialize(line))
             .collect();
         for line in &set_cookies {
             if let Some(c) = wmtree_net::cookie::Cookie::parse(line, &url) {
-                jar.store(c);
+                self.jar.store(c);
             }
         }
-        let FetchTask {
+        let Pending {
             resource_type,
             frame_id,
             call_stack,
             trigger,
             redirect_from,
             frame_navigation,
-            ..
-        } = task;
-        requests.push(RequestRecord {
-            id: next_req_id,
+        } = request;
+        self.requests.push(RequestRecord {
+            id: self.requests.len() as u64,
             url,
             resource_type,
             frame_id,
@@ -243,42 +353,45 @@ fn run_visit(
             set_cookies,
             is_frame_navigation: frame_navigation.is_some(),
         });
-        next_req_id += 1;
-        let record = &requests[requests.len() - 1];
+        let record = &self.requests[self.requests.len() - 1];
         let spelled = respelled.as_deref().unwrap_or(record.url.as_str());
 
         // Frame bookkeeping.
         if let Some(nav) = &frame_navigation {
-            frames.push(FrameRecord {
+            self.frames.push(FrameRecord {
                 frame_id: nav.frame_id,
                 parent_frame_id: nav.parent_frame_id,
                 document_url: spelled.to_string(),
             });
             if nav.frame_id == 0 {
-                main_doc_loaded = true;
-                interaction_time = Some(completed + config.interaction_at_ms);
+                self.interaction_time = Some(completed + config.interaction_at_ms);
             }
         }
 
         // Don't process children of responses that arrived post-timeout.
         if completed > config.page_timeout_ms {
-            continue;
+            return;
         }
 
         // Dispatch content.
+        let mut schedule = |when: u64, task: FetchTask| {
+            self.queue.push(Reverse((when, self.seq, TaskBox(task))));
+            self.seq += 1;
+        };
         match &reply.content {
             Content::Redirect { to, .. } => {
                 let hop = FetchTask {
-                    url: ids.materialize(to),
-                    resource_type,
-                    frame_id,
-                    call_stack: Vec::new(),
-                    trigger: TriggerSource::Redirect(spelled.to_string()),
-                    redirect_from: Some(record.url.clone()),
-                    frame_navigation: None,
+                    url: self.ids.materialize(to),
+                    request: Pending {
+                        resource_type,
+                        frame_id,
+                        call_stack: Vec::new(),
+                        trigger: TriggerSource::Redirect(spelled.to_string()),
+                        redirect_from: Some(record.url.clone()),
+                        frame_navigation: None,
+                    },
                 };
-                queue.push(Reverse((completed, seq, TaskBox(hop))));
-                seq += 1;
+                schedule(completed, hop);
             }
             content => {
                 // The function a script, stylesheet, API or socket
@@ -304,14 +417,14 @@ fn run_visit(
                 let child_frame = frame_id;
 
                 for (idx, embed) in content.embeds().iter().enumerate() {
-                    if !condition_holds(embed, spelled, idx, visit_seed, config) {
+                    if !condition_holds(embed, spelled, idx, self.visit_seed, config) {
                         continue;
                     }
                     let mut when = completed + embed.delay_ms + 15 * idx as u64;
                     if needs_interaction(&embed.condition) {
                         // Lazy content fires at (or after) the simulated
                         // keystrokes.
-                        let it = interaction_time.unwrap_or(config.interaction_at_ms);
+                        let it = self.interaction_time.unwrap_or(config.interaction_at_ms);
                         when = when.max(it);
                     }
                     if matches!(content, Content::WebSocket { .. }) {
@@ -320,60 +433,39 @@ fn run_visit(
                     }
                     let frame_navigation = if embed.resource_type == ResourceType::SubFrame {
                         let nav = FrameNav {
-                            frame_id: next_frame_id,
+                            frame_id: self.next_frame_id,
                             parent_frame_id: Some(child_frame),
                         };
-                        next_frame_id += 1;
+                        self.next_frame_id += 1;
                         Some(nav)
                     } else {
                         None
                     };
                     let child = FetchTask {
-                        url: ids.materialize(&embed.url),
-                        resource_type: embed.resource_type,
-                        frame_id: frame_navigation
-                            .as_ref()
-                            .map(|n| n.frame_id)
-                            .unwrap_or(child_frame),
-                        call_stack: issuer
-                            .map(|function| {
-                                vec![StackEntry {
-                                    url: spelled.to_string(),
-                                    function: function.to_string(),
-                                }]
-                            })
-                            .unwrap_or_default(),
-                        trigger: child_trigger(),
-                        redirect_from: None,
-                        frame_navigation,
+                        url: self.ids.materialize(&embed.url),
+                        request: Pending {
+                            resource_type: embed.resource_type,
+                            frame_id: frame_navigation
+                                .as_ref()
+                                .map(|n| n.frame_id)
+                                .unwrap_or(child_frame),
+                            call_stack: issuer
+                                .map(|function| {
+                                    vec![StackEntry {
+                                        url: spelled.to_string(),
+                                        function: function.to_string(),
+                                    }]
+                                })
+                                .unwrap_or_default(),
+                            trigger: child_trigger(),
+                            redirect_from: None,
+                            frame_navigation,
+                        },
                     };
-                    queue.push(Reverse((when, seq, TaskBox(child))));
-                    seq += 1;
+                    schedule(when, child);
                 }
             }
         }
-    }
-
-    if !main_doc_loaded {
-        return failed();
-    }
-
-    wmtree_telemetry::counter!("browser.visit.ok").inc();
-    if timed_out {
-        wmtree_telemetry::counter!("browser.visit.timeout").inc();
-    }
-    // Both are virtual-clock quantities — deterministic per seed.
-    wmtree_telemetry::histogram!("browser.visit.requests").record(requests.len() as u64);
-    wmtree_telemetry::histogram!("browser.visit.duration_ms").record(last_completed);
-
-    VisitResult {
-        page_url: page_url.clone(),
-        success: true,
-        timed_out,
-        requests,
-        frames,
-        cookies: Vec::new(),
-        duration_ms: last_completed,
     }
 }
 

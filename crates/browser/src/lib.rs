@@ -30,6 +30,6 @@ mod placeholder;
 mod record;
 
 pub use config::BrowserConfig;
-pub use engine::{visit_page, visit_page_with_jar, Browser};
+pub use engine::{Browser, Navigation};
 pub use placeholder::VisitIds;
 pub use record::{FrameRecord, RequestRecord, StackEntry, TriggerSource, VisitResult};

@@ -86,6 +86,17 @@ pub enum BundleError {
         /// Version this build writes.
         supported: u32,
     },
+    /// A visit to archive was navigated but never loaded, so it has no
+    /// record to write: the database came from a crawl that loads only
+    /// the pages vetting keeps.
+    UnloadedVisit {
+        /// The page's site.
+        site: String,
+        /// The page URL.
+        url: String,
+        /// The profile slot of the visit.
+        profile: usize,
+    },
 }
 
 impl std::fmt::Display for BundleError {
@@ -142,6 +153,12 @@ impl std::fmt::Display for BundleError {
             BundleError::UnsupportedVersion { found, supported } => write!(
                 f,
                 "bundle format version {found} is not supported (this build reads version {supported})"
+            ),
+            BundleError::UnloadedVisit { site, url, profile } => write!(
+                f,
+                "{site} / {url}: profile {profile} navigated the page but the crawl did not \
+                 load it, so it has no record to archive (a crawl that loads only vetted \
+                 pages cannot be written as a bundle)"
             ),
         }
     }

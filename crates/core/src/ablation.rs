@@ -196,7 +196,7 @@ impl Tally {
             .flat_map(|v| &v.requests);
         Tally {
             kept: (1..=site.n_profiles())
-                .map(|k| site.vetted_pages_k(k).len())
+                .map(|k| site.pages_crawled_by(k))
                 .collect(),
             consent: requests
                 .filter(|r| r.url.host().contains("consent-shield"))

@@ -8,16 +8,33 @@
 //! identity (proven by property tests in `tests/`).
 
 use crate::db::{CrawlDb, PageKey};
-use crate::replay_sites;
+use crate::{replay_sites, VisitResult};
 use std::path::Path;
 use wmtree_bundle::{
     BundleError, BundleMeta, BundleVisit, BundleWriter, Depth, EncodedSite, LoggedVisit, Manifest,
 };
 
+/// The recorded visit of `page` by `profile`, if any. A visit navigated
+/// but never loaded is refused: a bundle would silently lack it.
+fn archived<'d>(
+    db: &'d CrawlDb,
+    page: &PageKey,
+    profile: usize,
+) -> Result<Option<&'d VisitResult>, BundleError> {
+    if db.unloaded(page, profile) {
+        return Err(BundleError::UnloadedVisit {
+            site: page.site.clone(),
+            url: page.url.clone(),
+            profile,
+        });
+    }
+    Ok(db.visit_any(page, profile))
+}
+
 /// Encode the visits `db` holds on `pages`, all pages of `site`, in the
 /// canonical append order: pages in `(site, url)` order, profiles in
 /// index order — the same order [`crate::export::write_jsonl`] uses, so
-/// archives are deterministic.
+/// archives are deterministic. Fails on a visit the crawl did not load.
 pub(crate) fn encode_site<'a>(
     db: &CrawlDb,
     site: &str,
@@ -26,7 +43,7 @@ pub(crate) fn encode_site<'a>(
     let mut visits = Vec::new();
     for page in pages {
         for profile in 0..db.n_profiles() {
-            if let Some(visit) = db.visit_any(page, profile) {
+            if let Some(visit) = archived(db, page, profile)? {
                 visits.push((page.url.clone(), profile, visit));
             }
         }
@@ -36,11 +53,18 @@ pub(crate) fn encode_site<'a>(
 
 /// Archive a database as a complete bundle at `dir` (one checkpoint per
 /// site, sites in lexicographic order), encoding and appending on the
-/// calling thread. Fails if `dir` already holds a bundle.
+/// calling thread. Fails if `dir` already holds a bundle, and before
+/// writing anything if `db` holds a visit the crawl did not load (a
+/// database of [`Commander::crawl`](crate::Commander::crawl)).
 pub fn write_bundle(db: &CrawlDb, dir: &Path, meta: BundleMeta) -> Result<Manifest, BundleError> {
     let _span = wmtree_telemetry::span("bundle.write_db");
-    let mut writer = BundleWriter::create(dir, meta)?;
     let pages: Vec<&PageKey> = db.pages().collect();
+    for &page in &pages {
+        for profile in 0..db.n_profiles() {
+            archived(db, page, profile)?;
+        }
+    }
+    let mut writer = BundleWriter::create(dir, meta)?;
     // Pages of one site are contiguous in (site, url) order.
     for site in pages.chunk_by(|a, b| a.site == b.site) {
         writer.append(encode_site(db, &site[0].site, site.iter().copied())?)?;
@@ -94,16 +118,12 @@ mod tests {
     use super::*;
     use crate::profile::standard_profiles;
     use crate::{Commander, CrawlOptions};
+    use wmtree_telemetry::ProgressTracker;
     use wmtree_webgen::{UniverseConfig, WebUniverse};
 
-    fn small_db() -> CrawlDb {
-        let u = WebUniverse::generate(UniverseConfig {
-            seed: 81,
-            sites_per_bucket: [2, 1, 1, 1, 1],
-            max_subpages: 3,
-        });
+    fn commander(u: &WebUniverse) -> Commander<'_> {
         Commander::new(
-            &u,
+            u,
             standard_profiles(),
             CrawlOptions {
                 max_pages_per_site: 3,
@@ -113,7 +133,18 @@ mod tests {
                 stateful: false,
             },
         )
-        .run()
+    }
+
+    fn uni() -> WebUniverse {
+        WebUniverse::generate(UniverseConfig {
+            seed: 81,
+            sites_per_bucket: [2, 1, 1, 1, 1],
+            max_subpages: 3,
+        })
+    }
+
+    fn small_db() -> CrawlDb {
+        commander(&uni()).run()
     }
 
     fn meta() -> BundleMeta {
@@ -207,6 +238,35 @@ mod tests {
         );
         let page = format!("{site} / {}", first[0].url);
         assert!(err.to_string().contains(&page), "{err}");
+    }
+
+    #[test]
+    fn a_database_with_an_unloaded_visit_is_refused() {
+        // The staged crawl loads no page some profile failed.
+        let u = uni();
+        let mut db = CrawlDb::new(5);
+        let progress = ProgressTracker::new(u.sites().len(), 1);
+        commander(&u)
+            .crawl(&progress, |site| site, |site| db.try_merge(site))
+            .unwrap();
+        let (page, profile) = db
+            .pages()
+            .find_map(|page| (0..5).find(|&p| db.unloaded(page, p)).map(|p| (page, p)))
+            .expect("some page is dropped");
+        let names_it = |err: &BundleError| {
+            matches!(err, BundleError::UnloadedVisit { site, url, profile: p }
+                if *site == page.site && *url == page.url && *p == profile)
+        };
+
+        let dir = tmp("unloaded");
+        let err = write_bundle(&db, &dir, meta()).expect_err("an unloaded visit has no record");
+        assert!(names_it(&err), "{err}");
+        assert!(err.to_string().contains(&page.url), "{err}");
+        assert!(!dir.exists(), "nothing is written");
+
+        let site: Vec<&PageKey> = db.pages().filter(|p| p.site == page.site).collect();
+        let err = encode_site(&db, &page.site, site).expect_err("an unloaded visit has no record");
+        assert!(names_it(&err), "{err}");
     }
 
     #[test]

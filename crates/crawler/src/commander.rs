@@ -26,6 +26,16 @@
 //! stages it, so a site's visits are allocated and freed on one thread.
 //! Only [`Commander::run`]'s sink builds a database of the whole crawl.
 //!
+//! A visit is a navigation, which decides its success, and a load,
+//! which records its traffic ([`Browser::navigate`]). The staged crawl,
+//! [`Commander::crawl`], navigates every profile of a page before it
+//! loads any, and loads the page only if every profile navigated it:
+//! vetting (§3.2) drops any other page, and the stage reads nothing of
+//! it but its outcomes. [`Commander::run`] and the bundle crawls load
+//! every navigated visit, so a database of the whole crawl, a bundle or
+//! an export holds every visit in full; so does a stateful crawl, whose
+//! cookie jar carries each load into the next page's.
+//!
 //! A window crawl into a bundle ([`Commander::record_window`]) has no
 //! stage: resuming it verifies every committed byte but parses no
 //! stored object, so a crawl cut into many short batches costs what one
@@ -39,11 +49,13 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::convert::Infallible;
 use std::path::Path;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use wmtree_browser::Browser;
+use wmtree_browser::{Browser, VisitResult};
 use wmtree_bundle::{
     read_sites, BundleError, BundleMeta, BundleWriter, Depth, LoggedVisit, Manifest,
 };
+use wmtree_net::cookie::CookieJar;
 use wmtree_telemetry::ProgressTracker;
+use wmtree_url::Url;
 use wmtree_webgen::{stable_hash, WebUniverse};
 
 /// Options of a crawl run.
@@ -144,14 +156,16 @@ impl<'a> Commander<'a> {
         &self.profiles
     }
 
-    /// Run the full crawl and return its database: [`crawl`] with each
-    /// site's database as its own stage, merged in universe order.
+    /// Run the full crawl and return its database, every navigated visit
+    /// loaded: [`crawl`]'s loop with each site's database as its own
+    /// stage, merged in universe order.
     ///
     /// [`crawl`]: Commander::crawl
     pub fn run(&self) -> CrawlDb {
         let progress = ProgressTracker::new(self.site_window().len(), self.options.workers.max(1));
         let mut db = CrawlDb::new(self.profiles.len());
-        let Ok(()) = self.crawl(
+        let Ok(()) = self.crawl_loading(
+            Loads::All,
             &progress,
             |site| site,
             |site| {
@@ -166,8 +180,27 @@ impl<'a> Commander<'a> {
     /// that crawls a site runs `stage` on the site's own database; the
     /// calling thread hands the results to `sink` in universe order. The
     /// first sink error stops the crawl and is returned.
+    ///
+    /// A stateless crawl loads a page only if every profile navigated
+    /// it. On any other page the site's database records each profile's
+    /// outcome and no visit ([`CrawlDb::unloaded`]), so its visit
+    /// queries return the vetted pages' visits and the failures, and its
+    /// counts are those of a crawl that loads every visit. Such a
+    /// database cannot become a bundle.
     pub fn crawl<T: Send, E>(
         &self,
+        progress: &ProgressTracker,
+        stage: impl Fn(CrawlDb) -> T + Sync,
+        sink: impl FnMut(T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.crawl_loading(Loads::Vetted, progress, stage, sink)
+    }
+
+    /// [`crawl`](Commander::crawl), loading the navigated visits `loads`
+    /// names.
+    fn crawl_loading<T: Send, E>(
+        &self,
+        loads: Loads,
         progress: &ProgressTracker,
         stage: impl Fn(CrawlDb) -> T + Sync,
         sink: impl FnMut(T) -> Result<(), E>,
@@ -177,7 +210,7 @@ impl<'a> Commander<'a> {
         ordered(
             self.options.workers.clamp(1, sites.len().max(1)),
             |push| sites.iter().try_for_each(|&site| push(site)),
-            |site_idx, worker| stage(self.crawl_site(site_idx, worker, progress)),
+            |site_idx, worker| stage(self.crawl_site(site_idx, worker, progress, loads)),
             sink,
         )
     }
@@ -253,7 +286,7 @@ impl<'a> Commander<'a> {
             workers.clamp(1, budget.max(1)),
             |push| pending[..budget].iter().try_for_each(|&site| push(site)),
             |site_idx, worker| {
-                let site = self.crawl_site(site_idx, worker, progress);
+                let site = self.crawl_site(site_idx, worker, progress, Loads::All);
                 let encoded = encode_site(&site, &sites[site_idx].domain, site.pages())?;
                 Ok::<_, BundleError>((encoded, stage.map(|stage| stage(site))))
             },
@@ -297,43 +330,78 @@ impl<'a> Commander<'a> {
 
     /// Crawl one site with every profile ("semi-parallel": all profiles
     /// get the same page list, visits differ only by their seeds) into
-    /// a database of its own.
-    fn crawl_site(&self, site_idx: usize, worker: usize, progress: &ProgressTracker) -> CrawlDb {
+    /// a database of its own, loading the navigated visits `loads` names
+    /// — every one in a stateful crawl.
+    fn crawl_site(
+        &self,
+        site_idx: usize,
+        worker: usize,
+        progress: &ProgressTracker,
+        loads: Loads,
+    ) -> CrawlDb {
         let _site_span = wmtree_telemetry::span("crawl.site");
         let mut db = CrawlDb::new(self.profiles.len());
         let site = &self.universe.sites()[site_idx];
         let pages = discover_pages(self.universe, site, self.options.max_pages_per_site);
         wmtree_telemetry::counter!("crawler.pages.discovered").add(pages.len() as u64);
-        for (profile_id, profile) in self.profiles.iter().enumerate() {
-            let cfg = if self.options.reliable {
-                profile.reliable_browser_config()
-            } else {
-                profile.browser_config()
-            };
-            let browser = Browser::new(self.universe, cfg);
-            let mut jar = wmtree_net::cookie::CookieJar::new();
-            for page_url in &pages {
-                let visit_seed = stable_hash(
-                    self.options.experiment_seed,
-                    format!("visit:{profile_id}:{}", page_url.as_str()).as_bytes(),
-                );
-                let result = if self.options.stateful {
-                    browser.visit_stateful(page_url, visit_seed, &mut jar)
+        let browsers: Vec<Browser> = (self.profiles.iter())
+            .map(|profile| {
+                let cfg = if self.options.reliable {
+                    profile.reliable_browser_config()
                 } else {
-                    browser.visit(page_url, visit_seed)
+                    profile.browser_config()
                 };
-                progress.visit(result.success);
-                if result.timed_out {
-                    progress.timeout();
+                Browser::new(self.universe, cfg)
+            })
+            .collect();
+        let visit_seed = |profile_id: usize, page_url: &Url| {
+            stable_hash(
+                self.options.experiment_seed,
+                format!("visit:{profile_id}:{}", page_url.as_str()).as_bytes(),
+            )
+        };
+        // A profile's visit of a page; `None` for one it navigated but
+        // did not load.
+        let mut record = |page_url: &Url, profile_id: usize, visit: Option<VisitResult>| {
+            progress.visit(visit.as_ref().is_none_or(|v| v.success));
+            if visit.as_ref().is_some_and(|v| v.timed_out) {
+                progress.timeout();
+            }
+            let page = PageKey {
+                site: site.domain.clone(),
+                url: page_url.to_string(),
+            };
+            match visit {
+                Some(visit) => db.insert(page, profile_id, visit),
+                None => db.insert_navigated(page, profile_id),
+            }
+        };
+        if self.options.stateful {
+            // Each profile's cookie jar carries from page to page, so
+            // every page's load depends on the ones before it.
+            for (profile_id, browser) in browsers.iter().enumerate() {
+                let mut jar = CookieJar::new();
+                for page_url in &pages {
+                    let seed = visit_seed(profile_id, page_url);
+                    let visit = browser.visit_stateful(page_url, seed, &mut jar);
+                    record(page_url, profile_id, Some(visit));
                 }
-                db.insert(
-                    PageKey {
-                        site: site.domain.clone(),
-                        url: page_url.to_string(),
-                    },
-                    profile_id,
-                    result,
-                );
+            }
+        } else {
+            for page_url in &pages {
+                let navigations: Vec<_> = (browsers.iter().enumerate())
+                    .map(|(profile_id, browser)| {
+                        browser.navigate(page_url, visit_seed(profile_id, page_url))
+                    })
+                    .collect();
+                let load = matches!(loads, Loads::All) || navigations.iter().all(Option::is_some);
+                for (profile_id, navigation) in navigations.into_iter().enumerate() {
+                    let visit = match navigation {
+                        Some(navigation) => load.then(|| navigation.load()),
+                        None => Some(VisitResult::failed(page_url.clone())),
+                    };
+                    record(page_url, profile_id, visit);
+                }
             }
         }
         for _ in &pages {
@@ -343,6 +411,16 @@ impl<'a> Commander<'a> {
         wmtree_telemetry::counter!("crawler.sites.crawled").inc();
         db
     }
+}
+
+/// Which navigated visits a stateless crawl loads.
+#[derive(Debug, Clone, Copy)]
+enum Loads {
+    /// Every one: the database holds every visit in full.
+    All,
+    /// Those of pages every profile navigated, the only pages vetting
+    /// keeps.
+    Vetted,
 }
 
 /// Replay the bundle at `dir` site by site, through the crawl's loop

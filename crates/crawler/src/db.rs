@@ -1,5 +1,12 @@
 //! The crawl database: results of every (profile, page) visit, with the
 //! vetting and accounting queries the analysis needs.
+//!
+//! A slot holds the profile's visit — a failure, or the load of a page it
+//! navigated — or, in a database a vetted-load crawl returned
+//! ([`Commander::crawl`](crate::Commander::crawl)), only the fact that
+//! the profile navigated a page another profile failed. Such a slot
+//! counts as a success in every count and holds no visit: the queries
+//! that return visits skip it.
 
 use crate::profile::ProfileId;
 use serde::{Deserialize, Serialize};
@@ -73,12 +80,65 @@ impl std::fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// A profile's recorded visit of a page.
+#[derive(Debug, Clone, PartialEq)]
+enum Slot {
+    /// The visit: a failure, or the load of a navigated page.
+    Visit(VisitResult),
+    /// The profile navigated the page, which the crawl then did not
+    /// load: another profile failed it, so vetting drops the page.
+    Navigated,
+}
+
+/// How a navigated-only slot serializes.
+const NAVIGATED: &str = "navigated";
+
+impl Slot {
+    /// The recorded visit, if the slot holds one.
+    fn visit(&self) -> Option<&VisitResult> {
+        match self {
+            Slot::Visit(visit) => Some(visit),
+            Slot::Navigated => None,
+        }
+    }
+
+    /// Did the profile crawl the page successfully, loaded or not?
+    fn succeeded(&self) -> bool {
+        self.visit().is_none_or(|visit| visit.success)
+    }
+}
+
+/// A visit serializes as itself, so a database whose every visit is
+/// recorded keeps its format; a navigated-only slot as `"navigated"`.
+impl Serialize for Slot {
+    fn serialize(&self, out: &mut serde::Writer) {
+        match self {
+            Slot::Visit(visit) => visit.serialize(out),
+            Slot::Navigated => out.str(NAVIGATED),
+        }
+    }
+}
+
+impl Deserialize for Slot {
+    fn deserialize(input: &mut serde::Reader<'_>) -> Result<Slot, serde::Error> {
+        if input.peek() != Some(b'"') {
+            return VisitResult::deserialize(input).map(Slot::Visit);
+        }
+        match input.str()?.as_ref() {
+            NAVIGATED => Ok(Slot::Navigated),
+            other => Err(input.error(format!(
+                "expected a visit or \"{NAVIGATED}\", found \"{other}\""
+            ))),
+        }
+    }
+}
+
 /// In-memory store of all visits of an experiment.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct CrawlDb {
     n_profiles: usize,
     /// `visits[page][profile]` — a page's visit by each profile.
-    visits: BTreeMap<PageKey, Vec<Option<VisitResult>>>,
+    visits: BTreeMap<PageKey, Vec<Option<Slot>>>,
     /// `hashes[page][profile]` — the content hash of each visit payload
     /// where known (bundle replays know it for free from the object
     /// store; live crawls leave it `None`). Derived bookkeeping for the
@@ -106,7 +166,12 @@ impl CrawlDb {
     /// Record a visit. Any previously known content hash for the slot
     /// is invalidated — the caller did not vouch for one.
     pub fn insert(&mut self, page: PageKey, profile: ProfileId, result: VisitResult) {
-        self.insert_slot(page, profile, result, None);
+        self.insert_slot(page, profile, Slot::Visit(result), None);
+    }
+
+    /// Record that a profile navigated a page the crawl did not load.
+    pub(crate) fn insert_navigated(&mut self, page: PageKey, profile: ProfileId) {
+        self.insert_slot(page, profile, Slot::Navigated, None);
     }
 
     /// Record a visit together with the content hash of its stored
@@ -119,22 +184,16 @@ impl CrawlDb {
         result: VisitResult,
         hash: u64,
     ) {
-        self.insert_slot(page, profile, result, Some(hash));
+        self.insert_slot(page, profile, Slot::Visit(result), Some(hash));
     }
 
-    fn insert_slot(
-        &mut self,
-        page: PageKey,
-        profile: ProfileId,
-        result: VisitResult,
-        hash: Option<u64>,
-    ) {
+    fn insert_slot(&mut self, page: PageKey, profile: ProfileId, visit: Slot, hash: Option<u64>) {
         assert!(profile < self.n_profiles, "profile id out of range");
         let slot = self
             .visits
             .entry(page.clone())
             .or_insert_with(|| vec![None; self.n_profiles]);
-        slot[profile] = Some(result);
+        slot[profile] = Some(visit);
         let hslot = self
             .hashes
             .entry(page)
@@ -227,45 +286,54 @@ impl CrawlDb {
         self.visits.get(page).map(|slots| slots.len())
     }
 
+    /// The slot of a page by a profile, if recorded.
+    fn slot(&self, page: &PageKey, profile: ProfileId) -> Option<&Slot> {
+        self.visits.get(page)?.get(profile)?.as_ref()
+    }
+
     /// The visit of a page by a profile, if recorded and successful.
     pub fn visit(&self, page: &PageKey, profile: ProfileId) -> Option<&VisitResult> {
-        self.visits
-            .get(page)?
-            .get(profile)?
-            .as_ref()
-            .filter(|v| v.success)
+        self.visit_any(page, profile).filter(|v| v.success)
     }
 
     /// The visit of a page by a profile, recorded or not successful —
     /// used by the raw-data export, which documents failures too.
     pub fn visit_any(&self, page: &PageKey, profile: ProfileId) -> Option<&VisitResult> {
-        self.visits.get(page)?.get(profile)?.as_ref()
+        self.slot(page, profile)?.visit()
+    }
+
+    /// Did the profile navigate the page without the crawl loading it?
+    /// Only a vetted-load crawl records such a visit, and only on a page
+    /// another profile failed.
+    pub fn unloaded(&self, page: &PageKey, profile: ProfileId) -> bool {
+        self.slot(page, profile) == Some(&Slot::Navigated)
     }
 
     /// The paper's vetting rule (§3.2): pages successfully crawled by
     /// **all** profiles, with their per-profile visits.
     pub fn vetted_pages(&self) -> Vec<(&PageKey, Vec<&VisitResult>)> {
-        self.vetted_pages_k(self.n_profiles)
-    }
-
-    /// Ablation variant: pages successfully crawled by at least `k`
-    /// profiles (returns only the successful visits).
-    pub fn vetted_pages_k(&self, k: usize) -> Vec<(&PageKey, Vec<&VisitResult>)> {
         self.visits
             .iter()
-            .filter_map(|(page, results)| {
-                let ok: Vec<&VisitResult> = results
+            .filter_map(|(page, slots)| {
+                let ok: Vec<&VisitResult> = slots
                     .iter()
-                    .filter_map(|r| r.as_ref())
+                    .filter_map(|slot| slot.as_ref()?.visit())
                     .filter(|v| v.success)
                     .collect();
-                if ok.len() >= k {
-                    Some((page, ok))
-                } else {
-                    None
-                }
+                (ok.len() >= self.n_profiles).then_some((page, ok))
             })
             .collect()
+    }
+
+    /// Relaxed vetting, for the ablation: the number of pages
+    /// successfully crawled by at least `k` profiles, loaded or not.
+    pub fn pages_crawled_by(&self, k: usize) -> usize {
+        let succeeded =
+            |slots: &Vec<Option<Slot>>| slots.iter().flatten().filter(|s| s.succeeded()).count();
+        self.visits
+            .values()
+            .filter(|slots| succeeded(slots) >= k)
+            .count()
     }
 
     /// Sites represented among the vetted pages.
@@ -279,11 +347,11 @@ impl CrawlDb {
     /// Per-profile success statistics.
     pub fn profile_stats(&self) -> Vec<ProfileStats> {
         let mut stats = vec![ProfileStats::default(); self.n_profiles];
-        for results in self.visits.values() {
-            for (i, r) in results.iter().enumerate() {
-                if let Some(v) = r {
+        for slots in self.visits.values() {
+            for (i, slot) in slots.iter().enumerate() {
+                if let Some(slot) = slot {
                     stats[i].attempted += 1;
-                    if v.success {
+                    if slot.succeeded() {
                         stats[i].succeeded += 1;
                     }
                 }
@@ -296,8 +364,8 @@ impl CrawlDb {
     pub fn total_successful_visits(&self) -> usize {
         self.visits
             .values()
-            .flat_map(|rs| rs.iter())
-            .filter(|r| r.as_ref().is_some_and(|v| v.success))
+            .flatten()
+            .filter(|slot| slot.as_ref().is_some_and(Slot::succeeded))
             .count()
     }
 }
@@ -352,7 +420,8 @@ mod tests {
         assert_eq!(vetted[0].0, &page(1));
         assert_eq!(vetted[0].1.len(), 3);
         // Relaxed vetting keeps page 2.
-        assert_eq!(db.vetted_pages_k(2).len(), 2);
+        assert_eq!(db.pages_crawled_by(2), 2);
+        assert_eq!(db.pages_crawled_by(3), 1);
     }
 
     #[test]
@@ -506,5 +575,36 @@ mod tests {
         let back: CrawlDb = serde_json::from_str(&json).unwrap();
         assert_eq!(back.visit_hash(&page(1), 0), None);
         assert!(back.visit(&page(1), 0).is_some());
+    }
+
+    #[test]
+    fn navigated_slots_count_as_successes_and_hold_no_visit() {
+        let mut db = CrawlDb::new(3);
+        db.insert_navigated(page(1), 0);
+        db.insert(page(1), 1, bad_visit());
+        db.insert_navigated(page(1), 2);
+        db.insert(page(2), 0, ok_visit());
+        assert!(db.unloaded(&page(1), 0) && !db.unloaded(&page(1), 1));
+        assert_eq!(db.visit_any(&page(1), 0), None, "no visit claims a load");
+        assert_eq!(db.visit(&page(1), 2), None);
+        assert!(db.vetted_pages().is_empty());
+        assert_eq!(db.total_successful_visits(), 3);
+        assert_eq!(
+            db.profile_stats()[0],
+            ProfileStats {
+                attempted: 2,
+                succeeded: 2
+            }
+        );
+        assert_eq!(db.pages_crawled_by(2), 1);
+        assert_eq!(db.pages_crawled_by(3), 0);
+
+        let json = serde_json::to_string(&db).unwrap();
+        let back: CrawlDb = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        assert!(back.unloaded(&page(1), 2));
+        let renamed = json.replace("\"navigated\"", "\"loaded\"");
+        let err = serde_json::from_str::<CrawlDb>(&renamed).unwrap_err();
+        assert!(err.to_string().contains("\"loaded\""), "{err}");
     }
 }

@@ -10,8 +10,9 @@
 use wmtree_url::Url;
 use wmtree_webgen::{stable_hash, SiteSpec, WebUniverse};
 
-/// The pages of a site to be visited by every profile: the landing page
-/// plus up to `max_pages − 1` discovered subpages.
+/// The pages of a site to be visited by every profile, at most
+/// `max_pages` of them: the landing page, then up to `max_pages − 1`
+/// discovered subpages.
 ///
 /// Deterministic in `(universe seed, site)`. A site can yield zero
 /// pages (discovery failure), matching the paper's min of 0.
@@ -20,7 +21,7 @@ pub fn discover_pages(universe: &WebUniverse, site: &SiteSpec, max_pages: usize)
     let h = stable_hash(seed, format!("discover:{}", site.domain).as_bytes());
     // ~1% of sites are not meant for humans (CDN/ad-network landing
     // pages) and yield nothing.
-    if h.is_multiple_of(100) {
+    if max_pages == 0 || h.is_multiple_of(100) {
         return Vec::new();
     }
     let mut pages = vec![site.landing_url()];
@@ -71,6 +72,10 @@ mod tests {
     fn respects_max_pages() {
         let u = uni();
         for s in u.sites() {
+            assert!(discover_pages(&u, s, 0).is_empty());
+            let one = discover_pages(&u, s, 1);
+            assert!(one.len() <= 1);
+            assert_eq!(one.first(), discover_pages(&u, s, 25).first());
             assert!(discover_pages(&u, s, 5).len() <= 5);
             assert!(discover_pages(&u, s, 25).len() <= 25);
         }

@@ -55,6 +55,17 @@ pub enum ExportError {
         /// The doubly-recorded profile index.
         profile: usize,
     },
+    /// A profile navigated a page the crawl did not load, so the visit
+    /// has no record to write: the database came from a crawl that loads
+    /// only the pages vetting keeps.
+    Unloaded {
+        /// Site of the page.
+        site: String,
+        /// URL of the page.
+        url: String,
+        /// The profile index.
+        profile: usize,
+    },
 }
 
 impl std::fmt::Display for ExportError {
@@ -74,6 +85,11 @@ impl std::fmt::Display for ExportError {
                 f,
                 "line {line}: duplicate record for profile {profile} on {site} / {url}"
             ),
+            ExportError::Unloaded { site, url, profile } => write!(
+                f,
+                "profile {profile} navigated {site} / {url} but the crawl did not load it: \
+                 no record to export"
+            ),
         }
     }
 }
@@ -83,7 +99,9 @@ impl std::error::Error for ExportError {
         match self {
             ExportError::Io(e) => Some(e),
             ExportError::Parse { source, .. } => Some(source),
-            ExportError::ProfileOutOfRange { .. } | ExportError::Duplicate { .. } => None,
+            ExportError::ProfileOutOfRange { .. }
+            | ExportError::Duplicate { .. }
+            | ExportError::Unloaded { .. } => None,
         }
     }
 }
@@ -95,12 +113,23 @@ impl From<std::io::Error> for ExportError {
 }
 
 /// Write every recorded visit as JSONL. Records appear in deterministic
-/// `(page, profile)` order.
+/// `(page, profile)` order. A database holding a visit the crawl
+/// navigated but did not load is refused before anything is written.
 pub fn write_jsonl<W: Write>(db: &CrawlDb, mut out: W) -> Result<usize, ExportError> {
+    let pages: Vec<PageKey> = db.pages().cloned().collect();
+    for page in &pages {
+        if let Some(profile) = (0..db.n_profiles()).find(|&p| db.unloaded(page, p)) {
+            return Err(ExportError::Unloaded {
+                site: page.site.clone(),
+                url: page.url.clone(),
+                profile,
+            });
+        }
+    }
     let mut written = 0usize;
     // Iterate pages in order; include failed visits too (a raw-data
     // release documents failures).
-    for page in db.pages().cloned().collect::<Vec<PageKey>>() {
+    for page in pages {
         for profile in 0..db.n_profiles() {
             if let Some(visit) = db.visit_any(&page, profile) {
                 let line = VisitRecordLine {
@@ -171,24 +200,23 @@ mod tests {
     use crate::{Commander, CrawlOptions};
     use wmtree_webgen::{UniverseConfig, WebUniverse};
 
+    fn options() -> CrawlOptions {
+        CrawlOptions {
+            max_pages_per_site: 3,
+            workers: 1,
+            experiment_seed: 5,
+            reliable: false,
+            stateful: false,
+        }
+    }
+
     fn small_db() -> CrawlDb {
         let u = WebUniverse::generate(UniverseConfig {
             seed: 81,
             sites_per_bucket: [2, 1, 1, 1, 1],
             max_subpages: 3,
         });
-        Commander::new(
-            &u,
-            standard_profiles(),
-            CrawlOptions {
-                max_pages_per_site: 3,
-                workers: 1,
-                experiment_seed: 5,
-                reliable: false,
-                stateful: false,
-            },
-        )
-        .run()
+        Commander::new(&u, standard_profiles(), options()).run()
     }
 
     #[test]
@@ -212,6 +240,24 @@ mod tests {
             .map(|(p, _)| p.clone())
             .collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn unloaded_visits_are_refused_before_anything_is_written() {
+        let u = WebUniverse::generate(UniverseConfig {
+            seed: 81,
+            sites_per_bucket: [2, 1, 1, 1, 1],
+            max_subpages: 3,
+        });
+        let mut db = CrawlDb::new(5);
+        let progress = wmtree_telemetry::ProgressTracker::new(u.sites().len(), 1);
+        Commander::new(&u, standard_profiles(), options())
+            .crawl(&progress, |site| site, |site| db.try_merge(site))
+            .unwrap();
+        let mut buf = Vec::new();
+        let err = write_jsonl(&db, &mut buf).expect_err("a navigated-only visit has no record");
+        assert!(matches!(err, ExportError::Unloaded { .. }), "{err}");
+        assert!(buf.is_empty());
     }
 
     #[test]
